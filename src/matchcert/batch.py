@@ -25,14 +25,16 @@ from typing import Mapping
 
 from .bounds import (
     BoundMethod,
+    Confidence,
     DeltaBudget,
     PopulationSpec,
     SampleSummary,
     bound_mean,
+    bound_term,
 )
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
-from .reports import VACUOUS_DENOMINATOR, ValidationReport, digest_of
+from .reports import ValidationReport, build_report
 
 __all__ = [
     "BatchValidationInput",
@@ -78,65 +80,45 @@ class BatchValidationInput:
         return len(self.pair.x_net.nodes)
 
 
-def _require_parts(inp: BatchValidationInput, k: int) -> None:
-    if len(inp.budget) != k:
-        raise MatchcertError(
-            f"budget-arity: certificate needs {k} delta parts, "
-            f"got {len(inp.budget)}"
-        )
+def _inputs(inp: BatchValidationInput) -> dict:
+    return {
+        "n_x": inp.n_x,
+        "m_hat_holdout": sorted(map(list, inp.m_hat_holdout.pairs)),
+        "m_hat_complete": (
+            sorted(map(list, inp.m_hat_complete.pairs))
+            if inp.m_hat_complete
+            else None
+        ),
+        "s_m": sorted(map(list, inp.s_m)),
+        "s_x": sorted(inp.s_x),
+        "k_y": inp.k_y,
+        "method": inp.method.value,
+        "deltas": [p.delta for p in inp.budget.parts],
+        "m_size": inp.m_size,
+        "m_size_upper": inp.m_size_upper,
+    }
 
 
-def _digest(inp: BatchValidationInput, bound_id: str) -> str:
-    return digest_of(
-        {
-            "bound_id": bound_id,
-            "n_x": inp.n_x,
-            "m_hat_holdout": sorted(map(list, inp.m_hat_holdout.pairs)),
-            "m_hat_complete": (
-                sorted(map(list, inp.m_hat_complete.pairs))
-                if inp.m_hat_complete
-                else None
-            ),
-            "s_m": sorted(map(list, inp.s_m)),
-            "s_x": sorted(inp.s_x),
-            "k_y": inp.k_y,
-            "method": inp.method.value,
-            "deltas": [p.delta for p in inp.budget.parts],
-            "m_size": inp.m_size,
-            "m_size_upper": inp.m_size_upper,
-        }
-    )
-
-
-def _recall_term(inp: BatchValidationInput, delta) -> tuple[float, BoundMethod]:
+def _recall_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, str]:
     """Lower-bound the identified rate over the actual matches."""
     if not inp.s_m:
         raise MatchcertError("empty-sample: s_m has no verified matches")
     values = [1.0 if p in inp.m_hat_holdout.pairs else 0.0 for p in inp.s_m]
-    if inp.m_size is not None:
-        n, method = inp.m_size, inp.method
-    elif inp.m_size_upper is not None:
-        n = inp.m_size_upper
-        # the exact method needs the true population size; the Hoeffding
-        # slack ignores n and the EBS rho factor grows with it, so both
-        # stay valid under an upper bound
-        method = (
-            BoundMethod.HOEFFDING
-            if inp.method is BoundMethod.HYPERGEOMETRIC
-            else inp.method
-        )
-    else:
+    n = inp.m_size if inp.m_size is not None else inp.m_size_upper
+    if n is None:
         raise MatchcertError(
             "missing-population: supply m_size or m_size_upper for the recall term"
         )
-    res = bound_mean(
-        PopulationSpec(n, 0.0, 1.0), SampleSummary.of(values), method, delta, "lower"
-    )
-    return res.lower, method
+    exact = inp.m_size is not None
+    return bound_term(n, values, inp.method, delta, "lower", exact=exact)
 
 
-def _density_term(inp: BatchValidationInput, delta) -> tuple[float, BoundMethod]:
-    """Lower-bound the mean per-node actual-match count over X."""
+def _density_term(inp: BatchValidationInput, delta: Confidence) -> float:
+    """Lower-bound the mean per-node actual-match count over X.
+
+    The population is X itself, whose size is always known, so the
+    requested method is used as is (the exact one therefore needs k_y = 1).
+    """
     if not inp.s_x:
         raise MatchcertError("empty-sample: s_x has no nodes")
     values = []
@@ -144,65 +126,56 @@ def _density_term(inp: BatchValidationInput, delta) -> tuple[float, BoundMethod]
         if x not in inp.actual_for:
             raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
         values.append(float(len(inp.actual_for[x])))
-    res = bound_mean(
+    return bound_mean(
         PopulationSpec(inp.n_x, 0.0, float(inp.k_y)),
         SampleSummary.of(values),
         inp.method,
         delta,
         "lower",
-    )
-    return res.lower, inp.method
+    ).lower
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _two_terms(
+    inp: BatchValidationInput, parts: tuple[Confidence, ...]
+) -> tuple[dict, dict]:
+    """The recall and match-density terms, on the budget's two parts."""
+    d_recall, d_density = parts
+    recall_lb, recall_method = _recall_term(inp, d_recall)
+    density_lb = _density_term(inp, d_density)
+    terms = {"recall_term": recall_lb, "match_density_term": density_lb}
+    methods = {"recall_term": recall_method, "match_density_term": inp.method.value}
+    return terms, methods
 
 
-def _precision_scale(n_x: int, m_hat_size: int, recall_lb: float, density_lb: float) -> float:
+def _precision_scale(n_x: int, m_hat_size: int, terms: dict) -> float:
     # shared by the holdout and complete precision certificates so that the
     # zero-disagreement case reduces to the holdout value bit-for-bit
-    return n_x / m_hat_size * recall_lb * density_lb
+    return n_x / m_hat_size * terms["recall_term"] * terms["match_density_term"]
 
 
 def holdout_batch_recall(inp: BatchValidationInput) -> ValidationReport:
-    _require_parts(inp, 1)
-    recall_lb, method = _recall_term(inp, inp.budget.parts[0])
-    return ValidationReport(
-        bound_id="holdout-batch-recall",
-        quantity="recall",
-        variant="holdout",
-        mode="batch",
-        budget=inp.budget,
-        lower_bound=_clamp01(recall_lb),
-        terms={"recall_term": recall_lb, "sample_size": float(len(inp.s_m))},
-        term_methods={"recall_term": method.value},
-        inputs_digest=_digest(inp, "holdout-batch-recall"),
+    (delta,) = inp.budget.parts_for(1)
+    recall_lb, method = _recall_term(inp, delta)
+    return build_report(
+        "holdout-batch-recall",
+        inp.budget,
+        _inputs(inp),
+        {"recall_term": recall_lb, "sample_size": float(len(inp.s_m))},
+        {"recall_term": method},
+        recall_lb,
     )
 
 
 def holdout_batch_precision(inp: BatchValidationInput) -> ValidationReport:
-    _require_parts(inp, 2)
+    parts = inp.budget.parts_for(2)
     if not inp.m_hat_holdout.pairs:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
-    recall_lb, rm = _recall_term(inp, inp.budget.parts[0])
-    density_lb, dm = _density_term(inp, inp.budget.parts[1])
-    value = _precision_scale(
-        inp.n_x, len(inp.m_hat_holdout.pairs), recall_lb, density_lb
-    )
-    return ValidationReport(
-        bound_id="holdout-batch-precision",
-        quantity="precision",
-        variant="holdout",
-        mode="batch",
-        budget=inp.budget,
-        lower_bound=_clamp01(value),
-        terms={
-            "recall_term": recall_lb,
-            "match_density_term": density_lb,
-            "identified_count": float(len(inp.m_hat_holdout.pairs)),
-        },
-        term_methods={"recall_term": rm.value, "match_density_term": dm.value},
-        inputs_digest=_digest(inp, "holdout-batch-precision"),
+    terms, methods = _two_terms(inp, parts)
+    identified = len(inp.m_hat_holdout.pairs)
+    terms["identified_count"] = float(identified)
+    value = _precision_scale(inp.n_x, identified, terms)
+    return build_report(
+        "holdout-batch-precision", inp.budget, _inputs(inp), terms, methods, value
     )
 
 
@@ -213,72 +186,39 @@ def _require_complete(inp: BatchValidationInput) -> MatchSet:
 
 
 def complete_batch_recall(inp: BatchValidationInput) -> ValidationReport:
-    _require_parts(inp, 2)
+    parts = inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
-    recall_lb, rm = _recall_term(inp, inp.budget.parts[0])
-    density_lb, dm = _density_term(inp, inp.budget.parts[1])
+    terms, methods = _two_terms(inp, parts)
     disagreement = len(inp.m_hat_holdout.pairs - m_hat.pairs)
-    terms = {
-        "recall_term": recall_lb,
-        "match_density_term": density_lb,
-        "disagreement_count": float(disagreement),
-    }
-    term_methods = {"recall_term": rm.value, "match_density_term": dm.value}
-    digest = _digest(inp, "complete-batch-recall")
-    if density_lb <= inp.vacuous_eps:
-        return ValidationReport(
-            bound_id="complete-batch-recall",
-            quantity="recall",
-            variant="complete",
-            mode="batch",
-            budget=inp.budget,
-            lower_bound=0.0,
-            terms=terms,
-            term_methods=term_methods,
-            flags=(VACUOUS_DENOMINATOR,),
-            inputs_digest=digest,
-        )
-    value = recall_lb - disagreement / (inp.n_x * density_lb)
-    return ValidationReport(
-        bound_id="complete-batch-recall",
-        quantity="recall",
-        variant="complete",
-        mode="batch",
-        budget=inp.budget,
-        lower_bound=_clamp01(value),
-        terms=terms,
-        term_methods=term_methods,
-        inputs_digest=digest,
+    terms["disagreement_count"] = float(disagreement)
+    recall_lb, density_lb = terms["recall_term"], terms["match_density_term"]
+    return build_report(
+        "complete-batch-recall",
+        inp.budget,
+        _inputs(inp),
+        terms,
+        methods,
+        lambda: recall_lb - disagreement / (inp.n_x * density_lb),
+        denominator=density_lb,
+        vacuous_eps=inp.vacuous_eps,
     )
 
 
 def complete_batch_precision(inp: BatchValidationInput) -> ValidationReport:
-    _require_parts(inp, 2)
+    parts = inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     if not m_hat.pairs:
         raise MatchcertError("no-identified-matches: complete identified set is empty")
-    recall_lb, rm = _recall_term(inp, inp.budget.parts[0])
-    density_lb, dm = _density_term(inp, inp.budget.parts[1])
+    terms, methods = _two_terms(inp, parts)
     disagreement = len(inp.m_hat_holdout.pairs - m_hat.pairs)
+    terms["disagreement_count"] = float(disagreement)
+    terms["identified_count"] = float(len(m_hat.pairs))
     value = (
-        _precision_scale(inp.n_x, len(m_hat.pairs), recall_lb, density_lb)
+        _precision_scale(inp.n_x, len(m_hat.pairs), terms)
         - disagreement / len(m_hat.pairs)
     )
-    return ValidationReport(
-        bound_id="complete-batch-precision",
-        quantity="precision",
-        variant="complete",
-        mode="batch",
-        budget=inp.budget,
-        lower_bound=_clamp01(value),
-        terms={
-            "recall_term": recall_lb,
-            "match_density_term": density_lb,
-            "disagreement_count": float(disagreement),
-            "identified_count": float(len(m_hat.pairs)),
-        },
-        term_methods={"recall_term": rm.value, "match_density_term": dm.value},
-        inputs_digest=_digest(inp, "complete-batch-precision"),
+    return build_report(
+        "complete-batch-precision", inp.budget, _inputs(inp), terms, methods, value
     )
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "hypergeom_invert_lower",
     "hypergeom_invert_upper",
     "bound_mean",
+    "bound_term",
     "union_confidence",
     "is_binary_sample",
 ]
@@ -165,6 +166,15 @@ class DeltaBudget:
     @property
     def total(self) -> float:
         return sum(p.delta for p in self.parts)
+
+    def parts_for(self, k: int) -> tuple[Confidence, ...]:
+        """The parts of a budget spent on exactly ``k`` bound terms."""
+        if len(self.parts) != k:
+            raise MatchcertError(
+                f"budget-arity: certificate needs {k} delta parts, "
+                f"got {len(self.parts)}"
+            )
+        return self.parts
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -451,6 +461,33 @@ def bound_mean(
             res.estimate, pop.lo, res.upper, delta, method, dict(res.diagnostics)
         )
     return res
+
+
+def bound_term(
+    n: int,
+    values: Iterable[float],
+    method: BoundMethod,
+    delta: Confidence,
+    side: str,
+    lo: float = 0.0,
+    hi: float = 1.0,
+    exact: bool = True,
+) -> tuple[float, str]:
+    """One side of one certificate term: (bound, name of the method used).
+
+    This is where a certificate's requested method is downgraded. The
+    exact method needs 0/1 values and the true population size; a term
+    that cannot promise both passes ``exact=False`` and gets Hoeffding,
+    whose slack ignores ``n``. EBS is kept: its rho factor only grows when
+    ``n`` overstates the population. ``tests/test_bounds.py`` checks both
+    families exhaustively under such stand-in sizes on small populations.
+    """
+    if method is BoundMethod.HYPERGEOMETRIC and not exact:
+        method = BoundMethod.HOEFFDING
+    res = bound_mean(
+        PopulationSpec(n, lo, hi), SampleSummary.of(values), method, delta, side
+    )
+    return (res.lower if side == "lower" else res.upper), method.value
 
 
 def union_confidence(budget: DeltaBudget) -> float:

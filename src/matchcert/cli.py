@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .batch import (
@@ -29,8 +30,10 @@ from .errors import MatchcertError
 from .graphs import (
     MatchRole,
     NetworkPair,
+    by_x,
     load_matches,
     load_network,
+    read_pairs,
     save_matches,
     save_network,
 )
@@ -50,18 +53,6 @@ from .synth import GeneratorConfig, generate_pair
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VACUOUS = 2
-
-
-def _read_pairs(path: str) -> list[tuple[str, str]]:
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
-        if not raw or raw.isspace() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 2:
-            raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
-        rows.append((fields[0], fields[1]))
-    return rows
 
 
 def _read_items(path: str) -> list[str]:
@@ -150,7 +141,7 @@ def cmd_gen(args) -> int:
 def cmd_match(args) -> int:
     pair = _load_pair(args)
     config = MatcherConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-    seeds = _read_pairs(args.seeds) if args.seeds else []
+    seeds = read_pairs(args.seeds) if args.seeds else []
     handle = build_matcher(config, training_matches=seeds,
                            trained_on=("cli-seeds",) if seeds else ())
     result = run_batch(handle, pair)
@@ -184,11 +175,9 @@ def cmd_split(args) -> int:
 
 
 def _actual_map(pair: NetworkPair, actual_path: str, s_x: list[str]):
-    actual_pairs = load_matches(actual_path, pair, MatchRole.ACTUAL)
-    per_x: dict[str, set[str]] = {x: set() for x in s_x}
-    for x, y in actual_pairs.pairs:
-        per_x.setdefault(x, set()).add(y)
-    return {x: frozenset(ys) for x, ys in per_x.items()}
+    """The verified matches of each sampled node, read once per command."""
+    per_x = by_x(load_matches(actual_path, pair, MatchRole.ACTUAL))
+    return {x: per_x.get(x, frozenset()) for x in s_x}
 
 
 def cmd_validate_batch(args) -> int:
@@ -199,8 +188,9 @@ def cmd_validate_batch(args) -> int:
         if args.m_hat_complete
         else None
     )
-    s_m = tuple(_read_pairs(args.s_m))
+    s_m = tuple(read_pairs(args.s_m))
     s_x = _read_items(args.s_x)
+    actual_for = _actual_map(pair, args.actual, s_x)
     deltas = _parse_deltas(args.delta)
     method = BoundMethod.parse(args.method)
 
@@ -210,7 +200,7 @@ def cmd_validate_batch(args) -> int:
             m_hat_holdout=m_hat_h,
             s_m=s_m,
             s_x=tuple(s_x),
-            actual_for=_actual_map(pair, args.actual, s_x),
+            actual_for=actual_for,
             method=method,
             budget=budget,
             k_y=args.k_y,
@@ -238,7 +228,7 @@ def cmd_validate_query(args) -> int:
     holdout_cfg = MatcherConfig.from_json(
         Path(args.matcher).read_text(encoding="utf-8")
     )
-    seeds = _read_pairs(args.seeds) if args.seeds else []
+    seeds = read_pairs(args.seeds) if args.seeds else []
     holdout = build_matcher(holdout_cfg, training_matches=seeds,
                             trained_on=("cli-seeds",) if seeds else ())
     complete = None
@@ -251,13 +241,14 @@ def cmd_validate_query(args) -> int:
             else holdout_cfg
         )
         complete_seeds = (
-            _read_pairs(args.seeds_complete) if args.seeds_complete else seeds
+            read_pairs(args.seeds_complete) if args.seeds_complete else seeds
         )
         complete = build_matcher(
             complete_cfg, training_matches=complete_seeds, holdout=False
         )
     s_x = _read_items(args.s_x)
     s_x_prime = _read_items(args.s_x_prime) if args.s_x_prime else []
+    actual_for = _actual_map(pair, args.actual, s_x)
     deltas = _parse_deltas(args.delta)
     method = BoundMethod.parse(args.method)
 
@@ -266,7 +257,7 @@ def cmd_validate_query(args) -> int:
             pair=pair,
             holdout=holdout,
             s_x=tuple(s_x),
-            actual_for=_actual_map(pair, args.actual, s_x),
+            actual_for=actual_for,
             method=method,
             budget=budget,
             complete=complete if with_complete else None,
@@ -294,14 +285,9 @@ def cmd_validate_query(args) -> int:
 
 def cmd_coverage(args) -> int:
     cfg = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if overrides:
-        cfg = ExperimentConfig.from_json_dict({**cfg.to_json_dict(), **overrides})
-    table = run_coverage(cfg)
+        cfg = replace(cfg, seed=args.seed)
+    table = run_coverage(cfg, jobs=args.jobs)
     csv_path = Path(args.out_prefix + ".csv")
     json_path = Path(args.out_prefix + ".json")
     csv_path.write_text(table.to_csv(), encoding="utf-8")
@@ -409,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="Monte Carlo failure-rate experiment")
     p.add_argument("--config", required=True, help="ExperimentConfig JSON file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_coverage)
 

@@ -46,6 +46,7 @@ from .query import (
     true_error_rate,
     true_query_metrics,
 )
+from .reports import ValidationReport
 from .sampling import sample_without_replacement, spawn_rng
 from .synth import GeneratorConfig, generate_pair
 
@@ -112,7 +113,6 @@ class ExperimentConfig:
     seed: int
     matcher_complete: MatcherConfig | None = None
     delta_total: float = 0.05
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -134,7 +134,6 @@ class ExperimentConfig:
             "trials": self.trials,
             "seed": self.seed,
             "delta_total": self.delta_total,
-            "jobs": self.jobs,
         }
 
     @classmethod
@@ -152,7 +151,6 @@ class ExperimentConfig:
             trials=int(doc["trials"]),
             seed=int(doc["seed"]),
             delta_total=float(doc.get("delta_total", 0.05)),
-            jobs=int(doc.get("jobs", 1)),
         )
 
     @classmethod
@@ -188,26 +186,16 @@ def run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
         raise MatchcertError(f"trial-failed: trial {idx}: {e}") from e
 
 
-def _lower_record(bound_id, method, report, truth) -> TrialRecord:
+def _record(method: BoundMethod, report: ValidationReport, truth: float) -> TrialRecord:
+    lower = report.lower_bound is not None
+    bound = report.lower_bound if lower else report.upper_bound
     return TrialRecord(
-        bound_id=bound_id,
+        bound_id=report.bound_id,
         method=method.value,
         deltas=_deltas_str(report.budget),
-        bound=report.lower_bound,
+        bound=bound,
         truth=truth,
-        failed=report.lower_bound > truth,
-        vacuous=report.vacuous,
-    )
-
-
-def _upper_record(bound_id, method, report, truth) -> TrialRecord:
-    return TrialRecord(
-        bound_id=bound_id,
-        method=method.value,
-        deltas=_deltas_str(report.budget),
-        bound=report.upper_bound,
-        truth=truth,
-        failed=report.upper_bound < truth,
+        failed=bound > truth if lower else bound < truth,
         vacuous=report.vacuous,
     )
 
@@ -284,43 +272,6 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
                 m_size=len(truth.pairs),
             )
 
-        records.append(
-            _lower_record(
-                "holdout-batch-recall",
-                method,
-                holdout_batch_recall(batch_inp(DeltaBudget.of(d))),
-                r_h_batch,
-            )
-        )
-        records.append(
-            _lower_record(
-                "holdout-batch-precision",
-                method,
-                holdout_batch_precision(batch_inp(DeltaBudget.equal_split(d, 2))),
-                p_h_batch,
-            )
-        )
-        records.append(
-            _lower_record(
-                "complete-batch-recall",
-                method,
-                complete_batch_recall(
-                    batch_inp(DeltaBudget.equal_split(d, 2), m_hat_c)
-                ),
-                r_c_batch,
-            )
-        )
-        records.append(
-            _lower_record(
-                "complete-batch-precision",
-                method,
-                complete_batch_precision(
-                    batch_inp(DeltaBudget.equal_split(d, 2), m_hat_c)
-                ),
-                p_c_batch,
-            )
-        )
-
         def query_inp(budget, with_complete=False):
             return QueryValidationInput(
                 pair=pair,
@@ -334,51 +285,31 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
                 k_cap=1,
             )
 
-        q_prec, q_rec = holdout_query_bounds(query_inp(DeltaBudget.of(d)))
-        records.append(
-            _lower_record("holdout-query-precision", method, q_prec, p_h_query)
-        )
-        records.append(
-            _lower_record("holdout-query-recall", method, q_rec, r_h_query)
-        )
-        records.append(
-            _lower_record(
-                "complete-query-recall",
-                method,
-                complete_query_recall(
-                    query_inp(DeltaBudget.equal_split(d, 3), with_complete=True)
-                ),
+        one, two = DeltaBudget.of(d), DeltaBudget.equal_split(d, 2)
+        checks = [
+            (holdout_batch_recall(batch_inp(one)), r_h_batch),
+            (holdout_batch_precision(batch_inp(two)), p_h_batch),
+            (complete_batch_recall(batch_inp(two, m_hat_c)), r_c_batch),
+            (complete_batch_precision(batch_inp(two, m_hat_c)), p_c_batch),
+        ]
+        q_prec, q_rec = holdout_query_bounds(query_inp(one))
+        checks += [
+            (q_prec, p_h_query),
+            (q_rec, r_h_query),
+            (
+                complete_query_recall(query_inp(DeltaBudget.equal_split(d, 3), True)),
                 r_c_query,
-            )
-        )
-        records.append(
-            _lower_record(
-                "complete-query-precision",
-                method,
+            ),
+            (
                 complete_query_precision(
-                    query_inp(DeltaBudget.equal_split(d, 4), with_complete=True)
+                    query_inp(DeltaBudget.equal_split(d, 4), True)
                 ),
                 p_c_query,
-            )
-        )
-        records.append(
-            _upper_record(
-                "holdout-query-error-rate",
-                method,
-                error_rate_bounds(query_inp(DeltaBudget.of(d))),
-                err_h,
-            )
-        )
-        records.append(
-            _upper_record(
-                "complete-query-error-rate",
-                method,
-                error_rate_bounds(
-                    query_inp(DeltaBudget.equal_split(d, 2), with_complete=True)
-                ),
-                err_c,
-            )
-        )
+            ),
+            (error_rate_bounds(query_inp(one)), err_h),
+            (error_rate_bounds(query_inp(two, True)), err_c),
+        ]
+        records += [_record(method, report, truth) for report, truth in checks]
     return records
 
 
@@ -461,9 +392,12 @@ def _worker(args) -> list[TrialRecord]:
     return run_trial(cfg, idx)
 
 
-def run_coverage(cfg: ExperimentConfig, jobs: int | None = None) -> CoverageTable:
-    """Run all trials and aggregate failure rates per certificate/method."""
-    jobs = cfg.jobs if jobs is None else jobs
+def run_coverage(cfg: ExperimentConfig, jobs: int = 1) -> CoverageTable:
+    """Run all trials and aggregate failure rates per certificate/method.
+
+    ``jobs`` worker processes share the trials; the table does not depend
+    on it.
+    """
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             all_records = list(

@@ -31,14 +31,12 @@ __all__ = [
     "NetworkPair",
     "MatchRole",
     "MatchSet",
-    "PerNodeView",
     "make_network",
     "make_match_set",
-    "matches_of",
-    "match_count",
     "by_x",
     "load_network",
     "save_network",
+    "read_pairs",
     "load_matches",
     "save_matches",
 ]
@@ -140,27 +138,6 @@ def make_match_set(
     )
 
 
-@dataclass(frozen=True)
-class PerNodeView:
-    node: str
-    matched: frozenset[str]
-
-    def __bool__(self) -> bool:
-        return bool(self.matched)
-
-
-def matches_of(ms: MatchSet, x: str) -> PerNodeView:
-    """The y side of every pair in ``ms`` containing ``x`` (possibly empty)."""
-    if x not in ms.x_universe:
-        raise MatchcertError(f"unknown-node: {x!r} not in the x universe")
-    return PerNodeView(x, frozenset(y for (u, y) in ms.pairs if u == x))
-
-
-def match_count(ms: MatchSet, x: str) -> int:
-    """m(x): the number of pairs in ``ms`` containing ``x``."""
-    return len(matches_of(ms, x).matched)
-
-
 def by_x(ms: MatchSet) -> dict[str, frozenset[str]]:
     """Per-x view of the whole set in one pass: {x: set of matched y}."""
     acc: dict[str, set[str]] = {}
@@ -234,13 +211,8 @@ def save_network(net: Network, path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def load_matches(
-    path: str | Path,
-    pair: NetworkPair,
-    role: MatchRole,
-    k_y: int | None = None,
-) -> MatchSet:
-    """Parse a match TSV file against a NetworkPair."""
+def read_pairs(path: str | Path) -> list[tuple[str, str]]:
+    """Parse the ``x<TAB>y`` lines of a match TSV file, in file order."""
     rows = []
     for lineno, raw in _lines(path):
         if raw.startswith("#"):
@@ -249,7 +221,17 @@ def load_matches(
         if len(fields) != 2:
             raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
         rows.append((fields[0], fields[1]))
-    return make_match_set(rows, pair, role, k_y)
+    return rows
+
+
+def load_matches(
+    path: str | Path,
+    pair: NetworkPair,
+    role: MatchRole,
+    k_y: int | None = None,
+) -> MatchSet:
+    """Parse a match TSV file against a NetworkPair."""
+    return make_match_set(read_pairs(path), pair, role, k_y)
 
 
 def save_matches(ms: MatchSet, path: str | Path) -> None:

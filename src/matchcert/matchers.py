@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import MatchcertError
-from .graphs import MatchRole, MatchSet, NetworkPair, PerNodeView, make_match_set
+from .graphs import MatchRole, MatchSet, NetworkPair, make_match_set
 
 __all__ = [
     "TopDegree",
@@ -284,13 +284,13 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
     return result
 
 
-def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> PerNodeView:
+def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str]:
     """Identified matches for one node; increments the handle's query count."""
     if x not in pair.x_net.nodes:
         raise MatchcertError(f"unknown-node: {x!r}")
     handle._queries += 1
     full = run_batch(handle, pair)
-    return PerNodeView(x, frozenset(y for (u, y) in full.pairs if u == x))
+    return frozenset(y for (u, y) in full.pairs if u == x)
 
 
 def percolate_step(

@@ -19,9 +19,13 @@ where the holdout matcher found something the complete one dropped, and
 d_p(x) additionally charges for partial overlap.
 
 Population sizes of the defined-node subsets are unknowable without full
-enumeration, so the conservative stand-in |X| is used where a size is
-needed (the Hoeffding slack ignores it; the EBS factor and the exact
-inversion only widen under an overestimate).
+enumeration, so the stand-in |X| is used where a size is needed. That is
+conservative for Hoeffding, whose slack ignores the size, and for EBS,
+whose sampling-fraction factor only grows with it; tests/test_bounds.py
+checks both exhaustively on small populations. It is not conservative for
+the exact hypergeometric inversion, whose bound lies on the m/n lattice
+and is not monotone in n, yet the exact method is still used under the
+stand-in: ROADMAP open item 1.
 """
 
 from __future__ import annotations
@@ -29,18 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .bounds import (
-    BoundMethod,
-    Confidence,
-    DeltaBudget,
-    PopulationSpec,
-    SampleSummary,
-    bound_mean,
-)
+from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
-from .graphs import MatchSet, NetworkPair, PerNodeView, by_x
-from .matchers import MatcherHandle, run_query
-from .reports import VACUOUS_DENOMINATOR, ValidationReport, digest_of
+from .graphs import MatchSet, NetworkPair, by_x
+from .matchers import MatcherHandle, run_batch
+from .reports import ValidationReport, build_report
 from .sampling import stream_without_replacement
 
 __all__ = [
@@ -64,25 +61,23 @@ __all__ = [
 DP_DEFAULT_RANGE = (-1.0, 2.0)
 
 
-def single_node_precision(
-    m_hat_view: PerNodeView, m_view: PerNodeView
-) -> float | None:
+def single_node_precision(m_hat: frozenset, actual: frozenset) -> float | None:
     """|identified ∩ actual| / |identified|; None when nothing identified."""
-    if not m_hat_view.matched:
+    if not m_hat:
         return None
-    return len(m_hat_view.matched & m_view.matched) / len(m_hat_view.matched)
+    return len(m_hat & actual) / len(m_hat)
 
 
-def single_node_recall(m_hat_view: PerNodeView, m_view: PerNodeView) -> float | None:
+def single_node_recall(m_hat: frozenset, actual: frozenset) -> float | None:
     """|identified ∩ actual| / |actual|; None when no actual matches."""
-    if not m_view.matched:
+    if not actual:
         return None
-    return len(m_hat_view.matched & m_view.matched) / len(m_view.matched)
+    return len(m_hat & actual) / len(actual)
 
 
-def single_node_error(m_hat_view: PerNodeView, m_view: PerNodeView) -> int:
+def single_node_error(m_hat: frozenset, actual: frozenset) -> int:
     """1 when the identified and actual sets differ at all, else 0."""
-    return int(m_hat_view.matched != m_view.matched)
+    return int(m_hat != actual)
 
 
 def disagreement_recall(holdout: frozenset, complete: frozenset) -> float:
@@ -158,88 +153,50 @@ class QueryValidationInput:
         return len(self.pair.x_net.nodes)
 
 
-def _require_parts(inp: QueryValidationInput, k: int) -> None:
-    if len(inp.budget) != k:
-        raise MatchcertError(
-            f"budget-arity: certificate needs {k} delta parts, got {len(inp.budget)}"
-        )
-
-
 def _actual(inp: QueryValidationInput, x: str) -> frozenset:
     if x not in inp.actual_for:
         raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
     return inp.actual_for[x]
 
 
-def _holdout_views(inp: QueryValidationInput, nodes: Sequence[str]):
-    return {x: run_query(inp.holdout, inp.pair, x).matched for x in nodes}
+def _views(
+    inp: QueryValidationInput, handle: MatcherHandle, nodes: Sequence[str]
+) -> dict[str, frozenset[str]]:
+    """The identified matches of each sampled node, from one pass over the
+    handle's identified set."""
+    per_x = by_x(run_batch(handle, inp.pair))
+    views = {}
+    for x in nodes:
+        if x not in inp.pair.x_net.nodes:
+            raise MatchcertError(f"unknown-node: {x!r}")
+        views[x] = per_x.get(x, frozenset())
+    return views
 
 
-def _complete_views(inp: QueryValidationInput, nodes: Sequence[str]):
-    assert inp.complete is not None
-    return {x: run_query(inp.complete, inp.pair, x).matched for x in nodes}
-
-
-def _term(
-    inp: QueryValidationInput,
-    values: Sequence[float],
-    delta: Confidence,
-    side: str,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    allow_exact: bool = True,
-) -> tuple[float, str]:
-    """One bound term; downgrades the exact method where it cannot apply."""
-    method = inp.method
-    if method is BoundMethod.HYPERGEOMETRIC and not allow_exact:
-        method = BoundMethod.HOEFFDING
-    res = bound_mean(
-        PopulationSpec(inp.n_x, lo, hi),
-        SampleSummary.of(values),
-        method,
-        delta,
-        side,
-    )
-    return (res.lower if side == "lower" else res.upper), method.value
-
-
-def _digest(inp: QueryValidationInput, bound_id: str) -> str:
-    return digest_of(
-        {
-            "bound_id": bound_id,
-            "n_x": inp.n_x,
-            "s_x": sorted(inp.s_x),
-            "s_x_prime": sorted(inp.s_x_prime),
-            "method": inp.method.value,
-            "deltas": [p.delta for p in inp.budget.parts],
-            "k_cap": inp.k_cap,
-            "holdout": inp.holdout.config.to_json_dict(),
-            "complete": (
-                inp.complete.config.to_json_dict() if inp.complete else None
-            ),
-        }
-    )
-
-
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _inputs(inp: QueryValidationInput) -> dict:
+    return {
+        "n_x": inp.n_x,
+        "s_x": sorted(inp.s_x),
+        "s_x_prime": sorted(inp.s_x_prime),
+        "method": inp.method.value,
+        "deltas": [p.delta for p in inp.budget.parts],
+        "k_cap": inp.k_cap,
+        "holdout": inp.holdout.config.to_json_dict(),
+        "complete": inp.complete.config.to_json_dict() if inp.complete else None,
+    }
 
 
 def _holdout_precision_term(
     inp: QueryValidationInput, hv: Mapping[str, frozenset], delta: Confidence
 ) -> tuple[float, str, int]:
-    values = []
-    for x in inp.s_x:
-        if hv[x]:
-            p = single_node_precision(
-                PerNodeView(x, hv[x]), PerNodeView(x, _actual(inp, x))
-            )
-            values.append(p)
+    values = [
+        single_node_precision(hv[x], _actual(inp, x)) for x in inp.s_x if hv[x]
+    ]
     if not values:
         raise MatchcertError(
             "no-usable-sample: no sampled node has identified matches"
         )
-    lb, used = _term(inp, values, delta, "lower")
+    lb, used = bound_term(inp.n_x, values, inp.method, delta, "lower")
     return lb, used, len(values)
 
 
@@ -250,12 +207,10 @@ def _holdout_recall_term(
     for x in inp.s_x:
         actual = _actual(inp, x)
         if actual:
-            values.append(
-                single_node_recall(PerNodeView(x, hv[x]), PerNodeView(x, actual))
-            )
+            values.append(single_node_recall(hv[x], actual))
     if not values:
         raise MatchcertError("no-usable-sample: no sampled node has actual matches")
-    lb, used = _term(inp, values, delta, "lower")
+    lb, used = bound_term(inp.n_x, values, inp.method, delta, "lower")
     return lb, used, len(values)
 
 
@@ -264,34 +219,27 @@ def holdout_query_bounds(
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at the budget's
     single delta (combine with union_confidence to hold both jointly)."""
-    _require_parts(inp, 1)
+    (delta,) = inp.budget.parts_for(1)
     if not inp.s_x:
         raise MatchcertError("empty-sample: s_x has no nodes")
-    delta = inp.budget.parts[0]
-    hv = _holdout_views(inp, inp.s_x)
+    hv = _views(inp, inp.holdout, inp.s_x)
     p_lb, p_used, p_n = _holdout_precision_term(inp, hv, delta)
     r_lb, r_used, r_n = _holdout_recall_term(inp, hv, delta)
-    precision = ValidationReport(
-        bound_id="holdout-query-precision",
-        quantity="precision",
-        variant="holdout",
-        mode="query",
-        budget=inp.budget,
-        lower_bound=_clamp01(p_lb),
-        terms={"precision_term": p_lb, "usable_nodes": float(p_n)},
-        term_methods={"precision_term": p_used},
-        inputs_digest=_digest(inp, "holdout-query-precision"),
+    precision = build_report(
+        "holdout-query-precision",
+        inp.budget,
+        _inputs(inp),
+        {"precision_term": p_lb, "usable_nodes": float(p_n)},
+        {"precision_term": p_used},
+        p_lb,
     )
-    recall = ValidationReport(
-        bound_id="holdout-query-recall",
-        quantity="recall",
-        variant="holdout",
-        mode="query",
-        budget=inp.budget,
-        lower_bound=_clamp01(r_lb),
-        terms={"recall_term": r_lb, "usable_nodes": float(r_n)},
-        term_methods={"recall_term": r_used},
-        inputs_digest=_digest(inp, "holdout-query-recall"),
+    recall = build_report(
+        "holdout-query-recall",
+        inp.budget,
+        _inputs(inp),
+        {"recall_term": r_lb, "usable_nodes": float(r_n)},
+        {"recall_term": r_used},
+        r_lb,
     )
     return precision, recall
 
@@ -308,69 +256,40 @@ def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
     """Holdout recall minus the disagreement rate rescaled by the matched
     fraction of X; reduces exactly to the holdout certificate when the
     complete matcher is the same function as the holdout one."""
-    _require_parts(inp, 3)
+    d_r, d_x, d_frac = inp.budget.parts_for(3)
     complete = _require_complete(inp)
-    d_r, d_x, d_frac = inp.budget.parts
-    hv = _holdout_views(inp, inp.s_x)
+    reduced = complete.same_function(inp.holdout)
+    hv = _views(
+        inp, inp.holdout, inp.s_x if reduced else (*inp.s_x, *inp.s_x_prime)
+    )
     r_lb, r_used, r_n = _holdout_recall_term(inp, hv, d_r)
-    digest = _digest(inp, "complete-query-recall")
-    if complete.same_function(inp.holdout):
-        return ValidationReport(
-            bound_id="complete-query-recall",
-            quantity="recall",
-            variant="complete",
-            mode="query",
-            budget=inp.budget,
-            lower_bound=_clamp01(r_lb),
-            terms={"recall_term": r_lb, "disagreement_term": 0.0,
-                   "usable_nodes": float(r_n)},
-            term_methods={"recall_term": r_used},
+    terms = {"recall_term": r_lb, "disagreement_term": 0.0, "usable_nodes": float(r_n)}
+    methods = {"recall_term": r_used}
+    if reduced:
+        return build_report(
+            "complete-query-recall", inp.budget, _inputs(inp), terms, methods, r_lb,
             flags=("reduced-to-holdout",),
-            inputs_digest=digest,
         )
-    hv_prime = _holdout_views(inp, inp.s_x_prime)
-    cv_prime = _complete_views(inp, inp.s_x_prime)
-    d_values = [
-        disagreement_recall(hv_prime[x], cv_prime[x]) for x in inp.s_x_prime
-    ]
-    d_ub, d_used = _term(inp, d_values, d_x, "upper")
+    cv = _views(inp, complete, inp.s_x_prime)
+    d_values = [disagreement_recall(hv[x], cv[x]) for x in inp.s_x_prime]
+    d_ub, methods["disagreement_term"] = bound_term(
+        inp.n_x, d_values, inp.method, d_x, "upper"
+    )
     matched_ind = [1.0 if _actual(inp, x) else 0.0 for x in inp.s_x]
-    frac_lb, frac_used = _term(inp, matched_ind, d_frac, "lower")
-    terms = {
-        "recall_term": r_lb,
-        "disagreement_term": d_ub,
-        "matched_fraction_term": frac_lb,
-        "usable_nodes": float(r_n),
-    }
-    term_methods = {
-        "recall_term": r_used,
-        "disagreement_term": d_used,
-        "matched_fraction_term": frac_used,
-    }
-    if frac_lb <= inp.vacuous_eps:
-        return ValidationReport(
-            bound_id="complete-query-recall",
-            quantity="recall",
-            variant="complete",
-            mode="query",
-            budget=inp.budget,
-            lower_bound=0.0,
-            terms=terms,
-            term_methods=term_methods,
-            flags=(VACUOUS_DENOMINATOR,),
-            inputs_digest=digest,
-        )
-    value = r_lb - d_ub / frac_lb
-    return ValidationReport(
-        bound_id="complete-query-recall",
-        quantity="recall",
-        variant="complete",
-        mode="query",
-        budget=inp.budget,
-        lower_bound=_clamp01(value),
-        terms=terms,
-        term_methods=term_methods,
-        inputs_digest=digest,
+    frac_lb, methods["matched_fraction_term"] = bound_term(
+        inp.n_x, matched_ind, inp.method, d_frac, "lower"
+    )
+    terms["disagreement_term"] = d_ub
+    terms["matched_fraction_term"] = frac_lb
+    return build_report(
+        "complete-query-recall",
+        inp.budget,
+        _inputs(inp),
+        terms,
+        methods,
+        lambda: r_lb - d_ub / frac_lb,
+        denominator=frac_lb,
+        vacuous_eps=inp.vacuous_eps,
     )
 
 
@@ -383,21 +302,18 @@ def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
     node has several identified matches); the range actually used is
     recorded in the terms.
     """
-    _require_parts(inp, 4)
+    d1, d2, d3, d4 = inp.budget.parts_for(4)
     complete = _require_complete(inp)
-    d1, d2, d3, d4 = inp.budget.parts
-    hv = _holdout_views(inp, inp.s_x)
-    hv_prime = _holdout_views(inp, inp.s_x_prime)
-    cv_prime = _complete_views(inp, inp.s_x_prime)
-    reduced = complete.same_function(inp.holdout)
+    hv = _views(inp, inp.holdout, (*inp.s_x, *inp.s_x_prime))
+    cv = _views(inp, complete, inp.s_x_prime)
 
     p_lb, p_used, p_n = _holdout_precision_term(inp, hv, d2)
-    h_ind = [1.0 if hv_prime[x] else 0.0 for x in inp.s_x_prime]
-    h_frac_lb, h_frac_used = _term(inp, h_ind, d1, "lower")
-    c_ind = [1.0 if cv_prime[x] else 0.0 for x in inp.s_x_prime]
-    c_frac_ub, c_frac_used = _term(inp, c_ind, d4, "upper")
+    h_ind = [1.0 if hv[x] else 0.0 for x in inp.s_x_prime]
+    h_frac_lb, h_frac_used = bound_term(inp.n_x, h_ind, inp.method, d1, "lower")
+    c_ind = [1.0 if cv[x] else 0.0 for x in inp.s_x_prime]
+    c_frac_ub, c_frac_used = bound_term(inp.n_x, c_ind, inp.method, d4, "upper")
 
-    term_methods = {
+    methods = {
         "holdout_fraction_term": h_frac_used,
         "precision_term": p_used,
         "complete_fraction_term": c_frac_used,
@@ -407,54 +323,34 @@ def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
         "precision_term": p_lb,
         "complete_fraction_term": c_frac_ub,
         "usable_nodes": float(p_n),
+        "dp_term": 0.0,
     }
     flags: tuple[str, ...] = ()
-    if reduced:
-        dp_ub = 0.0
-        terms["dp_term"] = 0.0
+    if complete.same_function(inp.holdout):
         flags = ("reduced-to-holdout",)
     else:
-        dp_values = [
-            disagreement_precision(hv_prime[x], cv_prime[x])
-            for x in inp.s_x_prime
-        ]
+        dp_values = [disagreement_precision(hv[x], cv[x]) for x in inp.s_x_prime]
         lo, hi = DP_DEFAULT_RANGE
         if max(dp_values, default=0.0) > hi:
             lo, hi = 0.0, 1.0 + inp.k_cap
             flags = ("dp-range-widened",)
-        dp_ub, dp_used = _term(
-            inp, dp_values, d3, "upper", lo=lo, hi=hi, allow_exact=False
+        # d_p takes values outside {0, 1}, so the exact method never applies
+        terms["dp_term"], methods["dp_term"] = bound_term(
+            inp.n_x, dp_values, inp.method, d3, "upper", lo=lo, hi=hi, exact=False
         )
-        terms["dp_term"] = dp_ub
         terms["dp_range_lo"] = lo
         terms["dp_range_hi"] = hi
-        term_methods["dp_term"] = dp_used
-    digest = _digest(inp, "complete-query-precision")
-    if c_frac_ub <= inp.vacuous_eps:
-        return ValidationReport(
-            bound_id="complete-query-precision",
-            quantity="precision",
-            variant="complete",
-            mode="query",
-            budget=inp.budget,
-            lower_bound=0.0,
-            terms=terms,
-            term_methods=term_methods,
-            flags=flags + (VACUOUS_DENOMINATOR,),
-            inputs_digest=digest,
-        )
-    value = (h_frac_lb * p_lb - dp_ub) / c_frac_ub
-    return ValidationReport(
-        bound_id="complete-query-precision",
-        quantity="precision",
-        variant="complete",
-        mode="query",
-        budget=inp.budget,
-        lower_bound=_clamp01(value),
-        terms=terms,
-        term_methods=term_methods,
+    dp_ub = terms["dp_term"]
+    return build_report(
+        "complete-query-precision",
+        inp.budget,
+        _inputs(inp),
+        terms,
+        methods,
+        lambda: (h_frac_lb * p_lb - dp_ub) / c_frac_ub,
         flags=flags,
-        inputs_digest=digest,
+        denominator=c_frac_ub,
+        vacuous_eps=inp.vacuous_eps,
     )
 
 
@@ -469,61 +365,38 @@ def error_rate_bounds(inp: QueryValidationInput) -> ValidationReport:
     """
     if not inp.s_x:
         raise MatchcertError("empty-sample: s_x has no nodes")
-    hv = _holdout_views(inp, inp.s_x)
-    w_values = [
-        float(
-            single_node_error(PerNodeView(x, hv[x]), PerNodeView(x, _actual(inp, x)))
+    complete = inp.complete
+    reduced = complete is None or complete.same_function(inp.holdout)
+    hv = _views(
+        inp, inp.holdout, inp.s_x if reduced else (*inp.s_x, *inp.s_x_prime)
+    )
+    w_values = [float(single_node_error(hv[x], _actual(inp, x))) for x in inp.s_x]
+    if complete is None:
+        (delta,) = inp.budget.parts_for(1)
+        w_ub, w_used = bound_term(inp.n_x, w_values, inp.method, delta, "upper")
+        return build_report(
+            "holdout-query-error-rate", inp.budget, _inputs(inp),
+            {"error_term": w_ub}, {"error_term": w_used}, w_ub,
         )
-        for x in inp.s_x
-    ]
-    if inp.complete is None:
-        _require_parts(inp, 1)
-        w_ub, w_used = _term(inp, w_values, inp.budget.parts[0], "upper")
-        return ValidationReport(
-            bound_id="holdout-query-error-rate",
-            quantity="error-rate",
-            variant="holdout",
-            mode="query",
-            budget=inp.budget,
-            upper_bound=_clamp01(w_ub),
-            terms={"error_term": w_ub},
-            term_methods={"error_term": w_used},
-            inputs_digest=_digest(inp, "holdout-query-error-rate"),
+    d1, d2 = inp.budget.parts_for(2)
+    _require_complete(inp)
+    w_ub, w_used = bound_term(inp.n_x, w_values, inp.method, d1, "upper")
+    terms = {"error_term": w_ub, "disagreement_term": 0.0}
+    methods = {"error_term": w_used}
+    if reduced:
+        return build_report(
+            "complete-query-error-rate", inp.budget, _inputs(inp), terms, methods,
+            w_ub, flags=("reduced-to-holdout",),
         )
-    _require_parts(inp, 2)
-    complete = _require_complete(inp)
-    d1, d2 = inp.budget.parts
-    w_ub, w_used = _term(inp, w_values, d1, "upper")
-    digest = _digest(inp, "complete-query-error-rate")
-    if complete.same_function(inp.holdout):
-        return ValidationReport(
-            bound_id="complete-query-error-rate",
-            quantity="error-rate",
-            variant="complete",
-            mode="query",
-            budget=inp.budget,
-            upper_bound=_clamp01(w_ub),
-            terms={"error_term": w_ub, "disagreement_term": 0.0},
-            term_methods={"error_term": w_used},
-            flags=("reduced-to-holdout",),
-            inputs_digest=digest,
-        )
-    hv_prime = _holdout_views(inp, inp.s_x_prime)
-    cv_prime = _complete_views(inp, inp.s_x_prime)
-    diff_values = [
-        1.0 if hv_prime[x] != cv_prime[x] else 0.0 for x in inp.s_x_prime
-    ]
-    diff_ub, diff_used = _term(inp, diff_values, d2, "upper")
-    return ValidationReport(
-        bound_id="complete-query-error-rate",
-        quantity="error-rate",
-        variant="complete",
-        mode="query",
-        budget=inp.budget,
-        upper_bound=_clamp01(w_ub + diff_ub),
-        terms={"error_term": w_ub, "disagreement_term": diff_ub},
-        term_methods={"error_term": w_used, "disagreement_term": diff_used},
-        inputs_digest=digest,
+    cv = _views(inp, complete, inp.s_x_prime)
+    diff_values = [1.0 if hv[x] != cv[x] else 0.0 for x in inp.s_x_prime]
+    diff_ub, methods["disagreement_term"] = bound_term(
+        inp.n_x, diff_values, inp.method, d2, "upper"
+    )
+    terms["disagreement_term"] = diff_ub
+    return build_report(
+        "complete-query-error-rate", inp.budget, _inputs(inp), terms, methods,
+        w_ub + diff_ub,
     )
 
 
@@ -534,35 +407,34 @@ def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
     d_r, d_p when a complete matcher is present); independent-sample-only
     nodes carry d_r, d_p alone, never touching actual matches.
     """
+    prime_only: tuple[str, ...] = ()
+    if inp.complete is not None:
+        seen = set(inp.s_x)
+        prime_only = tuple(x for x in inp.s_x_prime if x not in seen)
+    nodes = (*inp.s_x, *prime_only)
+    hv = _views(inp, inp.holdout, nodes)
+    cv = _views(inp, inp.complete, nodes) if inp.complete is not None else None
     out = []
-    hv = _holdout_views(inp, inp.s_x)
-    cv = _complete_views(inp, inp.s_x) if inp.complete is not None else None
     for x in inp.s_x:
-        actual = PerNodeView(x, _actual(inp, x))
-        view = PerNodeView(x, hv[x])
+        actual = _actual(inp, x)
         out.append(
             PerNodeStats(
                 node=x,
-                p=single_node_precision(view, actual),
-                r=single_node_recall(view, actual),
-                w=single_node_error(view, actual),
+                p=single_node_precision(hv[x], actual),
+                r=single_node_recall(hv[x], actual),
+                w=single_node_error(hv[x], actual),
                 d_r=disagreement_recall(hv[x], cv[x]) if cv is not None else None,
                 d_p=disagreement_precision(hv[x], cv[x]) if cv is not None else None,
             )
         )
-    seen = set(inp.s_x)
-    prime_only = [x for x in inp.s_x_prime if x not in seen]
-    if prime_only and inp.complete is not None:
-        hvp = _holdout_views(inp, prime_only)
-        cvp = _complete_views(inp, prime_only)
-        for x in prime_only:
-            out.append(
-                PerNodeStats(
-                    node=x,
-                    d_r=disagreement_recall(hvp[x], cvp[x]),
-                    d_p=disagreement_precision(hvp[x], cvp[x]),
-                )
+    for x in prime_only:
+        out.append(
+            PerNodeStats(
+                node=x,
+                d_r=disagreement_recall(hv[x], cv[x]),
+                d_p=disagreement_precision(hv[x], cv[x]),
             )
+        )
     return out
 
 

@@ -5,11 +5,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .bounds import DeltaBudget, union_confidence
 
-__all__ = ["ValidationReport", "SimultaneousReport", "combine_reports", "digest_of"]
+__all__ = [
+    "ValidationReport",
+    "SimultaneousReport",
+    "build_report",
+    "combine_reports",
+    "digest_of",
+]
 
 VACUOUS_DENOMINATOR = "vacuous-denominator"
 
@@ -74,6 +80,51 @@ class ValidationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+
+
+def build_report(
+    bound_id: str,
+    budget: DeltaBudget,
+    inputs: Mapping,
+    terms: Mapping[str, float],
+    term_methods: Mapping[str, str],
+    value: float | Callable[[], float],
+    flags: tuple[str, ...] = (),
+    denominator: float | None = None,
+    vacuous_eps: float = 0.0,
+) -> ValidationReport:
+    """The one place a certificate becomes a report.
+
+    ``bound_id`` reads ``<variant>-<mode>-<quantity>``; error rates get an
+    upper bound, precision and recall a lower one. ``value`` is clamped to
+    [0, 1]. A ratio certificate passes its denominator's bound and ``value``
+    as a function that divides by it: when the denominator is at most
+    ``vacuous_eps`` the value is never computed, and the report carries 0
+    and the vacuous-denominator flag instead. ``inputs`` is hashed, with
+    the bound id, into ``inputs_digest``.
+    """
+    variant, mode, quantity = bound_id.split("-", 2)
+    if denominator is not None:
+        if denominator <= vacuous_eps:
+            value = 0.0
+            flags += (VACUOUS_DENOMINATOR,)
+        else:
+            value = value()
+    value = min(1.0, max(0.0, value))
+    upper = quantity == "error-rate"
+    return ValidationReport(
+        bound_id=bound_id,
+        quantity=quantity,
+        variant=variant,
+        mode=mode,
+        budget=budget,
+        lower_bound=None if upper else value,
+        upper_bound=value if upper else None,
+        terms=terms,
+        term_methods=term_methods,
+        flags=flags,
+        inputs_digest=digest_of({"bound_id": bound_id, **inputs}),
+    )
 
 
 @dataclass(frozen=True)

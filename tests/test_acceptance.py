@@ -60,7 +60,6 @@ from matchcert.query import (
     holdout_query_bounds,
     single_node_precision,
 )
-from matchcert.graphs import PerNodeView
 from matchcert.reports import combine_reports
 from matchcert.sampling import (
     SplitSpec,
@@ -355,16 +354,14 @@ def test_criterion_5_reduction_identities():
             n_x = len(pair.x_net.nodes)
             pop = PopulationSpec(n_x, 0.0, 1.0)
             hv_prime = [
-                1.0 if run_query(holdout, pair, x).matched else 0.0
+                1.0 if run_query(holdout, pair, x) else 0.0
                 for x in s_x_prime
             ]
             p_vals = []
             for x in s_x:
                 view = run_query(holdout, pair, x)
-                if view.matched:
-                    p_vals.append(
-                        single_node_precision(view, PerNodeView(x, actual_for[x]))
-                    )
+                if view:
+                    p_vals.append(single_node_precision(view, actual_for[x]))
             t1 = bound_mean(
                 pop, SampleSummary.of(hv_prime), method, Confidence(d1), "lower"
             ).lower

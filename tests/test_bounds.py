@@ -320,6 +320,51 @@ class TestBoundMean:
             assert hg >= hf
 
 
+class TestStandInPopulationSize:
+    """A certificate that cannot know the size N' of the population it
+    samples passes a stand-in n >= N' instead. For every binary population
+    with N' <= 30 and every sample size, sum the exact probability that the
+    bound computed with n lands on the wrong side of the true mean m/N'.
+
+    The exact inversion is not checked here: its bound lies on the m/n
+    lattice, is not monotone in n, and fails this check (ROADMAP open
+    item 1).
+    """
+
+    @pytest.mark.parametrize("method", [BoundMethod.HOEFFDING, BoundMethod.EBS])
+    def test_overestimated_size_keeps_coverage(self, method):
+        delta = Fraction(1, 20)
+        failures = []
+        for n_true in range(1, 31):
+            stand_ins = (n_true, n_true + 1, 2 * n_true)
+            for s in range(1, n_true + 1):
+                bounds = {
+                    n: [
+                        bound_mean(
+                            PopulationSpec(n),
+                            SampleSummary.of([1.0] * k + [0.0] * (s - k)),
+                            method,
+                            D05,
+                        )
+                        for k in range(s + 1)
+                    ]
+                    for n in stand_ins
+                }
+                for m in range(n_true + 1):
+                    mean = m / n_true
+                    pmf = [pmf_exact(m, n_true, s, k) for k in range(s + 1)]
+                    for n in stand_ins:
+                        low = sum(
+                            p for p, b in zip(pmf, bounds[n]) if b.lower > mean + 1e-12
+                        )
+                        high = sum(
+                            p for p, b in zip(pmf, bounds[n]) if b.upper < mean - 1e-12
+                        )
+                        if max(low, high) > delta:
+                            failures.append((n_true, n, s, m, float(low), float(high)))
+        assert failures == []
+
+
 class TestDeltaBudget:
     def test_union_worked_example(self):
         # two subsets validated at 2.5% each hold jointly at 95%

@@ -315,6 +315,17 @@ class TestCoverage:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_jobs_do_not_change_output(self, tmp_path):
+        cfg = self.make_config(tmp_path)
+        for jobs, prefix in (("1", "a"), ("2", "b")):
+            rc = main([
+                "coverage", "--config", str(cfg), "--jobs", jobs,
+                "--out-prefix", str(tmp_path / prefix),
+            ])
+            assert rc == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_seed_changes_output(self, tmp_path):
         cfg = self.make_config(tmp_path)
         main(["coverage", "--config", str(cfg), "--out-prefix", str(tmp_path / "a")])

@@ -32,7 +32,12 @@ GEN = {
     "rng_seed": 7,
 }
 
-MATCHER = {"kind": "percolation", "seeds": "verified-sample", "threshold": 2, "max_iters": 15}
+MATCHER = {
+    "kind": "percolation",
+    "seeds": "verified-sample",
+    "threshold": 2,
+    "max_iters": 15,
+}
 
 # the criterion-8 experiment of tests/test_acceptance.py
 COVERAGE = {

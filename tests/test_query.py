@@ -8,7 +8,6 @@ from matchcert.errors import MatchcertError
 from matchcert.graphs import (
     MatchRole,
     NetworkPair,
-    PerNodeView,
     by_x,
     make_match_set,
     make_network,
@@ -36,33 +35,33 @@ HG = BoundMethod.HYPERGEOMETRIC
 HOEFF = BoundMethod.HOEFFDING
 
 
-def view(node, *ys):
-    return PerNodeView(node, frozenset(ys))
+def view(*ys):
+    return frozenset(ys)
 
 
 class TestPerNodeStats:
     def test_precision_single_correct(self):
-        assert single_node_precision(view("x", "y1"), view("x", "y1")) == 1.0
+        assert single_node_precision(view("y1"), view("y1")) == 1.0
 
     def test_precision_half(self):
-        assert single_node_precision(view("x", "y1", "y2"), view("x", "y1")) == 0.5
+        assert single_node_precision(view("y1", "y2"), view("y1")) == 0.5
 
     def test_precision_undefined(self):
-        assert single_node_precision(view("x"), view("x", "y1")) is None
+        assert single_node_precision(view(), view("y1")) is None
 
     def test_recall_single_correct(self):
-        assert single_node_recall(view("x", "y1"), view("x", "y1")) == 1.0
+        assert single_node_recall(view("y1"), view("y1")) == 1.0
 
     def test_recall_half(self):
-        assert single_node_recall(view("x", "y1"), view("x", "y1", "y2")) == 0.5
+        assert single_node_recall(view("y1"), view("y1", "y2")) == 0.5
 
     def test_recall_undefined(self):
-        assert single_node_recall(view("x", "y1"), view("x")) is None
+        assert single_node_recall(view("y1"), view()) is None
 
     def test_error_cases(self):
-        assert single_node_error(view("x", "y1"), view("x", "y1")) == 0
-        assert single_node_error(view("x"), view("x")) == 0
-        assert single_node_error(view("x", "y1", "y2"), view("x", "y1")) == 1
+        assert single_node_error(view("y1"), view("y1")) == 0
+        assert single_node_error(view(), view()) == 0
+        assert single_node_error(view("y1", "y2"), view("y1")) == 1
 
     def test_disagreement_recall(self):
         assert disagreement_recall(frozenset({"a"}), frozenset()) == 1.0
@@ -143,6 +142,13 @@ class TestHoldoutQuery:
         holdout = fixed_matcher([])
         inp = tiny_input(tiny, holdout, ["x0", "x1"], actual, DeltaBudget.of(0.05))
         with pytest.raises(MatchcertError, match="no-usable-sample"):
+            holdout_query_bounds(inp)
+
+    def test_unknown_sampled_node(self, tiny):
+        actual = {"x0": frozenset({"y0"}), "zzz": frozenset()}
+        holdout = fixed_matcher([("x0", "y0")])
+        inp = tiny_input(tiny, holdout, ["x0", "zzz"], actual, DeltaBudget.of(0.05))
+        with pytest.raises(MatchcertError, match="unknown-node"):
             holdout_query_bounds(inp)
 
     def test_fractional_values_reject_exact_method(self, tiny):
