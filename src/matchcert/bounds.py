@@ -476,13 +476,14 @@ def bound_term(
     """One side of one certificate term: (bound, name of the method used).
 
     This is where a certificate's requested method is downgraded. The
-    exact method needs 0/1 values and the true population size; a term
-    that cannot promise both passes ``exact=False`` and gets Hoeffding,
-    whose slack ignores ``n``. EBS is kept: its rho factor only grows when
-    ``n`` overstates the population. ``tests/test_bounds.py`` checks both
-    families exhaustively under such stand-in sizes on small populations.
+    exact method needs 0/1 values and the true population size. A term
+    whose range is not [0, 1], or that passes ``exact=False`` because it
+    only has a stand-in size, gets Hoeffding, whose slack ignores ``n``.
+    EBS is kept: its rho factor only grows when ``n`` overstates the
+    population. ``tests/test_bounds.py`` checks both families exhaustively
+    under such stand-in sizes on small populations.
     """
-    if method is BoundMethod.HYPERGEOMETRIC and not exact:
+    if method is BoundMethod.HYPERGEOMETRIC and (not exact or (lo, hi) != (0.0, 1.0)):
         method = BoundMethod.HOEFFDING
     res = bound_mean(
         PopulationSpec(n, lo, hi), SampleSummary.of(values), method, delta, side

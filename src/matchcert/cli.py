@@ -17,13 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .batch import (
-    BatchValidationInput,
-    complete_batch_precision,
-    complete_batch_recall,
-    holdout_batch_precision,
-    holdout_batch_recall,
-)
+from .batch import BatchValidationInput, batch_reports
 from .bounds import BoundMethod, DeltaBudget
 from .coverage import ExperimentConfig, run_coverage
 from .errors import MatchcertError
@@ -33,19 +27,13 @@ from .graphs import (
     by_x,
     load_matches,
     load_network,
+    read_items,
     read_pairs,
     save_matches,
     save_network,
 )
 from .matchers import MatcherConfig, build_matcher, run_batch
-from .query import (
-    QueryValidationInput,
-    complete_query_precision,
-    complete_query_recall,
-    compute_node_stats,
-    error_rate_bounds,
-    holdout_query_bounds,
-)
+from .query import QueryValidationInput, compute_node_stats, query_reports
 from .reports import combine_reports
 from .sampling import SplitSpec, split_train_validation
 from .synth import GeneratorConfig, generate_pair
@@ -54,14 +42,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VACUOUS = 2
 
-
-def _read_items(path: str) -> list[str]:
-    out = []
-    for raw in Path(path).read_text(encoding="utf-8").split("\n"):
-        if not raw or raw.isspace() or raw.startswith("#"):
-            continue
-        out.append(raw.strip())
-    return out
+DELTA_HELP = (
+    "failure probability of each certificate, split equally over its "
+    "bound terms; the report's joint confidence is the union bound"
+)
 
 
 def _load_pair(args) -> NetworkPair:
@@ -73,22 +57,12 @@ def _load_pair(args) -> NetworkPair:
     return NetworkPair(x_net, load_network(args.y))
 
 
-def _parse_deltas(text: str) -> list[float]:
+def _budget(text: str) -> DeltaBudget:
+    """The one-delta budget that every certificate splits over its terms."""
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return DeltaBudget.of(float(text))
     except ValueError as e:
         raise MatchcertError(f"invalid-confidence: cannot parse {text!r}") from e
-
-
-def _budget_for(deltas: list[float], arity: int) -> DeltaBudget:
-    """Exact-arity budgets pass through; a single delta splits equally."""
-    if len(deltas) == arity:
-        return DeltaBudget.of(*deltas)
-    if len(deltas) == 1:
-        return DeltaBudget.equal_split(deltas[0], arity)
-    raise MatchcertError(
-        f"budget-arity: need {arity} delta parts (or one to split), got {len(deltas)}"
-    )
 
 
 def _write_report(args, reports, node_stats=None) -> int:
@@ -151,7 +125,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_split(args) -> int:
-    items = _read_items(args.items)
+    items = read_items(args.items)
     spec = SplitSpec(
         population_n=args.population_n,
         labeled=tuple(items),
@@ -189,38 +163,21 @@ def cmd_validate_batch(args) -> int:
         else None
     )
     s_m = tuple(read_pairs(args.s_m))
-    s_x = _read_items(args.s_x)
-    actual_for = _actual_map(pair, args.actual, s_x)
-    deltas = _parse_deltas(args.delta)
-    method = BoundMethod.parse(args.method)
-
-    def inp(budget, with_complete=False):
-        return BatchValidationInput(
-            pair=pair,
-            m_hat_holdout=m_hat_h,
-            s_m=s_m,
-            s_x=tuple(s_x),
-            actual_for=actual_for,
-            method=method,
-            budget=budget,
-            k_y=args.k_y,
-            m_hat_complete=m_hat_c if with_complete else None,
-            m_size=args.m_size,
-            m_size_upper=args.m_size_upper,
-        )
-
-    reports = [
-        holdout_batch_recall(inp(_budget_for(deltas, 1))),
-        holdout_batch_precision(inp(_budget_for(deltas, 2))),
-    ]
-    if m_hat_c is not None:
-        reports.append(
-            complete_batch_recall(inp(_budget_for(deltas, 2), with_complete=True))
-        )
-        reports.append(
-            complete_batch_precision(inp(_budget_for(deltas, 2), with_complete=True))
-        )
-    return _write_report(args, reports)
+    s_x = read_items(args.s_x)
+    inp = BatchValidationInput(
+        pair=pair,
+        m_hat_holdout=m_hat_h,
+        s_m=s_m,
+        s_x=tuple(s_x),
+        actual_for=_actual_map(pair, args.actual, s_x),
+        budget=_budget(args.delta),
+        method=BoundMethod.parse(args.method),
+        k_y=args.k_y,
+        m_hat_complete=m_hat_c,
+        m_size=args.m_size,
+        m_size_upper=args.m_size_upper,
+    )
+    return _write_report(args, batch_reports(inp))
 
 
 def cmd_validate_query(args) -> int:
@@ -246,40 +203,20 @@ def cmd_validate_query(args) -> int:
         complete = build_matcher(
             complete_cfg, training_matches=complete_seeds, holdout=False
         )
-    s_x = _read_items(args.s_x)
-    s_x_prime = _read_items(args.s_x_prime) if args.s_x_prime else []
-    actual_for = _actual_map(pair, args.actual, s_x)
-    deltas = _parse_deltas(args.delta)
-    method = BoundMethod.parse(args.method)
-
-    def inp(budget, with_complete=False):
-        return QueryValidationInput(
-            pair=pair,
-            holdout=holdout,
-            s_x=tuple(s_x),
-            actual_for=actual_for,
-            method=method,
-            budget=budget,
-            complete=complete if with_complete else None,
-            s_x_prime=tuple(s_x_prime),
-            k_cap=args.k_cap,
-        )
-
-    precision, recall = holdout_query_bounds(inp(_budget_for(deltas, 1)))
-    reports = [
-        precision,
-        recall,
-        error_rate_bounds(inp(_budget_for(deltas, 1))),
-    ]
-    if complete is not None:
-        reports.append(complete_query_recall(inp(_budget_for(deltas, 3), True)))
-        reports.append(complete_query_precision(inp(_budget_for(deltas, 4), True)))
-        reports.append(error_rate_bounds(inp(_budget_for(deltas, 2), True)))
-    node_stats = None
-    if args.emit_node_stats:
-        node_stats = compute_node_stats(
-            inp(_budget_for(deltas, 1), complete is not None)
-        )
+    s_x = read_items(args.s_x)
+    inp = QueryValidationInput(
+        pair=pair,
+        holdout=holdout,
+        s_x=tuple(s_x),
+        s_x_prime=tuple(read_items(args.s_x_prime)) if args.s_x_prime else (),
+        actual_for=_actual_map(pair, args.actual, s_x),
+        budget=_budget(args.delta),
+        method=BoundMethod.parse(args.method),
+        complete=complete,
+        k_cap=args.k_cap,
+    )
+    reports = query_reports(inp)
+    node_stats = compute_node_stats(inp) if args.emit_node_stats else None
     return _write_report(args, reports, node_stats)
 
 
@@ -370,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m-size", type=int, default=None)
     b.add_argument("--m-size-upper", type=int, default=None)
     b.add_argument("--method", default="hypergeometric-exact")
-    b.add_argument("--delta", default="0.05", help="comma-separated delta parts")
+    b.add_argument("--delta", default="0.05", help=DELTA_HELP)
     b.add_argument("--out")
     b.set_defaults(func=cmd_validate_batch)
 
@@ -387,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--actual", required=True)
     q.add_argument("--k-cap", type=int, default=1)
     q.add_argument("--method", default="hypergeometric-exact")
-    q.add_argument("--delta", default="0.05")
+    q.add_argument("--delta", default="0.05", help=DELTA_HELP)
     q.add_argument("--emit-node-stats", action="store_true")
     q.add_argument("--out")
     q.set_defaults(func=cmd_validate_query)

@@ -25,24 +25,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .batch import (
-    BatchValidationInput,
-    complete_batch_precision,
-    complete_batch_recall,
-    holdout_batch_precision,
-    holdout_batch_recall,
-    true_batch_metrics,
-)
+from .batch import BatchValidationInput, batch_reports, true_batch_metrics
 from .bounds import BoundMethod, DeltaBudget
 from .errors import MatchcertError
 from .graphs import by_x
 from .matchers import MatcherConfig, build_matcher, run_batch, with_extra_seeds
 from .query import (
     QueryValidationInput,
-    complete_query_precision,
-    complete_query_recall,
-    error_rate_bounds,
-    holdout_query_bounds,
+    query_reports,
     true_error_rate,
     true_query_metrics,
 )
@@ -248,18 +238,19 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     if not m_hat_h.pairs or not m_hat_c.pairs:
         raise MatchcertError("trial-degenerate: a matcher identified nothing")
 
-    p_h_batch, r_h_batch = true_batch_metrics(pair, m_hat_h, truth)
-    p_c_batch, r_c_batch = true_batch_metrics(pair, m_hat_c, truth)
-    p_h_query, r_h_query = true_query_metrics(pair, m_hat_h, truth)
-    p_c_query, r_c_query = true_query_metrics(pair, m_hat_c, truth)
-    err_h = true_error_rate(pair, m_hat_h, truth)
-    err_c = true_error_rate(pair, m_hat_c, truth)
+    truths = {}  # exact value of each certified quantity, by bound id
+    for variant, m_hat in (("holdout", m_hat_h), ("complete", m_hat_c)):
+        for mode, exact in (("batch", true_batch_metrics), ("query", true_query_metrics)):
+            p, r = exact(pair, m_hat, truth)
+            truths[f"{variant}-{mode}-precision"] = p
+            truths[f"{variant}-{mode}-recall"] = r
+        truths[f"{variant}-query-error-rate"] = true_error_rate(pair, m_hat, truth)
 
-    d = cfg.delta_total
+    budget = DeltaBudget.of(cfg.delta_total)
     records: list[TrialRecord] = []
     for method in cfg.methods:
-        def batch_inp(budget, complete_set=None):
-            return BatchValidationInput(
+        reports = batch_reports(
+            BatchValidationInput(
                 pair=pair,
                 m_hat_holdout=m_hat_h,
                 s_m=s_m,
@@ -267,49 +258,22 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
                 actual_for=actual_for,
                 method=method,
                 budget=budget,
-                k_y=1,
-                m_hat_complete=complete_set,
+                m_hat_complete=m_hat_c,
                 m_size=len(truth.pairs),
             )
-
-        def query_inp(budget, with_complete=False):
-            return QueryValidationInput(
+        ) + query_reports(
+            QueryValidationInput(
                 pair=pair,
                 holdout=holdout,
                 s_x=s_x,
                 actual_for=actual_for,
                 method=method,
                 budget=budget,
-                complete=complete if with_complete else None,
+                complete=complete,
                 s_x_prime=s_x_prime,
-                k_cap=1,
             )
-
-        one, two = DeltaBudget.of(d), DeltaBudget.equal_split(d, 2)
-        checks = [
-            (holdout_batch_recall(batch_inp(one)), r_h_batch),
-            (holdout_batch_precision(batch_inp(two)), p_h_batch),
-            (complete_batch_recall(batch_inp(two, m_hat_c)), r_c_batch),
-            (complete_batch_precision(batch_inp(two, m_hat_c)), p_c_batch),
-        ]
-        q_prec, q_rec = holdout_query_bounds(query_inp(one))
-        checks += [
-            (q_prec, p_h_query),
-            (q_rec, r_h_query),
-            (
-                complete_query_recall(query_inp(DeltaBudget.equal_split(d, 3), True)),
-                r_c_query,
-            ),
-            (
-                complete_query_precision(
-                    query_inp(DeltaBudget.equal_split(d, 4), True)
-                ),
-                p_c_query,
-            ),
-            (error_rate_bounds(query_inp(one)), err_h),
-            (error_rate_bounds(query_inp(two, True)), err_c),
-        ]
-        records += [_record(method, report, truth) for report, truth in checks]
+        )
+        records += [_record(method, r, truths[r.bound_id]) for r in reports]
     return records
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "load_network",
     "save_network",
     "read_pairs",
+    "read_items",
     "load_matches",
     "save_matches",
 ]
@@ -222,6 +223,12 @@ def read_pairs(path: str | Path) -> list[tuple[str, str]]:
             raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
         rows.append((fields[0], fields[1]))
     return rows
+
+
+def read_items(path: str | Path) -> list[str]:
+    """The stripped lines of a one-item-per-line file, in file order;
+    ``#`` lines are comments."""
+    return [raw.strip() for _, raw in _lines(path) if not raw.startswith("#")]
 
 
 def load_matches(

@@ -30,7 +30,7 @@ stand-in: ROADMAP open item 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
@@ -52,6 +52,7 @@ __all__ = [
     "complete_query_recall",
     "complete_query_precision",
     "error_rate_bounds",
+    "query_reports",
     "compute_node_stats",
     "sample_until_usable",
     "true_query_metrics",
@@ -334,9 +335,8 @@ def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
         if max(dp_values, default=0.0) > hi:
             lo, hi = 0.0, 1.0 + inp.k_cap
             flags = ("dp-range-widened",)
-        # d_p takes values outside {0, 1}, so the exact method never applies
         terms["dp_term"], methods["dp_term"] = bound_term(
-            inp.n_x, dp_values, inp.method, d3, "upper", lo=lo, hi=hi, exact=False
+            inp.n_x, dp_values, inp.method, d3, "upper", lo=lo, hi=hi
         )
         terms["dp_range_lo"] = lo
         terms["dp_range_hi"] = hi
@@ -398,6 +398,33 @@ def error_rate_bounds(inp: QueryValidationInput) -> ValidationReport:
         "complete-query-error-rate", inp.budget, _inputs(inp), terms, methods,
         w_ub + diff_ub,
     )
+
+
+def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
+    """Every certificate the input supports: holdout precision, recall and
+    error rate, then, when a complete matcher is given, complete recall,
+    precision and error rate.
+
+    ``inp.budget`` holds one delta; each certificate spends it split
+    equally over its own terms, so the reports hold jointly at the union
+    bound of their budgets. The holdout certificates see the input without
+    the complete matcher.
+    """
+    (delta,) = inp.budget.parts_for(1)
+    holdout = replace(inp, complete=None)
+
+    def split(k: int, of: QueryValidationInput = inp) -> QueryValidationInput:
+        return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
+
+    precision, recall = holdout_query_bounds(split(1, holdout))
+    reports = [precision, recall, error_rate_bounds(split(1, holdout))]
+    if inp.complete is not None:
+        reports += [
+            complete_query_recall(split(3)),
+            complete_query_precision(split(4)),
+            error_rate_bounds(split(2)),
+        ]
+    return reports
 
 
 def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:

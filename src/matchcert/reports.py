@@ -78,9 +78,6 @@ class ValidationReport:
             "inputs_digest": self.inputs_digest,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def build_report(
     bound_id: str,
@@ -139,9 +136,6 @@ class SimultaneousReport:
             "joint_confidence": self.joint_confidence,
             "reports": [r.to_json_dict() for r in self.reports],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def combine_reports(reports) -> SimultaneousReport:

@@ -4,6 +4,7 @@ import pytest
 
 from matchcert.batch import (
     BatchValidationInput,
+    batch_reports,
     complete_batch_precision,
     complete_batch_recall,
     holdout_batch_precision,
@@ -323,6 +324,32 @@ class TestCompleteVariants:
         )
         with pytest.raises(MatchcertError, match="missing-complete"):
             complete_batch_recall(inp)
+
+
+class TestBatchReports:
+    def test_holdout_only_without_complete_set(self, world):
+        pair, truth = world
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
+        s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
+        reports = batch_reports(
+            base_input(pair, truth, m_hat, s_m, s_x, HG, DeltaBudget.of(0.05))
+        )
+        assert [r.bound_id for r in reports] == [
+            "holdout-batch-recall",
+            "holdout-batch-precision",
+        ]
+        assert [len(r.budget) for r in reports] == [1, 2]
+
+    def test_budget_must_have_one_part(self, world):
+        pair, truth = world
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        inp = base_input(
+            pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HG,
+            DeltaBudget.of(0.025, 0.025),
+        )
+        with pytest.raises(MatchcertError, match="budget-arity"):
+            batch_reports(inp)
 
 
 class TestTrueMetrics:

@@ -15,6 +15,7 @@ from matchcert.bounds import (
     PopulationSpec,
     SampleSummary,
     bound_mean,
+    bound_term,
     ebs_bounds,
     hoeffding_bounds,
     hypergeom_invert_lower,
@@ -277,6 +278,15 @@ class TestBoundMean:
         pop = PopulationSpec(10, 0.0, 2.0)
         with pytest.raises(MatchcertError, match="method-requires-binary"):
             bound_mean(pop, SampleSummary.of([0, 1]), BoundMethod.HYPERGEOMETRIC, D05)
+
+    def test_bound_term_downgrades_exact_off_unit_range(self):
+        values = [0.0, 1.0, 2.0, 1.0]
+        got = bound_term(
+            10, values, BoundMethod.HYPERGEOMETRIC, D05, "lower", lo=0.0, hi=2.0
+        )
+        pop = PopulationSpec(10, 0.0, 2.0)
+        want = hoeffding_bounds(pop, SampleSummary.of(values), D05).lower
+        assert got == (want, "hoeffding")
 
     def test_hoeffding_delegation(self):
         pop = PopulationSpec(100, 0.0, 1.0)

@@ -211,6 +211,45 @@ class TestValidateBatch:
         by_id = {r["bound_id"]: r for r in doc["reports"]}
         assert "vacuous-denominator" in by_id["complete-batch-recall"]["flags"]
 
+    def _validate(self, tmp_path, world, *extra):
+        x_nodes = [
+            line.split("\t")[1]
+            for line in (world / "x.tsv").read_text().splitlines()
+            if line.startswith("#node\t")
+        ]
+        s_x = write(tmp_path / "s_x.txt", "".join(f"{n}\n" for n in x_nodes))
+        return main(
+            [
+                "validate", "batch",
+                "--x", str(world / "x.tsv"),
+                "--y", str(world / "y.tsv"),
+                "--m-hat-holdout", str(world / "matches.tsv"),
+                "--s-m", str(world / "matches.tsv"),
+                "--s-x", str(s_x),
+                "--actual", str(world / "matches.tsv"),
+                "--m-size", "40",
+                *extra,
+            ]
+        )
+
+    def test_k_y_above_one_downgrades_density_term(self, tmp_path, world):
+        # match counts lie in [0, 2], outside the exact method's range
+        out = tmp_path / "report.json"
+        rc = self._validate(tmp_path, world, "--k-y", "2", "--out", str(out))
+        assert rc in (0, 2)
+        doc = json.loads(out.read_text())
+        by_id = {r["bound_id"]: r for r in doc["reports"]}
+        methods = by_id["holdout-batch-precision"]["term_methods"]
+        assert methods["match_density_term"] == "hoeffding"
+        assert methods["recall_term"] == "hypergeometric-exact"
+
+    def test_delta_is_one_number(self, tmp_path, world, capsys):
+        rc = self._validate(
+            tmp_path, world, "--delta", "0.02,0.03", "--out", str(tmp_path / "r.json")
+        )
+        assert rc == 1
+        assert "invalid-confidence" in capsys.readouterr().err
+
     def test_malformed_input_exits_one(self, tmp_path, world, capsys):
         bad = write(tmp_path / "bad.tsv", "only-one-field\n")
         rc = main(

@@ -22,6 +22,7 @@ from matchcert.query import (
     disagreement_recall,
     error_rate_bounds,
     holdout_query_bounds,
+    query_reports,
     sample_until_usable,
     single_node_error,
     single_node_precision,
@@ -296,6 +297,29 @@ class TestErrorRate:
         assert rep.upper_bound == pytest.approx(
             min(1.0, rep.terms["error_term"] + rep.terms["disagreement_term"])
         )
+
+
+class TestQueryReports:
+    def test_holdout_only_without_complete_matcher(self, tiny):
+        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
+        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
+        s_x = [f"x{i}" for i in range(8)]
+        reports = query_reports(
+            tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05))
+        )
+        assert [r.bound_id for r in reports] == [
+            "holdout-query-precision",
+            "holdout-query-recall",
+            "holdout-query-error-rate",
+        ]
+        assert all(len(r.budget) == 1 for r in reports)
+
+    def test_budget_must_have_one_part(self, tiny):
+        actual = {"x0": frozenset({"y0"})}
+        holdout = fixed_matcher([("x0", "y0")])
+        inp = tiny_input(tiny, holdout, ["x0"], actual, DeltaBudget.of(0.02, 0.03))
+        with pytest.raises(MatchcertError, match="budget-arity"):
+            query_reports(inp)
 
 
 class RecordingActuals(dict):
