@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -363,6 +362,9 @@ def run_coverage(cfg: ExperimentConfig, jobs: int = 1) -> CoverageTable:
     on it.
     """
     if jobs > 1:
+        # imported only here: loading multiprocessing slows every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             all_records = list(
                 pool.map(

@@ -15,19 +15,30 @@ File formats (UTF-8, LF, tab-separated):
   present the declared set is authoritative and undeclared endpoints are
   rejected.
 * match file: ``x<TAB>y`` lines, ``#`` comments.
+
+Graph algorithms work on a derived int index (``Network.index``): node
+ids sorted once, so index order is id order, plus CSR adjacency arrays.
+It is built on first use, once per network, and is not a dataclass field,
+so equality and ``repr`` see only nodes, edges and attributes. String ids
+stay in match sets and at the I/O boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import MatchcertError
 
 __all__ = [
     "Network",
+    "NodeIndex",
     "NetworkPair",
     "MatchRole",
     "MatchSet",
@@ -49,11 +60,42 @@ def _check_node_id(node: str) -> str:
     return node
 
 
+class NodeIndex(NamedTuple):
+    """Int positions for a network's nodes and CSR adjacency over them.
+
+    The neighbours of the node at position i are
+    ``nbr[indptr[i]:indptr[i + 1]]``, in ascending order.
+    """
+
+    ids: list[str]  # node ids in sorted order
+    pos: dict[str, int]  # id -> position in ids
+    indptr: np.ndarray  # int64, len(ids) + 1 row offsets
+    nbr: np.ndarray  # int64 neighbour positions, two per edge
+
+
 @dataclass(frozen=True)
 class Network:
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
     attrs: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
+
+    @cached_property
+    def index(self) -> NodeIndex:
+        """The network's int index, built on first use."""
+        ids = sorted(self.nodes)
+        pos = {node: i for i, node in enumerate(ids)}
+        n = len(ids)
+        ends = np.fromiter(
+            (pos[node] for edge in self.edges for node in edge),
+            dtype=np.int64,
+            count=2 * len(self.edges),
+        )
+        u, v = ends[0::2], ends[1::2]
+        # both directions of every edge as src * n + dst, sorted by (src, dst)
+        arcs = np.sort(np.concatenate([u * n + v, v * n + u]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
+        return NodeIndex(ids, pos, indptr, arcs % n)
 
 
 def make_network(
@@ -104,6 +146,13 @@ class MatchSet:
     y_universe: frozenset[str]
     k_y: int | None = None  # declared cap on actual matches per x node
 
+    @cached_property
+    def _per_x(self) -> dict[str, frozenset[str]]:
+        acc: dict[str, set[str]] = {}
+        for x, y in self.pairs:
+            acc.setdefault(x, set()).add(y)
+        return {x: frozenset(ys) for x, ys in acc.items()}
+
 
 def make_match_set(
     pairs: Iterable[tuple[str, str]],
@@ -139,12 +188,13 @@ def make_match_set(
     )
 
 
-def by_x(ms: MatchSet) -> dict[str, frozenset[str]]:
-    """Per-x view of the whole set in one pass: {x: set of matched y}."""
-    acc: dict[str, set[str]] = {}
-    for x, y in ms.pairs:
-        acc.setdefault(x, set()).add(y)
-    return {x: frozenset(ys) for x, ys in acc.items()}
+def by_x(ms: MatchSet) -> Mapping[str, frozenset[str]]:
+    """Per-x view of the whole set: {x: set of matched y}.
+
+    Built in one pass on the first call for a set and shared by every
+    later caller, so callers get a read-only proxy of it.
+    """
+    return MappingProxyType(ms._per_x)
 
 
 def _lines(path: str | Path):

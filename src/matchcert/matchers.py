@@ -9,6 +9,17 @@ Determinism contract: given the same config, seeds, and networks, a
 matcher produces byte-identical output. Percolation resolves conflicting
 candidate pairs by highest matched-neighbor count, then lexicographic
 (x, y) node id order.
+
+Percolation runs on each network's int index (``Network.index``: ids in
+sorted order plus CSR adjacency). Each round is array work: gather the
+unmatched neighbours of both sides of every current pair from the CSR,
+form their per-pair products as int64 keys ``x * n_y + y``, count the
+keys with ``np.unique``, keep those at or above the threshold, and rank
+them with ``np.lexsort`` on (-count, key). Because index order is id
+order, the key sorts as (x, y) by id, so the tie-break is the one above.
+Pairs are then accepted greedily in that order, skipping any whose x or
+y was taken earlier in the round. Matches leave the function as string
+ids.
 """
 
 from __future__ import annotations
@@ -17,8 +28,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import MatchcertError
-from .graphs import MatchRole, MatchSet, NetworkPair, make_match_set
+from .graphs import MatchRole, MatchSet, NetworkPair, NodeIndex, by_x, make_match_set
 
 __all__ = [
     "TopDegree",
@@ -158,14 +171,6 @@ def with_extra_seeds(
     )
 
 
-def _adjacency(net) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {n: [] for n in net.nodes}
-    for u, v in net.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def _resolve_seeds(handle: MatcherHandle, pair: NetworkPair) -> list[tuple[str, str]]:
     seeds = handle.config.seeds
     if seeds is None:
@@ -173,16 +178,19 @@ def _resolve_seeds(handle: MatcherHandle, pair: NetworkPair) -> list[tuple[str, 
     if seeds == VERIFIED_SAMPLE:
         return list(handle.training_matches)
     if isinstance(seeds, TopDegree):
-        adj_x = _adjacency(pair.x_net)
-        adj_y = _adjacency(pair.y_net)
-        top_x = sorted(pair.x_net.nodes, key=lambda n: (-len(adj_x[n]), n))
-        top_y = sorted(pair.y_net.nodes, key=lambda n: (-len(adj_y[n]), n))
+        top_x, top_y = (_by_degree(net.index) for net in (pair.x_net, pair.y_net))
         k = min(seeds.k, len(top_x), len(top_y))
         ranked = list(zip(top_x[:k], top_y[:k]))
         if pair.self_match_mode:
             ranked = [(x, y) for x, y in ranked if x != y]
         return ranked + list(handle.training_matches)
     return list(seeds) + list(handle.training_matches)
+
+
+def _by_degree(index: NodeIndex) -> list[str]:
+    """Node ids by descending degree, ties in id order."""
+    order = np.argsort(-np.diff(index.indptr), kind="stable")
+    return [index.ids[i] for i in order.tolist()]
 
 
 def _attribute_exact(handle: MatcherHandle, pair: NetworkPair) -> set[tuple[str, str]]:
@@ -206,65 +214,85 @@ def _attribute_exact(handle: MatcherHandle, pair: NetworkPair) -> set[tuple[str,
     return out
 
 
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    """0, 1, ..., lens[i] - 1 for each group i, concatenated."""
+    return np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+
+
+def _neighbours(
+    index: NodeIndex, rows: np.ndarray, matched: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unmatched neighbours of each node in ``rows``, flattened.
+
+    Returns (owner, node): ``node`` is a neighbour position and ``owner``
+    the position in ``rows`` it belongs to, grouped by owner.
+    """
+    starts = index.indptr[rows]
+    lens = index.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), lens)
+    node = index.nbr[starts[owner] + _offsets(lens)]
+    keep = ~matched[node]
+    return owner[keep], node[keep]
+
+
 def _percolate(
     pair: NetworkPair,
     start: Iterable[tuple[str, str]],
     threshold: int,
     max_steps: int,
 ) -> set[tuple[str, str]]:
-    xs = sorted(pair.x_net.nodes)
-    ys = sorted(pair.y_net.nodes)
-    xi = {x: i for i, x in enumerate(xs)}
-    yi = {y: i for i, y in enumerate(ys)}
-    ny = len(ys)
-    adj_raw_x = _adjacency(pair.x_net)
-    adj_raw_y = _adjacency(pair.y_net)
-    adj_x = [[xi[v] for v in adj_raw_x[x]] for x in xs]
-    adj_y = [[yi[v] for v in adj_raw_y[y]] for y in ys]
-    self_mode = pair.self_match_mode
-
-    current: set[tuple[int, int]] = set()
-    matched_x: set[int] = set()
-    matched_y: set[int] = set()
+    ix, iy = pair.x_net.index, pair.y_net.index
+    ny = len(iy.ids)
+    keys = []
     for x, y in start:
-        if x not in xi or y not in yi:
+        if x not in ix.pos or y not in iy.pos:
             raise MatchcertError(f"unknown-node: seed pair ({x!r}, {y!r})")
-        key = (xi[x], yi[y])
-        current.add(key)
-        matched_x.add(key[0])
-        matched_y.add(key[1])
+        keys.append(ix.pos[x] * ny + iy.pos[y])
+    current = np.unique(np.array(keys, dtype=np.int64))
+    cur_x, cur_y = np.divmod(current, ny)
+    matched_x = np.zeros(len(ix.ids), dtype=bool)
+    matched_y = np.zeros(ny, dtype=bool)
+    matched_x[cur_x] = True
+    matched_y[cur_y] = True
 
     for _ in range(max_steps):
-        counts: dict[int, int] = {}
-        for ix, iy in current:
-            for ux in adj_x[ix]:
-                if ux in matched_x:
-                    continue
-                base = ux * ny
-                for vy in adj_y[iy]:
-                    if vy in matched_y:
-                        continue
-                    if self_mode and ux == vy:
-                        continue
-                    k = base + vy
-                    counts[k] = counts.get(k, 0) + 1
-        # highest count first, ties by (x, y) id order; index order over the
-        # sorted node lists coincides with lexicographic id order
-        eligible = sorted(
-            (-c, key) for key, c in counts.items() if c >= threshold
-        )
-        added = False
-        for _, key in eligible:
+        # every (unmatched neighbour of x, unmatched neighbour of y) over
+        # the current pairs (x, y), once per pair that supports it
+        own_x, nb_x = _neighbours(ix, cur_x, matched_x)
+        own_y, nb_y = _neighbours(iy, cur_y, matched_y)
+        per_y = np.bincount(own_y, minlength=cur_y.size)
+        first_y = np.cumsum(per_y) - per_y
+        reps = per_y[own_x]
+        cand_x = np.repeat(nb_x, reps)
+        cand_y = nb_y[np.repeat(first_y[own_x], reps) + _offsets(reps)]
+        if pair.self_match_mode:
+            keep = cand_x != cand_y
+            cand_x, cand_y = cand_x[keep], cand_y[keep]
+        cand, counts = np.unique(cand_x * ny + cand_y, return_counts=True)
+        eligible = counts >= threshold
+        cand, counts = cand[eligible], counts[eligible]
+        # highest count first, ties by (x, y) id order: the key x * ny + y
+        # sorts as (x, y), and index order is id order
+        ranked = cand[np.lexsort((cand, -counts))]
+        taken_x: set[int] = set()
+        taken_y: set[int] = set()
+        added = []
+        for key in ranked.tolist():
             ux, vy = divmod(key, ny)
-            if ux in matched_x or vy in matched_y:
+            if ux in taken_x or vy in taken_y:
                 continue
-            current.add((ux, vy))
-            matched_x.add(ux)
-            matched_y.add(vy)
-            added = True
+            taken_x.add(ux)
+            taken_y.add(vy)
+            added.append(key)
         if not added:
             break
-    return {(xs[ix], ys[iy]) for ix, iy in current}
+        new = np.array(added, dtype=np.int64)
+        new_x, new_y = np.divmod(new, ny)
+        matched_x[new_x] = True
+        matched_y[new_y] = True
+        cur_x = np.concatenate([cur_x, new_x])
+        cur_y = np.concatenate([cur_y, new_y])
+    return {(ix.ids[x], iy.ids[y]) for x, y in zip(cur_x.tolist(), cur_y.tolist())}
 
 
 def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
@@ -289,8 +317,7 @@ def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str
     if x not in pair.x_net.nodes:
         raise MatchcertError(f"unknown-node: {x!r}")
     handle._queries += 1
-    full = run_batch(handle, pair)
-    return frozenset(y for (u, y) in full.pairs if u == x)
+    return by_x(run_batch(handle, pair)).get(x, frozenset())
 
 
 def percolate_step(

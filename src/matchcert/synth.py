@@ -164,9 +164,9 @@ def _copy(
         kept_edges = base[alive & (rng_edges.random(base.shape[0]) < retain)]
     else:
         kept_edges = base
-    names = {int(i): f"{prefix}{int(i)}" for i in survivors}
+    names = {i: f"{prefix}{i}" for i in survivors.tolist()}
     nodes = list(names.values())
-    edges = [(names[int(u)], names[int(v)]) for u, v in kept_edges]
+    edges = [(names[u], names[v]) for u, v in kept_edges.tolist()]
     attrs = {names[i]: {ATTR_KEY: attrs_for[i]} for i in names}
     return set(names), make_network(nodes, edges, attrs)
 

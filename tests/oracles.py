@@ -97,3 +97,82 @@ def chisq_pvalue(observed, probs: dict, runs: int) -> float:
         bins[-1] = (o + cur_o, e + cur_e)
     stat = sum((o - e) ** 2 / e for o, e in bins)
     return float(chi2.sf(stat, df=len(bins) - 1))
+
+
+def adjacency_reference(net) -> dict[str, list[str]]:
+    adj: dict[str, list[str]] = {n: [] for n in net.nodes}
+    for u, v in net.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def top_degree_reference(pair, k: int) -> list[tuple[str, str]]:
+    """The TopDegree seed rule: the k highest-degree nodes of each side,
+    ties by id, paired by rank; identity pairs dropped in self-match mode."""
+    adj_x = adjacency_reference(pair.x_net)
+    adj_y = adjacency_reference(pair.y_net)
+    top_x = sorted(pair.x_net.nodes, key=lambda n: (-len(adj_x[n]), n))
+    top_y = sorted(pair.y_net.nodes, key=lambda n: (-len(adj_y[n]), n))
+    k = min(k, len(top_x), len(top_y))
+    ranked = list(zip(top_x[:k], top_y[:k]))
+    if pair.self_match_mode:
+        ranked = [(x, y) for x, y in ranked if x != y]
+    return ranked
+
+
+def percolate_reference(pair, start, threshold: int, max_steps: int):
+    """Percolation with one dict count per candidate pair and round.
+
+    Each round counts, for every unmatched (x, y), the current pairs that
+    join a neighbour of x to a neighbour of y, then accepts pairs with
+    count >= threshold greedily by highest count, ties by (x, y) id
+    order. Stops after ``max_steps`` rounds or a round that adds nothing.
+    """
+    xs = sorted(pair.x_net.nodes)
+    ys = sorted(pair.y_net.nodes)
+    xi = {x: i for i, x in enumerate(xs)}
+    yi = {y: i for i, y in enumerate(ys)}
+    ny = len(ys)
+    adj_raw_x = adjacency_reference(pair.x_net)
+    adj_raw_y = adjacency_reference(pair.y_net)
+    adj_x = [[xi[v] for v in adj_raw_x[x]] for x in xs]
+    adj_y = [[yi[v] for v in adj_raw_y[y]] for y in ys]
+    self_mode = pair.self_match_mode
+
+    current: set[tuple[int, int]] = set()
+    matched_x: set[int] = set()
+    matched_y: set[int] = set()
+    for x, y in start:
+        key = (xi[x], yi[y])
+        current.add(key)
+        matched_x.add(key[0])
+        matched_y.add(key[1])
+
+    for _ in range(max_steps):
+        counts: dict[int, int] = {}
+        for ix, iy in current:
+            for ux in adj_x[ix]:
+                if ux in matched_x:
+                    continue
+                base = ux * ny
+                for vy in adj_y[iy]:
+                    if vy in matched_y:
+                        continue
+                    if self_mode and ux == vy:
+                        continue
+                    k = base + vy
+                    counts[k] = counts.get(k, 0) + 1
+        eligible = sorted((-c, key) for key, c in counts.items() if c >= threshold)
+        added = False
+        for _, key in eligible:
+            ux, vy = divmod(key, ny)
+            if ux in matched_x or vy in matched_y:
+                continue
+            current.add((ux, vy))
+            matched_x.add(ux)
+            matched_y.add(vy)
+            added = True
+        if not added:
+            break
+    return {(xs[ix], ys[iy]) for ix, iy in current}

@@ -40,6 +40,33 @@ class TestNetwork:
         with pytest.raises(MatchcertError, match="self-match-universe"):
             NetworkPair(x, y, self_match_mode=True)
 
+    def test_index_is_sorted_csr(self):
+        # "n10" < "n2" < "n9" in id order; n5 is isolated
+        net = make_network(
+            ["n9", "n2", "n10", "n5"], [("n9", "n2"), ("n10", "n9"), ("n2", "n10")]
+        )
+        index = net.index
+        assert index.ids == ["n10", "n2", "n5", "n9"]
+        assert index.pos == {"n10": 0, "n2": 1, "n5": 2, "n9": 3}
+        assert index.indptr.tolist() == [0, 2, 4, 4, 6]
+        assert index.nbr.tolist() == [1, 3, 0, 3, 0, 1]
+        assert net.index is index  # built once per network
+
+    def test_index_of_edgeless_network(self):
+        index = make_network(["b", "a"], []).index
+        assert index.ids == ["a", "b"]
+        assert index.indptr.tolist() == [0, 0, 0]
+        assert index.nbr.size == 0
+
+    def test_index_leaves_equality_and_repr_alone(self):
+        a = make_network(["a", "b", "c"], [("a", "b")])
+        b = make_network(["c", "b", "a"], [("b", "a")])
+        before = repr(a)
+        assert a.index.ids == ["a", "b", "c"]
+        assert repr(a) == before and "index" not in before
+        assert a == b  # b has no index built yet
+        NetworkPair(a, b, self_match_mode=True)
+
 
 class TestMatchSet:
     def test_build_and_views(self, small_pair):
@@ -98,6 +125,16 @@ class TestMatchSet:
             [("a", "p"), ("a", "q"), ("b", "r")], small_pair, MatchRole.IDENTIFIED
         )
         assert by_x(ms) == {"a": frozenset({"p", "q"}), "b": frozenset({"r"})}
+
+    def test_by_x_view_is_shared_and_read_only(self, small_pair):
+        ms = make_match_set([("a", "p")], small_pair, MatchRole.IDENTIFIED)
+        view = by_x(ms)
+        with pytest.raises(TypeError):
+            view["b"] = frozenset({"q"})
+        with pytest.raises(TypeError):
+            del view["a"]
+        assert by_x(ms) == {"a": frozenset({"p"})}
+        assert by_x(ms)["a"] is view["a"]  # one pass per set, shared
 
 
 class TestNetworkIO:

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from oracles import percolate_reference, top_degree_reference
 
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
@@ -156,6 +159,107 @@ class TestPercolation:
             MatcherConfig("percolation", seeds=(("xa", "ya"),), threshold=1)
         )
         assert run_batch(handle, pair).pairs == run_batch(handle, pair).pairs
+
+
+def random_pair(rnd: random.Random) -> NetworkPair:
+    """A small ER pair whose ids sort differently from their numbers
+    ("n10" < "n2"); a fifth of the pairs share one universe in self-match
+    mode, and some edge sets are empty."""
+    def net(prefix, n, p):
+        names = [f"{prefix}{i}" for i in range(n)]
+        edges = [
+            (names[u], names[v])
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rnd.random() < p
+        ]
+        return make_network(names, edges)
+
+    p = rnd.choice([0.0, 0.05, 0.15, 0.3, 0.5])
+    if rnd.random() < 0.2:
+        shared = net("n", rnd.randint(2, 30), p)
+        return NetworkPair(shared, shared, self_match_mode=True)
+    return NetworkPair(
+        net("x", rnd.randint(1, 30), p), net("y", rnd.randint(1, 30), p)
+    )
+
+
+def random_seeds(rnd: random.Random, pair: NetworkPair) -> list[tuple[str, str]]:
+    """Random seed pairs, often repeating an x or a y."""
+    xs, ys = sorted(pair.x_net.nodes), sorted(pair.y_net.nodes)
+    seeds = []
+    for _ in range(rnd.randint(0, 6)):
+        x, y = rnd.choice(xs), rnd.choice(ys)
+        seeds.append((x, y))
+        if rnd.random() < 0.3:
+            seeds.append((x, rnd.choice(ys)))
+        if rnd.random() < 0.3:
+            seeds.append((rnd.choice(xs), y))
+    return [(x, y) for x, y in seeds if not (pair.self_match_mode and x == y)]
+
+
+class TestPercolationMatchesReference:
+    """The array rounds give the set the per-pair dict loop gives."""
+
+    def test_random_small_pairs(self):
+        rnd = random.Random(20260808)
+        seen = dict.fromkeys(
+            ("self-mode", "no-edges", "isolated", "repeated-x", "repeated-y",
+             "max-iters-stop", "grew", "top-degree"), 0
+        )
+        for _ in range(400):
+            pair = random_pair(rnd)
+            seeds = random_seeds(rnd, pair)
+            threshold, max_iters = rnd.randint(1, 3), rnd.randint(1, 5)
+            top = TopDegree(rnd.randint(1, 4)) if rnd.random() < 0.25 else None
+            start = seeds
+            if top is not None:
+                start = top_degree_reference(pair, top.k) + seeds
+            handle = build_matcher(
+                MatcherConfig(
+                    "percolation",
+                    seeds=top if top is not None else VERIFIED_SAMPLE,
+                    threshold=threshold,
+                    max_iters=max_iters,
+                ),
+                training_matches=seeds,
+            )
+            want = percolate_reference(pair, start, threshold, max_iters)
+            assert run_batch(handle, pair).pairs == want
+
+            seen["self-mode"] += pair.self_match_mode
+            seen["no-edges"] += not pair.x_net.edges
+            seen["isolated"] += any(
+                all(n not in e for e in pair.x_net.edges) for n in pair.x_net.nodes
+            )
+            seen["repeated-x"] += len({x for x, _ in start}) < len(set(start))
+            seen["repeated-y"] += len({y for _, y in start}) < len(set(start))
+            seen["max-iters-stop"] += want != percolate_reference(
+                pair, start, threshold, max_iters + 1
+            )
+            seen["grew"] += len(want) > len(set(start))
+            seen["top-degree"] += top is not None
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_generated_world(self, threshold):
+        cfg = GeneratorConfig(
+            n_entities=400,
+            base_model=ErdosRenyi(8 / 400),
+            edge_retain_x=0.8,
+            edge_retain_y=0.8,
+            node_drop_x=0.1,
+            node_drop_y=0.1,
+            rng_seed=threshold,
+        )
+        pair, truth = generate_pair(cfg)
+        seeds = sorted(truth.pairs)[:80]
+        handle = build_matcher(
+            MatcherConfig("percolation", seeds=tuple(seeds), threshold=threshold)
+        )
+        got = run_batch(handle, pair).pairs
+        assert got == percolate_reference(pair, seeds, threshold, 25)
+        assert len(got) > 1.5 * len(seeds)
 
 
 class TestQueryMode:
