@@ -67,7 +67,6 @@ class BatchValidationInput:
     m_hat_complete: MatchSet | None = None
     m_size: int | None = None
     m_size_upper: int | None = None
-    vacuous_eps: float = 0.0
 
     def __post_init__(self) -> None:
         if self.k_y < 1:
@@ -194,7 +193,6 @@ def complete_batch_recall(inp: BatchValidationInput) -> ValidationReport:
         methods,
         lambda: recall_lb - disagreement / (inp.n_x * density_lb),
         denominator=density_lb,
-        vacuous_eps=inp.vacuous_eps,
     )
 
 

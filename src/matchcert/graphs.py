@@ -142,8 +142,6 @@ class MatchRole(Enum):
 class MatchSet:
     pairs: frozenset[tuple[str, str]]
     role: MatchRole
-    x_universe: frozenset[str]
-    y_universe: frozenset[str]
     k_y: int | None = None  # declared cap on actual matches per x node
 
     @cached_property
@@ -183,9 +181,7 @@ def make_match_set(
                 raise MatchcertError(
                     f"ky-violated: node {x!r} has more than k_y={k_y} actual matches"
                 )
-    return MatchSet(
-        frozenset(dedup), role, pair.x_net.nodes, pair.y_net.nodes, k_y
-    )
+    return MatchSet(frozenset(dedup), role, k_y)
 
 
 def by_x(ms: MatchSet) -> Mapping[str, frozenset[str]]:
@@ -205,10 +201,8 @@ def _lines(path: str | Path):
         yield lineno, raw
 
 
-def load_network(path: str | Path, format: str = "edge-tsv") -> Network:
+def load_network(path: str | Path) -> Network:
     """Parse a network TSV file. See the module docstring for the format."""
-    if format != "edge-tsv":
-        raise MatchcertError(f"unknown-format: {format!r}")
     declared: set[str] = set()
     implicit: set[str] = set()
     edge_rows: list[tuple[int, str, str]] = []

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import MatchcertError
-from .graphs import MatchRole, MatchSet, NetworkPair, NodeIndex, by_x, make_match_set
+from .graphs import MatchRole, MatchSet, NetworkPair, NodeIndex, by_x
 
 __all__ = [
     "TopDegree",
@@ -42,7 +42,6 @@ __all__ = [
     "with_extra_seeds",
     "run_batch",
     "run_query",
-    "percolate_step",
 ]
 
 VERIFIED_SAMPLE = "verified-sample"
@@ -247,6 +246,8 @@ def _percolate(
     for x, y in start:
         if x not in ix.pos or y not in iy.pos:
             raise MatchcertError(f"unknown-node: seed pair ({x!r}, {y!r})")
+        if pair.self_match_mode and x == y:
+            raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
         keys.append(ix.pos[x] * ny + iy.pos[y])
     current = np.unique(np.array(keys, dtype=np.int64))
     cur_x, cur_y = np.divmod(current, ny)
@@ -306,7 +307,10 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
         seeds = _resolve_seeds(handle, pair)
         pairs = _percolate(pair, seeds, cfg.threshold, cfg.max_iters)
     role = MatchRole.IDENTIFIED_HOLDOUT if handle.holdout else MatchRole.IDENTIFIED
-    result = make_match_set(pairs, pair, role)
+    # both matchers pair nodes of the two networks and never an identity
+    # pair in self-match mode (_percolate checks the seeds), so the set
+    # needs none of make_match_set's checks
+    result = MatchSet(frozenset(pairs), role)
     handle._cache_pair = pair
     handle._cache_result = result
     return result
@@ -319,16 +323,3 @@ def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str
     handle._queries += 1
     return by_x(run_batch(handle, pair)).get(x, frozenset())
 
-
-def percolate_step(
-    current: MatchSet, pair: NetworkPair, threshold: int
-) -> MatchSet:
-    """One percolation round: add every eligible pair, never remove any.
-
-    A pair (x, y) with both sides unmatched is eligible when the number of
-    current pairs joining a neighbor of x to a neighbor of y reaches the
-    threshold. Conflicts resolve by highest count, then lexicographic
-    (x, y).
-    """
-    grown = _percolate(pair, sorted(current.pairs), threshold, max_steps=1)
-    return make_match_set(grown, pair, current.role, current.k_y)

@@ -1,8 +1,7 @@
 """Precision, recall, and error-rate certificates for query matchers.
 
-A query matcher produces identified matches per node on demand; its full
-identified set is never materialized. Certification therefore works on
-per-node statistics:
+A query matcher answers for one node at a time, so certification works
+on per-node statistics of sampled nodes:
 
 * single-node precision p(x): fraction of x's identified matches that are
   actual (undefined when x has no identified matches);
@@ -18,6 +17,12 @@ matcher outputs are observed, never actual matches: d_r(x) flags nodes
 where the holdout matcher found something the complete one dropped, and
 d_p(x) additionally charges for partial overlap.
 
+One stage, ``_views``, checks the samples and runs each matcher once; every
+certificate and ``compute_node_stats`` reads the per-node statistics from
+the read-only per-x mappings it returns. When the complete matcher computes
+the same function as the holdout one, its mapping is the holdout mapping
+itself and the complete matcher never runs.
+
 Population sizes of the defined-node subsets are unknowable without full
 enumeration, so the stand-in |X| is used where a size is needed. That is
 conservative for Hoeffding, whose slack ignores the size, and for EBS,
@@ -30,15 +35,14 @@ stand-in: ROADMAP open item 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Mapping
 
 from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair, by_x
 from .matchers import MatcherHandle, run_batch
 from .reports import ValidationReport, build_report
-from .sampling import stream_without_replacement
 
 __all__ = [
     "PerNodeStats",
@@ -54,12 +58,14 @@ __all__ = [
     "error_rate_bounds",
     "query_reports",
     "compute_node_stats",
-    "sample_until_usable",
     "true_query_metrics",
     "true_error_rate",
 ]
 
 DP_DEFAULT_RANGE = (-1.0, 2.0)
+EMPTY: frozenset[str] = frozenset()
+
+Views = Mapping[str, frozenset[str]]  # x -> its identified matches
 
 
 def single_node_precision(m_hat: frozenset, actual: frozenset) -> float | None:
@@ -93,13 +99,11 @@ def disagreement_precision(holdout: frozenset, complete: frozenset) -> float:
     the holdout matcher speaks; 1 + |holdout-only| / |complete| when both
     speak but differ.
     """
-    if complete and holdout:
-        if holdout != complete:
-            return 1.0 + len(holdout - complete) / len(complete)
+    if not holdout or holdout == complete:
         return 0.0
-    if holdout and not complete:
+    if not complete:
         return 1.0
-    return 0.0
+    return 1.0 + len(holdout - complete) / len(complete)
 
 
 @dataclass(frozen=True)
@@ -112,14 +116,7 @@ class PerNodeStats:
     d_p: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "p": self.p,
-            "r": self.r,
-            "w": self.w,
-            "d_r": self.d_r,
-            "d_p": self.d_p,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,6 @@ class QueryValidationInput:
     complete: MatcherHandle | None = None
     s_x_prime: tuple[str, ...] = ()
     k_cap: int = 1
-    vacuous_eps: float = 0.0
 
     def __post_init__(self) -> None:
         if self.k_cap < 1:
@@ -154,24 +150,32 @@ class QueryValidationInput:
         return len(self.pair.x_net.nodes)
 
 
-def _actual(inp: QueryValidationInput, x: str) -> frozenset:
-    if x not in inp.actual_for:
-        raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
-    return inp.actual_for[x]
+def _views(inp: QueryValidationInput) -> tuple[Views, Views | None]:
+    """(hv, cv): the holdout and complete matchers' identified matches per
+    x node; a node without identified matches is absent.
 
-
-def _views(
-    inp: QueryValidationInput, handle: MatcherHandle, nodes: Sequence[str]
-) -> dict[str, frozenset[str]]:
-    """The identified matches of each sampled node, from one pass over the
-    handle's identified set."""
-    per_x = by_x(run_batch(handle, inp.pair))
-    views = {}
-    for x in nodes:
+    Checks the samples first: s_x is non-empty with every node in
+    ``actual_for``, s_x' is non-empty when a complete matcher is given, and
+    every sampled node is a node of X. cv is None without a complete
+    matcher, and hv itself (reduced to holdout) when both compute the same
+    function.
+    """
+    if not inp.s_x:
+        raise MatchcertError("empty-sample: s_x has no nodes")
+    if inp.complete is not None and not inp.s_x_prime:
+        raise MatchcertError("empty-sample: s_x_prime has no nodes")
+    hv = by_x(run_batch(inp.holdout, inp.pair))
+    for x in (*inp.s_x, *inp.s_x_prime):
         if x not in inp.pair.x_net.nodes:
             raise MatchcertError(f"unknown-node: {x!r}")
-        views[x] = per_x.get(x, frozenset())
-    return views
+    for x in inp.s_x:
+        if x not in inp.actual_for:
+            raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
+    if inp.complete is None:
+        return hv, None
+    if inp.complete.same_function(inp.holdout):
+        return hv, hv
+    return hv, by_x(run_batch(inp.complete, inp.pair))
 
 
 def _inputs(inp: QueryValidationInput) -> dict:
@@ -187,30 +191,23 @@ def _inputs(inp: QueryValidationInput) -> dict:
     }
 
 
-def _holdout_precision_term(
-    inp: QueryValidationInput, hv: Mapping[str, frozenset], delta: Confidence
+def _holdout_term(
+    inp: QueryValidationInput,
+    hv: Views,
+    stat: Callable[[frozenset, frozenset], float | None],
+    delta: Confidence,
 ) -> tuple[float, str, int]:
-    values = [
-        single_node_precision(hv[x], _actual(inp, x)) for x in inp.s_x if hv[x]
-    ]
-    if not values:
-        raise MatchcertError(
-            "no-usable-sample: no sampled node has identified matches"
-        )
-    lb, used = bound_term(inp.n_x, values, inp.method, delta, "lower")
-    return lb, used, len(values)
-
-
-def _holdout_recall_term(
-    inp: QueryValidationInput, hv: Mapping[str, frozenset], delta: Confidence
-) -> tuple[float, str, int]:
+    """Lower-bound the mean of ``stat`` (single_node_precision or
+    single_node_recall of the holdout matcher) over the verified nodes
+    where it is defined; returns (bound, method used, usable nodes)."""
     values = []
     for x in inp.s_x:
-        actual = _actual(inp, x)
-        if actual:
-            values.append(single_node_recall(hv[x], actual))
+        value = stat(hv.get(x, EMPTY), inp.actual_for[x])
+        if value is not None:
+            values.append(value)
     if not values:
-        raise MatchcertError("no-usable-sample: no sampled node has actual matches")
+        side = "identified" if stat is single_node_precision else "actual"
+        raise MatchcertError(f"no-usable-sample: no sampled node has {side} matches")
     lb, used = bound_term(inp.n_x, values, inp.method, delta, "lower")
     return lb, used, len(values)
 
@@ -221,36 +218,29 @@ def holdout_query_bounds(
     """Certify holdout query precision and recall, each at the budget's
     single delta (combine with union_confidence to hold both jointly)."""
     (delta,) = inp.budget.parts_for(1)
-    if not inp.s_x:
-        raise MatchcertError("empty-sample: s_x has no nodes")
-    hv = _views(inp, inp.holdout, inp.s_x)
-    p_lb, p_used, p_n = _holdout_precision_term(inp, hv, delta)
-    r_lb, r_used, r_n = _holdout_recall_term(inp, hv, delta)
-    precision = build_report(
-        "holdout-query-precision",
-        inp.budget,
-        _inputs(inp),
-        {"precision_term": p_lb, "usable_nodes": float(p_n)},
-        {"precision_term": p_used},
-        p_lb,
-    )
-    recall = build_report(
-        "holdout-query-recall",
-        inp.budget,
-        _inputs(inp),
-        {"recall_term": r_lb, "usable_nodes": float(r_n)},
-        {"recall_term": r_used},
-        r_lb,
-    )
+    hv, _ = _views(inp)
+    reports = []
+    for quantity, stat in (
+        ("precision", single_node_precision), ("recall", single_node_recall)
+    ):
+        lb, used, n = _holdout_term(inp, hv, stat, delta)
+        reports.append(
+            build_report(
+                f"holdout-query-{quantity}",
+                inp.budget,
+                _inputs(inp),
+                {f"{quantity}_term": lb, "usable_nodes": float(n)},
+                {f"{quantity}_term": used},
+                lb,
+            )
+        )
+    precision, recall = reports
     return precision, recall
 
 
-def _require_complete(inp: QueryValidationInput) -> MatcherHandle:
+def _require_complete(inp: QueryValidationInput) -> None:
     if inp.complete is None:
         raise MatchcertError("missing-complete: no complete matcher supplied")
-    if not inp.s_x_prime:
-        raise MatchcertError("empty-sample: s_x_prime has no nodes")
-    return inp.complete
 
 
 def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
@@ -258,39 +248,36 @@ def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
     fraction of X; reduces exactly to the holdout certificate when the
     complete matcher is the same function as the holdout one."""
     d_r, d_x, d_frac = inp.budget.parts_for(3)
-    complete = _require_complete(inp)
-    reduced = complete.same_function(inp.holdout)
-    hv = _views(
-        inp, inp.holdout, inp.s_x if reduced else (*inp.s_x, *inp.s_x_prime)
-    )
-    r_lb, r_used, r_n = _holdout_recall_term(inp, hv, d_r)
+    _require_complete(inp)
+    hv, cv = _views(inp)
+    r_lb, r_used, r_n = _holdout_term(inp, hv, single_node_recall, d_r)
     terms = {"recall_term": r_lb, "disagreement_term": 0.0, "usable_nodes": float(r_n)}
     methods = {"recall_term": r_used}
-    if reduced:
-        return build_report(
-            "complete-query-recall", inp.budget, _inputs(inp), terms, methods, r_lb,
-            flags=("reduced-to-holdout",),
+    value, denominator, flags = r_lb, None, ("reduced-to-holdout",)
+    if cv is not hv:
+        d_values = [
+            disagreement_recall(hv.get(x, EMPTY), cv.get(x, EMPTY))
+            for x in inp.s_x_prime
+        ]
+        d_ub, methods["disagreement_term"] = bound_term(
+            inp.n_x, d_values, inp.method, d_x, "upper"
         )
-    cv = _views(inp, complete, inp.s_x_prime)
-    d_values = [disagreement_recall(hv[x], cv[x]) for x in inp.s_x_prime]
-    d_ub, methods["disagreement_term"] = bound_term(
-        inp.n_x, d_values, inp.method, d_x, "upper"
-    )
-    matched_ind = [1.0 if _actual(inp, x) else 0.0 for x in inp.s_x]
-    frac_lb, methods["matched_fraction_term"] = bound_term(
-        inp.n_x, matched_ind, inp.method, d_frac, "lower"
-    )
-    terms["disagreement_term"] = d_ub
-    terms["matched_fraction_term"] = frac_lb
+        matched_ind = [1.0 if inp.actual_for[x] else 0.0 for x in inp.s_x]
+        frac_lb, methods["matched_fraction_term"] = bound_term(
+            inp.n_x, matched_ind, inp.method, d_frac, "lower"
+        )
+        terms["disagreement_term"] = d_ub
+        terms["matched_fraction_term"] = frac_lb
+        value, denominator, flags = (lambda: r_lb - d_ub / frac_lb), frac_lb, ()
     return build_report(
         "complete-query-recall",
         inp.budget,
         _inputs(inp),
         terms,
         methods,
-        lambda: r_lb - d_ub / frac_lb,
-        denominator=frac_lb,
-        vacuous_eps=inp.vacuous_eps,
+        value,
+        flags=flags,
+        denominator=denominator,
     )
 
 
@@ -304,14 +291,13 @@ def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
     recorded in the terms.
     """
     d1, d2, d3, d4 = inp.budget.parts_for(4)
-    complete = _require_complete(inp)
-    hv = _views(inp, inp.holdout, (*inp.s_x, *inp.s_x_prime))
-    cv = _views(inp, complete, inp.s_x_prime)
+    _require_complete(inp)
+    hv, cv = _views(inp)
 
-    p_lb, p_used, p_n = _holdout_precision_term(inp, hv, d2)
-    h_ind = [1.0 if hv[x] else 0.0 for x in inp.s_x_prime]
+    p_lb, p_used, p_n = _holdout_term(inp, hv, single_node_precision, d2)
+    h_ind = [1.0 if x in hv else 0.0 for x in inp.s_x_prime]
     h_frac_lb, h_frac_used = bound_term(inp.n_x, h_ind, inp.method, d1, "lower")
-    c_ind = [1.0 if cv[x] else 0.0 for x in inp.s_x_prime]
+    c_ind = [1.0 if x in cv else 0.0 for x in inp.s_x_prime]
     c_frac_ub, c_frac_used = bound_term(inp.n_x, c_ind, inp.method, d4, "upper")
 
     methods = {
@@ -327,10 +313,13 @@ def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
         "dp_term": 0.0,
     }
     flags: tuple[str, ...] = ()
-    if complete.same_function(inp.holdout):
+    if cv is hv:
         flags = ("reduced-to-holdout",)
     else:
-        dp_values = [disagreement_precision(hv[x], cv[x]) for x in inp.s_x_prime]
+        dp_values = [
+            disagreement_precision(hv.get(x, EMPTY), cv.get(x, EMPTY))
+            for x in inp.s_x_prime
+        ]
         lo, hi = DP_DEFAULT_RANGE
         if max(dp_values, default=0.0) > hi:
             lo, hi = 0.0, 1.0 + inp.k_cap
@@ -350,7 +339,6 @@ def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
         lambda: (h_frac_lb * p_lb - dp_ub) / c_frac_ub,
         flags=flags,
         denominator=c_frac_ub,
-        vacuous_eps=inp.vacuous_eps,
     )
 
 
@@ -363,40 +351,34 @@ def error_rate_bounds(inp: QueryValidationInput) -> ValidationReport:
     sample, since a complete-matcher error needs the holdout matcher to
     err or the two matchers to differ.
     """
-    if not inp.s_x:
-        raise MatchcertError("empty-sample: s_x has no nodes")
-    complete = inp.complete
-    reduced = complete is None or complete.same_function(inp.holdout)
-    hv = _views(
-        inp, inp.holdout, inp.s_x if reduced else (*inp.s_x, *inp.s_x_prime)
-    )
-    w_values = [float(single_node_error(hv[x], _actual(inp, x))) for x in inp.s_x]
-    if complete is None:
-        (delta,) = inp.budget.parts_for(1)
-        w_ub, w_used = bound_term(inp.n_x, w_values, inp.method, delta, "upper")
-        return build_report(
-            "holdout-query-error-rate", inp.budget, _inputs(inp),
-            {"error_term": w_ub}, {"error_term": w_used}, w_ub,
-        )
-    d1, d2 = inp.budget.parts_for(2)
-    _require_complete(inp)
-    w_ub, w_used = bound_term(inp.n_x, w_values, inp.method, d1, "upper")
-    terms = {"error_term": w_ub, "disagreement_term": 0.0}
+    parts = inp.budget.parts_for(1 if inp.complete is None else 2)
+    hv, cv = _views(inp)
+    w_values = [
+        float(single_node_error(hv.get(x, EMPTY), inp.actual_for[x])) for x in inp.s_x
+    ]
+    w_ub, w_used = bound_term(inp.n_x, w_values, inp.method, parts[0], "upper")
+    terms = {"error_term": w_ub}
     methods = {"error_term": w_used}
-    if reduced:
-        return build_report(
-            "complete-query-error-rate", inp.budget, _inputs(inp), terms, methods,
-            w_ub, flags=("reduced-to-holdout",),
+    flags: tuple[str, ...] = ()
+    if cv is hv:
+        terms["disagreement_term"] = 0.0
+        flags = ("reduced-to-holdout",)
+    elif cv is not None:
+        diff_values = [
+            1.0 if hv.get(x, EMPTY) != cv.get(x, EMPTY) else 0.0 for x in inp.s_x_prime
+        ]
+        terms["disagreement_term"], methods["disagreement_term"] = bound_term(
+            inp.n_x, diff_values, inp.method, parts[1], "upper"
         )
-    cv = _views(inp, complete, inp.s_x_prime)
-    diff_values = [1.0 if hv[x] != cv[x] else 0.0 for x in inp.s_x_prime]
-    diff_ub, methods["disagreement_term"] = bound_term(
-        inp.n_x, diff_values, inp.method, d2, "upper"
-    )
-    terms["disagreement_term"] = diff_ub
+    variant = "holdout" if cv is None else "complete"
     return build_report(
-        "complete-query-error-rate", inp.budget, _inputs(inp), terms, methods,
-        w_ub + diff_ub,
+        f"{variant}-query-error-rate",
+        inp.budget,
+        _inputs(inp),
+        terms,
+        methods,
+        w_ub + terms.get("disagreement_term", 0.0),
+        flags=flags,
     )
 
 
@@ -434,61 +416,32 @@ def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
     d_r, d_p when a complete matcher is present); independent-sample-only
     nodes carry d_r, d_p alone, never touching actual matches.
     """
-    prime_only: tuple[str, ...] = ()
-    if inp.complete is not None:
-        seen = set(inp.s_x)
-        prime_only = tuple(x for x in inp.s_x_prime if x not in seen)
-    nodes = (*inp.s_x, *prime_only)
-    hv = _views(inp, inp.holdout, nodes)
-    cv = _views(inp, inp.complete, nodes) if inp.complete is not None else None
+    hv, cv = _views(inp)
+
+    def disagreement(x: str) -> dict:
+        if cv is None:
+            return {}
+        h, c = hv.get(x, EMPTY), cv.get(x, EMPTY)
+        return {"d_r": disagreement_recall(h, c), "d_p": disagreement_precision(h, c)}
+
     out = []
     for x in inp.s_x:
-        actual = _actual(inp, x)
+        h, actual = hv.get(x, EMPTY), inp.actual_for[x]
         out.append(
             PerNodeStats(
                 node=x,
-                p=single_node_precision(hv[x], actual),
-                r=single_node_recall(hv[x], actual),
-                w=single_node_error(hv[x], actual),
-                d_r=disagreement_recall(hv[x], cv[x]) if cv is not None else None,
-                d_p=disagreement_precision(hv[x], cv[x]) if cv is not None else None,
+                p=single_node_precision(h, actual),
+                r=single_node_recall(h, actual),
+                w=single_node_error(h, actual),
+                **disagreement(x),
             )
         )
-    for x in prime_only:
-        out.append(
-            PerNodeStats(
-                node=x,
-                d_r=disagreement_recall(hv[x], cv[x]),
-                d_p=disagreement_precision(hv[x], cv[x]),
-            )
-        )
+    if cv is not None:
+        seen = set(inp.s_x)
+        out += [
+            PerNodeStats(x, **disagreement(x)) for x in inp.s_x_prime if x not in seen
+        ]
     return out
-
-
-def sample_until_usable(
-    universe: Sequence[str],
-    predicate: Callable[[str], bool],
-    target: int,
-    seed_or_rng,
-) -> list[str]:
-    """Extend a without-replacement draw until ``target`` drawn items
-    satisfy the predicate; returns the full drawn prefix.
-
-    The bounds stay valid on samples grown this way: the usable subset of
-    a longer uniform draw is still a uniform draw from the usable part of
-    the population.
-    """
-    drawn: list[str] = []
-    usable = 0
-    for item in stream_without_replacement(universe, seed_or_rng):
-        drawn.append(item)
-        if predicate(item):
-            usable += 1
-            if usable >= target:
-                return drawn
-    raise MatchcertError(
-        f"no-usable-sample: universe exhausted with {usable} usable < {target}"
-    )
 
 
 def true_query_metrics(
@@ -498,12 +451,8 @@ def true_query_metrics(
     where they are defined. Test and harness oracle only."""
     hat = by_x(m_hat)
     true = by_x(m_true)
-    p_vals = [
-        len(ys & true.get(x, frozenset())) / len(ys) for x, ys in hat.items()
-    ]
-    r_vals = [
-        len(ys & hat.get(x, frozenset())) / len(ys) for x, ys in true.items()
-    ]
+    p_vals = [len(ys & true.get(x, EMPTY)) / len(ys) for x, ys in hat.items()]
+    r_vals = [len(ys & hat.get(x, EMPTY)) / len(ys) for x, ys in true.items()]
     precision = sum(p_vals) / len(p_vals) if p_vals else None
     recall = sum(r_vals) / len(r_vals) if r_vals else None
     return precision, recall
@@ -514,8 +463,6 @@ def true_error_rate(pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet) -> flo
     hat = by_x(m_hat)
     true = by_x(m_true)
     wrong = sum(
-        1
-        for x in pair.x_net.nodes
-        if hat.get(x, frozenset()) != true.get(x, frozenset())
+        1 for x in pair.x_net.nodes if hat.get(x, EMPTY) != true.get(x, EMPTY)
     )
     return wrong / len(pair.x_net.nodes)

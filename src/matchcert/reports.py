@@ -88,21 +88,20 @@ def build_report(
     value: float | Callable[[], float],
     flags: tuple[str, ...] = (),
     denominator: float | None = None,
-    vacuous_eps: float = 0.0,
 ) -> ValidationReport:
     """The one place a certificate becomes a report.
 
     ``bound_id`` reads ``<variant>-<mode>-<quantity>``; error rates get an
     upper bound, precision and recall a lower one. ``value`` is clamped to
     [0, 1]. A ratio certificate passes its denominator's bound and ``value``
-    as a function that divides by it: when the denominator is at most
-    ``vacuous_eps`` the value is never computed, and the report carries 0
-    and the vacuous-denominator flag instead. ``inputs`` is hashed, with
-    the bound id, into ``inputs_digest``.
+    as a function that divides by it: when the denominator is at most 0
+    the value is never computed, and the report carries 0 and the
+    vacuous-denominator flag instead. ``inputs`` is hashed, with the bound
+    id, into ``inputs_digest``.
     """
     variant, mode, quantity = bound_id.split("-", 2)
     if denominator is not None:
-        if denominator <= vacuous_eps:
+        if denominator <= 0.0:
             value = 0.0
             flags += (VACUOUS_DENOMINATOR,)
         else:

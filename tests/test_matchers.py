@@ -4,19 +4,12 @@ import pytest
 from oracles import percolate_reference, top_degree_reference
 
 from matchcert.errors import MatchcertError
-from matchcert.graphs import (
-    MatchRole,
-    NetworkPair,
-    by_x,
-    make_match_set,
-    make_network,
-)
+from matchcert.graphs import MatchRole, NetworkPair, by_x, make_network
 from matchcert.matchers import (
     VERIFIED_SAMPLE,
     MatcherConfig,
     TopDegree,
     build_matcher,
-    percolate_step,
     run_batch,
     run_query,
     with_extra_seeds,
@@ -37,6 +30,14 @@ def mirrored_pair(names, edges, attr=None):
         {f"y{n}": {"uid": (attr or {}).get(n, str(n))} for n in names},
     )
     return NetworkPair(xs, ys)
+
+
+def one_round(pair, seeds):
+    """The pairs after one percolation round from ``seeds``, threshold 1."""
+    config = MatcherConfig(
+        "percolation", seeds=tuple(sorted(seeds)), threshold=1, max_iters=1
+    )
+    return run_batch(build_matcher(config), pair).pairs
 
 
 class TestAttributeExact:
@@ -94,9 +95,8 @@ class TestPercolation:
         names = ["c", "l1", "l2", "l3"]
         star = [("c", "l1"), ("c", "l2"), ("c", "l3")]
         pair = mirrored_pair(names, star)
-        current = make_match_set([("xc", "yc")], pair, MatchRole.IDENTIFIED)
-        grown = percolate_step(current, pair, threshold=1)
-        assert grown.pairs == {
+        grown = one_round(pair, [("xc", "yc")])
+        assert grown == {
             ("xc", "yc"),
             ("xl1", "yl1"),
             ("xl2", "yl2"),
@@ -107,15 +107,23 @@ class TestPercolation:
         names = [f"n{i}" for i in range(6)]
         path = [(f"n{i}", f"n{i + 1}") for i in range(5)]
         pair = mirrored_pair(names, path)
-        current = make_match_set([("xn0", "yn0")], pair, MatchRole.IDENTIFIED)
-        seen = current
+        seen = frozenset({("xn0", "yn0")})
         for _ in range(10):
-            grown = percolate_step(seen, pair, threshold=1)
-            assert grown.pairs >= seen.pairs
-            if grown.pairs == seen.pairs:
+            grown = one_round(pair, seen)
+            assert grown >= seen
+            if grown == seen:
                 break
             seen = grown
-        assert percolate_step(seen, pair, threshold=1).pairs == seen.pairs
+        assert one_round(pair, seen) == seen
+
+    def test_identity_seed_rejected_in_self_match_mode(self):
+        net = make_network(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        pair = NetworkPair(net, net, self_match_mode=True)
+        handle = build_matcher(
+            MatcherConfig("percolation", seeds=(("a", "b"), ("c", "c")))
+        )
+        with pytest.raises(MatchcertError, match="identity-pair-forbidden"):
+            run_batch(handle, pair)
 
     def test_top_degree_seed_rule(self):
         names = ["hub", "a", "b", "c"]

@@ -12,7 +12,7 @@ from matchcert.graphs import (
     make_match_set,
     make_network,
 )
-from matchcert.matchers import MatcherConfig, build_matcher, with_extra_seeds
+from matchcert.matchers import MatcherConfig, build_matcher, run_batch, with_extra_seeds
 from matchcert.query import (
     QueryValidationInput,
     complete_query_precision,
@@ -23,7 +23,6 @@ from matchcert.query import (
     error_rate_bounds,
     holdout_query_bounds,
     query_reports,
-    sample_until_usable,
     single_node_error,
     single_node_precision,
     single_node_recall,
@@ -148,9 +147,11 @@ class TestHoldoutQuery:
     def test_unknown_sampled_node(self, tiny):
         actual = {"x0": frozenset({"y0"}), "zzz": frozenset()}
         holdout = fixed_matcher([("x0", "y0")])
-        inp = tiny_input(tiny, holdout, ["x0", "zzz"], actual, DeltaBudget.of(0.05))
-        with pytest.raises(MatchcertError, match="unknown-node"):
-            holdout_query_bounds(inp)
+        for s_x, s_x_prime in ((["x0", "zzz"], ()), (["x0"], ["zzz"])):
+            inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05),
+                             s_x_prime=s_x_prime)
+            with pytest.raises(MatchcertError, match="unknown-node"):
+                holdout_query_bounds(inp)
 
     def test_fractional_values_reject_exact_method(self, tiny):
         actual = {"x0": frozenset({"y0"})}
@@ -314,6 +315,25 @@ class TestQueryReports:
         ]
         assert all(len(r.budget) == 1 for r in reports)
 
+    def test_same_function_complete_never_runs(self, tiny, monkeypatch):
+        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
+        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
+        complete = with_extra_seeds(holdout, [], [])
+        ran = []
+
+        def recording_run_batch(handle, pair):
+            ran.append(handle)
+            return run_batch(handle, pair)
+
+        monkeypatch.setattr("matchcert.query.run_batch", recording_run_batch)
+        s_x = [f"x{i}" for i in range(8)]
+        inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05),
+                         complete=complete, s_x_prime=s_x)
+        reports = query_reports(inp)
+        compute_node_stats(inp)
+        assert len(reports) == 6
+        assert ran and all(handle is holdout for handle in ran)
+
     def test_budget_must_have_one_part(self, tiny):
         actual = {"x0": frozenset({"y0"})}
         holdout = fixed_matcher([("x0", "y0")])
@@ -385,20 +405,6 @@ class TestIntersectionSamplingLaw:
             assert len(distinct_counts) == 1, (size, distinct_counts)
             n_subsets = math.comb(4, size)
             assert len([o for o in counts if len(o) == size]) == n_subsets
-
-
-class TestSampleUntilUsable:
-    def test_reaches_target(self):
-        universe = [f"x{i}" for i in range(50)]
-        usable = {f"x{i}" for i in range(0, 50, 5)}  # 10 usable nodes
-        drawn = sample_until_usable(universe, lambda x: x in usable, 4, 3)
-        assert sum(1 for d in drawn if d in usable) == 4
-        assert drawn[-1] in usable
-        assert len(set(drawn)) == len(drawn)
-
-    def test_exhausted(self):
-        with pytest.raises(MatchcertError, match="no-usable-sample"):
-            sample_until_usable(["a", "b"], lambda x: False, 1, 3)
 
 
 class TestStatRanges:
