@@ -74,17 +74,16 @@ class BatchValidationInput:
 
     @property
     def n_x(self) -> int:
-        return len(self.pair.x_net.nodes)
+        return len(self.pair.x_net.index.ids)
 
 
 def _inputs(inp: BatchValidationInput) -> dict:
     return {
         "n_x": inp.n_x,
-        "m_hat_holdout": sorted(map(list, inp.m_hat_holdout.pairs)),
+        # a sorted tuple of pairs encodes as the sorted list of [x, y]
+        "m_hat_holdout": inp.m_hat_holdout.sorted_pairs,
         "m_hat_complete": (
-            sorted(map(list, inp.m_hat_complete.pairs))
-            if inp.m_hat_complete
-            else None
+            inp.m_hat_complete.sorted_pairs if inp.m_hat_complete else None
         ),
         "s_m": sorted(map(list, inp.s_m)),
         "s_x": sorted(inp.s_x),

@@ -103,10 +103,10 @@ def cmd_gen(args) -> int:
     save_network(pair.x_net, out / "x.tsv")
     save_network(pair.y_net, out / "y.tsv")
     save_matches(truth, out / "matches.tsv")
+    ix, iy = pair.x_net.index, pair.y_net.index
     print(
-        f"wrote {out}/x.tsv ({len(pair.x_net.nodes)} nodes, "
-        f"{len(pair.x_net.edges)} edges), {out}/y.tsv "
-        f"({len(pair.y_net.nodes)} nodes, {len(pair.y_net.edges)} edges), "
+        f"wrote {out}/x.tsv ({len(ix.ids)} nodes, {ix.nbr.size // 2} edges), "
+        f"{out}/y.tsv ({len(iy.ids)} nodes, {iy.nbr.size // 2} edges), "
         f"{out}/matches.tsv ({len(truth.pairs)} pairs)"
     )
     return EXIT_OK
@@ -230,14 +230,18 @@ def cmd_coverage(args) -> int:
     csv_path.write_text(table.to_csv(), encoding="utf-8")
     json_path.write_text(table.to_json() + "\n", encoding="utf-8")
     worst = max(r.failure_rate for r in table.rows.values())
-    print(f"wrote {csv_path} and {json_path}; worst failure rate {worst:.4f}")
+    failed = table.failed_trials
+    extra = f"; {failed} of {cfg.trials} trials failed" if failed else ""
+    print(f"wrote {csv_path} and {json_path}; worst failure rate {worst:.4f}{extra}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     doc = json.loads(Path(getattr(args, "in")).read_text(encoding="utf-8"))
     if "rows" in doc:  # coverage table
-        print(f"coverage table ({len(doc['rows'])} rows)")
+        failed = doc.get("failed_trials")
+        extra = f", {failed} failed trials" if failed else ""
+        print(f"coverage table ({len(doc['rows'])} rows{extra})")
         for row in doc["rows"]:
             print(
                 f"  {row['bound']} [{row['method']}] deltas={row['deltas']} "

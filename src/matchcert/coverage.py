@@ -9,6 +9,12 @@ wrong side of the truth; over many trials the failure rate must stay
 within the advertised delta (plus binomial noise), which is what the
 acceptance suite checks.
 
+A trial that fails (``trial-failed``: a matcher identified nothing, no
+sampled node is usable, a term needs a method the sample does not allow)
+does not stop the run. It is counted in the table's ``failed_trials`` and
+contributes to no row, so each row's ``trials`` is its completed trials.
+Only when every trial fails does the run raise, with the first error.
+
 Everything is deterministic given the experiment seed: per-trial
 generators are spawned from (seed, trial index), trials can run in a
 process pool, and rows are aggregated in trial order with exact summation,
@@ -193,8 +199,8 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     sizes = cfg.sample_sizes
     gen_cfg = replace(cfg.generator, rng_seed=_trial_seed(cfg.seed, idx))
     pair, truth = generate_pair(gen_cfg)
-    truth_ordered = sorted(truth.pairs)
-    x_nodes = sorted(pair.x_net.nodes)
+    truth_ordered = truth.sorted_pairs
+    x_nodes = pair.x_net.index.ids  # sorted
 
     train = sample_without_replacement(
         truth_ordered, min(sizes.train, len(truth_ordered)), spawn_rng(cfg.seed, idx, 1)
@@ -213,7 +219,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
         )
     )
     per_x = by_x(truth)
-    actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
+    actual_for = {x: per_x.get(x, frozenset()) for x in x_nodes}
 
     holdout = build_matcher(
         cfg.matcher_holdout, training_matches=train, trained_on=("training-sample",)
@@ -308,6 +314,7 @@ class CoverageRow:
 class CoverageTable:
     rows: dict[tuple[str, str, str], CoverageRow]
     config: ExperimentConfig
+    failed_trials: int = 0
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -329,7 +336,7 @@ class CoverageTable:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "config": self.config.to_json_dict(),
             "rows": [
                 {
@@ -345,14 +352,21 @@ class CoverageTable:
                 for _, r in sorted(self.rows.items())
             ],
         }
+        if self.failed_trials:
+            doc["failed_trials"] = self.failed_trials
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _worker(args) -> list[TrialRecord]:
+def _worker(args) -> list[TrialRecord] | str:
+    """One trial's records, or its ``trial-failed`` message."""
     cfg, idx = args
-    return run_trial(cfg, idx)
+    try:
+        return run_trial(cfg, idx)
+    except MatchcertError as e:
+        return str(e)
 
 
 def run_coverage(cfg: ExperimentConfig, jobs: int = 1) -> CoverageTable:
@@ -374,10 +388,15 @@ def run_coverage(cfg: ExperimentConfig, jobs: int = 1) -> CoverageTable:
                 )
             )
     else:
-        all_records = [run_trial(cfg, i) for i in range(cfg.trials)]
+        all_records = [_worker((cfg, i)) for i in range(cfg.trials)]
 
+    failed = [r for r in all_records if isinstance(r, str)]
+    if len(failed) == cfg.trials:
+        raise MatchcertError(failed[0])
     rows: dict[tuple[str, str, str], CoverageRow] = {}
     for trial_records in all_records:
+        if isinstance(trial_records, str):
+            continue
         for rec in trial_records:
             key = (rec.bound_id, rec.method, rec.deltas)
             row = rows.get(key)
@@ -388,4 +407,4 @@ def run_coverage(cfg: ExperimentConfig, jobs: int = 1) -> CoverageTable:
             row.truths.append(rec.truth)
             row.failures += int(rec.failed)
             row.vacuous += int(rec.vacuous)
-    return CoverageTable(rows, cfg)
+    return CoverageTable(rows, cfg, len(failed))

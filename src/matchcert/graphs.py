@@ -16,11 +16,15 @@ File formats (UTF-8, LF, tab-separated):
   rejected.
 * match file: ``x<TAB>y`` lines, ``#`` comments.
 
-Graph algorithms work on a derived int index (``Network.index``): node
-ids sorted once, so index order is id order, plus CSR adjacency arrays.
-It is built on first use, once per network, and is not a dataclass field,
-so equality and ``repr`` see only nodes, edges and attributes. String ids
-stay in match sets and at the I/O boundary.
+A Network is its int index (``Network.index``) plus its attributes: node
+ids sorted once, so index order is id order, an id -> position map, and
+CSR adjacency arrays. ``make_network`` builds the index from string edges
+(file loading, tests); the generator builds it straight from int edge
+arrays with ``NodeIndex.build``. ``Network.nodes`` and ``Network.edges``
+are read-only views of the index, built on first use. Equality compares
+nodes, edges and attributes (equal ids and CSR arrays are equal node and
+edge sets), and ``repr`` shows the views, not the arrays. String ids stay
+in match sets and at the I/O boundary.
 """
 
 from __future__ import annotations
@@ -72,30 +76,75 @@ class NodeIndex(NamedTuple):
     indptr: np.ndarray  # int64, len(ids) + 1 row offsets
     nbr: np.ndarray  # int64 neighbour positions, two per edge
 
+    @classmethod
+    def build(
+        cls, ids: list[str], pos: dict[str, int], u: np.ndarray, v: np.ndarray
+    ) -> "NodeIndex":
+        """The index over ``ids`` (sorted, distinct; ``pos`` maps each to
+        its position) with an edge between positions ``u[i]`` and ``v[i]``
+        for each i. u != v elementwise; edges may come in either
+        orientation and repeat."""
+        n = len(ids)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        # one key per distinct edge, lo * n + hi, ascending
+        keys = np.unique(lo * n + hi)
+        lo, hi = np.divmod(keys, n)
+        # both directions of every edge as src * n + dst, sorted by (src, dst)
+        arcs = np.sort(np.concatenate([keys, hi * n + lo]))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
+        return cls(ids, pos, indptr, arcs % n)
 
-@dataclass(frozen=True)
+
+def _edge_rows(index: NodeIndex) -> list[tuple[str, str]]:
+    """Each edge once as (u, v) with u < v, in sorted order: the CSR rows
+    in position order, which is id order."""
+    src = np.repeat(np.arange(len(index.ids)), np.diff(index.indptr))
+    upper = src < index.nbr
+    ids = index.ids
+    return [
+        (ids[a], ids[b])
+        for a, b in zip(src[upper].tolist(), index.nbr[upper].tolist())
+    ]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Network:
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    """A network: its int index plus flat string attributes per node.
+
+    ``nodes`` and ``edges`` are read-only views of the index, built on
+    first use and cached on the object.
+    """
+
+    index: NodeIndex
     attrs: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
 
     @cached_property
-    def index(self) -> NodeIndex:
-        """The network's int index, built on first use."""
-        ids = sorted(self.nodes)
-        pos = {node: i for i, node in enumerate(ids)}
-        n = len(ids)
-        ends = np.fromiter(
-            (pos[node] for edge in self.edges for node in edge),
-            dtype=np.int64,
-            count=2 * len(self.edges),
+    def nodes(self) -> frozenset[str]:
+        return frozenset(self.index.ids)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """Each edge once, as (u, v) with u < v."""
+        return frozenset(_edge_rows(self.index))
+
+    def __eq__(self, other: object) -> bool:
+        # equal ids and CSR arrays mean equal node and edge sets
+        if not isinstance(other, Network):
+            return NotImplemented
+        a, b = self.index, other.index
+        return (
+            a.ids == b.ids
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.nbr, b.nbr)
+            and self.attrs == other.attrs
         )
-        u, v = ends[0::2], ends[1::2]
-        # both directions of every edge as src * n + dst, sorted by (src, dst)
-        arcs = np.sort(np.concatenate([u * n + v, v * n + u]))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
-        return NodeIndex(ids, pos, indptr, arcs % n)
+
+    def __repr__(self) -> str:
+        return (
+            f"Network(nodes={self.nodes!r}, edges={self.edges!r}, "
+            f"attrs={self.attrs!r})"
+        )
 
 
 def make_network(
@@ -104,19 +153,26 @@ def make_network(
     attrs: Mapping[str, Mapping[str, str]] | None = None,
 ) -> Network:
     """Build a validated Network; edges are deduplicated and canonicalized."""
-    node_set = frozenset(_check_node_id(n) for n in nodes)
-    canon = set()
-    for u, v in edges:
-        if u == v:
-            raise MatchcertError(f"self-loop: edge ({u!r}, {v!r})")
-        if u not in node_set or v not in node_set:
-            raise MatchcertError(f"unknown-node: edge endpoint {u!r} or {v!r}")
-        canon.add((u, v) if u < v else (v, u))
+    ids = sorted({_check_node_id(n) for n in nodes})
+    pos = dict(zip(ids, range(len(ids))))
+    edges = list(edges)
+    ends = np.fromiter(
+        (pos.get(node, -1) for u, v in edges for node in (u, v)),
+        dtype=np.int64,
+        count=2 * len(edges),
+    )
+    u, v = ends[0::2], ends[1::2]
+    bad = (u == v) | (u < 0) | (v < 0)
+    if bad.any():
+        a, b = edges[int(np.argmax(bad))]  # the first bad edge
+        if a == b:
+            raise MatchcertError(f"self-loop: edge ({a!r}, {b!r})")
+        raise MatchcertError(f"unknown-node: edge endpoint {a!r} or {b!r}")
     attrs = dict(attrs or {})
     for node in attrs:
-        if node not in node_set:
+        if node not in pos:
             raise MatchcertError(f"unknown-node: attribute for {node!r}")
-    return Network(node_set, frozenset(canon), attrs)
+    return Network(NodeIndex.build(ids, pos, u, v), attrs)
 
 
 @dataclass(frozen=True)
@@ -143,6 +199,11 @@ class MatchSet:
     pairs: frozenset[tuple[str, str]]
     role: MatchRole
     k_y: int | None = None  # declared cap on actual matches per x node
+
+    @cached_property
+    def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
+        """The pairs in sorted order, sorted once per set."""
+        return tuple(sorted(self.pairs))
 
     @cached_property
     def _per_x(self) -> dict[str, frozenset[str]]:
@@ -246,12 +307,12 @@ def load_network(path: str | Path) -> Network:
 def save_network(net: Network, path: str | Path) -> None:
     """Write a network TSV that load_network reads back identically."""
     out = []
-    for node in sorted(net.nodes):
+    for node in net.index.ids:
         out.append(f"#node\t{node}")
     for node in sorted(net.attrs):
         for key in sorted(net.attrs[node]):
             out.append(f"#attr\t{node}\t{key}\t{net.attrs[node][key]}")
-    for u, v in sorted(net.edges):
+    for u, v in _edge_rows(net.index):
         out.append(f"{u}\t{v}")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
@@ -286,5 +347,5 @@ def load_matches(
 
 
 def save_matches(ms: MatchSet, path: str | Path) -> None:
-    out = [f"{x}\t{y}" for x, y in sorted(ms.pairs)]
+    out = [f"{x}\t{y}" for x, y in ms.sorted_pairs]
     Path(path).write_text("\n".join(out) + ("\n" if out else ""), encoding="utf-8")

@@ -197,12 +197,12 @@ def _attribute_exact(handle: MatcherHandle, pair: NetworkPair) -> set[tuple[str,
     if not key:
         raise MatchcertError("missing-attr-key: attribute-exact needs attr_key")
     by_value_x: dict[str, list[str]] = {}
-    for node in pair.x_net.nodes:
+    for node in pair.x_net.index.ids:
         value = pair.x_net.attrs.get(node, {}).get(key)
         if value is not None:
             by_value_x.setdefault(value, []).append(node)
     out: set[tuple[str, str]] = set()
-    for node in pair.y_net.nodes:
+    for node in pair.y_net.index.ids:
         value = pair.y_net.attrs.get(node, {}).get(key)
         if value is None:
             continue
@@ -318,7 +318,7 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
 
 def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str]:
     """Identified matches for one node; increments the handle's query count."""
-    if x not in pair.x_net.nodes:
+    if x not in pair.x_net.index.pos:
         raise MatchcertError(f"unknown-node: {x!r}")
     handle._queries += 1
     return by_x(run_batch(handle, pair)).get(x, frozenset())

@@ -147,7 +147,7 @@ class QueryValidationInput:
 
     @property
     def n_x(self) -> int:
-        return len(self.pair.x_net.nodes)
+        return len(self.pair.x_net.index.ids)
 
 
 def _views(inp: QueryValidationInput) -> tuple[Views, Views | None]:
@@ -166,7 +166,7 @@ def _views(inp: QueryValidationInput) -> tuple[Views, Views | None]:
         raise MatchcertError("empty-sample: s_x_prime has no nodes")
     hv = by_x(run_batch(inp.holdout, inp.pair))
     for x in (*inp.s_x, *inp.s_x_prime):
-        if x not in inp.pair.x_net.nodes:
+        if x not in inp.pair.x_net.index.pos:
             raise MatchcertError(f"unknown-node: {x!r}")
     for x in inp.s_x:
         if x not in inp.actual_for:
@@ -462,7 +462,8 @@ def true_error_rate(pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet) -> flo
     """Exact mean single-node error over all of X. Oracle only."""
     hat = by_x(m_hat)
     true = by_x(m_true)
+    # a node in neither mapping has no identified and no actual match
     wrong = sum(
-        1 for x in pair.x_net.nodes if hat.get(x, EMPTY) != true.get(x, EMPTY)
+        1 for x in hat.keys() | true.keys() if hat.get(x, EMPTY) != true.get(x, EMPTY)
     )
-    return wrong / len(pair.x_net.nodes)
+    return wrong / len(pair.x_net.index.ids)

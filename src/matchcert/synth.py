@@ -6,18 +6,26 @@ being identical. The returned match set is the identity correspondence
 over entities surviving in both copies, which makes true precision and
 recall computable and lets coverage experiments compare certified bounds
 against the truth.
+
+The generator stays in ints until the end: each copy maps its surviving
+entities to their positions in sorted node-id order and builds its
+network's index (``graphs.NodeIndex.build``) from the int edge arrays.
+Node ids are formatted once per node, for that sort, the attributes and
+the truth pairs; no string edge is built.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
 from .errors import MatchcertError
-from .graphs import MatchRole, MatchSet, NetworkPair, make_match_set, make_network
+from .graphs import MatchRole, MatchSet, Network, NetworkPair, NodeIndex
 from .sampling import spawn_rng
 
 __all__ = ["ErdosRenyi", "PreferentialAttachment", "GeneratorConfig", "generate_pair"]
@@ -143,16 +151,49 @@ def _base_edges(cfg: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
     return np.array(edges, dtype=np.int64)
 
 
+class _Attrs(Mapping):
+    """A copy's attributes, ``{node: {ATTR_KEY: uid}}``, built on first
+    read: a coverage trial never reads them."""
+
+    def __init__(self, names: list[str], entities: list[int], noisy: list[bool]):
+        self._columns = (names, entities, noisy)
+
+    @cached_property
+    def _dict(self) -> dict[str, dict[str, str]]:
+        return {
+            name: {ATTR_KEY: f"{i}{NOISE_MARK}" if mark else str(i)}
+            for name, i, mark in zip(*self._columns)
+        }
+
+    def __getitem__(self, node: str) -> dict[str, str]:
+        return self._dict[node]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+
 def _copy(
     prefix: str,
     base: np.ndarray,
     n: int,
     drop: float,
     retain: float,
-    attrs_for: Mapping[int, str],
+    noisy: np.ndarray,
     rng_nodes: np.random.Generator,
     rng_edges: np.random.Generator,
-):
+) -> tuple[np.ndarray, list[str], Network]:
+    """One copy of the base graph: the entities it keeps (a mask), their
+    node ids in entity order, and its network.
+
+    Entity i becomes node ``f"{prefix}{i}"`` with attribute ``uid`` set to
+    ``str(i)``, plus NOISE_MARK where ``noisy[i]``.
+    """
     keep = rng_nodes.random(n) >= drop
     survivors = np.flatnonzero(keep)
     if survivors.size == 0:
@@ -164,11 +205,18 @@ def _copy(
         kept_edges = base[alive & (rng_edges.random(base.shape[0]) < retain)]
     else:
         kept_edges = base
-    names = {i: f"{prefix}{i}" for i in survivors.tolist()}
-    nodes = list(names.values())
-    edges = [(names[u], names[v]) for u, v in kept_edges.tolist()]
-    attrs = {names[i]: {ATTR_KEY: attrs_for[i]} for i in names}
-    return set(names), make_network(nodes, edges, attrs)
+    entities = survivors.tolist()
+    names = [f"{prefix}{i}" for i in entities]
+    # node ids sort as strings, not as entity numbers ("x10" < "x9")
+    order = sorted(range(len(names)), key=names.__getitem__)
+    ids = [names[k] for k in order]
+    at = np.empty(n, dtype=np.int64)  # entity -> position in ids
+    at[survivors[order]] = np.arange(len(ids))
+    index = NodeIndex.build(
+        ids, dict(zip(ids, range(len(ids)))), at[kept_edges[:, 0]], at[kept_edges[:, 1]]
+    )
+    attrs = _Attrs(names, entities, noisy[survivors].tolist())
+    return keep, names, Network(index, attrs)
 
 
 def generate_pair(cfg: GeneratorConfig) -> tuple[NetworkPair, MatchSet]:
@@ -188,17 +236,18 @@ def generate_pair(cfg: GeneratorConfig) -> tuple[NetworkPair, MatchSet]:
     base = _base_edges(cfg, rng_base)
     n = cfg.n_entities
     noisy = rng_noise.random(n) < cfg.attr_noise
-    x_attr = {i: str(i) for i in range(n)}
-    y_attr = {i: str(i) + (NOISE_MARK if noisy[i] else "") for i in range(n)}
 
-    x_ids, x_net = _copy("x", base, n, cfg.node_drop_x, cfg.edge_retain_x,
-                         x_attr, rng_xn, rng_xe)
-    y_ids, y_net = _copy("y", base, n, cfg.node_drop_y, cfg.edge_retain_y,
-                         y_attr, rng_yn, rng_ye)
+    keep_x, x_names, x_net = _copy("x", base, n, cfg.node_drop_x, cfg.edge_retain_x,
+                                   np.zeros(n, dtype=bool), rng_xn, rng_xe)
+    keep_y, y_names, y_net = _copy("y", base, n, cfg.node_drop_y, cfg.edge_retain_y,
+                                   noisy, rng_yn, rng_ye)
 
-    pair = NetworkPair(x_net, y_net)
-    both = sorted(x_ids & y_ids)
-    truth = make_match_set(
-        [(f"x{i}", f"y{i}") for i in both], pair, MatchRole.ACTUAL, k_y=1
-    )
-    return pair, truth
+    # Each pair joins the x and y nodes of one entity kept by both copies
+    # (xs and ys list those nodes in entity order, so they pair up). Both
+    # endpoints are nodes of their networks and every x has exactly one
+    # actual match: make_match_set's endpoint and k_y checks hold by
+    # construction, and the set is built directly.
+    xs = compress(x_names, keep_y[keep_x].tolist())
+    ys = compress(y_names, keep_x[keep_y].tolist())
+    truth = MatchSet(frozenset(zip(xs, ys)), MatchRole.ACTUAL, k_y=1)
+    return NetworkPair(x_net, y_net), truth

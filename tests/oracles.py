@@ -10,6 +10,10 @@ from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
+from matchcert.errors import MatchcertError
+
 
 def pmf_exact(m: int, n: int, s: int, k: int) -> Fraction:
     if k > m or s - k > n - m:
@@ -176,3 +180,75 @@ def percolate_reference(pair, start, threshold: int, max_steps: int):
         if not added:
             break
     return {(xs[ix], ys[iy]) for ix, iy in current}
+
+
+def canonical_edges_reference(nodes, edges):
+    """make_network's checks and canonicalization as one loop over string
+    edges: (node set, edge set with u < v). Raises ValueError naming the
+    first bad token instead of MatchcertError."""
+    node_set = frozenset(nodes)
+    canon = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError("self-loop")
+        if u not in node_set or v not in node_set:
+            raise ValueError("unknown-node")
+        canon.add((u, v) if u < v else (v, u))
+    return node_set, frozenset(canon)
+
+
+def csr_reference(nodes, edges):
+    """(ids, indptr, nbr) as lists: ids sorted, each row's neighbour
+    positions sorted, from per-node adjacency lists."""
+    ids = sorted(nodes)
+    at = {node: i for i, node in enumerate(ids)}
+    rows = [[] for _ in ids]
+    for u, v in edges:
+        rows[at[u]].append(at[v])
+        rows[at[v]].append(at[u])
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return ids, indptr, [j for row in rows for j in sorted(row)]
+
+
+def generate_pair_reference(cfg):
+    """synth.generate_pair through string ids: every node and edge named,
+    then validated by make_network and make_match_set."""
+    from matchcert.graphs import MatchRole, NetworkPair, make_match_set, make_network
+    from matchcert.sampling import spawn_rng
+    from matchcert.synth import ATTR_KEY, NOISE_MARK, _base_edges
+
+    def copy(prefix, base, n, drop, retain, attrs_for, rng_nodes, rng_edges):
+        keep = rng_nodes.random(n) >= drop
+        survivors = np.flatnonzero(keep)
+        if survivors.size == 0:
+            raise MatchcertError(
+                f"degenerate-config: every node dropped from the {prefix} copy"
+            )
+        if base.shape[0]:
+            alive = keep[base[:, 0]] & keep[base[:, 1]]
+            kept_edges = base[alive & (rng_edges.random(base.shape[0]) < retain)]
+        else:
+            kept_edges = base
+        names = {i: f"{prefix}{i}" for i in survivors.tolist()}
+        edges = [(names[u], names[v]) for u, v in kept_edges.tolist()]
+        attrs = {names[i]: {ATTR_KEY: attrs_for[i]} for i in names}
+        return set(names), make_network(names.values(), edges, attrs)
+
+    rngs = [spawn_rng(cfg.rng_seed, k) for k in range(6)]
+    base = _base_edges(cfg, rngs[0])
+    n = cfg.n_entities
+    noisy = rngs[5].random(n) < cfg.attr_noise
+    x_attr = {i: str(i) for i in range(n)}
+    y_attr = {i: str(i) + (NOISE_MARK if noisy[i] else "") for i in range(n)}
+    x_ids, x_net = copy("x", base, n, cfg.node_drop_x, cfg.edge_retain_x,
+                        x_attr, rngs[1], rngs[2])
+    y_ids, y_net = copy("y", base, n, cfg.node_drop_y, cfg.edge_retain_y,
+                        y_attr, rngs[3], rngs[4])
+    pair = NetworkPair(x_net, y_net)
+    truth = make_match_set(
+        [(f"x{i}", f"y{i}") for i in sorted(x_ids & y_ids)],
+        pair, MatchRole.ACTUAL, k_y=1,
+    )
+    return pair, truth

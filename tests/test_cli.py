@@ -365,6 +365,27 @@ class TestCoverage:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_failed_trials_counted_and_jobs_do_not_change_output(self, tmp_path, capsys):
+        doc = json.loads(self.make_config(tmp_path).read_text())
+        doc["matcher_holdout"]["seeds"] = {"top-degree-k": 5}
+        doc["methods"] = ["hypergeometric-exact"]
+        doc["trials"], doc["seed"] = 6, 5
+        cfg = write(tmp_path / "top.json", json.dumps(doc))
+        for jobs, prefix in (("1", "a"), ("2", "b")):
+            rc = main([
+                "coverage", "--config", str(cfg), "--jobs", jobs,
+                "--out-prefix", str(tmp_path / prefix),
+            ])
+            assert rc == 0
+        assert "3 of 6 trials failed" in capsys.readouterr().out
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        table = json.loads((tmp_path / "a.json").read_text())
+        assert table["failed_trials"] == 3
+        assert {row["trials"] for row in table["rows"]} == {3}
+        assert main(["report", "--in", str(tmp_path / "a.json")]) == 0
+        assert "3 failed trials" in capsys.readouterr().out
+
     def test_seed_changes_output(self, tmp_path):
         cfg = self.make_config(tmp_path)
         main(["coverage", "--config", str(cfg), "--out-prefix", str(tmp_path / "a")])

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from oracles import canonical_edges_reference, csr_reference
 
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
@@ -64,7 +67,7 @@ class TestNetwork:
         before = repr(a)
         assert a.index.ids == ["a", "b", "c"]
         assert repr(a) == before and "index" not in before
-        assert a == b  # b has no index built yet
+        assert a == b  # built from edges in another order and orientation
         NetworkPair(a, b, self_match_mode=True)
 
 
@@ -135,6 +138,98 @@ class TestMatchSet:
             del view["a"]
         assert by_x(ms) == {"a": frozenset({"p"})}
         assert by_x(ms)["a"] is view["a"]  # one pass per set, shared
+
+
+def _check_against_reference(nodes, edges):
+    """make_network agrees with the string-loop reference: the same error
+    token, or the same node set, edge set and CSR arrays."""
+    try:
+        node_set, edge_set = canonical_edges_reference(nodes, edges)
+    except ValueError as e:
+        with pytest.raises(MatchcertError, match=f"^{e}:"):
+            make_network(nodes, edges)
+        return None
+    net = make_network(nodes, edges)
+    assert net.nodes == node_set
+    assert net.edges == edge_set
+    ids, indptr, nbr = csr_reference(node_set, edge_set)
+    assert net.index.ids == ids
+    assert net.index.pos == {node: i for i, node in enumerate(ids)}
+    assert net.index.indptr.tolist() == indptr
+    assert net.index.nbr.tolist() == nbr
+    return net
+
+
+class TestMakeNetworkReference:
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            (["a", "b", "c", "d"], [("b", "a"), ("c", "d"), ("d", "b")]),  # orientations
+            (["a", "b", "c"], [("a", "b"), ("b", "a"), ("a", "b"), ("c", "b")]),  # dups
+            (["a", "b", "c", "z"], [("a", "b")]),  # isolated nodes
+            (["n9", "n10", "n2"], [("n9", "n10"), ("n2", "n9")]),  # "n10" < "n2"
+            (["b", "a"], []),  # empty edge list
+            ([], []),  # empty network
+        ],
+    )
+    def test_cases(self, nodes, edges):
+        net = _check_against_reference(nodes, edges)
+        assert net == make_network(iter(nodes), iter(edges))
+        assert net == make_network(list(reversed(nodes)), [(v, u) for u, v in edges])
+
+    @pytest.mark.parametrize(
+        "nodes, edges, token",
+        [
+            (["a", "b"], [("a", "b"), ("b", "b")], "self-loop"),
+            (["a"], [("q", "q")], "self-loop"),  # a self-loop on no node
+            (["a", "b"], [("a", "b"), ("a", "zz")], "unknown-node"),
+            (["a", "b"], [("zz", "yy")], "unknown-node"),
+            (["a", "b"], [("a", "zz"), ("b", "b")], "unknown-node"),  # first bad edge
+            (["a", "b"], [("b", "b"), ("a", "zz")], "self-loop"),
+            (["a", ""], [], "invalid-node-id"),
+            (["a", "b\tc"], [("a", "zz")], "invalid-node-id"),  # ids before edges
+            (["a\nb"], [], "invalid-node-id"),
+        ],
+    )
+    def test_bad_input(self, nodes, edges, token):
+        with pytest.raises(MatchcertError, match=f"^{token}:"):
+            make_network(nodes, edges)
+
+    def test_edge_that_is_not_a_pair(self):
+        # a triple and a single must not pair up into two edges
+        with pytest.raises(ValueError):
+            make_network(["a", "b", "c", "d"], [("a", "b", "c"), ("d",)])
+
+    def test_unknown_attribute_node(self):
+        with pytest.raises(MatchcertError, match="^unknown-node:"):
+            make_network(["a"], [], {"b": {"uid": "1"}})
+
+    def test_random_inputs(self):
+        rng = random.Random(7)
+        pool = ["a", "b", "c", "n1", "n2", "n9", "n10", "n11", "x", "y"]
+        outcomes = {"ok": 0, "error": 0}
+        for _ in range(400):
+            nodes = rng.sample(pool, rng.randint(0, len(pool)))
+            nodes += rng.sample(nodes, min(len(nodes), rng.randint(0, 2)))  # repeats
+            ends = nodes if rng.random() < 0.8 else pool
+            edges = [
+                (rng.choice(ends), rng.choice(ends))
+                for _ in range(rng.randint(0, 12) if ends else 0)
+            ]
+            if rng.random() < 0.8:  # mostly valid inputs
+                edges = [(u, v) for u, v in edges if u != v and {u, v} <= set(nodes)]
+            net = _check_against_reference(nodes, edges)
+            outcomes["ok" if net is not None else "error"] += 1
+        assert min(outcomes.values()) >= 40, outcomes
+
+    def test_save_writes_edges_in_sorted_order(self, tmp_path):
+        net = make_network(
+            ["n9", "n10", "n2", "a"], [("n9", "n10"), ("n2", "n9"), ("n10", "a")]
+        )
+        f = tmp_path / "net.tsv"
+        save_network(net, f)
+        lines = [ln for ln in f.read_text().split("\n") if ln and not ln.startswith("#")]
+        assert lines == [f"{u}\t{v}" for u, v in sorted(net.edges)]
 
 
 class TestNetworkIO:
