@@ -7,6 +7,14 @@ table as CSV + JSON), report (pretty-print a saved report).
 
 Exit codes: 0 success, 1 error, 2 success but at least one bound was
 mathematically vacuous (reported as 0 with a flag).
+
+Each command imports the layers it runs inside its function, so a
+process pays only for those: ``match`` never loads the bounds, batch,
+query, reports, coverage, synth or sampling modules. Only ``graphs`` (the
+file formats, which every command but ``report`` reads) and ``matchers``
+load with this module. perfbench's span tracer wraps the functions of the
+modules that ``import matchcert.cli`` loads, so its pipeline traces keep
+the parse and the matcher, the two largest costs of a stage.
 """
 
 from __future__ import annotations
@@ -14,12 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .batch import BatchValidationInput, batch_reports
-from .bounds import BoundMethod, DeltaBudget
-from .coverage import ExperimentConfig, run_coverage
 from .errors import MatchcertError
 from .graphs import (
     MatchRole,
@@ -33,10 +37,6 @@ from .graphs import (
     save_network,
 )
 from .matchers import MatcherConfig, build_matcher, run_batch
-from .query import QueryValidationInput, compute_node_stats, query_reports
-from .reports import combine_reports
-from .sampling import SplitSpec, split_train_validation
-from .synth import GeneratorConfig, generate_pair
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -57,8 +57,10 @@ def _load_pair(args) -> NetworkPair:
     return NetworkPair(x_net, load_network(args.y))
 
 
-def _budget(text: str) -> DeltaBudget:
+def _budget(text: str):
     """The one-delta budget that every certificate splits over its terms."""
+    from .bounds import DeltaBudget
+
     try:
         return DeltaBudget.of(float(text))
     except ValueError as e:
@@ -66,6 +68,8 @@ def _budget(text: str) -> DeltaBudget:
 
 
 def _write_report(args, reports, node_stats=None) -> int:
+    from .reports import combine_reports
+
     doc = combine_reports(reports).to_json_dict()
     doc["invocation"] = {
         key: value
@@ -92,6 +96,8 @@ def _write_report(args, reports, node_stats=None) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .synth import GeneratorConfig, generate_pair
+
     cfg = GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         cfg = GeneratorConfig.from_json_dict(
@@ -125,6 +131,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from .sampling import SplitSpec, split_train_validation
+
     items = read_items(args.items)
     spec = SplitSpec(
         population_n=args.population_n,
@@ -155,6 +163,9 @@ def _actual_map(pair: NetworkPair, actual_path: str, s_x: list[str]):
 
 
 def cmd_validate_batch(args) -> int:
+    from .batch import BatchValidationInput, batch_reports
+    from .bounds import BoundMethod
+
     pair = _load_pair(args)
     m_hat_h = load_matches(args.m_hat_holdout, pair, MatchRole.IDENTIFIED_HOLDOUT)
     m_hat_c = (
@@ -181,6 +192,9 @@ def cmd_validate_batch(args) -> int:
 
 
 def cmd_validate_query(args) -> int:
+    from .bounds import BoundMethod
+    from .query import QueryValidationInput, compute_node_stats, query_reports
+
     pair = _load_pair(args)
     holdout_cfg = MatcherConfig.from_json(
         Path(args.matcher).read_text(encoding="utf-8")
@@ -221,6 +235,10 @@ def cmd_validate_query(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    from dataclasses import replace
+
+    from .coverage import ExperimentConfig, run_coverage
+
     cfg = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

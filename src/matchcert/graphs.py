@@ -16,25 +16,40 @@ File formats (UTF-8, LF, tab-separated):
   rejected.
 * match file: ``x<TAB>y`` lines, ``#`` comments.
 
+Blank and whitespace-only lines are skipped.
+
 A Network is its int index (``Network.index``) plus its attributes: node
 ids sorted once, so index order is id order, an id -> position map, and
-CSR adjacency arrays. ``make_network`` builds the index from string edges
-(file loading, tests); the generator builds it straight from int edge
-arrays with ``NodeIndex.build``. ``Network.nodes`` and ``Network.edges``
-are read-only views of the index, built on first use. Equality compares
+CSR adjacency arrays. ``make_network`` builds the index from string edges;
+``load_network`` and the generator build it straight from int edge arrays
+with ``NodeIndex.build``. ``Network.nodes`` and ``Network.edges`` are
+read-only views of the index, built on first use. Equality compares
 nodes, edges and attributes (equal ids and CSR arrays are equal node and
 edge sets), and ``repr`` shows the views, not the arrays. String ids stay
 in match sets and at the I/O boundary.
+
+The parsers read a whole file in bulk passes: one split into lines, list
+comprehensions that pick out each kind of line, a tab count per line, and
+one join and split on tabs that yields every row's fields. Endpoints map to
+positions through ``map(pos.__getitem__, ...)`` into ``np.fromiter``. A
+bad file fails as a line-by-line reader would fail: only when a bulk check
+fails does a walk over the lines find the first bad line in file order
+and raise ``malformed-line`` or ``self-loop`` with its line number. A file
+whose lines are all well formed can still fail as a whole:
+``unknown-node`` names the smallest id used but not declared, and
+``invalid-node-id`` an empty id.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -86,8 +101,12 @@ class NodeIndex(NamedTuple):
         orientation and repeat."""
         n = len(ids)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        # one key per distinct edge, lo * n + hi, ascending
-        keys = np.unique(lo * n + hi)
+        # one key per distinct edge, lo * n + hi, ascending: sorted, then
+        # repeats dropped (np.unique's first call imports numpy.ma, ~15 ms)
+        keys = np.sort(lo * n + hi)
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
         lo, hi = np.divmod(keys, n)
         # both directions of every edge as src * n + dst, sorted by (src, dst)
         arcs = np.sort(np.concatenate([keys, hi * n + lo]))
@@ -147,14 +166,19 @@ class Network:
         )
 
 
+def _sorted_ids(nodes: Iterable[str]) -> tuple[list[str], dict[str, int]]:
+    """The distinct checked ids in sorted order, and id -> position."""
+    ids = sorted({_check_node_id(n) for n in nodes})
+    return ids, dict(zip(ids, range(len(ids))))
+
+
 def make_network(
     nodes: Iterable[str],
     edges: Iterable[tuple[str, str]],
     attrs: Mapping[str, Mapping[str, str]] | None = None,
 ) -> Network:
     """Build a validated Network; edges are deduplicated and canonicalized."""
-    ids = sorted({_check_node_id(n) for n in nodes})
-    pos = dict(zip(ids, range(len(ids))))
+    ids, pos = _sorted_ids(nodes)
     edges = list(edges)
     ends = np.fromiter(
         (pos.get(node, -1) for u, v in edges for node in (u, v)),
@@ -225,15 +249,16 @@ def make_match_set(
     mode, and (for the actual role with a declared cap) any x matched more
     than k_y times.
     """
-    dedup = set()
+    pairs = list(pairs)
+    xpos, ypos = pair.x_net.index.pos, pair.y_net.index.pos
     for x, y in pairs:
-        if x not in pair.x_net.nodes:
+        if x not in xpos:
             raise MatchcertError(f"unknown-node: x endpoint {x!r}")
-        if y not in pair.y_net.nodes:
+        if y not in ypos:
             raise MatchcertError(f"unknown-node: y endpoint {y!r}")
         if pair.self_match_mode and x == y:
             raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
-        dedup.add((x, y))
+    dedup = set(pairs)
     if role is MatchRole.ACTUAL and k_y is not None:
         counts: dict[str, int] = {}
         for x, _ in dedup:
@@ -254,54 +279,87 @@ def by_x(ms: MatchSet) -> Mapping[str, frozenset[str]]:
     return MappingProxyType(ms._per_x)
 
 
-def _lines(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if raw == "" or raw.isspace():
+def _read_lines(path: str | Path) -> list[str]:
+    return Path(path).read_text(encoding="utf-8").split("\n")
+
+
+def _data_rows(lines: list[str]) -> list[str]:
+    """The lines that are neither blank, whitespace-only nor ``#`` lines."""
+    return [raw for raw in lines if raw.strip() and raw[0] != "#"]
+
+
+def _tabs_ok(rows: list[str], tabs: int) -> bool:
+    """Whether every row holds exactly ``tabs`` tabs."""
+    return set(map(str.count, rows, repeat("\t"))) <= {tabs}
+
+
+def _fields(rows: list[str], width: int) -> list[list[str]]:
+    """Field i of every row, for each i < width, from rows of ``width``
+    tab-separated fields."""
+    flat = "\t".join(rows).split("\t") if rows else []
+    return [flat[i::width] for i in range(width)]
+
+
+def _raise_first_bad_line(
+    path: str | Path, lines: list[str], network: bool
+) -> NoReturn:
+    """Raise for the first malformed line, or in a network file the first
+    self-loop, in file order. Runs only after a bulk check failed."""
+    for lineno, raw in enumerate(lines, start=1):
+        tabs = raw.count("\t")
+        if network and raw.startswith("#node\t"):
+            ok = tabs == 1 and raw != "#node\t"
+        elif network and raw.startswith("#attr\t"):
+            ok = tabs == 3
+        elif not raw.strip() or raw[0] == "#":
             continue
-        yield lineno, raw
+        else:
+            ok = tabs == 1
+            u, _, v = raw.partition("\t")
+            if ok and network and u == v:
+                raise MatchcertError(f"self-loop: {path}:{lineno}: {raw!r}")
+        if not ok:
+            raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
+    raise AssertionError(f"no bad line in {path}")
 
 
 def load_network(path: str | Path) -> Network:
     """Parse a network TSV file. See the module docstring for the format."""
-    declared: set[str] = set()
-    implicit: set[str] = set()
-    edge_rows: list[tuple[int, str, str]] = []
-    attrs: dict[str, dict[str, str]] = {}
-    for lineno, raw in _lines(path):
-        if raw.startswith("#node\t"):
-            fields = raw.split("\t")
-            if len(fields) != 2 or not fields[1]:
-                raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
-            declared.add(fields[1])
-        elif raw.startswith("#attr\t"):
-            fields = raw.split("\t")
-            if len(fields) != 4:
-                raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
-            _, node, key, value = fields
-            attrs.setdefault(node, {})[key] = value
-            implicit.add(node)
-        elif raw.startswith("#"):
-            continue
-        else:
-            fields = raw.split("\t")
-            if len(fields) != 2:
-                raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
-            u, v = fields
-            if u == v:
-                raise MatchcertError(f"self-loop: {path}:{lineno}: {raw!r}")
-            edge_rows.append((lineno, u, v))
-            implicit.update((u, v))
-    if declared:
-        dangling = implicit - declared
+    lines = _read_lines(path)
+    hashed = [raw for raw in lines if raw and raw[0] == "#"]
+    node_rows = [raw for raw in hashed if raw.startswith("#node\t")]
+    attr_rows = [raw for raw in hashed if raw.startswith("#attr\t")]
+    edge_rows = _data_rows(lines)
+    ok = (
+        _tabs_ok(node_rows, 1)
+        and "#node\t" not in node_rows  # an empty id
+        and _tabs_ok(attr_rows, 3)
+        and _tabs_ok(edge_rows, 1)
+    )
+    if ok:
+        us, vs = _fields(edge_rows, 2)
+        ok = not any(map(operator.eq, us, vs))
+    if not ok:
+        _raise_first_bad_line(path, lines, network=True)
+    _, attr_nodes, keys, values = _fields(attr_rows, 4)
+    implicit = set(us)
+    implicit.update(vs, attr_nodes)
+    if node_rows:
+        nodes = set(_fields(node_rows, 2)[1])
+        dangling = implicit - nodes
         if dangling:
             raise MatchcertError(
-                f"unknown-node: {sorted(dangling)[0]!r} used but not declared in {path}"
+                f"unknown-node: {min(dangling)!r} used but not declared in {path}"
             )
-        nodes = declared
     else:
         nodes = implicit
-    return make_network(nodes, [(u, v) for _, u, v in edge_rows], attrs)
+    ids, pos = _sorted_ids(nodes)
+    attrs: dict[str, dict[str, str]] = {}
+    for node, key, value in zip(attr_nodes, keys, values):
+        attrs.setdefault(node, {})[key] = value
+    u = np.fromiter(map(pos.__getitem__, us), dtype=np.int64, count=len(us))
+    v = np.fromiter(map(pos.__getitem__, vs), dtype=np.int64, count=len(vs))
+    return Network(NodeIndex.build(ids, pos, u, v), attrs)
 
 
 def save_network(net: Network, path: str | Path) -> None:
@@ -319,21 +377,17 @@ def save_network(net: Network, path: str | Path) -> None:
 
 def read_pairs(path: str | Path) -> list[tuple[str, str]]:
     """Parse the ``x<TAB>y`` lines of a match TSV file, in file order."""
-    rows = []
-    for lineno, raw in _lines(path):
-        if raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 2:
-            raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
-        rows.append((fields[0], fields[1]))
-    return rows
+    lines = _read_lines(path)
+    rows = _data_rows(lines)
+    if not _tabs_ok(rows, 1):
+        _raise_first_bad_line(path, lines, network=False)
+    return list(zip(*_fields(rows, 2)))
 
 
 def read_items(path: str | Path) -> list[str]:
     """The stripped lines of a one-item-per-line file, in file order;
     ``#`` lines are comments."""
-    return [raw.strip() for _, raw in _lines(path) if not raw.startswith("#")]
+    return [raw.strip() for raw in _data_rows(_read_lines(path))]
 
 
 def load_matches(

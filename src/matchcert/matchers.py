@@ -249,7 +249,7 @@ def _percolate(
         if pair.self_match_mode and x == y:
             raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
         keys.append(ix.pos[x] * ny + iy.pos[y])
-    current = np.unique(np.array(keys, dtype=np.int64))
+    current = np.array(sorted(set(keys)), dtype=np.int64)
     cur_x, cur_y = np.divmod(current, ny)
     matched_x = np.zeros(len(ix.ids), dtype=bool)
     matched_y = np.zeros(ny, dtype=bool)

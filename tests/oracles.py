@@ -9,6 +9,7 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
@@ -252,3 +253,74 @@ def generate_pair_reference(cfg):
         pair, MatchRole.ACTUAL, k_y=1,
     )
     return pair, truth
+
+
+def _lines(path):
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if raw == "" or raw.isspace():
+            continue
+        yield lineno, raw
+
+
+def load_network_reference(path):
+    """graphs.load_network as one walk over the lines, checking each in
+    turn, then make_network."""
+    from matchcert.graphs import make_network
+
+    declared: set[str] = set()
+    implicit: set[str] = set()
+    edge_rows: list[tuple[int, str, str]] = []
+    attrs: dict[str, dict[str, str]] = {}
+    for lineno, raw in _lines(path):
+        if raw.startswith("#node\t"):
+            fields = raw.split("\t")
+            if len(fields) != 2 or not fields[1]:
+                raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
+            declared.add(fields[1])
+        elif raw.startswith("#attr\t"):
+            fields = raw.split("\t")
+            if len(fields) != 4:
+                raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
+            _, node, key, value = fields
+            attrs.setdefault(node, {})[key] = value
+            implicit.add(node)
+        elif raw.startswith("#"):
+            continue
+        else:
+            fields = raw.split("\t")
+            if len(fields) != 2:
+                raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
+            u, v = fields
+            if u == v:
+                raise MatchcertError(f"self-loop: {path}:{lineno}: {raw!r}")
+            edge_rows.append((lineno, u, v))
+            implicit.update((u, v))
+    if declared:
+        dangling = implicit - declared
+        if dangling:
+            raise MatchcertError(
+                f"unknown-node: {sorted(dangling)[0]!r} used but not declared in {path}"
+            )
+        nodes = declared
+    else:
+        nodes = implicit
+    return make_network(nodes, [(u, v) for _, u, v in edge_rows], attrs)
+
+
+def read_pairs_reference(path):
+    """graphs.read_pairs as one walk over the lines."""
+    rows = []
+    for lineno, raw in _lines(path):
+        if raw.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 2:
+            raise MatchcertError(f"malformed-line: {path}:{lineno}: {raw!r}")
+        rows.append((fields[0], fields[1]))
+    return rows
+
+
+def read_items_reference(path):
+    """graphs.read_items as one walk over the lines."""
+    return [raw.strip() for _, raw in _lines(path) if not raw.startswith("#")]

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import matchcert
 from matchcert.cli import main
+
+SRC = str(Path(matchcert.__file__).resolve().parents[1])
 
 
 def write(path: Path, text: str) -> Path:
@@ -441,3 +447,57 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--in", str(out)]) == 0
         assert "joint confidence" in capsys.readouterr().out
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+class TestImportSurface:
+    """Each command imports only the modules it runs."""
+
+    def _modules_after(self, argv: list[str]) -> set[str]:
+        code = (
+            "import json, sys\n"
+            "from matchcert.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))\n"
+        )
+        rc, modules = json.loads(_fresh_python("-c", code).stdout.splitlines()[-1])
+        assert rc == 0
+        return set(modules)
+
+    def test_match_and_validate_batch_skip_unused_layers(self, tmp_path, world):
+        cfg = write(
+            tmp_path / "matcher.json",
+            json.dumps({"kind": "attribute-exact", "attr_key": "uid"}),
+        )
+        net = ["--x", str(world / "x.tsv"), "--y", str(world / "y.tsv")]
+        matched = self._modules_after(
+            ["match", *net, "--config", str(cfg), "--out", str(tmp_path / "mhat.tsv")]
+        )
+        s_x = write(tmp_path / "s_x.txt", "x0\nx1\n")
+        validated = self._modules_after(
+            [
+                "validate", "batch", *net,
+                "--m-hat-holdout", str(tmp_path / "mhat.tsv"),
+                "--s-m", str(world / "matches.tsv"),
+                "--s-x", str(s_x),
+                "--actual", str(world / "matches.tsv"),
+                "--m-size", "40",
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        unused = {"matchcert.coverage", "matchcert.synth", "matchcert.sampling"}
+        assert "matchcert.matchers" in matched and "matchcert.batch" in validated
+        assert not (unused | {"matchcert.batch"}) & matched
+        assert not unused & validated
+
+    def test_help_lists_every_subcommand(self):
+        out = _fresh_python("-m", "matchcert", "--help").stdout
+        listed = {line.split()[0] for line in out.splitlines() if line.startswith("    ")}
+        assert listed == {"gen", "match", "split", "validate", "coverage", "report"}

@@ -1,7 +1,13 @@
 import random
 
 import pytest
-from oracles import canonical_edges_reference, csr_reference
+from oracles import (
+    canonical_edges_reference,
+    csr_reference,
+    load_network_reference,
+    read_items_reference,
+    read_pairs_reference,
+)
 
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
@@ -12,6 +18,8 @@ from matchcert.graphs import (
     load_network,
     make_match_set,
     make_network,
+    read_items,
+    read_pairs,
     save_matches,
     save_network,
 )
@@ -91,6 +99,28 @@ class TestMatchSet:
     def test_unknown_endpoints_rejected(self, small_pair):
         with pytest.raises(MatchcertError, match="unknown-node"):
             make_match_set([("a", "zzz")], small_pair, MatchRole.ACTUAL)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # x before y, the first bad pair in input order, endpoints before k_y
+            ([("a", "p"), ("zz", "yy")], "unknown-node: x endpoint 'zz'"),
+            ([("a", "yy"), ("zz", "p")], "unknown-node: y endpoint 'yy'"),
+            ([("a", "p"), ("a", "q"), ("b", "zz")], "unknown-node: y endpoint 'zz'"),
+        ],
+    )
+    def test_first_bad_pair_named(self, small_pair, pairs, message):
+        with pytest.raises(MatchcertError) as got:
+            make_match_set(iter(pairs), small_pair, MatchRole.ACTUAL, k_y=1)
+        assert str(got.value) == message
+
+    def test_identity_checked_after_endpoints(self):
+        net = make_network(["a", "b"], [("a", "b")])
+        pair = NetworkPair(net, net, self_match_mode=True)
+        with pytest.raises(MatchcertError, match="^identity-pair-forbidden:"):
+            make_match_set([("b", "a"), ("a", "a"), ("a", "zz")], pair, MatchRole.ACTUAL)
+        with pytest.raises(MatchcertError, match="^unknown-node: y endpoint 'zz'"):
+            make_match_set([("a", "zz"), ("a", "a")], pair, MatchRole.ACTUAL)
 
     def test_ky_cap(self, small_pair):
         make_match_set([("a", "p")], small_pair, MatchRole.ACTUAL, k_y=1)
@@ -286,6 +316,123 @@ class TestNetworkIO:
         f = tmp_path / "net.tsv"
         f.write_text("# a comment line\na\tb\n")
         assert load_network(f).nodes == {"a", "b"}
+
+
+def _random_network_file(rng: random.Random) -> tuple[str, set[str]]:
+    """The text of a network file, mostly well formed, and the case classes
+    it holds."""
+    names = [f"n{i}" for i in range(rng.randint(1, 10))]
+    cases = set()
+    edges = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 12))]
+    edges = [(u, v) for u, v in edges if u != v]
+    if edges and rng.random() < 0.3:
+        u, v = rng.choice(edges)
+        edges += [(v, u), (u, v)]
+        cases.add("duplicate-edges")
+    lines = [f"{u}\t{v}" for u, v in edges]
+    attr_nodes = rng.sample(names, rng.randint(0, len(names)))
+    if rng.random() < 0.2:
+        attr_nodes.append("stranger")
+        cases.add("attr-unknown-node")
+    lines += [f"#attr\t{n}\tuid\t{rng.randint(0, 3)}" for n in attr_nodes]
+    if attr_nodes and rng.random() < 0.2:  # a second value for one key: the later wins
+        lines.append(f"#attr\t{rng.choice(attr_nodes)}\tuid\t9")
+        cases.add("attr-override")
+    if rng.random() < 0.5:
+        declared = [n for n in names if rng.random() < 0.95]
+        used = {n for e in edges for n in e} | set(attr_nodes)
+        if used - set(declared):
+            cases.add("undeclared-endpoint")
+        lines += [f"#node\t{n}" for n in declared]
+        cases.add("node-lines")
+    else:
+        cases.add("no-node-lines")
+    extras = {
+        "comment": ["# a comment", "#nodes\tx", "#attr", "#"],
+        "blank": ["", " ", " \t", "\t", "\r"],
+        "empty-id": ["n0\t", "\tn0", "#attr\t\tuid\t1", "#node\t"],
+        "self-loop-line": ["n0\tn0"],
+        "wrong-field-count": [
+            "#node\tn0\tn1", "#node", "#attr\tn0\tuid", "#attr\tn0\tuid\t1\t2",
+            "n0\tn1\tn2", "n0",
+        ],
+    }
+    for case, pool in extras.items():
+        if rng.random() < 0.25:
+            cases.add(case)
+            for _ in range(rng.randint(1, 2)):
+                lines.append(rng.choice(pool))
+    rng.shuffle(lines)
+    if rng.random() < 0.1:  # a 0-tab line next to a 2-tab line
+        at = rng.randint(0, len(lines))
+        lines[at:at] = rng.choice([["n0", "n1\tn2\tn3"], ["n1\tn2\tn3", "n0"]])
+        cases.add("tab-counts-cancel")
+    newline = "\n"
+    if rng.random() < 0.2:
+        newline = "\r\n"
+        cases.add("crlf")
+    return newline.join(lines) + rng.choice(["", newline]), cases
+
+
+def _outcome(function, path):
+    """(what function(path) returns, None), or (None, the message of the
+    MatchcertError it raises)."""
+    try:
+        return function(path), None
+    except MatchcertError as e:
+        return None, str(e)
+
+
+class TestBulkParseReference:
+    def test_random_files(self, tmp_path):
+        rng = random.Random(20261018)
+        seen: dict[str, int] = {}
+        f = tmp_path / "net.tsv"
+        for _ in range(500):
+            text, cases = _random_network_file(rng)
+            f.write_bytes(text.encode("utf-8"))
+            expected, error = _outcome(load_network_reference, f)
+            net, got_error = _outcome(load_network, f)
+            assert (net, got_error) == (expected, error)
+            if net is not None:
+                assert net.attrs == expected.attrs
+            cases.add("loads" if error is None else error.split(":")[0])
+            # the same lines as a match file: #node and #attr lines are comments
+            pairs = _outcome(read_pairs, f)
+            assert pairs == _outcome(read_pairs_reference, f)
+            if pairs[1] is not None:
+                cases.add("pairs-malformed")
+            assert read_items(f) == read_items_reference(f)
+            for case in cases:
+                seen[case] = seen.get(case, 0) + 1
+        expected_cases = {
+            # what the files hold
+            "node-lines", "no-node-lines", "undeclared-endpoint", "attr-unknown-node",
+            "attr-override", "comment", "blank", "crlf", "empty-id", "self-loop-line",
+            "duplicate-edges", "wrong-field-count", "tab-counts-cancel",
+            # how they parse
+            "loads", "malformed-line", "self-loop", "unknown-node", "invalid-node-id",
+            "pairs-malformed",
+        }
+        assert expected_cases <= seen.keys(), seen
+        assert min(seen[c] for c in expected_cases) >= 10, seen
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\tb\nc\n\nb\tb\n", "malformed-line: {f}:2: 'c'"),
+            ("a\tb\nb\tb\nc\n", "self-loop: {f}:2: 'b\\tb'"),
+            ("#node\ta\n#node\tb\na\tb\tc\nb\n", "malformed-line: {f}:3: 'a\\tb\\tc'"),
+            ("#node\tb\nb\tz\nb\ty\n", "unknown-node: 'y' used but not declared in {f}"),
+            ("a\t\n", "invalid-node-id: ''"),
+        ],
+    )
+    def test_first_bad_line_named(self, tmp_path, text, message):
+        f = tmp_path / "net.tsv"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(MatchcertError) as got:
+            load_network(f)
+        assert str(got.value) == message.format(f=f)
 
 
 class TestMatchIO:
