@@ -17,7 +17,8 @@ with known actual matches, these functions certify:
 Every certificate consumes an explicit delta budget with one part per
 bound term; the total failure probability is the sum of the parts.
 :func:`batch_reports` runs every certificate an input supports from a
-single delta.
+single delta. Each certificate takes an optional ``shared``: the digest
+payload fields that batch_reports encodes once for all its certificates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .bounds import bound_mean  # noqa: F401
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
-from .reports import ValidationReport, build_report
+from .reports import ValidationReport, build_report, encode_fields
 
 __all__ = [
     "BatchValidationInput",
@@ -77,8 +78,11 @@ class BatchValidationInput:
         return len(self.pair.x_net.index.ids)
 
 
-def _inputs(inp: BatchValidationInput) -> dict:
-    return {
+def _inputs(inp: BatchValidationInput) -> dict[str, str]:
+    """``inp``'s digest payload, each field encoded, but the deltas, which
+    build_report adds: the part the certificates of one :func:`batch_reports`
+    call share."""
+    return encode_fields({
         "n_x": inp.n_x,
         # a sorted tuple of pairs encodes as the sorted list of [x, y]
         "m_hat_holdout": inp.m_hat_holdout.sorted_pairs,
@@ -89,10 +93,9 @@ def _inputs(inp: BatchValidationInput) -> dict:
         "s_x": sorted(inp.s_x),
         "k_y": inp.k_y,
         "method": inp.method.value,
-        "deltas": [p.delta for p in inp.budget.parts],
         "m_size": inp.m_size,
         "m_size_upper": inp.m_size_upper,
-    }
+    })
 
 
 def _recall_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, str]:
@@ -145,20 +148,24 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: dict) -> float:
     return n_x / m_hat_size * terms["recall_term"] * terms["match_density_term"]
 
 
-def holdout_batch_recall(inp: BatchValidationInput) -> ValidationReport:
+def holdout_batch_recall(
+    inp: BatchValidationInput, shared: Mapping[str, str] | None = None
+) -> ValidationReport:
     (delta,) = inp.budget.parts_for(1)
     recall_lb, method = _recall_term(inp, delta)
     return build_report(
         "holdout-batch-recall",
         inp.budget,
-        _inputs(inp),
+        shared or _inputs(inp),
         {"recall_term": recall_lb, "sample_size": float(len(inp.s_m))},
         {"recall_term": method},
         recall_lb,
     )
 
 
-def holdout_batch_precision(inp: BatchValidationInput) -> ValidationReport:
+def holdout_batch_precision(
+    inp: BatchValidationInput, shared: Mapping[str, str] | None = None
+) -> ValidationReport:
     parts = inp.budget.parts_for(2)
     if not inp.m_hat_holdout.pairs:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
@@ -167,7 +174,12 @@ def holdout_batch_precision(inp: BatchValidationInput) -> ValidationReport:
     terms["identified_count"] = float(identified)
     value = _precision_scale(inp.n_x, identified, terms)
     return build_report(
-        "holdout-batch-precision", inp.budget, _inputs(inp), terms, methods, value
+        "holdout-batch-precision",
+        inp.budget,
+        shared or _inputs(inp),
+        terms,
+        methods,
+        value,
     )
 
 
@@ -177,7 +189,9 @@ def _require_complete(inp: BatchValidationInput) -> MatchSet:
     return inp.m_hat_complete
 
 
-def complete_batch_recall(inp: BatchValidationInput) -> ValidationReport:
+def complete_batch_recall(
+    inp: BatchValidationInput, shared: Mapping[str, str] | None = None
+) -> ValidationReport:
     parts = inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     terms, methods = _two_terms(inp, parts)
@@ -187,7 +201,7 @@ def complete_batch_recall(inp: BatchValidationInput) -> ValidationReport:
     return build_report(
         "complete-batch-recall",
         inp.budget,
-        _inputs(inp),
+        shared or _inputs(inp),
         terms,
         methods,
         lambda: recall_lb - disagreement / (inp.n_x * density_lb),
@@ -195,7 +209,9 @@ def complete_batch_recall(inp: BatchValidationInput) -> ValidationReport:
     )
 
 
-def complete_batch_precision(inp: BatchValidationInput) -> ValidationReport:
+def complete_batch_precision(
+    inp: BatchValidationInput, shared: Mapping[str, str] | None = None
+) -> ValidationReport:
     parts = inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     if not m_hat.pairs:
@@ -209,7 +225,12 @@ def complete_batch_precision(inp: BatchValidationInput) -> ValidationReport:
         - disagreement / len(m_hat.pairs)
     )
     return build_report(
-        "complete-batch-precision", inp.budget, _inputs(inp), terms, methods, value
+        "complete-batch-precision",
+        inp.budget,
+        shared or _inputs(inp),
+        terms,
+        methods,
+        value,
     )
 
 
@@ -220,20 +241,26 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     ``inp.budget`` holds one delta; each certificate spends it split
     equally over its own terms, so the reports hold jointly at the union
     bound of their budgets. The holdout certificates see the input without
-    the complete set.
+    the complete set. The digest payload fields the certificates share are
+    encoded once for all of them.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, m_hat_complete=None)
+    shared = _inputs(inp)
+    held = {**shared, **encode_fields({"m_hat_complete": None})}
 
     def split(k: int, of: BatchValidationInput = inp) -> BatchValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
     reports = [
-        holdout_batch_recall(split(1, holdout)),
-        holdout_batch_precision(split(2, holdout)),
+        holdout_batch_recall(split(1, holdout), held),
+        holdout_batch_precision(split(2, holdout), held),
     ]
     if inp.m_hat_complete is not None:
-        reports += [complete_batch_recall(split(2)), complete_batch_precision(split(2))]
+        reports += [
+            complete_batch_recall(split(2), shared),
+            complete_batch_precision(split(2), shared),
+        ]
     return reports
 
 

@@ -28,7 +28,6 @@ from .errors import MatchcertError
 from .graphs import (
     MatchRole,
     NetworkPair,
-    by_x,
     load_matches,
     load_network,
     read_items,
@@ -157,9 +156,17 @@ def cmd_split(args) -> int:
 
 
 def _actual_map(pair: NetworkPair, actual_path: str, s_x: list[str]):
-    """The verified matches of each sampled node, read once per command."""
-    per_x = by_x(load_matches(actual_path, pair, MatchRole.ACTUAL))
-    return {x: per_x.get(x, frozenset()) for x in s_x}
+    """The verified matches of each sampled node, read once per command.
+
+    The whole file is parsed and checked; only the sampled nodes' pairs
+    are grouped.
+    """
+    actual = load_matches(actual_path, pair, MatchRole.ACTUAL)
+    per_x: dict[str, set[str]] = {x: set() for x in s_x}
+    for x, y in actual.pairs:
+        if x in per_x:
+            per_x[x].add(y)
+    return {x: frozenset(ys) for x, ys in per_x.items()}
 
 
 def cmd_validate_batch(args) -> int:

@@ -21,7 +21,9 @@ One stage, ``_views``, checks the samples and runs each matcher once; every
 certificate and ``compute_node_stats`` reads the per-node statistics from
 the read-only per-x mappings it returns. When the complete matcher computes
 the same function as the holdout one, its mapping is the holdout mapping
-itself and the complete matcher never runs.
+itself and the complete matcher never runs. Each certificate takes an
+optional ``shared``: the digest payload fields that :func:`query_reports`
+encodes once for all its certificates.
 
 Population sizes of the defined-node subsets are unknowable without full
 enumeration, so the stand-in |X| is used where a size is needed. That is
@@ -42,7 +44,7 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair, by_x
 from .matchers import MatcherHandle, run_batch
-from .reports import ValidationReport, build_report
+from .reports import ValidationReport, build_report, encode_fields
 
 __all__ = [
     "PerNodeStats",
@@ -178,17 +180,19 @@ def _views(inp: QueryValidationInput) -> tuple[Views, Views | None]:
     return hv, by_x(run_batch(inp.complete, inp.pair))
 
 
-def _inputs(inp: QueryValidationInput) -> dict:
-    return {
+def _inputs(inp: QueryValidationInput) -> dict[str, str]:
+    """``inp``'s digest payload, each field encoded, but the deltas, which
+    build_report adds: the part the certificates of one :func:`query_reports`
+    call share."""
+    return encode_fields({
         "n_x": inp.n_x,
         "s_x": sorted(inp.s_x),
         "s_x_prime": sorted(inp.s_x_prime),
         "method": inp.method.value,
-        "deltas": [p.delta for p in inp.budget.parts],
         "k_cap": inp.k_cap,
         "holdout": inp.holdout.config.to_json_dict(),
         "complete": inp.complete.config.to_json_dict() if inp.complete else None,
-    }
+    })
 
 
 def _holdout_term(
@@ -213,7 +217,7 @@ def _holdout_term(
 
 
 def holdout_query_bounds(
-    inp: QueryValidationInput,
+    inp: QueryValidationInput, shared: Mapping[str, str] | None = None
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at the budget's
     single delta (combine with union_confidence to hold both jointly)."""
@@ -228,7 +232,7 @@ def holdout_query_bounds(
             build_report(
                 f"holdout-query-{quantity}",
                 inp.budget,
-                _inputs(inp),
+                shared or _inputs(inp),
                 {f"{quantity}_term": lb, "usable_nodes": float(n)},
                 {f"{quantity}_term": used},
                 lb,
@@ -243,7 +247,9 @@ def _require_complete(inp: QueryValidationInput) -> None:
         raise MatchcertError("missing-complete: no complete matcher supplied")
 
 
-def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
+def complete_query_recall(
+    inp: QueryValidationInput, shared: Mapping[str, str] | None = None
+) -> ValidationReport:
     """Holdout recall minus the disagreement rate rescaled by the matched
     fraction of X; reduces exactly to the holdout certificate when the
     complete matcher is the same function as the holdout one."""
@@ -272,7 +278,7 @@ def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
     return build_report(
         "complete-query-recall",
         inp.budget,
-        _inputs(inp),
+        shared or _inputs(inp),
         terms,
         methods,
         value,
@@ -281,7 +287,9 @@ def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
     )
 
 
-def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
+def complete_query_precision(
+    inp: QueryValidationInput, shared: Mapping[str, str] | None = None
+) -> ValidationReport:
     """[lower(holdout-matched fraction) * lower(holdout precision) -
     upper(d_p mean)] / upper(complete-matched fraction).
 
@@ -333,7 +341,7 @@ def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
     return build_report(
         "complete-query-precision",
         inp.budget,
-        _inputs(inp),
+        shared or _inputs(inp),
         terms,
         methods,
         lambda: (h_frac_lb * p_lb - dp_ub) / c_frac_ub,
@@ -342,7 +350,9 @@ def complete_query_precision(inp: QueryValidationInput) -> ValidationReport:
     )
 
 
-def error_rate_bounds(inp: QueryValidationInput) -> ValidationReport:
+def error_rate_bounds(
+    inp: QueryValidationInput, shared: Mapping[str, str] | None = None
+) -> ValidationReport:
     """Upper-bound the mean single-node error over X.
 
     Holdout variant (no complete matcher supplied): one upper bound over
@@ -374,7 +384,7 @@ def error_rate_bounds(inp: QueryValidationInput) -> ValidationReport:
     return build_report(
         f"{variant}-query-error-rate",
         inp.budget,
-        _inputs(inp),
+        shared or _inputs(inp),
         terms,
         methods,
         w_ub + terms.get("disagreement_term", 0.0),
@@ -390,21 +400,24 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     ``inp.budget`` holds one delta; each certificate spends it split
     equally over its own terms, so the reports hold jointly at the union
     bound of their budgets. The holdout certificates see the input without
-    the complete matcher.
+    the complete matcher. The digest payload fields the certificates share
+    are encoded once for all of them.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, complete=None)
+    shared = _inputs(inp)
+    held = {**shared, **encode_fields({"complete": None})}
 
     def split(k: int, of: QueryValidationInput = inp) -> QueryValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
-    precision, recall = holdout_query_bounds(split(1, holdout))
-    reports = [precision, recall, error_rate_bounds(split(1, holdout))]
+    precision, recall = holdout_query_bounds(split(1, holdout), held)
+    reports = [precision, recall, error_rate_bounds(split(1, holdout), held)]
     if inp.complete is not None:
         reports += [
-            complete_query_recall(split(3)),
-            complete_query_precision(split(4)),
-            error_rate_bounds(split(2)),
+            complete_query_recall(split(3), shared),
+            complete_query_precision(split(4), shared),
+            error_rate_bounds(split(2), shared),
         ]
     return reports
 

@@ -15,14 +15,36 @@ __all__ = [
     "build_report",
     "combine_reports",
     "digest_of",
+    "encode_fields",
 ]
 
 VACUOUS_DENOMINATOR = "vacuous-denominator"
 
 
-def digest_of(payload) -> str:
-    """Short stable content hash of a JSON-serializable payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _encode(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def encode_fields(payload: Mapping) -> dict[str, str]:
+    """Each field of a digest payload as its JSON text, so that payloads
+    sharing a field can encode it once (see :func:`digest_of`)."""
+    return {key: _encode(value) for key, value in payload.items()}
+
+
+def digest_of(payload, encoded: Mapping[str, str] | None = None) -> str:
+    """Short stable content hash of a JSON-serializable payload.
+
+    ``encoded`` holds further fields of a dict payload, already encoded by
+    :func:`encode_fields`: ``digest_of(p, encode_fields(q))`` equals
+    ``digest_of({**p, **q})`` for dicts whose keys differ: the blob is the
+    sorted-key compact JSON either way. ``tests/test_batch.py`` and
+    ``tests/test_query.py`` check this on every report's digest.
+    """
+    if encoded:
+        fields = {**encoded, **encode_fields(payload)}
+        blob = "{" + ",".join(f"{_encode(k)}:{fields[k]}" for k in sorted(fields)) + "}"
+    else:
+        blob = _encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -82,7 +104,7 @@ class ValidationReport:
 def build_report(
     bound_id: str,
     budget: DeltaBudget,
-    inputs: Mapping,
+    inputs: Mapping[str, str],
     terms: Mapping[str, float],
     term_methods: Mapping[str, str],
     value: float | Callable[[], float],
@@ -96,8 +118,9 @@ def build_report(
     [0, 1]. A ratio certificate passes its denominator's bound and ``value``
     as a function that divides by it: when the denominator is at most 0
     the value is never computed, and the report carries 0 and the
-    vacuous-denominator flag instead. ``inputs`` is hashed, with the bound
-    id, into ``inputs_digest``.
+    vacuous-denominator flag instead. ``inputs``, the certificate's input
+    fields encoded by :func:`encode_fields`, is hashed with the bound id
+    and the budget's deltas into ``inputs_digest``.
     """
     variant, mode, quantity = bound_id.split("-", 2)
     if denominator is not None:
@@ -119,7 +142,9 @@ def build_report(
         terms=terms,
         term_methods=term_methods,
         flags=flags,
-        inputs_digest=digest_of({"bound_id": bound_id, **inputs}),
+        inputs_digest=digest_of(
+            {"bound_id": bound_id, "deltas": [p.delta for p in budget.parts]}, inputs
+        ),
     )
 
 

@@ -13,6 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
+from matchcert.bounds import (
+    _TIE_EPS,
+    Confidence,
+    hypergeom_tail_lower,
+    hypergeom_tail_upper,
+)
 from matchcert.errors import MatchcertError
 
 
@@ -44,6 +50,46 @@ def invert_upper_exact(n: int, s: int, k: int, delta: Fraction) -> Fraction:
             best = Fraction(m, n)
     assert best is not None, "m = 0 always has lower tail 1"
     return best
+
+
+def hypergeom_invert_lower_reference(
+    n: int, s: int, k: int, delta: Confidence
+) -> float:
+    """Bisection over [k, n]: the exact lower bound before the guided search.
+
+    Kept verbatim as the search's oracle; it reads the library's own tail,
+    so the two searches can be compared with ``==``.
+    """
+    if not 0 <= k <= s <= n:
+        raise MatchcertError(f"invalid-hypergeom-params: n={n}, s={s}, k={k}")
+    if k == 0:
+        return 0.0
+    lo, hi = k, n  # tail is 0 below m = k and 1 at m = n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hypergeom_tail_upper(mid, n, s, k) >= delta.delta - _TIE_EPS:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo / n
+
+
+def hypergeom_invert_upper_reference(
+    n: int, s: int, k: int, delta: Confidence
+) -> float:
+    """Bisection over [0, n]: the exact upper bound before the guided search."""
+    if not 0 <= k <= s <= n:
+        raise MatchcertError(f"invalid-hypergeom-params: n={n}, s={s}, k={k}")
+    if k == s:
+        return 1.0
+    lo, hi = 0, n  # tail is 1 at m = 0
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if hypergeom_tail_lower(mid, n, s, k) >= delta.delta - _TIE_EPS:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo / n
 
 
 def sigma_hat_pairwise(values) -> float:

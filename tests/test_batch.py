@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from matchcert.bounds import (
 )
 from matchcert.errors import MatchcertError
 from matchcert.graphs import MatchRole, by_x, make_match_set
+from matchcert.reports import digest_of
 from matchcert.sampling import sample_without_replacement
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 
@@ -350,6 +352,42 @@ class TestBatchReports:
         )
         with pytest.raises(MatchcertError, match="budget-arity"):
             batch_reports(inp)
+
+    def test_digest_is_of_each_certificates_inputs(self, world):
+        # the shared payload fields are encoded once per call; each digest
+        # must still hash the certificate's own whole payload
+        pair, truth = world
+        m_hat_h = make_match_set(
+            sorted(truth.pairs)[::2], pair, MatchRole.IDENTIFIED_HOLDOUT
+        )
+        m_hat_c = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
+        s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
+        inp = base_input(
+            pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.05),
+            m_hat_complete=m_hat_c,
+        )
+        reports = batch_reports(inp)
+        assert len(reports) == 4
+        for r in reports:
+            complete = m_hat_c if r.variant == "complete" else None
+            inputs = {
+                "n_x": len(pair.x_net.nodes),
+                "m_hat_holdout": sorted(map(list, m_hat_h.pairs)),
+                "m_hat_complete": (
+                    sorted(map(list, complete.pairs)) if complete else None
+                ),
+                "s_m": sorted(map(list, s_m)),
+                "s_x": sorted(s_x),
+                "k_y": 1,
+                "method": HG.value,
+                "deltas": [p.delta for p in r.budget.parts],
+                "m_size": len(truth.pairs),
+                "m_size_upper": None,
+            }
+            assert r.inputs_digest == digest_of({"bound_id": r.bound_id, **inputs})
+        alone = holdout_batch_recall(replace(inp, m_hat_complete=None))
+        assert alone.inputs_digest == reports[0].inputs_digest
 
 
 class TestTrueMetrics:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,10 @@ from matchcert.bounds import (
     union_confidence,
 )
 
+import matchcert.bounds as bounds_module
 from oracles import (
+    hypergeom_invert_lower_reference,
+    hypergeom_invert_upper_reference,
     invert_lower_exact,
     invert_upper_exact,
     pmf_exact,
@@ -120,6 +124,22 @@ class TestHoeffding:
     def test_out_of_range_value_rejected(self):
         with pytest.raises(MatchcertError, match="value-out-of-range"):
             hoeffding_bounds(PopulationSpec(10, 0, 1), SampleSummary.of([1.5]), D05)
+
+    @pytest.mark.parametrize("at", [1, 2, 4])
+    def test_nan_past_the_first_value_rejected(self, at):
+        # min and max skip a NaN unless it comes first
+        values = [0.5, 0.25, 1.0, 0.0, 0.75]
+        values[at] = math.nan
+        sample = SampleSummary.of(values)
+        assert min(sample.values) >= 0.0 and max(sample.values) <= 1.0
+        for method in (BoundMethod.HOEFFDING, BoundMethod.EBS):
+            with pytest.raises(MatchcertError, match="value-out-of-range: nan"):
+                bound_mean(PopulationSpec(10), sample, method, D05)
+
+    def test_first_bad_value_named(self):
+        sample = SampleSummary.of([0.5, 2.0, -1.0, math.nan])
+        with pytest.raises(MatchcertError, match="value-out-of-range: 2.0 outside"):
+            hoeffding_bounds(PopulationSpec(10, 0, 1), sample, D05)
 
 
 class TestEbs:
@@ -259,6 +279,108 @@ class TestInversion:
         up_k = hypergeom_invert_upper(n, s, k, Confidence(d1))
         assert hypergeom_invert_upper(n, s, min(k + 1, s), Confidence(d1)) >= up_k
         assert hypergeom_invert_upper(n, s, k, Confidence(d2)) <= up_k
+
+
+# The deltas of a single bound and of 4- and 6-way splits of 0.05.
+SEARCH_DELTAS = (0.05, 0.05 / 4, 0.05 / 6, 0.01)
+
+
+def sweep_shaped_cases(seed: int, edges: bool) -> list[tuple[int, int, int]]:
+    """(n, s, k) on the bounds-sweep grid: k drawn at means 0.05, 0.5 and
+    0.95, plus k in {0, 1, s - 1, s} when ``edges``."""
+    rng = random.Random(seed)
+    cases = []
+    for n in (2_000, 100_000, 1_000_000):
+        for s in (50, 200, 2_000):
+            ks = [
+                sum(rng.random() < mean for _ in range(s)) for mean in (0.05, 0.5, 0.95)
+            ]
+            if edges:
+                ks += [0, 1, s - 1, s, rng.randint(0, s)]
+            cases += [(n, s, k) for k in ks]
+    return cases
+
+
+class TestInversionSearch:
+    """The guided search returns exactly what bisection returns, in few
+    tail evaluations."""
+
+    @pytest.mark.parametrize("delta", SEARCH_DELTAS)
+    def test_equals_bisection_exhaustively_small(self, delta):
+        d = Confidence(delta)
+        for n in range(1, 41):
+            for s in range(1, n + 1):
+                for k in range(s + 1):
+                    assert hypergeom_invert_lower(
+                        n, s, k, d
+                    ) == hypergeom_invert_lower_reference(n, s, k, d), (n, s, k)
+                    assert hypergeom_invert_upper(
+                        n, s, k, d
+                    ) == hypergeom_invert_upper_reference(n, s, k, d), (n, s, k)
+
+    def test_equals_bisection_on_large_grid(self):
+        for n, s, k in sweep_shaped_cases(8, edges=True):
+            # 1e-12 puts the tie-slopped level below 0: every m passes
+            for delta in (*SEARCH_DELTAS, 0.001, 0.5, 0.9, 1e-12):
+                d = Confidence(delta)
+                assert hypergeom_invert_lower(
+                    n, s, k, d
+                ) == hypergeom_invert_lower_reference(n, s, k, d), (n, s, k, delta)
+                assert hypergeom_invert_upper(
+                    n, s, k, d
+                ) == hypergeom_invert_upper_reference(n, s, k, d), (n, s, k, delta)
+
+    def test_tail_evaluations(self, monkeypatch):
+        # plain bisection needs ~log2(n) = 11 to 20 evaluations here
+        tail = bounds_module._tail
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tail(*args)
+
+        monkeypatch.setattr(bounds_module, "_tail", counted)
+        for edges in (False, True):
+            counts = []
+            for n, s, k in sweep_shaped_cases(9, edges):
+                for invert, trivial in (
+                    (hypergeom_invert_lower, 0), (hypergeom_invert_upper, s)
+                ):
+                    if k == trivial:
+                        continue  # answered without a search
+                    calls.clear()
+                    invert(n, s, k, D05)
+                    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 4, (n, s, k)
+                    counts.append(len(calls))
+            assert any(counts)  # the counter sees the search's calls
+            if not edges:
+                assert sum(counts) / len(counts) <= 8
+
+    def test_tail_slices_equal_gathers(self):
+        # _tail reads the log-factorial table through slices; the values and
+        # the order of operations are those of index arrays, bit for bit
+        rng = random.Random(10)
+        for _ in range(500):
+            n = rng.choice((rng.randint(1, 50), rng.randint(1, 5_000)))
+            s, m = rng.randint(0, n), rng.randint(0, n)
+            j_lo, j_hi = max(0, s - (n - m)), min(s, m)
+            if j_lo > j_hi:
+                continue
+            lf = bounds_module._logfact(n)
+            j = np.arange(j_lo, j_hi + 1)
+            logs = (
+                (lf[m] - lf[j] - lf[m - j])
+                + (lf[n - m] - lf[s - j] - lf[n - m - s + j])
+                - (lf[n] - lf[s] - lf[n - s])
+            )
+            peak = float(logs.max())
+            expected = min(1.0, math.exp(peak) * float(np.exp(logs - peak).sum()))
+            assert bounds_module._tail(m, n, s, 0, s) == expected
+
+    def test_logfact_entries_are_lgamma(self):
+        lf = bounds_module._logfact(70_000)
+        for i in (*range(200), *random.Random(11).sample(range(len(lf)), 200)):
+            assert lf[i] == math.lgamma(i + 1.0)
 
 
 class TestBoundMean:

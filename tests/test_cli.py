@@ -274,6 +274,42 @@ class TestValidateBatch:
         assert "malformed-line" in capsys.readouterr().err
 
 
+class TestActualMap:
+    """``validate`` groups the verified matches of the sampled nodes only."""
+
+    def test_equals_whole_set_view(self, tmp_path, world):
+        from matchcert.cli import _actual_map
+        from matchcert.graphs import (
+            MatchRole,
+            NetworkPair,
+            by_x,
+            load_matches,
+            load_network,
+        )
+
+        pair = NetworkPair(load_network(world / "x.tsv"), load_network(world / "y.tsv"))
+        lines = (world / "matches.tsv").read_text(encoding="utf-8").splitlines()
+        actual = write(tmp_path / "actual.tsv", "\n".join(lines[::2]) + "\n")
+        per_x = by_x(load_matches(actual, pair, MatchRole.ACTUAL))
+        nodes = sorted(pair.x_net.nodes)
+        s_x = nodes[::3] + nodes[:2]  # some without matches, two repeated
+        got = _actual_map(pair, str(actual), s_x)
+        assert got == {x: per_x.get(x, frozenset()) for x in s_x}
+        assert list(got) == list(dict.fromkeys(s_x))
+        assert any(not ys for ys in got.values()) and any(got.values())
+
+    def test_unsampled_bad_pair_still_rejected(self, tmp_path, world):
+        from matchcert.cli import _actual_map
+        from matchcert.errors import MatchcertError
+        from matchcert.graphs import NetworkPair, load_network
+
+        pair = NetworkPair(load_network(world / "x.tsv"), load_network(world / "y.tsv"))
+        text = (world / "matches.tsv").read_text(encoding="utf-8")
+        actual = write(tmp_path / "actual.tsv", text + "nobody\ty0\n")
+        with pytest.raises(MatchcertError, match="unknown-node: x endpoint 'nobody'"):
+            _actual_map(pair, str(actual), sorted(pair.x_net.nodes)[:3])
+
+
 class TestValidateQuery:
     def test_full_run_with_node_stats(self, tmp_path, world):
         matcher = write(

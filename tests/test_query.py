@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,7 @@ from matchcert.query import (
     true_error_rate,
     true_query_metrics,
 )
+from matchcert.reports import digest_of
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 
 HG = BoundMethod.HYPERGEOMETRIC
@@ -333,6 +335,35 @@ class TestQueryReports:
         compute_node_stats(inp)
         assert len(reports) == 6
         assert ran and all(handle is holdout for handle in ran)
+
+    def test_digest_is_of_each_certificates_inputs(self, tiny):
+        # the shared payload fields are encoded once per call; each digest
+        # must still hash the certificate's own whole payload
+        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
+        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
+        complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(7)])
+        s_x = ["x5", "x0", "x3", "x7"]
+        s_x_prime = ["x6", "x1", "x2"]
+        inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05),
+                         complete=complete, s_x_prime=s_x_prime, method=HG)
+        reports = query_reports(inp)
+        assert len(reports) == 6
+        for r in reports:
+            inputs = {
+                "n_x": 8,
+                "s_x": sorted(s_x),
+                "s_x_prime": sorted(s_x_prime),
+                "method": HG.value,
+                "deltas": [p.delta for p in r.budget.parts],
+                "k_cap": 1,
+                "holdout": holdout.config.to_json_dict(),
+                "complete": (
+                    complete.config.to_json_dict() if r.variant == "complete" else None
+                ),
+            }
+            assert r.inputs_digest == digest_of({"bound_id": r.bound_id, **inputs})
+        alone = error_rate_bounds(replace(inp, budget=reports[-1].budget))
+        assert alone.inputs_digest == reports[-1].inputs_digest
 
     def test_budget_must_have_one_part(self, tiny):
         actual = {"x0": frozenset({"y0"})}
