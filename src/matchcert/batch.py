@@ -19,6 +19,10 @@ bound term; the total failure probability is the sum of the parts.
 :func:`batch_reports` runs every certificate an input supports from a
 single delta. Each certificate takes an optional ``shared``: the digest
 payload fields that batch_reports encodes once for all its certificates.
+
+The terms read the match sets' int keys: ``s_m`` membership is a binary
+search of the verified pairs' keys, and the set sizes and the
+holdout-minus-complete count are key counts.
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
+import numpy as np
+
 from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 # Unused here; the benchmark's self-test (perfbench/selftest.py) checks
 # that tracing reaches this imported name.
 from .bounds import bound_mean  # noqa: F401
 from .errors import MatchcertError
-from .graphs import MatchSet, NetworkPair
+from .graphs import MatchSet, NetworkPair, pair_keys
 from .reports import ValidationReport, build_report, encode_fields
 
 __all__ = [
@@ -55,6 +61,8 @@ class BatchValidationInput:
     node. ``m_size`` is the actual-match count when known; when unknown,
     ``m_size_upper`` supplies a conservative stand-in (the exact method is
     then unavailable for the recall term and Hoeffding is used instead).
+    Both identified sets must be over ``pair``'s node universes
+    (``universe-mismatch`` otherwise).
     """
 
     pair: NetworkPair
@@ -72,6 +80,10 @@ class BatchValidationInput:
     def __post_init__(self) -> None:
         if self.k_y < 1:
             raise MatchcertError(f"invalid-ky: {self.k_y}")
+        universe = self.pair.x_net.index.ids, self.pair.y_net.index.ids
+        for m_hat in (self.m_hat_holdout, self.m_hat_complete):
+            if m_hat is not None:
+                m_hat.check_universe(*universe)
 
     @property
     def n_x(self) -> int:
@@ -102,7 +114,8 @@ def _recall_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, s
     """Lower-bound the identified rate over the actual matches."""
     if not inp.s_m:
         raise MatchcertError("empty-sample: s_m has no verified matches")
-    values = [1.0 if p in inp.m_hat_holdout.pairs else 0.0 for p in inp.s_m]
+    hits = inp.m_hat_holdout.contains(pair_keys(inp.pair, inp.s_m))
+    values = [1.0 if hit else 0.0 for hit in hits.tolist()]
     n = inp.m_size if inp.m_size is not None else inp.m_size_upper
     if n is None:
         raise MatchcertError(
@@ -167,10 +180,10 @@ def holdout_batch_precision(
     inp: BatchValidationInput, shared: Mapping[str, str] | None = None
 ) -> ValidationReport:
     parts = inp.budget.parts_for(2)
-    if not inp.m_hat_holdout.pairs:
+    identified = inp.m_hat_holdout.keys.size
+    if not identified:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
     terms, methods = _two_terms(inp, parts)
-    identified = len(inp.m_hat_holdout.pairs)
     terms["identified_count"] = float(identified)
     value = _precision_scale(inp.n_x, identified, terms)
     return build_report(
@@ -189,13 +202,18 @@ def _require_complete(inp: BatchValidationInput) -> MatchSet:
     return inp.m_hat_complete
 
 
+def _disagreement(inp: BatchValidationInput, m_hat: MatchSet) -> int:
+    """How many holdout pairs the complete set ``m_hat`` lacks."""
+    return int(np.count_nonzero(~inp.m_hat_holdout.found_in(m_hat)))
+
+
 def complete_batch_recall(
     inp: BatchValidationInput, shared: Mapping[str, str] | None = None
 ) -> ValidationReport:
     parts = inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     terms, methods = _two_terms(inp, parts)
-    disagreement = len(inp.m_hat_holdout.pairs - m_hat.pairs)
+    disagreement = _disagreement(inp, m_hat)
     terms["disagreement_count"] = float(disagreement)
     recall_lb, density_lb = terms["recall_term"], terms["match_density_term"]
     return build_report(
@@ -214,15 +232,16 @@ def complete_batch_precision(
 ) -> ValidationReport:
     parts = inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
-    if not m_hat.pairs:
+    identified = m_hat.keys.size
+    if not identified:
         raise MatchcertError("no-identified-matches: complete identified set is empty")
     terms, methods = _two_terms(inp, parts)
-    disagreement = len(inp.m_hat_holdout.pairs - m_hat.pairs)
+    disagreement = _disagreement(inp, m_hat)
     terms["disagreement_count"] = float(disagreement)
-    terms["identified_count"] = float(len(m_hat.pairs))
+    terms["identified_count"] = float(identified)
     value = (
-        _precision_scale(inp.n_x, len(m_hat.pairs), terms)
-        - disagreement / len(m_hat.pairs)
+        _precision_scale(inp.n_x, identified, terms)
+        - disagreement / identified
     )
     return build_report(
         "complete-batch-precision",
@@ -267,9 +286,10 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
 def true_batch_metrics(
     pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet
 ) -> tuple[float | None, float | None]:
-    """Exact (precision, recall) by set arithmetic; None on an empty
+    """Exact (precision, recall) by key arithmetic; None on an empty
     denominator. Test and harness oracle only: requires full ground truth."""
-    hit = len(m_hat.pairs & m_true.pairs)
-    precision = hit / len(m_hat.pairs) if m_hat.pairs else None
-    recall = hit / len(m_true.pairs) if m_true.pairs else None
+    hit = int(np.count_nonzero(m_hat.found_in(m_true)))
+    identified, actual = m_hat.keys.size, m_true.keys.size
+    precision = hit / identified if identified else None
+    recall = hit / actual if actual else None
     return precision, recall

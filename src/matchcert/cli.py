@@ -30,6 +30,7 @@ from .graphs import (
     NetworkPair,
     load_matches,
     load_network,
+    matches_of,
     read_items,
     read_pairs,
     save_matches,
@@ -112,7 +113,7 @@ def cmd_gen(args) -> int:
     print(
         f"wrote {out}/x.tsv ({len(ix.ids)} nodes, {ix.nbr.size // 2} edges), "
         f"{out}/y.tsv ({len(iy.ids)} nodes, {iy.nbr.size // 2} edges), "
-        f"{out}/matches.tsv ({len(truth.pairs)} pairs)"
+        f"{out}/matches.tsv ({truth.keys.size} pairs)"
     )
     return EXIT_OK
 
@@ -125,7 +126,7 @@ def cmd_match(args) -> int:
                            trained_on=("cli-seeds",) if seeds else ())
     result = run_batch(handle, pair)
     save_matches(result, args.out)
-    print(f"wrote {args.out} ({len(result.pairs)} identified matches)")
+    print(f"wrote {args.out} ({result.keys.size} identified matches)")
     return EXIT_OK
 
 
@@ -158,15 +159,12 @@ def cmd_split(args) -> int:
 def _actual_map(pair: NetworkPair, actual_path: str, s_x: list[str]):
     """The verified matches of each sampled node, read once per command.
 
-    The whole file is parsed and checked; only the sampled nodes' pairs
-    are grouped.
+    The whole file is parsed and checked; only the sampled nodes' matches
+    are looked up, by binary search on the set's keys.
     """
     actual = load_matches(actual_path, pair, MatchRole.ACTUAL)
-    per_x: dict[str, set[str]] = {x: set() for x in s_x}
-    for x, y in actual.pairs:
-        if x in per_x:
-            per_x[x].add(y)
-    return {x: frozenset(ys) for x, ys in per_x.items()}
+    found = matches_of(actual, pair, s_x)
+    return {x: found.get(x, frozenset()) for x in s_x}
 
 
 def cmd_validate_batch(args) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 from .batch import BatchValidationInput, batch_reports, true_batch_metrics
 from .bounds import BoundMethod, DeltaBudget
 from .errors import MatchcertError
-from .graphs import by_x
+from .graphs import matches_of
 from .matchers import MatcherConfig, build_matcher, run_batch, with_extra_seeds
 from .query import (
     QueryValidationInput,
@@ -199,15 +199,20 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     sizes = cfg.sample_sizes
     gen_cfg = replace(cfg.generator, rng_seed=_trial_seed(cfg.seed, idx))
     pair, truth = generate_pair(gen_cfg)
-    truth_ordered = truth.sorted_pairs
     x_nodes = pair.x_net.index.ids  # sorted
-
-    train = sample_without_replacement(
-        truth_ordered, min(sizes.train, len(truth_ordered)), spawn_rng(cfg.seed, idx, 1)
+    # the actual matches are sampled as keys, in key (= sorted pair) order,
+    # and only the drawn keys become string pairs
+    m = truth.keys.size
+    train = truth.decode(
+        sample_without_replacement(
+            truth.keys, min(sizes.train, m), spawn_rng(cfg.seed, idx, 1)
+        )
     )
     s_m = tuple(
-        sample_without_replacement(
-            truth_ordered, min(sizes.s_m, len(truth_ordered)), spawn_rng(cfg.seed, idx, 2)
+        truth.decode(
+            sample_without_replacement(
+                truth.keys, min(sizes.s_m, m), spawn_rng(cfg.seed, idx, 2)
+            )
         )
     )
     s_x = tuple(
@@ -218,8 +223,10 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
             x_nodes, sizes.s_x_prime, spawn_rng(cfg.seed, idx, 4)
         )
     )
-    per_x = by_x(truth)
-    actual_for = {x: per_x.get(x, frozenset()) for x in x_nodes}
+    # every reader of actual_for (the validation seeds below and each
+    # certificate) reads the nodes of s_x only
+    found = matches_of(truth, pair, s_x)
+    actual_for = {x: found.get(x, frozenset()) for x in s_x}
 
     holdout = build_matcher(
         cfg.matcher_holdout, training_matches=train, trained_on=("training-sample",)
@@ -240,7 +247,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
 
     m_hat_h = run_batch(holdout, pair)
     m_hat_c = run_batch(complete, pair)
-    if not m_hat_h.pairs or not m_hat_c.pairs:
+    if not m_hat_h.keys.size or not m_hat_c.keys.size:
         raise MatchcertError("trial-degenerate: a matcher identified nothing")
 
     truths = {}  # exact value of each certified quantity, by bound id
@@ -264,7 +271,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
                 method=method,
                 budget=budget,
                 m_hat_complete=m_hat_c,
-                m_size=len(truth.pairs),
+                m_size=m,
             )
         ) + query_reports(
             QueryValidationInput(

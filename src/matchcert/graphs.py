@@ -25,8 +25,20 @@ CSR adjacency arrays. ``make_network`` builds the index from string edges;
 with ``NodeIndex.build``. ``Network.nodes`` and ``Network.edges`` are
 read-only views of the index, built on first use. Equality compares
 nodes, edges and attributes (equal ids and CSR arrays are equal node and
-edge sets), and ``repr`` shows the views, not the arrays. String ids stay
-in match sets and at the I/O boundary.
+edge sets), and ``repr`` shows the views, not the arrays.
+
+A MatchSet is int-native in the same way: the X and Y id lists of its
+pair, and one sorted, distinct int64 key ``x_pos * len(y_ids) + y_pos``
+per pair. Because index order is id order, key order is (x, y) id order.
+``make_match_set`` maps checked string pairs to keys, and the generator
+and the matchers build keys directly. ``pairs``, ``sorted_pairs`` and
+``by_x`` are string views of the keys, built on first use;
+``sorted_pairs`` needs no sort. Set arithmetic (``MatchSet.found_in``,
+``MatchSet.contains``) and per-node lookups (``matches_of``) read the
+keys with binary searches. Two sets are compared only over the same X and
+Y id lists (the same lists, or equal ones); otherwise the comparison
+raises ``universe-mismatch``. Equality means equal pairs, role and k_y.
+String ids stay at the I/O boundary and in the views.
 
 The parsers read a whole file in bulk passes: one split into lines, list
 comprehensions that pick out each kind of line, a tab count per line, and
@@ -46,7 +58,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, NoReturn
@@ -64,6 +76,8 @@ __all__ = [
     "make_network",
     "make_match_set",
     "by_x",
+    "matches_of",
+    "pair_keys",
     "load_network",
     "save_network",
     "read_pairs",
@@ -77,6 +91,23 @@ def _check_node_id(node: str) -> str:
     if not node or "\t" in node or "\n" in node:
         raise MatchcertError(f"invalid-node-id: {node!r}")
     return node
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, ascending: sorted, then repeats
+    dropped (np.unique's first call imports numpy.ma, ~15 ms)."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` occurs in the ascending ``sorted_keys``."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.size
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return found
 
 
 class NodeIndex(NamedTuple):
@@ -101,12 +132,7 @@ class NodeIndex(NamedTuple):
         orientation and repeat."""
         n = len(ids)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        # one key per distinct edge, lo * n + hi, ascending: sorted, then
-        # repeats dropped (np.unique's first call imports numpy.ma, ~15 ms)
-        keys = np.sort(lo * n + hi)
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
+        keys = _distinct_sorted(lo * n + hi)  # one key per distinct edge
         lo, hi = np.divmod(keys, n)
         # both directions of every edge as src * n + dst, sorted by (src, dst)
         arcs = np.sort(np.concatenate([keys, hi * n + lo]))
@@ -218,23 +244,94 @@ class MatchRole(Enum):
     IDENTIFIED_HOLDOUT = "identified-holdout"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MatchSet:
-    pairs: frozenset[tuple[str, str]]
+    """A set of x-y pairs over one NetworkPair's universes, as int keys.
+
+    ``keys`` holds ``x_pos * len(y_ids) + y_pos`` for each pair, sorted and
+    distinct, with positions into ``x_ids`` and ``y_ids`` (the pair's node
+    ids, sorted), so key order is (x, y) id order. ``pairs``,
+    ``sorted_pairs`` and the per-x view are built from the keys on first
+    use and cached on the object.
+    """
+
+    x_ids: list[str]
+    y_ids: list[str]
+    keys: np.ndarray  # int64, ascending, distinct
     role: MatchRole
     k_y: int | None = None  # declared cap on actual matches per x node
 
+    def decode(self, keys) -> list[tuple[str, str]]:
+        """The (x, y) id pair of each of ``keys``, in order."""
+        xs, ys = np.divmod(np.asarray(keys, dtype=np.int64), max(len(self.y_ids), 1))
+        x_ids, y_ids = self.x_ids, self.y_ids
+        return [(x_ids[a], y_ids[b]) for a, b in zip(xs.tolist(), ys.tolist())]
+
     @cached_property
     def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
-        """The pairs in sorted order, sorted once per set."""
-        return tuple(sorted(self.pairs))
+        """The pairs in sorted order: key order, so nothing is sorted."""
+        return tuple(self.decode(self.keys))
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.sorted_pairs)
 
     @cached_property
     def _per_x(self) -> dict[str, frozenset[str]]:
-        acc: dict[str, set[str]] = {}
-        for x, y in self.pairs:
-            acc.setdefault(x, set()).add(y)
+        acc: dict[str, list[str]] = {}
+        for x, y in self.sorted_pairs:
+            acc.setdefault(x, []).append(y)
         return {x: frozenset(ys) for x, ys in acc.items()}
+
+    def check_universe(self, x_ids: list[str], y_ids: list[str]) -> None:
+        """Raise ``universe-mismatch`` unless the set's id lists are these
+        (the same lists, or equal ones)."""
+        if not (
+            (self.x_ids is x_ids or self.x_ids == x_ids)
+            and (self.y_ids is y_ids or self.y_ids == y_ids)
+        ):
+            raise MatchcertError(
+                "universe-mismatch: match sets over different X or Y node id lists"
+            )
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """Whether the set holds each of ``keys`` (keys of its universe)."""
+        return _member(keys, self.keys)
+
+    def found_in(self, other: "MatchSet") -> np.ndarray:
+        """Whether ``other`` holds each of this set's pairs, in key order."""
+        other.check_universe(self.x_ids, self.y_ids)
+        return other.contains(self.keys)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatchSet):
+            return NotImplemented
+        other.check_universe(self.x_ids, self.y_ids)
+        return (
+            self.role is other.role
+            and self.k_y == other.k_y
+            and np.array_equal(self.keys, other.keys)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.keys.tobytes(), self.role, self.k_y))
+
+    def __repr__(self) -> str:
+        return f"MatchSet(pairs={self.pairs!r}, role={self.role!r}, k_y={self.k_y!r})"
+
+
+def pair_keys(pair: NetworkPair, pairs: Iterable[tuple[str, str]]) -> np.ndarray:
+    """The key of each (x, y) of ``pairs`` over ``pair``'s universes, in
+    order; -1 where x is not a node of X or y not a node of Y."""
+    xpos, ypos = pair.x_net.index.pos, pair.y_net.index.pos
+    ny = len(pair.y_net.index.ids)
+    return np.array(
+        [
+            xpos[x] * ny + ypos[y] if x in xpos and y in ypos else -1
+            for x, y in pairs
+        ],
+        dtype=np.int64,
+    )
 
 
 def make_match_set(
@@ -247,36 +344,72 @@ def make_match_set(
 
     Rejects endpoints outside the universes, identity pairs in self-match
     mode, and (for the actual role with a declared cap) any x matched more
-    than k_y times.
+    than k_y times; the error names the first bad pair in input order, or
+    the smallest x over the cap.
     """
     pairs = list(pairs)
-    xpos, ypos = pair.x_net.index.pos, pair.y_net.index.pos
-    for x, y in pairs:
-        if x not in xpos:
+    ix, iy = pair.x_net.index, pair.y_net.index
+    ny = len(iy.ids)
+    u = np.fromiter(
+        (ix.pos.get(x, -1) for x, _ in pairs), dtype=np.int64, count=len(pairs)
+    )
+    v = np.fromiter(
+        (iy.pos.get(y, -1) for _, y in pairs), dtype=np.int64, count=len(pairs)
+    )
+    bad = (u < 0) | (v < 0)
+    if pair.self_match_mode:
+        bad |= u == v  # one shared universe: equal positions, equal ids
+    if bad.any():
+        x, y = pairs[int(np.argmax(bad))]  # the first bad pair
+        if x not in ix.pos:
             raise MatchcertError(f"unknown-node: x endpoint {x!r}")
-        if y not in ypos:
+        if y not in iy.pos:
             raise MatchcertError(f"unknown-node: y endpoint {y!r}")
-        if pair.self_match_mode and x == y:
-            raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
-    dedup = set(pairs)
-    if role is MatchRole.ACTUAL and k_y is not None:
-        counts: dict[str, int] = {}
-        for x, _ in dedup:
-            counts[x] = counts.get(x, 0) + 1
-            if counts[x] > k_y:
-                raise MatchcertError(
-                    f"ky-violated: node {x!r} has more than k_y={k_y} actual matches"
-                )
-    return MatchSet(frozenset(dedup), role, k_y)
+        raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
+    keys = _distinct_sorted(u * ny + v)
+    if role is MatchRole.ACTUAL and k_y is not None and keys.size:
+        over = np.flatnonzero(np.bincount(keys // ny) > k_y)
+        if over.size:
+            raise MatchcertError(
+                f"ky-violated: node {ix.ids[over[0]]!r} has more than "
+                f"k_y={k_y} actual matches"
+            )
+    return MatchSet(ix.ids, iy.ids, keys, role, k_y)
 
 
 def by_x(ms: MatchSet) -> Mapping[str, frozenset[str]]:
     """Per-x view of the whole set: {x: set of matched y}.
 
     Built in one pass on the first call for a set and shared by every
-    later caller, so callers get a read-only proxy of it.
+    later caller, so callers get a read-only proxy of it. A caller that
+    reads a few nodes only uses :func:`matches_of`.
     """
     return MappingProxyType(ms._per_x)
+
+
+def matches_of(
+    ms: MatchSet, pair: NetworkPair, nodes: Iterable[str]
+) -> dict[str, frozenset[str]]:
+    """{x: set of matched y} for each of ``nodes`` that has a match in
+    ``ms``, a set over ``pair``'s universes: the entries of ``by_x(ms)``
+    for those nodes, found by binary search on the keys. A node that is
+    not a node of X has no entry."""
+    ix = pair.x_net.index
+    ms.check_universe(ix.ids, pair.y_net.index.ids)
+    xs = [x for x in dict.fromkeys(nodes) if x in ix.pos]
+    ny = len(ms.y_ids)
+    row = np.fromiter(map(ix.pos.__getitem__, xs), dtype=np.int64, count=len(xs)) * ny
+    lo = np.searchsorted(ms.keys, row)
+    count = np.searchsorted(ms.keys, row + ny) - lo
+    hit = np.flatnonzero(count)
+    lo, count = lo[hit], count[hit]
+    # every matched key of the hit rows, row after row
+    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    y_ids = ms.y_ids
+    ys = iter([y_ids[k] for k in (ms.keys[at] % ny).tolist()])
+    return {
+        xs[i]: frozenset(islice(ys, c)) for i, c in zip(hit.tolist(), count.tolist())
+    }
 
 
 def _read_lines(path: str | Path) -> list[str]:

@@ -18,20 +18,21 @@ keys with ``np.unique``, keep those at or above the threshold, and rank
 them with ``np.lexsort`` on (-count, key). Because index order is id
 order, the key sorts as (x, y) by id, so the tie-break is the one above.
 Pairs are then accepted greedily in that order, skipping any whose x or
-y was taken earlier in the round. Matches leave the function as string
-ids.
+y was taken earlier in the round. Matches leave the function as the
+sorted keys of a MatchSet, the same ``x * n_y + y``.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import MatchcertError
-from .graphs import MatchRole, MatchSet, NetworkPair, NodeIndex, by_x
+from .graphs import MatchRole, MatchSet, NetworkPair, NodeIndex, matches_of
 
 __all__ = [
     "TopDegree",
@@ -131,10 +132,13 @@ class MatcherHandle:
         return self._queries
 
     def same_function(self, other: "MatcherHandle") -> bool:
-        """True when both handles compute the same matching function."""
+        """True when both handles compute the same matching function: the
+        same config, and the same training pairs counted with repeats."""
+        mine, theirs = self.training_matches, other.training_matches
         return (
             self.config == other.config
-            and sorted(self.training_matches) == sorted(other.training_matches)
+            and len(mine) == len(theirs)
+            and (mine == theirs or Counter(mine) == Counter(theirs))
         )
 
 
@@ -192,25 +196,28 @@ def _by_degree(index: NodeIndex) -> list[str]:
     return [index.ids[i] for i in order.tolist()]
 
 
-def _attribute_exact(handle: MatcherHandle, pair: NetworkPair) -> set[tuple[str, str]]:
+def _attribute_exact(handle: MatcherHandle, pair: NetworkPair) -> np.ndarray:
+    """The sorted keys of every (x, y) with equal ``attr_key`` values."""
     key = handle.config.attr_key
     if not key:
         raise MatchcertError("missing-attr-key: attribute-exact needs attr_key")
-    by_value_x: dict[str, list[str]] = {}
-    for node in pair.x_net.index.ids:
+    by_value_x: dict[str, list[int]] = {}
+    for i, node in enumerate(pair.x_net.index.ids):
         value = pair.x_net.attrs.get(node, {}).get(key)
         if value is not None:
-            by_value_x.setdefault(value, []).append(node)
-    out: set[tuple[str, str]] = set()
-    for node in pair.y_net.index.ids:
+            by_value_x.setdefault(value, []).append(i)
+    ny = len(pair.y_net.index.ids)
+    out: list[int] = []
+    for j, node in enumerate(pair.y_net.index.ids):
         value = pair.y_net.attrs.get(node, {}).get(key)
         if value is None:
             continue
-        for x in by_value_x.get(value, ()):
-            if pair.self_match_mode and x == node:
+        for i in by_value_x.get(value, ()):
+            # in self-match mode one universe: equal positions, equal ids
+            if pair.self_match_mode and i == j:
                 continue
-            out.add((x, node))
-    return out
+            out.append(i * ny + j)
+    return np.sort(np.array(out, dtype=np.int64))
 
 
 def _offsets(lens: np.ndarray) -> np.ndarray:
@@ -239,7 +246,8 @@ def _percolate(
     start: Iterable[tuple[str, str]],
     threshold: int,
     max_steps: int,
-) -> set[tuple[str, str]]:
+) -> np.ndarray:
+    """The sorted keys of the pairs percolation ends with."""
     ix, iy = pair.x_net.index, pair.y_net.index
     ny = len(iy.ids)
     keys = []
@@ -293,7 +301,8 @@ def _percolate(
         matched_y[new_y] = True
         cur_x = np.concatenate([cur_x, new_x])
         cur_y = np.concatenate([cur_y, new_y])
-    return {(ix.ids[x], iy.ids[y]) for x, y in zip(cur_x.tolist(), cur_y.tolist())}
+    # distinct: the seed keys are, and every later pair has a new x and y
+    return np.sort(cur_x * ny + cur_y)
 
 
 def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
@@ -302,15 +311,15 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
         return handle._cache_result
     cfg = handle.config
     if cfg.kind == "attribute-exact":
-        pairs = _attribute_exact(handle, pair)
+        keys = _attribute_exact(handle, pair)
     else:
         seeds = _resolve_seeds(handle, pair)
-        pairs = _percolate(pair, seeds, cfg.threshold, cfg.max_iters)
+        keys = _percolate(pair, seeds, cfg.threshold, cfg.max_iters)
     role = MatchRole.IDENTIFIED_HOLDOUT if handle.holdout else MatchRole.IDENTIFIED
     # both matchers pair nodes of the two networks and never an identity
     # pair in self-match mode (_percolate checks the seeds), so the set
     # needs none of make_match_set's checks
-    result = MatchSet(frozenset(pairs), role)
+    result = MatchSet(pair.x_net.index.ids, pair.y_net.index.ids, keys, role)
     handle._cache_pair = pair
     handle._cache_result = result
     return result
@@ -321,5 +330,5 @@ def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str
     if x not in pair.x_net.index.pos:
         raise MatchcertError(f"unknown-node: {x!r}")
     handle._queries += 1
-    return by_x(run_batch(handle, pair)).get(x, frozenset())
+    return matches_of(run_batch(handle, pair), pair, (x,)).get(x, frozenset())
 

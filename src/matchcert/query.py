@@ -19,11 +19,17 @@ d_p(x) additionally charges for partial overlap.
 
 One stage, ``_views``, checks the samples and runs each matcher once; every
 certificate and ``compute_node_stats`` reads the per-node statistics from
-the read-only per-x mappings it returns. When the complete matcher computes
-the same function as the holdout one, its mapping is the holdout mapping
-itself and the complete matcher never runs. Each certificate takes an
-optional ``shared``: the digest payload fields that :func:`query_reports`
-encodes once for all its certificates.
+the per-x mappings it returns, which hold the sampled nodes (s_x and s_x')
+only, found by binary search on the match sets' keys. When the complete
+matcher computes the same function as the holdout one, its mapping is the
+holdout mapping itself and the complete matcher never runs. Each
+certificate takes two optional arguments that :func:`query_reports`
+computes once for all its certificates: ``shared``, the encoded digest
+payload fields, and ``views``, the output of ``_views``; a certificate
+called on its own computes both itself.
+
+The truth oracles read keys too: numpy set arithmetic over the sorted
+keys, with per-node rates from ``np.bincount`` and means by ``math.fsum``.
 
 Population sizes of the defined-node subsets are unknowable without full
 enumeration, so the stand-in |X| is used where a size is needed. That is
@@ -37,12 +43,15 @@ stand-in: ROADMAP open item 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
-from .graphs import MatchSet, NetworkPair, by_x
+from .graphs import MatchSet, NetworkPair, matches_of
 from .matchers import MatcherHandle, run_batch
 from .reports import ValidationReport, build_report, encode_fields
 
@@ -68,6 +77,7 @@ DP_DEFAULT_RANGE = (-1.0, 2.0)
 EMPTY: frozenset[str] = frozenset()
 
 Views = Mapping[str, frozenset[str]]  # x -> its identified matches
+ViewPair = tuple[Views, Views | None]  # (holdout, complete): see _views
 
 
 def single_node_precision(m_hat: frozenset, actual: frozenset) -> float | None:
@@ -152,9 +162,10 @@ class QueryValidationInput:
         return len(self.pair.x_net.index.ids)
 
 
-def _views(inp: QueryValidationInput) -> tuple[Views, Views | None]:
+def _views(inp: QueryValidationInput) -> ViewPair:
     """(hv, cv): the holdout and complete matchers' identified matches per
-    x node; a node without identified matches is absent.
+    sampled node (of s_x and s_x'); a node without identified matches is
+    absent.
 
     Checks the samples first: s_x is non-empty with every node in
     ``actual_for``, s_x' is non-empty when a complete matcher is given, and
@@ -166,18 +177,20 @@ def _views(inp: QueryValidationInput) -> tuple[Views, Views | None]:
         raise MatchcertError("empty-sample: s_x has no nodes")
     if inp.complete is not None and not inp.s_x_prime:
         raise MatchcertError("empty-sample: s_x_prime has no nodes")
-    hv = by_x(run_batch(inp.holdout, inp.pair))
-    for x in (*inp.s_x, *inp.s_x_prime):
+    m_hat = run_batch(inp.holdout, inp.pair)
+    nodes = (*inp.s_x, *inp.s_x_prime)
+    for x in nodes:
         if x not in inp.pair.x_net.index.pos:
             raise MatchcertError(f"unknown-node: {x!r}")
     for x in inp.s_x:
         if x not in inp.actual_for:
             raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
+    hv = matches_of(m_hat, inp.pair, nodes)
     if inp.complete is None:
         return hv, None
     if inp.complete.same_function(inp.holdout):
         return hv, hv
-    return hv, by_x(run_batch(inp.complete, inp.pair))
+    return hv, matches_of(run_batch(inp.complete, inp.pair), inp.pair, nodes)
 
 
 def _inputs(inp: QueryValidationInput) -> dict[str, str]:
@@ -217,12 +230,14 @@ def _holdout_term(
 
 
 def holdout_query_bounds(
-    inp: QueryValidationInput, shared: Mapping[str, str] | None = None
+    inp: QueryValidationInput,
+    shared: Mapping[str, str] | None = None,
+    views: ViewPair | None = None,
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at the budget's
     single delta (combine with union_confidence to hold both jointly)."""
     (delta,) = inp.budget.parts_for(1)
-    hv, _ = _views(inp)
+    hv, _ = views or _views(inp)
     reports = []
     for quantity, stat in (
         ("precision", single_node_precision), ("recall", single_node_recall)
@@ -248,14 +263,16 @@ def _require_complete(inp: QueryValidationInput) -> None:
 
 
 def complete_query_recall(
-    inp: QueryValidationInput, shared: Mapping[str, str] | None = None
+    inp: QueryValidationInput,
+    shared: Mapping[str, str] | None = None,
+    views: ViewPair | None = None,
 ) -> ValidationReport:
     """Holdout recall minus the disagreement rate rescaled by the matched
     fraction of X; reduces exactly to the holdout certificate when the
     complete matcher is the same function as the holdout one."""
     d_r, d_x, d_frac = inp.budget.parts_for(3)
     _require_complete(inp)
-    hv, cv = _views(inp)
+    hv, cv = views or _views(inp)
     r_lb, r_used, r_n = _holdout_term(inp, hv, single_node_recall, d_r)
     terms = {"recall_term": r_lb, "disagreement_term": 0.0, "usable_nodes": float(r_n)}
     methods = {"recall_term": r_used}
@@ -288,7 +305,9 @@ def complete_query_recall(
 
 
 def complete_query_precision(
-    inp: QueryValidationInput, shared: Mapping[str, str] | None = None
+    inp: QueryValidationInput,
+    shared: Mapping[str, str] | None = None,
+    views: ViewPair | None = None,
 ) -> ValidationReport:
     """[lower(holdout-matched fraction) * lower(holdout precision) -
     upper(d_p mean)] / upper(complete-matched fraction).
@@ -300,7 +319,7 @@ def complete_query_precision(
     """
     d1, d2, d3, d4 = inp.budget.parts_for(4)
     _require_complete(inp)
-    hv, cv = _views(inp)
+    hv, cv = views or _views(inp)
 
     p_lb, p_used, p_n = _holdout_term(inp, hv, single_node_precision, d2)
     h_ind = [1.0 if x in hv else 0.0 for x in inp.s_x_prime]
@@ -351,7 +370,9 @@ def complete_query_precision(
 
 
 def error_rate_bounds(
-    inp: QueryValidationInput, shared: Mapping[str, str] | None = None
+    inp: QueryValidationInput,
+    shared: Mapping[str, str] | None = None,
+    views: ViewPair | None = None,
 ) -> ValidationReport:
     """Upper-bound the mean single-node error over X.
 
@@ -362,7 +383,7 @@ def error_rate_bounds(
     err or the two matchers to differ.
     """
     parts = inp.budget.parts_for(1 if inp.complete is None else 2)
-    hv, cv = _views(inp)
+    hv, cv = views or _views(inp)
     w_values = [
         float(single_node_error(hv.get(x, EMPTY), inp.actual_for[x])) for x in inp.s_x
     ]
@@ -401,23 +422,28 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     equally over its own terms, so the reports hold jointly at the union
     bound of their budgets. The holdout certificates see the input without
     the complete matcher. The digest payload fields the certificates share
-    are encoded once for all of them.
+    are encoded, and the views computed, once for all of them.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, complete=None)
     shared = _inputs(inp)
     held = {**shared, **encode_fields({"complete": None})}
+    hv, cv = views = _views(inp)
 
     def split(k: int, of: QueryValidationInput = inp) -> QueryValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
-    precision, recall = holdout_query_bounds(split(1, holdout), held)
-    reports = [precision, recall, error_rate_bounds(split(1, holdout), held)]
+    precision, recall = holdout_query_bounds(split(1, holdout), held, (hv, None))
+    reports = [
+        precision,
+        recall,
+        error_rate_bounds(split(1, holdout), held, (hv, None)),
+    ]
     if inp.complete is not None:
         reports += [
-            complete_query_recall(split(3), shared),
-            complete_query_precision(split(4), shared),
-            error_rate_bounds(split(2), shared),
+            complete_query_recall(split(3), shared, views),
+            complete_query_precision(split(4), shared, views),
+            error_rate_bounds(split(2), shared, views),
         ]
     return reports
 
@@ -457,26 +483,33 @@ def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
     return out
 
 
+def _mean_rate(a: MatchSet, b: MatchSet) -> float | None:
+    """The mean, over the x with a pair in ``a``, of the fraction of x's
+    pairs in ``a`` that ``b`` holds; None when ``a`` is empty."""
+    if not a.keys.size:
+        return None
+    x = a.keys // len(a.y_ids)
+    size = np.bincount(x)
+    hit = np.bincount(x, weights=a.found_in(b))
+    rows = size > 0
+    return math.fsum((hit[rows] / size[rows]).tolist()) / int(np.count_nonzero(rows))
+
+
 def true_query_metrics(
     pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet
 ) -> tuple[float | None, float | None]:
     """Exact query precision/recall: means of p(x) and r(x) over the nodes
     where they are defined. Test and harness oracle only."""
-    hat = by_x(m_hat)
-    true = by_x(m_true)
-    p_vals = [len(ys & true.get(x, EMPTY)) / len(ys) for x, ys in hat.items()]
-    r_vals = [len(ys & hat.get(x, EMPTY)) / len(ys) for x, ys in true.items()]
-    precision = sum(p_vals) / len(p_vals) if p_vals else None
-    recall = sum(r_vals) / len(r_vals) if r_vals else None
-    return precision, recall
+    return _mean_rate(m_hat, m_true), _mean_rate(m_true, m_hat)
 
 
 def true_error_rate(pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet) -> float:
     """Exact mean single-node error over all of X. Oracle only."""
-    hat = by_x(m_hat)
-    true = by_x(m_true)
-    # a node in neither mapping has no identified and no actual match
-    wrong = sum(
-        1 for x in hat.keys() | true.keys() if hat.get(x, EMPTY) != true.get(x, EMPTY)
-    )
-    return wrong / len(pair.x_net.index.ids)
+    # x errs when some pair of x is in exactly one of the two sets
+    only = np.concatenate([
+        m_hat.keys[~m_hat.found_in(m_true)], m_true.keys[~m_true.found_in(m_hat)]
+    ])
+    n_x = len(pair.x_net.index.ids)
+    wrong = np.zeros(n_x, dtype=bool)
+    wrong[only // max(len(m_hat.y_ids), 1)] = True
+    return int(np.count_nonzero(wrong)) / n_x

@@ -10,8 +10,9 @@ against the truth.
 The generator stays in ints until the end: each copy maps its surviving
 entities to their positions in sorted node-id order and builds its
 network's index (``graphs.NodeIndex.build``) from the int edge arrays.
-Node ids are formatted once per node, for that sort, the attributes and
-the truth pairs; no string edge is built.
+Node ids are formatted once per node, for that sort and the attributes;
+no string edge is built, and the truth set is built from the positions of
+the entities kept by both copies.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -187,9 +187,10 @@ def _copy(
     noisy: np.ndarray,
     rng_nodes: np.random.Generator,
     rng_edges: np.random.Generator,
-) -> tuple[np.ndarray, list[str], Network]:
-    """One copy of the base graph: the entities it keeps (a mask), their
-    node ids in entity order, and its network.
+) -> tuple[np.ndarray, np.ndarray, Network]:
+    """One copy of the base graph: the entities it keeps (a mask), each
+    kept entity's position in the network's sorted node ids, and the
+    network.
 
     Entity i becomes node ``f"{prefix}{i}"`` with attribute ``uid`` set to
     ``str(i)``, plus NOISE_MARK where ``noisy[i]``.
@@ -216,7 +217,7 @@ def _copy(
         ids, dict(zip(ids, range(len(ids)))), at[kept_edges[:, 0]], at[kept_edges[:, 1]]
     )
     attrs = _Attrs(names, entities, noisy[survivors].tolist())
-    return keep, names, Network(index, attrs)
+    return keep, at, Network(index, attrs)
 
 
 def generate_pair(cfg: GeneratorConfig) -> tuple[NetworkPair, MatchSet]:
@@ -237,17 +238,18 @@ def generate_pair(cfg: GeneratorConfig) -> tuple[NetworkPair, MatchSet]:
     n = cfg.n_entities
     noisy = rng_noise.random(n) < cfg.attr_noise
 
-    keep_x, x_names, x_net = _copy("x", base, n, cfg.node_drop_x, cfg.edge_retain_x,
+    keep_x, at_x, x_net = _copy("x", base, n, cfg.node_drop_x, cfg.edge_retain_x,
                                    np.zeros(n, dtype=bool), rng_xn, rng_xe)
-    keep_y, y_names, y_net = _copy("y", base, n, cfg.node_drop_y, cfg.edge_retain_y,
+    keep_y, at_y, y_net = _copy("y", base, n, cfg.node_drop_y, cfg.edge_retain_y,
                                    noisy, rng_yn, rng_ye)
 
-    # Each pair joins the x and y nodes of one entity kept by both copies
-    # (xs and ys list those nodes in entity order, so they pair up). Both
-    # endpoints are nodes of their networks and every x has exactly one
-    # actual match: make_match_set's endpoint and k_y checks hold by
-    # construction, and the set is built directly.
-    xs = compress(x_names, keep_y[keep_x].tolist())
-    ys = compress(y_names, keep_x[keep_y].tolist())
-    truth = MatchSet(frozenset(zip(xs, ys)), MatchRole.ACTUAL, k_y=1)
+    # Each pair joins the x and y nodes of one entity kept by both copies.
+    # Both endpoints are nodes of their networks and every x has exactly
+    # one actual match: make_match_set's endpoint and k_y checks hold by
+    # construction, and the keys (distinct, as the x positions are) are
+    # built directly.
+    both = np.flatnonzero(keep_x & keep_y)
+    x_ids, y_ids = x_net.index.ids, y_net.index.ids
+    keys = np.sort(at_x[both] * len(y_ids) + at_y[both])
+    truth = MatchSet(x_ids, y_ids, keys, MatchRole.ACTUAL, k_y=1)
     return NetworkPair(x_net, y_net), truth

@@ -301,6 +301,46 @@ def generate_pair_reference(cfg):
     return pair, truth
 
 
+def by_x_reference(ms) -> dict[str, frozenset[str]]:
+    """The per-x grouping of a match set's string pairs, by one dict walk."""
+    acc: dict[str, set[str]] = {}
+    for x, y in ms.pairs:
+        acc.setdefault(x, set()).add(y)
+    return {x: frozenset(ys) for x, ys in acc.items()}
+
+
+def true_batch_metrics_reference(pair, m_hat, m_true):
+    """batch.true_batch_metrics by string set arithmetic."""
+    hit = len(m_hat.pairs & m_true.pairs)
+    precision = hit / len(m_hat.pairs) if m_hat.pairs else None
+    recall = hit / len(m_true.pairs) if m_true.pairs else None
+    return precision, recall
+
+
+def true_query_metrics_reference(pair, m_hat, m_true):
+    """query.true_query_metrics by walking the per-x dicts; means by fsum,
+    so the result does not depend on the dicts' iteration order."""
+    from math import fsum
+
+    hat = by_x_reference(m_hat)
+    true = by_x_reference(m_true)
+    empty = frozenset()
+    p_vals = [len(ys & true.get(x, empty)) / len(ys) for x, ys in hat.items()]
+    r_vals = [len(ys & hat.get(x, empty)) / len(ys) for x, ys in true.items()]
+    precision = fsum(p_vals) / len(p_vals) if p_vals else None
+    recall = fsum(r_vals) / len(r_vals) if r_vals else None
+    return precision, recall
+
+
+def true_error_rate_reference(pair, m_hat, m_true):
+    """query.true_error_rate by comparing the per-x sets of every node."""
+    hat = by_x_reference(m_hat)
+    true = by_x_reference(m_true)
+    empty = frozenset()
+    wrong = sum(1 for x in pair.x_net.nodes if hat.get(x, empty) != true.get(x, empty))
+    return wrong / len(pair.x_net.nodes)
+
+
 def _lines(path):
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -1,15 +1,27 @@
+import hashlib
 import json
 
 import pytest
 
-from matchcert.bounds import BoundMethod
+from matchcert.batch import BatchValidationInput, batch_reports
+from matchcert.bounds import BoundMethod, DeltaBudget
 from matchcert.coverage import ExperimentConfig, SampleSizes, run_coverage, run_trial
 from matchcert.errors import MatchcertError
-from matchcert.matchers import MatcherConfig, TopDegree
-from matchcert.synth import ErdosRenyi, GeneratorConfig
+from matchcert.graphs import by_x, matches_of
+from matchcert.matchers import (
+    VERIFIED_SAMPLE,
+    MatcherConfig,
+    TopDegree,
+    build_matcher,
+    run_batch,
+    with_extra_seeds,
+)
+from matchcert.query import QueryValidationInput, query_reports
+from matchcert.sampling import sample_without_replacement, spawn_rng
+from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 
 
-def _criterion_4_world(seeds, threshold, trials, s_x=200):
+def _criterion_4_world(seeds, threshold, trials, s_x=200, methods=None):
     return ExperimentConfig(
         generator=GeneratorConfig(
             n_entities=2_000,
@@ -23,7 +35,7 @@ def _criterion_4_world(seeds, threshold, trials, s_x=200):
             "percolation", seeds=seeds, threshold=threshold, max_iters=15
         ),
         sample_sizes=SampleSizes(s_m=200, s_x=s_x, s_x_prime=400, train=120),
-        methods=(BoundMethod.HYPERGEOMETRIC,),
+        methods=methods or (BoundMethod.HYPERGEOMETRIC,),
         trials=trials,
         seed=20260808,
     )
@@ -54,3 +66,61 @@ def test_every_trial_failed_raises_the_first_error():
     cfg = _criterion_4_world(TopDegree(30), 1, trials=2, s_x=5_000)
     with pytest.raises(MatchcertError, match="^trial-failed: trial 0: invalid-sample-size"):
         run_coverage(cfg)
+
+
+# sha256 of the reprs of run_trial(cfg, i) for i = 0..4 in turn, cfg the
+# criterion-4 experiment under all three methods, as computed when the
+# match sets still held string pairs: a change of representation or of
+# speed must leave every trial record as it was.
+TRIAL_RECORDS_SHA256 = "1d6d93ff6b3648fd11d1fecc3e34d0729b85c5cf3e36067ea1bcd6b2d204bb16"
+
+
+def test_trial_records_pinned():
+    cfg = _criterion_4_world(
+        VERIFIED_SAMPLE, 2, trials=5,
+        methods=(BoundMethod.HOEFFDING, BoundMethod.EBS, BoundMethod.HYPERGEOMETRIC),
+    )
+    digest = hashlib.sha256()
+    for idx in range(5):
+        digest.update(repr(run_trial(cfg, idx)).encode())
+    assert digest.hexdigest() == TRIAL_RECORDS_SHA256
+
+
+@pytest.mark.parametrize("method", list(BoundMethod))
+def test_actual_map_of_the_sampled_nodes_suffices(method):
+    # a trial gives the certificates the actual matches of s_x only; with
+    # those of every node of X they must report exactly the same
+    cfg = _criterion_4_world(VERIFIED_SAMPLE, 2, trials=1)
+    pair, truth = generate_pair(cfg.generator)
+    ids = pair.x_net.index.ids
+    s_x = tuple(sample_without_replacement(ids, 200, spawn_rng(3, 1)))
+    s_x_prime = tuple(sample_without_replacement(ids, 400, spawn_rng(3, 2)))
+    s_m = tuple(truth.sorted_pairs[::9])
+    truth_x = by_x(truth)
+    full = {x: truth_x.get(x, frozenset()) for x in ids}
+    found = matches_of(truth, pair, s_x)
+    restricted = {x: found.get(x, frozenset()) for x in s_x}
+    assert restricted == {x: full[x] for x in s_x}
+    holdout = build_matcher(cfg.matcher_holdout, training_matches=truth.sorted_pairs[::16])
+    complete = with_extra_seeds(
+        holdout, list(s_m) + [(x, y) for x in s_x for y in sorted(full[x])], ["s"]
+    )
+    budget = DeltaBudget.of(0.05)
+    got = {}
+    for name, actual_for in (("full", full), ("restricted", restricted)):
+        got[name] = [
+            r.to_json_dict()
+            for r in batch_reports(BatchValidationInput(
+                pair=pair, m_hat_holdout=run_batch(holdout, pair), s_m=s_m, s_x=s_x,
+                actual_for=actual_for, method=method, budget=budget,
+                m_hat_complete=run_batch(complete, pair), m_size=truth.keys.size,
+            ))
+        ] + [
+            r.to_json_dict()
+            for r in query_reports(QueryValidationInput(
+                pair=pair, holdout=holdout, s_x=s_x, actual_for=actual_for,
+                method=method, budget=budget, complete=complete, s_x_prime=s_x_prime,
+            ))
+        ]
+    assert len(got["full"]) == 10
+    assert got["restricted"] == got["full"]  # every field, digests included

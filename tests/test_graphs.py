@@ -1,7 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
+    by_x_reference,
     canonical_edges_reference,
     csr_reference,
     load_network_reference,
@@ -18,6 +22,7 @@ from matchcert.graphs import (
     load_network,
     make_match_set,
     make_network,
+    matches_of,
     read_items,
     read_pairs,
     save_matches,
@@ -168,6 +173,101 @@ class TestMatchSet:
             del view["a"]
         assert by_x(ms) == {"a": frozenset({"p"})}
         assert by_x(ms)["a"] is view["a"]  # one pass per set, shared
+
+
+# ids whose string order differs from their numeric order ("n10" < "n9")
+_IDS = [f"n{i}" for i in range(12)]
+
+
+@st.composite
+def match_worlds(draw):
+    """(pair, pairs): a small NetworkPair, in self-match mode or not, and a
+    list of its pairs with repeats, where an x may have several y."""
+    self_mode = draw(st.booleans())
+    xs = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=8, unique=True))
+    x = make_network(xs, [])
+    if self_mode:
+        pair = NetworkPair(x, x, self_match_mode=True)
+        ys = xs
+    else:
+        ys = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=8, unique=True))
+        pair = NetworkPair(x, make_network(ys, []))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(ys)), max_size=30))
+    if self_mode:
+        pairs = [(a, b) for a, b in pairs if a != b]
+    return pair, pairs
+
+
+class TestMatchSetKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(match_worlds())
+    def test_keys_and_views(self, world):
+        pair, pairs = world
+        ms = make_match_set(pairs, pair, MatchRole.IDENTIFIED)
+        keys = ms.keys
+        assert keys.dtype == np.int64
+        assert (np.diff(keys) > 0).all()  # sorted and distinct
+        assert ms.x_ids is pair.x_net.index.ids and ms.y_ids is pair.y_net.index.ids
+        assert ms.pairs == frozenset(pairs)
+        assert ms.sorted_pairs == tuple(sorted(ms.pairs))
+        assert ms.decode(keys) == list(ms.sorted_pairs)
+        assert dict(by_x(ms)) == by_x_reference(ms)
+        nodes = list(reversed(pair.x_net.index.ids)) + ["absent", "n0"]
+        want = {x: ys for x, ys in by_x_reference(ms).items() if x in nodes}
+        assert matches_of(ms, pair, nodes) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(match_worlds())
+    def test_save_load_round_trip(self, tmp_path_factory, world):
+        pair, pairs = world
+        ms = make_match_set(pairs, pair, MatchRole.IDENTIFIED)
+        first = tmp_path_factory.mktemp("m") / "m.tsv"
+        save_matches(ms, first)
+        again = load_matches(first, pair, MatchRole.IDENTIFIED)
+        assert again == ms and np.array_equal(again.keys, ms.keys)
+        second = first.with_name("again.tsv")
+        save_matches(again, second)
+        assert second.read_bytes() == first.read_bytes()
+        lines = first.read_text(encoding="utf-8").splitlines()
+        assert lines == [f"{x}\t{y}" for x, y in sorted(set(pairs))]
+
+    def test_equality(self, small_pair):
+        a = make_match_set([("b", "q"), ("a", "p")], small_pair, MatchRole.IDENTIFIED)
+        b = make_match_set([("a", "p"), ("b", "q")], small_pair, MatchRole.IDENTIFIED)
+        assert a == b and hash(a) == hash(b)
+        assert a != make_match_set([("a", "p")], small_pair, MatchRole.IDENTIFIED)
+        assert a != make_match_set([("a", "p"), ("b", "q")], small_pair, MatchRole.ACTUAL)
+        # an equal pair built apart has equal id lists: the sets compare
+        x = make_network(["c", "b", "a"], [("b", "c"), ("a", "b")])
+        y = make_network(["r", "q", "p"], [("q", "p")])
+        twin = make_match_set([("a", "p"), ("b", "q")], NetworkPair(x, y),
+                              MatchRole.IDENTIFIED)
+        assert twin.x_ids is not a.x_ids and twin == a
+
+    def test_universe_mismatch(self, small_pair):
+        from matchcert.batch import true_batch_metrics
+        from matchcert.query import true_error_rate, true_query_metrics
+
+        a = make_match_set([("a", "p")], small_pair, MatchRole.IDENTIFIED)
+        wider = NetworkPair(
+            make_network(["a", "b", "c", "d"], []), small_pair.y_net
+        )
+        b = make_match_set([("a", "p")], wider, MatchRole.ACTUAL)
+        for compare in (
+            lambda: a == b,
+            lambda: a.found_in(b),
+            lambda: true_batch_metrics(small_pair, a, b),
+            lambda: true_query_metrics(small_pair, a, b),
+            lambda: true_error_rate(small_pair, a, b),
+            lambda: matches_of(b, small_pair, ["a"]),
+        ):
+            with pytest.raises(MatchcertError, match="^universe-mismatch:"):
+                compare()
+
+    def test_ky_violation_names_the_smallest_x(self, small_pair):
+        pairs = [("c", "p"), ("c", "q"), ("b", "p"), ("b", "r")]
+        with pytest.raises(MatchcertError, match="^ky-violated: node 'b' "):
+            make_match_set(pairs, small_pair, MatchRole.ACTUAL, k_y=1)
 
 
 def _check_against_reference(nodes, edges):

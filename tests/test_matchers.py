@@ -369,6 +369,28 @@ class TestHandles:
         unchanged = with_extra_seeds(holdout, [], [])
         assert unchanged.same_function(holdout)
 
+    def test_same_function_counts_repeated_pairs(self):
+        # the definition it replaced: equal configs and equal sorted seed lists
+        rnd = random.Random(31)
+        pool = [(f"x{i}", f"y{j}") for i in range(3) for j in range(2)]
+        configs = [MatcherConfig("percolation", seeds=VERIFIED_SAMPLE),
+                   MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=2)]
+        agree = {True: 0, False: 0}
+        for _ in range(2000):
+            seeds = [rnd.choice(pool) for _ in range(rnd.randint(0, 6))]
+            other = list(seeds)
+            rnd.shuffle(other)
+            if rnd.random() < 0.5 and other:
+                other[rnd.randrange(len(other))] = rnd.choice(pool)
+            if rnd.random() < 0.2:
+                other.append(rnd.choice(other or pool))
+            a = build_matcher(rnd.choice(configs), training_matches=seeds)
+            b = build_matcher(rnd.choice(configs), training_matches=other)
+            want = a.config == b.config and sorted(seeds) == sorted(other)
+            assert a.same_function(b) == want == b.same_function(a)
+            agree[want] += 1
+        assert min(agree.values()) >= 200
+
     def test_invalid_configs(self):
         with pytest.raises(MatchcertError, match="unknown-matcher-kind"):
             MatcherConfig("magic")

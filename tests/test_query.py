@@ -1,9 +1,16 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
+from oracles import (
+    true_batch_metrics_reference,
+    true_error_rate_reference,
+    true_query_metrics_reference,
+)
 
+from matchcert.batch import true_batch_metrics
 from matchcert.bounds import BoundMethod, DeltaBudget
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
@@ -13,7 +20,13 @@ from matchcert.graphs import (
     make_match_set,
     make_network,
 )
-from matchcert.matchers import MatcherConfig, build_matcher, run_batch, with_extra_seeds
+from matchcert.matchers import (
+    VERIFIED_SAMPLE,
+    MatcherConfig,
+    build_matcher,
+    run_batch,
+    with_extra_seeds,
+)
 from matchcert.query import (
     QueryValidationInput,
     complete_query_precision,
@@ -506,3 +519,143 @@ class TestTrueQueryMetrics:
         assert err == pytest.approx(
             (n_matched - len(m_hat.pairs)) / len(pair.x_net.nodes)
         )
+
+
+def _random_sets(rnd: random.Random, self_mode: bool):
+    """A small pair and two random match sets over it, where an x can have
+    up to three matches in either set."""
+    n_x = rnd.randint(2, 14)
+    x = make_network([f"n{i}" for i in range(n_x)], [])
+    if self_mode:
+        pair = NetworkPair(x, x, self_match_mode=True)
+    else:
+        pair = NetworkPair(x, make_network([f"m{i}" for i in range(rnd.randint(2, 14))], []))
+    xs, ys = pair.x_net.index.ids, pair.y_net.index.ids
+
+    def draw():
+        out = []
+        for a in rnd.sample(xs, rnd.randint(0, len(xs))):
+            out += [(a, b) for b in rnd.sample(ys, min(len(ys), rnd.randint(1, 3)))]
+        return [(a, b) for a, b in out if not (self_mode and a == b)]
+
+    truth = draw()
+    # the identified set shares part of the truth
+    m_hat = rnd.sample(truth, rnd.randint(0, len(truth))) + draw()
+    return (
+        pair,
+        make_match_set(m_hat, pair, MatchRole.IDENTIFIED),
+        make_match_set(truth, pair, MatchRole.ACTUAL),
+    )
+
+
+class TestTruthOraclesMatchReferences:
+    @pytest.mark.parametrize("self_mode", [False, True])
+    def test_random_sets(self, self_mode):
+        rnd = random.Random(909 + self_mode)
+        multi = 0
+        for _ in range(300):
+            pair, m_hat, truth = _random_sets(rnd, self_mode)
+            multi += any(len(ys) > 1 for ys in by_x(m_hat).values())
+            for oracle, reference in (
+                (true_batch_metrics, true_batch_metrics_reference),
+                (true_query_metrics, true_query_metrics_reference),
+                (true_error_rate, true_error_rate_reference),
+            ):
+                assert oracle(pair, m_hat, truth) == reference(pair, m_hat, truth)
+                assert oracle(pair, truth, m_hat) == reference(pair, truth, m_hat)
+        assert multi >= 100  # nodes with 2-3 identified matches are common
+
+    def test_percolation_on_generated_world(self):
+        cfg = GeneratorConfig(
+            n_entities=300, base_model=ErdosRenyi(0.03), edge_retain_x=0.8,
+            edge_retain_y=0.8, node_drop_x=0.1, node_drop_y=0.1, rng_seed=5,
+        )
+        pair, truth = generate_pair(cfg)
+        seeds = truth.sorted_pairs[::6]
+        m_hat = run_batch(fixed_matcher(seeds), pair)
+        grown = run_batch(
+            build_matcher(MatcherConfig("percolation", seeds=seeds, threshold=1)), pair
+        )
+        for ms in (m_hat, grown):
+            assert true_batch_metrics(pair, ms, truth) == true_batch_metrics_reference(
+                pair, ms, truth
+            )
+            assert true_query_metrics(pair, ms, truth) == true_query_metrics_reference(
+                pair, ms, truth
+            )
+            assert true_error_rate(pair, ms, truth) == true_error_rate_reference(
+                pair, ms, truth
+            )
+        assert true_batch_metrics(pair, grown, truth)[0] < 1.0  # some wrong pairs
+
+
+def _views_world():
+    """A query input with a complete matcher that differs from the holdout
+    one, on a generated world."""
+    cfg = GeneratorConfig(
+        n_entities=300, base_model=ErdosRenyi(0.03), node_drop_x=0.1,
+        node_drop_y=0.1, rng_seed=21,
+    )
+    pair, truth = generate_pair(cfg)
+    ids = pair.x_net.index.ids
+    rnd = random.Random(4)
+    s_x = tuple(rnd.sample(ids, 60))
+    truth_x = by_x(truth)
+    config = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=1)
+    holdout = build_matcher(config, training_matches=truth.sorted_pairs[::5])
+    complete = with_extra_seeds(
+        holdout, [(x, y) for x in s_x for y in sorted(truth_x.get(x, ()))], ["s_x"]
+    )
+    return QueryValidationInput(
+        pair=pair,
+        holdout=holdout,
+        s_x=s_x,
+        actual_for={x: truth_x.get(x, frozenset()) for x in ids},
+        method=HOEFF,
+        budget=DeltaBudget.of(0.05),
+        complete=complete,
+        s_x_prime=tuple(rnd.sample(ids, 90)),
+    )
+
+
+class TestViewsOnce:
+    def test_query_reports_equal_certificates_alone(self, monkeypatch):
+        import matchcert.query as query
+
+        inp = _views_world()
+        calls = []
+        views = query._views
+
+        def counting_views(of):
+            calls.append(of)
+            return views(of)
+
+        monkeypatch.setattr(query, "_views", counting_views)
+        reports = query_reports(inp)
+        assert len(calls) == 1 and len(reports) == 6
+        calls.clear()
+        holdout = replace(inp, complete=None)
+
+        def split(k, of=inp):
+            return replace(of, budget=DeltaBudget.equal_split(0.05, k))
+
+        alone = [
+            *holdout_query_bounds(split(1, holdout)),
+            error_rate_bounds(split(1, holdout)),
+            complete_query_recall(split(3)),
+            complete_query_precision(split(4)),
+            error_rate_bounds(split(2)),
+        ]
+        assert len(calls) == 5  # each certificate on its own computes them
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
+        assert "reduced-to-holdout" not in reports[3].flags
+
+    def test_views_hold_the_sampled_nodes_only(self):
+        import matchcert.query as query
+
+        inp = _views_world()
+        hv, cv = query._views(inp)
+        sampled = set(inp.s_x) | set(inp.s_x_prime)
+        for view_map, handle in ((hv, inp.holdout), (cv, inp.complete)):
+            whole = by_x(run_batch(handle, inp.pair))
+            assert view_map == {x: ys for x, ys in whole.items() if x in sampled}
