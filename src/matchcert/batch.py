@@ -18,7 +18,10 @@ Every certificate consumes an explicit delta budget with one part per
 bound term; the total failure probability is the sum of the parts.
 :func:`batch_reports` runs every certificate an input supports from a
 single delta. Each certificate takes an optional ``shared``: the digest
-payload fields that batch_reports encodes once for all its certificates.
+payload that batch_reports builds once for all its certificates, and that
+is encoded only when a report's digest is first read. The precision and
+complete certificates also take an optional ``two_terms``: batch_reports
+computes their common recall and match-density terms once for all three.
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
@@ -28,7 +31,8 @@ holdout-minus-complete count are key counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from functools import cache
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .bounds import bound_mean  # noqa: F401
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair, pair_keys
-from .reports import ValidationReport, build_report, encode_fields
+from .reports import Payload, ValidationReport, build_report
 
 __all__ = [
     "BatchValidationInput",
@@ -90,23 +94,26 @@ class BatchValidationInput:
         return len(self.pair.x_net.index.ids)
 
 
-def _inputs(inp: BatchValidationInput) -> dict[str, str]:
-    """``inp``'s digest payload, each field encoded, but the deltas, which
-    build_report adds: the part the certificates of one :func:`batch_reports`
-    call share."""
-    return encode_fields({
+def _payload(inp: BatchValidationInput) -> Payload:
+    """``inp``'s digest payload but the deltas, which build_report adds: the
+    part the certificates of one :func:`batch_reports` call share. It holds
+    the input's match sets and samples, not the input and its networks."""
+    holdout, complete = inp.m_hat_holdout, inp.m_hat_complete
+    s_m, s_x = inp.s_m, inp.s_x
+    scalars = {
         "n_x": inp.n_x,
-        # a sorted tuple of pairs encodes as the sorted list of [x, y]
-        "m_hat_holdout": inp.m_hat_holdout.sorted_pairs,
-        "m_hat_complete": (
-            inp.m_hat_complete.sorted_pairs if inp.m_hat_complete else None
-        ),
-        "s_m": sorted(map(list, inp.s_m)),
-        "s_x": sorted(inp.s_x),
         "k_y": inp.k_y,
         "method": inp.method.value,
         "m_size": inp.m_size,
         "m_size_upper": inp.m_size_upper,
+    }
+    return Payload(lambda: {
+        **scalars,
+        # a sorted tuple of pairs encodes as the sorted list of [x, y]
+        "m_hat_holdout": holdout.sorted_pairs,
+        "m_hat_complete": complete.sorted_pairs if complete else None,
+        "s_m": sorted(map(list, s_m)),
+        "s_x": sorted(s_x),
     })
 
 
@@ -143,10 +150,19 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, 
     )
 
 
+TwoTerms = Callable[[], tuple[dict, dict]]
+
+
 def _two_terms(
-    inp: BatchValidationInput, parts: tuple[Confidence, ...]
+    inp: BatchValidationInput,
+    parts: tuple[Confidence, ...],
+    two_terms: TwoTerms | None = None,
 ) -> tuple[dict, dict]:
-    """The recall and match-density terms, on the budget's two parts."""
+    """The recall and match-density terms, on the budget's two parts; a copy
+    of ``two_terms()``'s when given (see :func:`batch_reports`)."""
+    if two_terms is not None:
+        terms, methods = two_terms()
+        return dict(terms), dict(methods)
     d_recall, d_density = parts
     recall_lb, recall_method = _recall_term(inp, d_recall)
     density_lb, density_method = _density_term(inp, d_density)
@@ -162,14 +178,14 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: dict) -> float:
 
 
 def holdout_batch_recall(
-    inp: BatchValidationInput, shared: Mapping[str, str] | None = None
+    inp: BatchValidationInput, shared: Payload | None = None
 ) -> ValidationReport:
     (delta,) = inp.budget.parts_for(1)
     recall_lb, method = _recall_term(inp, delta)
     return build_report(
         "holdout-batch-recall",
         inp.budget,
-        shared or _inputs(inp),
+        shared or _payload(inp),
         {"recall_term": recall_lb, "sample_size": float(len(inp.s_m))},
         {"recall_term": method},
         recall_lb,
@@ -177,19 +193,21 @@ def holdout_batch_recall(
 
 
 def holdout_batch_precision(
-    inp: BatchValidationInput, shared: Mapping[str, str] | None = None
+    inp: BatchValidationInput,
+    shared: Payload | None = None,
+    two_terms: TwoTerms | None = None,
 ) -> ValidationReport:
     parts = inp.budget.parts_for(2)
     identified = inp.m_hat_holdout.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
-    terms, methods = _two_terms(inp, parts)
+    terms, methods = _two_terms(inp, parts, two_terms)
     terms["identified_count"] = float(identified)
     value = _precision_scale(inp.n_x, identified, terms)
     return build_report(
         "holdout-batch-precision",
         inp.budget,
-        shared or _inputs(inp),
+        shared or _payload(inp),
         terms,
         methods,
         value,
@@ -208,18 +226,20 @@ def _disagreement(inp: BatchValidationInput, m_hat: MatchSet) -> int:
 
 
 def complete_batch_recall(
-    inp: BatchValidationInput, shared: Mapping[str, str] | None = None
+    inp: BatchValidationInput,
+    shared: Payload | None = None,
+    two_terms: TwoTerms | None = None,
 ) -> ValidationReport:
     parts = inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
-    terms, methods = _two_terms(inp, parts)
+    terms, methods = _two_terms(inp, parts, two_terms)
     disagreement = _disagreement(inp, m_hat)
     terms["disagreement_count"] = float(disagreement)
     recall_lb, density_lb = terms["recall_term"], terms["match_density_term"]
     return build_report(
         "complete-batch-recall",
         inp.budget,
-        shared or _inputs(inp),
+        shared or _payload(inp),
         terms,
         methods,
         lambda: recall_lb - disagreement / (inp.n_x * density_lb),
@@ -228,14 +248,16 @@ def complete_batch_recall(
 
 
 def complete_batch_precision(
-    inp: BatchValidationInput, shared: Mapping[str, str] | None = None
+    inp: BatchValidationInput,
+    shared: Payload | None = None,
+    two_terms: TwoTerms | None = None,
 ) -> ValidationReport:
     parts = inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     identified = m_hat.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: complete identified set is empty")
-    terms, methods = _two_terms(inp, parts)
+    terms, methods = _two_terms(inp, parts, two_terms)
     disagreement = _disagreement(inp, m_hat)
     terms["disagreement_count"] = float(disagreement)
     terms["identified_count"] = float(identified)
@@ -246,7 +268,7 @@ def complete_batch_precision(
     return build_report(
         "complete-batch-precision",
         inp.budget,
-        shared or _inputs(inp),
+        shared or _payload(inp),
         terms,
         methods,
         value,
@@ -260,25 +282,29 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     ``inp.budget`` holds one delta; each certificate spends it split
     equally over its own terms, so the reports hold jointly at the union
     bound of their budgets. The holdout certificates see the input without
-    the complete set. The digest payload fields the certificates share are
-    encoded once for all of them.
+    the complete set. The three two-term certificates share one recall and
+    one match-density term, computed when the first of them needs it, so
+    the errors raised and their order are those of the certificates run
+    one by one; all four share one digest payload.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, m_hat_complete=None)
-    shared = _inputs(inp)
-    held = {**shared, **encode_fields({"m_hat_complete": None})}
+    shared = _payload(inp)
+    held = shared.replace(m_hat_complete=None)
 
     def split(k: int, of: BatchValidationInput = inp) -> BatchValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
+    halves = DeltaBudget.equal_split(delta.delta, 2).parts
+    two_terms = cache(lambda: _two_terms(inp, halves))
     reports = [
         holdout_batch_recall(split(1, holdout), held),
-        holdout_batch_precision(split(2, holdout), held),
+        holdout_batch_precision(split(2, holdout), held, two_terms),
     ]
     if inp.m_hat_complete is not None:
         reports += [
-            complete_batch_recall(split(2), shared),
-            complete_batch_precision(split(2), shared),
+            complete_batch_recall(split(2), shared, two_terms),
+            complete_batch_precision(split(2), shared, two_terms),
         ]
     return reports
 

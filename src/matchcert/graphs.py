@@ -93,7 +93,7 @@ def _check_node_id(node: str) -> str:
     return node
 
 
-def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+def distinct_sorted(keys: np.ndarray) -> np.ndarray:
     """The distinct values of an int array, ascending: sorted, then repeats
     dropped (np.unique's first call imports numpy.ma, ~15 ms)."""
     keys = np.sort(keys)
@@ -132,7 +132,7 @@ class NodeIndex(NamedTuple):
         orientation and repeat."""
         n = len(ids)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = _distinct_sorted(lo * n + hi)  # one key per distinct edge
+        keys = distinct_sorted(lo * n + hi)  # one key per distinct edge
         lo, hi = np.divmod(keys, n)
         # both directions of every edge as src * n + dst, sorted by (src, dst)
         arcs = np.sort(np.concatenate([keys, hi * n + lo]))
@@ -366,7 +366,7 @@ def make_match_set(
         if y not in iy.pos:
             raise MatchcertError(f"unknown-node: y endpoint {y!r}")
         raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
-    keys = _distinct_sorted(u * ny + v)
+    keys = distinct_sorted(u * ny + v)
     if role is MatchRole.ACTUAL and k_y is not None and keys.size:
         over = np.flatnonzero(np.bincount(keys // ny) > k_y)
         if over.size:

@@ -11,14 +11,21 @@ candidate pairs by highest matched-neighbor count, then lexicographic
 (x, y) node id order.
 
 Percolation runs on each network's int index (``Network.index``: ids in
-sorted order plus CSR adjacency). Each round is array work: gather the
-unmatched neighbours of both sides of every current pair from the CSR,
-form their per-pair products as int64 keys ``x * n_y + y``, count the
-keys with ``np.unique``, keep those at or above the threshold, and rank
-them with ``np.lexsort`` on (-count, key). Because index order is id
-order, the key sorts as (x, y) by id, so the tie-break is the one above.
-Pairs are then accepted greedily in that order, skipping any whose x or
-y was taken earlier in the round. Matches leave the function as the
+sorted order plus CSR adjacency) and keeps a mark table across rounds:
+the live candidate pairs, as sorted int64 keys ``x * n_y + y``, with the
+number of marks each has received. As in Yartseva & Grossglauser's
+percolation graph matching, each matched pair spreads its marks once, in
+the round after it is matched (the seeds in round one): its x's unmatched
+neighbours times its y's, gathered from the CSR and merged into the table
+by one sort. The candidates with at least ``threshold`` marks are ranked
+with ``np.lexsort`` on (-count, key); because index order is id order,
+the key sorts as (x, y) by id, so the tie-break is the one above. Pairs
+are then accepted greedily in that order, skipping any whose x or y was
+taken earlier in the round, and the table drops every candidate with a
+matched end. Each eligible candidate is accepted or loses an end in its
+round, so the table carries only counts below the threshold, and a
+candidate's count is the number of matched pairs that support it, as if
+all were gathered anew each round. Matches leave the function as the
 sorted keys of a MatchSet, the same ``x * n_y + y``.
 """
 
@@ -27,12 +34,20 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import MatchcertError
-from .graphs import MatchRole, MatchSet, NetworkPair, NodeIndex, matches_of
+from .graphs import (
+    MatchRole,
+    MatchSet,
+    NetworkPair,
+    NodeIndex,
+    distinct_sorted,
+    matches_of,
+)
 
 __all__ = [
     "TopDegree",
@@ -241,6 +256,46 @@ def _neighbours(
     return owner[keep], node[keep]
 
 
+def _seed_keys(pair: NetworkPair, start: list[tuple[str, str]]) -> np.ndarray:
+    """The distinct keys of the seed pairs, mapped in one bulk pass.
+
+    Raises for the first seed with a node outside its network
+    (``unknown-node``) or, in self-match mode, with x == y
+    (``identity-pair-forbidden``).
+    """
+    ix, iy = pair.x_net.index, pair.y_net.index
+    n = len(start)
+    xs, ys = zip(*start) if start else ((), ())
+    px = np.fromiter(map(ix.pos.get, xs, repeat(-1)), np.int64, n)
+    py = np.fromiter(map(iy.pos.get, ys, repeat(-1)), np.int64, n)
+    bad = (px < 0) | (py < 0)
+    if pair.self_match_mode:
+        bad |= px == py  # one shared universe: equal positions, equal ids
+    if bad.any():
+        x, y = start[int(np.argmax(bad))]
+        if x not in ix.pos or y not in iy.pos:
+            raise MatchcertError(f"unknown-node: seed pair ({x!r}, {y!r})")
+        raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
+    return distinct_sorted(px * len(iy.ids) + py)
+
+
+def _add_marks(
+    table: np.ndarray, marks: np.ndarray, new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mark table (sorted, distinct keys and their mark counts) with one
+    more mark for each entry of ``new``; the keys stay sorted and distinct."""
+    # with the new keys sorted on their own, a stable sort of the two sorted
+    # runs is a merge
+    keys = np.concatenate([table, np.sort(new)])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    weights = np.concatenate([marks, np.ones(new.size, dtype=np.int64)])[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    at = np.flatnonzero(first)
+    return keys[at], np.add.reduceat(weights, at)
+
+
 def _percolate(
     pair: NetworkPair,
     start: Iterable[tuple[str, str]],
@@ -250,26 +305,23 @@ def _percolate(
     """The sorted keys of the pairs percolation ends with."""
     ix, iy = pair.x_net.index, pair.y_net.index
     ny = len(iy.ids)
-    keys = []
-    for x, y in start:
-        if x not in ix.pos or y not in iy.pos:
-            raise MatchcertError(f"unknown-node: seed pair ({x!r}, {y!r})")
-        if pair.self_match_mode and x == y:
-            raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
-        keys.append(ix.pos[x] * ny + iy.pos[y])
-    current = np.array(sorted(set(keys)), dtype=np.int64)
-    cur_x, cur_y = np.divmod(current, ny)
+    new = _seed_keys(pair, list(start))
+    new_x, new_y = np.divmod(new, ny)
     matched_x = np.zeros(len(ix.ids), dtype=bool)
     matched_y = np.zeros(ny, dtype=bool)
-    matched_x[cur_x] = True
-    matched_y[cur_y] = True
+    matched_x[new_x] = True
+    matched_y[new_y] = True
+    accepted = [new]
+    # the live candidates (both ends unmatched) and their marks so far
+    table = np.zeros(0, dtype=np.int64)
+    marks = np.zeros(0, dtype=np.int64)
 
     for _ in range(max_steps):
-        # every (unmatched neighbour of x, unmatched neighbour of y) over
-        # the current pairs (x, y), once per pair that supports it
-        own_x, nb_x = _neighbours(ix, cur_x, matched_x)
-        own_y, nb_y = _neighbours(iy, cur_y, matched_y)
-        per_y = np.bincount(own_y, minlength=cur_y.size)
+        # each pair (x, y) matched last round, or each seed in round one,
+        # marks every (unmatched neighbour of x, unmatched neighbour of y)
+        own_x, nb_x = _neighbours(ix, new_x, matched_x)
+        own_y, nb_y = _neighbours(iy, new_y, matched_y)
+        per_y = np.bincount(own_y, minlength=new_y.size)
         first_y = np.cumsum(per_y) - per_y
         reps = per_y[own_x]
         cand_x = np.repeat(nb_x, reps)
@@ -277,9 +329,9 @@ def _percolate(
         if pair.self_match_mode:
             keep = cand_x != cand_y
             cand_x, cand_y = cand_x[keep], cand_y[keep]
-        cand, counts = np.unique(cand_x * ny + cand_y, return_counts=True)
-        eligible = counts >= threshold
-        cand, counts = cand[eligible], counts[eligible]
+        table, marks = _add_marks(table, marks, cand_x * ny + cand_y)
+        eligible = marks >= threshold
+        cand, counts = table[eligible], marks[eligible]
         # highest count first, ties by (x, y) id order: the key x * ny + y
         # sorts as (x, y), and index order is id order
         ranked = cand[np.lexsort((cand, -counts))]
@@ -299,10 +351,15 @@ def _percolate(
         new_x, new_y = np.divmod(new, ny)
         matched_x[new_x] = True
         matched_y[new_y] = True
-        cur_x = np.concatenate([cur_x, new_x])
-        cur_y = np.concatenate([cur_y, new_y])
+        accepted.append(new)
+        # drop the candidates with a matched end; every eligible one is
+        # among them (accepted, or it lost an end to a pair ranked above
+        # it), so the table keeps only counts below the threshold
+        tx, ty = np.divmod(table, ny)
+        live = ~(matched_x[tx] | matched_y[ty])
+        table, marks = table[live], marks[live]
     # distinct: the seed keys are, and every later pair has a new x and y
-    return np.sort(cur_x * ny + cur_y)
+    return np.sort(np.concatenate(accepted))
 
 
 def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:

@@ -23,10 +23,12 @@ the per-x mappings it returns, which hold the sampled nodes (s_x and s_x')
 only, found by binary search on the match sets' keys. When the complete
 matcher computes the same function as the holdout one, its mapping is the
 holdout mapping itself and the complete matcher never runs. Each
-certificate takes two optional arguments that :func:`query_reports`
-computes once for all its certificates: ``shared``, the encoded digest
-payload fields, and ``views``, the output of ``_views``; a certificate
-called on its own computes both itself.
+certificate takes optional arguments that :func:`query_reports` computes
+once for all its certificates: ``shared``, the digest payload, which is
+encoded only when a report's digest is first read; ``views``, the output
+of ``_views``; and, for the certificates with a holdout precision or
+recall term, ``values``, the p(x) and r(x) lists over the verified nodes.
+A certificate called on its own computes them itself.
 
 The truth oracles read keys too: numpy set arithmetic over the sorted
 keys, with per-node rates from ``np.bincount`` and means by ``math.fsum``.
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair, matches_of
 from .matchers import MatcherHandle, run_batch
-from .reports import ValidationReport, build_report, encode_fields
+from .reports import Payload, ValidationReport, build_report
 
 __all__ = [
     "PerNodeStats",
@@ -78,6 +80,7 @@ EMPTY: frozenset[str] = frozenset()
 
 Views = Mapping[str, frozenset[str]]  # x -> its identified matches
 ViewPair = tuple[Views, Views | None]  # (holdout, complete): see _views
+NodeValues = dict[str, list[float]]  # p(x) or r(x) values: see _node_values
 
 
 def single_node_precision(m_hat: frozenset, actual: frozenset) -> float | None:
@@ -193,61 +196,70 @@ def _views(inp: QueryValidationInput) -> ViewPair:
     return hv, matches_of(run_batch(inp.complete, inp.pair), inp.pair, nodes)
 
 
-def _inputs(inp: QueryValidationInput) -> dict[str, str]:
-    """``inp``'s digest payload, each field encoded, but the deltas, which
-    build_report adds: the part the certificates of one :func:`query_reports`
-    call share."""
-    return encode_fields({
-        "n_x": inp.n_x,
-        "s_x": sorted(inp.s_x),
-        "s_x_prime": sorted(inp.s_x_prime),
-        "method": inp.method.value,
-        "k_cap": inp.k_cap,
-        "holdout": inp.holdout.config.to_json_dict(),
-        "complete": inp.complete.config.to_json_dict() if inp.complete else None,
+def _payload(inp: QueryValidationInput) -> Payload:
+    """``inp``'s digest payload but the deltas, which build_report adds: the
+    part the certificates of one :func:`query_reports` call share. It holds
+    the matchers' configs, not the handles and the networks."""
+    s_x, s_x_prime = inp.s_x, inp.s_x_prime
+    holdout = inp.holdout.config
+    complete = inp.complete.config if inp.complete else None
+    scalars = {"n_x": inp.n_x, "method": inp.method.value, "k_cap": inp.k_cap}
+    return Payload(lambda: {
+        **scalars,
+        "s_x": sorted(s_x),
+        "s_x_prime": sorted(s_x_prime),
+        "holdout": holdout.to_json_dict(),
+        "complete": complete.to_json_dict() if complete else None,
     })
 
 
-def _holdout_term(
-    inp: QueryValidationInput,
-    hv: Views,
-    stat: Callable[[frozenset, frozenset], float | None],
-    delta: Confidence,
-) -> tuple[float, str, int]:
-    """Lower-bound the mean of ``stat`` (single_node_precision or
-    single_node_recall of the holdout matcher) over the verified nodes
-    where it is defined; returns (bound, method used, usable nodes)."""
-    values = []
+def _node_values(inp: QueryValidationInput, hv: Views) -> NodeValues:
+    """The holdout matcher's p(x) and r(x) over the verified nodes where
+    each is defined, by quantity."""
+    values: NodeValues = {"precision": [], "recall": []}
     for x in inp.s_x:
-        value = stat(hv.get(x, EMPTY), inp.actual_for[x])
-        if value is not None:
-            values.append(value)
-    if not values:
-        side = "identified" if stat is single_node_precision else "actual"
+        h, actual = hv.get(x, EMPTY), inp.actual_for[x]
+        p, r = single_node_precision(h, actual), single_node_recall(h, actual)
+        if p is not None:
+            values["precision"].append(p)
+        if r is not None:
+            values["recall"].append(r)
+    return values
+
+
+def _holdout_term(
+    inp: QueryValidationInput, values: NodeValues, quantity: str, delta: Confidence
+) -> tuple[float, str, int]:
+    """Lower-bound the mean of p(x) or r(x) (``quantity`` precision or
+    recall) over the verified nodes where it is defined; returns (bound,
+    method used, usable nodes)."""
+    sample = values[quantity]
+    if not sample:
+        side = "identified" if quantity == "precision" else "actual"
         raise MatchcertError(f"no-usable-sample: no sampled node has {side} matches")
-    lb, used = bound_term(inp.n_x, values, inp.method, delta, "lower")
-    return lb, used, len(values)
+    lb, used = bound_term(inp.n_x, sample, inp.method, delta, "lower")
+    return lb, used, len(sample)
 
 
 def holdout_query_bounds(
     inp: QueryValidationInput,
-    shared: Mapping[str, str] | None = None,
+    shared: Payload | None = None,
     views: ViewPair | None = None,
+    values: NodeValues | None = None,
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at the budget's
     single delta (combine with union_confidence to hold both jointly)."""
     (delta,) = inp.budget.parts_for(1)
     hv, _ = views or _views(inp)
+    values = values or _node_values(inp, hv)
     reports = []
-    for quantity, stat in (
-        ("precision", single_node_precision), ("recall", single_node_recall)
-    ):
-        lb, used, n = _holdout_term(inp, hv, stat, delta)
+    for quantity in ("precision", "recall"):
+        lb, used, n = _holdout_term(inp, values, quantity, delta)
         reports.append(
             build_report(
                 f"holdout-query-{quantity}",
                 inp.budget,
-                shared or _inputs(inp),
+                shared or _payload(inp),
                 {f"{quantity}_term": lb, "usable_nodes": float(n)},
                 {f"{quantity}_term": used},
                 lb,
@@ -264,8 +276,9 @@ def _require_complete(inp: QueryValidationInput) -> None:
 
 def complete_query_recall(
     inp: QueryValidationInput,
-    shared: Mapping[str, str] | None = None,
+    shared: Payload | None = None,
     views: ViewPair | None = None,
+    values: NodeValues | None = None,
 ) -> ValidationReport:
     """Holdout recall minus the disagreement rate rescaled by the matched
     fraction of X; reduces exactly to the holdout certificate when the
@@ -273,7 +286,8 @@ def complete_query_recall(
     d_r, d_x, d_frac = inp.budget.parts_for(3)
     _require_complete(inp)
     hv, cv = views or _views(inp)
-    r_lb, r_used, r_n = _holdout_term(inp, hv, single_node_recall, d_r)
+    values = values or _node_values(inp, hv)
+    r_lb, r_used, r_n = _holdout_term(inp, values, "recall", d_r)
     terms = {"recall_term": r_lb, "disagreement_term": 0.0, "usable_nodes": float(r_n)}
     methods = {"recall_term": r_used}
     value, denominator, flags = r_lb, None, ("reduced-to-holdout",)
@@ -295,7 +309,7 @@ def complete_query_recall(
     return build_report(
         "complete-query-recall",
         inp.budget,
-        shared or _inputs(inp),
+        shared or _payload(inp),
         terms,
         methods,
         value,
@@ -306,8 +320,9 @@ def complete_query_recall(
 
 def complete_query_precision(
     inp: QueryValidationInput,
-    shared: Mapping[str, str] | None = None,
+    shared: Payload | None = None,
     views: ViewPair | None = None,
+    values: NodeValues | None = None,
 ) -> ValidationReport:
     """[lower(holdout-matched fraction) * lower(holdout precision) -
     upper(d_p mean)] / upper(complete-matched fraction).
@@ -320,8 +335,9 @@ def complete_query_precision(
     d1, d2, d3, d4 = inp.budget.parts_for(4)
     _require_complete(inp)
     hv, cv = views or _views(inp)
+    values = values or _node_values(inp, hv)
 
-    p_lb, p_used, p_n = _holdout_term(inp, hv, single_node_precision, d2)
+    p_lb, p_used, p_n = _holdout_term(inp, values, "precision", d2)
     h_ind = [1.0 if x in hv else 0.0 for x in inp.s_x_prime]
     h_frac_lb, h_frac_used = bound_term(inp.n_x, h_ind, inp.method, d1, "lower")
     c_ind = [1.0 if x in cv else 0.0 for x in inp.s_x_prime]
@@ -360,7 +376,7 @@ def complete_query_precision(
     return build_report(
         "complete-query-precision",
         inp.budget,
-        shared or _inputs(inp),
+        shared or _payload(inp),
         terms,
         methods,
         lambda: (h_frac_lb * p_lb - dp_ub) / c_frac_ub,
@@ -371,7 +387,7 @@ def complete_query_precision(
 
 def error_rate_bounds(
     inp: QueryValidationInput,
-    shared: Mapping[str, str] | None = None,
+    shared: Payload | None = None,
     views: ViewPair | None = None,
 ) -> ValidationReport:
     """Upper-bound the mean single-node error over X.
@@ -405,7 +421,7 @@ def error_rate_bounds(
     return build_report(
         f"{variant}-query-error-rate",
         inp.budget,
-        shared or _inputs(inp),
+        shared or _payload(inp),
         terms,
         methods,
         w_ub + terms.get("disagreement_term", 0.0),
@@ -421,19 +437,22 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     ``inp.budget`` holds one delta; each certificate spends it split
     equally over its own terms, so the reports hold jointly at the union
     bound of their budgets. The holdout certificates see the input without
-    the complete matcher. The digest payload fields the certificates share
-    are encoded, and the views computed, once for all of them.
+    the complete matcher. The digest payload, the views and the p(x) and
+    r(x) value lists are computed once for all the certificates.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, complete=None)
-    shared = _inputs(inp)
-    held = {**shared, **encode_fields({"complete": None})}
+    shared = _payload(inp)
+    held = shared.replace(complete=None)
     hv, cv = views = _views(inp)
+    values = _node_values(inp, hv)
 
     def split(k: int, of: QueryValidationInput = inp) -> QueryValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
-    precision, recall = holdout_query_bounds(split(1, holdout), held, (hv, None))
+    precision, recall = holdout_query_bounds(
+        split(1, holdout), held, (hv, None), values
+    )
     reports = [
         precision,
         recall,
@@ -441,8 +460,8 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     ]
     if inp.complete is not None:
         reports += [
-            complete_query_recall(split(3), shared, views),
-            complete_query_precision(split(4), shared, views),
+            complete_query_recall(split(3), shared, views, values),
+            complete_query_precision(split(4), shared, views, values),
             error_rate_bounds(split(2), shared, views),
         ]
     return reports

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .bounds import DeltaBudget, union_confidence
 
 __all__ = [
+    "Payload",
     "ValidationReport",
     "SimultaneousReport",
     "build_report",
@@ -48,7 +50,40 @@ def digest_of(payload, encoded: Mapping[str, str] | None = None) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+class Payload:
+    """A certificate input's digest payload, built and encoded on first use.
+
+    ``build`` returns the payload's fields; it runs at most once, when the
+    first report built from this payload has its ``inputs_digest`` read,
+    and all those reports share the encoding. ``build`` should close over
+    the input's fields rather than the input, so that a report does not
+    keep the input's networks alive.
+    """
+
+    def __init__(self, build: Callable[[], Mapping], base: "Payload | None" = None):
+        self._build: Callable[[], Mapping] | None = build
+        self._base = base
+        self._encoded: dict[str, str] | None = None
+
+    def encoded(self) -> dict[str, str]:
+        """Each field as its JSON text (see :func:`encode_fields`)."""
+        if self._encoded is None:
+            own = encode_fields(self._build())
+            self._encoded = {**self._base.encoded(), **own} if self._base else own
+            self._build = self._base = None
+        return self._encoded
+
+    def __getstate__(self) -> dict:
+        # a pickled report carries its encoded payload, not the closure
+        return {"_build": None, "_base": None, "_encoded": self.encoded()}
+
+    def replace(self, **values) -> "Payload":
+        """This payload with the fields in ``values`` set to them; it shares
+        this one's encoding."""
+        return Payload(lambda: values, self)
+
+
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
     """One certified bound with its failure-probability budget.
 
@@ -57,6 +92,11 @@ class ValidationReport:
     intermediate bounds the final value was assembled from, and
     ``term_methods`` the bound family actually used per term (a term may
     be downgraded, e.g. when the exact method is inapplicable to it).
+
+    ``inputs_digest`` hashes the bound id, the budget's deltas and
+    ``payload``. It is computed when first read, so a caller that never
+    reads it (a coverage trial) never encodes the inputs. Reports compare
+    equal when their fields and their digests do.
     """
 
     bound_id: str
@@ -69,7 +109,25 @@ class ValidationReport:
     terms: Mapping[str, float] = field(default_factory=dict)
     term_methods: Mapping[str, str] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
-    inputs_digest: str = ""
+    payload: Payload | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def inputs_digest(self) -> str:
+        if self.payload is None:
+            return ""
+        return digest_of(
+            {"bound_id": self.bound_id, "deltas": [p.delta for p in self.budget.parts]},
+            self.payload.encoded(),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ValidationReport):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def _compared(self) -> tuple:
+        own = tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+        return (*own, self.inputs_digest)
 
     @property
     def delta_total(self) -> float:
@@ -104,7 +162,7 @@ class ValidationReport:
 def build_report(
     bound_id: str,
     budget: DeltaBudget,
-    inputs: Mapping[str, str],
+    inputs: Payload,
     terms: Mapping[str, float],
     term_methods: Mapping[str, str],
     value: float | Callable[[], float],
@@ -119,8 +177,8 @@ def build_report(
     as a function that divides by it: when the denominator is at most 0
     the value is never computed, and the report carries 0 and the
     vacuous-denominator flag instead. ``inputs``, the certificate's input
-    fields encoded by :func:`encode_fields`, is hashed with the bound id
-    and the budget's deltas into ``inputs_digest``.
+    payload, is hashed with the bound id and the budget's deltas into the
+    report's ``inputs_digest`` when that is first read, not here.
     """
     variant, mode, quantity = bound_id.split("-", 2)
     if denominator is not None:
@@ -142,9 +200,7 @@ def build_report(
         terms=terms,
         term_methods=term_methods,
         flags=flags,
-        inputs_digest=digest_of(
-            {"bound_id": bound_id, "deltas": [p.delta for p in budget.parts]}, inputs
-        ),
+        payload=inputs,
     )
 
 

@@ -1,5 +1,8 @@
+import gc
 import math
-from dataclasses import replace
+import pickle
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,7 +23,7 @@ from matchcert.bounds import (
 )
 from matchcert.errors import MatchcertError
 from matchcert.graphs import MatchRole, by_x, make_match_set
-from matchcert.reports import digest_of
+from matchcert.reports import ValidationReport, digest_of
 from matchcert.sampling import sample_without_replacement
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 
@@ -388,6 +391,141 @@ class TestBatchReports:
             assert r.inputs_digest == digest_of({"bound_id": r.bound_id, **inputs})
         alone = holdout_batch_recall(replace(inp, m_hat_complete=None))
         assert alone.inputs_digest == reports[0].inputs_digest
+
+
+def complete_world_input(pair, truth, **kw):
+    """A batch input with a complete set that differs from the holdout one."""
+    m_hat_h = make_match_set(
+        sorted(truth.pairs)[::2], pair, MatchRole.IDENTIFIED_HOLDOUT
+    )
+    m_hat_c = make_match_set(sorted(truth.pairs)[::3], pair, MatchRole.IDENTIFIED)
+    s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
+    s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
+    return base_input(
+        pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.05),
+        m_hat_complete=m_hat_c, **kw,
+    )
+
+
+def assert_same_reports(got, want):
+    """Equal reports, field by field and by the digest."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in fields(ValidationReport):
+            if f.compare:
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+        assert a.inputs_digest == b.inputs_digest
+        assert a == b
+
+
+class TestSharedTerms:
+    def test_each_certificate_alone_equals_its_report(self, world):
+        inp = complete_world_input(*world)
+        holdout = replace(inp, m_hat_complete=None)
+
+        def split(k, of=inp):
+            return replace(of, budget=DeltaBudget.equal_split(0.05, k))
+
+        alone = [
+            holdout_batch_recall(split(1, holdout)),
+            holdout_batch_precision(split(2, holdout)),
+            complete_batch_recall(split(2)),
+            complete_batch_precision(split(2)),
+        ]
+        assert_same_reports(batch_reports(inp), alone)
+
+    def test_recall_and_density_terms_computed_once(self, world, monkeypatch):
+        import matchcert.batch as batch
+
+        calls = []
+        for name in ("_recall_term", "_density_term"):
+            def counting(inp, delta, term=getattr(batch, name), name=name):
+                calls.append((name, delta.delta))
+                return term(inp, delta)
+
+            monkeypatch.setattr(batch, name, counting)
+        batch_reports(complete_world_input(*world))
+        # holdout recall spends all of delta; the three two-term
+        # certificates share one recall and one density term at delta / 2
+        assert sorted(calls) == [
+            ("_density_term", 0.025), ("_recall_term", 0.025), ("_recall_term", 0.05)
+        ]
+
+    def test_error_precedence_unchanged(self, world):
+        pair, truth = world
+        empty = make_match_set([], pair, MatchRole.IDENTIFIED_HOLDOUT)
+        inp = complete_world_input(pair, truth)
+        for bad_s_x, error in (((), "empty-sample"), (("x0", "nope"), "missing-actual")):
+            bad = replace(inp, s_x=bad_s_x)
+            with pytest.raises(MatchcertError, match=error):
+                batch_reports(bad)
+            # an empty holdout set is reported before the bad s_x, as
+            # holdout_batch_precision alone reports it
+            for no_matches in (
+                replace(bad, m_hat_holdout=empty),
+                replace(bad, m_hat_holdout=empty, m_hat_complete=None),
+            ):
+                with pytest.raises(MatchcertError, match="no-identified-matches"):
+                    batch_reports(no_matches)
+
+
+class TestDeferredDigest:
+    @staticmethod
+    def reports_and_payload():
+        """Reports of a fresh world, the full payload of each report's
+        digest, and a weakref to the world's NetworkPair; the world and
+        the input are dropped on return."""
+        cfg = GeneratorConfig(
+            n_entities=120, base_model=ErdosRenyi(0.04), node_drop_x=0.1,
+            node_drop_y=0.1, rng_seed=7,
+        )
+        pair, truth = generate_pair(cfg)
+        inp = complete_world_input(pair, truth)
+        reports = batch_reports(inp)
+        payloads = []
+        for r in reports:
+            complete = inp.m_hat_complete if r.variant == "complete" else None
+            payloads.append({
+                "bound_id": r.bound_id,
+                "n_x": len(pair.x_net.nodes),
+                "m_hat_holdout": sorted(map(list, inp.m_hat_holdout.pairs)),
+                "m_hat_complete": (
+                    sorted(map(list, complete.pairs)) if complete else None
+                ),
+                "s_m": sorted(map(list, inp.s_m)),
+                "s_x": sorted(inp.s_x),
+                "k_y": 1,
+                "method": HG.value,
+                "deltas": [p.delta for p in r.budget.parts],
+                "m_size": len(truth.pairs),
+                "m_size_upper": None,
+            })
+        return reports, payloads, weakref.ref(pair)
+
+    def test_digest_read_after_the_input_is_gone(self):
+        reports, payloads, pair_ref = self.reports_and_payload()
+        gc.collect()
+        assert pair_ref() is None  # the reports do not keep the networks
+        assert "inputs_digest" not in vars(reports[0])  # not computed yet
+        for r, payload in zip(reports, payloads):
+            assert r.inputs_digest == digest_of(payload)
+            assert r.to_json_dict()["inputs_digest"] == r.inputs_digest
+
+    def test_pickled_reports_keep_their_digests(self, world):
+        reports = batch_reports(complete_world_input(*world))
+        copies = pickle.loads(pickle.dumps(reports))
+        assert [r.inputs_digest for r in copies] == [r.inputs_digest for r in reports]
+        assert copies == reports
+
+    def test_reports_differing_only_in_inputs_are_unequal(self, world):
+        inp = complete_world_input(*world)
+        # m_size_upper is ignored when m_size is given, but it is an input
+        other = replace(inp, m_size_upper=10 * len(world[1].pairs))
+        for a, b in zip(batch_reports(inp), batch_reports(other)):
+            assert a.terms == b.terms and a.lower_bound == b.lower_bound
+            assert a.inputs_digest != b.inputs_digest
+            assert a != b
+            assert a == replace(b, payload=a.payload)
 
 
 class TestTrueMetrics:

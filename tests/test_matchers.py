@@ -270,6 +270,111 @@ class TestPercolationMatchesReference:
         assert len(got) > 1.5 * len(seeds)
 
 
+def percolate_rounds(pair, seeds, threshold, rounds=4):
+    """run_batch's pairs after 1..``rounds`` rounds, each checked against
+    the reference loop, with no pair accepted twice."""
+    out = []
+    for max_iters in range(1, rounds + 1):
+        handle = build_matcher(
+            MatcherConfig(
+                "percolation", seeds=tuple(seeds), threshold=threshold,
+                max_iters=max_iters,
+            )
+        )
+        got = run_batch(handle, pair)
+        assert got.pairs == percolate_reference(pair, seeds, threshold, max_iters)
+        assert got.keys.size == len(got.pairs)
+        out.append(got.pairs)
+    return out
+
+
+def union_pair(pair):
+    """Both networks of ``pair`` as one universe, in self-match mode."""
+    net = make_network(
+        sorted(pair.x_net.nodes | pair.y_net.nodes),
+        sorted(pair.x_net.edges | pair.y_net.edges),
+    )
+    return NetworkPair(net, net, self_match_mode=True)
+
+
+class TestMarksAddUpAcrossRounds:
+    """Each matched pair marks its candidates once, in the round after it is
+    matched; a candidate's marks from different rounds add up, and a
+    candidate with a matched end is gone for good."""
+
+    SEEDS = [("xs1", "ys1"), ("xs2", "ys2")]
+
+    @staticmethod
+    def chain():
+        # threshold 2: b (next to both seeds) is matched in round 1, d (next
+        # to s1 and b) in round 2, and c, next to b and d only, gets one
+        # mark from each and is matched in round 3
+        return mirrored_pair(
+            ["s1", "s2", "b", "c", "d"],
+            [("s1", "b"), ("s2", "b"), ("s1", "d"), ("b", "d"), ("b", "c"),
+             ("d", "c")],
+        )
+
+    @staticmethod
+    def stolen():
+        # threshold 2: round 1 gives (xu, yt) one mark (from s1) and matches
+        # xu to yu; p and q are matched in round 2, and in round 3 each is
+        # next to xu and yt. Marks there would give (xu, yt) count 2 and the
+        # win over (xu, yu) by id order, so yt would take a matched x.
+        xs = ["xs1", "xs2", "xu", "xp", "xq"]
+        ys = ["ys1", "ys2", "yu", "yt", "yp", "yq"]
+        x_edges = [("xs1", "xu"), ("xs2", "xu"), ("xs1", "xp"), ("xu", "xp"),
+                   ("xs2", "xq"), ("xu", "xq")]
+        y_edges = [("ys1", "yu"), ("ys2", "yu"), ("ys1", "yt"), ("ys1", "yp"),
+                   ("yu", "yp"), ("ys2", "yq"), ("yu", "yq"), ("yp", "yt"),
+                   ("yq", "yt")]
+        return NetworkPair(make_network(xs, x_edges), make_network(ys, y_edges))
+
+    def test_marks_from_two_rounds_add_up(self):
+        one, two, three, four = percolate_rounds(self.chain(), self.SEEDS, 2)
+        assert one - set(self.SEEDS) == {("xb", "yb")}
+        assert two - one == {("xd", "yd")}
+        assert three - two == {("xc", "yc")}
+        assert four == three
+
+    def test_candidate_with_matched_end_is_not_revived(self):
+        one, two, three, _ = percolate_rounds(self.stolen(), self.SEEDS, 2)
+        assert one - set(self.SEEDS) == {("xu", "yu")}
+        assert two - one == {("xp", "yp"), ("xq", "yq")}
+        assert three == two  # yt stays unmatched
+
+    def test_eligible_candidate_that_loses_an_end_is_dropped(self):
+        # threshold 1: (xl1, yl1) and (xl2, yl1) are both eligible in round
+        # 1; the first takes yl1, and the second must not come back later
+        pair = NetworkPair(
+            make_network(["xc", "xl1", "xl2"], [("xc", "xl1"), ("xc", "xl2")]),
+            make_network(["yc", "yl1"], [("yc", "yl1")]),
+        )
+        one, two = percolate_rounds(pair, [("xc", "yc")], 1, rounds=2)
+        assert one == two == {("xc", "yc"), ("xl1", "yl1")}
+
+    @pytest.mark.parametrize("graph", ["chain", "stolen"])
+    @pytest.mark.parametrize("threshold", [1, 2])
+    def test_one_round_and_self_match_mode(self, graph, threshold):
+        # percolate_rounds starts at max_iters=1; in one universe the same
+        # pairs come out, round by round
+        pair = getattr(self, graph)()
+        rounds = percolate_rounds(pair, self.SEEDS, threshold)
+        assert percolate_rounds(union_pair(pair), self.SEEDS, threshold) == rounds
+
+    def test_first_bad_seed_is_named(self):
+        net = make_network(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        pair = NetworkPair(net, net, self_match_mode=True)
+        for seeds, error in (
+            ((("a", "b"), ("zz", "c"), ("c", "c")), "unknown-node: seed pair ('zz', 'c')"),
+            ((("a", "b"), ("c", "c"), ("a", "zz")), "identity-pair-forbidden: ('c', 'c')"),
+        ):
+            handle = build_matcher(MatcherConfig("percolation", seeds=seeds))
+            with pytest.raises(MatchcertError) as info:
+                run_batch(handle, pair)
+            assert str(info.value) == error
+
+
 class TestQueryMode:
     def test_query_matches_batch_restriction(self):
         cfg = GeneratorConfig(

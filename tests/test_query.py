@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 from oracles import (
@@ -43,7 +45,7 @@ from matchcert.query import (
     true_error_rate,
     true_query_metrics,
 )
-from matchcert.reports import digest_of
+from matchcert.reports import ValidationReport, digest_of
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 
 HG = BoundMethod.HYPERGEOMETRIC
@@ -659,3 +661,88 @@ class TestViewsOnce:
         for view_map, handle in ((hv, inp.holdout), (cv, inp.complete)):
             whole = by_x(run_batch(handle, inp.pair))
             assert view_map == {x: ys for x, ys in whole.items() if x in sampled}
+
+
+def certificates_alone(inp):
+    """Each certificate of query_reports(inp), called on its own."""
+    holdout = replace(inp, complete=None)
+
+    def split(k, of=inp):
+        return replace(of, budget=DeltaBudget.equal_split(0.05, k))
+
+    return [
+        *holdout_query_bounds(split(1, holdout)),
+        error_rate_bounds(split(1, holdout)),
+        complete_query_recall(split(3)),
+        complete_query_precision(split(4)),
+        error_rate_bounds(split(2)),
+    ]
+
+
+class TestSharedQueryInputs:
+    def test_each_certificate_alone_equals_its_report(self):
+        inp = _views_world()
+        reports = query_reports(inp)
+        alone = certificates_alone(inp)
+        assert len(reports) == len(alone) == 6
+        for a, b in zip(reports, alone):
+            for f in fields(ValidationReport):
+                if f.compare:
+                    assert getattr(a, f.name) == getattr(b, f.name), f.name
+            assert a.inputs_digest == b.inputs_digest
+            assert a == b
+
+    def test_node_values_built_once(self, monkeypatch):
+        import matchcert.query as query
+
+        inp = _views_world()
+        calls = []
+        node_values = query._node_values
+
+        def counting(of, hv):
+            calls.append(of)
+            return node_values(of, hv)
+
+        monkeypatch.setattr(query, "_node_values", counting)
+        query_reports(inp)
+        assert len(calls) == 1
+        calls.clear()
+        certificates_alone(inp)
+        assert len(calls) == 3  # holdout bounds, complete recall and precision
+
+    def test_digest_read_after_the_input_is_gone(self):
+        def reports_and_payloads():
+            inp = _views_world()
+            reports = query_reports(inp)
+            payloads = [
+                {
+                    "bound_id": r.bound_id,
+                    "n_x": len(inp.pair.x_net.nodes),
+                    "s_x": sorted(inp.s_x),
+                    "s_x_prime": sorted(inp.s_x_prime),
+                    "method": HOEFF.value,
+                    "deltas": [p.delta for p in r.budget.parts],
+                    "k_cap": 1,
+                    "holdout": inp.holdout.config.to_json_dict(),
+                    "complete": (
+                        inp.complete.config.to_json_dict()
+                        if r.variant == "complete" else None
+                    ),
+                }
+                for r in reports
+            ]
+            return reports, payloads, weakref.ref(inp.pair)
+
+        reports, payloads, pair_ref = reports_and_payloads()
+        gc.collect()
+        assert pair_ref() is None  # nor the handles, which cache the pair
+        for r, payload in zip(reports, payloads):
+            assert r.inputs_digest == digest_of(payload)
+
+    def test_reports_differing_only_in_inputs_are_unequal(self):
+        inp = _views_world()
+        # the holdout certificates never read k_cap, but it is an input
+        mine, theirs = query_reports(inp)[:3], query_reports(replace(inp, k_cap=2))[:3]
+        for a, b in zip(mine, theirs):
+            assert a.terms == b.terms and a.flags == b.flags
+            assert a != b
