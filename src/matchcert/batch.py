@@ -17,11 +17,12 @@ with known actual matches, these functions certify:
 Every certificate consumes an explicit delta budget with one part per
 bound term; the total failure probability is the sum of the parts.
 :func:`batch_reports` runs every certificate an input supports from a
-single delta. Each certificate takes an optional ``shared``: the digest
-payload that batch_reports builds once for all its certificates, and that
-is encoded only when a report's digest is first read. The precision and
-complete certificates also take an optional ``two_terms``: batch_reports
-computes their common recall and match-density terms once for all three.
+single delta. Each certificate takes an optional ``shared`` record, built
+by ``_shared``, that batch_reports builds once for all its certificates:
+the digest payload, and the recall and match-density terms of the
+precision and complete certificates, computed when the first of them
+needs them. The payload's fields are built when a report's digest is
+first read, and the digest hashes them as plain JSON (see :mod:`.reports`).
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -95,9 +96,9 @@ class BatchValidationInput:
 
 
 def _payload(inp: BatchValidationInput) -> Payload:
-    """``inp``'s digest payload but the deltas, which build_report adds: the
-    part the certificates of one :func:`batch_reports` call share. It holds
-    the input's match sets and samples, not the input and its networks."""
+    """``inp``'s digest fields but the bound id and deltas, which each
+    report adds. They hold the input's match sets and samples, not the
+    input and its networks."""
     holdout, complete = inp.m_hat_holdout, inp.m_hat_complete
     s_m, s_x = inp.s_m, inp.s_x
     scalars = {
@@ -115,6 +116,19 @@ def _payload(inp: BatchValidationInput) -> Payload:
         "s_m": sorted(map(list, s_m)),
         "s_x": sorted(s_x),
     })
+
+
+class Shared(NamedTuple):
+    """What the certificates of one input share: its digest payload, and
+    ``two_terms``, which returns the recall and match-density terms and
+    their methods (see ``_two_terms``), computed on its first call."""
+
+    payload: Payload
+    two_terms: Callable[[], tuple[Mapping, Mapping]]
+
+
+def _shared(inp: BatchValidationInput) -> Shared:
+    return Shared(_payload(inp), cache(lambda: _two_terms(inp)))
 
 
 def _recall_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, str]:
@@ -150,20 +164,9 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, 
     )
 
 
-TwoTerms = Callable[[], tuple[dict, dict]]
-
-
-def _two_terms(
-    inp: BatchValidationInput,
-    parts: tuple[Confidence, ...],
-    two_terms: TwoTerms | None = None,
-) -> tuple[dict, dict]:
-    """The recall and match-density terms, on the budget's two parts; a copy
-    of ``two_terms()``'s when given (see :func:`batch_reports`)."""
-    if two_terms is not None:
-        terms, methods = two_terms()
-        return dict(terms), dict(methods)
-    d_recall, d_density = parts
+def _two_terms(inp: BatchValidationInput) -> tuple[dict, dict]:
+    """The recall and match-density terms, on the budget's two parts."""
+    d_recall, d_density = inp.budget.parts_for(2)
     recall_lb, recall_method = _recall_term(inp, d_recall)
     density_lb, density_method = _density_term(inp, d_density)
     terms = {"recall_term": recall_lb, "match_density_term": density_lb}
@@ -178,14 +181,14 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: dict) -> float:
 
 
 def holdout_batch_recall(
-    inp: BatchValidationInput, shared: Payload | None = None
+    inp: BatchValidationInput, shared: Shared | None = None
 ) -> ValidationReport:
     (delta,) = inp.budget.parts_for(1)
     recall_lb, method = _recall_term(inp, delta)
     return build_report(
         "holdout-batch-recall",
         inp.budget,
-        shared or _payload(inp),
+        (shared or _shared(inp)).payload,
         {"recall_term": recall_lb, "sample_size": float(len(inp.s_m))},
         {"recall_term": method},
         recall_lb,
@@ -193,21 +196,20 @@ def holdout_batch_recall(
 
 
 def holdout_batch_precision(
-    inp: BatchValidationInput,
-    shared: Payload | None = None,
-    two_terms: TwoTerms | None = None,
+    inp: BatchValidationInput, shared: Shared | None = None
 ) -> ValidationReport:
-    parts = inp.budget.parts_for(2)
+    inp.budget.parts_for(2)
     identified = inp.m_hat_holdout.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
-    terms, methods = _two_terms(inp, parts, two_terms)
-    terms["identified_count"] = float(identified)
+    shared = shared or _shared(inp)
+    terms, methods = shared.two_terms()
+    terms = {**terms, "identified_count": float(identified)}
     value = _precision_scale(inp.n_x, identified, terms)
     return build_report(
         "holdout-batch-precision",
         inp.budget,
-        shared or _payload(inp),
+        shared.payload,
         terms,
         methods,
         value,
@@ -226,20 +228,19 @@ def _disagreement(inp: BatchValidationInput, m_hat: MatchSet) -> int:
 
 
 def complete_batch_recall(
-    inp: BatchValidationInput,
-    shared: Payload | None = None,
-    two_terms: TwoTerms | None = None,
+    inp: BatchValidationInput, shared: Shared | None = None
 ) -> ValidationReport:
-    parts = inp.budget.parts_for(2)
+    inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
-    terms, methods = _two_terms(inp, parts, two_terms)
+    shared = shared or _shared(inp)
+    terms, methods = shared.two_terms()
     disagreement = _disagreement(inp, m_hat)
-    terms["disagreement_count"] = float(disagreement)
+    terms = {**terms, "disagreement_count": float(disagreement)}
     recall_lb, density_lb = terms["recall_term"], terms["match_density_term"]
     return build_report(
         "complete-batch-recall",
         inp.budget,
-        shared or _payload(inp),
+        shared.payload,
         terms,
         methods,
         lambda: recall_lb - disagreement / (inp.n_x * density_lb),
@@ -248,18 +249,17 @@ def complete_batch_recall(
 
 
 def complete_batch_precision(
-    inp: BatchValidationInput,
-    shared: Payload | None = None,
-    two_terms: TwoTerms | None = None,
+    inp: BatchValidationInput, shared: Shared | None = None
 ) -> ValidationReport:
-    parts = inp.budget.parts_for(2)
+    inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     identified = m_hat.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: complete identified set is empty")
-    terms, methods = _two_terms(inp, parts, two_terms)
+    shared = shared or _shared(inp)
+    terms, methods = shared.two_terms()
     disagreement = _disagreement(inp, m_hat)
-    terms["disagreement_count"] = float(disagreement)
+    terms = {**terms, "disagreement_count": float(disagreement)}
     terms["identified_count"] = float(identified)
     value = (
         _precision_scale(inp.n_x, identified, terms)
@@ -268,7 +268,7 @@ def complete_batch_precision(
     return build_report(
         "complete-batch-precision",
         inp.budget,
-        shared or _payload(inp),
+        shared.payload,
         terms,
         methods,
         value,
@@ -285,26 +285,24 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     the complete set. The three two-term certificates share one recall and
     one match-density term, computed when the first of them needs it, so
     the errors raised and their order are those of the certificates run
-    one by one; all four share one digest payload.
+    one by one.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, m_hat_complete=None)
-    shared = _payload(inp)
-    held = shared.replace(m_hat_complete=None)
 
     def split(k: int, of: BatchValidationInput = inp) -> BatchValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
-    halves = DeltaBudget.equal_split(delta.delta, 2).parts
-    two_terms = cache(lambda: _two_terms(inp, halves))
+    shared = _shared(split(2))
+    held = shared._replace(payload=_payload(holdout))
     reports = [
         holdout_batch_recall(split(1, holdout), held),
-        holdout_batch_precision(split(2, holdout), held, two_terms),
+        holdout_batch_precision(split(2, holdout), held),
     ]
     if inp.m_hat_complete is not None:
         reports += [
-            complete_batch_recall(split(2), shared, two_terms),
-            complete_batch_precision(split(2), shared, two_terms),
+            complete_batch_recall(split(2), shared),
+            complete_batch_precision(split(2), shared),
         ]
     return reports
 

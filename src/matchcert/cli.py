@@ -57,6 +57,17 @@ def _load_pair(args) -> NetworkPair:
     return NetworkPair(x_net, load_network(args.y))
 
 
+def _config(cls, path: str):
+    """``cls`` from the JSON config file at ``path``; a file that is not
+    JSON or does not fit ``cls`` fails with ``invalid-config``."""
+    try:
+        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except MatchcertError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
+        raise MatchcertError(f"invalid-config: {path}: {type(e).__name__}: {e}") from e
+
+
 def _budget(text: str):
     """The one-delta budget that every certificate splits over its terms."""
     from .bounds import DeltaBudget
@@ -98,7 +109,7 @@ def _write_report(args, reports, node_stats=None) -> int:
 def cmd_gen(args) -> int:
     from .synth import GeneratorConfig, generate_pair
 
-    cfg = GeneratorConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _config(GeneratorConfig, args.config)
     if args.seed is not None:
         cfg = GeneratorConfig.from_json_dict(
             {**cfg.to_json_dict(), "rng_seed": args.seed}
@@ -120,10 +131,9 @@ def cmd_gen(args) -> int:
 
 def cmd_match(args) -> int:
     pair = _load_pair(args)
-    config = MatcherConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    config = _config(MatcherConfig, args.config)
     seeds = read_pairs(args.seeds) if args.seeds else []
-    handle = build_matcher(config, training_matches=seeds,
-                           trained_on=("cli-seeds",) if seeds else ())
+    handle = build_matcher(config, training_matches=seeds)
     result = run_batch(handle, pair)
     save_matches(result, args.out)
     print(f"wrote {args.out} ({result.keys.size} identified matches)")
@@ -172,7 +182,7 @@ def cmd_validate_batch(args) -> int:
     from .bounds import BoundMethod
 
     pair = _load_pair(args)
-    m_hat_h = load_matches(args.m_hat_holdout, pair, MatchRole.IDENTIFIED_HOLDOUT)
+    m_hat_h = load_matches(args.m_hat_holdout, pair, MatchRole.IDENTIFIED)
     m_hat_c = (
         load_matches(args.m_hat_complete, pair, MatchRole.IDENTIFIED)
         if args.m_hat_complete
@@ -201,27 +211,20 @@ def cmd_validate_query(args) -> int:
     from .query import QueryValidationInput, compute_node_stats, query_reports
 
     pair = _load_pair(args)
-    holdout_cfg = MatcherConfig.from_json(
-        Path(args.matcher).read_text(encoding="utf-8")
-    )
+    holdout_cfg = _config(MatcherConfig, args.matcher)
     seeds = read_pairs(args.seeds) if args.seeds else []
-    holdout = build_matcher(holdout_cfg, training_matches=seeds,
-                            trained_on=("cli-seeds",) if seeds else ())
+    holdout = build_matcher(holdout_cfg, training_matches=seeds)
     complete = None
     if args.matcher_complete or args.seeds_complete:
         complete_cfg = (
-            MatcherConfig.from_json(
-                Path(args.matcher_complete).read_text(encoding="utf-8")
-            )
+            _config(MatcherConfig, args.matcher_complete)
             if args.matcher_complete
             else holdout_cfg
         )
         complete_seeds = (
             read_pairs(args.seeds_complete) if args.seeds_complete else seeds
         )
-        complete = build_matcher(
-            complete_cfg, training_matches=complete_seeds, holdout=False
-        )
+        complete = build_matcher(complete_cfg, training_matches=complete_seeds)
     s_x = read_items(args.s_x)
     inp = QueryValidationInput(
         pair=pair,
@@ -244,7 +247,7 @@ def cmd_coverage(args) -> int:
 
     from .coverage import ExperimentConfig, run_coverage
 
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _config(ExperimentConfig, args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     table = run_coverage(cfg, jobs=args.jobs)

@@ -112,6 +112,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise MatchcertError(f"invalid-trials: {self.trials}")
+        if not self.methods:
+            raise MatchcertError("invalid-methods: no bound method given")
         if not 0.0 < self.delta_total < 1.0:
             raise MatchcertError(f"invalid-confidence: {self.delta_total}")
 
@@ -147,10 +149,6 @@ class ExperimentConfig:
             seed=int(doc["seed"]),
             delta_total=float(doc.get("delta_total", 0.05)),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -228,22 +226,16 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     found = matches_of(truth, pair, s_x)
     actual_for = {x: found.get(x, frozenset()) for x in s_x}
 
-    holdout = build_matcher(
-        cfg.matcher_holdout, training_matches=train, trained_on=("training-sample",)
-    )
+    holdout = build_matcher(cfg.matcher_holdout, training_matches=train)
     complete_base = (
-        build_matcher(
-            cfg.matcher_complete,
-            training_matches=train,
-            trained_on=("training-sample",),
-        )
+        build_matcher(cfg.matcher_complete, training_matches=train)
         if cfg.matcher_complete is not None
         else holdout
     )
     validation_seeds = list(s_m) + [
         (x, y) for x in s_x for y in sorted(actual_for[x])
     ]
-    complete = with_extra_seeds(complete_base, validation_seeds, ("s_m", "s_x"))
+    complete = with_extra_seeds(complete_base, validation_seeds)
 
     m_hat_h = run_batch(holdout, pair)
     m_hat_c = run_batch(complete, pair)

@@ -1,11 +1,10 @@
 """Networks, match sets, and their TSV serialization.
 
 Two node universes X and Y, undirected edges, flat string attributes per
-node, and sets of x-y pairs playing one of three roles: actual matches,
-identified matches, or identified matches from a holdout matcher. A
-NetworkPair may run in self-match mode (X and Y are the same universe,
-e.g. when matching data fields against each other), in which case identity
-pairs are illegal everywhere.
+node, and sets of x-y pairs playing one of two roles: actual matches or
+identified matches. A NetworkPair may run in self-match mode (X and Y are
+the same universe, e.g. when matching data fields against each other), in
+which case identity pairs are illegal everywhere.
 
 File formats (UTF-8, LF, tab-separated):
 
@@ -61,7 +60,7 @@ from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, NoReturn
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -241,7 +240,6 @@ class NetworkPair:
 class MatchRole(Enum):
     ACTUAL = "actual"
     IDENTIFIED = "identified"
-    IDENTIFIED_HOLDOUT = "identified-holdout"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -320,18 +318,24 @@ class MatchSet:
         return f"MatchSet(pairs={self.pairs!r}, role={self.role!r}, k_y={self.k_y!r})"
 
 
-def pair_keys(pair: NetworkPair, pairs: Iterable[tuple[str, str]]) -> np.ndarray:
+def pair_positions(
+    pair: NetworkPair, pairs: Sequence[tuple[str, str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v): the X position of each x and the Y position of each y of
+    ``pairs``, in order; -1 for an id that is not a node of its network."""
+    xs, ys = zip(*pairs) if pairs else ((), ())
+    u = np.fromiter(map(pair.x_net.index.pos.get, xs, repeat(-1)), np.int64, len(xs))
+    v = np.fromiter(map(pair.y_net.index.pos.get, ys, repeat(-1)), np.int64, len(ys))
+    return u, v
+
+
+def pair_keys(pair: NetworkPair, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
     """The key of each (x, y) of ``pairs`` over ``pair``'s universes, in
     order; -1 where x is not a node of X or y not a node of Y."""
-    xpos, ypos = pair.x_net.index.pos, pair.y_net.index.pos
-    ny = len(pair.y_net.index.ids)
-    return np.array(
-        [
-            xpos[x] * ny + ypos[y] if x in xpos and y in ypos else -1
-            for x, y in pairs
-        ],
-        dtype=np.int64,
-    )
+    u, v = pair_positions(pair, pairs)
+    keys = u * len(pair.y_net.index.ids) + v
+    keys[(u < 0) | (v < 0)] = -1
+    return keys
 
 
 def make_match_set(
@@ -350,12 +354,7 @@ def make_match_set(
     pairs = list(pairs)
     ix, iy = pair.x_net.index, pair.y_net.index
     ny = len(iy.ids)
-    u = np.fromiter(
-        (ix.pos.get(x, -1) for x, _ in pairs), dtype=np.int64, count=len(pairs)
-    )
-    v = np.fromiter(
-        (iy.pos.get(y, -1) for _, y in pairs), dtype=np.int64, count=len(pairs)
-    )
+    u, v = pair_positions(pair, pairs)
     bad = (u < 0) | (v < 0)
     if pair.self_match_mode:
         bad |= u == v  # one shared universe: equal positions, equal ids

@@ -31,10 +31,8 @@ sorted keys of a MatchSet, the same ``x * n_y + y``.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -47,6 +45,7 @@ from .graphs import (
     NodeIndex,
     distinct_sorted,
     matches_of,
+    pair_positions,
 )
 
 __all__ = [
@@ -120,24 +119,17 @@ class MatcherConfig:
             max_iters=int(doc.get("max_iters", 25)),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "MatcherConfig":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass
 class MatcherHandle:
-    """A matcher plus the provenance of what it saw during construction.
+    """A matcher config plus the training pairs it is seeded with.
 
-    A handle marked holdout lists no validation samples in ``trained_on``;
-    a complete handle is a holdout handle whose seeds were augmented with
+    A complete handle is a holdout handle whose seeds were augmented with
     validation data (see :func:`with_extra_seeds`).
     """
 
     config: MatcherConfig
     training_matches: tuple[tuple[str, str], ...] = ()
-    trained_on: tuple[str, ...] = ()
-    holdout: bool = True
     _queries: int = field(default=0, repr=False)
     _cache_pair: NetworkPair | None = field(default=None, repr=False)
     _cache_result: MatchSet | None = field(default=None, repr=False)
@@ -158,34 +150,22 @@ class MatcherHandle:
 
 
 def build_matcher(
-    config: MatcherConfig,
-    training_matches: Iterable[tuple[str, str]] = (),
-    trained_on: Iterable[str] = (),
-    holdout: bool = True,
+    config: MatcherConfig, training_matches: Iterable[tuple[str, str]] = ()
 ) -> MatcherHandle:
-    return MatcherHandle(
-        config=config,
-        training_matches=tuple(training_matches),
-        trained_on=tuple(trained_on),
-        holdout=holdout,
-    )
+    return MatcherHandle(config=config, training_matches=tuple(training_matches))
 
 
 def with_extra_seeds(
-    handle: MatcherHandle,
-    extra_pairs: Iterable[tuple[str, str]],
-    labels: Iterable[str],
+    handle: MatcherHandle, extra_pairs: Iterable[tuple[str, str]]
 ) -> MatcherHandle:
     """Derive a complete matcher by feeding validation data in as seeds.
 
     The result is no longer a holdout matcher: its output depends on the
-    samples listed in ``labels``.
+    validation samples in ``extra_pairs``.
     """
     return MatcherHandle(
         config=handle.config,
         training_matches=tuple(handle.training_matches) + tuple(extra_pairs),
-        trained_on=tuple(handle.trained_on) + tuple(labels),
-        holdout=False,
     )
 
 
@@ -264,10 +244,7 @@ def _seed_keys(pair: NetworkPair, start: list[tuple[str, str]]) -> np.ndarray:
     (``identity-pair-forbidden``).
     """
     ix, iy = pair.x_net.index, pair.y_net.index
-    n = len(start)
-    xs, ys = zip(*start) if start else ((), ())
-    px = np.fromiter(map(ix.pos.get, xs, repeat(-1)), np.int64, n)
-    py = np.fromiter(map(iy.pos.get, ys, repeat(-1)), np.int64, n)
+    px, py = pair_positions(pair, start)
     bad = (px < 0) | (py < 0)
     if pair.self_match_mode:
         bad |= px == py  # one shared universe: equal positions, equal ids
@@ -372,11 +349,11 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
     else:
         seeds = _resolve_seeds(handle, pair)
         keys = _percolate(pair, seeds, cfg.threshold, cfg.max_iters)
-    role = MatchRole.IDENTIFIED_HOLDOUT if handle.holdout else MatchRole.IDENTIFIED
     # both matchers pair nodes of the two networks and never an identity
     # pair in self-match mode (_percolate checks the seeds), so the set
     # needs none of make_match_set's checks
-    result = MatchSet(pair.x_net.index.ids, pair.y_net.index.ids, keys, role)
+    x_ids, y_ids = pair.x_net.index.ids, pair.y_net.index.ids
+    result = MatchSet(x_ids, y_ids, keys, MatchRole.IDENTIFIED)
     handle._cache_pair = pair
     handle._cache_result = result
     return result

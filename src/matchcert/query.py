@@ -23,12 +23,12 @@ the per-x mappings it returns, which hold the sampled nodes (s_x and s_x')
 only, found by binary search on the match sets' keys. When the complete
 matcher computes the same function as the holdout one, its mapping is the
 holdout mapping itself and the complete matcher never runs. Each
-certificate takes optional arguments that :func:`query_reports` computes
-once for all its certificates: ``shared``, the digest payload, which is
-encoded only when a report's digest is first read; ``views``, the output
-of ``_views``; and, for the certificates with a holdout precision or
-recall term, ``values``, the p(x) and r(x) lists over the verified nodes.
-A certificate called on its own computes them itself.
+certificate takes an optional ``shared`` record, built by ``_shared``, that
+:func:`query_reports` builds once for all its certificates: the digest
+payload, the two mappings of ``_views``, and the p(x) and r(x) lists over
+the verified nodes. A certificate called on its own builds the record
+itself. The payload's fields are built when a report's digest is first
+read, and the digest hashes them as plain JSON (see :mod:`.reports`).
 
 The truth oracles read keys too: numpy set arithmetic over the sorted
 keys, with per-node rates from ``np.bincount`` and means by ``math.fsum``.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -79,7 +79,6 @@ DP_DEFAULT_RANGE = (-1.0, 2.0)
 EMPTY: frozenset[str] = frozenset()
 
 Views = Mapping[str, frozenset[str]]  # x -> its identified matches
-ViewPair = tuple[Views, Views | None]  # (holdout, complete): see _views
 NodeValues = dict[str, list[float]]  # p(x) or r(x) values: see _node_values
 
 
@@ -165,7 +164,7 @@ class QueryValidationInput:
         return len(self.pair.x_net.index.ids)
 
 
-def _views(inp: QueryValidationInput) -> ViewPair:
+def _views(inp: QueryValidationInput) -> tuple[Views, Views | None]:
     """(hv, cv): the holdout and complete matchers' identified matches per
     sampled node (of s_x and s_x'); a node without identified matches is
     absent.
@@ -197,9 +196,9 @@ def _views(inp: QueryValidationInput) -> ViewPair:
 
 
 def _payload(inp: QueryValidationInput) -> Payload:
-    """``inp``'s digest payload but the deltas, which build_report adds: the
-    part the certificates of one :func:`query_reports` call share. It holds
-    the matchers' configs, not the handles and the networks."""
+    """``inp``'s digest fields but the bound id and deltas, which each
+    report adds. They hold the matchers' configs, not the handles and the
+    networks."""
     s_x, s_x_prime = inp.s_x, inp.s_x_prime
     holdout = inp.holdout.config
     complete = inp.complete.config if inp.complete else None
@@ -227,6 +226,22 @@ def _node_values(inp: QueryValidationInput, hv: Views) -> NodeValues:
     return values
 
 
+class Shared(NamedTuple):
+    """What the certificates of one input share: its digest payload, the
+    holdout and complete views (``hv``, ``cv``: see ``_views``) and the
+    holdout matcher's p(x) and r(x) lists (see ``_node_values``)."""
+
+    payload: Payload
+    hv: Views
+    cv: Views | None
+    values: NodeValues
+
+
+def _shared(inp: QueryValidationInput) -> Shared:
+    hv, cv = _views(inp)
+    return Shared(_payload(inp), hv, cv, _node_values(inp, hv))
+
+
 def _holdout_term(
     inp: QueryValidationInput, values: NodeValues, quantity: str, delta: Confidence
 ) -> tuple[float, str, int]:
@@ -242,16 +257,12 @@ def _holdout_term(
 
 
 def holdout_query_bounds(
-    inp: QueryValidationInput,
-    shared: Payload | None = None,
-    views: ViewPair | None = None,
-    values: NodeValues | None = None,
+    inp: QueryValidationInput, shared: Shared | None = None
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at the budget's
     single delta (combine with union_confidence to hold both jointly)."""
     (delta,) = inp.budget.parts_for(1)
-    hv, _ = views or _views(inp)
-    values = values or _node_values(inp, hv)
+    payload, _, _, values = shared or _shared(inp)
     reports = []
     for quantity in ("precision", "recall"):
         lb, used, n = _holdout_term(inp, values, quantity, delta)
@@ -259,7 +270,7 @@ def holdout_query_bounds(
             build_report(
                 f"holdout-query-{quantity}",
                 inp.budget,
-                shared or _payload(inp),
+                payload,
                 {f"{quantity}_term": lb, "usable_nodes": float(n)},
                 {f"{quantity}_term": used},
                 lb,
@@ -275,18 +286,14 @@ def _require_complete(inp: QueryValidationInput) -> None:
 
 
 def complete_query_recall(
-    inp: QueryValidationInput,
-    shared: Payload | None = None,
-    views: ViewPair | None = None,
-    values: NodeValues | None = None,
+    inp: QueryValidationInput, shared: Shared | None = None
 ) -> ValidationReport:
     """Holdout recall minus the disagreement rate rescaled by the matched
     fraction of X; reduces exactly to the holdout certificate when the
     complete matcher is the same function as the holdout one."""
     d_r, d_x, d_frac = inp.budget.parts_for(3)
     _require_complete(inp)
-    hv, cv = views or _views(inp)
-    values = values or _node_values(inp, hv)
+    payload, hv, cv, values = shared or _shared(inp)
     r_lb, r_used, r_n = _holdout_term(inp, values, "recall", d_r)
     terms = {"recall_term": r_lb, "disagreement_term": 0.0, "usable_nodes": float(r_n)}
     methods = {"recall_term": r_used}
@@ -309,7 +316,7 @@ def complete_query_recall(
     return build_report(
         "complete-query-recall",
         inp.budget,
-        shared or _payload(inp),
+        payload,
         terms,
         methods,
         value,
@@ -319,10 +326,7 @@ def complete_query_recall(
 
 
 def complete_query_precision(
-    inp: QueryValidationInput,
-    shared: Payload | None = None,
-    views: ViewPair | None = None,
-    values: NodeValues | None = None,
+    inp: QueryValidationInput, shared: Shared | None = None
 ) -> ValidationReport:
     """[lower(holdout-matched fraction) * lower(holdout precision) -
     upper(d_p mean)] / upper(complete-matched fraction).
@@ -334,8 +338,7 @@ def complete_query_precision(
     """
     d1, d2, d3, d4 = inp.budget.parts_for(4)
     _require_complete(inp)
-    hv, cv = views or _views(inp)
-    values = values or _node_values(inp, hv)
+    payload, hv, cv, values = shared or _shared(inp)
 
     p_lb, p_used, p_n = _holdout_term(inp, values, "precision", d2)
     h_ind = [1.0 if x in hv else 0.0 for x in inp.s_x_prime]
@@ -376,7 +379,7 @@ def complete_query_precision(
     return build_report(
         "complete-query-precision",
         inp.budget,
-        shared or _payload(inp),
+        payload,
         terms,
         methods,
         lambda: (h_frac_lb * p_lb - dp_ub) / c_frac_ub,
@@ -386,9 +389,7 @@ def complete_query_precision(
 
 
 def error_rate_bounds(
-    inp: QueryValidationInput,
-    shared: Payload | None = None,
-    views: ViewPair | None = None,
+    inp: QueryValidationInput, shared: Shared | None = None
 ) -> ValidationReport:
     """Upper-bound the mean single-node error over X.
 
@@ -399,7 +400,7 @@ def error_rate_bounds(
     err or the two matchers to differ.
     """
     parts = inp.budget.parts_for(1 if inp.complete is None else 2)
-    hv, cv = views or _views(inp)
+    payload, hv, cv, _ = shared or _shared(inp)
     w_values = [
         float(single_node_error(hv.get(x, EMPTY), inp.actual_for[x])) for x in inp.s_x
     ]
@@ -421,7 +422,7 @@ def error_rate_bounds(
     return build_report(
         f"{variant}-query-error-rate",
         inp.budget,
-        shared or _payload(inp),
+        payload,
         terms,
         methods,
         w_ub + terms.get("disagreement_term", 0.0),
@@ -437,32 +438,28 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     ``inp.budget`` holds one delta; each certificate spends it split
     equally over its own terms, so the reports hold jointly at the union
     bound of their budgets. The holdout certificates see the input without
-    the complete matcher. The digest payload, the views and the p(x) and
-    r(x) value lists are computed once for all the certificates.
+    the complete matcher. The shared record (the views and the p(x) and
+    r(x) lists) is built once for all the certificates.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, complete=None)
-    shared = _payload(inp)
-    held = shared.replace(complete=None)
-    hv, cv = views = _views(inp)
-    values = _node_values(inp, hv)
+    shared = _shared(inp)
+    held = shared._replace(payload=_payload(holdout), cv=None)
 
     def split(k: int, of: QueryValidationInput = inp) -> QueryValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
-    precision, recall = holdout_query_bounds(
-        split(1, holdout), held, (hv, None), values
-    )
+    precision, recall = holdout_query_bounds(split(1, holdout), held)
     reports = [
         precision,
         recall,
-        error_rate_bounds(split(1, holdout), held, (hv, None)),
+        error_rate_bounds(split(1, holdout), held),
     ]
     if inp.complete is not None:
         reports += [
-            complete_query_recall(split(3), shared, views, values),
-            complete_query_precision(split(4), shared, views, values),
-            error_rate_bounds(split(2), shared, views),
+            complete_query_recall(split(3), shared),
+            complete_query_precision(split(4), shared),
+            error_rate_bounds(split(2), shared),
         ]
     return reports
 

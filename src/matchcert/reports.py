@@ -1,4 +1,9 @@
-"""Validation report structure shared by the batch and query certifiers."""
+"""Validation report structure shared by the batch and query certifiers.
+
+A report's ``inputs_digest`` hashes one plain JSON object: the fields of
+its certificate input's :class:`Payload`, built at most once per payload,
+plus the bound id and the budget's deltas.
+"""
 
 from __future__ import annotations
 
@@ -17,70 +22,39 @@ __all__ = [
     "build_report",
     "combine_reports",
     "digest_of",
-    "encode_fields",
 ]
 
 VACUOUS_DENOMINATOR = "vacuous-denominator"
 
 
-def _encode(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def encode_fields(payload: Mapping) -> dict[str, str]:
-    """Each field of a digest payload as its JSON text, so that payloads
-    sharing a field can encode it once (see :func:`digest_of`)."""
-    return {key: _encode(value) for key, value in payload.items()}
-
-
-def digest_of(payload, encoded: Mapping[str, str] | None = None) -> str:
-    """Short stable content hash of a JSON-serializable payload.
-
-    ``encoded`` holds further fields of a dict payload, already encoded by
-    :func:`encode_fields`: ``digest_of(p, encode_fields(q))`` equals
-    ``digest_of({**p, **q})`` for dicts whose keys differ: the blob is the
-    sorted-key compact JSON either way. ``tests/test_batch.py`` and
-    ``tests/test_query.py`` check this on every report's digest.
-    """
-    if encoded:
-        fields = {**encoded, **encode_fields(payload)}
-        blob = "{" + ",".join(f"{_encode(k)}:{fields[k]}" for k in sorted(fields)) + "}"
-    else:
-        blob = _encode(payload)
+def digest_of(payload) -> str:
+    """Short stable content hash of a JSON-serializable payload: the
+    sha256 of its sorted-key compact JSON."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 class Payload:
-    """A certificate input's digest payload, built and encoded on first use.
+    """A certificate input's digest fields, built on first use.
 
-    ``build`` returns the payload's fields; it runs at most once, when the
-    first report built from this payload has its ``inputs_digest`` read,
-    and all those reports share the encoding. ``build`` should close over
-    the input's fields rather than the input, so that a report does not
-    keep the input's networks alive.
+    ``build`` returns the fields; it runs at most once, when the first
+    report built from this payload has its ``inputs_digest`` read, and all
+    those reports share the result. ``build`` should close over the
+    input's fields rather than the input, so that a report does not keep
+    the input's networks alive.
     """
 
-    def __init__(self, build: Callable[[], Mapping], base: "Payload | None" = None):
-        self._build: Callable[[], Mapping] | None = build
-        self._base = base
-        self._encoded: dict[str, str] | None = None
+    def __init__(self, build: Callable[[], Mapping]):
+        self._build = build
 
-    def encoded(self) -> dict[str, str]:
-        """Each field as its JSON text (see :func:`encode_fields`)."""
-        if self._encoded is None:
-            own = encode_fields(self._build())
-            self._encoded = {**self._base.encoded(), **own} if self._base else own
-            self._build = self._base = None
-        return self._encoded
+    @cached_property
+    def fields(self) -> Mapping:
+        """The fields ``build`` returns, built on first read."""
+        return self._build()
 
     def __getstate__(self) -> dict:
-        # a pickled report carries its encoded payload, not the closure
-        return {"_build": None, "_base": None, "_encoded": self.encoded()}
-
-    def replace(self, **values) -> "Payload":
-        """This payload with the fields in ``values`` set to them; it shares
-        this one's encoding."""
-        return Payload(lambda: values, self)
+        # a pickled report carries its fields, not the closure
+        return {"fields": self.fields}
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +68,10 @@ class ValidationReport:
     be downgraded, e.g. when the exact method is inapplicable to it).
 
     ``inputs_digest`` hashes the bound id, the budget's deltas and
-    ``payload``. It is computed when first read, so a caller that never
-    reads it (a coverage trial) never encodes the inputs. Reports compare
-    equal when their fields and their digests do.
+    ``payload``'s fields as one plain JSON object. It is computed when
+    first read, so a caller that never reads it (a coverage trial) never
+    builds the payload. Reports compare equal when their fields and their
+    digests do.
     """
 
     bound_id: str
@@ -115,10 +90,11 @@ class ValidationReport:
     def inputs_digest(self) -> str:
         if self.payload is None:
             return ""
-        return digest_of(
-            {"bound_id": self.bound_id, "deltas": [p.delta for p in self.budget.parts]},
-            self.payload.encoded(),
-        )
+        return digest_of({
+            **self.payload.fields,
+            "bound_id": self.bound_id,
+            "deltas": [p.delta for p in self.budget.parts],
+        })
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValidationReport):

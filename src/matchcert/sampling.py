@@ -8,9 +8,8 @@ be spawned per (seed, purpose, trial) without coordination.
 and a validation part whose joint law equals two INDEPENDENT uniform
 without-replacement draws from the full population. The two parts may
 overlap; that possibility is what makes the distributional claim true. A
-plain disjoint partition (see :func:`disjoint_split`) does NOT have this
-property and must not be used where the validation bounds assume
-independent draws.
+plain disjoint partition lacks this independent-draws law, so it must not
+feed validation bounds that assume independent draws.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "hypergeometric_draw",
     "SplitSpec",
     "split_train_validation",
-    "disjoint_split",
 ]
 
 T = TypeVar("T")
@@ -147,19 +145,3 @@ def split_train_validation(spec: SplitSpec) -> tuple[list, list]:
     from_rest = sample_without_replacement(rest, spec.s - i, rng)
     return train, from_train + from_rest
 
-
-def disjoint_split(labeled: Sequence[T], t: int, seed_or_rng) -> tuple[list[T], list[T]]:
-    """Plain disjoint partition into a size-t part and the remainder.
-
-    WARNING: the two parts are NOT distributed as independent
-    without-replacement draws (the second part excludes the first by
-    construction), so this split does not satisfy the assumptions of the
-    validation bounds. Use :func:`split_train_validation` for those.
-    """
-    if not 0 <= t <= len(labeled):
-        raise MatchcertError(f"invalid-split: t={t} not in [0, {len(labeled)}]")
-    rng = _as_rng(seed_or_rng)
-    order = rng.permutation(len(labeled))
-    train = [labeled[i] for i in order[:t]]
-    rest = [labeled[i] for i in order[t:]]
-    return train, rest

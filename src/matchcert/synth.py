@@ -17,7 +17,6 @@ the entities kept by both copies.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,10 +107,6 @@ class GeneratorConfig:
             attr_noise=float(doc.get("attr_noise", 0.0)),
             rng_seed=int(doc.get("rng_seed", 0)),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorConfig":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _base_edges(cfg: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:

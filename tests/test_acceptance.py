@@ -265,7 +265,7 @@ def _reduction_world(rng: random.Random):
         ),
         training_matches=seeds,
     )
-    complete = with_extra_seeds(holdout, [], [])
+    complete = with_extra_seeds(holdout, [])
     return pair, truth, holdout, complete
 
 
@@ -421,7 +421,7 @@ def test_criterion_7_union_bound_arithmetic():
         actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
         reports = []
         for subset in (ordered[:half], ordered[half:]):
-            m_hat = make_match_set(subset, pair, MatchRole.IDENTIFIED_HOLDOUT)
+            m_hat = make_match_set(subset, pair, MatchRole.IDENTIFIED)
             inp = BatchValidationInput(
                 pair=pair,
                 m_hat_holdout=m_hat,

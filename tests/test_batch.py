@@ -67,7 +67,7 @@ class TestHoldoutRecall:
     def test_all_sample_identified_delegates_to_inversion(self, world):
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 20, 1)
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         inp = base_input(pair, truth, m_hat, s_m, ["x0"], HG, DeltaBudget.of(0.05))
         # fixture: 20 of 20 identified with |M| = 100
         inp = BatchValidationInput(
@@ -87,13 +87,13 @@ class TestHoldoutRecall:
     def test_nothing_identified_gives_zero(self, world):
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 15, 2)
-        m_hat = make_match_set([], pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set([], pair, MatchRole.IDENTIFIED)
         inp = base_input(pair, truth, m_hat, s_m, ["x0"], HOEFF, DeltaBudget.of(0.05))
         assert holdout_batch_recall(inp).lower_bound == 0.0
 
     def test_census_pins_to_one(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs), ["x0"], HG, DeltaBudget.of(0.05)
         )
@@ -101,7 +101,7 @@ class TestHoldoutRecall:
 
     def test_empty_sample_rejected(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         inp = base_input(pair, truth, m_hat, [], ["x0"], HOEFF, DeltaBudget.of(0.05))
         with pytest.raises(MatchcertError, match="empty-sample"):
             holdout_batch_recall(inp)
@@ -109,7 +109,7 @@ class TestHoldoutRecall:
     def test_unknown_population_falls_back_to_hoeffding(self, world):
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 30, 3)
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         inp = BatchValidationInput(
             pair=pair,
             m_hat_holdout=m_hat,
@@ -129,7 +129,7 @@ class TestHoldoutRecall:
 
     def test_no_population_info_rejected(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         inp = BatchValidationInput(
             pair=pair,
             m_hat_holdout=m_hat,
@@ -149,7 +149,7 @@ class TestHoldoutRecall:
         for method in (HOEFF, BoundMethod.EBS, HG):
             prev = -1.0
             for hits in (10, 20, 30, 40):
-                m_hat = make_match_set(s_m[:hits], pair, MatchRole.IDENTIFIED_HOLDOUT)
+                m_hat = make_match_set(s_m[:hits], pair, MatchRole.IDENTIFIED)
                 inp = base_input(
                     pair, truth, m_hat, s_m, ["x0"], method, DeltaBudget.of(0.05)
                 )
@@ -161,7 +161,7 @@ class TestHoldoutRecall:
 class TestHoldoutPrecision:
     def test_perfect_matcher_census_is_one(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         inp = base_input(
             pair,
             truth,
@@ -176,7 +176,7 @@ class TestHoldoutPrecision:
 
     def test_perfect_matcher_finite_samples(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         s_m = sample_without_replacement(sorted(truth.pairs), 150, 4)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), 150, 5)
         inp = base_input(
@@ -191,7 +191,7 @@ class TestHoldoutPrecision:
     def test_zero_recall_term_zeroes_the_product(self, world):
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 10, 6)
-        m_hat = make_match_set([("x0", "y1")], pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set([("x0", "y1")], pair, MatchRole.IDENTIFIED)
         inp = base_input(
             pair, truth, m_hat, s_m, ["x0"], HG, DeltaBudget.of(0.025, 0.025)
         )
@@ -203,7 +203,7 @@ class TestHoldoutPrecision:
         pair, truth = world
         matched_x = sorted(by_x(truth))
         s_x = matched_x[:50]
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         s_m = sample_without_replacement(sorted(truth.pairs), 20, 7)
         inp = base_input(
             pair, truth, m_hat, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025)
@@ -214,7 +214,7 @@ class TestHoldoutPrecision:
 
     def test_empty_identified_rejected(self, world):
         pair, truth = world
-        m_hat = make_match_set([], pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set([], pair, MatchRole.IDENTIFIED)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HOEFF,
             DeltaBudget.of(0.025, 0.025),
@@ -224,7 +224,7 @@ class TestHoldoutPrecision:
 
     def test_budget_arity_enforced(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HOEFF,
             DeltaBudget.of(0.05),
@@ -236,7 +236,7 @@ class TestHoldoutPrecision:
 class TestCompleteVariants:
     def make_inputs(self, world, m_hat_c_pairs=None, s_m_n=40, s_x_n=60, seed=8):
         pair, truth = world
-        m_hat_h = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat_h = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         m_hat_c = make_match_set(
             m_hat_c_pairs if m_hat_c_pairs is not None else truth.pairs,
             pair,
@@ -334,7 +334,7 @@ class TestCompleteVariants:
 class TestBatchReports:
     def test_holdout_only_without_complete_set(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
         reports = batch_reports(
@@ -348,7 +348,7 @@ class TestBatchReports:
 
     def test_budget_must_have_one_part(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED_HOLDOUT)
+        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HG,
             DeltaBudget.of(0.025, 0.025),
@@ -357,11 +357,11 @@ class TestBatchReports:
             batch_reports(inp)
 
     def test_digest_is_of_each_certificates_inputs(self, world):
-        # the shared payload fields are encoded once per call; each digest
+        # the certificates of one call share their inputs; each digest
         # must still hash the certificate's own whole payload
         pair, truth = world
         m_hat_h = make_match_set(
-            sorted(truth.pairs)[::2], pair, MatchRole.IDENTIFIED_HOLDOUT
+            sorted(truth.pairs)[::2], pair, MatchRole.IDENTIFIED
         )
         m_hat_c = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
         s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
@@ -396,7 +396,7 @@ class TestBatchReports:
 def complete_world_input(pair, truth, **kw):
     """A batch input with a complete set that differs from the holdout one."""
     m_hat_h = make_match_set(
-        sorted(truth.pairs)[::2], pair, MatchRole.IDENTIFIED_HOLDOUT
+        sorted(truth.pairs)[::2], pair, MatchRole.IDENTIFIED
     )
     m_hat_c = make_match_set(sorted(truth.pairs)[::3], pair, MatchRole.IDENTIFIED)
     s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
@@ -453,7 +453,7 @@ class TestSharedTerms:
 
     def test_error_precedence_unchanged(self, world):
         pair, truth = world
-        empty = make_match_set([], pair, MatchRole.IDENTIFIED_HOLDOUT)
+        empty = make_match_set([], pair, MatchRole.IDENTIFIED)
         inp = complete_world_input(pair, truth)
         for bad_s_x, error in (((), "empty-sample"), (("x0", "nope"), "missing-actual")):
             bad = replace(inp, s_x=bad_s_x)

@@ -79,6 +79,44 @@ class TestGen:
         assert "invalid-generator" in capsys.readouterr().err
 
 
+class TestBadConfig:
+    # per failure shape: a gen, a matcher and a coverage config file
+    SHAPES = {
+        "not-json": ("{", "{", "{"),
+        "missing-key": ('{"n_entities": 40}', '{"threshold": 2}', '{"trials": 1}'),
+        "bad-shape": (
+            '{"n_entities": 40, "base_model": "erdos-renyi"}',
+            '{"kind": "percolation", "seeds": [["a"]]}',
+            '{"generator": []}',
+        ),
+        # 1e999 parses as inf, which int() cannot convert
+        "huge-number": (
+            '{"n_entities": 1e999, "base_model": {"kind": "erdos-renyi", "p": 0.1}}',
+            '{"kind": "percolation", "threshold": 1e999}',
+            '{"generator": {"n_entities": 1e999, "base_model": '
+            '{"kind": "erdos-renyi", "p": 0.1}}}',
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_exits_one_with_token(self, tmp_path, world, capsys, shape):
+        gen, matcher, exp = (
+            write(tmp_path / f"{name}.json", text)
+            for name, text in zip(("gen", "matcher", "exp"), self.SHAPES[shape])
+        )
+        net = ["--x", str(world / "x.tsv"), "--y", str(world / "y.tsv")]
+        s_x = write(tmp_path / "s_x.txt", "x0\n")
+        for argv in (
+            ["gen", "--config", str(gen), "--out-dir", str(tmp_path / "g")],
+            ["match", *net, "--config", str(matcher), "--out", str(tmp_path / "m.tsv")],
+            ["validate", "query", *net, "--matcher", str(matcher), "--s-x", str(s_x),
+             "--actual", str(world / "matches.tsv")],
+            ["coverage", "--config", str(exp), "--out-prefix", str(tmp_path / "c")],
+        ):
+            assert main(argv) == 1, argv
+            assert "matchcert: error: invalid-config: " in capsys.readouterr().err
+
+
 class TestMatch:
     def test_attribute_exact_recovers_truth(self, tmp_path, world):
         cfg = write(
@@ -395,6 +433,13 @@ class TestCoverage:
         assert rc == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_empty_methods_exit_one(self, tmp_path, capsys):
+        cfg = self.make_config(tmp_path)
+        write(cfg, json.dumps({**json.loads(cfg.read_text()), "methods": []}))
+        rc = main(["coverage", "--config", str(cfg), "--out-prefix", str(tmp_path / "a")])
+        assert rc == 1
+        assert "matchcert: error: invalid-methods" in capsys.readouterr().err
 
     def test_jobs_do_not_change_output(self, tmp_path):
         cfg = self.make_config(tmp_path)

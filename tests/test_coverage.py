@@ -103,7 +103,7 @@ def test_actual_map_of_the_sampled_nodes_suffices(method):
     assert restricted == {x: full[x] for x in s_x}
     holdout = build_matcher(cfg.matcher_holdout, training_matches=truth.sorted_pairs[::16])
     complete = with_extra_seeds(
-        holdout, list(s_m) + [(x, y) for x in s_x for y in sorted(full[x])], ["s"]
+        holdout, list(s_m) + [(x, y) for x in s_x for y in sorted(full[x])]
     )
     budget = DeltaBudget.of(0.05)
     got = {}

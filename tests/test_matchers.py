@@ -46,7 +46,7 @@ class TestAttributeExact:
         handle = build_matcher(MatcherConfig("attribute-exact", attr_key="uid"))
         got = run_batch(handle, pair)
         assert got.pairs == {("xa", "ya"), ("xb", "yb"), ("xc", "yc")}
-        assert got.role == MatchRole.IDENTIFIED_HOLDOUT
+        assert got.role == MatchRole.IDENTIFIED
 
     def test_missing_attr_key(self):
         pair = mirrored_pair(["a"], [])
@@ -464,14 +464,11 @@ class TestHandles:
         holdout = build_matcher(
             MatcherConfig("percolation", seeds=VERIFIED_SAMPLE),
             training_matches=[("xa", "ya")],
-            trained_on=["train-seeds"],
         )
-        assert holdout.holdout
-        complete = with_extra_seeds(holdout, [("xb", "yb")], ["validation-sample"])
-        assert not complete.holdout
-        assert "validation-sample" in complete.trained_on
+        complete = with_extra_seeds(holdout, [("xb", "yb")])
+        assert complete.training_matches == (("xa", "ya"), ("xb", "yb"))
         assert not complete.same_function(holdout)
-        unchanged = with_extra_seeds(holdout, [], [])
+        unchanged = with_extra_seeds(holdout, [])
         assert unchanged.same_function(holdout)
 
     def test_same_function_counts_repeated_pairs(self):

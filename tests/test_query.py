@@ -183,7 +183,7 @@ class TestCompleteQueryRecall:
     def test_reduces_to_holdout(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = with_extra_seeds(holdout, [], [])
+        complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
         inp3 = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.02, 0.02, 0.02),
                           complete=complete, s_x_prime=("x0",))
@@ -220,7 +220,7 @@ class TestCompleteQueryPrecision:
     def test_reduces_to_three_term_expression(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = with_extra_seeds(holdout, [], [])
+        complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
         s_prime = [f"x{i}" for i in range(8)]
         budget = DeltaBudget.of(0.01, 0.02, 0.01, 0.01)
@@ -290,7 +290,7 @@ class TestErrorRate:
     def test_complete_equals_holdout_reduces(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(5)])
-        complete = with_extra_seeds(holdout, [], [])
+        complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
         rep_h = error_rate_bounds(
             tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.03))
@@ -335,7 +335,7 @@ class TestQueryReports:
     def test_same_function_complete_never_runs(self, tiny, monkeypatch):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = with_extra_seeds(holdout, [], [])
+        complete = with_extra_seeds(holdout, [])
         ran = []
 
         def recording_run_batch(handle, pair):
@@ -352,7 +352,7 @@ class TestQueryReports:
         assert ran and all(handle is holdout for handle in ran)
 
     def test_digest_is_of_each_certificates_inputs(self, tiny):
-        # the shared payload fields are encoded once per call; each digest
+        # the certificates of one call share their inputs; each digest
         # must still hash the certificate's own whole payload
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
@@ -469,7 +469,7 @@ class TestStatRanges:
         holdout = build_matcher(
             MatcherConfig("percolation", seeds=tuple(ordered[:20]), threshold=2)
         )
-        complete = with_extra_seeds(holdout, ordered[20:40], ["extra"])
+        complete = with_extra_seeds(holdout, ordered[20:40])
         per_x = by_x(truth)
         actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
         nodes = sorted(pair.x_net.nodes)
@@ -511,7 +511,7 @@ class TestTrueQueryMetrics:
         m_hat = make_match_set(
             sorted(truth.pairs)[: len(truth.pairs) // 2],
             pair,
-            MatchRole.IDENTIFIED_HOLDOUT,
+            MatchRole.IDENTIFIED,
         )
         p, r = true_query_metrics(pair, m_hat, truth)
         assert p == 1.0  # every identified pair is actual
@@ -606,7 +606,7 @@ def _views_world():
     config = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=1)
     holdout = build_matcher(config, training_matches=truth.sorted_pairs[::5])
     complete = with_extra_seeds(
-        holdout, [(x, y) for x in s_x for y in sorted(truth_x.get(x, ()))], ["s_x"]
+        holdout, [(x, y) for x in s_x for y in sorted(truth_x.get(x, ()))]
     )
     return QueryValidationInput(
         pair=pair,
@@ -708,7 +708,7 @@ class TestSharedQueryInputs:
         assert len(calls) == 1
         calls.clear()
         certificates_alone(inp)
-        assert len(calls) == 3  # holdout bounds, complete recall and precision
+        assert len(calls) == 5  # each certificate alone builds the record
 
     def test_digest_read_after_the_input_is_gone(self):
         def reports_and_payloads():

@@ -8,7 +8,6 @@ import pytest
 from matchcert.errors import MatchcertError
 from matchcert.sampling import (
     SplitSpec,
-    disjoint_split,
     hypergeometric_draw,
     sample_without_replacement,
     spawn_rng,
@@ -161,10 +160,3 @@ class TestSplitProcedure:
         assert chisq_pvalue(t_counts, probs_half, runs) >= 0.001
         assert chisq_pvalue(s_counts, probs_half, runs) >= 0.001
         assert chisq_pvalue(i_counts, probs_overlap, runs) >= 0.001
-
-
-class TestDisjointSplit:
-    def test_partition(self):
-        train, rest = disjoint_split(list(range(10)), 4, 5)
-        assert len(train) == 4 and len(rest) == 6
-        assert sorted(train + rest) == list(range(10))
