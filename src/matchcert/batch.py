@@ -26,7 +26,9 @@ first read, and the digest hashes them as plain JSON (see :mod:`.reports`).
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
-holdout-minus-complete count are key counts.
+holdout-minus-complete count are key counts. The samples are drawn
+without replacement, so a term that reads ``s_m`` or ``s_x`` rejects a
+repeated pair or node (``duplicate-sample-item``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .bounds import bound_mean  # noqa: F401
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair, pair_keys
-from .reports import Payload, ValidationReport, build_report
+from .reports import Payload, ValidationReport, build_report, require_distinct
 
 __all__ = [
     "BatchValidationInput",
@@ -135,6 +137,7 @@ def _recall_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, s
     """Lower-bound the identified rate over the actual matches."""
     if not inp.s_m:
         raise MatchcertError("empty-sample: s_m has no verified matches")
+    require_distinct("s_m", inp.s_m)
     hits = inp.m_hat_holdout.contains(pair_keys(inp.pair, inp.s_m))
     values = [1.0 if hit else 0.0 for hit in hits.tolist()]
     n = inp.m_size if inp.m_size is not None else inp.m_size_upper
@@ -154,6 +157,7 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, 
     """
     if not inp.s_x:
         raise MatchcertError("empty-sample: s_x has no nodes")
+    require_distinct("s_x", inp.s_x)
     values = []
     for x in inp.s_x:
         if x not in inp.actual_for:

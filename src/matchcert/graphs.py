@@ -139,6 +139,11 @@ class NodeIndex(NamedTuple):
         np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
         return cls(ids, pos, indptr, arcs % n)
 
+    def positions(self, ids: Sequence[str]) -> np.ndarray:
+        """The position of each of ``ids``, in order; -1 for an id that is
+        not a node."""
+        return np.fromiter(map(self.pos.get, ids, repeat(-1)), np.int64, len(ids))
+
 
 def _edge_rows(index: NodeIndex) -> list[tuple[str, str]]:
     """Each edge once as (u, v) with u < v, in sorted order: the CSR rows
@@ -324,9 +329,7 @@ def pair_positions(
     """(u, v): the X position of each x and the Y position of each y of
     ``pairs``, in order; -1 for an id that is not a node of its network."""
     xs, ys = zip(*pairs) if pairs else ((), ())
-    u = np.fromiter(map(pair.x_net.index.pos.get, xs, repeat(-1)), np.int64, len(xs))
-    v = np.fromiter(map(pair.y_net.index.pos.get, ys, repeat(-1)), np.int64, len(ys))
-    return u, v
+    return pair.x_net.index.positions(xs), pair.y_net.index.positions(ys)
 
 
 def pair_keys(pair: NetworkPair, pairs: Sequence[tuple[str, str]]) -> np.ndarray:

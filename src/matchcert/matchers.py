@@ -10,23 +10,28 @@ matcher produces byte-identical output. Percolation resolves conflicting
 candidate pairs by highest matched-neighbor count, then lexicographic
 (x, y) node id order.
 
-Percolation runs on each network's int index (``Network.index``: ids in
-sorted order plus CSR adjacency) and keeps a mark table across rounds:
-the live candidate pairs, as sorted int64 keys ``x * n_y + y``, with the
-number of marks each has received. As in Yartseva & Grossglauser's
-percolation graph matching, each matched pair spreads its marks once, in
-the round after it is matched (the seeds in round one): its x's unmatched
-neighbours times its y's, gathered from the CSR and merged into the table
-by one sort. The candidates with at least ``threshold`` marks are ranked
-with ``np.lexsort`` on (-count, key); because index order is id order,
-the key sorts as (x, y) by id, so the tie-break is the one above. Pairs
-are then accepted greedily in that order, skipping any whose x or y was
-taken earlier in the round, and the table drops every candidate with a
-matched end. Each eligible candidate is accepted or loses an end in its
-round, so the table carries only counts below the threshold, and a
-candidate's count is the number of matched pairs that support it, as if
-all were gathered anew each round. Matches leave the function as the
-sorted keys of a MatchSet, the same ``x * n_y + y``.
+Percolation runs on the networks' int indexes (``Network.index``: ids in
+sorted order plus CSR adjacency), joined for the call into one CSR: X's
+rows, then Y's, whose positions are offset by n_x. As in Yartseva &
+Grossglauser's percolation graph matching, each matched pair spreads its
+marks once, in the round after it is matched (the seeds in round one): its
+x's unmatched neighbours times its y's. One gather over the joint CSR
+reads the neighbours of the round's x ends and y ends together. The marks
+are int64 keys ``x * n_y + y`` in a mark table that lasts across rounds:
+a sorted multiset with one entry per mark, merged with the round's marks
+by one sort. A key has at least ``threshold`` marks when the entry
+``threshold - 1`` places after its first equals it. The entries that pass
+this test list such a key once per mark past ``threshold - 1``, so the
+length of its listing is its count less ``threshold - 1``. The eligible
+candidates are ranked with ``np.lexsort`` on (-count, key); because index
+order is id order, the key sorts as (x, y) by id, so the tie-break is the
+one above. Pairs are then accepted greedily in that order, skipping any
+whose x or y was taken earlier in the round, and the next merge drops
+every entry with a matched end. Each eligible candidate is accepted or
+loses an end in its round, so the table carries only counts below the
+threshold, and a candidate's count is the number of matched pairs that
+support it, as if all were gathered anew each round. Matches leave the
+function as the sorted keys of a MatchSet, the same ``x * n_y + y``.
 """
 
 from __future__ import annotations
@@ -215,25 +220,10 @@ def _attribute_exact(handle: MatcherHandle, pair: NetworkPair) -> np.ndarray:
     return np.sort(np.array(out, dtype=np.int64))
 
 
-def _offsets(lens: np.ndarray) -> np.ndarray:
-    """0, 1, ..., lens[i] - 1 for each group i, concatenated."""
-    return np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-
-
-def _neighbours(
-    index: NodeIndex, rows: np.ndarray, matched: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unmatched neighbours of each node in ``rows``, flattened.
-
-    Returns (owner, node): ``node`` is a neighbour position and ``owner``
-    the position in ``rows`` it belongs to, grouped by owner.
-    """
-    starts = index.indptr[rows]
-    lens = index.indptr[rows + 1] - starts
-    owner = np.repeat(np.arange(rows.size), lens)
-    node = index.nbr[starts[owner] + _offsets(lens)]
-    keep = ~matched[node]
-    return owner[keep], node[keep]
+def _runs(src: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``src[starts[i] : starts[i] + lens[i]]`` for each i, concatenated."""
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return src[shift + np.arange(shift.size)]
 
 
 def _seed_keys(pair: NetworkPair, start: list[tuple[str, str]]) -> np.ndarray:
@@ -256,23 +246,6 @@ def _seed_keys(pair: NetworkPair, start: list[tuple[str, str]]) -> np.ndarray:
     return distinct_sorted(px * len(iy.ids) + py)
 
 
-def _add_marks(
-    table: np.ndarray, marks: np.ndarray, new: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The mark table (sorted, distinct keys and their mark counts) with one
-    more mark for each entry of ``new``; the keys stay sorted and distinct."""
-    # with the new keys sorted on their own, a stable sort of the two sorted
-    # runs is a merge
-    keys = np.concatenate([table, np.sort(new)])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    weights = np.concatenate([marks, np.ones(new.size, dtype=np.int64)])[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    at = np.flatnonzero(first)
-    return keys[at], np.add.reduceat(weights, at)
-
-
 def _percolate(
     pair: NetworkPair,
     start: Iterable[tuple[str, str]],
@@ -281,37 +254,62 @@ def _percolate(
 ) -> np.ndarray:
     """The sorted keys of the pairs percolation ends with."""
     ix, iy = pair.x_net.index, pair.y_net.index
-    ny = len(iy.ids)
+    nx, ny = len(ix.ids), len(iy.ids)
+    # one CSR over both networks: X's rows, then Y's with positions + nx
+    indptr = np.concatenate([ix.indptr, iy.indptr[1:] + ix.indptr[-1]])
+    degree = np.diff(indptr)
+    nbr = np.concatenate([ix.nbr, iy.nbr + nx])
+    unmatched = np.ones(nx + ny, dtype=bool)
+    unmatched_x, unmatched_y = unmatched[:nx], unmatched[nx:]
     new = _seed_keys(pair, list(start))
-    new_x, new_y = np.divmod(new, ny)
-    matched_x = np.zeros(len(ix.ids), dtype=bool)
-    matched_y = np.zeros(ny, dtype=bool)
-    matched_x[new_x] = True
-    matched_y[new_y] = True
     accepted = [new]
-    # the live candidates (both ends unmatched) and their marks so far
+    # one entry per mark a live candidate (both ends unmatched) has had
     table = np.zeros(0, dtype=np.int64)
-    marks = np.zeros(0, dtype=np.int64)
 
     for _ in range(max_steps):
         # each pair (x, y) matched last round, or each seed in round one,
-        # marks every (unmatched neighbour of x, unmatched neighbour of y)
-        own_x, nb_x = _neighbours(ix, new_x, matched_x)
-        own_y, nb_y = _neighbours(iy, new_y, matched_y)
-        per_y = np.bincount(own_y, minlength=new_y.size)
-        first_y = np.cumsum(per_y) - per_y
-        reps = per_y[own_x]
-        cand_x = np.repeat(nb_x, reps)
-        cand_y = nb_y[np.repeat(first_y[own_x], reps) + _offsets(reps)]
+        # marks every (unmatched neighbour of x, unmatched neighbour of y);
+        # rows holds the pairs' x ends, then their y ends
+        k = new.size
+        new_x, new_y = np.divmod(new, ny)
+        rows = np.concatenate([new_x, new_y + nx])
+        unmatched[rows] = False
+        lens = degree[rows]
+        owner = np.repeat(np.arange(2 * k), lens)
+        node = _runs(nbr, indptr[rows], lens)
+        live = unmatched[node]
+        owner, node = owner[live], node[live]
+        # owner ascends, so the x ends' neighbours come first; each is
+        # paired with every neighbour of the same pair's y end
+        per_row = np.bincount(owner, minlength=2 * k)
+        first = np.cumsum(per_row) - per_row
+        split = int(per_row[:k].sum())
+        y_row = owner[:split] + k
+        reps = per_row[y_row]
+        cand_x = np.repeat(node[:split], reps)
+        cand_y = _runs(node, first[y_row], reps) - nx
         if pair.self_match_mode:
             keep = cand_x != cand_y
             cand_x, cand_y = cand_x[keep], cand_y[keep]
-        table, marks = _add_marks(table, marks, cand_x * ny + cand_y)
-        eligible = marks >= threshold
-        cand, counts = table[eligible], marks[eligible]
+        tx, ty = np.divmod(table, ny)
+        table = np.concatenate([
+            table[unmatched_x[tx] & unmatched_y[ty]], cand_x * ny + cand_y
+        ])
+        table.sort()
+        # a key with c >= threshold marks starts a run of that length, so
+        # it is listed c - threshold + 1 times: its first listing is its
+        # candidate, and the length of its listing ranks as c does
+        head = table[: max(table.size - threshold + 1, 0)]
+        listed = head[head == table[threshold - 1 :]]
+        # where each key's listing starts, then the end of the last one
+        bounds = np.ones(listed.size + 1, dtype=bool)
+        bounds[1:-1] = listed[1:] != listed[:-1]
+        at = np.flatnonzero(bounds)
+        cand = listed[at[:-1]]
+        listings = at[1:] - at[:-1]
         # highest count first, ties by (x, y) id order: the key x * ny + y
         # sorts as (x, y), and index order is id order
-        ranked = cand[np.lexsort((cand, -counts))]
+        ranked = cand[np.lexsort((cand, -listings))]
         taken_x: set[int] = set()
         taken_y: set[int] = set()
         added = []
@@ -325,16 +323,7 @@ def _percolate(
         if not added:
             break
         new = np.array(added, dtype=np.int64)
-        new_x, new_y = np.divmod(new, ny)
-        matched_x[new_x] = True
-        matched_y[new_y] = True
         accepted.append(new)
-        # drop the candidates with a matched end; every eligible one is
-        # among them (accepted, or it lost an end to a pair ranked above
-        # it), so the table keeps only counts below the threshold
-        tx, ty = np.divmod(table, ny)
-        live = ~(matched_x[tx] | matched_y[ty])
-        table, marks = table[live], marks[live]
     # distinct: the seed keys are, and every later pair has a new x and y
     return np.sort(np.concatenate(accepted))
 

@@ -17,18 +17,25 @@ matcher outputs are observed, never actual matches: d_r(x) flags nodes
 where the holdout matcher found something the complete one dropped, and
 d_p(x) additionally charges for partial overlap.
 
-One stage, ``_views``, checks the samples and runs each matcher once; every
-certificate and ``compute_node_stats`` reads the per-node statistics from
-the per-x mappings it returns, which hold the sampled nodes (s_x and s_x')
-only, found by binary search on the match sets' keys. When the complete
-matcher computes the same function as the holdout one, its mapping is the
-holdout mapping itself and the complete matcher never runs. Each
-certificate takes an optional ``shared`` record, built by ``_shared``, that
-:func:`query_reports` builds once for all its certificates: the digest
-payload, the two mappings of ``_views``, and the p(x) and r(x) lists over
-the verified nodes. A certificate called on its own builds the record
-itself. The payload's fields are built when a report's digest is first
-read, and the digest hashes them as plain JSON (see :mod:`.reports`).
+One stage, ``_columns``, checks the samples and runs each matcher once.
+It maps s_x and s_x' to positions and counts, per sampled node, from the
+match sets' keys (``np.bincount`` over ``key // n_y``, membership by
+binary search): the identified and actual matches, the hits, and the
+holdout-only and complete-only matches. From these it builds float
+columns, in s_x and s_x' order: p, r, w and the matched indicator over
+s_x, and the holdout and complete indicators, d_r, d_p and the
+disagreement indicator over s_x'. Every certificate and
+``compute_node_stats`` reads these columns. When the complete matcher
+computes the same function as the holdout one, its columns are the
+holdout's and it never runs. The samples are drawn without replacement,
+so a node repeated in s_x or s_x' (or a pair in a batch input's s_m) is
+rejected with ``duplicate-sample-item``: it would be counted as several
+independent draws. Each certificate takes an optional ``shared`` record,
+built by ``_shared``, that :func:`query_reports` builds once for all its
+certificates: the digest payload and the columns. A certificate called on
+its own builds the record itself. The payload's fields are built when a
+report's digest is first read, and the digest hashes them as plain JSON
+(see :mod:`.reports`).
 
 The truth oracles read keys too: numpy set arithmetic over the sorted
 keys, with per-node rates from ``np.bincount`` and means by ``math.fsum``.
@@ -53,9 +60,9 @@ import numpy as np
 
 from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
-from .graphs import MatchSet, NetworkPair, matches_of
+from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
-from .reports import Payload, ValidationReport, build_report
+from .reports import Payload, ValidationReport, build_report, require_distinct
 
 __all__ = [
     "PerNodeStats",
@@ -76,10 +83,6 @@ __all__ = [
 ]
 
 DP_DEFAULT_RANGE = (-1.0, 2.0)
-EMPTY: frozenset[str] = frozenset()
-
-Views = Mapping[str, frozenset[str]]  # x -> its identified matches
-NodeValues = dict[str, list[float]]  # p(x) or r(x) values: see _node_values
 
 
 def single_node_precision(m_hat: frozenset, actual: frozenset) -> float | None:
@@ -164,35 +167,107 @@ class QueryValidationInput:
         return len(self.pair.x_net.index.ids)
 
 
-def _views(inp: QueryValidationInput) -> tuple[Views, Views | None]:
-    """(hv, cv): the holdout and complete matchers' identified matches per
-    sampled node (of s_x and s_x'); a node without identified matches is
-    absent.
+class Columns(NamedTuple):
+    """The per-node statistics of one input's sampled nodes, as float
+    arrays (see ``_columns``).
 
-    Checks the samples first: s_x is non-empty with every node in
-    ``actual_for``, s_x' is non-empty when a complete matcher is given, and
-    every sampled node is a node of X. cv is None without a complete
-    matcher, and hv itself (reduced to holdout) when both compute the same
-    function.
+    ``p``, ``r``, ``w`` and ``matched`` (1.0 where x has actual matches)
+    hold one entry per node of s_x; ``p`` and ``r`` are NaN where
+    undefined. The matcher columns hold one entry per node of s_x, then
+    one per node of s_x' (from index ``n`` on); the certificates read the
+    s_x' part, ``compute_node_stats`` both. ``h_ind`` and ``c_ind`` are 1.0
+    where the holdout or complete matcher identifies anything, and
+    ``diff`` where the two differ. The complete
+    matcher's columns are None without one. ``reduced`` is set when it
+    computes the holdout matcher's function; its columns are then the
+    holdout's, and d_r, d_p and diff are 0.
+    """
+
+    n: int
+    p: np.ndarray
+    r: np.ndarray
+    w: np.ndarray
+    matched: np.ndarray
+    h_ind: np.ndarray
+    c_ind: np.ndarray | None = None
+    d_r: np.ndarray | None = None
+    d_p: np.ndarray | None = None
+    diff: np.ndarray | None = None
+    reduced: bool = False
+
+
+def _per_x(keys: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
+    """How many of the pair ``keys`` each x of X has."""
+    return np.bincount(keys // max(n_y, 1), minlength=n_x)
+
+
+def _columns(inp: QueryValidationInput) -> Columns:
+    """Check the samples, run each matcher once and return the columns.
+
+    Checks, in order: s_x is non-empty, s_x' is non-empty when a complete
+    matcher is given, neither repeats a node, every node of s_x and s_x'
+    is a node of X, and every node of s_x is in ``actual_for``. The
+    complete matcher does not run when it computes the same function as
+    the holdout one.
     """
     if not inp.s_x:
         raise MatchcertError("empty-sample: s_x has no nodes")
     if inp.complete is not None and not inp.s_x_prime:
         raise MatchcertError("empty-sample: s_x_prime has no nodes")
+    require_distinct("s_x", inp.s_x)
+    require_distinct("s_x_prime", inp.s_x_prime)
     m_hat = run_batch(inp.holdout, inp.pair)
+    ix, iy = inp.pair.x_net.index, inp.pair.y_net.index
     nodes = (*inp.s_x, *inp.s_x_prime)
-    for x in nodes:
-        if x not in inp.pair.x_net.index.pos:
-            raise MatchcertError(f"unknown-node: {x!r}")
-    for x in inp.s_x:
-        if x not in inp.actual_for:
-            raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
-    hv = matches_of(m_hat, inp.pair, nodes)
+    at = ix.positions(nodes)
+    if (at < 0).any():
+        raise MatchcertError(f"unknown-node: {nodes[int(np.argmax(at < 0))]!r}")
+    missing = [x for x in inp.s_x if x not in inp.actual_for]
+    if missing:
+        raise MatchcertError(f"missing-actual: no verified matches for {missing[0]!r}")
+    n, n_x, n_y = len(inp.s_x), len(ix.ids), len(iy.ids)
+
+    # the verified nodes: identified, actual and both, per node
+    actual = [inp.actual_for[x] for x in inp.s_x]
+    ys = [y for matches in actual for y in matches]
+    n_actual = np.fromiter(map(len, actual), np.int64, n)
+    owner = np.repeat(np.arange(n), n_actual)
+    y_at = iy.positions(ys)  # an actual id that is not a node of Y is no hit
+    hit = m_hat.contains(at[owner] * n_y + y_at) & (y_at >= 0)
+    hits = np.bincount(owner, weights=hit, minlength=n)
+    h = _per_x(m_hat.keys, n_x, n_y)[at]
+    same = (h[:n] == n_actual) & (hits == n_actual)
+    columns = Columns(
+        n=n,
+        p=np.divide(hits, h[:n], out=np.full(n, np.nan), where=h[:n] > 0),
+        r=np.divide(hits, n_actual, out=np.full(n, np.nan), where=n_actual > 0),
+        w=(~same).astype(float),
+        matched=(n_actual > 0).astype(float),
+        h_ind=(h > 0).astype(float),
+    )
     if inp.complete is None:
-        return hv, None
-    if inp.complete.same_function(inp.holdout):
-        return hv, hv
-    return hv, matches_of(run_batch(inp.complete, inp.pair), inp.pair, nodes)
+        return columns
+
+    # the complete matcher, per node of s_x and s_x'
+    reduced = inp.complete.same_function(inp.holdout)
+    if reduced:
+        c = both = h
+    else:
+        complete = run_batch(inp.complete, inp.pair)
+        c = _per_x(complete.keys, n_x, n_y)[at]
+        both = _per_x(m_hat.keys[m_hat.found_in(complete)], n_x, n_y)[at]
+    h_only, differ = h - both, (h != both) | (c != both)
+    # 0 when x's holdout set is empty or equals its complete one, 1 when
+    # only the holdout matcher speaks, else 1 + |holdout-only| / |complete|
+    ratio = np.divide(h_only, c, out=np.zeros(h.size), where=c > 0)
+    d_p = np.where((h > 0) & differ, 1.0 + ratio, 0.0)
+    return columns._replace(
+        c_ind=(c > 0).astype(float),
+        d_r=(h_only > 0).astype(float),
+        d_p=d_p,
+        diff=differ.astype(float),
+        reduced=reduced,
+    )
 
 
 def _payload(inp: QueryValidationInput) -> Payload:
@@ -212,43 +287,26 @@ def _payload(inp: QueryValidationInput) -> Payload:
     })
 
 
-def _node_values(inp: QueryValidationInput, hv: Views) -> NodeValues:
-    """The holdout matcher's p(x) and r(x) over the verified nodes where
-    each is defined, by quantity."""
-    values: NodeValues = {"precision": [], "recall": []}
-    for x in inp.s_x:
-        h, actual = hv.get(x, EMPTY), inp.actual_for[x]
-        p, r = single_node_precision(h, actual), single_node_recall(h, actual)
-        if p is not None:
-            values["precision"].append(p)
-        if r is not None:
-            values["recall"].append(r)
-    return values
-
-
 class Shared(NamedTuple):
-    """What the certificates of one input share: its digest payload, the
-    holdout and complete views (``hv``, ``cv``: see ``_views``) and the
-    holdout matcher's p(x) and r(x) lists (see ``_node_values``)."""
+    """What the certificates of one input share: its digest payload and
+    its columns (see ``_columns``)."""
 
     payload: Payload
-    hv: Views
-    cv: Views | None
-    values: NodeValues
+    columns: Columns
 
 
 def _shared(inp: QueryValidationInput) -> Shared:
-    hv, cv = _views(inp)
-    return Shared(_payload(inp), hv, cv, _node_values(inp, hv))
+    return Shared(_payload(inp), _columns(inp))
 
 
 def _holdout_term(
-    inp: QueryValidationInput, values: NodeValues, quantity: str, delta: Confidence
+    inp: QueryValidationInput, columns: Columns, quantity: str, delta: Confidence
 ) -> tuple[float, str, int]:
     """Lower-bound the mean of p(x) or r(x) (``quantity`` precision or
     recall) over the verified nodes where it is defined; returns (bound,
     method used, usable nodes)."""
-    sample = values[quantity]
+    column = columns.p if quantity == "precision" else columns.r
+    sample = column[~np.isnan(column)].tolist()
     if not sample:
         side = "identified" if quantity == "precision" else "actual"
         raise MatchcertError(f"no-usable-sample: no sampled node has {side} matches")
@@ -262,10 +320,10 @@ def holdout_query_bounds(
     """Certify holdout query precision and recall, each at the budget's
     single delta (combine with union_confidence to hold both jointly)."""
     (delta,) = inp.budget.parts_for(1)
-    payload, _, _, values = shared or _shared(inp)
+    payload, columns = shared or _shared(inp)
     reports = []
     for quantity in ("precision", "recall"):
-        lb, used, n = _holdout_term(inp, values, quantity, delta)
+        lb, used, n = _holdout_term(inp, columns, quantity, delta)
         reports.append(
             build_report(
                 f"holdout-query-{quantity}",
@@ -293,22 +351,17 @@ def complete_query_recall(
     complete matcher is the same function as the holdout one."""
     d_r, d_x, d_frac = inp.budget.parts_for(3)
     _require_complete(inp)
-    payload, hv, cv, values = shared or _shared(inp)
-    r_lb, r_used, r_n = _holdout_term(inp, values, "recall", d_r)
+    payload, columns = shared or _shared(inp)
+    r_lb, r_used, r_n = _holdout_term(inp, columns, "recall", d_r)
     terms = {"recall_term": r_lb, "disagreement_term": 0.0, "usable_nodes": float(r_n)}
     methods = {"recall_term": r_used}
     value, denominator, flags = r_lb, None, ("reduced-to-holdout",)
-    if cv is not hv:
-        d_values = [
-            disagreement_recall(hv.get(x, EMPTY), cv.get(x, EMPTY))
-            for x in inp.s_x_prime
-        ]
+    if not columns.reduced:
         d_ub, methods["disagreement_term"] = bound_term(
-            inp.n_x, d_values, inp.method, d_x, "upper"
+            inp.n_x, columns.d_r[columns.n :].tolist(), inp.method, d_x, "upper"
         )
-        matched_ind = [1.0 if inp.actual_for[x] else 0.0 for x in inp.s_x]
         frac_lb, methods["matched_fraction_term"] = bound_term(
-            inp.n_x, matched_ind, inp.method, d_frac, "lower"
+            inp.n_x, columns.matched.tolist(), inp.method, d_frac, "lower"
         )
         terms["disagreement_term"] = d_ub
         terms["matched_fraction_term"] = frac_lb
@@ -338,12 +391,13 @@ def complete_query_precision(
     """
     d1, d2, d3, d4 = inp.budget.parts_for(4)
     _require_complete(inp)
-    payload, hv, cv, values = shared or _shared(inp)
+    payload, columns = shared or _shared(inp)
+    n = columns.n
 
-    p_lb, p_used, p_n = _holdout_term(inp, values, "precision", d2)
-    h_ind = [1.0 if x in hv else 0.0 for x in inp.s_x_prime]
+    p_lb, p_used, p_n = _holdout_term(inp, columns, "precision", d2)
+    h_ind = columns.h_ind[n:].tolist()
     h_frac_lb, h_frac_used = bound_term(inp.n_x, h_ind, inp.method, d1, "lower")
-    c_ind = [1.0 if x in cv else 0.0 for x in inp.s_x_prime]
+    c_ind = columns.c_ind[n:].tolist()
     c_frac_ub, c_frac_used = bound_term(inp.n_x, c_ind, inp.method, d4, "upper")
 
     methods = {
@@ -359,13 +413,10 @@ def complete_query_precision(
         "dp_term": 0.0,
     }
     flags: tuple[str, ...] = ()
-    if cv is hv:
+    if columns.reduced:
         flags = ("reduced-to-holdout",)
     else:
-        dp_values = [
-            disagreement_precision(hv.get(x, EMPTY), cv.get(x, EMPTY))
-            for x in inp.s_x_prime
-        ]
+        dp_values = columns.d_p[n:].tolist()
         lo, hi = DP_DEFAULT_RANGE
         if max(dp_values, default=0.0) > hi:
             lo, hi = 0.0, 1.0 + inp.k_cap
@@ -400,25 +451,25 @@ def error_rate_bounds(
     err or the two matchers to differ.
     """
     parts = inp.budget.parts_for(1 if inp.complete is None else 2)
-    payload, hv, cv, _ = shared or _shared(inp)
-    w_values = [
-        float(single_node_error(hv.get(x, EMPTY), inp.actual_for[x])) for x in inp.s_x
-    ]
-    w_ub, w_used = bound_term(inp.n_x, w_values, inp.method, parts[0], "upper")
+    payload, columns = shared or _shared(inp)
+    w_ub, w_used = bound_term(
+        inp.n_x, columns.w.tolist(), inp.method, parts[0], "upper"
+    )
     terms = {"error_term": w_ub}
     methods = {"error_term": w_used}
     flags: tuple[str, ...] = ()
-    if cv is hv:
-        terms["disagreement_term"] = 0.0
-        flags = ("reduced-to-holdout",)
-    elif cv is not None:
-        diff_values = [
-            1.0 if hv.get(x, EMPTY) != cv.get(x, EMPTY) else 0.0 for x in inp.s_x_prime
-        ]
-        terms["disagreement_term"], methods["disagreement_term"] = bound_term(
-            inp.n_x, diff_values, inp.method, parts[1], "upper"
-        )
-    variant = "holdout" if cv is None else "complete"
+    if inp.complete is None:
+        variant = "holdout"
+    else:
+        variant = "complete"
+        if columns.reduced:
+            terms["disagreement_term"] = 0.0
+            flags = ("reduced-to-holdout",)
+        else:
+            terms["disagreement_term"], methods["disagreement_term"] = bound_term(
+                inp.n_x, columns.diff[columns.n :].tolist(), inp.method, parts[1],
+                "upper",
+            )
     return build_report(
         f"{variant}-query-error-rate",
         inp.budget,
@@ -438,13 +489,13 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     ``inp.budget`` holds one delta; each certificate spends it split
     equally over its own terms, so the reports hold jointly at the union
     bound of their budgets. The holdout certificates see the input without
-    the complete matcher. The shared record (the views and the p(x) and
-    r(x) lists) is built once for all the certificates.
+    the complete matcher. The shared record (the payload and the columns)
+    is built once for all the certificates.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, complete=None)
     shared = _shared(inp)
-    held = shared._replace(payload=_payload(holdout), cv=None)
+    held = shared._replace(payload=_payload(holdout))
 
     def split(k: int, of: QueryValidationInput = inp) -> QueryValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
@@ -471,31 +522,26 @@ def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
     d_r, d_p when a complete matcher is present); independent-sample-only
     nodes carry d_r, d_p alone, never touching actual matches.
     """
-    hv, cv = _views(inp)
-
-    def disagreement(x: str) -> dict:
-        if cv is None:
-            return {}
-        h, c = hv.get(x, EMPTY), cv.get(x, EMPTY)
-        return {"d_r": disagreement_recall(h, c), "d_p": disagreement_precision(h, c)}
-
-    out = []
-    for x in inp.s_x:
-        h, actual = hv.get(x, EMPTY), inp.actual_for[x]
-        out.append(
-            PerNodeStats(
-                node=x,
-                p=single_node_precision(h, actual),
-                r=single_node_recall(h, actual),
-                w=single_node_error(h, actual),
-                **disagreement(x),
-            )
-        )
-    if cv is not None:
-        seen = set(inp.s_x)
-        out += [
-            PerNodeStats(x, **disagreement(x)) for x in inp.s_x_prime if x not in seen
-        ]
+    columns = _columns(inp)
+    n = columns.n
+    p, r = (
+        [None if math.isnan(v) else v for v in column.tolist()]
+        for column in (columns.p, columns.r)
+    )
+    w = columns.w.astype(int).tolist()
+    if columns.d_r is None:
+        return [PerNodeStats(x, p[i], r[i], w[i]) for i, x in enumerate(inp.s_x)]
+    d_r, d_p = columns.d_r.tolist(), columns.d_p.tolist()
+    out = [
+        PerNodeStats(x, p[i], r[i], w[i], d_r[i], d_p[i])
+        for i, x in enumerate(inp.s_x)
+    ]
+    seen = set(inp.s_x)
+    out += [
+        PerNodeStats(x, d_r=d_r[n + j], d_p=d_p[n + j])
+        for j, x in enumerate(inp.s_x_prime)
+        if x not in seen
+    ]
     return out
 
 

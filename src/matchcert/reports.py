@@ -11,9 +11,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .bounds import DeltaBudget, union_confidence
+from .errors import MatchcertError
 
 __all__ = [
     "Payload",
@@ -22,9 +23,23 @@ __all__ = [
     "build_report",
     "combine_reports",
     "digest_of",
+    "require_distinct",
 ]
 
 VACUOUS_DENOMINATOR = "vacuous-denominator"
+
+
+def require_distinct(name: str, items: Sequence) -> None:
+    """Raise ``duplicate-sample-item`` naming the first item of ``items``
+    that repeats an earlier one: a without-replacement sample (the field
+    ``name`` of a certificate input) has distinct items."""
+    if len(set(items)) == len(items):
+        return
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise MatchcertError(f"duplicate-sample-item: {name} repeats {item!r}")
+        seen.add(item)
 
 
 def digest_of(payload) -> str:

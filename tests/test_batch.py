@@ -22,7 +22,13 @@ from matchcert.bounds import (
     hypergeom_invert_lower,
 )
 from matchcert.errors import MatchcertError
-from matchcert.graphs import MatchRole, by_x, make_match_set
+from matchcert.graphs import (
+    MatchRole,
+    NetworkPair,
+    by_x,
+    make_match_set,
+    make_network,
+)
 from matchcert.reports import ValidationReport, digest_of
 from matchcert.sampling import sample_without_replacement
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
@@ -329,6 +335,46 @@ class TestCompleteVariants:
         )
         with pytest.raises(MatchcertError, match="missing-complete"):
             complete_batch_recall(inp)
+
+
+class TestDuplicateSampleItems:
+    """A without-replacement sample has distinct items; a repeated verified
+    match would be counted several times."""
+
+    @staticmethod
+    def ten_pair_input(s_m, s_x):
+        names = [f"{i}" for i in range(10)]
+        pair = NetworkPair(
+            make_network([f"x{n}" for n in names], []),
+            make_network([f"y{n}" for n in names], []),
+        )
+        truth = make_match_set(
+            [(f"x{n}", f"y{n}") for n in names], pair, MatchRole.ACTUAL
+        )
+        return base_input(pair, truth, truth, s_m, s_x, HG, DeltaBudget.of(0.05))
+
+    @staticmethod
+    def precision(inp):
+        return holdout_batch_precision(
+            replace(inp, budget=DeltaBudget.equal_split(0.05, 2))
+        )
+
+    def test_repeated_s_m_pair_rejected(self):
+        # one verified match, counted eight times, would certify holdout
+        # batch recall >= 0.9 with m_size 10
+        inp = self.ten_pair_input([("x0", "y0")] * 8, ["x0"])
+        for certify in (batch_reports, holdout_batch_recall, self.precision):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == "duplicate-sample-item: s_m repeats ('x0', 'y0')"
+
+    def test_repeated_s_x_node_rejected(self):
+        inp = self.ten_pair_input([("x0", "y0")], ["x3", "x1", "x2", "x1", "x3"])
+        for certify in (batch_reports, self.precision):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            # the first item that repeats an earlier one, in input order
+            assert str(info.value) == "duplicate-sample-item: s_x repeats 'x1'"
 
 
 class TestBatchReports:

@@ -349,6 +349,29 @@ class TestActualMap:
 
 
 class TestValidateQuery:
+    def test_repeated_sample_line_exits_one(self, tmp_path, world, capsys):
+        matcher = write(
+            tmp_path / "matcher.json",
+            json.dumps({"kind": "attribute-exact", "attr_key": "uid"}),
+        )
+        s_x = write(tmp_path / "s_x.txt", "x0\nx1\nx0\n")
+        rc = main(
+            [
+                "validate", "query",
+                "--x", str(world / "x.tsv"),
+                "--y", str(world / "y.tsv"),
+                "--matcher", str(matcher),
+                "--s-x", str(s_x),
+                "--actual", str(world / "matches.tsv"),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert rc == 1
+        assert (
+            "matchcert: error: duplicate-sample-item: s_x repeats 'x0'"
+            in capsys.readouterr().err
+        )
+
     def test_full_run_with_node_stats(self, tmp_path, world):
         matcher = write(
             tmp_path / "matcher.json",

@@ -375,6 +375,103 @@ class TestMarksAddUpAcrossRounds:
             assert str(info.value) == error
 
 
+class TestPercolationEdges:
+    """Edge cases of the joint gather and the multiset mark table, each
+    checked against the reference loop round by round."""
+
+    def test_threshold_three(self):
+        # b is next to all three seeds, c to two of them: only (xb, yb) has
+        # 3 marks in round 1, and (xc, yc) gets its third from b in round 2
+        pair = mirrored_pair(
+            ["s1", "s2", "s3", "b", "c"],
+            [("s1", "b"), ("s2", "b"), ("s3", "b"), ("s1", "c"), ("s2", "c"),
+             ("b", "c")],
+        )
+        seeds = [("xs1", "ys1"), ("xs2", "ys2"), ("xs3", "ys3")]
+        one, two, three = percolate_rounds(pair, seeds, 3, rounds=3)
+        assert one - set(seeds) == {("xb", "yb")}
+        assert two - one == {("xc", "yc")}
+        assert three == two
+        union = union_pair(pair)
+        assert percolate_rounds(union, seeds, 3, rounds=3) == [one, two, three]
+
+    @pytest.mark.parametrize("threshold", [3, 4, 5])
+    def test_fewer_marks_than_the_threshold(self, threshold):
+        # one mark per candidate, and from (xs, ya) fewer marks in all than
+        # the threshold
+        pair = mirrored_pair(["s", "a", "b", "c"], [("s", "a"), ("s", "b"), ("s", "c")])
+        for seeds in ([("xs", "ys")], [("xs", "ya")]):
+            assert percolate_rounds(pair, seeds, threshold, rounds=2)[-1] == set(seeds)
+
+    def test_seed_without_unmatched_neighbour(self):
+        # s1's only neighbour is the seed s2, and i has no edge at all; the
+        # gather skips their rows, wherever they fall among the seeds
+        pair = mirrored_pair(
+            ["s1", "s2", "a", "i"], [("s1", "s2"), ("s2", "a")]
+        )
+        for seeds in (
+            [("xs1", "ys1"), ("xs2", "ys2"), ("xi", "yi")],
+            [("xi", "yi"), ("xs1", "ys1"), ("xs2", "ys2")],
+            [("xs2", "ys2"), ("xi", "yi"), ("xs1", "ys1")],
+        ):
+            rounds = percolate_rounds(pair, seeds, 1, rounds=2)
+            assert rounds == [set(seeds) | {("xa", "ya")}] * 2
+        # an x end with unmatched neighbours paired with a y end without any
+        lone = [("xs2", "yi")]
+        assert percolate_rounds(pair, lone, 1, rounds=2)[-1] == set(lone)
+
+    def test_round_without_marks_keeps_table_and_stops(self):
+        # threshold 2: round 1 matches b (next to both seeds) and leaves
+        # (xl, yl) with one mark; b has no unmatched neighbour, so round 2
+        # adds no marks, finds nothing eligible and ends the run
+        pair = mirrored_pair(
+            ["s1", "s2", "b", "l"], [("s1", "b"), ("s2", "b"), ("s1", "l")]
+        )
+        seeds = [("xs1", "ys1"), ("xs2", "ys2")]
+        rounds = percolate_rounds(pair, seeds, 2, rounds=3)
+        assert rounds == [set(seeds) | {("xb", "yb")}] * 3
+        assert percolate_rounds(union_pair(pair), seeds, 2, rounds=3) == rounds
+
+    def test_self_match_mode_drops_identity_candidates(self):
+        # one universe: a and b share the neighbour c, so the seed (a, b)
+        # would mark (c, c); without it (c, e) and (d, c) are accepted
+        net = make_network(
+            ["a", "b", "c", "d", "e"], [("a", "c"), ("b", "c"), ("a", "d"), ("b", "e")]
+        )
+        pair = NetworkPair(net, net, self_match_mode=True)
+        one, two = percolate_rounds(pair, [("a", "b")], 1, rounds=2)
+        assert one == two == {("a", "b"), ("c", "e"), ("d", "c")}
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    def test_one_round_on_generated_worlds(self, threshold):
+        cfg = GeneratorConfig(
+            n_entities=200, base_model=ErdosRenyi(0.05), edge_retain_x=0.8,
+            edge_retain_y=0.8, node_drop_x=0.1, node_drop_y=0.1, rng_seed=threshold,
+        )
+        pair, truth = generate_pair(cfg)
+        seeds = sorted(truth.pairs)[::4]
+        handle = build_matcher(
+            MatcherConfig("percolation", seeds=tuple(seeds), threshold=threshold,
+                          max_iters=1)
+        )
+        got = run_batch(handle, pair).pairs
+        assert got == percolate_reference(pair, seeds, threshold, 1)
+        assert len(got) > len(seeds)
+
+    def test_first_bad_seed_is_named_across_networks(self):
+        pair = mirrored_pair(["a", "b"], [("a", "b")])
+        for seeds, error in (
+            ((("xa", "ya"), ("xa", "yzz"), ("xzz", "ya")),
+             "unknown-node: seed pair ('xa', 'yzz')"),
+            ((("xb", "yb"), ("xzz", "ya"), ("xa", "yzz")),
+             "unknown-node: seed pair ('xzz', 'ya')"),
+        ):
+            handle = build_matcher(MatcherConfig("percolation", seeds=seeds))
+            with pytest.raises(MatchcertError) as info:
+                run_batch(handle, pair)
+            assert str(info.value) == error
+
+
 class TestQueryMode:
     def test_query_matches_batch_restriction(self):
         cfg = GeneratorConfig(

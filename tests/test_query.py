@@ -4,8 +4,11 @@ import math
 import random
 import weakref
 from dataclasses import fields, replace
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     true_batch_metrics_reference,
     true_error_rate_reference,
@@ -317,6 +320,56 @@ class TestErrorRate:
         )
 
 
+def _ten_node_input(**kw):
+    """A query input on a 10-node X with verified matches for every node."""
+    names = [f"{i}" for i in range(10)]
+    pair = NetworkPair(*(
+        make_network([f"{side}{n}" for n in names], [],
+                     {f"{side}{n}": {"uid": n} for n in names})
+        for side in "xy"
+    ))
+    args = dict(
+        pair=pair,
+        holdout=build_matcher(MatcherConfig("attribute-exact", attr_key="uid")),
+        s_x=("x0",),
+        actual_for={f"x{n}": frozenset({f"y{n}"}) for n in names},
+        method=HG,
+        budget=DeltaBudget.of(0.05),
+    )
+    return QueryValidationInput(**{**args, **kw})
+
+
+class TestDuplicateSampleItems:
+    """A without-replacement sample has distinct items; a repeated one
+    would count one verified node several times."""
+
+    def test_repeated_s_x_node_rejected(self):
+        # one verified node, counted eight times, would certify holdout
+        # query precision >= 0.9 on a 10-node X
+        inp = _ten_node_input(s_x=("x0",) * 8)
+        for certify in (query_reports, holdout_query_bounds, compute_node_stats):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == "duplicate-sample-item: s_x repeats 'x0'"
+
+    def test_repeated_s_x_prime_node_rejected(self):
+        complete = build_matcher(MatcherConfig("attribute-exact", attr_key="other"))
+        inp = _ten_node_input(
+            complete=complete, s_x_prime=("x1", "x2", "x3", "x2", "x1")
+        )
+        with pytest.raises(MatchcertError) as info:
+            query_reports(inp)
+        # the first item that repeats an earlier one, in input order
+        assert str(info.value) == "duplicate-sample-item: s_x_prime repeats 'x2'"
+
+    def test_overlap_between_the_two_samples_allowed(self):
+        complete = build_matcher(MatcherConfig("attribute-exact", attr_key="other"))
+        inp = _ten_node_input(
+            s_x=("x0", "x1"), complete=complete, s_x_prime=("x1", "x0")
+        )
+        assert len(query_reports(inp)) == 6
+
+
 class TestQueryReports:
     def test_holdout_only_without_complete_matcher(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
@@ -621,18 +674,20 @@ def _views_world():
 
 
 class TestViewsOnce:
+    """The columns stage (``query._columns``) runs once per query_reports."""
+
     def test_query_reports_equal_certificates_alone(self, monkeypatch):
         import matchcert.query as query
 
         inp = _views_world()
         calls = []
-        views = query._views
+        columns = query._columns
 
-        def counting_views(of):
+        def counting_columns(of):
             calls.append(of)
-            return views(of)
+            return columns(of)
 
-        monkeypatch.setattr(query, "_views", counting_views)
+        monkeypatch.setattr(query, "_columns", counting_columns)
         reports = query_reports(inp)
         assert len(calls) == 1 and len(reports) == 6
         calls.clear()
@@ -656,11 +711,126 @@ class TestViewsOnce:
         import matchcert.query as query
 
         inp = _views_world()
-        hv, cv = query._views(inp)
-        sampled = set(inp.s_x) | set(inp.s_x_prime)
-        for view_map, handle in ((hv, inp.holdout), (cv, inp.complete)):
-            whole = by_x(run_batch(handle, inp.pair))
-            assert view_map == {x: ys for x, ys in whole.items() if x in sampled}
+        columns = query._columns(inp)
+        n, n_prime = len(inp.s_x), len(inp.s_x_prime)
+        assert columns.n == n and not columns.reduced
+        for column in (columns.p, columns.r, columns.w, columns.matched):
+            assert column.shape == (n,)
+        matcher_columns = (columns.h_ind, columns.c_ind, columns.d_r, columns.d_p,
+                           columns.diff)
+        for column in matcher_columns:
+            assert column.shape == (n + n_prime,)
+        _assert_columns_follow_definitions(
+            inp, columns, by_x(run_batch(inp.holdout, inp.pair)),
+            by_x(run_batch(inp.complete, inp.pair)),
+        )
+
+
+def _same(got: float, want: float | None) -> bool:
+    """A column entry equals its definition, NaN standing for None."""
+    return math.isnan(got) if want is None else got == want
+
+
+def _assert_columns_follow_definitions(inp, columns, hv, cv):
+    """Each column entry equals the per-node definition on the matchers'
+    per-x sets ``hv`` and ``cv`` (cv None without a complete matcher)."""
+    empty = frozenset()
+    for i, x in enumerate(inp.s_x):
+        h, actual = hv.get(x, empty), inp.actual_for[x]
+        assert _same(columns.p[i], single_node_precision(h, actual))
+        assert _same(columns.r[i], single_node_recall(h, actual))
+        assert columns.w[i] == single_node_error(h, actual)
+        assert columns.matched[i] == (1.0 if actual else 0.0)
+    for j, x in enumerate((*inp.s_x, *inp.s_x_prime)):
+        h = hv.get(x, empty)
+        assert columns.h_ind[j] == (1.0 if h else 0.0)
+        if cv is None:
+            continue
+        c = cv.get(x, empty)
+        assert columns.c_ind[j] == (1.0 if c else 0.0)
+        assert columns.d_r[j] == disagreement_recall(h, c)
+        assert columns.d_p[j] == disagreement_precision(h, c)
+        assert columns.diff[j] == (1.0 if h != c else 0.0)
+    if cv is None:
+        assert columns.c_ind is columns.d_r is columns.d_p is columns.diff is None
+
+
+@st.composite
+def column_worlds(draw):
+    """(inp, sets): a query input on a small edgeless pair, in self-match
+    mode or not, and the identified set each matcher handle stands for, by
+    its attr_key. Identified sets give an x up to k_cap
+    matches (k_cap 1-3); actual sets may hold ids that are not nodes of Y;
+    the complete matcher is absent, identifies nothing, computes the
+    holdout's function or identifies its own set."""
+    self_mode = draw(st.booleans())
+    xs = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
+    x_net = make_network(xs, [])
+    if self_mode:
+        ys, pair = xs, NetworkPair(x_net, x_net, self_match_mode=True)
+    else:
+        ys = [f"m{i}" for i in range(draw(st.integers(1, 7)))]
+        pair = NetworkPair(x_net, make_network(ys, []))
+    k_cap = draw(st.integers(1, 3))
+
+    def identified():
+        pairs = []
+        for x in xs:
+            options = [y for y in ys if not (self_mode and y == x)]
+            chosen = draw(st.lists(st.sampled_from(options), max_size=k_cap,
+                                   unique=True)) if options else []
+            pairs += [(x, y) for y in chosen]
+        return make_match_set(pairs, pair, MatchRole.IDENTIFIED)
+
+    s_x = tuple(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True)))
+    actual_ids = [*ys, "ghost0", "ghost1"]  # the ghosts are not nodes of Y
+    actual_for = {
+        x: frozenset(draw(st.lists(st.sampled_from(actual_ids), max_size=3)))
+        for x in s_x
+    }
+    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="h"))
+    sets = {"h": identified()}
+    mode = draw(st.sampled_from(["none", "empty", "same", "own"]))
+    complete, s_x_prime = None, ()
+    if mode != "none":
+        s_x_prime = tuple(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True)))
+        if mode == "same":
+            complete = build_matcher(holdout.config)
+        else:
+            complete = build_matcher(MatcherConfig("attribute-exact", attr_key="c"))
+            sets["c"] = (
+                make_match_set([], pair, MatchRole.IDENTIFIED)
+                if mode == "empty" else identified()
+            )
+    inp = QueryValidationInput(
+        pair=pair, holdout=holdout, s_x=s_x, actual_for=actual_for, method=HOEFF,
+        budget=DeltaBudget.of(0.05), complete=complete, s_x_prime=s_x_prime,
+        k_cap=k_cap,
+    )
+    return inp, sets
+
+
+class TestColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(column_worlds())
+    def test_columns_follow_per_node_definitions(self, world):
+        import matchcert.query as query
+
+        inp, sets = world
+        ran = []
+
+        def identified_set(handle, pair):
+            ran.append(handle.config.attr_key)
+            return sets[handle.config.attr_key]
+
+        with patch.object(query, "run_batch", identified_set):
+            columns = query._columns(inp)
+        hv = by_x(sets["h"])
+        reduced = inp.complete is not None and inp.complete.same_function(inp.holdout)
+        cv = None if inp.complete is None else hv if reduced else by_x(sets["c"])
+        assert columns.reduced == reduced
+        assert ran == (["h"] if reduced or inp.complete is None else ["h", "c"])
+        _assert_columns_follow_definitions(inp, columns, hv, cv)
 
 
 def certificates_alone(inp):
@@ -697,13 +867,13 @@ class TestSharedQueryInputs:
 
         inp = _views_world()
         calls = []
-        node_values = query._node_values
+        columns = query._columns
 
-        def counting(of, hv):
+        def counting(of):
             calls.append(of)
-            return node_values(of, hv)
+            return columns(of)
 
-        monkeypatch.setattr(query, "_node_values", counting)
+        monkeypatch.setattr(query, "_columns", counting)
         query_reports(inp)
         assert len(calls) == 1
         calls.clear()
