@@ -28,7 +28,9 @@ The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
 holdout-minus-complete count are key counts. The samples are drawn
 without replacement, so a term that reads ``s_m`` or ``s_x`` rejects a
-repeated pair or node (``duplicate-sample-item``).
+repeated pair or node (``duplicate-sample-item``). It also rejects a pair
+with an endpoint outside X or Y, and a node outside X (``unknown-node``),
+which would otherwise count as a miss or as a node with no matches.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
+from .bounds import BoundMethod, Confidence, DeltaBudget, Term, bound_term
 # Unused here; the benchmark's self-test (perfbench/selftest.py) checks
 # that tracing reaches this imported name.
 from .bounds import bound_mean  # noqa: F401
@@ -122,23 +124,27 @@ def _payload(inp: BatchValidationInput) -> Payload:
 
 class Shared(NamedTuple):
     """What the certificates of one input share: its digest payload, and
-    ``two_terms``, which returns the recall and match-density terms and
-    their methods (see ``_two_terms``), computed on its first call."""
+    ``two_terms``, which returns the recall and match-density terms (see
+    ``_two_terms``), computed on its first call."""
 
     payload: Payload
-    two_terms: Callable[[], tuple[Mapping, Mapping]]
+    two_terms: Callable[[], Mapping[str, Term]]
 
 
 def _shared(inp: BatchValidationInput) -> Shared:
     return Shared(_payload(inp), cache(lambda: _two_terms(inp)))
 
 
-def _recall_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, str]:
+def _recall_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     """Lower-bound the identified rate over the actual matches."""
     if not inp.s_m:
         raise MatchcertError("empty-sample: s_m has no verified matches")
     require_distinct("s_m", inp.s_m)
-    hits = inp.m_hat_holdout.contains(pair_keys(inp.pair, inp.s_m))
+    keys = pair_keys(inp.pair, inp.s_m)
+    if (keys < 0).any():
+        x, y = inp.s_m[int(np.argmax(keys < 0))]
+        raise MatchcertError(f"unknown-node: s_m pair ({x!r}, {y!r})")
+    hits = inp.m_hat_holdout.contains(keys)
     values = [1.0 if hit else 0.0 for hit in hits.tolist()]
     n = inp.m_size if inp.m_size is not None else inp.m_size_upper
     if n is None:
@@ -149,7 +155,7 @@ def _recall_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, s
     return bound_term(n, values, inp.method, delta, "lower", exact=exact)
 
 
-def _density_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, str]:
+def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     """Lower-bound the mean per-node actual-match count over X.
 
     The population is X itself, whose size is always known; the counts
@@ -163,39 +169,41 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> tuple[float, 
         if x not in inp.actual_for:
             raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
         values.append(float(len(inp.actual_for[x])))
+    at = inp.pair.x_net.index.positions(inp.s_x)
+    if (at < 0).any():
+        raise MatchcertError(f"unknown-node: {inp.s_x[int(np.argmax(at < 0))]!r}")
     return bound_term(
         inp.n_x, values, inp.method, delta, "lower", hi=float(inp.k_y)
     )
 
 
-def _two_terms(inp: BatchValidationInput) -> tuple[dict, dict]:
+def _two_terms(inp: BatchValidationInput) -> dict[str, Term]:
     """The recall and match-density terms, on the budget's two parts."""
     d_recall, d_density = inp.budget.parts_for(2)
-    recall_lb, recall_method = _recall_term(inp, d_recall)
-    density_lb, density_method = _density_term(inp, d_density)
-    terms = {"recall_term": recall_lb, "match_density_term": density_lb}
-    methods = {"recall_term": recall_method, "match_density_term": density_method}
-    return terms, methods
+    return {
+        "recall_term": _recall_term(inp, d_recall),
+        "match_density_term": _density_term(inp, d_density),
+    }
 
 
-def _precision_scale(n_x: int, m_hat_size: int, terms: dict) -> float:
+def _precision_scale(n_x: int, m_hat_size: int, terms: Mapping) -> float:
     # shared by the holdout and complete precision certificates so that the
     # zero-disagreement case reduces to the holdout value bit-for-bit
-    return n_x / m_hat_size * terms["recall_term"] * terms["match_density_term"]
+    recall, density = terms["recall_term"].value, terms["match_density_term"].value
+    return n_x / m_hat_size * recall * density
 
 
 def holdout_batch_recall(
     inp: BatchValidationInput, shared: Shared | None = None
 ) -> ValidationReport:
     (delta,) = inp.budget.parts_for(1)
-    recall_lb, method = _recall_term(inp, delta)
+    recall = _recall_term(inp, delta)
     return build_report(
         "holdout-batch-recall",
         inp.budget,
         (shared or _shared(inp)).payload,
-        {"recall_term": recall_lb, "sample_size": float(len(inp.s_m))},
-        {"recall_term": method},
-        recall_lb,
+        {"recall_term": recall, "sample_size": float(len(inp.s_m))},
+        recall.value,
     )
 
 
@@ -207,16 +215,13 @@ def holdout_batch_precision(
     if not identified:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
     shared = shared or _shared(inp)
-    terms, methods = shared.two_terms()
-    terms = {**terms, "identified_count": float(identified)}
-    value = _precision_scale(inp.n_x, identified, terms)
+    terms = {**shared.two_terms(), "identified_count": float(identified)}
     return build_report(
         "holdout-batch-precision",
         inp.budget,
         shared.payload,
         terms,
-        methods,
-        value,
+        _precision_scale(inp.n_x, identified, terms),
     )
 
 
@@ -237,18 +242,16 @@ def complete_batch_recall(
     inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     shared = shared or _shared(inp)
-    terms, methods = shared.two_terms()
+    terms = shared.two_terms()
     disagreement = _disagreement(inp, m_hat)
-    terms = {**terms, "disagreement_count": float(disagreement)}
-    recall_lb, density_lb = terms["recall_term"], terms["match_density_term"]
+    recall, density = terms["recall_term"].value, terms["match_density_term"].value
     return build_report(
         "complete-batch-recall",
         inp.budget,
         shared.payload,
-        terms,
-        methods,
-        lambda: recall_lb - disagreement / (inp.n_x * density_lb),
-        denominator=density_lb,
+        {**terms, "disagreement_count": float(disagreement)},
+        lambda: recall - disagreement / (inp.n_x * density),
+        denominator=density,
     )
 
 
@@ -261,21 +264,18 @@ def complete_batch_precision(
     if not identified:
         raise MatchcertError("no-identified-matches: complete identified set is empty")
     shared = shared or _shared(inp)
-    terms, methods = shared.two_terms()
+    terms = shared.two_terms()
     disagreement = _disagreement(inp, m_hat)
-    terms = {**terms, "disagreement_count": float(disagreement)}
-    terms["identified_count"] = float(identified)
-    value = (
-        _precision_scale(inp.n_x, identified, terms)
-        - disagreement / identified
-    )
     return build_report(
         "complete-batch-precision",
         inp.budget,
         shared.payload,
-        terms,
-        methods,
-        value,
+        {
+            **terms,
+            "disagreement_count": float(disagreement),
+            "identified_count": float(identified),
+        },
+        _precision_scale(inp.n_x, identified, terms) - disagreement / identified,
     )
 
 

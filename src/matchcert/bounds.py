@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "hypergeom_invert_lower",
     "hypergeom_invert_upper",
     "bound_mean",
+    "Term",
     "bound_term",
     "union_confidence",
     "is_binary_sample",
@@ -562,6 +563,14 @@ def bound_mean(
     return res
 
 
+class Term(NamedTuple):
+    """One side of one certificate term: its bound and the name of the
+    method that bound really used. A report lists both per term."""
+
+    value: float
+    method: str
+
+
 def bound_term(
     n: int,
     values: Iterable[float],
@@ -571,8 +580,8 @@ def bound_term(
     lo: float = 0.0,
     hi: float = 1.0,
     exact: bool = True,
-) -> tuple[float, str]:
-    """One side of one certificate term: (bound, name of the method used).
+) -> Term:
+    """One side of one certificate term, with the method it used.
 
     This is where a certificate's requested method is downgraded. The
     exact method needs 0/1 values and the true population size. A term
@@ -587,7 +596,7 @@ def bound_term(
     res = bound_mean(
         PopulationSpec(n, lo, hi), SampleSummary.of(values), method, delta, side
     )
-    return (res.lower if side == "lower" else res.upper), method.value
+    return Term(res.lower if side == "lower" else res.upper, method.value)
 
 
 def union_confidence(budget: DeltaBudget) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import MatchcertError
@@ -111,9 +112,7 @@ def cmd_gen(args) -> int:
 
     cfg = _config(GeneratorConfig, args.config)
     if args.seed is not None:
-        cfg = GeneratorConfig.from_json_dict(
-            {**cfg.to_json_dict(), "rng_seed": args.seed}
-        )
+        cfg = replace(cfg, rng_seed=args.seed)
     pair, truth = generate_pair(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,8 +242,6 @@ def cmd_validate_query(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    from dataclasses import replace
-
     from .coverage import ExperimentConfig, run_coverage
 
     cfg = _config(ExperimentConfig, args.config)

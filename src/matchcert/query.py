@@ -15,7 +15,8 @@ verified node sample directly. The complete-matcher certificates add a
 correction bounded from a second, independent node sample on which only
 matcher outputs are observed, never actual matches: d_r(x) flags nodes
 where the holdout matcher found something the complete one dropped, and
-d_p(x) additionally charges for partial overlap.
+d_p(x) additionally charges for partial overlap. The d_p bound's range,
+(-1, 2) or (0, 1 + k_cap), is fixed by ``k_cap`` before s_x' is read.
 
 One stage, ``_columns``, checks the samples and runs each matcher once.
 It maps s_x and s_x' to positions and counts, per sampled node, from the
@@ -58,7 +59,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
+from .bounds import BoundMethod, Confidence, DeltaBudget, Term, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
@@ -301,17 +302,16 @@ def _shared(inp: QueryValidationInput) -> Shared:
 
 def _holdout_term(
     inp: QueryValidationInput, columns: Columns, quantity: str, delta: Confidence
-) -> tuple[float, str, int]:
+) -> tuple[Term, int]:
     """Lower-bound the mean of p(x) or r(x) (``quantity`` precision or
-    recall) over the verified nodes where it is defined; returns (bound,
-    method used, usable nodes)."""
+    recall) over the verified nodes where it is defined; returns the term
+    and the number of usable nodes."""
     column = columns.p if quantity == "precision" else columns.r
     sample = column[~np.isnan(column)].tolist()
     if not sample:
         side = "identified" if quantity == "precision" else "actual"
         raise MatchcertError(f"no-usable-sample: no sampled node has {side} matches")
-    lb, used = bound_term(inp.n_x, sample, inp.method, delta, "lower")
-    return lb, used, len(sample)
+    return bound_term(inp.n_x, sample, inp.method, delta, "lower"), len(sample)
 
 
 def holdout_query_bounds(
@@ -323,15 +323,14 @@ def holdout_query_bounds(
     payload, columns = shared or _shared(inp)
     reports = []
     for quantity in ("precision", "recall"):
-        lb, used, n = _holdout_term(inp, columns, quantity, delta)
+        term, n = _holdout_term(inp, columns, quantity, delta)
         reports.append(
             build_report(
                 f"holdout-query-{quantity}",
                 inp.budget,
                 payload,
-                {f"{quantity}_term": lb, "usable_nodes": float(n)},
-                {f"{quantity}_term": used},
-                lb,
+                {f"{quantity}_term": term, "usable_nodes": float(n)},
+                term.value,
             )
         )
     precision, recall = reports
@@ -352,26 +351,24 @@ def complete_query_recall(
     d_r, d_x, d_frac = inp.budget.parts_for(3)
     _require_complete(inp)
     payload, columns = shared or _shared(inp)
-    r_lb, r_used, r_n = _holdout_term(inp, columns, "recall", d_r)
-    terms = {"recall_term": r_lb, "disagreement_term": 0.0, "usable_nodes": float(r_n)}
-    methods = {"recall_term": r_used}
-    value, denominator, flags = r_lb, None, ("reduced-to-holdout",)
+    recall, n = _holdout_term(inp, columns, "recall", d_r)
+    terms = {"recall_term": recall, "disagreement_term": 0.0, "usable_nodes": float(n)}
+    value, denominator, flags = recall.value, None, ("reduced-to-holdout",)
     if not columns.reduced:
-        d_ub, methods["disagreement_term"] = bound_term(
+        d_ub = terms["disagreement_term"] = bound_term(
             inp.n_x, columns.d_r[columns.n :].tolist(), inp.method, d_x, "upper"
         )
-        frac_lb, methods["matched_fraction_term"] = bound_term(
+        frac_lb = terms["matched_fraction_term"] = bound_term(
             inp.n_x, columns.matched.tolist(), inp.method, d_frac, "lower"
         )
-        terms["disagreement_term"] = d_ub
-        terms["matched_fraction_term"] = frac_lb
-        value, denominator, flags = (lambda: r_lb - d_ub / frac_lb), frac_lb, ()
+        value, denominator, flags = (
+            (lambda: recall.value - d_ub.value / frac_lb.value), frac_lb.value, ()
+        )
     return build_report(
         "complete-query-recall",
         inp.budget,
         payload,
         terms,
-        methods,
         value,
         flags=flags,
         denominator=denominator,
@@ -384,58 +381,47 @@ def complete_query_precision(
     """[lower(holdout-matched fraction) * lower(holdout precision) -
     upper(d_p mean)] / upper(complete-matched fraction).
 
-    The d_p term uses the documented default range (-1, 2), widened to
-    (0, 1 + k_cap) when an observed value exceeds 2 (possible as soon as a
-    node has several identified matches); the range actually used is
-    recorded in the terms.
+    The d_p term's range is fixed by ``k_cap`` before s_x' is read, as
+    Hoeffding's bound requires: (-1, 2) when k_cap is 1, else (0, 1 +
+    k_cap), flagged ``dp-range-widened``. A d_p above 2 needs a node with
+    several identified matches, so only k_cap >= 2 can produce one. The
+    range used is recorded in the terms.
     """
     d1, d2, d3, d4 = inp.budget.parts_for(4)
     _require_complete(inp)
     payload, columns = shared or _shared(inp)
     n = columns.n
 
-    p_lb, p_used, p_n = _holdout_term(inp, columns, "precision", d2)
-    h_ind = columns.h_ind[n:].tolist()
-    h_frac_lb, h_frac_used = bound_term(inp.n_x, h_ind, inp.method, d1, "lower")
-    c_ind = columns.c_ind[n:].tolist()
-    c_frac_ub, c_frac_used = bound_term(inp.n_x, c_ind, inp.method, d4, "upper")
-
-    methods = {
-        "holdout_fraction_term": h_frac_used,
-        "precision_term": p_used,
-        "complete_fraction_term": c_frac_used,
-    }
+    precision, p_n = _holdout_term(inp, columns, "precision", d2)
+    h_frac = bound_term(inp.n_x, columns.h_ind[n:].tolist(), inp.method, d1, "lower")
+    c_frac = bound_term(inp.n_x, columns.c_ind[n:].tolist(), inp.method, d4, "upper")
     terms = {
-        "holdout_fraction_term": h_frac_lb,
-        "precision_term": p_lb,
-        "complete_fraction_term": c_frac_ub,
+        "holdout_fraction_term": h_frac,
+        "precision_term": precision,
+        "complete_fraction_term": c_frac,
         "usable_nodes": float(p_n),
         "dp_term": 0.0,
     }
-    flags: tuple[str, ...] = ()
+    dp_ub, flags = 0.0, ()
     if columns.reduced:
         flags = ("reduced-to-holdout",)
     else:
-        dp_values = columns.d_p[n:].tolist()
         lo, hi = DP_DEFAULT_RANGE
-        if max(dp_values, default=0.0) > hi:
-            lo, hi = 0.0, 1.0 + inp.k_cap
-            flags = ("dp-range-widened",)
-        terms["dp_term"], methods["dp_term"] = bound_term(
-            inp.n_x, dp_values, inp.method, d3, "upper", lo=lo, hi=hi
+        if inp.k_cap > 1:
+            lo, hi, flags = 0.0, 1.0 + inp.k_cap, ("dp-range-widened",)
+        dp = terms["dp_term"] = bound_term(
+            inp.n_x, columns.d_p[n:].tolist(), inp.method, d3, "upper", lo=lo, hi=hi
         )
-        terms["dp_range_lo"] = lo
-        terms["dp_range_hi"] = hi
-    dp_ub = terms["dp_term"]
+        terms.update(dp_range_lo=lo, dp_range_hi=hi)
+        dp_ub = dp.value
     return build_report(
         "complete-query-precision",
         inp.budget,
         payload,
         terms,
-        methods,
-        lambda: (h_frac_lb * p_lb - dp_ub) / c_frac_ub,
+        lambda: (h_frac.value * precision.value - dp_ub) / c_frac.value,
         flags=flags,
-        denominator=c_frac_ub,
+        denominator=c_frac.value,
     )
 
 
@@ -452,12 +438,9 @@ def error_rate_bounds(
     """
     parts = inp.budget.parts_for(1 if inp.complete is None else 2)
     payload, columns = shared or _shared(inp)
-    w_ub, w_used = bound_term(
-        inp.n_x, columns.w.tolist(), inp.method, parts[0], "upper"
-    )
-    terms = {"error_term": w_ub}
-    methods = {"error_term": w_used}
-    flags: tuple[str, ...] = ()
+    error = bound_term(inp.n_x, columns.w.tolist(), inp.method, parts[0], "upper")
+    terms = {"error_term": error}
+    disagreement, flags = 0.0, ()
     if inp.complete is None:
         variant = "holdout"
     else:
@@ -466,17 +449,17 @@ def error_rate_bounds(
             terms["disagreement_term"] = 0.0
             flags = ("reduced-to-holdout",)
         else:
-            terms["disagreement_term"], methods["disagreement_term"] = bound_term(
+            diff = terms["disagreement_term"] = bound_term(
                 inp.n_x, columns.diff[columns.n :].tolist(), inp.method, parts[1],
                 "upper",
             )
+            disagreement = diff.value
     return build_report(
         f"{variant}-query-error-rate",
         inp.budget,
         payload,
         terms,
-        methods,
-        w_ub + terms.get("disagreement_term", 0.0),
+        error.value + disagreement,
         flags=flags,
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .bounds import DeltaBudget, union_confidence
+from .bounds import DeltaBudget, Term, union_confidence
 from .errors import MatchcertError
 
 __all__ = [
@@ -154,8 +154,7 @@ def build_report(
     bound_id: str,
     budget: DeltaBudget,
     inputs: Payload,
-    terms: Mapping[str, float],
-    term_methods: Mapping[str, str],
+    terms: Mapping[str, Term | float],
     value: float | Callable[[], float],
     flags: tuple[str, ...] = (),
     denominator: float | None = None,
@@ -167,9 +166,13 @@ def build_report(
     [0, 1]. A ratio certificate passes its denominator's bound and ``value``
     as a function that divides by it: when the denominator is at most 0
     the value is never computed, and the report carries 0 and the
-    vacuous-denominator flag instead. ``inputs``, the certificate's input
-    payload, is hashed with the bound id and the budget's deltas into the
-    report's ``inputs_digest`` when that is first read, not here.
+    vacuous-denominator flag instead. ``terms`` names what the value was
+    assembled from: each :class:`Term` gives the report's ``terms`` its
+    bound and ``term_methods`` the method it used, and a plain number (a
+    sample size, a count) passes through to ``terms``. ``inputs``, the
+    certificate's input payload, is hashed with the bound id and the
+    budget's deltas into the report's ``inputs_digest`` when that is first
+    read, not here.
     """
     variant, mode, quantity = bound_id.split("-", 2)
     if denominator is not None:
@@ -188,8 +191,8 @@ def build_report(
         budget=budget,
         lower_bound=None if upper else value,
         upper_bound=value if upper else None,
-        terms=terms,
-        term_methods=term_methods,
+        terms={k: t.value if isinstance(t, Term) else t for k, t in terms.items()},
+        term_methods={k: t.method for k, t in terms.items() if isinstance(t, Term)},
         flags=flags,
         payload=inputs,
     )

@@ -377,6 +377,36 @@ class TestDuplicateSampleItems:
             assert str(info.value) == "duplicate-sample-item: s_x repeats 'x1'"
 
 
+class TestUnknownSampleNodes:
+    """A sampled pair or node outside the networks is rejected, as the query
+    certificates reject it, rather than counted as a miss or a node with no
+    matches."""
+
+    ten_pair_input = staticmethod(TestDuplicateSampleItems.ten_pair_input)
+    precision = staticmethod(TestDuplicateSampleItems.precision)
+
+    def test_s_m_pair_outside_the_networks_rejected(self):
+        for bad, error in (
+            (("ghost", "y1"), "unknown-node: s_m pair ('ghost', 'y1')"),
+            (("x1", "nobody"), "unknown-node: s_m pair ('x1', 'nobody')"),
+        ):
+            inp = self.ten_pair_input([("x0", "y0"), bad, ("x2", "y2")], ["x0"])
+            for certify in (batch_reports, holdout_batch_recall, self.precision):
+                with pytest.raises(MatchcertError) as info:
+                    certify(inp)
+                assert str(info.value) == error
+
+    def test_s_x_node_outside_x_rejected(self):
+        inp = self.ten_pair_input([("x0", "y0")], ["x0", "nobody", "x1"])
+        # an actual-match map that lists the stray node, as ``validate``
+        # builds one for every sampled node
+        inp = replace(inp, actual_for={**inp.actual_for, "nobody": frozenset()})
+        for certify in (batch_reports, self.precision):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == "unknown-node: 'nobody'"
+
+
 class TestBatchReports:
     def test_holdout_only_without_complete_set(self, world):
         pair, truth = world

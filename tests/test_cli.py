@@ -294,6 +294,13 @@ class TestValidateBatch:
         assert rc == 1
         assert "invalid-confidence" in capsys.readouterr().err
 
+    def test_unknown_s_x_node_exits_one(self, tmp_path, world, capsys):
+        # argparse keeps the last --s-x given
+        s_x = write(tmp_path / "stray.txt", "x0\nnobody\n")
+        rc = self._validate(tmp_path, world, "--s-x", str(s_x))
+        assert rc == 1
+        assert "unknown-node: 'nobody'" in capsys.readouterr().err
+
     def test_malformed_input_exits_one(self, tmp_path, world, capsys):
         bad = write(tmp_path / "bad.tsv", "only-one-field\n")
         rc = main(

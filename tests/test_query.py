@@ -252,6 +252,42 @@ class TestCompleteQueryPrecision:
         assert rep.terms["dp_range_lo"] == 0.0
         assert rep.terms["dp_range_hi"] == 4.0
 
+    def test_dp_range_fixed_before_the_sample_is_read(self):
+        # d_p is 6 on x0 and x1 (five holdout-only matches over one complete
+        # match) and 2 on x2..x9 (one match each, never the same), so its
+        # mean over X is 2.8. A range chosen from s_x' would stay (-1, 2) on
+        # the 56 of 252 samples that miss x0 and x1, and the bound, at most
+        # 2 there, would fail with probability 0.22 at delta_3 = 0.05.
+        n = 10
+        pair = NetworkPair(
+            make_network([f"x{i}" for i in range(n)], []),
+            make_network([f"y{i}" for i in range(2 * n)], []),
+        )
+        wide = [(x, f"y{j}") for x in ("x0", "x1") for j in range(1, 6)]
+        holdout = fixed_matcher(wide + [(f"x{i}", f"y{i}") for i in range(2, n)])
+        complete = fixed_matcher(
+            [("x0", "y0"), ("x1", "y0")] + [(f"x{i}", f"y{n + i}") for i in range(2, n)]
+        )
+        d_p = [6.0, 6.0] + [2.0] * (n - 2)
+        mean = sum(d_p) / n
+        s_x = [f"x{i}" for i in range(n)]
+        actual = {x: frozenset({f"y{i}"}) for i, x in enumerate(s_x)}
+        budget = DeltaBudget.of(0.01, 0.01, 0.05, 0.01)
+        samples = list(itertools.combinations(s_x, 5))
+        reports = [
+            complete_query_precision(
+                tiny_input(pair, holdout, s_x, actual, budget, complete=complete,
+                           s_x_prime=s_prime, k_cap=5)
+            )
+            for s_prime in samples
+        ]
+        failed = sum(rep.terms["dp_term"] < mean for rep in reports)
+        assert failed / len(samples) <= budget.parts[2].delta
+        assert {
+            (rep.terms["dp_range_lo"], rep.terms["dp_range_hi"], rep.flags)
+            for rep in reports
+        } == {(0.0, 6.0, ("dp-range-widened",))}
+
     def test_requires_usable_precision_sample(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([])
