@@ -17,12 +17,11 @@ with known actual matches, these functions certify:
 Every certificate consumes an explicit delta budget with one part per
 bound term; the total failure probability is the sum of the parts.
 :func:`batch_reports` runs every certificate an input supports from a
-single delta. Each certificate takes an optional ``shared`` record, built
-by ``_shared``, that batch_reports builds once for all its certificates:
-the digest payload, and the recall and match-density terms of the
-precision and complete certificates, computed when the first of them
-needs them. The payload's fields are built when a report's digest is
-first read, and the digest hashes them as plain JSON (see :mod:`.reports`).
+single delta. The precision and complete certificates take an optional
+``two_terms``, which returns the recall and match-density terms;
+batch_reports passes one that computes them when the first of those
+certificates asks. Each report's digest fields come from the input its
+own certificate was given (see :mod:`.reports`).
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,7 +46,12 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, Term, bound_term
 from .bounds import bound_mean  # noqa: F401
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair, pair_keys
-from .reports import Payload, ValidationReport, build_report, require_distinct
+from .reports import (
+    ValidationReport,
+    build_report,
+    require_distinct,
+    sample_positions,
+)
 
 __all__ = [
     "BatchValidationInput",
@@ -99,7 +103,7 @@ class BatchValidationInput:
         return len(self.pair.x_net.index.ids)
 
 
-def _payload(inp: BatchValidationInput) -> Payload:
+def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
     """``inp``'s digest fields but the bound id and deltas, which each
     report adds. They hold the input's match sets and samples, not the
     input and its networks."""
@@ -112,27 +116,14 @@ def _payload(inp: BatchValidationInput) -> Payload:
         "m_size": inp.m_size,
         "m_size_upper": inp.m_size_upper,
     }
-    return Payload(lambda: {
+    return lambda: {
         **scalars,
         # a sorted tuple of pairs encodes as the sorted list of [x, y]
         "m_hat_holdout": holdout.sorted_pairs,
         "m_hat_complete": complete.sorted_pairs if complete else None,
         "s_m": sorted(map(list, s_m)),
         "s_x": sorted(s_x),
-    })
-
-
-class Shared(NamedTuple):
-    """What the certificates of one input share: its digest payload, and
-    ``two_terms``, which returns the recall and match-density terms (see
-    ``_two_terms``), computed on its first call."""
-
-    payload: Payload
-    two_terms: Callable[[], Mapping[str, Term]]
-
-
-def _shared(inp: BatchValidationInput) -> Shared:
-    return Shared(_payload(inp), cache(lambda: _two_terms(inp)))
+    }
 
 
 def _recall_term(inp: BatchValidationInput, delta: Confidence) -> Term:
@@ -161,20 +152,9 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     The population is X itself, whose size is always known; the counts
     lie in [0, k_y], so the exact method applies only when k_y = 1.
     """
-    if not inp.s_x:
-        raise MatchcertError("empty-sample: s_x has no nodes")
-    require_distinct("s_x", inp.s_x)
-    values = []
-    for x in inp.s_x:
-        if x not in inp.actual_for:
-            raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
-        values.append(float(len(inp.actual_for[x])))
-    at = inp.pair.x_net.index.positions(inp.s_x)
-    if (at < 0).any():
-        raise MatchcertError(f"unknown-node: {inp.s_x[int(np.argmax(at < 0))]!r}")
-    return bound_term(
-        inp.n_x, values, inp.method, delta, "lower", hi=float(inp.k_y)
-    )
+    sample_positions(inp.pair.x_net.index, "s_x", inp.s_x, inp.actual_for)
+    values = [float(len(inp.actual_for[x])) for x in inp.s_x]
+    return bound_term(inp.n_x, values, inp.method, delta, "lower", hi=float(inp.k_y))
 
 
 def _two_terms(inp: BatchValidationInput) -> dict[str, Term]:
@@ -193,33 +173,31 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: Mapping) -> float:
     return n_x / m_hat_size * recall * density
 
 
-def holdout_batch_recall(
-    inp: BatchValidationInput, shared: Shared | None = None
-) -> ValidationReport:
+def holdout_batch_recall(inp: BatchValidationInput) -> ValidationReport:
     (delta,) = inp.budget.parts_for(1)
     recall = _recall_term(inp, delta)
     return build_report(
         "holdout-batch-recall",
         inp.budget,
-        (shared or _shared(inp)).payload,
+        _payload(inp),
         {"recall_term": recall, "sample_size": float(len(inp.s_m))},
         recall.value,
     )
 
 
 def holdout_batch_precision(
-    inp: BatchValidationInput, shared: Shared | None = None
+    inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
 ) -> ValidationReport:
     inp.budget.parts_for(2)
     identified = inp.m_hat_holdout.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
-    shared = shared or _shared(inp)
-    terms = {**shared.two_terms(), "identified_count": float(identified)}
+    terms = two_terms() if two_terms else _two_terms(inp)
+    terms = {**terms, "identified_count": float(identified)}
     return build_report(
         "holdout-batch-precision",
         inp.budget,
-        shared.payload,
+        _payload(inp),
         terms,
         _precision_scale(inp.n_x, identified, terms),
     )
@@ -237,18 +215,17 @@ def _disagreement(inp: BatchValidationInput, m_hat: MatchSet) -> int:
 
 
 def complete_batch_recall(
-    inp: BatchValidationInput, shared: Shared | None = None
+    inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
 ) -> ValidationReport:
     inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
-    shared = shared or _shared(inp)
-    terms = shared.two_terms()
+    terms = two_terms() if two_terms else _two_terms(inp)
     disagreement = _disagreement(inp, m_hat)
     recall, density = terms["recall_term"].value, terms["match_density_term"].value
     return build_report(
         "complete-batch-recall",
         inp.budget,
-        shared.payload,
+        _payload(inp),
         {**terms, "disagreement_count": float(disagreement)},
         lambda: recall - disagreement / (inp.n_x * density),
         denominator=density,
@@ -256,20 +233,19 @@ def complete_batch_recall(
 
 
 def complete_batch_precision(
-    inp: BatchValidationInput, shared: Shared | None = None
+    inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
 ) -> ValidationReport:
     inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     identified = m_hat.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: complete identified set is empty")
-    shared = shared or _shared(inp)
-    terms = shared.two_terms()
+    terms = two_terms() if two_terms else _two_terms(inp)
     disagreement = _disagreement(inp, m_hat)
     return build_report(
         "complete-batch-precision",
         inp.budget,
-        shared.payload,
+        _payload(inp),
         {
             **terms,
             "disagreement_count": float(disagreement),
@@ -297,16 +273,15 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     def split(k: int, of: BatchValidationInput = inp) -> BatchValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
-    shared = _shared(split(2))
-    held = shared._replace(payload=_payload(holdout))
+    two_terms = cache(lambda: _two_terms(split(2)))
     reports = [
-        holdout_batch_recall(split(1, holdout), held),
-        holdout_batch_precision(split(2, holdout), held),
+        holdout_batch_recall(split(1, holdout)),
+        holdout_batch_precision(split(2, holdout), two_terms),
     ]
     if inp.m_hat_complete is not None:
         reports += [
-            complete_batch_recall(split(2), shared),
-            complete_batch_precision(split(2), shared),
+            complete_batch_recall(split(2), two_terms),
+            complete_batch_precision(split(2), two_terms),
         ]
     return reports
 

@@ -1,9 +1,9 @@
 """Baseline reconciliation algorithms: attribute-exact and percolation.
 
 Both run in batch mode (the full identified-match set is materialized) or
-query mode (per-node matches on demand, with a query counter for cost
-reporting). The validation machinery never looks inside a matcher, so
-these exist to exercise it; the bounds hold for any matcher.
+query mode (one node's matches, read from the batch result). The
+validation machinery never looks inside a matcher, so these exist to
+exercise it; the bounds hold for any matcher.
 
 Determinism contract: given the same config, seeds, and networks, a
 matcher produces byte-identical output. Percolation resolves conflicting
@@ -135,13 +135,8 @@ class MatcherHandle:
 
     config: MatcherConfig
     training_matches: tuple[tuple[str, str], ...] = ()
-    _queries: int = field(default=0, repr=False)
     _cache_pair: NetworkPair | None = field(default=None, repr=False)
     _cache_result: MatchSet | None = field(default=None, repr=False)
-
-    @property
-    def queries(self) -> int:
-        return self._queries
 
     def same_function(self, other: "MatcherHandle") -> bool:
         """True when both handles compute the same matching function: the
@@ -349,9 +344,8 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
 
 
 def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str]:
-    """Identified matches for one node; increments the handle's query count."""
+    """Identified matches for one node, read from the batch result."""
     if x not in pair.x_net.index.pos:
         raise MatchcertError(f"unknown-node: {x!r}")
-    handle._queries += 1
     return matches_of(run_batch(handle, pair), pair, (x,)).get(x, frozenset())
 

@@ -31,12 +31,10 @@ computes the same function as the holdout one, its columns are the
 holdout's and it never runs. The samples are drawn without replacement,
 so a node repeated in s_x or s_x' (or a pair in a batch input's s_m) is
 rejected with ``duplicate-sample-item``: it would be counted as several
-independent draws. Each certificate takes an optional ``shared`` record,
-built by ``_shared``, that :func:`query_reports` builds once for all its
-certificates: the digest payload and the columns. A certificate called on
-its own builds the record itself. The payload's fields are built when a
-report's digest is first read, and the digest hashes them as plain JSON
-(see :mod:`.reports`).
+independent draws. Each certificate takes optional ``columns``, which
+:func:`query_reports` builds once for all its certificates; a certificate
+called on its own builds them itself. Each report's digest fields come
+from the input its own certificate was given (see :mod:`.reports`).
 
 The truth oracles read keys too: numpy set arithmetic over the sorted
 keys, with per-node rates from ``np.bincount`` and means by ``math.fsum``.
@@ -55,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,7 +61,7 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, Term, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
-from .reports import Payload, ValidationReport, build_report, require_distinct
+from .reports import ValidationReport, build_report, sample_positions
 
 __all__ = [
     "PerNodeStats",
@@ -205,27 +203,16 @@ def _per_x(keys: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
 def _columns(inp: QueryValidationInput) -> Columns:
     """Check the samples, run each matcher once and return the columns.
 
-    Checks, in order: s_x is non-empty, s_x' is non-empty when a complete
-    matcher is given, neither repeats a node, every node of s_x and s_x'
-    is a node of X, and every node of s_x is in ``actual_for``. The
-    complete matcher does not run when it computes the same function as
-    the holdout one.
+    The samples are checked first (see ``reports.sample_positions``): s_x
+    with its ``actual_for``, then s_x' when a complete matcher is given or
+    s_x' is non-empty. The complete matcher does not run when it computes
+    the same function as the holdout one.
     """
-    if not inp.s_x:
-        raise MatchcertError("empty-sample: s_x has no nodes")
-    if inp.complete is not None and not inp.s_x_prime:
-        raise MatchcertError("empty-sample: s_x_prime has no nodes")
-    require_distinct("s_x", inp.s_x)
-    require_distinct("s_x_prime", inp.s_x_prime)
-    m_hat = run_batch(inp.holdout, inp.pair)
     ix, iy = inp.pair.x_net.index, inp.pair.y_net.index
-    nodes = (*inp.s_x, *inp.s_x_prime)
-    at = ix.positions(nodes)
-    if (at < 0).any():
-        raise MatchcertError(f"unknown-node: {nodes[int(np.argmax(at < 0))]!r}")
-    missing = [x for x in inp.s_x if x not in inp.actual_for]
-    if missing:
-        raise MatchcertError(f"missing-actual: no verified matches for {missing[0]!r}")
+    at = sample_positions(ix, "s_x", inp.s_x, inp.actual_for)
+    if inp.complete is not None or inp.s_x_prime:
+        at = np.concatenate([at, sample_positions(ix, "s_x_prime", inp.s_x_prime)])
+    m_hat = run_batch(inp.holdout, inp.pair)
     n, n_x, n_y = len(inp.s_x), len(ix.ids), len(iy.ids)
 
     # the verified nodes: identified, actual and both, per node
@@ -271,7 +258,7 @@ def _columns(inp: QueryValidationInput) -> Columns:
     )
 
 
-def _payload(inp: QueryValidationInput) -> Payload:
+def _payload(inp: QueryValidationInput) -> Callable[[], dict]:
     """``inp``'s digest fields but the bound id and deltas, which each
     report adds. They hold the matchers' configs, not the handles and the
     networks."""
@@ -279,25 +266,13 @@ def _payload(inp: QueryValidationInput) -> Payload:
     holdout = inp.holdout.config
     complete = inp.complete.config if inp.complete else None
     scalars = {"n_x": inp.n_x, "method": inp.method.value, "k_cap": inp.k_cap}
-    return Payload(lambda: {
+    return lambda: {
         **scalars,
         "s_x": sorted(s_x),
         "s_x_prime": sorted(s_x_prime),
         "holdout": holdout.to_json_dict(),
         "complete": complete.to_json_dict() if complete else None,
-    })
-
-
-class Shared(NamedTuple):
-    """What the certificates of one input share: its digest payload and
-    its columns (see ``_columns``)."""
-
-    payload: Payload
-    columns: Columns
-
-
-def _shared(inp: QueryValidationInput) -> Shared:
-    return Shared(_payload(inp), _columns(inp))
+    }
 
 
 def _holdout_term(
@@ -315,12 +290,12 @@ def _holdout_term(
 
 
 def holdout_query_bounds(
-    inp: QueryValidationInput, shared: Shared | None = None
+    inp: QueryValidationInput, columns: Columns | None = None
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at the budget's
     single delta (combine with union_confidence to hold both jointly)."""
     (delta,) = inp.budget.parts_for(1)
-    payload, columns = shared or _shared(inp)
+    columns = columns or _columns(inp)
     reports = []
     for quantity in ("precision", "recall"):
         term, n = _holdout_term(inp, columns, quantity, delta)
@@ -328,7 +303,7 @@ def holdout_query_bounds(
             build_report(
                 f"holdout-query-{quantity}",
                 inp.budget,
-                payload,
+                _payload(inp),
                 {f"{quantity}_term": term, "usable_nodes": float(n)},
                 term.value,
             )
@@ -343,14 +318,14 @@ def _require_complete(inp: QueryValidationInput) -> None:
 
 
 def complete_query_recall(
-    inp: QueryValidationInput, shared: Shared | None = None
+    inp: QueryValidationInput, columns: Columns | None = None
 ) -> ValidationReport:
     """Holdout recall minus the disagreement rate rescaled by the matched
     fraction of X; reduces exactly to the holdout certificate when the
     complete matcher is the same function as the holdout one."""
     d_r, d_x, d_frac = inp.budget.parts_for(3)
     _require_complete(inp)
-    payload, columns = shared or _shared(inp)
+    columns = columns or _columns(inp)
     recall, n = _holdout_term(inp, columns, "recall", d_r)
     terms = {"recall_term": recall, "disagreement_term": 0.0, "usable_nodes": float(n)}
     value, denominator, flags = recall.value, None, ("reduced-to-holdout",)
@@ -367,7 +342,7 @@ def complete_query_recall(
     return build_report(
         "complete-query-recall",
         inp.budget,
-        payload,
+        _payload(inp),
         terms,
         value,
         flags=flags,
@@ -376,7 +351,7 @@ def complete_query_recall(
 
 
 def complete_query_precision(
-    inp: QueryValidationInput, shared: Shared | None = None
+    inp: QueryValidationInput, columns: Columns | None = None
 ) -> ValidationReport:
     """[lower(holdout-matched fraction) * lower(holdout precision) -
     upper(d_p mean)] / upper(complete-matched fraction).
@@ -389,7 +364,7 @@ def complete_query_precision(
     """
     d1, d2, d3, d4 = inp.budget.parts_for(4)
     _require_complete(inp)
-    payload, columns = shared or _shared(inp)
+    columns = columns or _columns(inp)
     n = columns.n
 
     precision, p_n = _holdout_term(inp, columns, "precision", d2)
@@ -417,7 +392,7 @@ def complete_query_precision(
     return build_report(
         "complete-query-precision",
         inp.budget,
-        payload,
+        _payload(inp),
         terms,
         lambda: (h_frac.value * precision.value - dp_ub) / c_frac.value,
         flags=flags,
@@ -426,7 +401,7 @@ def complete_query_precision(
 
 
 def error_rate_bounds(
-    inp: QueryValidationInput, shared: Shared | None = None
+    inp: QueryValidationInput, columns: Columns | None = None
 ) -> ValidationReport:
     """Upper-bound the mean single-node error over X.
 
@@ -437,7 +412,7 @@ def error_rate_bounds(
     err or the two matchers to differ.
     """
     parts = inp.budget.parts_for(1 if inp.complete is None else 2)
-    payload, columns = shared or _shared(inp)
+    columns = columns or _columns(inp)
     error = bound_term(inp.n_x, columns.w.tolist(), inp.method, parts[0], "upper")
     terms = {"error_term": error}
     disagreement, flags = 0.0, ()
@@ -457,7 +432,7 @@ def error_rate_bounds(
     return build_report(
         f"{variant}-query-error-rate",
         inp.budget,
-        payload,
+        _payload(inp),
         terms,
         error.value + disagreement,
         flags=flags,
@@ -472,28 +447,25 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     ``inp.budget`` holds one delta; each certificate spends it split
     equally over its own terms, so the reports hold jointly at the union
     bound of their budgets. The holdout certificates see the input without
-    the complete matcher. The shared record (the payload and the columns)
-    is built once for all the certificates.
+    the complete matcher. The columns are built once for all the
+    certificates.
     """
     (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, complete=None)
-    shared = _shared(inp)
-    held = shared._replace(payload=_payload(holdout))
+    columns = _columns(inp)
 
     def split(k: int, of: QueryValidationInput = inp) -> QueryValidationInput:
         return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
 
-    precision, recall = holdout_query_bounds(split(1, holdout), held)
     reports = [
-        precision,
-        recall,
-        error_rate_bounds(split(1, holdout), held),
+        *holdout_query_bounds(split(1, holdout), columns),
+        error_rate_bounds(split(1, holdout), columns),
     ]
     if inp.complete is not None:
         reports += [
-            complete_query_recall(split(3), shared),
-            complete_query_precision(split(4), shared),
-            error_rate_bounds(split(2), shared),
+            complete_query_recall(split(3), columns),
+            complete_query_precision(split(4), columns),
+            error_rate_bounds(split(2), columns),
         ]
     return reports
 

@@ -1,8 +1,10 @@
 """Validation report structure shared by the batch and query certifiers.
 
 A report's ``inputs_digest`` hashes one plain JSON object: the fields of
-its certificate input's :class:`Payload`, built at most once per payload,
-plus the bound id and the budget's deltas.
+its certificate's input, which a callable builds when the digest is first
+read, plus the bound id and the budget's deltas. The sampled-node checks
+that both certifiers run on s_x (and the query certifier on s_x') are
+:func:`sample_positions`.
 """
 
 from __future__ import annotations
@@ -13,17 +15,19 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .bounds import DeltaBudget, Term, union_confidence
 from .errors import MatchcertError
 
 __all__ = [
-    "Payload",
     "ValidationReport",
     "SimultaneousReport",
     "build_report",
     "combine_reports",
     "digest_of",
     "require_distinct",
+    "sample_positions",
 ]
 
 VACUOUS_DENOMINATOR = "vacuous-denominator"
@@ -42,34 +46,33 @@ def require_distinct(name: str, items: Sequence) -> None:
         seen.add(item)
 
 
+def sample_positions(
+    index, name: str, nodes: Sequence[str], actual_for: Mapping | None = None
+) -> np.ndarray:
+    """The positions in ``index`` (a network's ``NodeIndex``) of the
+    sampled ``nodes``, the field ``name`` of a certificate input, after
+    checking, in order: the sample is non-empty (``empty-sample``), repeats
+    no node (``duplicate-sample-item``), has verified matches for every
+    node when ``actual_for`` is given (``missing-actual``), and holds only
+    nodes of the network (``unknown-node``)."""
+    if not nodes:
+        raise MatchcertError(f"empty-sample: {name} has no nodes")
+    require_distinct(name, nodes)
+    if actual_for is not None:
+        for x in nodes:
+            if x not in actual_for:
+                raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
+    at = index.positions(nodes)
+    if (at < 0).any():
+        raise MatchcertError(f"unknown-node: {nodes[int(np.argmax(at < 0))]!r}")
+    return at
+
+
 def digest_of(payload) -> str:
     """Short stable content hash of a JSON-serializable payload: the
     sha256 of its sorted-key compact JSON."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-class Payload:
-    """A certificate input's digest fields, built on first use.
-
-    ``build`` returns the fields; it runs at most once, when the first
-    report built from this payload has its ``inputs_digest`` read, and all
-    those reports share the result. ``build`` should close over the
-    input's fields rather than the input, so that a report does not keep
-    the input's networks alive.
-    """
-
-    def __init__(self, build: Callable[[], Mapping]):
-        self._build = build
-
-    @cached_property
-    def fields(self) -> Mapping:
-        """The fields ``build`` returns, built on first read."""
-        return self._build()
-
-    def __getstate__(self) -> dict:
-        # a pickled report carries its fields, not the closure
-        return {"fields": self.fields}
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +85,11 @@ class ValidationReport:
     ``term_methods`` the bound family actually used per term (a term may
     be downgraded, e.g. when the exact method is inapplicable to it).
 
-    ``inputs_digest`` hashes the bound id, the budget's deltas and
-    ``payload``'s fields as one plain JSON object. It is computed when
-    first read, so a caller that never reads it (a coverage trial) never
-    builds the payload. Reports compare equal when their fields and their
+    ``inputs_digest`` hashes the bound id, the budget's deltas and the
+    input fields that ``payload`` returns as one plain JSON object. It is
+    computed when first read, so a caller that never reads it (a coverage
+    trial) never builds the fields. A pickled report carries its digest,
+    not ``payload``. Reports compare equal when their fields and their
     digests do.
     """
 
@@ -99,17 +103,22 @@ class ValidationReport:
     terms: Mapping[str, float] = field(default_factory=dict)
     term_methods: Mapping[str, str] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
-    payload: Payload | None = field(default=None, repr=False, compare=False)
+    payload: Callable[[], Mapping] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @cached_property
     def inputs_digest(self) -> str:
         if self.payload is None:
             return ""
         return digest_of({
-            **self.payload.fields,
+            **self.payload(),
             "bound_id": self.bound_id,
             "deltas": [p.delta for p in self.budget.parts],
         })
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "payload": None, "inputs_digest": self.inputs_digest}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValidationReport):
@@ -153,7 +162,7 @@ class ValidationReport:
 def build_report(
     bound_id: str,
     budget: DeltaBudget,
-    inputs: Payload,
+    inputs: Callable[[], Mapping],
     terms: Mapping[str, Term | float],
     value: float | Callable[[], float],
     flags: tuple[str, ...] = (),
@@ -169,10 +178,12 @@ def build_report(
     vacuous-denominator flag instead. ``terms`` names what the value was
     assembled from: each :class:`Term` gives the report's ``terms`` its
     bound and ``term_methods`` the method it used, and a plain number (a
-    sample size, a count) passes through to ``terms``. ``inputs``, the
-    certificate's input payload, is hashed with the bound id and the
-    budget's deltas into the report's ``inputs_digest`` when that is first
-    read, not here.
+    sample size, a count) passes through to ``terms``. ``inputs`` returns
+    the fields of the certificate's input; it is called when the report's
+    ``inputs_digest`` is first read, not here, and its result is hashed
+    with the bound id and the budget's deltas. It should close over the
+    input's fields rather than the input, so that a report does not keep
+    the input's networks alive.
     """
     variant, mode, quantity = bound_id.split("-", 2)
     if denominator is not None:

@@ -336,6 +336,25 @@ class TestCompleteVariants:
         with pytest.raises(MatchcertError, match="missing-complete"):
             complete_batch_recall(inp)
 
+    def test_empty_complete_set_rejected(self, world):
+        pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
+        empty = make_match_set([], pair, MatchRole.IDENTIFIED)
+        inp = base_input(
+            pair, truth, m_hat_h, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025),
+            m_hat_complete=empty,
+        )
+        error = "^no-identified-matches: complete identified set is empty$"
+        with pytest.raises(MatchcertError, match=error):
+            complete_batch_precision(inp)
+        with pytest.raises(MatchcertError, match=error):
+            batch_reports(replace(inp, budget=DeltaBudget.of(0.05)))
+
+    def test_k_y_below_one_rejected(self, world):
+        pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
+        with pytest.raises(MatchcertError, match="^invalid-ky: 0$"):
+            base_input(pair, truth, m_hat_h, s_m, s_x, HOEFF, DeltaBudget.of(0.05),
+                       k_y=0)
+
 
 class TestDuplicateSampleItems:
     """A without-replacement sample has distinct items; a repeated verified

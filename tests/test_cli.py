@@ -51,6 +51,19 @@ class TestGen:
         for name in ("x.tsv", "y.tsv", "matches.tsv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_seed_option_replaces_the_config_seed(self, tmp_path, gen_config):
+        # gen_config's rng_seed is 5
+        other = write(
+            tmp_path / "seed0.json",
+            json.dumps({**json.loads(gen_config.read_text()), "rng_seed": 0}),
+        )
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["gen", "--config", str(gen_config), "--out-dir", str(a)]) == 0
+        argv = ["gen", "--config", str(other), "--seed", "5", "--out-dir", str(b)]
+        assert main(argv) == 0
+        for name in ("x.tsv", "y.tsv", "matches.tsv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_minimal_two_entities(self, tmp_path):
         cfg = write(
             tmp_path / "tiny.json",
@@ -135,6 +148,19 @@ class TestMatch:
         )
         assert rc == 0
         assert out.read_bytes() == (world / "matches.tsv").read_bytes()
+
+    def test_self_match_and_missing_network(self, tmp_path, world, capsys):
+        cfg = write(
+            tmp_path / "matcher.json",
+            json.dumps({"kind": "attribute-exact", "attr_key": "uid"}),
+        )
+        argv = ["match", "--x", str(world / "x.tsv"), "--config", str(cfg),
+                "--out", str(tmp_path / "mhat.tsv")]
+        # every uid is unique within X, and self-match mode drops identity pairs
+        assert main([*argv, "--self-match"]) == 0
+        assert "(0 identified matches)" in capsys.readouterr().out
+        assert main(argv) == 1
+        assert "missing-network: supply --y or --self-match" in capsys.readouterr().err
 
 
 class TestSplit:
@@ -607,6 +633,15 @@ class TestImportSurface:
         assert "matchcert.matchers" in matched and "matchcert.batch" in validated
         assert not (unused | {"matchcert.batch"}) & matched
         assert not unused & validated
+
+    def test_main_module_runs_the_cli(self, monkeypatch, capsys):
+        import runpy
+
+        monkeypatch.setattr(sys, "argv", ["matchcert", "--help"])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("matchcert", run_name="__main__")
+        assert info.value.code == 0
+        assert "usage: matchcert" in capsys.readouterr().out
 
     def test_help_lists_every_subcommand(self):
         out = _fresh_python("-m", "matchcert", "--help").stdout

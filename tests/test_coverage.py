@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -124,3 +125,40 @@ def test_actual_map_of_the_sampled_nodes_suffices(method):
         ]
     assert len(got["full"]) == 10
     assert got["restricted"] == got["full"]  # every field, digests included
+
+
+def _small_world(matcher_holdout, train=20, **kw):
+    return ExperimentConfig(
+        generator=GeneratorConfig(
+            n_entities=200, base_model=ErdosRenyi(8 / 200), edge_retain_x=0.9,
+            edge_retain_y=0.9, node_drop_x=0.05, node_drop_y=0.05,
+        ),
+        matcher_holdout=matcher_holdout,
+        sample_sizes=SampleSizes(s_m=30, s_x=30, s_x_prime=60, train=train),
+        methods=(BoundMethod.HOEFFDING,),
+        trials=1,
+        seed=3,
+        **kw,
+    )
+
+
+def test_matcher_complete_replaces_the_holdout_config_for_the_complete_matcher():
+    holdout = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=2)
+    alone = run_trial(_small_world(holdout), 0)
+    assert run_trial(_small_world(holdout, matcher_complete=holdout), 0) == alone
+    other = replace(holdout, threshold=1)
+    own = run_trial(_small_world(holdout, matcher_complete=other), 0)
+
+    def records(of, variant):
+        return [r for r in of if r.bound_id.startswith(variant)]
+
+    assert records(own, "holdout-") == records(alone, "holdout-")
+    assert records(own, "complete-") != records(alone, "complete-")
+
+
+def test_holdout_matcher_without_seeds_is_a_degenerate_trial():
+    # no training pairs: the verified-sample percolation matcher has no seeds
+    cfg = _small_world(MatcherConfig("percolation", seeds=VERIFIED_SAMPLE), train=0)
+    error = "^trial-failed: trial 0: trial-degenerate: a matcher identified nothing$"
+    with pytest.raises(MatchcertError, match=error):
+        run_trial(cfg, 0)

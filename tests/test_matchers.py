@@ -500,13 +500,6 @@ class TestQueryMode:
         )
         assert run_query(handle, pair, "xb") == run_query(handle, pair, "xb")
 
-    def test_query_counter(self):
-        pair = mirrored_pair(["a", "b"], [("a", "b")])
-        handle = build_matcher(MatcherConfig("percolation", seeds=()))
-        run_query(handle, pair, "xa")
-        run_query(handle, pair, "xb")
-        assert handle.queries == 2
-
     def test_unknown_node(self):
         pair = mirrored_pair(["a"], [])
         handle = build_matcher(MatcherConfig("percolation", seeds=()))

@@ -15,7 +15,7 @@ from oracles import (
     true_query_metrics_reference,
 )
 
-from matchcert.batch import true_batch_metrics
+from matchcert.batch import BatchValidationInput, batch_reports, true_batch_metrics
 from matchcert.bounds import BoundMethod, DeltaBudget
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
@@ -33,6 +33,7 @@ from matchcert.matchers import (
     with_extra_seeds,
 )
 from matchcert.query import (
+    PerNodeStats,
     QueryValidationInput,
     complete_query_precision,
     complete_query_recall,
@@ -217,6 +218,16 @@ class TestCompleteQueryRecall:
                          DeltaBudget.of(0.02, 0.02, 0.02), complete=complete)
         with pytest.raises(MatchcertError, match="empty-sample"):
             complete_query_recall(inp)
+
+    def test_complete_matcher_required(self, tiny):
+        actual = {"x0": frozenset({"y0"})}
+        holdout = fixed_matcher([("x0", "y0")])
+        for certify, parts in ((complete_query_recall, 3), (complete_query_precision, 4)):
+            inp = tiny_input(tiny, holdout, ["x0"], actual,
+                             DeltaBudget.equal_split(0.05, parts), s_x_prime=("x1",))
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == "missing-complete: no complete matcher supplied"
 
 
 class TestCompleteQueryPrecision:
@@ -406,6 +417,33 @@ class TestDuplicateSampleItems:
         assert len(query_reports(inp)) == 6
 
 
+class TestSampleChecks:
+    """Batch and query inputs share one sampled-node check
+    (``reports.sample_positions``), so a bad s_x gets one token in both."""
+
+    def test_stray_node_gets_the_same_token_in_both_modes(self):
+        # "nope" is neither a node of X nor a key of actual_for
+        inp = _ten_node_input(s_x=("x0", "nope"))
+        batch_inp = BatchValidationInput(
+            pair=inp.pair,
+            m_hat_holdout=make_match_set([("x0", "y0")], inp.pair, MatchRole.IDENTIFIED),
+            s_m=(("x0", "y0"),),
+            s_x=inp.s_x,
+            actual_for=inp.actual_for,
+            method=HG,
+            budget=inp.budget,
+            m_size=10,
+        )
+        for certify, of in ((batch_reports, batch_inp), (query_reports, inp)):
+            with pytest.raises(MatchcertError) as info:
+                certify(of)
+            assert str(info.value) == "missing-actual: no verified matches for 'nope'"
+
+    def test_k_cap_below_one_rejected(self):
+        with pytest.raises(MatchcertError, match="^invalid-kcap: 0$"):
+            _ten_node_input(k_cap=0)
+
+
 class TestQueryReports:
     def test_holdout_only_without_complete_matcher(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
@@ -585,6 +623,17 @@ class TestStatRanges:
                 assert stat.d_r in (0.0, 1.0)
             if stat.d_p is not None:
                 assert 0.0 <= stat.d_p <= 1.0 + k_cap
+
+    def test_node_stats_without_complete_matcher(self, tiny):
+        actual = {"x0": frozenset({"y0"}), "x1": frozenset({"y1"}), "x2": frozenset()}
+        holdout = fixed_matcher([("x0", "y0"), ("x1", "y2")])
+        inp = tiny_input(tiny, holdout, ["x0", "x1", "x2"], actual, DeltaBudget.of(0.05))
+        # no d_r or d_p without a complete matcher; p and r None where undefined
+        assert compute_node_stats(inp) == [
+            PerNodeStats("x0", p=1.0, r=1.0, w=0),
+            PerNodeStats("x1", p=0.0, r=0.0, w=1),
+            PerNodeStats("x2", w=0),
+        ]
 
 
 class TestTrueQueryMetrics:

@@ -1,0 +1,69 @@
+"""The README's CLI walkthrough runs as written and prints what it says.
+
+The shell block is run step by step in a temporary directory: each
+``cat > FILE <<'TAG'`` heredoc writes its file, each ``python3 - <<'TAG'``
+heredoc runs as Python, and each ``matchcert`` command (backslash
+continuations joined) runs through ``cli.main``.
+"""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from matchcert.batch import true_batch_metrics
+from matchcert.cli import main
+from matchcert.graphs import MatchRole, NetworkPair, load_matches, load_network
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+HEREDOC = re.compile(r"(.*)<<'(\w+)'$")
+
+
+def _walkthrough() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI walkthrough", 1)[1].split("```sh\n", 1)[1]
+    return block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+
+
+def _run(lines: list[str]) -> None:
+    lines = iter(lines)
+    for line in lines:
+        if not line.strip() or line.startswith("#"):
+            continue
+        heredoc = HEREDOC.match(line)
+        if heredoc:
+            command, tag = heredoc.groups()
+            body = "".join(f"{row}\n" for row in iter(lines.__next__, tag))
+            if command.startswith("python3 -"):
+                exec(compile(body, "README.md", "exec"), {})
+            else:
+                target = re.fullmatch(r"cat > (\S+) ", command).group(1)
+                Path(target).write_text(body, encoding="utf-8")
+            continue
+        program, *argv = shlex.split(line)
+        assert program == "matchcert", line
+        assert main(argv) == 0, line
+
+
+def test_walkthrough_runs_and_its_numbers_hold(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _run(_walkthrough())
+    assert "joint confidence" in capsys.readouterr().out
+    report = json.loads(Path("report.json").read_text(encoding="utf-8"))
+    bounds = {r["bound_id"]: r["lower_bound"] for r in report["reports"]}
+    pair = NetworkPair(load_network("world/x.tsv"), load_network("world/y.tsv"))
+    m_hat = load_matches("mhat.tsv", pair, MatchRole.IDENTIFIED)
+    truth = load_matches("world/matches.tsv", pair, MatchRole.ACTUAL)
+    precision, recall = true_batch_metrics(pair, m_hat, truth)
+    quoted = re.search(
+        r"certifies recall >= ([\d.]+) and precision >= ([\d.]+) at\s+95% "
+        r"confidence each, against true values ([\d.]+) and ([\d.]+)\.",
+        README.read_text(encoding="utf-8"),
+    ).groups()
+    got = (
+        bounds["holdout-batch-recall"], bounds["holdout-batch-precision"],
+        recall, precision,
+    )
+    assert quoted == tuple(f"{v:.2f}" for v in got)
