@@ -29,7 +29,9 @@ holdout-minus-complete count are key counts. The samples are drawn
 without replacement, so a term that reads ``s_m`` or ``s_x`` rejects a
 repeated pair or node (``duplicate-sample-item``). It also rejects a pair
 with an endpoint outside X or Y, and a node outside X (``unknown-node``),
-which would otherwise count as a miss or as a node with no matches.
+which would otherwise count as a miss or as a node with no matches; an
+identity pair in self-match mode (``identity-pair-forbidden``); and a
+sampled node with more verified matches than ``k_y`` (``ky-violated``).
 """
 
 from __future__ import annotations
@@ -131,11 +133,7 @@ def _recall_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     if not inp.s_m:
         raise MatchcertError("empty-sample: s_m has no verified matches")
     require_distinct("s_m", inp.s_m)
-    keys = pair_keys(inp.pair, inp.s_m)
-    if (keys < 0).any():
-        x, y = inp.s_m[int(np.argmax(keys < 0))]
-        raise MatchcertError(f"unknown-node: s_m pair ({x!r}, {y!r})")
-    hits = inp.m_hat_holdout.contains(keys)
+    hits = inp.m_hat_holdout.contains(pair_keys(inp.pair, "s_m", inp.s_m))
     values = [1.0 if hit else 0.0 for hit in hits.tolist()]
     n = inp.m_size if inp.m_size is not None else inp.m_size_upper
     if n is None:
@@ -150,10 +148,17 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     """Lower-bound the mean per-node actual-match count over X.
 
     The population is X itself, whose size is always known; the counts
-    lie in [0, k_y], so the exact method applies only when k_y = 1.
+    lie in [0, k_y], so the exact method applies only when k_y = 1. A
+    sampled node with more than k_y verified matches breaks that range
+    (``ky-violated``, naming the first such node in sample order).
     """
     sample_positions(inp.pair.x_net.index, "s_x", inp.s_x, inp.actual_for)
     values = [float(len(inp.actual_for[x])) for x in inp.s_x]
+    over = [x for x, count in zip(inp.s_x, values) if count > inp.k_y]
+    if over:
+        raise MatchcertError(
+            f"ky-violated: node {over[0]!r} has more than k_y={inp.k_y} actual matches"
+        )
     return bound_term(inp.n_x, values, inp.method, delta, "lower", hi=float(inp.k_y))
 
 

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .errors import MatchcertError
 from .graphs import (
-    MatchRole,
     NetworkPair,
     load_matches,
     load_network,
@@ -171,7 +170,7 @@ def _actual_map(pair: NetworkPair, actual_path: str, s_x: list[str]):
     The whole file is parsed and checked; only the sampled nodes' matches
     are looked up, by binary search on the set's keys.
     """
-    actual = load_matches(actual_path, pair, MatchRole.ACTUAL)
+    actual = load_matches(actual_path, pair)
     found = matches_of(actual, pair, s_x)
     return {x: found.get(x, frozenset()) for x in s_x}
 
@@ -181,12 +180,8 @@ def cmd_validate_batch(args) -> int:
     from .bounds import BoundMethod
 
     pair = _load_pair(args)
-    m_hat_h = load_matches(args.m_hat_holdout, pair, MatchRole.IDENTIFIED)
-    m_hat_c = (
-        load_matches(args.m_hat_complete, pair, MatchRole.IDENTIFIED)
-        if args.m_hat_complete
-        else None
-    )
+    m_hat_h = load_matches(args.m_hat_holdout, pair)
+    m_hat_c = load_matches(args.m_hat_complete, pair) if args.m_hat_complete else None
     s_m = tuple(read_pairs(args.s_m))
     s_x = read_items(args.s_x)
     inp = BatchValidationInput(

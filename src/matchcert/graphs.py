@@ -1,10 +1,10 @@
 """Networks, match sets, and their TSV serialization.
 
 Two node universes X and Y, undirected edges, flat string attributes per
-node, and sets of x-y pairs playing one of two roles: actual matches or
-identified matches. A NetworkPair may run in self-match mode (X and Y are
-the same universe, e.g. when matching data fields against each other), in
-which case identity pairs are illegal everywhere.
+node, and sets of x-y pairs (actual or identified matches alike). A
+NetworkPair may run in self-match mode (X and Y are the same universe,
+e.g. when matching data fields against each other), in which case
+identity pairs are illegal everywhere.
 
 File formats (UTF-8, LF, tab-separated):
 
@@ -29,14 +29,15 @@ edge sets), and ``repr`` shows the views, not the arrays.
 A MatchSet is int-native in the same way: the X and Y id lists of its
 pair, and one sorted, distinct int64 key ``x_pos * len(y_ids) + y_pos``
 per pair. Because index order is id order, key order is (x, y) id order.
-``make_match_set`` maps checked string pairs to keys, and the generator
-and the matchers build keys directly. ``pairs``, ``sorted_pairs`` and
-``by_x`` are string views of the keys, built on first use;
-``sorted_pairs`` needs no sort. Set arithmetic (``MatchSet.found_in``,
-``MatchSet.contains``) and per-node lookups (``matches_of``) read the
-keys with binary searches. Two sets are compared only over the same X and
+``pair_keys`` is the one checked path from string pairs to keys: match
+files and ``make_match_set``, matcher seeds and the verified sample
+``s_m`` all go through it. The generator and the matchers build keys
+directly. ``pairs``, ``sorted_pairs`` and ``by_x`` are string views of the
+keys, built on first use; ``sorted_pairs`` needs no sort. Set arithmetic
+(``MatchSet.found_in``, ``MatchSet.contains``) and per-node lookups
+(``matches_of``) read the keys with binary searches. Two sets are compared only over the same X and
 Y id lists (the same lists, or equal ones); otherwise the comparison
-raises ``universe-mismatch``. Equality means equal pairs, role and k_y.
+raises ``universe-mismatch``. Equality means equal pairs.
 String ids stay at the I/O boundary and in the views.
 
 The parsers read a whole file in bulk passes: one split into lines, list
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
@@ -70,7 +70,6 @@ __all__ = [
     "Network",
     "NodeIndex",
     "NetworkPair",
-    "MatchRole",
     "MatchSet",
     "make_network",
     "make_match_set",
@@ -242,11 +241,6 @@ class NetworkPair:
             )
 
 
-class MatchRole(Enum):
-    ACTUAL = "actual"
-    IDENTIFIED = "identified"
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class MatchSet:
     """A set of x-y pairs over one NetworkPair's universes, as int keys.
@@ -261,8 +255,6 @@ class MatchSet:
     x_ids: list[str]
     y_ids: list[str]
     keys: np.ndarray  # int64, ascending, distinct
-    role: MatchRole
-    k_y: int | None = None  # declared cap on actual matches per x node
 
     def decode(self, keys) -> list[tuple[str, str]]:
         """The (x, y) id pair of each of ``keys``, in order."""
@@ -310,73 +302,42 @@ class MatchSet:
         if not isinstance(other, MatchSet):
             return NotImplemented
         other.check_universe(self.x_ids, self.y_ids)
-        return (
-            self.role is other.role
-            and self.k_y == other.k_y
-            and np.array_equal(self.keys, other.keys)
-        )
+        return np.array_equal(self.keys, other.keys)
 
     def __hash__(self) -> int:
-        return hash((self.keys.tobytes(), self.role, self.k_y))
+        return hash(self.keys.tobytes())
 
     def __repr__(self) -> str:
-        return f"MatchSet(pairs={self.pairs!r}, role={self.role!r}, k_y={self.k_y!r})"
+        return f"MatchSet(pairs={self.pairs!r})"
 
 
-def pair_positions(
-    pair: NetworkPair, pairs: Sequence[tuple[str, str]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v): the X position of each x and the Y position of each y of
-    ``pairs``, in order; -1 for an id that is not a node of its network."""
-    xs, ys = zip(*pairs) if pairs else ((), ())
-    return pair.x_net.index.positions(xs), pair.y_net.index.positions(ys)
-
-
-def pair_keys(pair: NetworkPair, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+def pair_keys(
+    pair: NetworkPair, name: str, pairs: Sequence[tuple[str, str]]
+) -> np.ndarray:
     """The key of each (x, y) of ``pairs`` over ``pair``'s universes, in
-    order; -1 where x is not a node of X or y not a node of Y."""
-    u, v = pair_positions(pair, pairs)
-    keys = u * len(pair.y_net.index.ids) + v
-    keys[(u < 0) | (v < 0)] = -1
-    return keys
-
-
-def make_match_set(
-    pairs: Iterable[tuple[str, str]],
-    pair: NetworkPair,
-    role: MatchRole,
-    k_y: int | None = None,
-) -> MatchSet:
-    """Build a validated MatchSet against a NetworkPair.
-
-    Rejects endpoints outside the universes, identity pairs in self-match
-    mode, and (for the actual role with a declared cap) any x matched more
-    than k_y times; the error names the first bad pair in input order, or
-    the smallest x over the cap.
-    """
-    pairs = list(pairs)
-    ix, iy = pair.x_net.index, pair.y_net.index
-    ny = len(iy.ids)
-    u, v = pair_positions(pair, pairs)
+    order. ``pairs`` must hold nodes of X and Y (``unknown-node``, naming
+    the list as ``name``) and, in self-match mode, no identity pair
+    (``identity-pair-forbidden``); the error names the first bad pair in
+    input order."""
+    xs, ys = zip(*pairs) if pairs else ((), ())
+    u, v = pair.x_net.index.positions(xs), pair.y_net.index.positions(ys)
     bad = (u < 0) | (v < 0)
     if pair.self_match_mode:
         bad |= u == v  # one shared universe: equal positions, equal ids
     if bad.any():
-        x, y = pairs[int(np.argmax(bad))]  # the first bad pair
-        if x not in ix.pos:
-            raise MatchcertError(f"unknown-node: x endpoint {x!r}")
-        if y not in iy.pos:
-            raise MatchcertError(f"unknown-node: y endpoint {y!r}")
+        i = int(np.argmax(bad))  # the first bad pair
+        x, y = pairs[i]
+        if u[i] < 0 or v[i] < 0:
+            raise MatchcertError(f"unknown-node: {name} pair ({x!r}, {y!r})")
         raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
-    keys = distinct_sorted(u * ny + v)
-    if role is MatchRole.ACTUAL and k_y is not None and keys.size:
-        over = np.flatnonzero(np.bincount(keys // ny) > k_y)
-        if over.size:
-            raise MatchcertError(
-                f"ky-violated: node {ix.ids[over[0]]!r} has more than "
-                f"k_y={k_y} actual matches"
-            )
-    return MatchSet(ix.ids, iy.ids, keys, role, k_y)
+    return u * len(pair.y_net.index.ids) + v
+
+
+def make_match_set(pairs: Iterable[tuple[str, str]], pair: NetworkPair) -> MatchSet:
+    """Build a MatchSet against a NetworkPair from checked string pairs
+    (see :func:`pair_keys`); repeated pairs count once."""
+    keys = distinct_sorted(pair_keys(pair, "match", list(pairs)))
+    return MatchSet(pair.x_net.index.ids, pair.y_net.index.ids, keys)
 
 
 def by_x(ms: MatchSet) -> Mapping[str, frozenset[str]]:
@@ -525,14 +486,9 @@ def read_items(path: str | Path) -> list[str]:
     return [raw.strip() for raw in _data_rows(_read_lines(path))]
 
 
-def load_matches(
-    path: str | Path,
-    pair: NetworkPair,
-    role: MatchRole,
-    k_y: int | None = None,
-) -> MatchSet:
+def load_matches(path: str | Path, pair: NetworkPair) -> MatchSet:
     """Parse a match TSV file against a NetworkPair."""
-    return make_match_set(read_pairs(path), pair, role, k_y)
+    return make_match_set(read_pairs(path), pair)
 
 
 def save_matches(ms: MatchSet, path: str | Path) -> None:

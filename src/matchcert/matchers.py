@@ -38,19 +38,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MatchcertError
 from .graphs import (
-    MatchRole,
     MatchSet,
     NetworkPair,
     NodeIndex,
     distinct_sorted,
     matches_of,
-    pair_positions,
+    pair_keys,
 )
 
 __all__ = [
@@ -171,9 +170,7 @@ def with_extra_seeds(
 
 def _resolve_seeds(handle: MatcherHandle, pair: NetworkPair) -> list[tuple[str, str]]:
     seeds = handle.config.seeds
-    if seeds is None:
-        return list(handle.training_matches)
-    if seeds == VERIFIED_SAMPLE:
+    if seeds is None or seeds == VERIFIED_SAMPLE:
         return list(handle.training_matches)
     if isinstance(seeds, TopDegree):
         top_x, top_y = (_by_degree(net.index) for net in (pair.x_net, pair.y_net))
@@ -221,29 +218,9 @@ def _runs(src: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return src[shift + np.arange(shift.size)]
 
 
-def _seed_keys(pair: NetworkPair, start: list[tuple[str, str]]) -> np.ndarray:
-    """The distinct keys of the seed pairs, mapped in one bulk pass.
-
-    Raises for the first seed with a node outside its network
-    (``unknown-node``) or, in self-match mode, with x == y
-    (``identity-pair-forbidden``).
-    """
-    ix, iy = pair.x_net.index, pair.y_net.index
-    px, py = pair_positions(pair, start)
-    bad = (px < 0) | (py < 0)
-    if pair.self_match_mode:
-        bad |= px == py  # one shared universe: equal positions, equal ids
-    if bad.any():
-        x, y = start[int(np.argmax(bad))]
-        if x not in ix.pos or y not in iy.pos:
-            raise MatchcertError(f"unknown-node: seed pair ({x!r}, {y!r})")
-        raise MatchcertError(f"identity-pair-forbidden: ({x!r}, {y!r})")
-    return distinct_sorted(px * len(iy.ids) + py)
-
-
 def _percolate(
     pair: NetworkPair,
-    start: Iterable[tuple[str, str]],
+    start: Sequence[tuple[str, str]],
     threshold: int,
     max_steps: int,
 ) -> np.ndarray:
@@ -256,7 +233,7 @@ def _percolate(
     nbr = np.concatenate([ix.nbr, iy.nbr + nx])
     unmatched = np.ones(nx + ny, dtype=bool)
     unmatched_x, unmatched_y = unmatched[:nx], unmatched[nx:]
-    new = _seed_keys(pair, list(start))
+    new = distinct_sorted(pair_keys(pair, "seed", start))
     accepted = [new]
     # one entry per mark a live candidate (both ends unmatched) has had
     table = np.zeros(0, dtype=np.int64)
@@ -334,10 +311,10 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
         seeds = _resolve_seeds(handle, pair)
         keys = _percolate(pair, seeds, cfg.threshold, cfg.max_iters)
     # both matchers pair nodes of the two networks and never an identity
-    # pair in self-match mode (_percolate checks the seeds), so the set
-    # needs none of make_match_set's checks
+    # pair in self-match mode (pair_keys checks the seeds), so the keys
+    # need no further check
     x_ids, y_ids = pair.x_net.index.ids, pair.y_net.index.ids
-    result = MatchSet(x_ids, y_ids, keys, MatchRole.IDENTIFIED)
+    result = MatchSet(x_ids, y_ids, keys)
     handle._cache_pair = pair
     handle._cache_result = result
     return result

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MatchcertError
-from .graphs import MatchRole, MatchSet, Network, NetworkPair, NodeIndex
+from .graphs import MatchSet, Network, NetworkPair, NodeIndex
 from .sampling import spawn_rng
 
 __all__ = ["ErdosRenyi", "PreferentialAttachment", "GeneratorConfig", "generate_pair"]
@@ -238,13 +238,12 @@ def generate_pair(cfg: GeneratorConfig) -> tuple[NetworkPair, MatchSet]:
     keep_y, at_y, y_net = _copy("y", base, n, cfg.node_drop_y, cfg.edge_retain_y,
                                    noisy, rng_yn, rng_ye)
 
-    # Each pair joins the x and y nodes of one entity kept by both copies.
-    # Both endpoints are nodes of their networks and every x has exactly
-    # one actual match: make_match_set's endpoint and k_y checks hold by
-    # construction, and the keys (distinct, as the x positions are) are
-    # built directly.
+    # Each pair joins the x and y nodes of one entity kept by both copies,
+    # so every x has exactly one actual match. Both endpoints are nodes of
+    # their networks, so pair_keys' checks hold by construction, and the
+    # keys (distinct, as the x positions are) are built directly.
     both = np.flatnonzero(keep_x & keep_y)
     x_ids, y_ids = x_net.index.ids, y_net.index.ids
     keys = np.sort(at_x[both] * len(y_ids) + at_y[both])
-    truth = MatchSet(x_ids, y_ids, keys, MatchRole.ACTUAL, k_y=1)
+    truth = MatchSet(x_ids, y_ids, keys)
     return NetworkPair(x_net, y_net), truth

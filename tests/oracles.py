@@ -262,7 +262,7 @@ def csr_reference(nodes, edges):
 def generate_pair_reference(cfg):
     """synth.generate_pair through string ids: every node and edge named,
     then validated by make_network and make_match_set."""
-    from matchcert.graphs import MatchRole, NetworkPair, make_match_set, make_network
+    from matchcert.graphs import NetworkPair, make_match_set, make_network
     from matchcert.sampling import spawn_rng
     from matchcert.synth import ATTR_KEY, NOISE_MARK, _base_edges
 
@@ -296,7 +296,7 @@ def generate_pair_reference(cfg):
     pair = NetworkPair(x_net, y_net)
     truth = make_match_set(
         [(f"x{i}", f"y{i}") for i in sorted(x_ids & y_ids)],
-        pair, MatchRole.ACTUAL, k_y=1,
+        pair,
     )
     return pair, truth
 

@@ -43,7 +43,7 @@ from matchcert.bounds import (
     union_confidence,
 )
 from matchcert.coverage import ExperimentConfig, SampleSizes, run_coverage
-from matchcert.graphs import MatchRole, by_x, make_match_set
+from matchcert.graphs import by_x, make_match_set
 from matchcert.matchers import (
     VERIFIED_SAMPLE,
     MatcherConfig,
@@ -421,7 +421,7 @@ def test_criterion_7_union_bound_arithmetic():
         actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
         reports = []
         for subset in (ordered[:half], ordered[half:]):
-            m_hat = make_match_set(subset, pair, MatchRole.IDENTIFIED)
+            m_hat = make_match_set(subset, pair)
             inp = BatchValidationInput(
                 pair=pair,
                 m_hat_holdout=m_hat,

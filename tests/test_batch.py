@@ -23,7 +23,6 @@ from matchcert.bounds import (
 )
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
-    MatchRole,
     NetworkPair,
     by_x,
     make_match_set,
@@ -73,7 +72,7 @@ class TestHoldoutRecall:
     def test_all_sample_identified_delegates_to_inversion(self, world):
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 20, 1)
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         inp = base_input(pair, truth, m_hat, s_m, ["x0"], HG, DeltaBudget.of(0.05))
         # fixture: 20 of 20 identified with |M| = 100
         inp = BatchValidationInput(
@@ -93,13 +92,13 @@ class TestHoldoutRecall:
     def test_nothing_identified_gives_zero(self, world):
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 15, 2)
-        m_hat = make_match_set([], pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set([], pair)
         inp = base_input(pair, truth, m_hat, s_m, ["x0"], HOEFF, DeltaBudget.of(0.05))
         assert holdout_batch_recall(inp).lower_bound == 0.0
 
     def test_census_pins_to_one(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs), ["x0"], HG, DeltaBudget.of(0.05)
         )
@@ -107,7 +106,7 @@ class TestHoldoutRecall:
 
     def test_empty_sample_rejected(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         inp = base_input(pair, truth, m_hat, [], ["x0"], HOEFF, DeltaBudget.of(0.05))
         with pytest.raises(MatchcertError, match="empty-sample"):
             holdout_batch_recall(inp)
@@ -115,7 +114,7 @@ class TestHoldoutRecall:
     def test_unknown_population_falls_back_to_hoeffding(self, world):
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 30, 3)
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         inp = BatchValidationInput(
             pair=pair,
             m_hat_holdout=m_hat,
@@ -135,7 +134,7 @@ class TestHoldoutRecall:
 
     def test_no_population_info_rejected(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         inp = BatchValidationInput(
             pair=pair,
             m_hat_holdout=m_hat,
@@ -155,7 +154,7 @@ class TestHoldoutRecall:
         for method in (HOEFF, BoundMethod.EBS, HG):
             prev = -1.0
             for hits in (10, 20, 30, 40):
-                m_hat = make_match_set(s_m[:hits], pair, MatchRole.IDENTIFIED)
+                m_hat = make_match_set(s_m[:hits], pair)
                 inp = base_input(
                     pair, truth, m_hat, s_m, ["x0"], method, DeltaBudget.of(0.05)
                 )
@@ -167,7 +166,7 @@ class TestHoldoutRecall:
 class TestHoldoutPrecision:
     def test_perfect_matcher_census_is_one(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         inp = base_input(
             pair,
             truth,
@@ -182,7 +181,7 @@ class TestHoldoutPrecision:
 
     def test_perfect_matcher_finite_samples(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         s_m = sample_without_replacement(sorted(truth.pairs), 150, 4)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), 150, 5)
         inp = base_input(
@@ -197,7 +196,7 @@ class TestHoldoutPrecision:
     def test_zero_recall_term_zeroes_the_product(self, world):
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 10, 6)
-        m_hat = make_match_set([("x0", "y1")], pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set([("x0", "y1")], pair)
         inp = base_input(
             pair, truth, m_hat, s_m, ["x0"], HG, DeltaBudget.of(0.025, 0.025)
         )
@@ -209,7 +208,7 @@ class TestHoldoutPrecision:
         pair, truth = world
         matched_x = sorted(by_x(truth))
         s_x = matched_x[:50]
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         s_m = sample_without_replacement(sorted(truth.pairs), 20, 7)
         inp = base_input(
             pair, truth, m_hat, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025)
@@ -220,7 +219,7 @@ class TestHoldoutPrecision:
 
     def test_empty_identified_rejected(self, world):
         pair, truth = world
-        m_hat = make_match_set([], pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set([], pair)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HOEFF,
             DeltaBudget.of(0.025, 0.025),
@@ -230,7 +229,7 @@ class TestHoldoutPrecision:
 
     def test_budget_arity_enforced(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HOEFF,
             DeltaBudget.of(0.05),
@@ -242,11 +241,10 @@ class TestHoldoutPrecision:
 class TestCompleteVariants:
     def make_inputs(self, world, m_hat_c_pairs=None, s_m_n=40, s_x_n=60, seed=8):
         pair, truth = world
-        m_hat_h = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat_h = make_match_set(truth.pairs, pair)
         m_hat_c = make_match_set(
             m_hat_c_pairs if m_hat_c_pairs is not None else truth.pairs,
             pair,
-            MatchRole.IDENTIFIED,
         )
         s_m = sample_without_replacement(sorted(truth.pairs), s_m_n, seed)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), s_x_n, seed + 1)
@@ -279,7 +277,7 @@ class TestCompleteVariants:
     def test_recall_disagreement_clamps_to_zero(self, world):
         pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
         # complete matcher drops everything the holdout found
-        m_hat_c = make_match_set([("x0", "y1")], pair, MatchRole.IDENTIFIED)
+        m_hat_c = make_match_set([("x0", "y1")], pair)
         inp = base_input(
             pair, truth, m_hat_h, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025),
             m_hat_complete=m_hat_c,
@@ -295,7 +293,7 @@ class TestCompleteVariants:
         inp = base_input(
             pair, truth, m_hat_h, s_m, unmatched, HOEFF,
             DeltaBudget.of(0.025, 0.025),
-            m_hat_complete=make_match_set([("x0", "y1")], pair, MatchRole.IDENTIFIED),
+            m_hat_complete=make_match_set([("x0", "y1")], pair),
         )
         rep = complete_batch_recall(inp)
         assert rep.vacuous
@@ -304,7 +302,7 @@ class TestCompleteVariants:
     def test_precision_subtracts_disagreement(self, world):
         pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
         kept = sorted(m_hat_h.pairs)[: len(m_hat_h.pairs) // 2]
-        m_hat_c = make_match_set(kept, pair, MatchRole.IDENTIFIED)
+        m_hat_c = make_match_set(kept, pair)
         inp = base_input(
             pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.025, 0.025),
             m_hat_complete=m_hat_c,
@@ -321,7 +319,7 @@ class TestCompleteVariants:
         # subtracted disagreement ratio overwhelms the product term
         unmatched_pair = ("x0", "y1")
         assert unmatched_pair not in m_hat_h.pairs
-        m_hat_c = make_match_set([unmatched_pair], pair, MatchRole.IDENTIFIED)
+        m_hat_c = make_match_set([unmatched_pair], pair)
         inp = base_input(
             pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.025, 0.025),
             m_hat_complete=m_hat_c,
@@ -338,7 +336,7 @@ class TestCompleteVariants:
 
     def test_empty_complete_set_rejected(self, world):
         pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
-        empty = make_match_set([], pair, MatchRole.IDENTIFIED)
+        empty = make_match_set([], pair)
         inp = base_input(
             pair, truth, m_hat_h, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025),
             m_hat_complete=empty,
@@ -367,9 +365,7 @@ class TestDuplicateSampleItems:
             make_network([f"x{n}" for n in names], []),
             make_network([f"y{n}" for n in names], []),
         )
-        truth = make_match_set(
-            [(f"x{n}", f"y{n}") for n in names], pair, MatchRole.ACTUAL
-        )
+        truth = make_match_set([(f"x{n}", f"y{n}") for n in names], pair)
         return base_input(pair, truth, truth, s_m, s_x, HG, DeltaBudget.of(0.05))
 
     @staticmethod
@@ -399,7 +395,7 @@ class TestDuplicateSampleItems:
 class TestUnknownSampleNodes:
     """A sampled pair or node outside the networks is rejected, as the query
     certificates reject it, rather than counted as a miss or a node with no
-    matches."""
+    matches; so is an identity pair in self-match mode."""
 
     ten_pair_input = staticmethod(TestDuplicateSampleItems.ten_pair_input)
     precision = staticmethod(TestDuplicateSampleItems.precision)
@@ -426,10 +422,45 @@ class TestUnknownSampleNodes:
             assert str(info.value) == "unknown-node: 'nobody'"
 
 
+    def test_identity_s_m_pair_rejected_in_self_match_mode(self):
+        # one shared universe: (n2, n2) is no match, and would count as a miss
+        net = make_network([f"n{i}" for i in range(10)], [])
+        pair = NetworkPair(net, net, self_match_mode=True)
+        truth = make_match_set([(f"n{i}", f"n{(i + 1) % 10}") for i in range(10)], pair)
+        s_m = [("n0", "n1"), ("n2", "n2"), ("n3", "n4")]
+        inp = base_input(pair, truth, truth, s_m, ["n0"], HG, DeltaBudget.of(0.05))
+        for certify in (batch_reports, holdout_batch_recall, self.precision):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == "identity-pair-forbidden: ('n2', 'n2')"
+
+
+class TestMatchCountCap:
+    """The match-density term's counts lie in [0, k_y]: a sampled node with
+    more verified matches than k_y is rejected, naming the node and k_y."""
+
+    ten_pair_input = staticmethod(TestDuplicateSampleItems.ten_pair_input)
+    precision = staticmethod(TestDuplicateSampleItems.precision)
+
+    @pytest.mark.parametrize("method", [HG, HOEFF])
+    def test_node_over_k_y_rejected(self, method):
+        inp = self.ten_pair_input([("x0", "y0")], ["x3", "x1", "x2"])
+        two = {**inp.actual_for, "x1": frozenset({"y1", "y2"})}
+        inp = replace(inp, actual_for=two, method=method)
+        for certify in (batch_reports, self.precision):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == (
+                "ky-violated: node 'x1' has more than k_y=1 actual matches"
+            )
+        # within a cap of two the same sample is certified
+        assert self.precision(replace(inp, k_y=2)).lower_bound is not None
+
+
 class TestBatchReports:
     def test_holdout_only_without_complete_set(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
         reports = batch_reports(
@@ -443,7 +474,7 @@ class TestBatchReports:
 
     def test_budget_must_have_one_part(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HG,
             DeltaBudget.of(0.025, 0.025),
@@ -455,10 +486,8 @@ class TestBatchReports:
         # the certificates of one call share their inputs; each digest
         # must still hash the certificate's own whole payload
         pair, truth = world
-        m_hat_h = make_match_set(
-            sorted(truth.pairs)[::2], pair, MatchRole.IDENTIFIED
-        )
-        m_hat_c = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat_h = make_match_set(sorted(truth.pairs)[::2], pair)
+        m_hat_c = make_match_set(truth.pairs, pair)
         s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
         inp = base_input(
@@ -490,10 +519,8 @@ class TestBatchReports:
 
 def complete_world_input(pair, truth, **kw):
     """A batch input with a complete set that differs from the holdout one."""
-    m_hat_h = make_match_set(
-        sorted(truth.pairs)[::2], pair, MatchRole.IDENTIFIED
-    )
-    m_hat_c = make_match_set(sorted(truth.pairs)[::3], pair, MatchRole.IDENTIFIED)
+    m_hat_h = make_match_set(sorted(truth.pairs)[::2], pair)
+    m_hat_c = make_match_set(sorted(truth.pairs)[::3], pair)
     s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
     s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
     return base_input(
@@ -548,7 +575,7 @@ class TestSharedTerms:
 
     def test_error_precedence_unchanged(self, world):
         pair, truth = world
-        empty = make_match_set([], pair, MatchRole.IDENTIFIED)
+        empty = make_match_set([], pair)
         inp = complete_world_input(pair, truth)
         for bad_s_x, error in (((), "empty-sample"), (("x0", "nope"), "missing-actual")):
             bad = replace(inp, s_x=bad_s_x)
@@ -626,26 +653,26 @@ class TestDeferredDigest:
 class TestTrueMetrics:
     def test_perfect(self, world):
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(truth.pairs, pair)
         assert true_batch_metrics(pair, m_hat, truth) == (1.0, 1.0)
 
     def test_disjoint(self, world):
         pair, truth = world
-        wrong = make_match_set([("x0", "y1")], pair, MatchRole.IDENTIFIED)
+        wrong = make_match_set([("x0", "y1")], pair)
         assert ("x0", "y1") not in truth.pairs
         assert true_batch_metrics(pair, wrong, truth) == (0.0, 0.0)
 
     def test_counting(self, world):
         pair, truth = world
         some = sorted(truth.pairs)[:3]
-        m_hat = make_match_set(some + [("x0", "y1")], pair, MatchRole.IDENTIFIED)
+        m_hat = make_match_set(some + [("x0", "y1")], pair)
         p, r = true_batch_metrics(pair, m_hat, truth)
         assert p == 0.75
         assert r == 3 / len(truth.pairs)
 
     def test_empty_identified_undefined(self, world):
         pair, truth = world
-        empty = make_match_set([], pair, MatchRole.IDENTIFIED)
+        empty = make_match_set([], pair)
         p, r = true_batch_metrics(pair, empty, truth)
         assert p is None
         assert r == 0.0

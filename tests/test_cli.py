@@ -313,6 +313,19 @@ class TestValidateBatch:
         assert methods["match_density_term"] == "hoeffding"
         assert methods["recall_term"] == "hypergeometric-exact"
 
+    @pytest.mark.parametrize("method", ["hypergeometric-exact", "hoeffding"])
+    def test_node_over_k_y_exits_one(self, tmp_path, world, capsys, method):
+        # x0 gets a second verified match, over the cap of one
+        text = (world / "matches.tsv").read_text(encoding="utf-8")
+        actual = write(tmp_path / "actual.tsv", text + "x0\ty1\n")
+        rc = self._validate(
+            tmp_path, world, "--actual", str(actual), "--k-y", "1",
+            "--method", method, "--out", str(tmp_path / "r.json"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ky-violated: node 'x0' has more than k_y=1 actual matches" in err
+
     def test_delta_is_one_number(self, tmp_path, world, capsys):
         rc = self._validate(
             tmp_path, world, "--delta", "0.02,0.03", "--out", str(tmp_path / "r.json")
@@ -351,7 +364,6 @@ class TestActualMap:
     def test_equals_whole_set_view(self, tmp_path, world):
         from matchcert.cli import _actual_map
         from matchcert.graphs import (
-            MatchRole,
             NetworkPair,
             by_x,
             load_matches,
@@ -361,7 +373,7 @@ class TestActualMap:
         pair = NetworkPair(load_network(world / "x.tsv"), load_network(world / "y.tsv"))
         lines = (world / "matches.tsv").read_text(encoding="utf-8").splitlines()
         actual = write(tmp_path / "actual.tsv", "\n".join(lines[::2]) + "\n")
-        per_x = by_x(load_matches(actual, pair, MatchRole.ACTUAL))
+        per_x = by_x(load_matches(actual, pair))
         nodes = sorted(pair.x_net.nodes)
         s_x = nodes[::3] + nodes[:2]  # some without matches, two repeated
         got = _actual_map(pair, str(actual), s_x)
@@ -377,7 +389,8 @@ class TestActualMap:
         pair = NetworkPair(load_network(world / "x.tsv"), load_network(world / "y.tsv"))
         text = (world / "matches.tsv").read_text(encoding="utf-8")
         actual = write(tmp_path / "actual.tsv", text + "nobody\ty0\n")
-        with pytest.raises(MatchcertError, match="unknown-node: x endpoint 'nobody'"):
+        bad = r"unknown-node: match pair \('nobody', 'y0'\)"
+        with pytest.raises(MatchcertError, match=bad):
             _actual_map(pair, str(actual), sorted(pair.x_net.nodes)[:3])
 
 

@@ -15,7 +15,6 @@ from oracles import (
 
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
-    MatchRole,
     NetworkPair,
     by_x,
     load_matches,
@@ -86,9 +85,7 @@ class TestNetwork:
 
 class TestMatchSet:
     def test_build_and_views(self, small_pair):
-        ms = make_match_set(
-            [("a", "p"), ("a", "q"), ("b", "p")], small_pair, MatchRole.IDENTIFIED
-        )
+        ms = make_match_set([("a", "p"), ("a", "q"), ("b", "p")], small_pair)
         views = by_x(ms)
         assert views["a"] == {"p", "q"}
         assert "c" not in views
@@ -96,76 +93,65 @@ class TestMatchSet:
 
     def test_view_grows_with_added_pair(self, small_pair):
         base = [("a", "p")]
-        ms1 = make_match_set(base, small_pair, MatchRole.IDENTIFIED)
-        ms2 = make_match_set(base + [("a", "q")], small_pair, MatchRole.IDENTIFIED)
+        ms1 = make_match_set(base, small_pair)
+        ms2 = make_match_set(base + [("a", "q")], small_pair)
         assert ms2.pairs - ms1.pairs == {("a", "q")}
         assert by_x(ms2)["a"] - by_x(ms1)["a"] == {"q"}
 
     def test_unknown_endpoints_rejected(self, small_pair):
         with pytest.raises(MatchcertError, match="unknown-node"):
-            make_match_set([("a", "zzz")], small_pair, MatchRole.ACTUAL)
+            make_match_set([("a", "zzz")], small_pair)
 
     @pytest.mark.parametrize(
         "pairs, message",
         [
-            # x before y, the first bad pair in input order, endpoints before k_y
-            ([("a", "p"), ("zz", "yy")], "unknown-node: x endpoint 'zz'"),
-            ([("a", "yy"), ("zz", "p")], "unknown-node: y endpoint 'yy'"),
-            ([("a", "p"), ("a", "q"), ("b", "zz")], "unknown-node: y endpoint 'zz'"),
+            # the first bad pair in input order
+            ([("a", "p"), ("zz", "yy")], "unknown-node: match pair ('zz', 'yy')"),
+            ([("a", "yy"), ("zz", "p")], "unknown-node: match pair ('a', 'yy')"),
+            ([("a", "p"), ("a", "q"), ("b", "zz")], "unknown-node: match pair ('b', 'zz')"),
         ],
     )
     def test_first_bad_pair_named(self, small_pair, pairs, message):
         with pytest.raises(MatchcertError) as got:
-            make_match_set(iter(pairs), small_pair, MatchRole.ACTUAL, k_y=1)
+            make_match_set(iter(pairs), small_pair)
         assert str(got.value) == message
 
     def test_identity_checked_after_endpoints(self):
         net = make_network(["a", "b"], [("a", "b")])
         pair = NetworkPair(net, net, self_match_mode=True)
         with pytest.raises(MatchcertError, match="^identity-pair-forbidden:"):
-            make_match_set([("b", "a"), ("a", "a"), ("a", "zz")], pair, MatchRole.ACTUAL)
-        with pytest.raises(MatchcertError, match="^unknown-node: y endpoint 'zz'"):
-            make_match_set([("a", "zz"), ("a", "a")], pair, MatchRole.ACTUAL)
-
-    def test_ky_cap(self, small_pair):
-        make_match_set([("a", "p")], small_pair, MatchRole.ACTUAL, k_y=1)
-        with pytest.raises(MatchcertError, match="ky-violated"):
-            make_match_set(
-                [("a", "p"), ("a", "q")], small_pair, MatchRole.ACTUAL, k_y=1
-            )
+            make_match_set([("b", "a"), ("a", "a"), ("a", "zz")], pair)
+        bad = r"^unknown-node: match pair \('a', 'zz'\)"
+        with pytest.raises(MatchcertError, match=bad):
+            make_match_set([("a", "zz"), ("a", "a")], pair)
 
     def test_multiple_x_one_y_allowed(self, small_pair):
         # aggregation case: several x may share one y
-        ms = make_match_set(
-            [("a", "p"), ("b", "p")], small_pair, MatchRole.ACTUAL, k_y=1
-        )
+        ms = make_match_set([("a", "p"), ("b", "p")], small_pair)
         assert len(ms.pairs) == 2
 
     def test_identity_pair_forbidden_in_self_mode(self):
         net = make_network(["a", "b", "c"], [("a", "b")])
         pair = NetworkPair(net, net, self_match_mode=True)
-        make_match_set([("a", "b")], pair, MatchRole.ACTUAL)
+        make_match_set([("a", "b")], pair)
         with pytest.raises(MatchcertError, match="identity-pair-forbidden"):
-            make_match_set([("b", "b")], pair, MatchRole.ACTUAL)
+            make_match_set([("b", "b")], pair)
 
     def test_match_total_identity(self, small_pair):
         # sum over x of m(x) equals |M|
         ms = make_match_set(
             [("a", "p"), ("a", "q"), ("b", "r"), ("c", "p")],
             small_pair,
-            MatchRole.IDENTIFIED,
         )
         total = sum(len(ys) for ys in by_x(ms).values())
         assert total == len(ms.pairs)
 
     def test_by_x(self, small_pair):
-        ms = make_match_set(
-            [("a", "p"), ("a", "q"), ("b", "r")], small_pair, MatchRole.IDENTIFIED
-        )
+        ms = make_match_set([("a", "p"), ("a", "q"), ("b", "r")], small_pair)
         assert by_x(ms) == {"a": frozenset({"p", "q"}), "b": frozenset({"r"})}
 
     def test_by_x_view_is_shared_and_read_only(self, small_pair):
-        ms = make_match_set([("a", "p")], small_pair, MatchRole.IDENTIFIED)
+        ms = make_match_set([("a", "p")], small_pair)
         view = by_x(ms)
         with pytest.raises(TypeError):
             view["b"] = frozenset({"q"})
@@ -203,7 +189,7 @@ class TestMatchSetKeys:
     @given(match_worlds())
     def test_keys_and_views(self, world):
         pair, pairs = world
-        ms = make_match_set(pairs, pair, MatchRole.IDENTIFIED)
+        ms = make_match_set(pairs, pair)
         keys = ms.keys
         assert keys.dtype == np.int64
         assert (np.diff(keys) > 0).all()  # sorted and distinct
@@ -220,10 +206,10 @@ class TestMatchSetKeys:
     @given(match_worlds())
     def test_save_load_round_trip(self, tmp_path_factory, world):
         pair, pairs = world
-        ms = make_match_set(pairs, pair, MatchRole.IDENTIFIED)
+        ms = make_match_set(pairs, pair)
         first = tmp_path_factory.mktemp("m") / "m.tsv"
         save_matches(ms, first)
-        again = load_matches(first, pair, MatchRole.IDENTIFIED)
+        again = load_matches(first, pair)
         assert again == ms and np.array_equal(again.keys, ms.keys)
         second = first.with_name("again.tsv")
         save_matches(again, second)
@@ -232,27 +218,25 @@ class TestMatchSetKeys:
         assert lines == [f"{x}\t{y}" for x, y in sorted(set(pairs))]
 
     def test_equality(self, small_pair):
-        a = make_match_set([("b", "q"), ("a", "p")], small_pair, MatchRole.IDENTIFIED)
-        b = make_match_set([("a", "p"), ("b", "q")], small_pair, MatchRole.IDENTIFIED)
+        a = make_match_set([("b", "q"), ("a", "p")], small_pair)
+        b = make_match_set([("a", "p"), ("b", "q")], small_pair)
         assert a == b and hash(a) == hash(b)
-        assert a != make_match_set([("a", "p")], small_pair, MatchRole.IDENTIFIED)
-        assert a != make_match_set([("a", "p"), ("b", "q")], small_pair, MatchRole.ACTUAL)
+        assert a != make_match_set([("a", "p")], small_pair)
         # an equal pair built apart has equal id lists: the sets compare
         x = make_network(["c", "b", "a"], [("b", "c"), ("a", "b")])
         y = make_network(["r", "q", "p"], [("q", "p")])
-        twin = make_match_set([("a", "p"), ("b", "q")], NetworkPair(x, y),
-                              MatchRole.IDENTIFIED)
+        twin = make_match_set([("a", "p"), ("b", "q")], NetworkPair(x, y))
         assert twin.x_ids is not a.x_ids and twin == a
 
     def test_universe_mismatch(self, small_pair):
         from matchcert.batch import true_batch_metrics
         from matchcert.query import true_error_rate, true_query_metrics
 
-        a = make_match_set([("a", "p")], small_pair, MatchRole.IDENTIFIED)
+        a = make_match_set([("a", "p")], small_pair)
         wider = NetworkPair(
             make_network(["a", "b", "c", "d"], []), small_pair.y_net
         )
-        b = make_match_set([("a", "p")], wider, MatchRole.ACTUAL)
+        b = make_match_set([("a", "p")], wider)
         for compare in (
             lambda: a == b,
             lambda: a.found_in(b),
@@ -263,11 +247,6 @@ class TestMatchSetKeys:
         ):
             with pytest.raises(MatchcertError, match="^universe-mismatch:"):
                 compare()
-
-    def test_ky_violation_names_the_smallest_x(self, small_pair):
-        pairs = [("c", "p"), ("c", "q"), ("b", "p"), ("b", "r")]
-        with pytest.raises(MatchcertError, match="^ky-violated: node 'b' "):
-            make_match_set(pairs, small_pair, MatchRole.ACTUAL, k_y=1)
 
 
 def _check_against_reference(nodes, edges):
@@ -539,14 +518,14 @@ class TestMatchIO:
     def test_load_three_pairs(self, small_pair, tmp_path):
         f = tmp_path / "m.tsv"
         f.write_text("a\tp\nb\tq\nc\tr\n")
-        ms = load_matches(f, small_pair, MatchRole.ACTUAL, k_y=1)
+        ms = load_matches(f, small_pair)
         assert len(ms.pairs) == 3
 
     def test_unknown_y_rejected(self, small_pair, tmp_path):
         f = tmp_path / "m.tsv"
         f.write_text("a\tnope\n")
         with pytest.raises(MatchcertError, match="unknown-node"):
-            load_matches(f, small_pair, MatchRole.ACTUAL)
+            load_matches(f, small_pair)
 
     def test_identity_rejected_in_self_mode(self, tmp_path):
         net = make_network(["a", "b"], [("a", "b")])
@@ -554,13 +533,11 @@ class TestMatchIO:
         f = tmp_path / "m.tsv"
         f.write_text("a\ta\n")
         with pytest.raises(MatchcertError, match="identity-pair-forbidden"):
-            load_matches(f, pair, MatchRole.ACTUAL)
+            load_matches(f, pair)
 
     def test_roundtrip(self, small_pair, tmp_path):
-        ms = make_match_set(
-            [("b", "q"), ("a", "p")], small_pair, MatchRole.IDENTIFIED
-        )
+        ms = make_match_set([("b", "q"), ("a", "p")], small_pair)
         f = tmp_path / "m.tsv"
         save_matches(ms, f)
-        again = load_matches(f, small_pair, MatchRole.IDENTIFIED)
+        again = load_matches(f, small_pair)
         assert again.pairs == ms.pairs

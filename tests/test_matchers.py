@@ -4,7 +4,7 @@ import pytest
 from oracles import percolate_reference, top_degree_reference
 
 from matchcert.errors import MatchcertError
-from matchcert.graphs import MatchRole, NetworkPair, by_x, make_network
+from matchcert.graphs import NetworkPair, by_x, make_network
 from matchcert.matchers import (
     VERIFIED_SAMPLE,
     MatcherConfig,
@@ -46,7 +46,6 @@ class TestAttributeExact:
         handle = build_matcher(MatcherConfig("attribute-exact", attr_key="uid"))
         got = run_batch(handle, pair)
         assert got.pairs == {("xa", "ya"), ("xb", "yb"), ("xc", "yc")}
-        assert got.role == MatchRole.IDENTIFIED
 
     def test_missing_attr_key(self):
         pair = mirrored_pair(["a"], [])

@@ -19,7 +19,6 @@ from matchcert.batch import BatchValidationInput, batch_reports, true_batch_metr
 from matchcert.bounds import BoundMethod, DeltaBudget
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
-    MatchRole,
     NetworkPair,
     by_x,
     make_match_set,
@@ -426,7 +425,7 @@ class TestSampleChecks:
         inp = _ten_node_input(s_x=("x0", "nope"))
         batch_inp = BatchValidationInput(
             pair=inp.pair,
-            m_hat_holdout=make_match_set([("x0", "y0")], inp.pair, MatchRole.IDENTIFIED),
+            m_hat_holdout=make_match_set([("x0", "y0")], inp.pair),
             s_m=(("x0", "y0"),),
             s_x=inp.s_x,
             actual_for=inp.actual_for,
@@ -646,11 +645,7 @@ class TestTrueQueryMetrics:
             rng_seed=12,
         )
         pair, truth = generate_pair(cfg)
-        m_hat = make_match_set(
-            sorted(truth.pairs)[: len(truth.pairs) // 2],
-            pair,
-            MatchRole.IDENTIFIED,
-        )
+        m_hat = make_match_set(sorted(truth.pairs)[: len(truth.pairs) // 2], pair)
         p, r = true_query_metrics(pair, m_hat, truth)
         assert p == 1.0  # every identified pair is actual
         n_matched = len(by_x(truth))
@@ -683,8 +678,8 @@ def _random_sets(rnd: random.Random, self_mode: bool):
     m_hat = rnd.sample(truth, rnd.randint(0, len(truth))) + draw()
     return (
         pair,
-        make_match_set(m_hat, pair, MatchRole.IDENTIFIED),
-        make_match_set(truth, pair, MatchRole.ACTUAL),
+        make_match_set(m_hat, pair),
+        make_match_set(truth, pair),
     )
 
 
@@ -865,7 +860,7 @@ def column_worlds(draw):
             chosen = draw(st.lists(st.sampled_from(options), max_size=k_cap,
                                    unique=True)) if options else []
             pairs += [(x, y) for y in chosen]
-        return make_match_set(pairs, pair, MatchRole.IDENTIFIED)
+        return make_match_set(pairs, pair)
 
     s_x = tuple(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True)))
     actual_ids = [*ys, "ghost0", "ghost1"]  # the ghosts are not nodes of Y
@@ -884,7 +879,7 @@ def column_worlds(draw):
         else:
             complete = build_matcher(MatcherConfig("attribute-exact", attr_key="c"))
             sets["c"] = (
-                make_match_set([], pair, MatchRole.IDENTIFIED)
+                make_match_set([], pair)
                 if mode == "empty" else identified()
             )
     inp = QueryValidationInput(

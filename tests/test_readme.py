@@ -15,7 +15,7 @@ import pytest
 
 from matchcert.batch import true_batch_metrics
 from matchcert.cli import main
-from matchcert.graphs import MatchRole, NetworkPair, load_matches, load_network
+from matchcert.graphs import NetworkPair, load_matches, load_network
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HEREDOC = re.compile(r"(.*)<<'(\w+)'$")
@@ -54,8 +54,8 @@ def test_walkthrough_runs_and_its_numbers_hold(tmp_path, monkeypatch, capsys):
     report = json.loads(Path("report.json").read_text(encoding="utf-8"))
     bounds = {r["bound_id"]: r["lower_bound"] for r in report["reports"]}
     pair = NetworkPair(load_network("world/x.tsv"), load_network("world/y.tsv"))
-    m_hat = load_matches("mhat.tsv", pair, MatchRole.IDENTIFIED)
-    truth = load_matches("world/matches.tsv", pair, MatchRole.ACTUAL)
+    m_hat = load_matches("mhat.tsv", pair)
+    truth = load_matches("world/matches.tsv", pair)
     precision, recall = true_batch_metrics(pair, m_hat, truth)
     quoted = re.search(
         r"certifies recall >= ([\d.]+) and precision >= ([\d.]+) at\s+95% "
