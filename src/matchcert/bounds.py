@@ -8,7 +8,9 @@ replacement. Three bound families are provided:
   size for its sampling-fraction factor; tighter than Hoeffding when the
   sample standard deviation is small relative to the range.
 * Exact hypergeometric tail inversion: binary {0, 1} values only; the
-  tightest of the three (up to floating-point error in the tails).
+  tightest of the three (up to floating-point error in the tails). One
+  search gives both sides: the upper bound on the success count is n less
+  the lower bound on the failure count.
 
 Every bound is one-sided: the lower bound and the upper bound each fail
 with probability at most ``delta``. Callers needing several bounds to hold
@@ -237,8 +239,17 @@ def _check_sample(pop: PopulationSpec, sample: SampleSummary) -> None:
             )
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, x))
+def _around_mean(
+    pop: PopulationSpec,
+    sample: SampleSummary,
+    delta: Confidence,
+    method: BoundMethod,
+    diagnostics: dict,
+) -> BoundResult:
+    """The sample mean ± ``diagnostics["slack"]``, clamped to the range."""
+    mu, slack = sample_mean(sample), diagnostics["slack"]
+    lower, upper = (min(pop.hi, max(pop.lo, b)) for b in (mu - slack, mu + slack))
+    return BoundResult(mu, lower, upper, delta, method, diagnostics)
 
 
 def hoeffding_bounds(
@@ -250,16 +261,8 @@ def hoeffding_bounds(
     enter the slack.
     """
     _check_sample(pop, sample)
-    mu = sample_mean(sample)
     slack = pop.width * math.sqrt(math.log(1.0 / delta.delta) / (2.0 * sample.s))
-    return BoundResult(
-        estimate=mu,
-        lower=_clamp(mu - slack, pop.lo, pop.hi),
-        upper=_clamp(mu + slack, pop.lo, pop.hi),
-        delta_used=delta,
-        method=BoundMethod.HOEFFDING,
-        diagnostics={"slack": slack},
-    )
+    return _around_mean(pop, sample, delta, BoundMethod.HOEFFDING, {"slack": slack})
 
 
 def ebs_bounds(
@@ -274,30 +277,27 @@ def ebs_bounds(
     (rho_s = 0), leaving only the O(1/s) range term.
     """
     _check_sample(pop, sample)
-    mu = sample_mean(sample)
     sigma = sample_sigma_hat(sample)
     rho = rho_s(pop.n, sample.s)
     log_term = math.log(5.0 / delta.delta)
     variance_term = sigma * math.sqrt(2.0 * rho * log_term / sample.s)
     range_term = KAPPA * pop.width * log_term / sample.s
-    slack = variance_term + range_term
-    return BoundResult(
-        estimate=mu,
-        lower=_clamp(mu - slack, pop.lo, pop.hi),
-        upper=_clamp(mu + slack, pop.lo, pop.hi),
-        delta_used=delta,
-        method=BoundMethod.EBS,
-        diagnostics={
+    return _around_mean(
+        pop,
+        sample,
+        delta,
+        BoundMethod.EBS,
+        {
             "sigma_hat": sigma,
             "rho_s": rho,
             "variance_term": variance_term,
             "range_term": range_term,
-            "slack": slack,
+            "slack": variance_term + range_term,
         },
     )
 
 
-# Tie slop for the inversion searches: tail probabilities that equal delta
+# Tie slop for the inversion search: tail probabilities that equal delta
 # as exact rationals can land a few ulps below it in floating point. The slop
 # only ever widens the returned interval, so validity is preserved.
 _TIE_EPS = 1e-11
@@ -348,10 +348,9 @@ def hypergeom_pmf(m: int, n: int, s: int, k: int) -> float:
     return float(min(1.0, math.exp(log_p)))
 
 
-def _tail(m: int, n: int, s: int, j_lo: int, j_hi: int) -> float:
-    # Sum of pmf over the feasible j in [j_lo, j_hi], via log-sum-exp.
-    j_lo = max(j_lo, 0, s - (n - m))
-    j_hi = min(j_hi, s, m)
+def _tail(m: int, n: int, s: int, k: int) -> float:
+    # P{count >= k}: the pmf summed over the feasible j >= k, via log-sum-exp
+    j_lo, j_hi = max(k, s - (n - m)), min(s, m)
     if j_lo > j_hi:
         return 0.0
     lf = _logfact(n)
@@ -373,20 +372,21 @@ def _tail(m: int, n: int, s: int, j_lo: int, j_hi: int) -> float:
 def hypergeom_tail_upper(m: int, n: int, s: int, k: int) -> float:
     """P{sample success count >= k}."""
     _check_hypergeom(m, n, s, k)
-    return _tail(m, n, s, k, s)
+    return _tail(m, n, s, k)
 
 
 def hypergeom_tail_lower(m: int, n: int, s: int, k: int) -> float:
-    """P{sample success count <= k}."""
+    """P{sample success count <= k}: the chance of s - k or more failures
+    among the n - m failures of the population."""
     _check_hypergeom(m, n, s, k)
-    return _tail(m, n, s, 0, k)
+    return _tail(n - m, n, s, s - k)
 
 
 def _normal_quantile(delta: float) -> float:
     """z with P{Z > z} = delta for a standard normal Z, to within 4.5e-4.
 
-    Abramowitz & Stegun 26.2.23; only steers the inversion searches, whose
-    answers do not depend on it.
+    Abramowitz & Stegun 26.2.23; only steers the inversion search, whose
+    answer does not depend on it.
     """
     p = min(delta, 1.0 - delta)
     t = math.sqrt(-2.0 * math.log(p))
@@ -396,19 +396,19 @@ def _normal_quantile(delta: float) -> float:
     return z if delta <= 0.5 else -z
 
 
-def _wilson_guess(n: int, s: int, k: int, delta: float, side: int) -> tuple[int, int]:
-    """(first guess at m, gallop step) for an exact inversion.
+def _wilson_guess(n: int, s: int, k: int, delta: float) -> tuple[int, int]:
+    """(first guess at m, gallop step) for the exact inversion.
 
-    The guess is the one-sided Wilson score bound with continuity
+    The guess is the one-sided lower Wilson score bound with continuity
     correction, its variance scaled by the finite-population factor
-    (n - s)/(n - 1); ``side`` is -1 for the lower bound and +1 for the
-    upper. The step is a twentieth of the estimate's standard deviation.
+    (n - s)/(n - 1). The step is a twentieth of the estimate's standard
+    deviation.
     """
     fpc = (n - s) / (n - 1) if n > 1 else 0.0
     z = _normal_quantile(delta) * math.sqrt(fpc)
-    p = min(max(k + 0.5 * side, 0.0), s) / s
+    p = min(max(k - 0.5, 0.0), s) / s
     spread = math.sqrt(p * (1.0 - p) / s + z * z / (4.0 * s * s))
-    bound = (p + z * z / (2.0 * s) + side * z * spread) / (1.0 + z * z / s)
+    bound = (p + z * z / (2.0 * s) - z * spread) / (1.0 + z * z / s)
     return round(bound * n), max(1, int(0.05 * n * spread * math.sqrt(fpc)))
 
 
@@ -457,48 +457,47 @@ def _least_passing(tail_at, a: int, b: int, guess: int, step: int, level: float)
     return b
 
 
-def hypergeom_invert_lower(n: int, s: int, k: int, delta: Confidence) -> float:
-    """Exact lower confidence bound on the population success fraction.
-
-    Returns (min{m : P{count >= k | m} >= delta}) / n: the smallest
-    population success count under which observing k or more successes is
-    still plausible at level delta. The upper tail is nondecreasing in m,
-    0 at m = k - 1 and 1 at m = n, so :func:`_least_passing` finds the
-    boundary from a Wilson-score guess: in 4 to 5 tail evaluations on
-    average over the bounds-sweep grid, where bisection over [k, n] takes
-    log2(n). ``tests/test_bounds.py::TestInversionSearch`` checks that it
-    returns exactly what bisection (``tests/oracles.py``) returns, and
-    that it averages at most 8 evaluations there.
-    """
+def _check_counts(n: int, s: int, k: int) -> None:
     if not 0 <= k <= s <= n:
         raise MatchcertError(f"invalid-hypergeom-params: n={n}, s={s}, k={k}")
+
+
+def _least_m(n: int, s: int, k: int, delta: Confidence) -> int:
+    """min{m : P{count >= k | m} >= delta}: the one exact inversion.
+
+    The upper tail is nondecreasing in m, 0 at m = k - 1 and 1 at m = n, so
+    :func:`_least_passing` finds the boundary from a Wilson-score guess: in
+    4 to 5 tail evaluations on average over the bounds-sweep grid, where
+    bisection over [k, n] takes log2(n). A level at or below 0 passes every
+    m, and the answer is k. ``tests/test_bounds.py::TestInversionSearch``
+    checks that both inversions return exactly what bisection
+    (``tests/oracles.py``) returns, in at most 8 evaluations on average.
+    """
     level = delta.delta - _TIE_EPS
-    if k == 0 or level <= 0.0:  # a level at or below 0 passes every m
-        return k / n
-    guess, step = _wilson_guess(n, s, k, delta.delta, -1)
-    m = _least_passing(lambda m: _tail(m, n, s, k, s), k - 1, n, guess, step, level)
-    return m / n
+    if k == 0 or level <= 0.0:
+        return k
+    guess, step = _wilson_guess(n, s, k, delta.delta)
+    return _least_passing(lambda m: _tail(m, n, s, k), k - 1, n, guess, step, level)
+
+
+def hypergeom_invert_lower(n: int, s: int, k: int, delta: Confidence) -> float:
+    """Exact lower confidence bound on the population success fraction:
+    the least success count m under which k or more successes in the
+    sample are still plausible at level delta, over n."""
+    _check_counts(n, s, k)
+    return _least_m(n, s, k, delta) / n
 
 
 def hypergeom_invert_upper(n: int, s: int, k: int, delta: Confidence) -> float:
-    """Exact upper confidence bound on the population success fraction.
-
-    Returns (max{m : P{count <= k | m} >= delta}) / n. The lower tail is
-    nonincreasing in m, 1 at m = 0 and 0 from m = top = n - s + k + 1, so
-    the search of :func:`hypergeom_invert_lower` runs on t = top - m and
-    agrees with bisection under the same condition and the same tests.
-    """
-    if not 0 <= k <= s <= n:
-        raise MatchcertError(f"invalid-hypergeom-params: n={n}, s={s}, k={k}")
-    level = delta.delta - _TIE_EPS
-    if k == s or level <= 0.0:
+    """Exact upper confidence bound on the population success fraction:
+    (max{m : P{count <= k | m} >= delta}) / n, or 1 when k = s or the level
+    is at or below 0. P{count <= k | m} is the chance of s - k or more
+    failures among the n - m failures, so that m is n less the least
+    failure count for s - k."""
+    _check_counts(n, s, k)
+    if k == s or delta.delta - _TIE_EPS <= 0.0:
         return 1.0
-    top = n - s + k + 1
-    guess, step = _wilson_guess(n, s, k, delta.delta, +1)
-    t = _least_passing(
-        lambda t: _tail(top - t, n, s, 0, k), 0, top, top - guess, step, level
-    )
-    return (top - t) / n
+    return (n - _least_m(n, s, s - k, delta)) / n
 
 
 def is_binary_sample(sample: SampleSummary) -> bool:
@@ -520,47 +519,26 @@ def bound_mean(
     """
     if side not in ("lower", "upper", "both"):
         raise MatchcertError(f"invalid-side: {side!r}")
-    if method is BoundMethod.HOEFFDING:
-        res = hoeffding_bounds(pop, sample, delta)
-    elif method is BoundMethod.EBS:
-        res = ebs_bounds(pop, sample, delta)
-    elif method is BoundMethod.HYPERGEOMETRIC:
-        if (pop.lo, pop.hi) != (0.0, 1.0) or not is_binary_sample(sample):
-            raise MatchcertError(
-                "method-requires-binary: hypergeometric-exact needs 0/1 "
-                "values with range (0, 1)"
-            )
-        _check_sample(pop, sample)
-        k = int(round(math.fsum(sample.values)))
-        lower = (
-            hypergeom_invert_lower(pop.n, sample.s, k, delta)
-            if side in ("lower", "both")
-            else pop.lo
+    if method is not BoundMethod.HYPERGEOMETRIC:
+        res = (hoeffding_bounds if method is BoundMethod.HOEFFDING else ebs_bounds)(
+            pop, sample, delta
         )
-        upper = (
-            hypergeom_invert_upper(pop.n, sample.s, k, delta)
-            if side in ("upper", "both")
-            else pop.hi
+        if side == "both":
+            return res
+        lower = res.lower if side == "lower" else pop.lo
+        upper = res.upper if side == "upper" else pop.hi
+        return BoundResult(res.estimate, lower, upper, delta, method, res.diagnostics)
+    if (pop.lo, pop.hi) != (0.0, 1.0) or not is_binary_sample(sample):
+        raise MatchcertError(
+            "method-requires-binary: hypergeometric-exact needs 0/1 "
+            "values with range (0, 1)"
         )
-        res = BoundResult(
-            estimate=k / sample.s,
-            lower=lower,
-            upper=upper,
-            delta_used=delta,
-            method=method,
-            diagnostics={"k": float(k)},
-        )
-    else:  # pragma: no cover - enum is closed
-        raise MatchcertError(f"unknown-method: {method}")
-    if side == "lower":
-        return BoundResult(
-            res.estimate, res.lower, pop.hi, delta, method, dict(res.diagnostics)
-        )
-    if side == "upper":
-        return BoundResult(
-            res.estimate, pop.lo, res.upper, delta, method, dict(res.diagnostics)
-        )
-    return res
+    _check_sample(pop, sample)
+    k = int(round(math.fsum(sample.values)))
+    n, s = pop.n, sample.s
+    lower = pop.lo if side == "upper" else hypergeom_invert_lower(n, s, k, delta)
+    upper = pop.hi if side == "lower" else hypergeom_invert_upper(n, s, k, delta)
+    return BoundResult(k / s, lower, upper, delta, method, {"k": float(k)})
 
 
 class Term(NamedTuple):

@@ -375,7 +375,7 @@ class TestInversionSearch:
             )
             peak = float(logs.max())
             expected = min(1.0, math.exp(peak) * float(np.exp(logs - peak).sum()))
-            assert bounds_module._tail(m, n, s, 0, s) == expected
+            assert bounds_module._tail(m, n, s, 0) == expected
 
     def test_logfact_entries_are_lgamma(self):
         lf = bounds_module._logfact(70_000)
