@@ -358,9 +358,10 @@ def complete_query_precision(
 
     The d_p term's range is fixed by ``k_cap`` before s_x' is read, as
     Hoeffding's bound requires: (-1, 2) when k_cap is 1, else (0, 1 +
-    k_cap), flagged ``dp-range-widened``. A d_p above 2 needs a node with
-    several identified matches, so only k_cap >= 2 can produce one. The
-    range used is recorded in the terms.
+    k_cap), flagged ``dp-range-widened``. A d_p above 1 + k_cap needs the
+    holdout matcher to give that node more than k_cap matches; the first
+    such node of s_x' fails with ``kcap-violated``. The range used is
+    recorded in the terms.
     """
     d1, d2, d3, d4 = inp.budget.parts_for(4)
     _require_complete(inp)
@@ -384,8 +385,16 @@ def complete_query_precision(
         lo, hi = DP_DEFAULT_RANGE
         if inp.k_cap > 1:
             lo, hi, flags = 0.0, 1.0 + inp.k_cap, ("dp-range-widened",)
+        d_p = columns.d_p[n:]
+        over = d_p > hi
+        if over.any():
+            x = inp.s_x_prime[int(np.argmax(over))]
+            raise MatchcertError(
+                f"kcap-violated: node {x!r} has more than k_cap={inp.k_cap} "
+                "identified matches"
+            )
         dp = terms["dp_term"] = bound_term(
-            inp.n_x, columns.d_p[n:].tolist(), inp.method, d3, "upper", lo=lo, hi=hi
+            inp.n_x, d_p.tolist(), inp.method, d3, "upper", lo=lo, hi=hi
         )
         terms.update(dp_range_lo=lo, dp_range_hi=hi)
         dp_ub = dp.value

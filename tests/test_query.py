@@ -309,6 +309,28 @@ class TestCompleteQueryPrecision:
             complete_query_precision(inp)
 
 
+class TestKcapViolated:
+    @pytest.mark.parametrize("method", [HOEFF, HG])
+    def test_dp_over_one_plus_k_cap_names_the_node(self, tiny, method):
+        # the holdout matcher gives x0 three matches and the complete one
+        # one of them: d_p(x0) = 1 + 2/1 = 3 > 1 + k_cap; x0 is only in s_x'
+        holdout = fixed_matcher([("x0", "y0"), ("x0", "y1"), ("x0", "y2")]
+                                + [(f"x{i}", f"y{i}") for i in range(3, 6)])
+        complete = fixed_matcher([("x0", "y0")]
+                                 + [(f"x{i}", f"y{i}") for i in range(3, 6)])
+        s_x = ["x3", "x4", "x5"]
+        actual = {x: frozenset({f"y{x[1:]}"}) for x in s_x}
+        inp = tiny_input(tiny, holdout, s_x, actual,
+                         DeltaBudget.of(0.01, 0.02, 0.01, 0.01),
+                         complete=complete, s_x_prime=("x6", "x0", "x7"),
+                         method=method)
+        with pytest.raises(
+            MatchcertError,
+            match=r"^kcap-violated: node 'x0' has more than k_cap=1 identified",
+        ):
+            complete_query_precision(inp)
+
+
 class TestErrorRate:
     def test_perfect_matcher_slack_only(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
