@@ -39,14 +39,21 @@ from the input its own certificate was given (see :mod:`.reports`).
 The truth oracles read keys too: numpy set arithmetic over the sorted
 keys, with per-node rates from ``np.bincount`` and means by ``math.fsum``.
 
-Population sizes of the defined-node subsets are unknowable without full
-enumeration, so the stand-in |X| is used where a size is needed. That is
-conservative for Hoeffding, whose slack ignores the size, and for EBS,
-whose sampling-fraction factor only grows with it; tests/test_bounds.py
-checks both exhaustively on small populations. It is not conservative for
-the exact hypergeometric inversion, whose bound lies on the m/n lattice
-and is not monotone in n, yet the exact method is still used under the
-stand-in: ROADMAP open item 1.
+The holdout precision and recall terms bound means over a subset D of X
+from the sampled nodes in D, which, given their number, are a uniform
+sample of D. For precision, D is the nodes the holdout matcher identifies
+anything for; its size is known once the matcher has run, so the
+precision terms of holdout-query-precision and complete-query-precision
+are bounded at n = |D| by the requested method and record it as
+``identified_nodes``. For recall, D is the nodes with actual matches,
+whose size is unknown. The recall terms of holdout-query-recall and
+complete-query-recall use the stand-in |X| with ``exact=False``: the exact
+inversion is not monotone in n and may under-cover there, so it becomes
+Hoeffding, whose slack ignores the size; EBS is kept, as its
+sampling-fraction factor only grows with the size. tests/test_bounds.py
+checks both families exhaustively under stand-in sizes, and
+``tests/test_query.py::TestTermPopulationSize`` both terms by exact sums.
+Every other term is a mean over X, bounded at |X|.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundMethod, Confidence, DeltaBudget, Term, bound_term
+from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
@@ -176,13 +183,15 @@ class Columns(NamedTuple):
     one per node of s_x' (from index ``n`` on); the certificates read the
     s_x' part, ``compute_node_stats`` both. ``h_ind`` and ``c_ind`` are 1.0
     where the holdout or complete matcher identifies anything, and
-    ``diff`` where the two differ. The complete
+    ``diff`` where the two differ. ``identified`` counts the x of X for
+    which the holdout matcher identifies anything. The complete
     matcher's columns are None without one. ``reduced`` is set when it
     computes the holdout matcher's function; its columns are then the
     holdout's, and d_r, d_p and diff are 0.
     """
 
     n: int
+    identified: int
     p: np.ndarray
     r: np.ndarray
     w: np.ndarray
@@ -223,10 +232,12 @@ def _columns(inp: QueryValidationInput) -> Columns:
     y_at = iy.positions(ys)  # an actual id that is not a node of Y is no hit
     hit = m_hat.contains(at[owner] * n_y + y_at) & (y_at >= 0)
     hits = np.bincount(owner, weights=hit, minlength=n)
-    h = _per_x(m_hat.keys, n_x, n_y)[at]
+    per_x = _per_x(m_hat.keys, n_x, n_y)
+    h = per_x[at]
     same = (h[:n] == n_actual) & (hits == n_actual)
     columns = Columns(
         n=n,
+        identified=int(np.count_nonzero(per_x)),
         p=np.divide(hits, h[:n], out=np.full(n, np.nan), where=h[:n] > 0),
         r=np.divide(hits, n_actual, out=np.full(n, np.nan), where=n_actual > 0),
         w=(~same).astype(float),
@@ -277,16 +288,27 @@ def _payload(inp: QueryValidationInput) -> Callable[[], dict]:
 
 def _holdout_term(
     inp: QueryValidationInput, columns: Columns, quantity: str, delta: Confidence
-) -> tuple[Term, int]:
-    """Lower-bound the mean of p(x) or r(x) (``quantity`` precision or
-    recall) over the verified nodes where it is defined; returns the term
-    and the number of usable nodes."""
+) -> dict:
+    """The report terms of a lower bound on the mean of p(x) or r(x)
+    (``quantity`` precision or recall) over the nodes D where it is
+    defined: the bound and the number of usable nodes, the sampled nodes in
+    D. Precision is bounded at |D|, recorded as ``identified_nodes``;
+    recall, whose |D| is unknown, at the stand-in |X| with ``exact=False``
+    (see the module docstring)."""
     column = columns.p if quantity == "precision" else columns.r
     sample = column[~np.isnan(column)].tolist()
     if not sample:
         side = "identified" if quantity == "precision" else "actual"
         raise MatchcertError(f"no-usable-sample: no sampled node has {side} matches")
-    return bound_term(inp.n_x, sample, inp.method, delta, "lower"), len(sample)
+    if quantity == "recall":
+        term = bound_term(inp.n_x, sample, inp.method, delta, "lower", exact=False)
+        return {"recall_term": term, "usable_nodes": float(len(sample))}
+    term = bound_term(columns.identified, sample, inp.method, delta, "lower")
+    return {
+        "precision_term": term,
+        "usable_nodes": float(len(sample)),
+        "identified_nodes": float(columns.identified),
+    }
 
 
 def holdout_query_bounds(
@@ -298,14 +320,14 @@ def holdout_query_bounds(
     columns = columns or _columns(inp)
     reports = []
     for quantity in ("precision", "recall"):
-        term, n = _holdout_term(inp, columns, quantity, delta)
+        terms = _holdout_term(inp, columns, quantity, delta)
         reports.append(
             build_report(
                 f"holdout-query-{quantity}",
                 inp.budget,
                 _payload(inp),
-                {f"{quantity}_term": term, "usable_nodes": float(n)},
-                term.value,
+                terms,
+                terms[f"{quantity}_term"].value,
             )
         )
     precision, recall = reports
@@ -326,8 +348,8 @@ def complete_query_recall(
     d_r, d_x, d_frac = inp.budget.parts_for(3)
     _require_complete(inp)
     columns = columns or _columns(inp)
-    recall, n = _holdout_term(inp, columns, "recall", d_r)
-    terms = {"recall_term": recall, "disagreement_term": 0.0, "usable_nodes": float(n)}
+    terms = {**_holdout_term(inp, columns, "recall", d_r), "disagreement_term": 0.0}
+    recall = terms["recall_term"]
     value, denominator, flags = recall.value, None, ("reduced-to-holdout",)
     if not columns.reduced:
         d_ub = terms["disagreement_term"] = bound_term(
@@ -368,16 +390,13 @@ def complete_query_precision(
     columns = columns or _columns(inp)
     n = columns.n
 
-    precision, p_n = _holdout_term(inp, columns, "precision", d2)
+    terms = _holdout_term(inp, columns, "precision", d2)
+    precision = terms["precision_term"]
     h_frac = bound_term(inp.n_x, columns.h_ind[n:].tolist(), inp.method, d1, "lower")
     c_frac = bound_term(inp.n_x, columns.c_ind[n:].tolist(), inp.method, d4, "upper")
-    terms = {
-        "holdout_fraction_term": h_frac,
-        "precision_term": precision,
-        "complete_fraction_term": c_frac,
-        "usable_nodes": float(p_n),
-        "dp_term": 0.0,
-    }
+    terms.update(
+        holdout_fraction_term=h_frac, complete_fraction_term=c_frac, dp_term=0.0
+    )
     dp_ub, flags = 0.0, ()
     if columns.reduced:
         flags = ("reduced-to-holdout",)

@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from matchcert.batch import BatchValidationInput, batch_reports, true_batch_metrics
-from matchcert.bounds import BoundMethod, DeltaBudget
+from matchcert.bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
     NetworkPair,
@@ -329,6 +329,90 @@ class TestKcapViolated:
             match=r"^kcap-violated: node 'x0' has more than k_cap=1 identified",
         ):
             complete_query_precision(inp)
+
+
+def _sized_world(n: int, d: int) -> tuple[NetworkPair, object]:
+    """n nodes a side; the holdout matcher pairs x_i with y_i for i < d, so
+    the nodes it identifies anything for are D = {x_0, ..., x_(d-1)}."""
+    pair = NetworkPair(
+        make_network([f"x{i}" for i in range(n)], []),
+        make_network([f"y{i}" for i in range(n)] + ["y-wrong"], []),
+    )
+    return pair, fixed_matcher([(f"x{i}", f"y{i}") for i in range(d)])
+
+
+class TestTermPopulationSize:
+    """The holdout precision term is bounded at |D|, the number of nodes
+    the holdout matcher identifies anything for, and the recall term, whose
+    D has no known size, with a size-free family."""
+
+    def test_precision_term_at_identified_size(self, tiny):
+        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(5)])
+        complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(4)])
+        s_x = ["x0", "x1", "x2", "x6"]
+        actual = {x: frozenset({f"y{x[1:]}"}) for x in s_x}
+        inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05),
+                         method=HG)
+        precision, recall = holdout_query_bounds(inp)
+        want = bound_term(5, [1.0, 1.0, 1.0], HG, Confidence(0.05), "lower")
+        assert precision.terms["precision_term"] == want.value
+        assert precision.term_methods["precision_term"] == "hypergeometric-exact"
+        assert precision.terms["identified_nodes"] == 5.0
+        assert recall.term_methods["recall_term"] == "hoeffding"
+        assert "identified_nodes" not in recall.terms
+
+        budget = DeltaBudget.of(0.05)
+        full = query_reports(replace(inp, budget=budget, complete=complete,
+                                     s_x_prime=("x3", "x4", "x7")))
+        by_id = {rep.bound_id: rep for rep in full}
+        prec_c = by_id["complete-query-precision"]
+        want_c = bound_term(5, [1.0, 1.0, 1.0], HG, Confidence(0.05 / 4), "lower")
+        assert prec_c.terms["precision_term"] == want_c.value
+        assert prec_c.terms["identified_nodes"] == 5.0
+        assert by_id["complete-query-recall"].term_methods["recall_term"] == "hoeffding"
+
+    @pytest.mark.parametrize("method", [HG, HOEFF])
+    def test_exact_scan_holds_at_delta(self, method):
+        # s_x is a uniform s-subset of X (|X| = n); the s' sampled nodes in
+        # D (|D| = d) carry k correct of the m correct nodes of D. The
+        # precision (and recall) certificate's bound depends on (s', k)
+        # only, so the failure probability of each term is an exact sum
+        # over (s', k), here in integers over C(n, s).
+        delta = 0.05
+        worst = {}
+        for n in (20, 30):
+            for d in range(1, n + 1):
+                pair, holdout = _sized_world(n, d)
+                for s in (5, 10, 15):
+                    bounds = {}
+                    for s_in in range(max(1, s - (n - d)), min(s, d) + 1):
+                        s_x = [f"x{i}" for i in range(s_in)]
+                        s_x += [f"x{i}" for i in range(d, d + s - s_in)]
+                        for k in range(s_in + 1):
+                            actual = {x: frozenset({"y-wrong"}) for x in s_x}
+                            actual.update(
+                                {f"x{i}": frozenset({f"y{i}"}) for i in range(k)}
+                            )
+                            inp = QueryValidationInput(
+                                pair, holdout, tuple(s_x), actual, method,
+                                DeltaBudget.of(delta),
+                            )
+                            precision, recall = holdout_query_bounds(inp)
+                            bounds[s_in, k] = (precision.lower_bound,
+                                               recall.lower_bound)
+                    total = math.comb(n, s)
+                    for m in range(d + 1):
+                        failed = [0, 0]
+                        for (s_in, k), pair_lb in bounds.items():
+                            ways = (math.comb(n - d, s - s_in) * math.comb(m, k)
+                                    * math.comb(d - m, s_in - k))
+                            for which, lb in enumerate(pair_lb):
+                                if ways and lb > m / d:
+                                    failed[which] += ways
+                        for which, count in enumerate(failed):
+                            if count * 20 > total:  # above delta = 1/20
+                                worst[which, n, d, s, m] = count / total
+        assert not worst, worst
 
 
 class TestErrorRate:
