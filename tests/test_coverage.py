@@ -71,9 +71,10 @@ def test_every_trial_failed_raises_the_first_error():
 
 # sha256 of the reprs of run_trial(cfg, i) for i = 0..4 in turn, cfg the
 # criterion-4 experiment under all three methods, as computed when the
-# match sets still held string pairs: a change of representation or of
-# speed must leave every trial record as it was.
-TRIAL_RECORDS_SHA256 = "1d6d93ff6b3648fd11d1fecc3e34d0729b85c5cf3e36067ea1bcd6b2d204bb16"
+# query precision terms were first bounded at the identified-node count and
+# the query recall terms without the exact method: a change of
+# representation or of speed must leave every trial record as it was.
+TRIAL_RECORDS_SHA256 = "8545aed551be3901936fa3c84ff22e3cc62b293c7a87ac02c05c4f93ed20db2e"
 
 
 def test_trial_records_pinned():
