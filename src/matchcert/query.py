@@ -73,11 +73,6 @@ from .reports import ValidationReport, build_report, sample_positions
 __all__ = [
     "PerNodeStats",
     "QueryValidationInput",
-    "single_node_precision",
-    "single_node_recall",
-    "single_node_error",
-    "disagreement_recall",
-    "disagreement_precision",
     "holdout_query_bounds",
     "complete_query_recall",
     "complete_query_precision",
@@ -89,44 +84,6 @@ __all__ = [
 ]
 
 DP_DEFAULT_RANGE = (-1.0, 2.0)
-
-
-def single_node_precision(m_hat: frozenset, actual: frozenset) -> float | None:
-    """|identified ∩ actual| / |identified|; None when nothing identified."""
-    if not m_hat:
-        return None
-    return len(m_hat & actual) / len(m_hat)
-
-
-def single_node_recall(m_hat: frozenset, actual: frozenset) -> float | None:
-    """|identified ∩ actual| / |actual|; None when no actual matches."""
-    if not actual:
-        return None
-    return len(m_hat & actual) / len(actual)
-
-
-def single_node_error(m_hat: frozenset, actual: frozenset) -> int:
-    """1 when the identified and actual sets differ at all, else 0."""
-    return int(m_hat != actual)
-
-
-def disagreement_recall(holdout: frozenset, complete: frozenset) -> float:
-    """d_r(x): 1 when the holdout matcher found a pair the complete one lost."""
-    return 1.0 if holdout - complete else 0.0
-
-
-def disagreement_precision(holdout: frozenset, complete: frozenset) -> float:
-    """d_p(x): per-node precision damage of switching holdout -> complete.
-
-    Zero when both matchers are silent for x or agree exactly; 1 when only
-    the holdout matcher speaks; 1 + |holdout-only| / |complete| when both
-    speak but differ.
-    """
-    if not holdout or holdout == complete:
-        return 0.0
-    if not complete:
-        return 1.0
-    return 1.0 + len(holdout - complete) / len(complete)
 
 
 @dataclass(frozen=True)

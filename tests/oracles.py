@@ -341,6 +341,49 @@ def true_error_rate_reference(pair, m_hat, m_true):
     return wrong / len(pair.x_net.nodes)
 
 
+# Per-node statistics of one x, from its identified and actual sets (or its
+# holdout and complete sets): the definitions query._columns computes as
+# columns over match-set keys.
+
+
+def single_node_precision(m_hat: frozenset, actual: frozenset) -> float | None:
+    """|identified ∩ actual| / |identified|; None when nothing identified."""
+    if not m_hat:
+        return None
+    return len(m_hat & actual) / len(m_hat)
+
+
+def single_node_recall(m_hat: frozenset, actual: frozenset) -> float | None:
+    """|identified ∩ actual| / |actual|; None when no actual matches."""
+    if not actual:
+        return None
+    return len(m_hat & actual) / len(actual)
+
+
+def single_node_error(m_hat: frozenset, actual: frozenset) -> int:
+    """1 when the identified and actual sets differ at all, else 0."""
+    return int(m_hat != actual)
+
+
+def disagreement_recall(holdout: frozenset, complete: frozenset) -> float:
+    """d_r(x): 1 when the holdout matcher found a pair the complete one lost."""
+    return 1.0 if holdout - complete else 0.0
+
+
+def disagreement_precision(holdout: frozenset, complete: frozenset) -> float:
+    """d_p(x): per-node precision damage of switching holdout -> complete.
+
+    Zero when both matchers are silent for x or agree exactly; 1 when only
+    the holdout matcher speaks; 1 + |holdout-only| / |complete| when both
+    speak but differ.
+    """
+    if not holdout or holdout == complete:
+        return 0.0
+    if not complete:
+        return 1.0
+    return 1.0 + len(holdout - complete) / len(complete)
+
+
 def _lines(path):
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.split("\n"), start=1):

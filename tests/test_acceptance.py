@@ -58,7 +58,6 @@ from matchcert.query import (
     complete_query_recall,
     error_rate_bounds,
     holdout_query_bounds,
-    single_node_precision,
 )
 from matchcert.reports import combine_reports
 from matchcert.sampling import (
@@ -69,7 +68,12 @@ from matchcert.sampling import (
 )
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 
-from oracles import chisq_pvalue, enumerate_procedure_law, pmf_exact
+from oracles import (
+    chisq_pvalue,
+    enumerate_procedure_law,
+    pmf_exact,
+    single_node_precision,
+)
 
 
 @contextmanager

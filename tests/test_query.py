@@ -10,6 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    disagreement_precision,
+    disagreement_recall,
+    single_node_error,
+    single_node_precision,
+    single_node_recall,
     true_batch_metrics_reference,
     true_error_rate_reference,
     true_query_metrics_reference,
@@ -37,14 +42,9 @@ from matchcert.query import (
     complete_query_precision,
     complete_query_recall,
     compute_node_stats,
-    disagreement_precision,
-    disagreement_recall,
     error_rate_bounds,
     holdout_query_bounds,
     query_reports,
-    single_node_error,
-    single_node_precision,
-    single_node_recall,
     true_error_rate,
     true_query_metrics,
 )
