@@ -377,7 +377,8 @@ class TestTermPopulationSize:
         # D (|D| = d) carry k correct of the m correct nodes of D. The
         # precision (and recall) certificate's bound depends on (s', k)
         # only, so the failure probability of each term is an exact sum
-        # over (s', k), here in integers over C(n, s).
+        # over (s', k), here in integers over C(n, s). At s' = 0 no node is
+        # usable and no bound is reported, so nothing can fail.
         delta = 0.05
         worst = {}
         for n in (20, 30):
@@ -389,7 +390,12 @@ class TestTermPopulationSize:
                         s_x = [f"x{i}" for i in range(s_in)]
                         s_x += [f"x{i}" for i in range(d, d + s - s_in)]
                         for k in range(s_in + 1):
-                            actual = {x: frozenset({"y-wrong"}) for x in s_x}
+                            # outside D no actual matches, so D is also
+                            # the set the recall term averages over
+                            actual = {x: frozenset() for x in s_x}
+                            actual.update(
+                                {f"x{i}": frozenset({"y-wrong"}) for i in range(s_in)}
+                            )
                             actual.update(
                                 {f"x{i}": frozenset({f"y{i}"}) for i in range(k)}
                             )
@@ -403,10 +409,10 @@ class TestTermPopulationSize:
                     total = math.comb(n, s)
                     for m in range(d + 1):
                         failed = [0, 0]
-                        for (s_in, k), pair_lb in bounds.items():
+                        for (s_in, k), lbs in bounds.items():
                             ways = (math.comb(n - d, s - s_in) * math.comb(m, k)
                                     * math.comb(d - m, s_in - k))
-                            for which, lb in enumerate(pair_lb):
+                            for which, lb in enumerate(lbs):
                                 if ways and lb > m / d:
                                     failed[which] += ways
                         for which, count in enumerate(failed):
