@@ -51,6 +51,7 @@ from .graphs import MatchSet, NetworkPair, pair_keys
 from .reports import (
     ValidationReport,
     build_report,
+    encode,
     require_distinct,
     sample_positions,
 )
@@ -105,10 +106,11 @@ class BatchValidationInput:
         return len(self.pair.x_net.index.ids)
 
 
-def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
+def _payload(inp: BatchValidationInput) -> Callable[[], dict[str, str]]:
     """``inp``'s digest fields but the bound id and deltas, which each
-    report adds. They hold the input's match sets and samples, not the
-    input and its networks."""
+    report adds, as their JSON. They hold the input's match sets and
+    samples, not the input and its networks; each match set's pairs are
+    encoded once, for every report that reads them."""
     holdout, complete = inp.m_hat_holdout, inp.m_hat_complete
     s_m, s_x = inp.s_m, inp.s_x
     scalars = {
@@ -119,12 +121,11 @@ def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
         "m_size_upper": inp.m_size_upper,
     }
     return lambda: {
-        **scalars,
-        # a sorted tuple of pairs encodes as the sorted list of [x, y]
-        "m_hat_holdout": holdout.sorted_pairs,
-        "m_hat_complete": complete.sorted_pairs if complete else None,
-        "s_m": sorted(map(list, s_m)),
-        "s_x": sorted(s_x),
+        **{name: encode(value) for name, value in scalars.items()},
+        "m_hat_holdout": holdout.pairs_json,
+        "m_hat_complete": complete.pairs_json if complete else encode(None),
+        "s_m": encode(sorted(map(list, s_m))),
+        "s_x": encode(sorted(s_x)),
     }
 
 

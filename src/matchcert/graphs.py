@@ -6,7 +6,8 @@ NetworkPair may run in self-match mode (X and Y are the same universe,
 e.g. when matching data fields against each other), in which case
 identity pairs are illegal everywhere.
 
-File formats (UTF-8, LF, tab-separated):
+File formats (UTF-8, tab-separated; LF, CRLF and a lone CR each end a
+line, as in Python's universal newlines):
 
 * network file: ``u<TAB>v`` edge lines; ``#node<TAB>id`` declares a node
   (needed for isolated nodes); ``#attr<TAB>node<TAB>key<TAB>value`` sets an
@@ -15,16 +16,18 @@ File formats (UTF-8, LF, tab-separated):
   rejected.
 * match file: ``x<TAB>y`` lines, ``#`` comments.
 
-Blank and whitespace-only lines are skipped.
+Blank and whitespace-only lines (whitespace as ``str.isspace`` defines
+it) are skipped. Node ids sort by Unicode code point.
 
 A Network is its int index (``Network.index``) plus its attributes: node
 ids sorted once, so index order is id order, an id -> position map, and
 CSR adjacency arrays. ``make_network`` builds the index from string edges;
 ``load_network`` and the generator build it straight from int edge arrays
-with ``NodeIndex.build``. ``Network.nodes`` and ``Network.edges`` are
-read-only views of the index, built on first use. Equality compares
-nodes, edges and attributes (equal ids and CSR arrays are equal node and
-edge sets), and ``repr`` shows the views, not the arrays.
+with ``NodeIndex.build``, and both defer their attribute dicts
+(``LazyAttrs``). ``Network.nodes`` and ``Network.edges`` are read-only
+views of the index, built on first use. Equality compares nodes, edges
+and attributes (equal ids and CSR arrays are equal node and edge sets),
+and ``repr`` shows the views, not the arrays.
 
 A MatchSet is int-native in the same way: the X and Y id lists of its
 pair, and one sorted, distinct int64 key ``x_pos * len(y_ids) + y_pos``
@@ -40,27 +43,34 @@ Y id lists (the same lists, or equal ones); otherwise the comparison
 raises ``universe-mismatch``. Equality means equal pairs.
 String ids stay at the I/O boundary and in the views.
 
-The parsers read a whole file in bulk passes: one split into lines, list
-comprehensions that pick out each kind of line, a tab count per line, and
-one join and split on tabs that yields every row's fields. Endpoints map to
-positions through ``map(pos.__getitem__, ...)`` into ``np.fromiter``. A
-bad file fails as a line-by-line reader would fail: only when a bulk check
-fails does a walk over the lines find the first bad line in file order
-and raise ``malformed-line`` or ``self-loop`` with its line number. A file
-whose lines are all well formed can still fail as a whole:
-``unknown-node`` names the smallest id used but not declared, and
-``invalid-node-id`` an empty id.
+Network and match files go through one scanner (``_scan``), a few numpy
+passes over the file's bytes: the newline and tab positions, each line's
+tab count and first tab by a binary search of the tab positions, and
+each line's kind from its first six bytes. Only a line that starts with
+ASCII whitespace or a byte >= 0x80 is decoded to test whether it is
+blank. The endpoints of a network file never become strings:
+``_distinct`` sorts the id tokens as bytes, 7 at a time packed into
+uint64 keys, which for UTF-8 is code-point order, and numbers them. Only
+the distinct ids are decoded, in one pass, already sorted: they are
+``NodeIndex.ids``, and the edge arrays come from the endpoints' numbers.
+``#attr`` lines are checked at load; their dicts are built on the first
+read of ``Network.attrs``. A bad file fails as a line-by-line reader
+would fail: only when a bulk check fails does a walk over the decoded
+lines find the first bad line in file order and raise ``malformed-line``
+or ``self-loop`` with its line number. A file whose lines are all well
+formed can still fail as a whole: ``unknown-node`` names the smallest id
+used but not declared, and ``invalid-node-id`` an empty id.
 """
 
 from __future__ import annotations
 
-import operator
+import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -144,16 +154,40 @@ class NodeIndex(NamedTuple):
         return np.fromiter(map(self.pos.get, ids, repeat(-1)), np.int64, len(ids))
 
 
-def _edge_rows(index: NodeIndex) -> list[tuple[str, str]]:
-    """Each edge once as (u, v) with u < v, in sorted order: the CSR rows
-    in position order, which is id order."""
+def _edge_ids(index: NodeIndex) -> tuple[list[str], list[str]]:
+    """The ends u and v, u < v, of each edge once, as two id lists in
+    sorted edge order: the CSR rows in position order, which is id order."""
     src = np.repeat(np.arange(len(index.ids)), np.diff(index.indptr))
     upper = src < index.nbr
-    ids = index.ids
-    return [
-        (ids[a], ids[b])
-        for a, b in zip(src[upper].tolist(), index.nbr[upper].tolist())
-    ]
+    id_of = index.ids.__getitem__
+    return (
+        list(map(id_of, src[upper].tolist())),
+        list(map(id_of, index.nbr[upper].tolist())),
+    )
+
+
+class LazyAttrs(Mapping):
+    """Node attributes, ``{node: {key: value}}``, built by ``build`` on
+    first read: a coverage trial and most commands never read them."""
+
+    def __init__(self, build: Callable[[], dict[str, dict[str, str]]]):
+        self._build = build
+
+    @cached_property
+    def _dict(self) -> dict[str, dict[str, str]]:
+        return self._build()
+
+    def __getitem__(self, node: str) -> dict[str, str]:
+        return self._dict[node]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._dict)
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -174,7 +208,7 @@ class Network:
     @cached_property
     def edges(self) -> frozenset[tuple[str, str]]:
         """Each edge once, as (u, v) with u < v."""
-        return frozenset(_edge_rows(self.index))
+        return frozenset(zip(*_edge_ids(self.index)))
 
     def __eq__(self, other: object) -> bool:
         # equal ids and CSR arrays mean equal node and edge sets
@@ -266,6 +300,12 @@ class MatchSet:
     def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
         """The pairs in sorted order: key order, so nothing is sorted."""
         return tuple(self.decode(self.keys))
+
+    @cached_property
+    def pairs_json(self) -> str:
+        """The sorted pairs as compact JSON, a list of ``[x, y]`` lists:
+        encoded once for every report digest that holds the set."""
+        return json.dumps(self.sorted_pairs, separators=(",", ":"))
 
     @cached_property
     def pairs(self) -> frozenset[tuple[str, str]]:
@@ -375,33 +415,132 @@ def matches_of(
     }
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").split("\n")
+# line kinds
+_BLANK, _COMMENT, _NODE, _ATTR, _DATA = range(5)
+_NODE_TAG = int.from_bytes(b"#node\t", "big")
+_ATTR_TAG = int.from_bytes(b"#attr\t", "big")
+# the first bytes a whitespace-only line can have: an ASCII character that
+# str.isspace accepts (a newline: the line is empty) or any byte >= 0x80
+_MAYBE_BLANK = np.zeros(256, dtype=bool)
+_MAYBE_BLANK[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_MAYBE_BLANK[0x80:] = True
+# _HIGH7[r] keeps the r high bytes of a 7-byte word
+_HIGH7 = np.array([(1 << 56) - (1 << (56 - 8 * r)) for r in range(8)], dtype=np.uint64)
 
 
-def _data_rows(lines: list[str]) -> list[str]:
-    """The lines that are neither blank, whitespace-only nor ``#`` lines."""
-    return [raw for raw in lines if raw.strip() and raw[0] != "#"]
+def gather_runs(src: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``src[starts[i] : starts[i] + lens[i]]`` for each i, concatenated."""
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return src[shift + np.arange(shift.size)]
 
 
-def _tabs_ok(rows: list[str], tabs: int) -> bool:
-    """Whether every row holds exactly ``tabs`` tabs."""
-    return set(map(str.count, rows, repeat("\t"))) <= {tabs}
+class _Lines(NamedTuple):
+    """A text file's lines, as int arrays over its bytes."""
+
+    text: bytes  # the file's bytes, line breaks made "\n"
+    buf: np.ndarray  # uint8: text, "\n", then 8 NULs
+    start: np.ndarray  # each line's first byte
+    end: np.ndarray  # each line's closing "\n"
+    tab: np.ndarray  # every tab's position, ascending
+    first: np.ndarray  # each line's first tab, as an index into tab
+    tabs: np.ndarray  # each line's tab count
+    kind: np.ndarray  # each line's kind, _BLANK to _DATA
+
+    def strings(self, start: np.ndarray, stop: np.ndarray) -> list[str]:
+        """The text ``buf[start[i]:stop[i]]`` of each i, in order, decoded
+        in one pass. Each is followed by a tab or a newline, so no text
+        spans a multi-byte character's end."""
+        lens = stop - start + 1  # each text and the byte after it
+        out = gather_runs(self.buf, start, lens)
+        out[np.cumsum(lens) - 1] = ord("\n")
+        texts = out.tobytes().decode("utf-8").split("\n")
+        texts.pop()  # the empty text after the last newline
+        return texts
 
 
-def _fields(rows: list[str], width: int) -> list[list[str]]:
-    """Field i of every row, for each i < width, from rows of ``width``
-    tab-separated fields."""
-    flat = "\t".join(rows).split("\t") if rows else []
-    return [flat[i::width] for i in range(width)]
+def _words(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The 8 bytes of ``buf`` from each of ``at``, as a big-endian uint64."""
+    view = np.ndarray((buf.size - 7,), dtype=">u8", buffer=buf, strides=(1,))
+    return view[at].astype(np.uint64)
 
 
-def _raise_first_bad_line(
-    path: str | Path, lines: list[str], network: bool
-) -> NoReturn:
+def _scan(path: str | Path) -> _Lines:
+    """The lines of a UTF-8 text file, each classified by its first bytes.
+
+    The lines are those of ``read_text(...).split("\n")``: CRLF and a lone
+    CR end a line as LF does (universal newlines), and invalid UTF-8
+    raises UnicodeDecodeError. Only a line that starts with a byte of
+    ``_MAYBE_BLANK`` is decoded here, to test it for ``str.strip``'s
+    whitespace.
+    """
+    text = Path(path).read_bytes()
+    text.decode("utf-8")  # fails as read_text fails
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(text + b"\n" + bytes(8), dtype=np.uint8)
+    end = np.flatnonzero(buf == ord("\n"))
+    start = np.concatenate([[0], end[:-1] + 1])
+    tab = np.flatnonzero(buf == ord("\t"))
+    upto = np.searchsorted(tab, end)  # the tabs before each line's end
+    first = np.concatenate([[0], upto[:-1]])
+    lead = buf[start]
+    kind = np.full(end.size, _DATA, dtype=np.int8)
+    hashed = np.flatnonzero(lead == ord("#"))
+    tag = _words(buf, start[hashed]) >> 16  # the first six bytes
+    kind[hashed] = np.where(
+        tag == _NODE_TAG, _NODE, np.where(tag == _ATTR_TAG, _ATTR, _COMMENT)
+    )
+    maybe = np.flatnonzero(_MAYBE_BLANK[lead]).tolist()
+    blank = [
+        i for i, a, b in zip(maybe, start[maybe].tolist(), end[maybe].tolist())
+        if not text[a:b].decode("utf-8").strip()
+    ]
+    kind[blank] = _BLANK
+    return _Lines(text, buf, start, end, tab, first, upto - first, kind)
+
+
+def _distinct(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """Number the tokens ``buf[start[i]:stop[i]]`` 0, 1, ... by distinct
+    value in byte order, which for UTF-8 is code-point order: (each
+    token's number, the index of one token of each number).
+
+    Tokens are sorted 7 bytes at a time. Each round sorts the runs of
+    tokens still tied by one uint64 key: the next 7 bytes, zero-padded and
+    packed big-endian, then how many of them the token holds, or 8 when
+    more bytes follow. Only runs of tied tokens with more bytes go on, so
+    a long id costs more rounds only while it shares its prefix.
+    """
+    order = np.arange(start.size)  # the tokens in the order found so far
+    head = np.zeros(start.size, dtype=bool)  # slot i starts a run of equals
+    head[:1] = True
+    todo = order.copy()  # the slots of runs still tied
+    done = 0  # the bytes compared so far
+    while todo.size:
+        tok = order[todo]
+        held = np.minimum(stop[tok] - start[tok] - done, 8)
+        word = (_words(buf, start[tok] + done) >> 8) & _HIGH7[np.minimum(held, 7)]
+        key = (word << 8) | held.astype(np.uint64)
+        run = np.cumsum(head[todo])
+        by_key = np.argsort(key)
+        perm = by_key[np.argsort(run[by_key], kind="stable")]
+        order[todo] = tok[perm]
+        run, key = run[perm], key[perm]
+        new = np.ones(todo.size, dtype=bool)
+        new[1:] = (run[1:] != run[:-1]) | (key[1:] != key[:-1])
+        head[todo] = new
+        label = np.cumsum(new) - 1
+        todo = todo[(np.bincount(label)[label] > 1) & (held[perm] == 8)]
+        done += 7
+    number = np.empty(start.size, dtype=np.int64)
+    number[order] = np.cumsum(head) - 1
+    return number, order[head]
+
+
+def _raise_first_bad_line(path: str | Path, lines: _Lines, network: bool) -> NoReturn:
     """Raise for the first malformed line, or in a network file the first
-    self-loop, in file order. Runs only after a bulk check failed."""
-    for lineno, raw in enumerate(lines, start=1):
+    self-loop, in file order: a walk over the decoded lines that runs only
+    after a bulk check failed."""
+    for lineno, raw in enumerate(lines.text.decode("utf-8").split("\n"), start=1):
         tabs = raw.count("\t")
         if network and raw.startswith("#node\t"):
             ok = tabs == 1 and raw != "#node\t"
@@ -419,71 +558,95 @@ def _raise_first_bad_line(
     raise AssertionError(f"no bad line in {path}")
 
 
+def _file_attrs(rows: bytes) -> dict[str, dict[str, str]]:
+    """The attributes of ``#attr`` lines' ``node<TAB>key<TAB>value<LF>``
+    rows, in file order: a later value for a key wins."""
+    attrs: dict[str, dict[str, str]] = {}
+    for row in rows.decode("utf-8").split("\n")[:-1]:
+        node, key, value = row.split("\t")
+        attrs.setdefault(node, {})[key] = value
+    return attrs
+
+
 def load_network(path: str | Path) -> Network:
     """Parse a network TSV file. See the module docstring for the format."""
-    lines = _read_lines(path)
-    hashed = [raw for raw in lines if raw and raw[0] == "#"]
-    node_rows = [raw for raw in hashed if raw.startswith("#node\t")]
-    attr_rows = [raw for raw in hashed if raw.startswith("#attr\t")]
-    edge_rows = _data_rows(lines)
+    lines = _scan(path)
+    tabs, start, end, tab = lines.tabs, lines.start, lines.end, lines.tab
+    node, attr, edge = (np.flatnonzero(lines.kind == k) for k in (_NODE, _ATTR, _DATA))
     ok = (
-        _tabs_ok(node_rows, 1)
-        and "#node\t" not in node_rows  # an empty id
-        and _tabs_ok(attr_rows, 3)
-        and _tabs_ok(edge_rows, 1)
+        (tabs[node] == 1).all()
+        and (end[node] > start[node] + 6).all()  # "#node\t" has an empty id
+        and (tabs[attr] == 3).all()
+        and (tabs[edge] == 1).all()
     )
     if ok:
-        us, vs = _fields(edge_rows, 2)
-        ok = not any(map(operator.eq, us, vs))
+        mid = tab[lines.first[edge]]
+        attr_node = tab[lines.first[attr]] + 1
+        # the tokens: declared ids, then the ids the edges and attributes use
+        tok_start = np.concatenate([start[node] + 6, start[edge], mid + 1, attr_node])
+        tok_stop = np.concatenate(
+            [end[node], mid, end[edge], tab[lines.first[attr] + 1]]
+        )
+        number, rep = _distinct(lines.buf, tok_start, tok_stop)
+        u, v = number[node.size :][: 2 * edge.size].reshape(2, -1)
+        ok = not (u == v).any()
     if not ok:
         _raise_first_bad_line(path, lines, network=True)
-    _, attr_nodes, keys, values = _fields(attr_rows, 4)
-    implicit = set(us)
-    implicit.update(vs, attr_nodes)
-    if node_rows:
-        nodes = set(_fields(node_rows, 2)[1])
-        dangling = implicit - nodes
-        if dangling:
+    at = np.arange(rep.size)  # each distinct token's position in ids
+    if node.size:
+        declared = np.zeros(rep.size, dtype=bool)
+        declared[number[: node.size]] = True
+        used = number[node.size :]
+        dangling = used[~declared[used]]
+        if dangling.size:
+            least = rep[[dangling.min()]]
+            name = lines.strings(tok_start[least], tok_stop[least])[0]
             raise MatchcertError(
-                f"unknown-node: {min(dangling)!r} used but not declared in {path}"
+                f"unknown-node: {name!r} used but not declared in {path}"
             )
-    else:
-        nodes = implicit
-    ids, pos = _sorted_ids(nodes)
-    attrs: dict[str, dict[str, str]] = {}
-    for node, key, value in zip(attr_nodes, keys, values):
-        attrs.setdefault(node, {})[key] = value
-    u = np.fromiter(map(pos.__getitem__, us), dtype=np.int64, count=len(us))
-    v = np.fromiter(map(pos.__getitem__, vs), dtype=np.int64, count=len(vs))
-    return Network(NodeIndex.build(ids, pos, u, v), attrs)
+        rep, at = rep[declared], np.cumsum(declared) - 1
+    if rep.size and tok_start[rep[0]] == tok_stop[rep[0]]:
+        raise MatchcertError("invalid-node-id: ''")
+    ids = lines.strings(tok_start[rep], tok_stop[rep])
+    rows = gather_runs(lines.buf, attr_node, end[attr] + 1 - attr_node).tobytes()
+    return Network(
+        NodeIndex.build(ids, dict(zip(ids, range(len(ids)))), at[u], at[v]),
+        LazyAttrs(partial(_file_attrs, rows)),
+    )
 
 
 def save_network(net: Network, path: str | Path) -> None:
     """Write a network TSV that load_network reads back identically."""
-    out = []
-    for node in net.index.ids:
-        out.append(f"#node\t{node}")
-    for node in sorted(net.attrs):
-        for key in sorted(net.attrs[node]):
-            out.append(f"#attr\t{node}\t{key}\t{net.attrs[node][key]}")
-    for u, v in _edge_rows(net.index):
-        out.append(f"{u}\t{v}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    lines = list(map("#node\t".__add__, net.index.ids))
+    lines += [
+        f"#attr\t{node}\t{key}\t{value}"
+        for node in sorted(net.attrs)
+        for key, value in sorted(net.attrs[node].items())
+    ]
+    lines += map("\t".join, zip(*_edge_ids(net.index)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_pairs(path: str | Path) -> list[tuple[str, str]]:
     """Parse the ``x<TAB>y`` lines of a match TSV file, in file order."""
-    lines = _read_lines(path)
-    rows = _data_rows(lines)
-    if not _tabs_ok(rows, 1):
+    lines = _scan(path)
+    rows = np.flatnonzero(lines.kind == _DATA)
+    if (lines.tabs[rows] != 1).any():
         _raise_first_bad_line(path, lines, network=False)
-    return list(zip(*_fields(rows, 2)))
+    mid = lines.tab[lines.first[rows]]
+    ends = lines.strings(
+        np.column_stack([lines.start[rows], mid + 1]).ravel(),
+        np.column_stack([mid, lines.end[rows]]).ravel(),
+    )
+    return list(zip(ends[0::2], ends[1::2]))
 
 
 def read_items(path: str | Path) -> list[str]:
     """The stripped lines of a one-item-per-line file, in file order;
     ``#`` lines are comments."""
-    return [raw.strip() for raw in _data_rows(_read_lines(path))]
+    lines = _scan(path)
+    rows = np.flatnonzero(lines.kind == _DATA)
+    return [item.strip() for item in lines.strings(lines.start[rows], lines.end[rows])]
 
 
 def load_matches(path: str | Path, pair: NetworkPair) -> MatchSet:

@@ -8,7 +8,11 @@ exercise it; the bounds hold for any matcher.
 Determinism contract: given the same config, seeds, and networks, a
 matcher produces byte-identical output. Percolation resolves conflicting
 candidate pairs by highest matched-neighbor count, then lexicographic
-(x, y) node id order.
+(x, y) node id order. Its seed set is one-to-one too: it takes the seeds
+in order, the training pairs first (they are verified), then the rule's
+or the config's, and drops a seed whose x or y an earlier one took. So
+percolation gives each x and each y at most one match, the k_cap = 1
+premise of the query certificates.
 
 Percolation runs on the networks' int indexes (``Network.index``: ids in
 sorted order plus CSR adjacency), joined for the call into one CSR: X's
@@ -48,6 +52,7 @@ from .graphs import (
     NetworkPair,
     NodeIndex,
     distinct_sorted,
+    gather_runs,
     matches_of,
     pair_keys,
 )
@@ -169,17 +174,20 @@ def with_extra_seeds(
 
 
 def _resolve_seeds(handle: MatcherHandle, pair: NetworkPair) -> list[tuple[str, str]]:
+    """The seeds in the order percolation takes them: the training pairs
+    first, as they are verified, then the rule's or the config's."""
     seeds = handle.config.seeds
+    training = list(handle.training_matches)
     if seeds is None or seeds == VERIFIED_SAMPLE:
-        return list(handle.training_matches)
+        return training
     if isinstance(seeds, TopDegree):
         top_x, top_y = (_by_degree(net.index) for net in (pair.x_net, pair.y_net))
         k = min(seeds.k, len(top_x), len(top_y))
         ranked = list(zip(top_x[:k], top_y[:k]))
         if pair.self_match_mode:
             ranked = [(x, y) for x, y in ranked if x != y]
-        return ranked + list(handle.training_matches)
-    return list(seeds) + list(handle.training_matches)
+        return training + ranked
+    return training + list(seeds)
 
 
 def _by_degree(index: NodeIndex) -> list[str]:
@@ -212,10 +220,31 @@ def _attribute_exact(handle: MatcherHandle, pair: NetworkPair) -> np.ndarray:
     return np.sort(np.array(out, dtype=np.int64))
 
 
-def _runs(src: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``src[starts[i] : starts[i] + lens[i]]`` for each i, concatenated."""
-    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return src[shift + np.arange(shift.size)]
+def _first_come(keys: list[int], ny: int) -> list[int]:
+    """Each of ``keys`` (``x * ny + y``) whose x and y no earlier kept key
+    has, in order."""
+    taken_x: set[int] = set()
+    taken_y: set[int] = set()
+    kept = []
+    for key in keys:
+        x, y = divmod(key, ny)
+        if x in taken_x or y in taken_y:
+            continue
+        taken_x.add(x)
+        taken_y.add(y)
+        kept.append(key)
+    return kept
+
+
+def _one_to_one(keys: np.ndarray, ny: int) -> np.ndarray:
+    """The sorted keys of the seeds ``keys`` that percolation keeps: each
+    seed whose x and y no earlier kept seed has. A seed list without such
+    a conflict is kept whole without a loop over its seeds."""
+    distinct = distinct_sorted(keys)
+    xs, ys = np.divmod(distinct, ny)
+    if (xs[1:] != xs[:-1]).all() and distinct_sorted(ys).size == ys.size:
+        return distinct
+    return np.sort(np.array(_first_come(keys.tolist(), ny), dtype=np.int64))
 
 
 def _percolate(
@@ -233,7 +262,7 @@ def _percolate(
     nbr = np.concatenate([ix.nbr, iy.nbr + nx])
     unmatched = np.ones(nx + ny, dtype=bool)
     unmatched_x, unmatched_y = unmatched[:nx], unmatched[nx:]
-    new = distinct_sorted(pair_keys(pair, "seed", start))
+    new = _one_to_one(pair_keys(pair, "seed", start), ny)
     accepted = [new]
     # one entry per mark a live candidate (both ends unmatched) has had
     table = np.zeros(0, dtype=np.int64)
@@ -248,7 +277,7 @@ def _percolate(
         unmatched[rows] = False
         lens = degree[rows]
         owner = np.repeat(np.arange(2 * k), lens)
-        node = _runs(nbr, indptr[rows], lens)
+        node = gather_runs(nbr, indptr[rows], lens)
         live = unmatched[node]
         owner, node = owner[live], node[live]
         # owner ascends, so the x ends' neighbours come first; each is
@@ -259,7 +288,7 @@ def _percolate(
         y_row = owner[:split] + k
         reps = per_row[y_row]
         cand_x = np.repeat(node[:split], reps)
-        cand_y = _runs(node, first[y_row], reps) - nx
+        cand_y = gather_runs(node, first[y_row], reps) - nx
         if pair.self_match_mode:
             keep = cand_x != cand_y
             cand_x, cand_y = cand_x[keep], cand_y[keep]
@@ -282,16 +311,7 @@ def _percolate(
         # highest count first, ties by (x, y) id order: the key x * ny + y
         # sorts as (x, y), and index order is id order
         ranked = cand[np.lexsort((cand, -listings))]
-        taken_x: set[int] = set()
-        taken_y: set[int] = set()
-        added = []
-        for key in ranked.tolist():
-            ux, vy = divmod(key, ny)
-            if ux in taken_x or vy in taken_y:
-                continue
-            taken_x.add(ux)
-            taken_y.add(vy)
-            added.append(key)
+        added = _first_come(ranked.tolist(), ny)
         if not added:
             break
         new = np.array(added, dtype=np.int64)

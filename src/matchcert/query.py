@@ -68,7 +68,7 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
-from .reports import ValidationReport, build_report, sample_positions
+from .reports import ValidationReport, build_report, encode, sample_positions
 
 __all__ = [
     "PerNodeStats",
@@ -226,20 +226,23 @@ def _columns(inp: QueryValidationInput) -> Columns:
     )
 
 
-def _payload(inp: QueryValidationInput) -> Callable[[], dict]:
+def _payload(inp: QueryValidationInput) -> Callable[[], dict[str, str]]:
     """``inp``'s digest fields but the bound id and deltas, which each
-    report adds. They hold the matchers' configs, not the handles and the
-    networks."""
+    report adds, as their JSON. They hold the matchers' configs, not the
+    handles and the networks."""
     s_x, s_x_prime = inp.s_x, inp.s_x_prime
     holdout = inp.holdout.config
     complete = inp.complete.config if inp.complete else None
     scalars = {"n_x": inp.n_x, "method": inp.method.value, "k_cap": inp.k_cap}
     return lambda: {
-        **scalars,
-        "s_x": sorted(s_x),
-        "s_x_prime": sorted(s_x_prime),
-        "holdout": holdout.to_json_dict(),
-        "complete": complete.to_json_dict() if complete else None,
+        name: encode(value)
+        for name, value in {
+            **scalars,
+            "s_x": sorted(s_x),
+            "s_x_prime": sorted(s_x_prime),
+            "holdout": holdout.to_json_dict(),
+            "complete": complete.to_json_dict() if complete else None,
+        }.items()
     }
 
 

@@ -1,10 +1,12 @@
 """Validation report structure shared by the batch and query certifiers.
 
 A report's ``inputs_digest`` hashes one plain JSON object: the fields of
-its certificate's input, which a callable builds when the digest is first
-read, plus the bound id and the budget's deltas. The sampled-node checks
-that both certifiers run on s_x (and the query certifier on s_x') are
-:func:`sample_positions`.
+its certificate's input, which a callable encodes when the digest is
+first read, plus the bound id and the budget's deltas. The object is
+assembled from each field's JSON (:func:`digest_of_encoded`), so a field
+that several reports share, such as a match set's pairs, is encoded once
+for all of them. The sampled-node checks that both certifiers run on s_x
+(and the query certifier on s_x') are :func:`sample_positions`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "build_report",
     "combine_reports",
     "digest_of",
+    "digest_of_encoded",
+    "encode",
     "require_distinct",
     "sample_positions",
 ]
@@ -68,10 +72,22 @@ def sample_positions(
     return at
 
 
+def encode(value) -> str:
+    """The sorted-key compact JSON of a JSON-serializable value."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def digest_of(payload) -> str:
     """Short stable content hash of a JSON-serializable payload: the
-    sha256 of its sorted-key compact JSON."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    sha256 of its :func:`encode` JSON."""
+    return hashlib.sha256(encode(payload).encode("utf-8")).hexdigest()[:16]
+
+
+def digest_of_encoded(fields: Mapping[str, str]) -> str:
+    """``digest_of`` of the JSON object whose fields ``fields`` gives
+    already encoded, each as its :func:`encode` JSON: the object is
+    assembled from them, and no field is encoded again."""
+    blob = "{" + ",".join(f"{encode(k)}:{fields[k]}" for k in sorted(fields)) + "}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -86,11 +102,11 @@ class ValidationReport:
     be downgraded, e.g. when the exact method is inapplicable to it).
 
     ``inputs_digest`` hashes the bound id, the budget's deltas and the
-    input fields that ``payload`` returns as one plain JSON object. It is
-    computed when first read, so a caller that never reads it (a coverage
-    trial) never builds the fields. A pickled report carries its digest,
-    not ``payload``. Reports compare equal when their fields and their
-    digests do.
+    input fields, whose :func:`encode` JSON ``payload`` returns, as one
+    plain JSON object. It is computed when first read, so a caller that
+    never reads it (a coverage trial) never builds the fields. A pickled
+    report carries its digest, not ``payload``. Reports compare equal
+    when their fields and their digests do.
     """
 
     bound_id: str
@@ -103,7 +119,7 @@ class ValidationReport:
     terms: Mapping[str, float] = field(default_factory=dict)
     term_methods: Mapping[str, str] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
-    payload: Callable[[], Mapping] | None = field(
+    payload: Callable[[], Mapping[str, str]] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -111,10 +127,10 @@ class ValidationReport:
     def inputs_digest(self) -> str:
         if self.payload is None:
             return ""
-        return digest_of({
+        return digest_of_encoded({
             **self.payload(),
-            "bound_id": self.bound_id,
-            "deltas": [p.delta for p in self.budget.parts],
+            "bound_id": encode(self.bound_id),
+            "deltas": encode([p.delta for p in self.budget.parts]),
         })
 
     def __getstate__(self) -> dict:
@@ -162,7 +178,7 @@ class ValidationReport:
 def build_report(
     bound_id: str,
     budget: DeltaBudget,
-    inputs: Callable[[], Mapping],
+    inputs: Callable[[], Mapping[str, str]],
     terms: Mapping[str, Term | float],
     value: float | Callable[[], float],
     flags: tuple[str, ...] = (),
@@ -179,7 +195,8 @@ def build_report(
     assembled from: each :class:`Term` gives the report's ``terms`` its
     bound and ``term_methods`` the method it used, and a plain number (a
     sample size, a count) passes through to ``terms``. ``inputs`` returns
-    the fields of the certificate's input; it is called when the report's
+    the fields of the certificate's input, each as its :func:`encode`
+    JSON; it is called when the report's
     ``inputs_digest`` is first read, not here, and its result is hashed
     with the bound id and the budget's deltas. It should close over the
     input's fields rather than the input, so that a report does not keep

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
 from .errors import MatchcertError
-from .graphs import MatchSet, Network, NetworkPair, NodeIndex
+from .graphs import LazyAttrs, MatchSet, Network, NetworkPair, NodeIndex
 from .sampling import spawn_rng
 
 __all__ = ["ErdosRenyi", "PreferentialAttachment", "GeneratorConfig", "generate_pair"]
@@ -146,31 +146,14 @@ def _base_edges(cfg: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
     return np.array(edges, dtype=np.int64)
 
 
-class _Attrs(Mapping):
-    """A copy's attributes, ``{node: {ATTR_KEY: uid}}``, built on first
-    read: a coverage trial never reads them."""
-
-    def __init__(self, names: list[str], entities: list[int], noisy: list[bool]):
-        self._columns = (names, entities, noisy)
-
-    @cached_property
-    def _dict(self) -> dict[str, dict[str, str]]:
-        return {
-            name: {ATTR_KEY: f"{i}{NOISE_MARK}" if mark else str(i)}
-            for name, i, mark in zip(*self._columns)
-        }
-
-    def __getitem__(self, node: str) -> dict[str, str]:
-        return self._dict[node]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __repr__(self) -> str:
-        return repr(self._dict)
+def _uid_attrs(
+    names: list[str], entities: list[int], noisy: list[bool]
+) -> dict[str, dict[str, str]]:
+    """A copy's attributes, ``{node: {ATTR_KEY: uid}}``."""
+    return {
+        name: {ATTR_KEY: f"{i}{NOISE_MARK}" if mark else str(i)}
+        for name, i, mark in zip(names, entities, noisy)
+    }
 
 
 def _copy(
@@ -211,7 +194,7 @@ def _copy(
     index = NodeIndex.build(
         ids, dict(zip(ids, range(len(ids)))), at[kept_edges[:, 0]], at[kept_edges[:, 1]]
     )
-    attrs = _Attrs(names, entities, noisy[survivors].tolist())
+    attrs = LazyAttrs(partial(_uid_attrs, names, entities, noisy[survivors].tolist()))
     return keep, at, Network(index, attrs)
 
 

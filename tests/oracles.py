@@ -175,10 +175,12 @@ def top_degree_reference(pair, k: int) -> list[tuple[str, str]]:
 def percolate_reference(pair, start, threshold: int, max_steps: int):
     """Percolation with one dict count per candidate pair and round.
 
-    Each round counts, for every unmatched (x, y), the current pairs that
-    join a neighbour of x to a neighbour of y, then accepts pairs with
-    count >= threshold greedily by highest count, ties by (x, y) id
-    order. Stops after ``max_steps`` rounds or a round that adds nothing.
+    The seeds ``start`` are taken in order, each unless an earlier one
+    took its x or its y. Each round counts, for every unmatched (x, y),
+    the current pairs that join a neighbour of x to a neighbour of y, then
+    accepts pairs with count >= threshold greedily by highest count, ties
+    by (x, y) id order. Stops after ``max_steps`` rounds or a round that
+    adds nothing.
     """
     xs = sorted(pair.x_net.nodes)
     ys = sorted(pair.y_net.nodes)
@@ -196,6 +198,8 @@ def percolate_reference(pair, start, threshold: int, max_steps: int):
     matched_y: set[int] = set()
     for x, y in start:
         key = (xi[x], yi[y])
+        if key[0] in matched_x or key[1] in matched_y:
+            continue  # a seed whose x or y an earlier seed took
         current.add(key)
         matched_x.add(key[0])
         matched_y.add(key[1])

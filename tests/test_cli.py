@@ -522,11 +522,17 @@ class TestCoverage:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_failed_trials_counted_and_jobs_do_not_change_output(self, tmp_path, capsys):
+        # under heavy attribute noise an attribute-exact matcher identifies
+        # nothing in some worlds: those trials are degenerate
         doc = json.loads(self.make_config(tmp_path).read_text())
-        doc["matcher_holdout"]["seeds"] = {"top-degree-k": 5}
-        doc["methods"] = ["hypergeometric-exact"]
-        doc["trials"], doc["seed"] = 6, 5
-        cfg = write(tmp_path / "top.json", json.dumps(doc))
+        doc["generator"] = {
+            "n_entities": 10, "base_model": {"kind": "erdos-renyi", "p": 0.3},
+            "attr_noise": 0.8,
+        }
+        doc["matcher_holdout"] = {"kind": "attribute-exact", "attr_key": "uid"}
+        doc["sample_sizes"] = {"s_m": 5, "s_x": 10, "s_x_prime": 10, "train": 0}
+        doc["trials"], doc["seed"] = 6, 27
+        cfg = write(tmp_path / "noisy.json", json.dumps(doc))
         for jobs, prefix in (("1", "a"), ("2", "b")):
             rc = main([
                 "coverage", "--config", str(cfg), "--jobs", jobs,

@@ -43,11 +43,21 @@ def _criterion_4_world(seeds, threshold, trials, s_x=200, methods=None):
 
 
 def test_failed_trials_are_counted_not_fatal():
-    # TopDegree seeds plus training pairs can give one x two matches, so
-    # p(x) = 0.5 and the exact method refuses the holdout precision term
-    cfg = _criterion_4_world(TopDegree(30), 1, trials=10)
-    for idx in (3, 5):
-        with pytest.raises(MatchcertError, match=f"^trial-failed: trial {idx}: "):
+    # under heavy attribute noise an attribute-exact matcher identifies
+    # nothing in some worlds: those trials are degenerate
+    cfg = ExperimentConfig(
+        generator=GeneratorConfig(
+            n_entities=10, base_model=ErdosRenyi(0.3), attr_noise=0.8
+        ),
+        matcher_holdout=MatcherConfig("attribute-exact", attr_key="uid"),
+        sample_sizes=SampleSizes(s_m=5, s_x=10, s_x_prime=10, train=0),
+        methods=(BoundMethod.HOEFFDING,),
+        trials=10,
+        seed=6,
+    )
+    error = "trial-degenerate: a matcher identified nothing$"
+    for idx in (5, 8):
+        with pytest.raises(MatchcertError, match=f"^trial-failed: trial {idx}: {error}"):
             run_trial(cfg, idx)
     table = run_coverage(cfg)
     assert table.failed_trials == 2
@@ -55,6 +65,15 @@ def test_failed_trials_are_counted_not_fatal():
     assert json.loads(table.to_json())["failed_trials"] == 2
     assert table.to_csv().split("\n")[0].split(",")[3] == "trials"
     assert "failed" not in table.to_csv()
+
+
+def test_top_degree_world_completes_every_trial():
+    # a top-degree seed that shares an x or a y with a training pair is
+    # dropped, so every trial keeps the k_cap = 1 premise and completes
+    cfg = _criterion_4_world(TopDegree(30), 1, trials=10)
+    table = run_coverage(cfg)
+    assert table.failed_trials == 0
+    assert {row.trials for row in table.rows.values()} == {10}
 
 
 def test_no_failed_trials_key_without_failures():

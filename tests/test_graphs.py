@@ -14,6 +14,8 @@ from oracles import (
 )
 
 from matchcert.errors import MatchcertError
+from matchcert.reports import encode
+from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 from matchcert.graphs import (
     NetworkPair,
     by_x,
@@ -197,6 +199,7 @@ class TestMatchSetKeys:
         assert ms.pairs == frozenset(pairs)
         assert ms.sorted_pairs == tuple(sorted(ms.pairs))
         assert ms.decode(keys) == list(ms.sorted_pairs)
+        assert ms.pairs_json == encode(ms.sorted_pairs)
         assert dict(by_x(ms)) == by_x_reference(ms)
         nodes = list(reversed(pair.x_net.index.ids)) + ["absent", "n0"]
         want = {x: ys for x, ys in by_x_reference(ms).items() if x in nodes}
@@ -391,10 +394,33 @@ class TestNetworkIO:
         save_network(again, f2)
         assert f.read_bytes() == f2.read_bytes()
 
+    def test_generated_world_round_trip(self, tmp_path):
+        cfg = GeneratorConfig(
+            n_entities=300, base_model=ErdosRenyi(0.02), node_drop_x=0.1,
+            node_drop_y=0.1, attr_noise=0.3, rng_seed=5,
+        )
+        pair, truth = generate_pair(cfg)
+        for name, net in (("x", pair.x_net), ("y", pair.y_net)):
+            f = tmp_path / f"{name}.tsv"
+            save_network(net, f)
+            again = load_network(f)
+            assert again == net
+            assert dict(again.attrs) == dict(net.attrs)
+        f = tmp_path / "m.tsv"
+        save_matches(truth, f)
+        assert load_matches(f, pair) == truth
+
     def test_comments_ignored(self, tmp_path):
         f = tmp_path / "net.tsv"
         f.write_text("# a comment line\na\tb\n")
         assert load_network(f).nodes == {"a", "b"}
+
+
+# first characters of 1 to 4 UTF-8 bytes, and run lengths of a shared
+# prefix, for ids whose byte order the scanner must get right
+_WIDE_PREFIXES = ["z", "é", "ß", "ÿ", "Ā", "日", "\uffff", "\U0001f600", ""]
+_LONG_RUNS = [5, 6, 7, 8, 13, 14, 15, 16, 20, 21, 22]
+_ID_CASES = {"multibyte-ids", "long-ids", "nul-suffix"}
 
 
 def _random_network_file(rng: random.Random) -> tuple[str, set[str]]:
@@ -402,6 +428,16 @@ def _random_network_file(rng: random.Random) -> tuple[str, set[str]]:
     it holds."""
     names = [f"n{i}" for i in range(rng.randint(1, 10))]
     cases = set()
+    style = rng.random()
+    if style < 0.1:  # code-point order across 1- to 4-byte characters
+        names = [f"{rng.choice(_WIDE_PREFIXES)}{name}" for name in names]
+        cases.add("multibyte-ids")
+    elif style < 0.2:  # ids across the 8- and 16-byte word edges
+        names = [f"{'a' * rng.choice(_LONG_RUNS)}{name}" for name in names]
+        cases.add("long-ids")
+    elif style < 0.3:
+        names += [f"{name}\0" for name in rng.sample(names, rng.randint(1, len(names)))]
+        cases.add("nul-suffix")
     edges = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 12))]
     edges = [(u, v) for u, v in edges if u != v]
     if edges and rng.random() < 0.3:
@@ -429,6 +465,9 @@ def _random_network_file(rng: random.Random) -> tuple[str, set[str]]:
     extras = {
         "comment": ["# a comment", "#nodes\tx", "#attr", "#"],
         "blank": ["", " ", " \t", "\t", "\r"],
+        "unicode-blank": [
+            "\x1c", "\x85", "\xa0", "\u3000", " \x1f\u3000\t", "\xa0\x1e",
+        ],
         "empty-id": ["n0\t", "\tn0", "#attr\t\tuid\t1", "#node\t"],
         "self-loop-line": ["n0\tn0"],
         "wrong-field-count": [
@@ -450,7 +489,17 @@ def _random_network_file(rng: random.Random) -> tuple[str, set[str]]:
     if rng.random() < 0.2:
         newline = "\r\n"
         cases.add("crlf")
-    return newline.join(lines) + rng.choice(["", newline]), cases
+    text = newline.join(lines) + rng.choice(["", newline])
+    if lines and not text.endswith(newline):
+        cases.add("no-trailing-newline")
+    if "\n" in text and rng.random() < 0.15:  # a lone CR also ends a line
+        at = rng.choice([i for i, c in enumerate(text) if c == "\n"])
+        text = text[:at] + "\r" + text[at + 1 :]
+        cases.add("lone-cr")
+    if rng.random() < 0.03:
+        text = ""
+        cases = {"empty-file"}
+    return text, cases
 
 
 def _outcome(function, path):
@@ -476,6 +525,8 @@ class TestBulkParseReference:
             if net is not None:
                 assert net.attrs == expected.attrs
             cases.add("loads" if error is None else error.split(":")[0])
+            if error is None:  # the id order was checked
+                cases.update(f"loads {c}" for c in _ID_CASES & cases)
             # the same lines as a match file: #node and #attr lines are comments
             pairs = _outcome(read_pairs, f)
             assert pairs == _outcome(read_pairs_reference, f)
@@ -489,12 +540,34 @@ class TestBulkParseReference:
             "node-lines", "no-node-lines", "undeclared-endpoint", "attr-unknown-node",
             "attr-override", "comment", "blank", "crlf", "empty-id", "self-loop-line",
             "duplicate-edges", "wrong-field-count", "tab-counts-cancel",
+            "multibyte-ids", "long-ids", "nul-suffix", "unicode-blank", "lone-cr",
+            "empty-file", "no-trailing-newline",
+            *(f"loads {c}" for c in _ID_CASES),
             # how they parse
             "loads", "malformed-line", "self-loop", "unknown-node", "invalid-node-id",
             "pairs-malformed",
         }
         assert expected_cases <= seen.keys(), seen
         assert min(seen[c] for c in expected_cases) >= 10, seen
+
+    def test_long_shared_prefixes_sort_as_str(self, tmp_path):
+        prefix = "ü" * 40  # 80 bytes in common
+        tails = ["", "\0", "\0\0", "a", "a\0", "é" * 9, "b" * 30, "\U0001f600", "\x7f"]
+        ids = [prefix + tail for tail in tails] + ["ü" * 39, "ü" * 41]
+        f = tmp_path / "net.tsv"
+        lines = [f"{u}\t{v}" for u, v in zip(ids, ids[1:])] + [f"#attr\t{ids[0]}\tk\tv"]
+        f.write_text("\n".join(lines), encoding="utf-8")
+        net = load_network(f)
+        assert net.index.ids == sorted(ids)
+        assert net == load_network_reference(f)
+        assert net.attrs == {ids[0]: {"k": "v"}}
+
+    def test_invalid_utf8_raises_as_read_text_does(self, tmp_path):
+        f = tmp_path / "net.tsv"
+        f.write_bytes(b"a\tb\n#node\t\xff\n")
+        for read in (load_network, read_pairs, read_items):
+            with pytest.raises(UnicodeDecodeError):
+                read(f)
 
     @pytest.mark.parametrize(
         "text, message",

@@ -221,7 +221,7 @@ class TestPercolationMatchesReference:
             top = TopDegree(rnd.randint(1, 4)) if rnd.random() < 0.25 else None
             start = seeds
             if top is not None:
-                start = top_degree_reference(pair, top.k) + seeds
+                start = seeds + top_degree_reference(pair, top.k)
             handle = build_matcher(
                 MatcherConfig(
                     "percolation",
@@ -267,6 +267,48 @@ class TestPercolationMatchesReference:
         got = run_batch(handle, pair).pairs
         assert got == percolate_reference(pair, seeds, threshold, 25)
         assert len(got) > 1.5 * len(seeds)
+
+
+class TestOneToOneSeeds:
+    """Percolation takes its seeds in order, the training pairs first, and
+    drops a seed whose x or y an earlier seed took."""
+
+    def test_training_pairs_win_a_conflict(self):
+        pair = mirrored_pair(["a", "b", "c"], [])
+        handle = build_matcher(
+            MatcherConfig(
+                "percolation", seeds=(("xa", "yb"), ("xc", "ya"), ("xc", "yc"))
+            ),
+            training_matches=[("xa", "ya")],
+        )
+        assert run_batch(handle, pair).pairs == {("xa", "ya"), ("xc", "yc")}
+
+    def test_conflicting_seed_lists_give_one_match_per_node(self):
+        rnd = random.Random(20261019)
+        conflicts = 0
+        for _ in range(300):
+            pair = random_pair(rnd)
+            training, extra = random_seeds(rnd, pair), random_seeds(rnd, pair)
+            rule = TopDegree(rnd.randint(1, 4)) if rnd.random() < 0.3 else tuple(extra)
+            handle = build_matcher(
+                MatcherConfig(
+                    "percolation",
+                    seeds=rule,
+                    threshold=rnd.randint(1, 3),
+                    max_iters=rnd.randint(1, 5),
+                ),
+                training_matches=training,
+            )
+            got = run_batch(handle, pair).sorted_pairs
+            assert len({x for x, _ in got}) == len(got) == len({y for _, y in got})
+            taken_x, taken_y = set(), set()
+            for x, y in training:  # the training pairs are taken first, in order
+                if x not in taken_x and y not in taken_y:
+                    assert (x, y) in got
+                    taken_x.add(x)
+                    taken_y.add(y)
+            conflicts += len(taken_x) < len(set(training))
+        assert conflicts >= 30, conflicts
 
 
 def percolate_rounds(pair, seeds, threshold, rounds=4):

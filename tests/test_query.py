@@ -103,11 +103,35 @@ class TestPerNodeStats:
 
 
 def fixed_matcher(pairs):
-    """A matcher that outputs exactly `pairs`: explicit seeds, a threshold
-    no count can reach, one iteration."""
+    """A matcher that outputs exactly `pairs`, which give each x and each y
+    at most one match: explicit seeds, a threshold no count can reach, one
+    iteration."""
     return build_matcher(
         MatcherConfig("percolation", seeds=tuple(pairs), threshold=99, max_iters=1)
     )
+
+
+def fixed_world(pair, *sets):
+    """``pair`` with node attributes under which the i-th of the returned
+    matchers, attribute-exact on the key ``m<i>``, identifies exactly
+    ``sets[i]``, where an x may have several matches. Each set is a union
+    of complete bipartite blocks, whose nodes share one value."""
+    attrs_x, attrs_y = {}, {}
+    handles = []
+    for i, pairs in enumerate(sets):
+        key = f"m{i}"
+        block = {y: min(x for x, b in pairs if b == y) for _, y in pairs}
+        for x, y in pairs:
+            attrs_x.setdefault(x, {})[key] = block[y]
+            attrs_y.setdefault(y, {})[key] = block[y]
+        handles.append(build_matcher(MatcherConfig("attribute-exact", attr_key=key)))
+    world = NetworkPair(
+        make_network(pair.x_net.nodes, pair.x_net.edges, attrs_x),
+        make_network(pair.y_net.nodes, pair.y_net.edges, attrs_y),
+    )
+    for pairs, handle in zip(sets, handles):
+        assert run_batch(handle, world).pairs == set(pairs)
+    return world, handles
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +173,9 @@ class TestHoldoutQuery:
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         pairs = [(f"x{i}", f"y{i}") for i in range(4)]
         pairs += [(f"x{i}", f"y{(i + 1) % 8}") for i in range(4, 8)]
-        holdout = fixed_matcher(pairs)
+        world, (holdout,) = fixed_world(tiny, pairs)  # x0 and x7 match y0
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05))
+        inp = tiny_input(world, holdout, s_x, actual, DeltaBudget.of(0.05))
         p_rep, r_rep = holdout_query_bounds(inp)
         want = 0.5 - math.sqrt(math.log(20) / 16)
         assert p_rep.lower_bound == pytest.approx(max(0.0, want), abs=1e-12)
@@ -175,8 +199,8 @@ class TestHoldoutQuery:
 
     def test_fractional_values_reject_exact_method(self, tiny):
         actual = {"x0": frozenset({"y0"})}
-        holdout = fixed_matcher([("x0", "y0"), ("x0", "y1")])
-        inp = tiny_input(tiny, holdout, ["x0"], actual, DeltaBudget.of(0.05),
+        world, (holdout,) = fixed_world(tiny, [("x0", "y0"), ("x0", "y1")])
+        inp = tiny_input(world, holdout, ["x0"], actual, DeltaBudget.of(0.05),
                          method=HG)
         with pytest.raises(MatchcertError, match="method-requires-binary"):
             holdout_query_bounds(inp)
@@ -249,12 +273,14 @@ class TestCompleteQueryPrecision:
 
     def test_dp_above_two_widens_range(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([("x0", "y0"), ("x0", "y1"), ("x0", "y2"),
-                                 ("x1", "y1")])
-        complete = fixed_matcher([("x0", "y0"), ("x1", "y1")])
+        world, (holdout, complete) = fixed_world(
+            tiny,
+            [("x0", "y0"), ("x0", "y1"), ("x0", "y2"), ("x1", "y3")],
+            [("x0", "y0"), ("x1", "y3")],
+        )
         # d_p(x0) = 1 + 2/1 = 3 > 2
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(tiny, holdout, s_x, actual,
+        inp = tiny_input(world, holdout, s_x, actual,
                          DeltaBudget.of(0.01, 0.02, 0.01, 0.01),
                          complete=complete, s_x_prime=s_x, k_cap=3)
         rep = complete_query_precision(inp)
@@ -269,14 +295,14 @@ class TestCompleteQueryPrecision:
         # the 56 of 252 samples that miss x0 and x1, and the bound, at most
         # 2 there, would fail with probability 0.22 at delta_3 = 0.05.
         n = 10
-        pair = NetworkPair(
-            make_network([f"x{i}" for i in range(n)], []),
-            make_network([f"y{i}" for i in range(2 * n)], []),
-        )
         wide = [(x, f"y{j}") for x in ("x0", "x1") for j in range(1, 6)]
-        holdout = fixed_matcher(wide + [(f"x{i}", f"y{i}") for i in range(2, n)])
-        complete = fixed_matcher(
-            [("x0", "y0"), ("x1", "y0")] + [(f"x{i}", f"y{n + i}") for i in range(2, n)]
+        pair, (holdout, complete) = fixed_world(
+            NetworkPair(
+                make_network([f"x{i}" for i in range(n)], []),
+                make_network([f"y{i}" for i in range(2 * n)], []),
+            ),
+            wide + [(f"x{i}", f"y{i + 4}") for i in range(2, n)],
+            [("x0", "y0"), ("x1", "y0")] + [(f"x{i}", f"y{n + i}") for i in range(2, n)],
         )
         d_p = [6.0, 6.0] + [2.0] * (n - 2)
         mean = sum(d_p) / n
@@ -314,13 +340,15 @@ class TestKcapViolated:
     def test_dp_over_one_plus_k_cap_names_the_node(self, tiny, method):
         # the holdout matcher gives x0 three matches and the complete one
         # one of them: d_p(x0) = 1 + 2/1 = 3 > 1 + k_cap; x0 is only in s_x'
-        holdout = fixed_matcher([("x0", "y0"), ("x0", "y1"), ("x0", "y2")]
-                                + [(f"x{i}", f"y{i}") for i in range(3, 6)])
-        complete = fixed_matcher([("x0", "y0")]
-                                 + [(f"x{i}", f"y{i}") for i in range(3, 6)])
+        world, (holdout, complete) = fixed_world(
+            tiny,
+            [("x0", "y0"), ("x0", "y1"), ("x0", "y2")]
+            + [(f"x{i}", f"y{i}") for i in range(3, 6)],
+            [("x0", "y0")] + [(f"x{i}", f"y{i}") for i in range(3, 6)],
+        )
         s_x = ["x3", "x4", "x5"]
         actual = {x: frozenset({f"y{x[1:]}"}) for x in s_x}
-        inp = tiny_input(tiny, holdout, s_x, actual,
+        inp = tiny_input(world, holdout, s_x, actual,
                          DeltaBudget.of(0.01, 0.02, 0.01, 0.01),
                          complete=complete, s_x_prime=("x6", "x0", "x7"),
                          method=method)
