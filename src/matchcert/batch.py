@@ -14,14 +14,14 @@ with known actual matches, these functions certify:
   The complete matcher may have been trained on the validation samples;
   only the holdout matcher must be independent of them.
 
-Every certificate consumes an explicit delta budget with one part per
-bound term; the total failure probability is the sum of the parts.
-:func:`batch_reports` runs every certificate an input supports from a
-single delta. The precision and complete certificates take an optional
-``two_terms``, which returns the recall and match-density terms;
-batch_reports passes one that computes them when the first of those
-certificates asks. Each report's digest fields come from the input its
-own certificate was given (see :mod:`.reports`).
+Every certificate spends the input's ``delta``, split equally over its
+own bound terms, and reports that split as its budget.
+:func:`batch_reports` runs every certificate an input supports. The
+precision and complete certificates take an optional ``two_terms``, which
+returns the recall and match-density terms; batch_reports passes one that
+computes them when the first of those certificates asks. Each report's
+digest fields come from the input its own certificate was given (see
+:mod:`.reports`).
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
@@ -30,8 +30,9 @@ without replacement, so a term that reads ``s_m`` or ``s_x`` rejects a
 repeated pair or node (``duplicate-sample-item``). It also rejects a pair
 with an endpoint outside X or Y, and a node outside X (``unknown-node``),
 which would otherwise count as a miss or as a node with no matches; an
-identity pair in self-match mode (``identity-pair-forbidden``); and a
-sampled node with more verified matches than ``k_y`` (``ky-violated``).
+identity pair in self-match mode (``identity-pair-forbidden``), in s_m
+and in the verified matches of s_x alike; and a sampled node with more
+verified matches than ``k_y`` (``ky-violated``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .reports import (
     build_report,
     encode,
     require_distinct,
-    sample_positions,
+    verified_sample,
 )
 
 __all__ = [
@@ -74,11 +75,12 @@ class BatchValidationInput:
     ``s_m`` is a sample drawn uniformly without replacement from the
     actual matches; ``s_x`` likewise from the x universe, with
     ``actual_for`` giving the verified actual matches for each sampled
-    node. ``m_size`` is the actual-match count when known; when unknown,
-    ``m_size_upper`` supplies a conservative stand-in (the exact method is
-    then unavailable for the recall term and Hoeffding is used instead).
-    Both identified sets must be over ``pair``'s node universes
-    (``universe-mismatch`` otherwise).
+    node. ``delta`` is each certificate's failure probability, split
+    equally over its terms. ``m_size`` is the actual-match count when
+    known; when unknown, ``m_size_upper`` supplies a conservative stand-in
+    (the exact method is then unavailable for the recall term and
+    Hoeffding is used instead). Both identified sets must be over
+    ``pair``'s node universes (``universe-mismatch`` otherwise).
     """
 
     pair: NetworkPair
@@ -87,13 +89,14 @@ class BatchValidationInput:
     s_x: tuple[str, ...]
     actual_for: Mapping[str, frozenset[str]]
     method: BoundMethod
-    budget: DeltaBudget
+    delta: float
     k_y: int = 1
     m_hat_complete: MatchSet | None = None
     m_size: int | None = None
     m_size_upper: int | None = None
 
     def __post_init__(self) -> None:
+        Confidence(self.delta)
         if self.k_y < 1:
             raise MatchcertError(f"invalid-ky: {self.k_y}")
         universe = self.pair.x_net.index.ids, self.pair.y_net.index.ids
@@ -153,7 +156,7 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     sampled node with more than k_y verified matches breaks that range
     (``ky-violated``, naming the first such node in sample order).
     """
-    sample_positions(inp.pair.x_net.index, "s_x", inp.s_x, inp.actual_for)
+    verified_sample(inp.pair, inp.s_x, inp.actual_for)
     values = [float(len(inp.actual_for[x])) for x in inp.s_x]
     over = [x for x, count in zip(inp.s_x, values) if count > inp.k_y]
     if over:
@@ -164,8 +167,8 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
 
 
 def _two_terms(inp: BatchValidationInput) -> dict[str, Term]:
-    """The recall and match-density terms, on the budget's two parts."""
-    d_recall, d_density = inp.budget.parts_for(2)
+    """The recall and match-density terms, each at half the delta."""
+    d_recall, d_density = DeltaBudget.equal_split(inp.delta, 2).parts
     return {
         "recall_term": _recall_term(inp, d_recall),
         "match_density_term": _density_term(inp, d_density),
@@ -180,11 +183,11 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: Mapping) -> float:
 
 
 def holdout_batch_recall(inp: BatchValidationInput) -> ValidationReport:
-    (delta,) = inp.budget.parts_for(1)
-    recall = _recall_term(inp, delta)
+    budget = DeltaBudget.equal_split(inp.delta, 1)
+    recall = _recall_term(inp, budget.parts[0])
     return build_report(
         "holdout-batch-recall",
-        inp.budget,
+        budget,
         _payload(inp),
         {"recall_term": recall, "sample_size": float(len(inp.s_m))},
         recall.value,
@@ -194,7 +197,6 @@ def holdout_batch_recall(inp: BatchValidationInput) -> ValidationReport:
 def holdout_batch_precision(
     inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
 ) -> ValidationReport:
-    inp.budget.parts_for(2)
     identified = inp.m_hat_holdout.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
@@ -202,7 +204,7 @@ def holdout_batch_precision(
     terms = {**terms, "identified_count": float(identified)}
     return build_report(
         "holdout-batch-precision",
-        inp.budget,
+        DeltaBudget.equal_split(inp.delta, 2),
         _payload(inp),
         terms,
         _precision_scale(inp.n_x, identified, terms),
@@ -223,14 +225,13 @@ def _disagreement(inp: BatchValidationInput, m_hat: MatchSet) -> int:
 def complete_batch_recall(
     inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
 ) -> ValidationReport:
-    inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     terms = two_terms() if two_terms else _two_terms(inp)
     disagreement = _disagreement(inp, m_hat)
     recall, density = terms["recall_term"].value, terms["match_density_term"].value
     return build_report(
         "complete-batch-recall",
-        inp.budget,
+        DeltaBudget.equal_split(inp.delta, 2),
         _payload(inp),
         {**terms, "disagreement_count": float(disagreement)},
         lambda: recall - disagreement / (inp.n_x * density),
@@ -241,7 +242,6 @@ def complete_batch_recall(
 def complete_batch_precision(
     inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
 ) -> ValidationReport:
-    inp.budget.parts_for(2)
     m_hat = _require_complete(inp)
     identified = m_hat.keys.size
     if not identified:
@@ -250,7 +250,7 @@ def complete_batch_precision(
     disagreement = _disagreement(inp, m_hat)
     return build_report(
         "complete-batch-precision",
-        inp.budget,
+        DeltaBudget.equal_split(inp.delta, 2),
         _payload(inp),
         {
             **terms,
@@ -265,29 +265,23 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     """Every certificate the input supports: holdout recall and precision,
     then, when ``m_hat_complete`` is given, complete recall and precision.
 
-    ``inp.budget`` holds one delta; each certificate spends it split
-    equally over its own terms, so the reports hold jointly at the union
-    bound of their budgets. The holdout certificates see the input without
-    the complete set. The three two-term certificates share one recall and
-    one match-density term, computed when the first of them needs it, so
-    the errors raised and their order are those of the certificates run
-    one by one.
+    The reports hold jointly at the union bound of their budgets, each
+    ``inp.delta``. The holdout certificates see the input without the
+    complete set. The three two-term certificates share one recall and one
+    match-density term, computed when the first of them needs it, so the
+    errors raised and their order are those of the certificates run one by
+    one.
     """
-    (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, m_hat_complete=None)
-
-    def split(k: int, of: BatchValidationInput = inp) -> BatchValidationInput:
-        return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
-
-    two_terms = cache(lambda: _two_terms(split(2)))
+    two_terms = cache(lambda: _two_terms(inp))
     reports = [
-        holdout_batch_recall(split(1, holdout)),
-        holdout_batch_precision(split(2, holdout), two_terms),
+        holdout_batch_recall(holdout),
+        holdout_batch_precision(holdout, two_terms),
     ]
     if inp.m_hat_complete is not None:
         reports += [
-            complete_batch_recall(split(2), two_terms),
-            complete_batch_precision(split(2), two_terms),
+            complete_batch_recall(inp, two_terms),
+            complete_batch_precision(inp, two_terms),
         ]
     return reports
 

@@ -158,10 +158,6 @@ class DeltaBudget:
             )
 
     @classmethod
-    def of(cls, *deltas: float) -> "DeltaBudget":
-        return cls(tuple(Confidence(d) for d in deltas))
-
-    @classmethod
     def equal_split(cls, total: float, k: int) -> "DeltaBudget":
         if k < 1:
             raise MatchcertError(f"budget-exhausted: cannot split into {k} parts")
@@ -170,18 +166,6 @@ class DeltaBudget:
     @property
     def total(self) -> float:
         return sum(p.delta for p in self.parts)
-
-    def parts_for(self, k: int) -> tuple[Confidence, ...]:
-        """The parts of a budget spent on exactly ``k`` bound terms."""
-        if len(self.parts) != k:
-            raise MatchcertError(
-                f"budget-arity: certificate needs {k} delta parts, "
-                f"got {len(self.parts)}"
-            )
-        return self.parts
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
 
 def sample_mean(sample: SampleSummary) -> float:
@@ -564,7 +548,8 @@ def bound_term(
     This is where a certificate's requested method is downgraded. The
     exact method needs 0/1 values and the true population size. A term
     whose range is not [0, 1], or that passes ``exact=False`` because it
-    only has a stand-in size, gets Hoeffding, whose slack ignores ``n``.
+    only has a stand-in size or its population's values need not be 0/1,
+    gets Hoeffding, whose slack ignores ``n``.
     EBS is kept: its rho factor only grows when ``n`` overstates the
     population. ``tests/test_bounds.py`` checks both families exhaustively
     under such stand-in sizes on small populations.

@@ -68,12 +68,11 @@ def _config(cls, path: str):
         raise MatchcertError(f"invalid-config: {path}: {type(e).__name__}: {e}") from e
 
 
-def _budget(text: str):
-    """The one-delta budget that every certificate splits over its terms."""
-    from .bounds import DeltaBudget
-
+def _delta(text: str) -> float:
+    """The one delta that every certificate splits over its terms; the
+    certificate inputs check its range (``invalid-confidence``)."""
     try:
-        return DeltaBudget.of(float(text))
+        return float(text)
     except ValueError as e:
         raise MatchcertError(f"invalid-confidence: cannot parse {text!r}") from e
 
@@ -190,7 +189,7 @@ def cmd_validate_batch(args) -> int:
         s_m=s_m,
         s_x=tuple(s_x),
         actual_for=_actual_map(pair, args.actual, s_x),
-        budget=_budget(args.delta),
+        delta=_delta(args.delta),
         method=BoundMethod.parse(args.method),
         k_y=args.k_y,
         m_hat_complete=m_hat_c,
@@ -226,7 +225,7 @@ def cmd_validate_query(args) -> int:
         s_x=tuple(s_x),
         s_x_prime=tuple(read_items(args.s_x_prime)) if args.s_x_prime else (),
         actual_for=_actual_map(pair, args.actual, s_x),
-        budget=_budget(args.delta),
+        delta=_delta(args.delta),
         method=BoundMethod.parse(args.method),
         complete=complete,
         k_cap=args.k_cap,

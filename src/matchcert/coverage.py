@@ -250,7 +250,6 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
             truths[f"{variant}-{mode}-recall"] = r
         truths[f"{variant}-query-error-rate"] = true_error_rate(pair, m_hat, truth)
 
-    budget = DeltaBudget.of(cfg.delta_total)
     records: list[TrialRecord] = []
     for method in cfg.methods:
         reports = batch_reports(
@@ -261,7 +260,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
                 s_x=s_x,
                 actual_for=actual_for,
                 method=method,
-                budget=budget,
+                delta=cfg.delta_total,
                 m_hat_complete=m_hat_c,
                 m_size=m,
             )
@@ -272,7 +271,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
                 s_x=s_x,
                 actual_for=actual_for,
                 method=method,
-                budget=budget,
+                delta=cfg.delta_total,
                 complete=complete,
                 s_x_prime=s_x_prime,
             )

@@ -31,10 +31,13 @@ computes the same function as the holdout one, its columns are the
 holdout's and it never runs. The samples are drawn without replacement,
 so a node repeated in s_x or s_x' (or a pair in a batch input's s_m) is
 rejected with ``duplicate-sample-item``: it would be counted as several
-independent draws. Each certificate takes optional ``columns``, which
-:func:`query_reports` builds once for all its certificates; a certificate
-called on its own builds them itself. Each report's digest fields come
-from the input its own certificate was given (see :mod:`.reports`).
+independent draws. A verified match outside Y, or an identity pair in
+self-match mode, fails (``unknown-node``, ``identity-pair-forbidden``)
+rather than count as an actual match that was missed. Each certificate
+takes optional ``columns``, which :func:`query_reports` builds once for
+all its certificates; a certificate called on its own builds them
+itself. Each report's digest fields come from the input its own
+certificate was given (see :mod:`.reports`).
 
 The truth oracles read keys too: numpy set arithmetic over the sorted
 keys, with per-node rates from ``np.bincount`` and means by ``math.fsum``.
@@ -45,8 +48,11 @@ sample of D. For precision, D is the nodes the holdout matcher identifies
 anything for; its size is known once the matcher has run, so the
 precision terms of holdout-query-precision and complete-query-precision
 are bounded at n = |D| by the requested method and record it as
-``identified_nodes``. For recall, D is the nodes with actual matches,
-whose size is unknown. The recall terms of holdout-query-recall and
+``identified_nodes``. The exact method also needs p(x) to be 0 or 1 on
+all of D, which holds when the holdout matcher gives every x at most one
+match; this is read from its whole identified set, never from s_x, and
+otherwise the precision terms get Hoeffding. For recall, D is the nodes
+with actual matches, whose size is unknown. The recall terms of holdout-query-recall and
 complete-query-recall use the stand-in |X| with ``exact=False``: the exact
 inversion is not monotone in n and may under-cover there, so it becomes
 Hoeffding, whose slack ignores the size; EBS is kept, as its
@@ -68,7 +74,8 @@ from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
-from .reports import ValidationReport, build_report, encode, sample_positions
+from .reports import ValidationReport, build_report, encode
+from .reports import sample_positions, verified_sample
 
 __all__ = [
     "PerNodeStats",
@@ -107,8 +114,9 @@ class QueryValidationInput:
     actual matches in ``actual_for``. ``s_x_prime`` is a second sample,
     drawn independently of ``s_x``, for which actual matches are NOT
     required (and are never read): it only feeds matcher-vs-matcher
-    disagreement terms. ``k_cap`` caps identified matches per node and
-    sets the widened d_p range.
+    disagreement terms. ``delta`` is each certificate's failure
+    probability, split equally over its terms. ``k_cap`` caps identified
+    matches per node and sets the widened d_p range.
     """
 
     pair: NetworkPair
@@ -116,12 +124,13 @@ class QueryValidationInput:
     s_x: tuple[str, ...]
     actual_for: Mapping[str, frozenset[str]]
     method: BoundMethod
-    budget: DeltaBudget
+    delta: float
     complete: MatcherHandle | None = None
     s_x_prime: tuple[str, ...] = ()
     k_cap: int = 1
 
     def __post_init__(self) -> None:
+        Confidence(self.delta)
         if self.k_cap < 1:
             raise MatchcertError(f"invalid-kcap: {self.k_cap}")
 
@@ -141,7 +150,9 @@ class Columns(NamedTuple):
     s_x' part, ``compute_node_stats`` both. ``h_ind`` and ``c_ind`` are 1.0
     where the holdout or complete matcher identifies anything, and
     ``diff`` where the two differ. ``identified`` counts the x of X for
-    which the holdout matcher identifies anything. The complete
+    which the holdout matcher identifies anything, and ``binary_p`` is set
+    when it identifies at most one match for every x of X, so that p(x)
+    is 0 or 1 on all of D whatever s_x is drawn. The complete
     matcher's columns are None without one. ``reduced`` is set when it
     computes the holdout matcher's function; its columns are then the
     holdout's, and d_r, d_p and diff are 0.
@@ -149,6 +160,7 @@ class Columns(NamedTuple):
 
     n: int
     identified: int
+    binary_p: bool
     p: np.ndarray
     r: np.ndarray
     w: np.ndarray
@@ -169,32 +181,29 @@ def _per_x(keys: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
 def _columns(inp: QueryValidationInput) -> Columns:
     """Check the samples, run each matcher once and return the columns.
 
-    The samples are checked first (see ``reports.sample_positions``): s_x
+    The samples are checked first (see ``reports.verified_sample``): s_x
     with its ``actual_for``, then s_x' when a complete matcher is given or
-    s_x' is non-empty. The complete matcher does not run when it computes
-    the same function as the holdout one.
+    s_x' is non-empty. The complete matcher
+    does not run when it computes the same function as the holdout one.
     """
-    ix, iy = inp.pair.x_net.index, inp.pair.y_net.index
-    at = sample_positions(ix, "s_x", inp.s_x, inp.actual_for)
+    ix = inp.pair.x_net.index
+    at, verified = verified_sample(inp.pair, inp.s_x, inp.actual_for)
     if inp.complete is not None or inp.s_x_prime:
         at = np.concatenate([at, sample_positions(ix, "s_x_prime", inp.s_x_prime)])
     m_hat = run_batch(inp.holdout, inp.pair)
-    n, n_x, n_y = len(inp.s_x), len(ix.ids), len(iy.ids)
+    n, n_x, n_y = len(inp.s_x), len(ix.ids), len(inp.pair.y_net.index.ids)
 
     # the verified nodes: identified, actual and both, per node
-    actual = [inp.actual_for[x] for x in inp.s_x]
-    ys = [y for matches in actual for y in matches]
-    n_actual = np.fromiter(map(len, actual), np.int64, n)
+    n_actual = np.fromiter((len(inp.actual_for[x]) for x in inp.s_x), np.int64, n)
     owner = np.repeat(np.arange(n), n_actual)
-    y_at = iy.positions(ys)  # an actual id that is not a node of Y is no hit
-    hit = m_hat.contains(at[owner] * n_y + y_at) & (y_at >= 0)
-    hits = np.bincount(owner, weights=hit, minlength=n)
+    hits = np.bincount(owner, weights=m_hat.contains(verified), minlength=n)
     per_x = _per_x(m_hat.keys, n_x, n_y)
     h = per_x[at]
     same = (h[:n] == n_actual) & (hits == n_actual)
     columns = Columns(
         n=n,
         identified=int(np.count_nonzero(per_x)),
+        binary_p=bool(per_x.max() <= 1),
         p=np.divide(hits, h[:n], out=np.full(n, np.nan), where=h[:n] > 0),
         r=np.divide(hits, n_actual, out=np.full(n, np.nan), where=n_actual > 0),
         w=(~same).astype(float),
@@ -252,7 +261,8 @@ def _holdout_term(
     """The report terms of a lower bound on the mean of p(x) or r(x)
     (``quantity`` precision or recall) over the nodes D where it is
     defined: the bound and the number of usable nodes, the sampled nodes in
-    D. Precision is bounded at |D|, recorded as ``identified_nodes``;
+    D. Precision is bounded at |D|, recorded as ``identified_nodes``, with
+    the exact method only when p(x) is 0/1 on all of D (``binary_p``);
     recall, whose |D| is unknown, at the stand-in |X| with ``exact=False``
     (see the module docstring)."""
     column = columns.p if quantity == "precision" else columns.r
@@ -263,7 +273,9 @@ def _holdout_term(
     if quantity == "recall":
         term = bound_term(inp.n_x, sample, inp.method, delta, "lower", exact=False)
         return {"recall_term": term, "usable_nodes": float(len(sample))}
-    term = bound_term(columns.identified, sample, inp.method, delta, "lower")
+    term = bound_term(
+        columns.identified, sample, inp.method, delta, "lower", exact=columns.binary_p
+    )
     return {
         "precision_term": term,
         "usable_nodes": float(len(sample)),
@@ -274,17 +286,17 @@ def _holdout_term(
 def holdout_query_bounds(
     inp: QueryValidationInput, columns: Columns | None = None
 ) -> tuple[ValidationReport, ValidationReport]:
-    """Certify holdout query precision and recall, each at the budget's
-    single delta (combine with union_confidence to hold both jointly)."""
-    (delta,) = inp.budget.parts_for(1)
+    """Certify holdout query precision and recall, each at ``inp.delta``
+    (combine with union_confidence to hold both jointly)."""
+    budget = DeltaBudget.equal_split(inp.delta, 1)
     columns = columns or _columns(inp)
     reports = []
     for quantity in ("precision", "recall"):
-        terms = _holdout_term(inp, columns, quantity, delta)
+        terms = _holdout_term(inp, columns, quantity, budget.parts[0])
         reports.append(
             build_report(
                 f"holdout-query-{quantity}",
-                inp.budget,
+                budget,
                 _payload(inp),
                 terms,
                 terms[f"{quantity}_term"].value,
@@ -305,7 +317,8 @@ def complete_query_recall(
     """Holdout recall minus the disagreement rate rescaled by the matched
     fraction of X; reduces exactly to the holdout certificate when the
     complete matcher is the same function as the holdout one."""
-    d_r, d_x, d_frac = inp.budget.parts_for(3)
+    budget = DeltaBudget.equal_split(inp.delta, 3)
+    d_r, d_x, d_frac = budget.parts
     _require_complete(inp)
     columns = columns or _columns(inp)
     terms = {**_holdout_term(inp, columns, "recall", d_r), "disagreement_term": 0.0}
@@ -323,7 +336,7 @@ def complete_query_recall(
         )
     return build_report(
         "complete-query-recall",
-        inp.budget,
+        budget,
         _payload(inp),
         terms,
         value,
@@ -345,7 +358,8 @@ def complete_query_precision(
     such node of s_x' fails with ``kcap-violated``. The range used is
     recorded in the terms.
     """
-    d1, d2, d3, d4 = inp.budget.parts_for(4)
+    budget = DeltaBudget.equal_split(inp.delta, 4)
+    d1, d2, d3, d4 = budget.parts
     _require_complete(inp)
     columns = columns or _columns(inp)
     n = columns.n
@@ -379,7 +393,7 @@ def complete_query_precision(
         dp_ub = dp.value
     return build_report(
         "complete-query-precision",
-        inp.budget,
+        budget,
         _payload(inp),
         terms,
         lambda: (h_frac.value * precision.value - dp_ub) / c_frac.value,
@@ -399,9 +413,10 @@ def error_rate_bounds(
     sample, since a complete-matcher error needs the holdout matcher to
     err or the two matchers to differ.
     """
-    parts = inp.budget.parts_for(1 if inp.complete is None else 2)
+    budget = DeltaBudget.equal_split(inp.delta, 1 if inp.complete is None else 2)
+    d_error, *d_diff = budget.parts
     columns = columns or _columns(inp)
-    error = bound_term(inp.n_x, columns.w.tolist(), inp.method, parts[0], "upper")
+    error = bound_term(inp.n_x, columns.w.tolist(), inp.method, d_error, "upper")
     terms = {"error_term": error}
     disagreement, flags = 0.0, ()
     if inp.complete is None:
@@ -413,13 +428,13 @@ def error_rate_bounds(
             flags = ("reduced-to-holdout",)
         else:
             diff = terms["disagreement_term"] = bound_term(
-                inp.n_x, columns.diff[columns.n :].tolist(), inp.method, parts[1],
+                inp.n_x, columns.diff[columns.n :].tolist(), inp.method, d_diff[0],
                 "upper",
             )
             disagreement = diff.value
     return build_report(
         f"{variant}-query-error-rate",
-        inp.budget,
+        budget,
         _payload(inp),
         terms,
         error.value + disagreement,
@@ -432,28 +447,21 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     error rate, then, when a complete matcher is given, complete recall,
     precision and error rate.
 
-    ``inp.budget`` holds one delta; each certificate spends it split
-    equally over its own terms, so the reports hold jointly at the union
-    bound of their budgets. The holdout certificates see the input without
-    the complete matcher. The columns are built once for all the
-    certificates.
+    The reports hold jointly at the union bound of their budgets, each
+    ``inp.delta``. The holdout certificates see the input without the
+    complete matcher. The columns are built once for all the certificates.
     """
-    (delta,) = inp.budget.parts_for(1)
     holdout = replace(inp, complete=None)
     columns = _columns(inp)
-
-    def split(k: int, of: QueryValidationInput = inp) -> QueryValidationInput:
-        return replace(of, budget=DeltaBudget.equal_split(delta.delta, k))
-
     reports = [
-        *holdout_query_bounds(split(1, holdout), columns),
-        error_rate_bounds(split(1, holdout), columns),
+        *holdout_query_bounds(holdout, columns),
+        error_rate_bounds(holdout, columns),
     ]
     if inp.complete is not None:
         reports += [
-            complete_query_recall(split(3), columns),
-            complete_query_precision(split(4), columns),
-            error_rate_bounds(split(2), columns),
+            complete_query_recall(inp, columns),
+            complete_query_precision(inp, columns),
+            error_rate_bounds(inp, columns),
         ]
     return reports
 

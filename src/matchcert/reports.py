@@ -6,7 +6,8 @@ first read, plus the bound id and the budget's deltas. The object is
 assembled from each field's JSON (:func:`digest_of_encoded`), so a field
 that several reports share, such as a match set's pairs, is encoded once
 for all of them. The sampled-node checks that both certifiers run on s_x
-(and the query certifier on s_x') are :func:`sample_positions`.
+(and the query certifier on s_x') are :func:`sample_positions`, and
+:func:`verified_sample` adds the checks of s_x's verified matches.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .bounds import DeltaBudget, Term, union_confidence
 from .errors import MatchcertError
+from .graphs import pair_keys
 
 __all__ = [
     "ValidationReport",
@@ -32,6 +34,7 @@ __all__ = [
     "encode",
     "require_distinct",
     "sample_positions",
+    "verified_sample",
 ]
 
 VACUOUS_DENOMINATOR = "vacuous-denominator"
@@ -70,6 +73,17 @@ def sample_positions(
     if (at < 0).any():
         raise MatchcertError(f"unknown-node: {nodes[int(np.argmax(at < 0))]!r}")
     return at
+
+
+def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
+    """The positions in X of the sampled ``nodes`` (s_x, checked by
+    :func:`sample_positions`) and the keys of their verified pairs (x, y in
+    ``actual_for[x]``), checked by ``graphs.pair_keys`` in node order and
+    each node's matches in id order, so an error names the same pair
+    whatever the set iteration order."""
+    at = sample_positions(pair.x_net.index, "s_x", nodes, actual_for)
+    pairs = [(x, y) for x in nodes for y in sorted(actual_for[x])]
+    return at, pair_keys(pair, "actual_for", pairs)
 
 
 def encode(value) -> str:

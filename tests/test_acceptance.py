@@ -283,8 +283,10 @@ def test_criterion_5_reduction_identities():
             m_hat_c = run_batch(complete, pair)
             assert m_hat_c.pairs == m_hat_h.pairs
             method = methods[trial % 3]
-            d1 = rng.uniform(0.01, 0.1)
-            d2 = rng.uniform(0.01, 0.1)
+            # each certificate gets the delta that puts the compared terms
+            # at d: a certificate splits its delta equally over its k terms.
+            # d is a multiple of 2**-10, so that k * d / k == d exactly.
+            d = rng.randint(11, 102) / 1024
             per_x = by_x(truth)
             actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
             truth_ordered = sorted(truth.pairs)
@@ -299,7 +301,7 @@ def test_criterion_5_reduction_identities():
             others = sorted(pair.x_net.nodes - set(covered))
             s_x = tuple(covered[:10] + others[:3])
 
-            def binp(budget, complete_set=None):
+            def binp(delta, complete_set=None):
                 return BatchValidationInput(
                     pair=pair,
                     m_hat_holdout=m_hat_h,
@@ -307,20 +309,18 @@ def test_criterion_5_reduction_identities():
                     s_x=s_x,
                     actual_for=actual_for,
                     method=method,
-                    budget=budget,
+                    delta=delta,
                     m_hat_complete=complete_set,
                     m_size=len(truth.pairs),
                 )
 
             assert (
-                complete_batch_recall(binp(DeltaBudget.of(d1, d2), m_hat_c)).lower_bound
-                == holdout_batch_recall(binp(DeltaBudget.of(d1))).lower_bound
+                complete_batch_recall(binp(2 * d, m_hat_c)).lower_bound
+                == holdout_batch_recall(binp(d)).lower_bound
             )
             assert (
-                complete_batch_precision(
-                    binp(DeltaBudget.of(d1, d2), m_hat_c)
-                ).lower_bound
-                == holdout_batch_precision(binp(DeltaBudget.of(d1, d2))).lower_bound
+                complete_batch_precision(binp(2 * d, m_hat_c)).lower_bound
+                == holdout_batch_precision(binp(2 * d)).lower_bound
             )
 
             s_x_prime = tuple(
@@ -329,32 +329,29 @@ def test_criterion_5_reduction_identities():
                 )
             )
 
-            def qinp(budget, with_complete):
+            def qinp(delta, with_complete):
                 return QueryValidationInput(
                     pair=pair,
                     holdout=holdout,
                     s_x=s_x,
                     actual_for=actual_for,
                     method=method,
-                    budget=budget,
+                    delta=delta,
                     complete=complete if with_complete else None,
                     s_x_prime=s_x_prime,
                 )
 
-            _, rec_h = holdout_query_bounds(qinp(DeltaBudget.of(d1), False))
-            rec_c = complete_query_recall(qinp(DeltaBudget.of(d1, d2, d2), True))
+            _, rec_h = holdout_query_bounds(qinp(d, False))
+            rec_c = complete_query_recall(qinp(3 * d, True))
             assert rec_c.lower_bound == rec_h.lower_bound
 
-            err_h = error_rate_bounds(qinp(DeltaBudget.of(d1), False))
-            err_c = error_rate_bounds(qinp(DeltaBudget.of(d1, d2), True))
+            err_h = error_rate_bounds(qinp(d, False))
+            err_c = error_rate_bounds(qinp(2 * d, True))
             assert err_c.upper_bound == err_h.upper_bound
 
             # query precision reduces to its own three-term expression with
             # the disagreement charge identically zero
-            d3, d4 = rng.uniform(0.01, 0.1), rng.uniform(0.01, 0.1)
-            prec_c = complete_query_precision(
-                qinp(DeltaBudget.of(d1, d2, d3, d4), True)
-            )
+            prec_c = complete_query_precision(qinp(4 * d, True))
             n_x = len(pair.x_net.nodes)
             pop = PopulationSpec(n_x, 0.0, 1.0)
             hv_prime = [
@@ -367,7 +364,7 @@ def test_criterion_5_reduction_identities():
                 if view:
                     p_vals.append(single_node_precision(view, actual_for[x]))
             t1 = bound_mean(
-                pop, SampleSummary.of(hv_prime), method, Confidence(d1), "lower"
+                pop, SampleSummary.of(hv_prime), method, Confidence(d), "lower"
             ).lower
             # the precision term is bounded at the number of nodes the
             # holdout matcher identifies anything for
@@ -375,11 +372,11 @@ def test_criterion_5_reduction_identities():
                 PopulationSpec(len(covered), 0.0, 1.0),
                 SampleSummary.of(p_vals),
                 method,
-                Confidence(d2),
+                Confidence(d),
                 "lower",
             ).lower
             t4 = bound_mean(
-                pop, SampleSummary.of(hv_prime), method, Confidence(d4), "upper"
+                pop, SampleSummary.of(hv_prime), method, Confidence(d), "upper"
             ).upper
             expected = min(1.0, max(0.0, (t1 * t2 - 0.0) / t4))
             assert prec_c.lower_bound == expected
@@ -418,7 +415,7 @@ def test_criterion_6_subsampling_law():
 
 def test_criterion_7_union_bound_arithmetic():
     with criterion(7, "union-bound worked example and simultaneous report"):
-        assert union_confidence(DeltaBudget.of(0.025, 0.025)) == 0.95
+        assert union_confidence(DeltaBudget.equal_split(0.05, 2)) == 0.95
 
         # two identified-match subsets validated simultaneously
         cfg = GeneratorConfig(
@@ -439,7 +436,7 @@ def test_criterion_7_union_bound_arithmetic():
                 s_x=("x0",),
                 actual_for=actual_for,
                 method=BoundMethod.HYPERGEOMETRIC,
-                budget=DeltaBudget.of(0.025),
+                delta=0.025,
                 m_size=len(truth.pairs),
             )
             reports.append(holdout_batch_recall(inp))

@@ -1,0 +1,145 @@
+"""Exact audit of the single-sample holdout certificates on tiny worlds.
+
+Each world has 12 nodes a side and a fixed holdout matcher, so the only
+randomness is the verified sample. Every s_x (every s_m for batch recall)
+of a given size is equally likely, so a certificate's failure probability
+is the share of samples whose report lies on the wrong side of the true
+value: a lower bound above ``true_*`` or an upper bound below it. The
+audit enumerates every sample of sizes 4, 6 and 8 under all three methods
+and asserts that share is at most the report's ``delta_total``.
+
+The one-to-many world gives x0 and x1 the matches {y0, y1} each, so p(x)
+is not 0/1 on the identified nodes: the exact method's binary premise
+fails on the population even where a sample's values happen to be 0/1.
+
+The two-sample and complete certificates are not audited here.
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from matchcert.batch import (
+    BatchValidationInput,
+    holdout_batch_recall,
+    true_batch_metrics,
+)
+from matchcert.bounds import BoundMethod
+from matchcert.errors import MatchcertError
+from matchcert.graphs import NetworkPair, by_x, make_match_set, make_network
+from matchcert.matchers import MatcherConfig, build_matcher, run_batch
+from matchcert.query import (
+    QueryValidationInput,
+    error_rate_bounds,
+    holdout_query_bounds,
+    true_error_rate,
+    true_query_metrics,
+)
+
+N = 12
+DELTA = 0.05
+SIZES = (4, 6, 8)
+# x_i matches y_i for i < 10; x10 and x11 have no actual match
+TRUTH = [(f"x{i}", f"y{i}") for i in range(10)]
+# right on x0..x5, wrong on x6, x7 (swapped) and x10; x8, x9, x11 get nothing
+ONE_TO_ONE = [(f"x{i}", f"y{i}") for i in range(6)] + [
+    ("x6", "y7"), ("x7", "y6"), ("x10", "y10"),
+]
+ONE_TO_MANY = [(x, y) for x in ("x0", "x1") for y in ("y0", "y1")] + ONE_TO_ONE[2:]
+
+
+def _world(identified):
+    """The pair and an attribute-exact holdout matcher that identifies
+    exactly ``identified``: the nodes of each connected block of pairs
+    share one value of the attribute ``m``."""
+    block = {}
+    for x, y in identified:  # a block is named by its first x
+        block[x] = block[y] = block.get(x, block.get(y, x))
+    xs, ys = [f"x{i}" for i in range(N)], [f"y{i}" for i in range(N)]
+    pair = NetworkPair(
+        make_network(xs, [], {x: {"m": block[x]} for x in xs if x in block}),
+        make_network(ys, [], {y: {"m": block[y]} for y in ys if y in block}),
+    )
+    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
+    assert run_batch(holdout, pair).pairs == set(identified)
+    return pair, holdout
+
+
+WORLDS = {"one-to-one": ONE_TO_ONE, "one-to-many": ONE_TO_MANY}
+
+
+@pytest.fixture(scope="module", params=sorted(WORLDS))
+def world(request):
+    pair, holdout = _world(WORLDS[request.param])
+    truth = make_match_set(TRUTH, pair)
+    per_x = by_x(truth)
+    actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.index.ids}
+    return pair, holdout, truth, actual_for
+
+
+def _wrong_side(report, truth: float) -> bool:
+    if report.lower_bound is not None:
+        return report.lower_bound > truth
+    return report.upper_bound < truth
+
+
+def _audit(certify, samples, truths):
+    """The failure share of each bound id over ``samples`` and the tokens
+    of the samples that raise. ``certify(sample)`` returns reports."""
+    failed, seen, raised = Counter(), Counter(), Counter()
+    for sample in samples:
+        try:
+            reports = certify(sample)
+        except MatchcertError as e:
+            raised[str(e).split(":")[0]] += 1
+            continue
+        for r in reports:
+            assert r.delta_total == pytest.approx(DELTA)
+            seen[r.bound_id] += 1
+            failed[r.bound_id] += _wrong_side(r, truths[r.bound_id])
+    shares = {b: Fraction(failed[b], len(samples)) for b in seen}
+    return shares, raised
+
+
+@pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("size", SIZES)
+def test_holdout_query_certificates_hold_exactly(world, method, size):
+    pair, holdout, truth, actual_for = world
+    m_hat = run_batch(holdout, pair)
+    precision, recall = true_query_metrics(pair, m_hat, truth)
+    truths = {
+        "holdout-query-precision": precision,
+        "holdout-query-recall": recall,
+        "holdout-query-error-rate": true_error_rate(pair, m_hat, truth),
+    }
+
+    def certify(s_x):
+        inp = QueryValidationInput(pair, holdout, s_x, actual_for, method, DELTA)
+        return [*holdout_query_bounds(inp), error_rate_bounds(inp)]
+
+    samples = list(itertools.combinations(pair.x_net.index.ids, size))
+    shares, raised = _audit(certify, samples, truths)
+    assert not raised, raised  # in particular, no method-requires-binary
+    assert set(shares) == set(truths)
+    assert all(share <= DELTA for share in shares.values()), shares
+
+
+@pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("size", SIZES)
+def test_holdout_batch_recall_holds_exactly(world, method, size):
+    pair, holdout, truth, actual_for = world
+    m_hat = run_batch(holdout, pair)
+    truths = {"holdout-batch-recall": true_batch_metrics(pair, m_hat, truth)[1]}
+
+    def certify(s_m):
+        inp = BatchValidationInput(
+            pair, m_hat, s_m, ("x0",), actual_for, method, DELTA,
+            m_size=len(TRUTH),
+        )
+        return [holdout_batch_recall(inp)]
+
+    shares, raised = _audit(certify, list(itertools.combinations(TRUTH, size)), truths)
+    assert not raised, raised
+    assert all(share <= DELTA for share in shares.values()), shares

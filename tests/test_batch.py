@@ -21,7 +21,6 @@ from matchcert.batch import (
 from matchcert.bounds import (
     BoundMethod,
     Confidence,
-    DeltaBudget,
     hypergeom_invert_lower,
 )
 from matchcert.errors import MatchcertError
@@ -52,7 +51,7 @@ def world():
     return pair, truth
 
 
-def base_input(pair, truth, m_hat, s_m, s_x, method, budget, **kw):
+def base_input(pair, truth, m_hat, s_m, s_x, method, delta, **kw):
     return BatchValidationInput(
         pair=pair,
         m_hat_holdout=m_hat,
@@ -60,7 +59,7 @@ def base_input(pair, truth, m_hat, s_m, s_x, method, budget, **kw):
         s_x=tuple(s_x),
         actual_for=_full_actuals(pair, truth),
         method=method,
-        budget=budget,
+        delta=delta,
         m_size=len(truth.pairs),
         **kw,
     )
@@ -76,7 +75,7 @@ class TestHoldoutRecall:
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 20, 1)
         m_hat = make_match_set(truth.pairs, pair)
-        inp = base_input(pair, truth, m_hat, s_m, ["x0"], HG, DeltaBudget.of(0.05))
+        inp = base_input(pair, truth, m_hat, s_m, ["x0"], HG, 0.05)
         # fixture: 20 of 20 identified with |M| = 100
         inp = BatchValidationInput(
             pair=inp.pair,
@@ -85,7 +84,7 @@ class TestHoldoutRecall:
             s_x=inp.s_x,
             actual_for=inp.actual_for,
             method=HG,
-            budget=DeltaBudget.of(0.05),
+            delta=0.05,
             m_size=100,
         )
         rep = holdout_batch_recall(inp)
@@ -96,21 +95,21 @@ class TestHoldoutRecall:
         pair, truth = world
         s_m = sample_without_replacement(sorted(truth.pairs), 15, 2)
         m_hat = make_match_set([], pair)
-        inp = base_input(pair, truth, m_hat, s_m, ["x0"], HOEFF, DeltaBudget.of(0.05))
+        inp = base_input(pair, truth, m_hat, s_m, ["x0"], HOEFF, 0.05)
         assert holdout_batch_recall(inp).lower_bound == 0.0
 
     def test_census_pins_to_one(self, world):
         pair, truth = world
         m_hat = make_match_set(truth.pairs, pair)
         inp = base_input(
-            pair, truth, m_hat, sorted(truth.pairs), ["x0"], HG, DeltaBudget.of(0.05)
+            pair, truth, m_hat, sorted(truth.pairs), ["x0"], HG, 0.05
         )
         assert holdout_batch_recall(inp).lower_bound == 1.0
 
     def test_empty_sample_rejected(self, world):
         pair, truth = world
         m_hat = make_match_set(truth.pairs, pair)
-        inp = base_input(pair, truth, m_hat, [], ["x0"], HOEFF, DeltaBudget.of(0.05))
+        inp = base_input(pair, truth, m_hat, [], ["x0"], HOEFF, 0.05)
         with pytest.raises(MatchcertError, match="empty-sample"):
             holdout_batch_recall(inp)
 
@@ -125,7 +124,7 @@ class TestHoldoutRecall:
             s_x=("x0",),
             actual_for=_full_actuals(pair, truth),
             method=HG,
-            budget=DeltaBudget.of(0.05),
+            delta=0.05,
             m_size=None,
             m_size_upper=len(pair.x_net.nodes),
         )
@@ -145,7 +144,7 @@ class TestHoldoutRecall:
             s_x=("x0",),
             actual_for=_full_actuals(pair, truth),
             method=HOEFF,
-            budget=DeltaBudget.of(0.05),
+            delta=0.05,
         )
         with pytest.raises(MatchcertError, match="missing-population"):
             holdout_batch_recall(inp)
@@ -159,7 +158,7 @@ class TestHoldoutRecall:
             for hits in (10, 20, 30, 40):
                 m_hat = make_match_set(s_m[:hits], pair)
                 inp = base_input(
-                    pair, truth, m_hat, s_m, ["x0"], method, DeltaBudget.of(0.05)
+                    pair, truth, m_hat, s_m, ["x0"], method, 0.05
                 )
                 lb = holdout_batch_recall(inp).lower_bound
                 assert lb >= prev
@@ -177,7 +176,7 @@ class TestHoldoutPrecision:
             sorted(truth.pairs),
             sorted(pair.x_net.nodes),
             HG,
-            DeltaBudget.of(0.025, 0.025),
+            0.05,
         )
         rep = holdout_batch_precision(inp)
         assert rep.lower_bound == 1.0
@@ -188,7 +187,7 @@ class TestHoldoutPrecision:
         s_m = sample_without_replacement(sorted(truth.pairs), 150, 4)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), 150, 5)
         inp = base_input(
-            pair, truth, m_hat, s_m, s_x, HG, DeltaBudget.of(0.025, 0.025)
+            pair, truth, m_hat, s_m, s_x, HG, 0.05
         )
         rep = holdout_batch_precision(inp)
         true_p, _ = true_batch_metrics(pair, m_hat, truth)
@@ -201,7 +200,7 @@ class TestHoldoutPrecision:
         s_m = sample_without_replacement(sorted(truth.pairs), 10, 6)
         m_hat = make_match_set([("x0", "y1")], pair)
         inp = base_input(
-            pair, truth, m_hat, s_m, ["x0"], HG, DeltaBudget.of(0.025, 0.025)
+            pair, truth, m_hat, s_m, ["x0"], HG, 0.05
         )
         assert holdout_batch_precision(inp).lower_bound == 0.0
 
@@ -214,7 +213,7 @@ class TestHoldoutPrecision:
         m_hat = make_match_set(truth.pairs, pair)
         s_m = sample_without_replacement(sorted(truth.pairs), 20, 7)
         inp = base_input(
-            pair, truth, m_hat, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025)
+            pair, truth, m_hat, s_m, s_x, HOEFF, 0.05
         )
         rep = holdout_batch_precision(inp)
         want = 1.0 - math.sqrt(math.log(1 / 0.025) / (2 * 50))
@@ -225,19 +224,9 @@ class TestHoldoutPrecision:
         m_hat = make_match_set([], pair)
         inp = base_input(
             pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HOEFF,
-            DeltaBudget.of(0.025, 0.025),
+            0.05,
         )
         with pytest.raises(MatchcertError, match="no-identified-matches"):
-            holdout_batch_precision(inp)
-
-    def test_budget_arity_enforced(self, world):
-        pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair)
-        inp = base_input(
-            pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HOEFF,
-            DeltaBudget.of(0.05),
-        )
-        with pytest.raises(MatchcertError, match="budget-arity"):
             holdout_batch_precision(inp)
 
 
@@ -255,11 +244,11 @@ class TestCompleteVariants:
 
     def test_recall_reduces_to_holdout(self, world):
         pair, truth, m_hat_h, m_hat_c, s_m, s_x = self.make_inputs(world)
-        budget2 = DeltaBudget.of(0.02, 0.03)
+        # the complete certificate's recall term at 0.04 / 2, as the holdout's
         inp_c = base_input(
-            pair, truth, m_hat_h, s_m, s_x, HG, budget2, m_hat_complete=m_hat_c
+            pair, truth, m_hat_h, s_m, s_x, HG, 0.04, m_hat_complete=m_hat_c
         )
-        inp_h = base_input(pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.02))
+        inp_h = base_input(pair, truth, m_hat_h, s_m, s_x, HG, 0.02)
         rep_c = complete_batch_recall(inp_c)
         rep_h = holdout_batch_recall(inp_h)
         assert rep_c.lower_bound == rep_h.lower_bound
@@ -267,11 +256,10 @@ class TestCompleteVariants:
 
     def test_precision_reduces_to_holdout(self, world):
         pair, truth, m_hat_h, m_hat_c, s_m, s_x = self.make_inputs(world)
-        budget = DeltaBudget.of(0.02, 0.03)
         inp_c = base_input(
-            pair, truth, m_hat_h, s_m, s_x, HG, budget, m_hat_complete=m_hat_c
+            pair, truth, m_hat_h, s_m, s_x, HG, 0.05, m_hat_complete=m_hat_c
         )
-        inp_h = base_input(pair, truth, m_hat_h, s_m, s_x, HG, budget)
+        inp_h = base_input(pair, truth, m_hat_h, s_m, s_x, HG, 0.05)
         assert (
             complete_batch_precision(inp_c).lower_bound
             == holdout_batch_precision(inp_h).lower_bound
@@ -282,7 +270,7 @@ class TestCompleteVariants:
         # complete matcher drops everything the holdout found
         m_hat_c = make_match_set([("x0", "y1")], pair)
         inp = base_input(
-            pair, truth, m_hat_h, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025),
+            pair, truth, m_hat_h, s_m, s_x, HOEFF, 0.05,
             m_hat_complete=m_hat_c,
         )
         rep = complete_batch_recall(inp)
@@ -295,7 +283,7 @@ class TestCompleteVariants:
         unmatched = sorted(pair.x_net.nodes - set(by_x(truth)))[:10]
         inp = base_input(
             pair, truth, m_hat_h, s_m, unmatched, HOEFF,
-            DeltaBudget.of(0.025, 0.025),
+            0.05,
             m_hat_complete=make_match_set([("x0", "y1")], pair),
         )
         rep = complete_batch_recall(inp)
@@ -307,7 +295,7 @@ class TestCompleteVariants:
         kept = sorted(m_hat_h.pairs)[: len(m_hat_h.pairs) // 2]
         m_hat_c = make_match_set(kept, pair)
         inp = base_input(
-            pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.025, 0.025),
+            pair, truth, m_hat_h, s_m, s_x, HG, 0.05,
             m_hat_complete=m_hat_c,
         )
         rep = complete_batch_precision(inp)
@@ -324,7 +312,7 @@ class TestCompleteVariants:
         assert unmatched_pair not in m_hat_h.pairs
         m_hat_c = make_match_set([unmatched_pair], pair)
         inp = base_input(
-            pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.025, 0.025),
+            pair, truth, m_hat_h, s_m, s_x, HG, 0.05,
             m_hat_complete=m_hat_c,
         )
         assert complete_batch_precision(inp).lower_bound == 0.0
@@ -332,7 +320,7 @@ class TestCompleteVariants:
     def test_missing_complete_rejected(self, world):
         pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
         inp = base_input(
-            pair, truth, m_hat_h, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025)
+            pair, truth, m_hat_h, s_m, s_x, HOEFF, 0.05
         )
         with pytest.raises(MatchcertError, match="missing-complete"):
             complete_batch_recall(inp)
@@ -341,19 +329,19 @@ class TestCompleteVariants:
         pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
         empty = make_match_set([], pair)
         inp = base_input(
-            pair, truth, m_hat_h, s_m, s_x, HOEFF, DeltaBudget.of(0.025, 0.025),
+            pair, truth, m_hat_h, s_m, s_x, HOEFF, 0.05,
             m_hat_complete=empty,
         )
         error = "^no-identified-matches: complete identified set is empty$"
         with pytest.raises(MatchcertError, match=error):
             complete_batch_precision(inp)
         with pytest.raises(MatchcertError, match=error):
-            batch_reports(replace(inp, budget=DeltaBudget.of(0.05)))
+            batch_reports(inp)
 
     def test_k_y_below_one_rejected(self, world):
         pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
         with pytest.raises(MatchcertError, match="^invalid-ky: 0$"):
-            base_input(pair, truth, m_hat_h, s_m, s_x, HOEFF, DeltaBudget.of(0.05),
+            base_input(pair, truth, m_hat_h, s_m, s_x, HOEFF, 0.05,
                        k_y=0)
 
 
@@ -369,26 +357,20 @@ class TestDuplicateSampleItems:
             make_network([f"y{n}" for n in names], []),
         )
         truth = make_match_set([(f"x{n}", f"y{n}") for n in names], pair)
-        return base_input(pair, truth, truth, s_m, s_x, HG, DeltaBudget.of(0.05))
-
-    @staticmethod
-    def precision(inp):
-        return holdout_batch_precision(
-            replace(inp, budget=DeltaBudget.equal_split(0.05, 2))
-        )
+        return base_input(pair, truth, truth, s_m, s_x, HG, 0.05)
 
     def test_repeated_s_m_pair_rejected(self):
         # one verified match, counted eight times, would certify holdout
         # batch recall >= 0.9 with m_size 10
         inp = self.ten_pair_input([("x0", "y0")] * 8, ["x0"])
-        for certify in (batch_reports, holdout_batch_recall, self.precision):
+        for certify in (batch_reports, holdout_batch_recall, holdout_batch_precision):
             with pytest.raises(MatchcertError) as info:
                 certify(inp)
             assert str(info.value) == "duplicate-sample-item: s_m repeats ('x0', 'y0')"
 
     def test_repeated_s_x_node_rejected(self):
         inp = self.ten_pair_input([("x0", "y0")], ["x3", "x1", "x2", "x1", "x3"])
-        for certify in (batch_reports, self.precision):
+        for certify in (batch_reports, holdout_batch_precision):
             with pytest.raises(MatchcertError) as info:
                 certify(inp)
             # the first item that repeats an earlier one, in input order
@@ -401,7 +383,6 @@ class TestUnknownSampleNodes:
     matches; so is an identity pair in self-match mode."""
 
     ten_pair_input = staticmethod(TestDuplicateSampleItems.ten_pair_input)
-    precision = staticmethod(TestDuplicateSampleItems.precision)
 
     def test_s_m_pair_outside_the_networks_rejected(self):
         for bad, error in (
@@ -409,7 +390,7 @@ class TestUnknownSampleNodes:
             (("x1", "nobody"), "unknown-node: s_m pair ('x1', 'nobody')"),
         ):
             inp = self.ten_pair_input([("x0", "y0"), bad, ("x2", "y2")], ["x0"])
-            for certify in (batch_reports, holdout_batch_recall, self.precision):
+            for certify in (batch_reports, holdout_batch_recall, holdout_batch_precision):
                 with pytest.raises(MatchcertError) as info:
                     certify(inp)
                 assert str(info.value) == error
@@ -419,10 +400,20 @@ class TestUnknownSampleNodes:
         # an actual-match map that lists the stray node, as ``validate``
         # builds one for every sampled node
         inp = replace(inp, actual_for={**inp.actual_for, "nobody": frozenset()})
-        for certify in (batch_reports, self.precision):
+        for certify in (batch_reports, holdout_batch_precision):
             with pytest.raises(MatchcertError) as info:
                 certify(inp)
             assert str(info.value) == "unknown-node: 'nobody'"
+
+    def test_verified_match_outside_y_rejected(self):
+        # "nope" is not a node of Y; it would count as an actual match of x1
+        # in the density term
+        inp = self.ten_pair_input([("x0", "y0")], ["x0", "x1", "x2"])
+        inp = replace(inp, actual_for={**inp.actual_for, "x1": frozenset({"nope"})})
+        for certify in (batch_reports, holdout_batch_precision):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == "unknown-node: actual_for pair ('x1', 'nope')"
 
 
     def test_identity_s_m_pair_rejected_in_self_match_mode(self):
@@ -431,8 +422,15 @@ class TestUnknownSampleNodes:
         pair = NetworkPair(net, net, self_match_mode=True)
         truth = make_match_set([(f"n{i}", f"n{(i + 1) % 10}") for i in range(10)], pair)
         s_m = [("n0", "n1"), ("n2", "n2"), ("n3", "n4")]
-        inp = base_input(pair, truth, truth, s_m, ["n0"], HG, DeltaBudget.of(0.05))
-        for certify in (batch_reports, holdout_batch_recall, self.precision):
+        inp = base_input(pair, truth, truth, s_m, ["n0"], HG, 0.05)
+        for certify in (batch_reports, holdout_batch_recall, holdout_batch_precision):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == "identity-pair-forbidden: ('n2', 'n2')"
+        # so is an identity pair among a sampled node's verified matches
+        inp = replace(inp, s_m=(("n0", "n1"),), s_x=("n0", "n2"))
+        inp = replace(inp, actual_for={**inp.actual_for, "n2": frozenset({"n2"})})
+        for certify in (batch_reports, holdout_batch_precision):
             with pytest.raises(MatchcertError) as info:
                 certify(inp)
             assert str(info.value) == "identity-pair-forbidden: ('n2', 'n2')"
@@ -443,21 +441,20 @@ class TestMatchCountCap:
     more verified matches than k_y is rejected, naming the node and k_y."""
 
     ten_pair_input = staticmethod(TestDuplicateSampleItems.ten_pair_input)
-    precision = staticmethod(TestDuplicateSampleItems.precision)
 
     @pytest.mark.parametrize("method", [HG, HOEFF])
     def test_node_over_k_y_rejected(self, method):
         inp = self.ten_pair_input([("x0", "y0")], ["x3", "x1", "x2"])
         two = {**inp.actual_for, "x1": frozenset({"y1", "y2"})}
         inp = replace(inp, actual_for=two, method=method)
-        for certify in (batch_reports, self.precision):
+        for certify in (batch_reports, holdout_batch_precision):
             with pytest.raises(MatchcertError) as info:
                 certify(inp)
             assert str(info.value) == (
                 "ky-violated: node 'x1' has more than k_y=1 actual matches"
             )
         # within a cap of two the same sample is certified
-        assert self.precision(replace(inp, k_y=2)).lower_bound is not None
+        assert holdout_batch_precision(replace(inp, k_y=2)).lower_bound is not None
 
 
 class TestBatchReports:
@@ -467,23 +464,13 @@ class TestBatchReports:
         s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
         reports = batch_reports(
-            base_input(pair, truth, m_hat, s_m, s_x, HG, DeltaBudget.of(0.05))
+            base_input(pair, truth, m_hat, s_m, s_x, HG, 0.05)
         )
         assert [r.bound_id for r in reports] == [
             "holdout-batch-recall",
             "holdout-batch-precision",
         ]
-        assert [len(r.budget) for r in reports] == [1, 2]
-
-    def test_budget_must_have_one_part(self, world):
-        pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair)
-        inp = base_input(
-            pair, truth, m_hat, sorted(truth.pairs)[:5], ["x0"], HG,
-            DeltaBudget.of(0.025, 0.025),
-        )
-        with pytest.raises(MatchcertError, match="budget-arity"):
-            batch_reports(inp)
+        assert [len(r.budget.parts) for r in reports] == [1, 2]
 
     def test_digest_is_of_each_certificates_inputs(self, world):
         # the certificates of one call share their inputs; each digest
@@ -494,7 +481,7 @@ class TestBatchReports:
         s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
         s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
         inp = base_input(
-            pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.05),
+            pair, truth, m_hat_h, s_m, s_x, HG, 0.05,
             m_hat_complete=m_hat_c,
         )
         reports = batch_reports(inp)
@@ -527,7 +514,7 @@ def complete_world_input(pair, truth, **kw):
     s_m = sample_without_replacement(sorted(truth.pairs), 40, 2)
     s_x = sample_without_replacement(sorted(pair.x_net.nodes), 60, 3)
     return base_input(
-        pair, truth, m_hat_h, s_m, s_x, HG, DeltaBudget.of(0.05),
+        pair, truth, m_hat_h, s_m, s_x, HG, 0.05,
         m_hat_complete=m_hat_c, **kw,
     )
 
@@ -547,15 +534,11 @@ class TestSharedTerms:
     def test_each_certificate_alone_equals_its_report(self, world):
         inp = complete_world_input(*world)
         holdout = replace(inp, m_hat_complete=None)
-
-        def split(k, of=inp):
-            return replace(of, budget=DeltaBudget.equal_split(0.05, k))
-
         alone = [
-            holdout_batch_recall(split(1, holdout)),
-            holdout_batch_precision(split(2, holdout)),
-            complete_batch_recall(split(2)),
-            complete_batch_precision(split(2)),
+            holdout_batch_recall(holdout),
+            holdout_batch_precision(holdout),
+            complete_batch_recall(inp),
+            complete_batch_precision(inp),
         ]
         assert_same_reports(batch_reports(inp), alone)
 

@@ -500,16 +500,16 @@ class TestStandInPopulationSize:
 class TestDeltaBudget:
     def test_union_worked_example(self):
         # two subsets validated at 2.5% each hold jointly at 95%
-        assert union_confidence(DeltaBudget.of(0.025, 0.025)) == 0.95
+        assert union_confidence(DeltaBudget.equal_split(0.05, 2)) == 0.95
 
     def test_single_term(self):
-        assert union_confidence(DeltaBudget.of(0.07)) == pytest.approx(0.93)
+        assert union_confidence(DeltaBudget.equal_split(0.07, 1)) == pytest.approx(0.93)
 
     def test_exhausted(self):
         with pytest.raises(MatchcertError, match="budget-exhausted"):
-            DeltaBudget.of(0.6, 0.6)
+            DeltaBudget.equal_split(1.2, 2)
 
     def test_equal_split(self):
         b = DeltaBudget.equal_split(0.05, 4)
-        assert len(b) == 4
+        assert len(b.parts) == 4
         assert b.total == pytest.approx(0.05)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from matchcert.batch import BatchValidationInput, batch_reports
-from matchcert.bounds import BoundMethod, DeltaBudget
+from matchcert.bounds import BoundMethod
 from matchcert.coverage import ExperimentConfig, SampleSizes, run_coverage, run_trial
 from matchcert.errors import MatchcertError
 from matchcert.graphs import by_x, matches_of
@@ -126,21 +126,20 @@ def test_actual_map_of_the_sampled_nodes_suffices(method):
     complete = with_extra_seeds(
         holdout, list(s_m) + [(x, y) for x in s_x for y in sorted(full[x])]
     )
-    budget = DeltaBudget.of(0.05)
     got = {}
     for name, actual_for in (("full", full), ("restricted", restricted)):
         got[name] = [
             r.to_json_dict()
             for r in batch_reports(BatchValidationInput(
                 pair=pair, m_hat_holdout=run_batch(holdout, pair), s_m=s_m, s_x=s_x,
-                actual_for=actual_for, method=method, budget=budget,
+                actual_for=actual_for, method=method, delta=0.05,
                 m_hat_complete=run_batch(complete, pair), m_size=truth.keys.size,
             ))
         ] + [
             r.to_json_dict()
             for r in query_reports(QueryValidationInput(
                 pair=pair, holdout=holdout, s_x=s_x, actual_for=actual_for,
-                method=method, budget=budget, complete=complete, s_x_prime=s_x_prime,
+                method=method, delta=0.05, complete=complete, s_x_prime=s_x_prime,
             ))
         ]
     assert len(got["full"]) == 10

@@ -21,7 +21,7 @@ from oracles import (
 )
 
 from matchcert.batch import BatchValidationInput, batch_reports, true_batch_metrics
-from matchcert.bounds import BoundMethod, Confidence, DeltaBudget, bound_term
+from matchcert.bounds import BoundMethod, Confidence, bound_term
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
     NetworkPair,
@@ -141,7 +141,7 @@ def tiny():
     return NetworkPair(x, y)
 
 
-def tiny_input(pair, holdout, s_x, actual_for, budget, complete=None,
+def tiny_input(pair, holdout, s_x, actual_for, delta, complete=None,
                s_x_prime=(), method=HOEFF, k_cap=1):
     return QueryValidationInput(
         pair=pair,
@@ -149,7 +149,7 @@ def tiny_input(pair, holdout, s_x, actual_for, budget, complete=None,
         s_x=tuple(s_x),
         actual_for=actual_for,
         method=method,
-        budget=budget,
+        delta=delta,
         complete=complete,
         s_x_prime=tuple(s_x_prime),
         k_cap=k_cap,
@@ -161,7 +161,7 @@ class TestHoldoutQuery:
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(8)])
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05))
+        inp = tiny_input(tiny, holdout, s_x, actual, 0.05)
         p_rep, r_rep = holdout_query_bounds(inp)
         want = 1.0 - math.sqrt(math.log(1 / 0.05) / (2 * 8))
         assert p_rep.lower_bound == pytest.approx(want, abs=1e-12)
@@ -175,7 +175,7 @@ class TestHoldoutQuery:
         pairs += [(f"x{i}", f"y{(i + 1) % 8}") for i in range(4, 8)]
         world, (holdout,) = fixed_world(tiny, pairs)  # x0 and x7 match y0
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(world, holdout, s_x, actual, DeltaBudget.of(0.05))
+        inp = tiny_input(world, holdout, s_x, actual, 0.05)
         p_rep, r_rep = holdout_query_bounds(inp)
         want = 0.5 - math.sqrt(math.log(20) / 16)
         assert p_rep.lower_bound == pytest.approx(max(0.0, want), abs=1e-12)
@@ -184,7 +184,7 @@ class TestHoldoutQuery:
     def test_no_usable_sample(self, tiny):
         actual = {f"x{i}": frozenset() for i in range(8)}
         holdout = fixed_matcher([])
-        inp = tiny_input(tiny, holdout, ["x0", "x1"], actual, DeltaBudget.of(0.05))
+        inp = tiny_input(tiny, holdout, ["x0", "x1"], actual, 0.05)
         with pytest.raises(MatchcertError, match="no-usable-sample"):
             holdout_query_bounds(inp)
 
@@ -192,18 +192,26 @@ class TestHoldoutQuery:
         actual = {"x0": frozenset({"y0"}), "zzz": frozenset()}
         holdout = fixed_matcher([("x0", "y0")])
         for s_x, s_x_prime in ((["x0", "zzz"], ()), (["x0"], ["zzz"])):
-            inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05),
+            inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
                              s_x_prime=s_x_prime)
             with pytest.raises(MatchcertError, match="unknown-node"):
                 holdout_query_bounds(inp)
 
-    def test_fractional_values_reject_exact_method(self, tiny):
-        actual = {"x0": frozenset({"y0"})}
-        world, (holdout,) = fixed_world(tiny, [("x0", "y0"), ("x0", "y1")])
-        inp = tiny_input(world, holdout, ["x0"], actual, DeltaBudget.of(0.05),
-                         method=HG)
-        with pytest.raises(MatchcertError, match="method-requires-binary"):
-            holdout_query_bounds(inp)
+    def test_fractional_values_downgrade_exact_method(self, tiny):
+        # the holdout matcher gives x0 two matches, so p(x) need not be 0/1
+        # on D = {x0, x1}: the precision term gets Hoeffding whatever s_x
+        # holds, p(x0) = 0.5 or p(x1) = 1.0
+        actual = {"x0": frozenset({"y0"}), "x1": frozenset({"y2"})}
+        world, (holdout,) = fixed_world(
+            tiny, [("x0", "y0"), ("x0", "y1"), ("x1", "y2")]
+        )
+        for s_x, p in ((["x0"], 0.5), (["x1"], 1.0)):
+            inp = tiny_input(world, holdout, s_x, actual, 0.05, method=HG)
+            precision, recall = holdout_query_bounds(inp)
+            assert precision.term_methods["precision_term"] == "hoeffding"
+            want = bound_term(2, [p], HOEFF, Confidence(0.05), "lower")
+            assert precision.terms["precision_term"] == want.value
+            assert recall.term_methods["recall_term"] == "hoeffding"
 
 
 class TestCompleteQueryRecall:
@@ -212,9 +220,10 @@ class TestCompleteQueryRecall:
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
         complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
-        inp3 = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.02, 0.02, 0.02),
+        # the complete certificate's recall term at 0.06 / 3, as the holdout's
+        inp3 = tiny_input(tiny, holdout, s_x, actual, 0.06,
                           complete=complete, s_x_prime=("x0",))
-        inp1 = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.02))
+        inp1 = tiny_input(tiny, holdout, s_x, actual, 0.02)
         rep = complete_query_recall(inp3)
         _, holdout_rep = holdout_query_bounds(inp1)
         assert rep.lower_bound == holdout_rep.lower_bound
@@ -227,7 +236,7 @@ class TestCompleteQueryRecall:
         s_x = [f"x{i}" for i in range(4)]
         s_prime = [f"x{i}" for i in range(8)]
         inp = tiny_input(tiny, holdout, s_x, actual,
-                         DeltaBudget.of(0.02, 0.02, 0.02),
+                         0.06,
                          complete=complete, s_x_prime=s_prime)
         rep = complete_query_recall(inp)
         assert rep.lower_bound == 0.0
@@ -238,16 +247,16 @@ class TestCompleteQueryRecall:
         holdout = fixed_matcher([("x0", "y0")])
         complete = fixed_matcher([("x0", "y1")])
         inp = tiny_input(tiny, holdout, ["x0"], actual,
-                         DeltaBudget.of(0.02, 0.02, 0.02), complete=complete)
+                         0.06, complete=complete)
         with pytest.raises(MatchcertError, match="empty-sample"):
             complete_query_recall(inp)
 
     def test_complete_matcher_required(self, tiny):
         actual = {"x0": frozenset({"y0"})}
         holdout = fixed_matcher([("x0", "y0")])
-        for certify, parts in ((complete_query_recall, 3), (complete_query_precision, 4)):
+        for certify in (complete_query_recall, complete_query_precision):
             inp = tiny_input(tiny, holdout, ["x0"], actual,
-                             DeltaBudget.equal_split(0.05, parts), s_x_prime=("x1",))
+                             0.05, s_x_prime=("x1",))
             with pytest.raises(MatchcertError) as info:
                 certify(inp)
             assert str(info.value) == "missing-complete: no complete matcher supplied"
@@ -260,8 +269,7 @@ class TestCompleteQueryPrecision:
         complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
         s_prime = [f"x{i}" for i in range(8)]
-        budget = DeltaBudget.of(0.01, 0.02, 0.01, 0.01)
-        inp = tiny_input(tiny, holdout, s_x, actual, budget,
+        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
                          complete=complete, s_x_prime=s_prime)
         rep = complete_query_precision(inp)
         assert "reduced-to-holdout" in rep.flags
@@ -281,7 +289,7 @@ class TestCompleteQueryPrecision:
         # d_p(x0) = 1 + 2/1 = 3 > 2
         s_x = [f"x{i}" for i in range(8)]
         inp = tiny_input(world, holdout, s_x, actual,
-                         DeltaBudget.of(0.01, 0.02, 0.01, 0.01),
+                         0.05,
                          complete=complete, s_x_prime=s_x, k_cap=3)
         rep = complete_query_precision(inp)
         assert "dp-range-widened" in rep.flags
@@ -293,7 +301,7 @@ class TestCompleteQueryPrecision:
         # match) and 2 on x2..x9 (one match each, never the same), so its
         # mean over X is 2.8. A range chosen from s_x' would stay (-1, 2) on
         # the 56 of 252 samples that miss x0 and x1, and the bound, at most
-        # 2 there, would fail with probability 0.22 at delta_3 = 0.05.
+        # 2 there, would fail with probability 0.22 at delta_3 = 0.2 / 4.
         n = 10
         wide = [(x, f"y{j}") for x in ("x0", "x1") for j in range(1, 6)]
         pair, (holdout, complete) = fixed_world(
@@ -308,17 +316,17 @@ class TestCompleteQueryPrecision:
         mean = sum(d_p) / n
         s_x = [f"x{i}" for i in range(n)]
         actual = {x: frozenset({f"y{i}"}) for i, x in enumerate(s_x)}
-        budget = DeltaBudget.of(0.01, 0.01, 0.05, 0.01)
+        delta = 0.2
         samples = list(itertools.combinations(s_x, 5))
         reports = [
             complete_query_precision(
-                tiny_input(pair, holdout, s_x, actual, budget, complete=complete,
+                tiny_input(pair, holdout, s_x, actual, delta, complete=complete,
                            s_x_prime=s_prime, k_cap=5)
             )
             for s_prime in samples
         ]
         failed = sum(rep.terms["dp_term"] < mean for rep in reports)
-        assert failed / len(samples) <= budget.parts[2].delta
+        assert failed / len(samples) <= delta / 4
         assert {
             (rep.terms["dp_range_lo"], rep.terms["dp_range_hi"], rep.flags)
             for rep in reports
@@ -329,7 +337,7 @@ class TestCompleteQueryPrecision:
         holdout = fixed_matcher([])
         complete = fixed_matcher([("x0", "y0")])
         inp = tiny_input(tiny, holdout, ["x1", "x2"], actual,
-                         DeltaBudget.of(0.01, 0.02, 0.01, 0.01),
+                         0.05,
                          complete=complete, s_x_prime=("x0",))
         with pytest.raises(MatchcertError, match="no-usable-sample"):
             complete_query_precision(inp)
@@ -349,7 +357,7 @@ class TestKcapViolated:
         s_x = ["x3", "x4", "x5"]
         actual = {x: frozenset({f"y{x[1:]}"}) for x in s_x}
         inp = tiny_input(world, holdout, s_x, actual,
-                         DeltaBudget.of(0.01, 0.02, 0.01, 0.01),
+                         0.05,
                          complete=complete, s_x_prime=("x6", "x0", "x7"),
                          method=method)
         with pytest.raises(
@@ -379,7 +387,7 @@ class TestTermPopulationSize:
         complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(4)])
         s_x = ["x0", "x1", "x2", "x6"]
         actual = {x: frozenset({f"y{x[1:]}"}) for x in s_x}
-        inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05),
+        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
                          method=HG)
         precision, recall = holdout_query_bounds(inp)
         want = bound_term(5, [1.0, 1.0, 1.0], HG, Confidence(0.05), "lower")
@@ -389,8 +397,7 @@ class TestTermPopulationSize:
         assert recall.term_methods["recall_term"] == "hoeffding"
         assert "identified_nodes" not in recall.terms
 
-        budget = DeltaBudget.of(0.05)
-        full = query_reports(replace(inp, budget=budget, complete=complete,
+        full = query_reports(replace(inp, complete=complete,
                                      s_x_prime=("x3", "x4", "x7")))
         by_id = {rep.bound_id: rep for rep in full}
         prec_c = by_id["complete-query-precision"]
@@ -428,8 +435,7 @@ class TestTermPopulationSize:
                                 {f"x{i}": frozenset({f"y{i}"}) for i in range(k)}
                             )
                             inp = QueryValidationInput(
-                                pair, holdout, tuple(s_x), actual, method,
-                                DeltaBudget.of(delta),
+                                pair, holdout, tuple(s_x), actual, method, delta,
                             )
                             precision, recall = holdout_query_bounds(inp)
                             bounds[s_in, k] = (precision.lower_bound,
@@ -454,7 +460,7 @@ class TestErrorRate:
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(8)])
         inp = tiny_input(tiny, holdout, [f"x{i}" for i in range(8)], actual,
-                         DeltaBudget.of(0.05))
+                         0.05)
         rep = error_rate_bounds(inp)
         assert rep.upper_bound == pytest.approx(
             math.sqrt(math.log(20) / 16), abs=1e-12
@@ -471,7 +477,7 @@ class TestErrorRate:
         good = [(f"x{i}", f"y{i}") for i in range(90)]
         holdout = fixed_matcher(good)  # the last 10 nodes get nothing
         inp = tiny_input(pair, holdout, [f"x{i}" for i in range(n)], actual,
-                         DeltaBudget.of(0.05))
+                         0.05)
         rep = error_rate_bounds(inp)
         want = 0.1 + math.sqrt(math.log(20) / 200)
         assert rep.upper_bound == pytest.approx(want, abs=1e-12)
@@ -481,11 +487,12 @@ class TestErrorRate:
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(5)])
         complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
+        # the complete certificate's error term at 0.06 / 2, as the holdout's
         rep_h = error_rate_bounds(
-            tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.03))
+            tiny_input(tiny, holdout, s_x, actual, 0.03)
         )
         rep_c = error_rate_bounds(
-            tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.03, 0.02),
+            tiny_input(tiny, holdout, s_x, actual, 0.06,
                        complete=complete, s_x_prime=("x0",))
         )
         assert rep_c.upper_bound == rep_h.upper_bound
@@ -497,7 +504,7 @@ class TestErrorRate:
         complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
         s_x = [f"x{i}" for i in range(8)]
         rep = error_rate_bounds(
-            tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.025, 0.025),
+            tiny_input(tiny, holdout, s_x, actual, 0.05,
                        complete=complete, s_x_prime=s_x)
         )
         assert rep.terms["disagreement_term"] >= 0.25
@@ -520,7 +527,7 @@ def _ten_node_input(**kw):
         s_x=("x0",),
         actual_for={f"x{n}": frozenset({f"y{n}"}) for n in names},
         method=HG,
-        budget=DeltaBudget.of(0.05),
+        delta=0.05,
     )
     return QueryValidationInput(**{**args, **kw})
 
@@ -560,9 +567,10 @@ class TestSampleChecks:
     """Batch and query inputs share one sampled-node check
     (``reports.sample_positions``), so a bad s_x gets one token in both."""
 
-    def test_stray_node_gets_the_same_token_in_both_modes(self):
-        # "nope" is neither a node of X nor a key of actual_for
-        inp = _ten_node_input(s_x=("x0", "nope"))
+    @staticmethod
+    def both_modes(inp):
+        """(certify, input) for ``inp`` and a batch input with its s_x and
+        actual_for."""
         batch_inp = BatchValidationInput(
             pair=inp.pair,
             m_hat_holdout=make_match_set([("x0", "y0")], inp.pair),
@@ -570,13 +578,47 @@ class TestSampleChecks:
             s_x=inp.s_x,
             actual_for=inp.actual_for,
             method=HG,
-            budget=inp.budget,
+            delta=inp.delta,
             m_size=10,
         )
-        for certify, of in ((batch_reports, batch_inp), (query_reports, inp)):
+        return (batch_reports, batch_inp), (query_reports, inp)
+
+    def test_stray_node_gets_the_same_token_in_both_modes(self):
+        # "nope" is neither a node of X nor a key of actual_for
+        inp = _ten_node_input(s_x=("x0", "nope"))
+        for certify, of in self.both_modes(inp):
             with pytest.raises(MatchcertError) as info:
                 certify(of)
             assert str(info.value) == "missing-actual: no verified matches for 'nope'"
+
+    def test_verified_match_outside_y_gets_the_same_token_in_both_modes(self):
+        # "nope" is not a node of Y; it would count as an actual match of x1
+        # that the matcher missed
+        inp = _ten_node_input(s_x=("x0", "x1", "x2"))
+        inp = replace(inp, actual_for={**inp.actual_for, "x1": frozenset({"nope"})})
+        certifiers = (*self.both_modes(inp), (holdout_query_bounds, inp),
+                      (compute_node_stats, inp))
+        error = "unknown-node: actual_for pair ('x1', 'nope')"
+        for certify, of in certifiers:
+            with pytest.raises(MatchcertError) as info:
+                certify(of)
+            assert str(info.value) == error
+        # among several bad matches the error names the first in id order
+        bad = frozenset({"zz", "nope", "y1", "ghost"})
+        with pytest.raises(MatchcertError) as info:
+            query_reports(replace(inp, actual_for={**inp.actual_for, "x1": bad}))
+        assert str(info.value) == "unknown-node: actual_for pair ('x1', 'ghost')"
+
+    def test_identity_verified_match_rejected_in_self_match_mode(self):
+        net = make_network([f"n{i}" for i in range(4)], [])
+        pair = NetworkPair(net, net, self_match_mode=True)
+        holdout = fixed_matcher([("n0", "n1")])
+        actual = {"n0": frozenset({"n1"}), "n2": frozenset({"n2", "n3"})}
+        inp = tiny_input(pair, holdout, ["n0", "n2"], actual, 0.05)
+        for certify in (query_reports, compute_node_stats):
+            with pytest.raises(MatchcertError) as info:
+                certify(inp)
+            assert str(info.value) == "identity-pair-forbidden: ('n2', 'n2')"
 
     def test_k_cap_below_one_rejected(self):
         with pytest.raises(MatchcertError, match="^invalid-kcap: 0$"):
@@ -589,14 +631,14 @@ class TestQueryReports:
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
         s_x = [f"x{i}" for i in range(8)]
         reports = query_reports(
-            tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05))
+            tiny_input(tiny, holdout, s_x, actual, 0.05)
         )
         assert [r.bound_id for r in reports] == [
             "holdout-query-precision",
             "holdout-query-recall",
             "holdout-query-error-rate",
         ]
-        assert all(len(r.budget) == 1 for r in reports)
+        assert all(len(r.budget.parts) == 1 for r in reports)
 
     def test_same_function_complete_never_runs(self, tiny, monkeypatch):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
@@ -610,7 +652,7 @@ class TestQueryReports:
 
         monkeypatch.setattr("matchcert.query.run_batch", recording_run_batch)
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05),
+        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
                          complete=complete, s_x_prime=s_x)
         reports = query_reports(inp)
         compute_node_stats(inp)
@@ -625,7 +667,7 @@ class TestQueryReports:
         complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(7)])
         s_x = ["x5", "x0", "x3", "x7"]
         s_x_prime = ["x6", "x1", "x2"]
-        inp = tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.05),
+        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
                          complete=complete, s_x_prime=s_x_prime, method=HG)
         reports = query_reports(inp)
         assert len(reports) == 6
@@ -643,15 +685,8 @@ class TestQueryReports:
                 ),
             }
             assert r.inputs_digest == digest_of({"bound_id": r.bound_id, **inputs})
-        alone = error_rate_bounds(replace(inp, budget=reports[-1].budget))
+        alone = error_rate_bounds(inp)
         assert alone.inputs_digest == reports[-1].inputs_digest
-
-    def test_budget_must_have_one_part(self, tiny):
-        actual = {"x0": frozenset({"y0"})}
-        holdout = fixed_matcher([("x0", "y0")])
-        inp = tiny_input(tiny, holdout, ["x0"], actual, DeltaBudget.of(0.02, 0.03))
-        with pytest.raises(MatchcertError, match="budget-arity"):
-            query_reports(inp)
 
 
 class RecordingActuals(dict):
@@ -676,24 +711,11 @@ class TestIndependentSampleNeverReadsActuals:
         complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(4)])
         s_x = ["x0", "x1", "x2"]
         s_prime = ["x4", "x5", "x6", "x7"]  # disjoint from s_x
-        budget3 = DeltaBudget.of(0.01, 0.01, 0.01)
-        budget4 = DeltaBudget.of(0.01, 0.01, 0.01, 0.01)
-        complete_query_recall(
-            tiny_input(tiny, holdout, s_x, actual, budget3,
-                       complete=complete, s_x_prime=s_prime)
-        )
-        complete_query_precision(
-            tiny_input(tiny, holdout, s_x, actual, budget4,
-                       complete=complete, s_x_prime=s_prime)
-        )
-        error_rate_bounds(
-            tiny_input(tiny, holdout, s_x, actual, DeltaBudget.of(0.01, 0.01),
-                       complete=complete, s_x_prime=s_prime)
-        )
-        compute_node_stats(
-            tiny_input(tiny, holdout, s_x, actual, budget3,
-                       complete=complete, s_x_prime=s_prime)
-        )
+        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
+                         complete=complete, s_x_prime=s_prime)
+        for certify in (complete_query_recall, complete_query_precision,
+                        error_rate_bounds, compute_node_stats):
+            certify(inp)
         assert actual.accessed <= set(s_x)
 
 
@@ -746,7 +768,7 @@ class TestStatRanges:
             s_x=tuple(nodes[:60]),
             actual_for=actual_for,
             method=HOEFF,
-            budget=DeltaBudget.of(0.01, 0.01, 0.01),
+            delta=0.03,
             complete=complete,
             s_x_prime=tuple(nodes[60:120]),
             k_cap=k_cap,
@@ -766,7 +788,7 @@ class TestStatRanges:
     def test_node_stats_without_complete_matcher(self, tiny):
         actual = {"x0": frozenset({"y0"}), "x1": frozenset({"y1"}), "x2": frozenset()}
         holdout = fixed_matcher([("x0", "y0"), ("x1", "y2")])
-        inp = tiny_input(tiny, holdout, ["x0", "x1", "x2"], actual, DeltaBudget.of(0.05))
+        inp = tiny_input(tiny, holdout, ["x0", "x1", "x2"], actual, 0.05)
         # no d_r or d_p without a complete matcher; p and r None where undefined
         assert compute_node_stats(inp) == [
             PerNodeStats("x0", p=1.0, r=1.0, w=0),
@@ -887,7 +909,7 @@ def _views_world():
         s_x=s_x,
         actual_for={x: truth_x.get(x, frozenset()) for x in ids},
         method=HOEFF,
-        budget=DeltaBudget.of(0.05),
+        delta=0.05,
         complete=complete,
         s_x_prime=tuple(rnd.sample(ids, 90)),
     )
@@ -911,18 +933,7 @@ class TestViewsOnce:
         reports = query_reports(inp)
         assert len(calls) == 1 and len(reports) == 6
         calls.clear()
-        holdout = replace(inp, complete=None)
-
-        def split(k, of=inp):
-            return replace(of, budget=DeltaBudget.equal_split(0.05, k))
-
-        alone = [
-            *holdout_query_bounds(split(1, holdout)),
-            error_rate_bounds(split(1, holdout)),
-            complete_query_recall(split(3)),
-            complete_query_precision(split(4)),
-            error_rate_bounds(split(2)),
-        ]
+        alone = certificates_alone(inp)
         assert len(calls) == 5  # each certificate on its own computes them
         assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
         assert "reduced-to-holdout" not in reports[3].flags
@@ -980,8 +991,8 @@ def column_worlds(draw):
     """(inp, sets): a query input on a small edgeless pair, in self-match
     mode or not, and the identified set each matcher handle stands for, by
     its attr_key. Identified sets give an x up to k_cap
-    matches (k_cap 1-3); actual sets may hold ids that are not nodes of Y;
-    the complete matcher is absent, identifies nothing, computes the
+    matches (k_cap 1-3), and actual sets up to three nodes of Y (never x
+    itself in self-match mode); the complete matcher is absent, identifies nothing, computes the
     holdout's function or identifies its own set."""
     self_mode = draw(st.booleans())
     xs = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
@@ -993,21 +1004,17 @@ def column_worlds(draw):
         pair = NetworkPair(x_net, make_network(ys, []))
     k_cap = draw(st.integers(1, 3))
 
+    def matches(x, most):
+        options = [y for y in ys if not (self_mode and y == x)]
+        if not options:
+            return []
+        return draw(st.lists(st.sampled_from(options), max_size=most, unique=True))
+
     def identified():
-        pairs = []
-        for x in xs:
-            options = [y for y in ys if not (self_mode and y == x)]
-            chosen = draw(st.lists(st.sampled_from(options), max_size=k_cap,
-                                   unique=True)) if options else []
-            pairs += [(x, y) for y in chosen]
-        return make_match_set(pairs, pair)
+        return make_match_set([(x, y) for x in xs for y in matches(x, k_cap)], pair)
 
     s_x = tuple(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True)))
-    actual_ids = [*ys, "ghost0", "ghost1"]  # the ghosts are not nodes of Y
-    actual_for = {
-        x: frozenset(draw(st.lists(st.sampled_from(actual_ids), max_size=3)))
-        for x in s_x
-    }
+    actual_for = {x: frozenset(matches(x, 3)) for x in s_x}
     holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="h"))
     sets = {"h": identified()}
     mode = draw(st.sampled_from(["none", "empty", "same", "own"]))
@@ -1024,7 +1031,7 @@ def column_worlds(draw):
             )
     inp = QueryValidationInput(
         pair=pair, holdout=holdout, s_x=s_x, actual_for=actual_for, method=HOEFF,
-        budget=DeltaBudget.of(0.05), complete=complete, s_x_prime=s_x_prime,
+        delta=0.05, complete=complete, s_x_prime=s_x_prime,
         k_cap=k_cap,
     )
     return inp, sets
@@ -1056,16 +1063,12 @@ class TestColumns:
 def certificates_alone(inp):
     """Each certificate of query_reports(inp), called on its own."""
     holdout = replace(inp, complete=None)
-
-    def split(k, of=inp):
-        return replace(of, budget=DeltaBudget.equal_split(0.05, k))
-
     return [
-        *holdout_query_bounds(split(1, holdout)),
-        error_rate_bounds(split(1, holdout)),
-        complete_query_recall(split(3)),
-        complete_query_precision(split(4)),
-        error_rate_bounds(split(2)),
+        *holdout_query_bounds(holdout),
+        error_rate_bounds(holdout),
+        complete_query_recall(inp),
+        complete_query_precision(inp),
+        error_rate_bounds(inp),
     ]
 
 

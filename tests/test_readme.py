@@ -1,9 +1,11 @@
-"""The README's CLI walkthrough runs as written and prints what it says.
+"""The README's library tour and CLI walkthrough run as written and
+print what they say.
 
-The shell block is run step by step in a temporary directory: each
-``cat > FILE <<'TAG'`` heredoc writes its file, each ``python3 - <<'TAG'``
-heredoc runs as Python, and each ``matchcert`` command (backslash
-continuations joined) runs through ``cli.main``.
+The tour's ``python`` blocks run in order in one namespace. The
+walkthrough's shell block is run step by step in a temporary directory:
+each ``cat > FILE <<'TAG'`` heredoc writes its file, each ``python3 -
+<<'TAG'`` heredoc runs as Python, and each ``matchcert`` command
+(backslash continuations joined) runs through ``cli.main``.
 """
 
 import json
@@ -19,6 +21,23 @@ from matchcert.graphs import NetworkPair, load_matches, load_network
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HEREDOC = re.compile(r"(.*)<<'(\w+)'$")
+
+
+def _section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_tour_runs_and_its_numbers_hold():
+    blocks = re.findall(r"```python\n(.*?)```", _section("Library tour"), re.S)
+    assert len(blocks) == 4
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert f"{namespace['res'].lower:.3f}" == "0.804"
+    assert [p.delta for p in namespace["report"].budget.parts] == [0.025, 0.025]
+    joint = namespace["combine_reports"](namespace["reports"]).joint_confidence
+    assert joint == pytest.approx(0.90)
 
 
 def _walkthrough() -> list[str]:
