@@ -15,7 +15,7 @@ with known actual matches, these functions certify:
   only the holdout matcher must be independent of them.
 
 Every certificate spends the input's ``delta``, split equally over its
-own bound terms, and reports that split as its budget.
+own bound terms, and reports one delta part per term.
 :func:`batch_reports` runs every certificate an input supports. The
 precision and complete certificates take an optional ``two_terms``, which
 returns the recall and match-density terms; batch_reports passes one that
@@ -43,7 +43,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .bounds import BoundMethod, Confidence, DeltaBudget, Term, bound_term
+from .bounds import BoundMethod, Confidence, Term, bound_term
 # Unused here; the benchmark's self-test (perfbench/selftest.py) checks
 # that tracing reaches this imported name.
 from .bounds import bound_mean  # noqa: F401
@@ -168,10 +168,10 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
 
 def _two_terms(inp: BatchValidationInput) -> dict[str, Term]:
     """The recall and match-density terms, each at half the delta."""
-    d_recall, d_density = DeltaBudget.equal_split(inp.delta, 2).parts
+    delta = Confidence(inp.delta / 2)
     return {
-        "recall_term": _recall_term(inp, d_recall),
-        "match_density_term": _density_term(inp, d_density),
+        "recall_term": _recall_term(inp, delta),
+        "match_density_term": _density_term(inp, delta),
     }
 
 
@@ -183,11 +183,10 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: Mapping) -> float:
 
 
 def holdout_batch_recall(inp: BatchValidationInput) -> ValidationReport:
-    budget = DeltaBudget.equal_split(inp.delta, 1)
-    recall = _recall_term(inp, budget.parts[0])
+    recall = _recall_term(inp, Confidence(inp.delta))
     return build_report(
         "holdout-batch-recall",
-        budget,
+        (inp.delta,),
         _payload(inp),
         {"recall_term": recall, "sample_size": float(len(inp.s_m))},
         recall.value,
@@ -204,7 +203,7 @@ def holdout_batch_precision(
     terms = {**terms, "identified_count": float(identified)}
     return build_report(
         "holdout-batch-precision",
-        DeltaBudget.equal_split(inp.delta, 2),
+        (inp.delta / 2,) * 2,
         _payload(inp),
         terms,
         _precision_scale(inp.n_x, identified, terms),
@@ -231,7 +230,7 @@ def complete_batch_recall(
     recall, density = terms["recall_term"].value, terms["match_density_term"].value
     return build_report(
         "complete-batch-recall",
-        DeltaBudget.equal_split(inp.delta, 2),
+        (inp.delta / 2,) * 2,
         _payload(inp),
         {**terms, "disagreement_count": float(disagreement)},
         lambda: recall - disagreement / (inp.n_x * density),
@@ -250,7 +249,7 @@ def complete_batch_precision(
     disagreement = _disagreement(inp, m_hat)
     return build_report(
         "complete-batch-precision",
-        DeltaBudget.equal_split(inp.delta, 2),
+        (inp.delta / 2,) * 2,
         _payload(inp),
         {
             **terms,
@@ -265,12 +264,12 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     """Every certificate the input supports: holdout recall and precision,
     then, when ``m_hat_complete`` is given, complete recall and precision.
 
-    The reports hold jointly at the union bound of their budgets, each
-    ``inp.delta``. The holdout certificates see the input without the
-    complete set. The three two-term certificates share one recall and one
-    match-density term, computed when the first of them needs it, so the
-    errors raised and their order are those of the certificates run one by
-    one.
+    Each report fails with probability at most ``inp.delta``, so they hold
+    jointly by the union bound. The holdout certificates see the input
+    without the complete set. The three two-term certificates share one
+    recall and one match-density term, computed when the first of them
+    needs it, so the errors raised and their order are those of the
+    certificates run one by one.
     """
     holdout = replace(inp, m_hat_complete=None)
     two_terms = cache(lambda: _two_terms(inp))

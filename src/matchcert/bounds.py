@@ -13,8 +13,8 @@ replacement. Three bound families are provided:
   the lower bound on the failure count.
 
 Every bound is one-sided: the lower bound and the upper bound each fail
-with probability at most ``delta``. Callers needing several bounds to hold
-simultaneously combine their deltas with :func:`union_confidence`.
+with probability at most ``delta``. By the union bound, several bounds
+hold jointly with probability at least 1 minus the sum of their deltas.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "Confidence",
     "BoundMethod",
     "BoundResult",
-    "DeltaBudget",
     "sample_mean",
     "sample_sigma_hat",
     "rho_s",
@@ -50,7 +49,6 @@ __all__ = [
     "bound_mean",
     "Term",
     "bound_term",
-    "union_confidence",
     "is_binary_sample",
 ]
 
@@ -136,36 +134,6 @@ class BoundResult:
     delta_used: Confidence
     method: BoundMethod
     diagnostics: Mapping[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class DeltaBudget:
-    """An ordered allocation of bound failure probabilities.
-
-    The union bound gives joint confidence ``1 - sum(parts)``, so the
-    parts must sum to less than 1.
-    """
-
-    parts: tuple[Confidence, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise MatchcertError("budget-exhausted: empty delta budget")
-        if sum(p.delta for p in self.parts) >= 1.0:
-            raise MatchcertError(
-                "budget-exhausted: delta parts sum to "
-                f"{sum(p.delta for p in self.parts)} >= 1"
-            )
-
-    @classmethod
-    def equal_split(cls, total: float, k: int) -> "DeltaBudget":
-        if k < 1:
-            raise MatchcertError(f"budget-exhausted: cannot split into {k} parts")
-        return cls(tuple(Confidence(total / k) for _ in range(k)))
-
-    @property
-    def total(self) -> float:
-        return sum(p.delta for p in self.parts)
 
 
 def sample_mean(sample: SampleSummary) -> float:
@@ -561,8 +529,3 @@ def bound_term(
     )
     return Term(res.lower if side == "lower" else res.upper, method.value)
 
-
-def union_confidence(budget: DeltaBudget) -> float:
-    """Joint confidence for all bounds in the budget, by the union bound
-    (positive: a DeltaBudget's parts sum to less than 1)."""
-    return 1.0 - budget.total

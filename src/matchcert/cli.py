@@ -57,15 +57,19 @@ def _load_pair(args) -> NetworkPair:
     return NetworkPair(x_net, load_network(args.y))
 
 
-def _config(cls, path: str):
-    """``cls`` from the JSON config file at ``path``; a file that is not
-    JSON or does not fit ``cls`` fails with ``invalid-config``."""
+def _read_json(path: str, build, report: bool = False):
+    """``build`` of the JSON document in the file at ``path``. A file that
+    is not UTF-8 JSON, or whose document ``build`` cannot take, fails with
+    ``invalid-report`` when ``report`` is set, else ``invalid-config``."""
     try:
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
     except MatchcertError:
         raise
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
-        raise MatchcertError(f"invalid-config: {path}: {type(e).__name__}: {e}") from e
+        reason = f"{path}: {type(e).__name__}: {e}"
+        if report:
+            raise MatchcertError(f"invalid-report: {reason}") from e
+        raise MatchcertError(f"invalid-config: {reason}") from e
 
 
 def _delta(text: str) -> float:
@@ -108,7 +112,7 @@ def _write_report(args, reports, node_stats=None) -> int:
 def cmd_gen(args) -> int:
     from .synth import GeneratorConfig, generate_pair
 
-    cfg = _config(GeneratorConfig, args.config)
+    cfg = _read_json(args.config, GeneratorConfig.from_json_dict)
     if args.seed is not None:
         cfg = replace(cfg, rng_seed=args.seed)
     pair, truth = generate_pair(cfg)
@@ -128,7 +132,7 @@ def cmd_gen(args) -> int:
 
 def cmd_match(args) -> int:
     pair = _load_pair(args)
-    config = _config(MatcherConfig, args.config)
+    config = _read_json(args.config, MatcherConfig.from_json_dict)
     seeds = read_pairs(args.seeds) if args.seeds else []
     handle = build_matcher(config, training_matches=seeds)
     result = run_batch(handle, pair)
@@ -204,13 +208,13 @@ def cmd_validate_query(args) -> int:
     from .query import QueryValidationInput, compute_node_stats, query_reports
 
     pair = _load_pair(args)
-    holdout_cfg = _config(MatcherConfig, args.matcher)
+    holdout_cfg = _read_json(args.matcher, MatcherConfig.from_json_dict)
     seeds = read_pairs(args.seeds) if args.seeds else []
     holdout = build_matcher(holdout_cfg, training_matches=seeds)
     complete = None
     if args.matcher_complete or args.seeds_complete:
         complete_cfg = (
-            _config(MatcherConfig, args.matcher_complete)
+            _read_json(args.matcher_complete, MatcherConfig.from_json_dict)
             if args.matcher_complete
             else holdout_cfg
         )
@@ -238,7 +242,7 @@ def cmd_validate_query(args) -> int:
 def cmd_coverage(args) -> int:
     from .coverage import ExperimentConfig, run_coverage
 
-    cfg = _config(ExperimentConfig, args.config)
+    cfg = _read_json(args.config, ExperimentConfig.from_json_dict)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     table = run_coverage(cfg, jobs=args.jobs)
@@ -253,29 +257,32 @@ def cmd_coverage(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    doc = json.loads(Path(getattr(args, "in")).read_text(encoding="utf-8"))
+def _report_lines(doc) -> list[str]:
+    """The lines ``report`` prints for a saved report or coverage table."""
     if "rows" in doc:  # coverage table
         failed = doc.get("failed_trials")
         extra = f", {failed} failed trials" if failed else ""
-        print(f"coverage table ({len(doc['rows'])} rows{extra})")
-        for row in doc["rows"]:
-            print(
-                f"  {row['bound']} [{row['method']}] deltas={row['deltas']} "
-                f"trials={row['trials']} mean_bound={row['mean_bound']:.4f} "
-                f"mean_truth={row['mean_truth']:.4f} "
-                f"failure_rate={row['failure_rate']:.4f}"
-            )
-        return EXIT_OK
-    print(f"joint confidence: {doc['joint_confidence']:.6f}")
+        return [f"coverage table ({len(doc['rows'])} rows{extra})"] + [
+            f"  {row['bound']} [{row['method']}] deltas={row['deltas']} "
+            f"trials={row['trials']} mean_bound={row['mean_bound']:.4f} "
+            f"mean_truth={row['mean_truth']:.4f} "
+            f"failure_rate={row['failure_rate']:.4f}"
+            for row in doc["rows"]
+        ]
+    lines = [f"joint confidence: {doc['joint_confidence']:.6f}"]
     for rep in doc["reports"]:
         value = rep["lower_bound"] if rep["lower_bound"] is not None else rep["upper_bound"]
         kind = ">=" if rep["lower_bound"] is not None else "<="
         flags = f" flags={','.join(rep['flags'])}" if rep["flags"] else ""
-        print(
+        lines.append(
             f"  {rep['bound_id']}: {rep['quantity']} {kind} {value:.6f} "
             f"at confidence {rep['confidence']:.4f}{flags}"
         )
+    return lines
+
+
+def cmd_report(args) -> int:
+    print("\n".join(_read_json(getattr(args, "in"), _report_lines, report=True)))
     return EXIT_OK
 
 
@@ -371,6 +378,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except MatchcertError as e:
         print(f"matchcert: error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except UnicodeDecodeError as e:  # a TSV file's reason names the file
+        print(f"matchcert: error: invalid-encoding: {e}", file=sys.stderr)
         return EXIT_ERROR
     except OSError as e:
         print(f"matchcert: i/o error: {e}", file=sys.stderr)

@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .batch import BatchValidationInput, batch_reports, true_batch_metrics
-from .bounds import BoundMethod, DeltaBudget
+from .bounds import BoundMethod, Confidence
 from .errors import MatchcertError
 from .graphs import matches_of
 from .matchers import MatcherConfig, build_matcher, run_batch, with_extra_seeds
@@ -114,8 +114,7 @@ class ExperimentConfig:
             raise MatchcertError(f"invalid-trials: {self.trials}")
         if not self.methods:
             raise MatchcertError("invalid-methods: no bound method given")
-        if not 0.0 < self.delta_total < 1.0:
-            raise MatchcertError(f"invalid-confidence: {self.delta_total}")
+        Confidence(self.delta_total)
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,10 +161,6 @@ class TrialRecord:
     vacuous: bool
 
 
-def _deltas_str(budget: DeltaBudget) -> str:
-    return ";".join(repr(p.delta) for p in budget.parts)
-
-
 def _trial_seed(seed: int, idx: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(idx, 0xC0FFEE))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -185,7 +180,7 @@ def _record(method: BoundMethod, report: ValidationReport, truth: float) -> Tria
     return TrialRecord(
         bound_id=report.bound_id,
         method=method.value,
-        deltas=_deltas_str(report.budget),
+        deltas=";".join(map(repr, report.delta_parts)),
         bound=bound,
         truth=truth,
         failed=bound > truth if lower else bound < truth,

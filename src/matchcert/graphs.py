@@ -16,6 +16,11 @@ line, as in Python's universal newlines):
   rejected.
 * match file: ``x<TAB>y`` lines, ``#`` comments.
 
+A node id is not empty or whitespace only, holds no tab, LF or CR, and
+does not start with ``#``; an attribute key or value holds no tab, LF or
+CR. So every network ``make_network`` accepts, ``save_network`` writes a
+file that ``load_network`` reads back equal.
+
 Blank and whitespace-only lines (whitespace as ``str.isspace`` defines
 it) are skipped. Node ids sort by Unicode code point.
 
@@ -59,7 +64,8 @@ would fail: only when a bulk check fails does a walk over the decoded
 lines find the first bad line in file order and raise ``malformed-line``
 or ``self-loop`` with its line number. A file whose lines are all well
 formed can still fail as a whole: ``unknown-node`` names the smallest id
-used but not declared, and ``invalid-node-id`` an empty id.
+used but not declared, and ``invalid-node-id`` the least id that is empty,
+whitespace only or starts with ``#``.
 """
 
 from __future__ import annotations
@@ -95,10 +101,12 @@ __all__ = [
 ]
 
 
-def _check_node_id(node: str) -> str:
-    if not node or "\t" in node or "\n" in node:
+def _check_node_id(node: str) -> None:
+    """Raise unless ``node`` is a node id: not empty or whitespace only,
+    with no tab, LF or CR, and not starting with ``#``, so a network file
+    holds it as one field of a line that is neither blank nor a comment."""
+    if not node or node[0] == "#" or node.isspace() or any(c in node for c in "\t\n\r"):
         raise MatchcertError(f"invalid-node-id: {node!r}")
-    return node
 
 
 def distinct_sorted(keys: np.ndarray) -> np.ndarray:
@@ -230,8 +238,11 @@ class Network:
 
 
 def _sorted_ids(nodes: Iterable[str]) -> tuple[list[str], dict[str, int]]:
-    """The distinct checked ids in sorted order, and id -> position."""
-    ids = sorted({_check_node_id(n) for n in nodes})
+    """The distinct checked ids in sorted order, and id -> position; a bad
+    id fails naming the least."""
+    ids = sorted(set(nodes))
+    for node in ids:
+        _check_node_id(node)
     return ids, dict(zip(ids, range(len(ids))))
 
 
@@ -240,7 +251,9 @@ def make_network(
     edges: Iterable[tuple[str, str]],
     attrs: Mapping[str, Mapping[str, str]] | None = None,
 ) -> Network:
-    """Build a validated Network; edges are deduplicated and canonicalized."""
+    """Build a validated Network; edges are deduplicated and canonicalized.
+    An attribute key or value holds no tab, LF or CR (``invalid-attribute``),
+    so ``save_network`` writes it as one field."""
     ids, pos = _sorted_ids(nodes)
     edges = list(edges)
     ends = np.fromiter(
@@ -256,9 +269,12 @@ def make_network(
             raise MatchcertError(f"self-loop: edge ({a!r}, {b!r})")
         raise MatchcertError(f"unknown-node: edge endpoint {a!r} or {b!r}")
     attrs = dict(attrs or {})
-    for node in attrs:
+    for node, values in attrs.items():
         if node not in pos:
             raise MatchcertError(f"unknown-node: attribute for {node!r}")
+        for text in (*values, *values.values()):
+            if "\t" in text or "\n" in text or "\r" in text:
+                raise MatchcertError(f"invalid-attribute: {node!r}: {text!r}")
     return Network(NodeIndex.build(ids, pos, u, v), attrs)
 
 
@@ -474,7 +490,11 @@ def _scan(path: str | Path) -> _Lines:
     whitespace.
     """
     text = Path(path).read_bytes()
-    text.decode("utf-8")  # fails as read_text fails
+    try:
+        text.decode("utf-8")  # fails as read_text fails, naming the file
+    except UnicodeDecodeError as e:
+        reason = f"{e.reason} in {path}"
+        raise UnicodeDecodeError(e.encoding, e.object, e.start, e.end, reason) from None
     if b"\r" in text:
         text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     buf = np.frombuffer(text + b"\n" + bytes(8), dtype=np.uint8)
@@ -605,9 +625,15 @@ def load_network(path: str | Path) -> Network:
                 f"unknown-node: {name!r} used but not declared in {path}"
             )
         rep, at = rep[declared], np.cumsum(declared) - 1
-    if rep.size and tok_start[rep[0]] == tok_stop[rep[0]]:
-        raise MatchcertError("invalid-node-id: ''")
     ids = lines.strings(tok_start[rep], tok_stop[rep])
+    # the ids _check_node_id rejects that a line can hold: "", "#..." and
+    # whitespace only, tested on the ids whose first byte allows it
+    lead = lines.buf[tok_start[rep]]
+    bad = (tok_start[rep] == tok_stop[rep]) | (lead == ord("#"))
+    for i in np.flatnonzero(_MAYBE_BLANK[lead]).tolist():
+        bad[i] |= ids[i].isspace()
+    if bad.any():
+        raise MatchcertError(f"invalid-node-id: {ids[int(np.argmax(bad))]!r}")
     rows = gather_runs(lines.buf, attr_node, end[attr] + 1 - attr_node).tobytes()
     return Network(
         NodeIndex.build(ids, dict(zip(ids, range(len(ids)))), at[u], at[v]),

@@ -70,7 +70,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundMethod, Confidence, DeltaBudget, bound_term
+from .bounds import BoundMethod, Confidence, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
@@ -287,16 +287,15 @@ def holdout_query_bounds(
     inp: QueryValidationInput, columns: Columns | None = None
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at ``inp.delta``
-    (combine with union_confidence to hold both jointly)."""
-    budget = DeltaBudget.equal_split(inp.delta, 1)
+    (``reports.combine_reports`` gives the confidence that both hold)."""
     columns = columns or _columns(inp)
     reports = []
     for quantity in ("precision", "recall"):
-        terms = _holdout_term(inp, columns, quantity, budget.parts[0])
+        terms = _holdout_term(inp, columns, quantity, Confidence(inp.delta))
         reports.append(
             build_report(
                 f"holdout-query-{quantity}",
-                budget,
+                (inp.delta,),
                 _payload(inp),
                 terms,
                 terms[f"{quantity}_term"].value,
@@ -317,26 +316,25 @@ def complete_query_recall(
     """Holdout recall minus the disagreement rate rescaled by the matched
     fraction of X; reduces exactly to the holdout certificate when the
     complete matcher is the same function as the holdout one."""
-    budget = DeltaBudget.equal_split(inp.delta, 3)
-    d_r, d_x, d_frac = budget.parts
+    delta = Confidence(inp.delta / 3)
     _require_complete(inp)
     columns = columns or _columns(inp)
-    terms = {**_holdout_term(inp, columns, "recall", d_r), "disagreement_term": 0.0}
+    terms = {**_holdout_term(inp, columns, "recall", delta), "disagreement_term": 0.0}
     recall = terms["recall_term"]
     value, denominator, flags = recall.value, None, ("reduced-to-holdout",)
     if not columns.reduced:
         d_ub = terms["disagreement_term"] = bound_term(
-            inp.n_x, columns.d_r[columns.n :].tolist(), inp.method, d_x, "upper"
+            inp.n_x, columns.d_r[columns.n :].tolist(), inp.method, delta, "upper"
         )
         frac_lb = terms["matched_fraction_term"] = bound_term(
-            inp.n_x, columns.matched.tolist(), inp.method, d_frac, "lower"
+            inp.n_x, columns.matched.tolist(), inp.method, delta, "lower"
         )
         value, denominator, flags = (
             (lambda: recall.value - d_ub.value / frac_lb.value), frac_lb.value, ()
         )
     return build_report(
         "complete-query-recall",
-        budget,
+        (delta.delta,) * 3,
         _payload(inp),
         terms,
         value,
@@ -358,16 +356,15 @@ def complete_query_precision(
     such node of s_x' fails with ``kcap-violated``. The range used is
     recorded in the terms.
     """
-    budget = DeltaBudget.equal_split(inp.delta, 4)
-    d1, d2, d3, d4 = budget.parts
+    delta = Confidence(inp.delta / 4)
     _require_complete(inp)
     columns = columns or _columns(inp)
     n = columns.n
 
-    terms = _holdout_term(inp, columns, "precision", d2)
+    terms = _holdout_term(inp, columns, "precision", delta)
     precision = terms["precision_term"]
-    h_frac = bound_term(inp.n_x, columns.h_ind[n:].tolist(), inp.method, d1, "lower")
-    c_frac = bound_term(inp.n_x, columns.c_ind[n:].tolist(), inp.method, d4, "upper")
+    h_frac = bound_term(inp.n_x, columns.h_ind[n:].tolist(), inp.method, delta, "lower")
+    c_frac = bound_term(inp.n_x, columns.c_ind[n:].tolist(), inp.method, delta, "upper")
     terms.update(
         holdout_fraction_term=h_frac, complete_fraction_term=c_frac, dp_term=0.0
     )
@@ -387,13 +384,13 @@ def complete_query_precision(
                 "identified matches"
             )
         dp = terms["dp_term"] = bound_term(
-            inp.n_x, d_p.tolist(), inp.method, d3, "upper", lo=lo, hi=hi
+            inp.n_x, d_p.tolist(), inp.method, delta, "upper", lo=lo, hi=hi
         )
         terms.update(dp_range_lo=lo, dp_range_hi=hi)
         dp_ub = dp.value
     return build_report(
         "complete-query-precision",
-        budget,
+        (delta.delta,) * 4,
         _payload(inp),
         terms,
         lambda: (h_frac.value * precision.value - dp_ub) / c_frac.value,
@@ -413,10 +410,10 @@ def error_rate_bounds(
     sample, since a complete-matcher error needs the holdout matcher to
     err or the two matchers to differ.
     """
-    budget = DeltaBudget.equal_split(inp.delta, 1 if inp.complete is None else 2)
-    d_error, *d_diff = budget.parts
+    k = 1 if inp.complete is None else 2
+    delta = Confidence(inp.delta / k)
     columns = columns or _columns(inp)
-    error = bound_term(inp.n_x, columns.w.tolist(), inp.method, d_error, "upper")
+    error = bound_term(inp.n_x, columns.w.tolist(), inp.method, delta, "upper")
     terms = {"error_term": error}
     disagreement, flags = 0.0, ()
     if inp.complete is None:
@@ -428,13 +425,12 @@ def error_rate_bounds(
             flags = ("reduced-to-holdout",)
         else:
             diff = terms["disagreement_term"] = bound_term(
-                inp.n_x, columns.diff[columns.n :].tolist(), inp.method, d_diff[0],
-                "upper",
+                inp.n_x, columns.diff[columns.n :].tolist(), inp.method, delta, "upper"
             )
             disagreement = diff.value
     return build_report(
         f"{variant}-query-error-rate",
-        budget,
+        (delta.delta,) * k,
         _payload(inp),
         terms,
         error.value + disagreement,
@@ -447,9 +443,10 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     error rate, then, when a complete matcher is given, complete recall,
     precision and error rate.
 
-    The reports hold jointly at the union bound of their budgets, each
-    ``inp.delta``. The holdout certificates see the input without the
-    complete matcher. The columns are built once for all the certificates.
+    Each report fails with probability at most ``inp.delta``, so they hold
+    jointly by the union bound. The holdout certificates see the input
+    without the complete matcher. The columns are built once for all the
+    certificates.
     """
     holdout = replace(inp, complete=None)
     columns = _columns(inp)

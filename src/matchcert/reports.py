@@ -2,7 +2,7 @@
 
 A report's ``inputs_digest`` hashes one plain JSON object: the fields of
 its certificate's input, which a callable encodes when the digest is
-first read, plus the bound id and the budget's deltas. The object is
+first read, plus the bound id and the report's delta parts. The object is
 assembled from each field's JSON (:func:`digest_of_encoded`), so a field
 that several reports share, such as a match set's pairs, is encoded once
 for all of them. The sampled-node checks that both certifiers run on s_x
@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import DeltaBudget, Term, union_confidence
+from .bounds import Term
 from .errors import MatchcertError
 from .graphs import pair_keys
 
@@ -107,7 +107,7 @@ def digest_of_encoded(fields: Mapping[str, str]) -> str:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """One certified bound with its failure-probability budget.
+    """One certified bound with the failure probabilities of its terms.
 
     ``lower_bound`` is set for precision/recall certificates, and
     ``upper_bound`` for error-rate certificates. ``terms`` holds the named
@@ -115,7 +115,9 @@ class ValidationReport:
     ``term_methods`` the bound family actually used per term (a term may
     be downgraded, e.g. when the exact method is inapplicable to it).
 
-    ``inputs_digest`` hashes the bound id, the budget's deltas and the
+    ``delta_parts`` holds one delta per bound term, and ``delta_total``
+    their sum, the report's failure probability by the union bound.
+    ``inputs_digest`` hashes the bound id, the delta parts and the
     input fields, whose :func:`encode` JSON ``payload`` returns, as one
     plain JSON object. It is computed when first read, so a caller that
     never reads it (a coverage trial) never builds the fields. A pickled
@@ -127,7 +129,7 @@ class ValidationReport:
     quantity: str  # precision | recall | error-rate
     variant: str  # holdout | complete
     mode: str  # batch | query
-    budget: DeltaBudget
+    delta_parts: tuple[float, ...]
     lower_bound: float | None = None
     upper_bound: float | None = None
     terms: Mapping[str, float] = field(default_factory=dict)
@@ -144,7 +146,7 @@ class ValidationReport:
         return digest_of_encoded({
             **self.payload(),
             "bound_id": encode(self.bound_id),
-            "deltas": encode([p.delta for p in self.budget.parts]),
+            "deltas": encode(self.delta_parts),
         })
 
     def __getstate__(self) -> dict:
@@ -161,11 +163,11 @@ class ValidationReport:
 
     @property
     def delta_total(self) -> float:
-        return self.budget.total
+        return sum(self.delta_parts)
 
     @property
     def confidence(self) -> float:
-        return 1.0 - self.budget.total
+        return 1.0 - self.delta_total
 
     @property
     def vacuous(self) -> bool:
@@ -179,7 +181,7 @@ class ValidationReport:
             "mode": self.mode,
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
-            "delta_parts": [p.delta for p in self.budget.parts],
+            "delta_parts": list(self.delta_parts),
             "delta_total": self.delta_total,
             "confidence": self.confidence,
             "terms": dict(sorted(self.terms.items())),
@@ -191,7 +193,7 @@ class ValidationReport:
 
 def build_report(
     bound_id: str,
-    budget: DeltaBudget,
+    delta_parts: tuple[float, ...],
     inputs: Callable[[], Mapping[str, str]],
     terms: Mapping[str, Term | float],
     value: float | Callable[[], float],
@@ -212,7 +214,7 @@ def build_report(
     the fields of the certificate's input, each as its :func:`encode`
     JSON; it is called when the report's
     ``inputs_digest`` is first read, not here, and its result is hashed
-    with the bound id and the budget's deltas. It should close over the
+    with the bound id and ``delta_parts``. It should close over the
     input's fields rather than the input, so that a report does not keep
     the input's networks alive.
     """
@@ -230,7 +232,7 @@ def build_report(
         quantity=quantity,
         variant=variant,
         mode=mode,
-        budget=budget,
+        delta_parts=delta_parts,
         lower_bound=None if upper else value,
         upper_bound=value if upper else None,
         terms={k: t.value if isinstance(t, Term) else t for k, t in terms.items()},
@@ -255,7 +257,10 @@ class SimultaneousReport:
 
 
 def combine_reports(reports) -> SimultaneousReport:
+    """The reports, holding jointly at 1 minus their delta parts' sum (in
+    report order); ``budget-exhausted`` for none or a sum of 1 or more."""
     reports = tuple(reports)
-    parts = tuple(p for r in reports for p in r.budget.parts)
-    joint = union_confidence(DeltaBudget(parts))
-    return SimultaneousReport(reports, joint)
+    total = sum(p for r in reports for p in r.delta_parts)
+    if not reports or total >= 1.0:
+        raise MatchcertError(f"budget-exhausted: deltas sum to {total}")
+    return SimultaneousReport(reports, 1.0 - total)

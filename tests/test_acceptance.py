@@ -28,7 +28,6 @@ from matchcert.batch import (
 from matchcert.bounds import (
     BoundMethod,
     Confidence,
-    DeltaBudget,
     PopulationSpec,
     SampleSummary,
     bound_mean,
@@ -40,7 +39,6 @@ from matchcert.bounds import (
     hypergeom_tail_lower,
     hypergeom_tail_upper,
     sample_sigma_hat,
-    union_confidence,
 )
 from matchcert.coverage import ExperimentConfig, SampleSizes, run_coverage
 from matchcert.graphs import by_x, make_match_set
@@ -415,8 +413,6 @@ def test_criterion_6_subsampling_law():
 
 def test_criterion_7_union_bound_arithmetic():
     with criterion(7, "union-bound worked example and simultaneous report"):
-        assert union_confidence(DeltaBudget.equal_split(0.05, 2)) == 0.95
-
         # two identified-match subsets validated simultaneously
         cfg = GeneratorConfig(
             n_entities=60, base_model=ErdosRenyi(0.1), rng_seed=3

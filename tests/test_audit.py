@@ -1,4 +1,4 @@
-"""Exact audit of the single-sample holdout certificates on tiny worlds.
+"""Exact audit of the holdout certificates on tiny worlds.
 
 Each world has 12 nodes a side and a fixed holdout matcher, so the only
 randomness is the verified sample. Every s_x (every s_m for batch recall)
@@ -12,10 +12,18 @@ The one-to-many world gives x0 and x1 the matches {y0, y1} each, so p(x)
 is not 0/1 on the identified nodes: the exact method's binary premise
 fails on the population even where a sample's values happen to be 0/1.
 
-The two-sample and complete certificates are not audited here.
+Holdout batch precision draws two independent samples, s_m and s_x. Its
+report reads s_m only through the hit count and s_x only through the
+verified-match count, so the audit groups each sample's enumeration by
+that count, certifies one pair of samples per pair of classes, and
+weights it by the classes' sizes; a second member of each class must give
+an equal report. It adds a "near" world, with precision and recall 0.9.
+
+The complete certificates are not audited here.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +31,7 @@ import pytest
 
 from matchcert.batch import (
     BatchValidationInput,
+    holdout_batch_precision,
     holdout_batch_recall,
     true_batch_metrics,
 )
@@ -143,3 +152,67 @@ def test_holdout_batch_recall_holds_exactly(world, method, size):
     shares, raised = _audit(certify, list(itertools.combinations(TRUTH, size)), truths)
     assert not raised, raised
     assert all(share <= DELTA for share in shares.values()), shares
+
+
+# right on x0..x8, wrong on x10, nothing for x9 and x11
+NEAR = [(f"x{i}", f"y{i}") for i in range(9)] + [("x10", "y10")]
+PRECISION_WORLDS = {**WORLDS, "near": NEAR}
+
+
+def _classes(population, size, count):
+    """The samples of ``size`` from ``population``, grouped by
+    ``count(sample)``: {count: [class size, first member, last member]}."""
+    classes = {}
+    for sample in itertools.combinations(population, size):
+        group = classes.setdefault(count(sample), [0, sample, sample])
+        group[0] += 1
+        group[2] = sample
+    return classes
+
+
+def _read(report) -> dict:
+    """A report's fields but its digest, which hashes the samples."""
+    return {k: v for k, v in report.to_json_dict().items() if k != "inputs_digest"}
+
+
+@pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(PRECISION_WORLDS))
+def test_holdout_batch_precision_holds_exactly(name, method):
+    pair, holdout = _world(PRECISION_WORLDS[name])
+    truth = make_match_set(TRUTH, pair)
+    per_x = by_x(truth)
+    actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.index.ids}
+    m_hat = run_batch(holdout, pair)
+    precision = true_batch_metrics(pair, m_hat, truth)[0]
+    identified = m_hat.pairs
+
+    def certify(s_m, s_x):
+        inp = BatchValidationInput(
+            pair, m_hat, s_m, s_x, actual_for, method, DELTA, m_size=len(TRUTH)
+        )
+        return holdout_batch_precision(inp)
+
+    def share(size_m, size_x):
+        """The exact share of (s_m, s_x) whose report lies above the truth,
+        and every class pair's report."""
+        by_hits = _classes(TRUTH, size_m, lambda s: len(identified.intersection(s)))
+        by_found = _classes(
+            pair.x_net.index.ids, size_x, lambda s: sum(len(actual_for[x]) for x in s)
+        )
+        failed, reports = Fraction(0), []
+        for n_m, first_m, last_m in by_hits.values():
+            for n_x, first_x, last_x in by_found.values():
+                report = certify(first_m, first_x)
+                assert _read(certify(last_m, last_x)) == _read(report)
+                assert report.delta_total == pytest.approx(DELTA)
+                reports.append(report)
+                failed += (report.lower_bound > precision) * n_m * n_x
+        total = math.comb(len(TRUTH), size_m) * math.comb(N, size_x)
+        return failed / total, reports
+
+    shares = {(m, x): share(m, x)[0] for m in SIZES for x in SIZES}
+    assert all(s <= DELTA for s in shares.values()), shares
+    # At census sizes every term may sit exactly at its truth, and the
+    # product of the terms can then exceed the truth by rounding alone.
+    _, census = share(len(TRUTH), N)
+    assert all(r.lower_bound <= precision + 4 * math.ulp(precision) for r in census)

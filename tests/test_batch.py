@@ -470,7 +470,7 @@ class TestBatchReports:
             "holdout-batch-recall",
             "holdout-batch-precision",
         ]
-        assert [len(r.budget.parts) for r in reports] == [1, 2]
+        assert [len(r.delta_parts) for r in reports] == [1, 2]
 
     def test_digest_is_of_each_certificates_inputs(self, world):
         # the certificates of one call share their inputs; each digest
@@ -498,7 +498,7 @@ class TestBatchReports:
                 "s_x": sorted(s_x),
                 "k_y": 1,
                 "method": HG.value,
-                "deltas": [p.delta for p in r.budget.parts],
+                "deltas": list(r.delta_parts),
                 "m_size": len(truth.pairs),
                 "m_size_upper": None,
             }
@@ -636,7 +636,7 @@ class TestDeferredDigest:
                 "s_x": sorted(inp.s_x),
                 "k_y": 1,
                 "method": HG.value,
-                "deltas": [p.delta for p in r.budget.parts],
+                "deltas": list(r.delta_parts),
                 "m_size": len(truth.pairs),
                 "m_size_upper": None,
             })

@@ -11,7 +11,6 @@ from matchcert.bounds import (
     KAPPA,
     BoundMethod,
     Confidence,
-    DeltaBudget,
     MatchcertError,
     PopulationSpec,
     SampleSummary,
@@ -27,10 +26,10 @@ from matchcert.bounds import (
     rho_s,
     sample_mean,
     sample_sigma_hat,
-    union_confidence,
 )
 
 import matchcert.bounds as bounds_module
+from matchcert.reports import ValidationReport, combine_reports
 from oracles import (
     hypergeom_invert_lower_reference,
     hypergeom_invert_upper_reference,
@@ -497,19 +496,27 @@ class TestStandInPopulationSize:
         assert failures == []
 
 
-class TestDeltaBudget:
+def _report(*parts: float) -> ValidationReport:
+    return ValidationReport("holdout-batch-recall", "recall", "holdout", "batch", parts)
+
+
+class TestCombineReports:
+    """The union bound over reports' delta parts, summed in report order."""
+
     def test_union_worked_example(self):
         # two subsets validated at 2.5% each hold jointly at 95%
-        assert union_confidence(DeltaBudget.equal_split(0.05, 2)) == 0.95
+        assert combine_reports([_report(0.025), _report(0.025)]).joint_confidence == 0.95
 
     def test_single_term(self):
-        assert union_confidence(DeltaBudget.equal_split(0.07, 1)) == pytest.approx(0.93)
+        assert combine_reports([_report(0.07)]).joint_confidence == pytest.approx(0.93)
 
     def test_exhausted(self):
-        with pytest.raises(MatchcertError, match="budget-exhausted"):
-            DeltaBudget.equal_split(1.2, 2)
+        for reports in ([_report(0.6), _report(0.6)], [_report(0.5, 0.5)], []):
+            with pytest.raises(MatchcertError, match="^budget-exhausted: "):
+                combine_reports(reports)
 
-    def test_equal_split(self):
-        b = DeltaBudget.equal_split(0.05, 4)
-        assert len(b.parts) == 4
-        assert b.total == pytest.approx(0.05)
+    def test_equal_parts(self):
+        report = _report(*(0.05 / 4,) * 4)
+        assert report.delta_total == pytest.approx(0.05)
+        assert report.confidence == pytest.approx(0.95)
+        assert combine_reports([report]).joint_confidence == pytest.approx(0.95)

@@ -463,6 +463,26 @@ class TestValidateQuery:
         by_id = {r["bound_id"]: r for r in doc["reports"]}
         assert "reduced-to-holdout" in by_id["complete-query-recall"]["flags"]
 
+    def test_reports_whose_deltas_sum_to_one_exit_one(self, tmp_path, world, capsys):
+        # six certificates at 0.2 each: the union bound holds at no level
+        matcher = write(
+            tmp_path / "matcher.json",
+            json.dumps({"kind": "attribute-exact", "attr_key": "uid"}),
+        )
+        s_x = write(tmp_path / "s_x.txt", "x0\nx1\nx2\n")
+        rc = main([
+            "validate", "query",
+            "--x", str(world / "x.tsv"), "--y", str(world / "y.tsv"),
+            "--matcher", str(matcher), "--matcher-complete", str(matcher),
+            "--s-x", str(s_x), "--s-x-prime", str(s_x),
+            "--actual", str(world / "matches.tsv"),
+            "--delta", "0.2", "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("matchcert: error: budget-exhausted: deltas sum to 1.2")
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestCoverage:
     def make_config(self, tmp_path, seed=11):
@@ -603,6 +623,53 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--in", str(out)]) == 0
         assert "joint confidence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("{", "JSONDecodeError"),
+            ('{"a": 1}', "KeyError: 'joint_confidence'"),
+            ('{"rows": [{"bound": "b"}]}', "KeyError: 'method'"),
+            ("[]", "TypeError"),
+        ],
+    )
+    def test_malformed_file_exits_one_with_token(self, tmp_path, capsys, text, reason):
+        f = write(tmp_path / "odd.json", text)
+        assert main(["report", "--in", str(f)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"matchcert: error: invalid-report: {f}: {reason}")
+
+
+class TestBadEncoding:
+    """A TSV or item file that is not UTF-8 fails with a token naming it."""
+
+    def test_match_network_file(self, tmp_path, world, capsys):
+        x = tmp_path / "x.tsv"
+        x.write_bytes((world / "x.tsv").read_bytes() + b"#node\t\xff\n")
+        cfg = write(tmp_path / "matcher.json", json.dumps({"kind": "attribute-exact"}))
+        rc = main([
+            "match", "--x", str(x), "--y", str(world / "y.tsv"),
+            "--config", str(cfg), "--out", str(tmp_path / "m.tsv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("matchcert: error: invalid-encoding: ")
+        assert f"invalid start byte in {x}" in err
+
+    def test_split_items_file(self, tmp_path, capsys):
+        items = tmp_path / "items.txt"
+        items.write_bytes(b"a\nb\xfe\n")
+        rc = main([
+            "split", "--items", str(items), "--population-n", "2",
+            "--train-size", "1", "--validation-size", "1",
+            "--train-out", str(tmp_path / "t.txt"),
+            "--validation-out", str(tmp_path / "v.txt"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("matchcert: error: invalid-encoding: ")
+        assert f"in {items}" in err
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

@@ -301,11 +301,28 @@ class TestMakeNetworkReference:
             (["a", ""], [], "invalid-node-id"),
             (["a", "b\tc"], [("a", "zz")], "invalid-node-id"),  # ids before edges
             (["a\nb"], [], "invalid-node-id"),
+            (["a\rb"], [], "invalid-node-id"),
+            (["#x", "c"], [("#x", "c")], "invalid-node-id"),
+            ([" ", "\u3000"], [(" ", "\u3000")], "invalid-node-id"),
         ],
     )
     def test_bad_input(self, nodes, edges, token):
         with pytest.raises(MatchcertError, match=f"^{token}:"):
             make_network(nodes, edges)
+
+    def test_bad_id_named_is_the_least(self):
+        cases = [(["z", "#b", "", "#a"], ""), (["z", "#b", "a\r", "#a"], "#a")]
+        for nodes, least in cases:
+            with pytest.raises(MatchcertError) as got:
+                make_network(nodes, [])
+            assert str(got.value) == f"invalid-node-id: {least!r}"
+
+    @pytest.mark.parametrize(
+        "attrs", [{"a": {"k": "v\tw"}}, {"a": {"k\nx": "v"}}, {"a": {"k": "v\rw"}}]
+    )
+    def test_attribute_text_holds_no_line_or_field_break(self, attrs):
+        with pytest.raises(MatchcertError, match="^invalid-attribute: 'a': "):
+            make_network(["a"], [], attrs)
 
     def test_edge_that_is_not_a_pair(self):
         # a triple and a single must not pair up into two edges
@@ -394,6 +411,54 @@ class TestNetworkIO:
         save_network(again, f2)
         assert f.read_bytes() == f2.read_bytes()
 
+    def test_every_network_make_network_accepts_round_trips(self, tmp_path):
+        # ids and attribute text with the bytes a line-based file treats
+        # specially: make_network rejects them, or they survive save/load
+        rng = random.Random(20261019)
+        odd = ["", "#", "\t", "\n", "\r", "\r\n", " ", "\0", "é", "\x85"]
+        f = tmp_path / "net.tsv"
+        outcomes = {"round-trip": 0, "invalid-node-id": 0, "invalid-attribute": 0}
+        for _ in range(300):
+            ids = [
+                rng.choice([f"{rng.choice(odd)}n{i}{rng.choice(odd)}", " \x85" * i])
+                if rng.random() < 0.3 else f"n{i}"
+                for i in range(1, rng.randint(3, 7))
+            ]
+            edges = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 6))]
+            attrs = {
+                node: {f"k{rng.choice(odd)}": f"{rng.choice(odd)}v{rng.choice(odd)}"}
+                for node in rng.sample(ids, rng.randint(0, 2))
+            }
+            try:
+                net = make_network(ids, edges, attrs)
+            except MatchcertError as e:
+                outcomes[str(e).split(":")[0]] += 1
+                continue
+            save_network(net, f)
+            again = load_network(f)
+            assert again == net and dict(again.attrs) == attrs
+            outcomes["round-trip"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
+
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            # save_network would write the edge (#x, c) as the comment "#x\tc"
+            ("#node\t#x\n#node\tc\nc\t#x\n", "#x"),
+            ("c\t#x\n", "#x"),
+            ("a\tb\n#attr\t#x\tk\tv\n", "#x"),
+            # and an edge between two such ids as a blank line
+            ("#node\t\u3000\n#node\ta\na\t\u3000\n", "\u3000"),
+            ("a\t \n", " "),
+        ],
+    )
+    def test_load_rejects_an_id_no_line_can_hold(self, tmp_path, text, bad):
+        f = tmp_path / "net.tsv"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(MatchcertError) as got:
+            load_network(f)
+        assert str(got.value) == f"invalid-node-id: {bad!r}"
+
     def test_generated_world_round_trip(self, tmp_path):
         cfg = GeneratorConfig(
             n_entities=300, base_model=ErdosRenyi(0.02), node_drop_x=0.1,
@@ -469,6 +534,7 @@ def _random_network_file(rng: random.Random) -> tuple[str, set[str]]:
             "\x1c", "\x85", "\xa0", "\u3000", " \x1f\u3000\t", "\xa0\x1e",
         ],
         "empty-id": ["n0\t", "\tn0", "#attr\t\tuid\t1", "#node\t"],
+        "hash-id": ["n0\t#h", "#node\t#h", "#attr\t#h\tuid\t1", "#h\tn0"],
         "self-loop-line": ["n0\tn0"],
         "wrong-field-count": [
             "#node\tn0\tn1", "#node", "#attr\tn0\tuid", "#attr\tn0\tuid\t1\t2",
@@ -516,7 +582,7 @@ class TestBulkParseReference:
         rng = random.Random(20261018)
         seen: dict[str, int] = {}
         f = tmp_path / "net.tsv"
-        for _ in range(500):
+        for _ in range(600):
             text, cases = _random_network_file(rng)
             f.write_bytes(text.encode("utf-8"))
             expected, error = _outcome(load_network_reference, f)
@@ -538,7 +604,8 @@ class TestBulkParseReference:
         expected_cases = {
             # what the files hold
             "node-lines", "no-node-lines", "undeclared-endpoint", "attr-unknown-node",
-            "attr-override", "comment", "blank", "crlf", "empty-id", "self-loop-line",
+            "attr-override", "comment", "blank", "crlf", "empty-id", "hash-id",
+            "self-loop-line",
             "duplicate-edges", "wrong-field-count", "tab-counts-cancel",
             "multibyte-ids", "long-ids", "nul-suffix", "unicode-blank", "lone-cr",
             "empty-file", "no-trailing-newline",

@@ -638,7 +638,7 @@ class TestQueryReports:
             "holdout-query-recall",
             "holdout-query-error-rate",
         ]
-        assert all(len(r.budget.parts) == 1 for r in reports)
+        assert all(len(r.delta_parts) == 1 for r in reports)
 
     def test_same_function_complete_never_runs(self, tiny, monkeypatch):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
@@ -677,7 +677,7 @@ class TestQueryReports:
                 "s_x": sorted(s_x),
                 "s_x_prime": sorted(s_x_prime),
                 "method": HG.value,
-                "deltas": [p.delta for p in r.budget.parts],
+                "deltas": list(r.delta_parts),
                 "k_cap": 1,
                 "holdout": holdout.config.to_json_dict(),
                 "complete": (
@@ -1114,7 +1114,7 @@ class TestSharedQueryInputs:
                     "s_x": sorted(inp.s_x),
                     "s_x_prime": sorted(inp.s_x_prime),
                     "method": HOEFF.value,
-                    "deltas": [p.delta for p in r.budget.parts],
+                    "deltas": list(r.delta_parts),
                     "k_cap": 1,
                     "holdout": inp.holdout.config.to_json_dict(),
                     "complete": (

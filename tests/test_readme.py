@@ -35,7 +35,7 @@ def test_library_tour_runs_and_its_numbers_hold():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert f"{namespace['res'].lower:.3f}" == "0.804"
-    assert [p.delta for p in namespace["report"].budget.parts] == [0.025, 0.025]
+    assert namespace["report"].delta_parts == (0.025, 0.025)
     joint = namespace["combine_reports"](namespace["reports"]).joint_confidence
     assert joint == pytest.approx(0.90)
 
