@@ -14,7 +14,8 @@ query, reports, coverage, synth or sampling modules. Only ``graphs`` (the
 file formats, which every command but ``report`` reads) and ``matchers``
 load with this module. perfbench's span tracer wraps the functions of the
 modules that ``import matchcert.cli`` loads, so its pipeline traces keep
-the parse and the matcher, the two largest costs of a stage.
+the parse and the matcher, the two largest costs of a stage. Likewise
+only the parser of the command being run is built (``_Command``).
 """
 
 from __future__ import annotations
@@ -286,21 +287,33 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="matchcert",
-        description="PAC certification of precision and recall for "
-        "network reconciliation algorithms",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command:
+    """A subcommand's parser, built only when its command runs.
 
-    p = sub.add_parser("gen", help="synthesize a correlated network pair")
+    argparse keeps the name and help of every subcommand on the parent's
+    subparsers action and hands a subparser nothing but the arguments after
+    its name, through ``parse_known_args``; so a process builds the parser
+    of the one command it runs, and help and error texts stay argparse's.
+    """
+
+    def __init__(self, add_arguments, **kwargs):
+        self._add_arguments = add_arguments
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._add_arguments(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="GeneratorConfig JSON file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("match", help="run a matcher in batch mode")
+
+def _match_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", required=True)
     p.add_argument("--y")
     p.add_argument("--self-match", action="store_true")
@@ -309,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("split", help="train/validation subsampling")
+
+def _split_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--items", required=True, help="one item id per line")
     p.add_argument("--population-n", type=int, required=True)
     p.add_argument("--train-size", type=int, required=True)
@@ -319,10 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validation-out", required=True)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("validate", help="compute certificates")
-    vsub = p.add_subparsers(dest="validate_mode", required=True)
 
-    b = vsub.add_parser("batch", help="batch-matcher certificates")
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
+    vsub = p.add_subparsers(dest="validate_mode", required=True, parser_class=_Command)
+    vsub.add_parser("batch", help="batch-matcher certificates",
+                    add_arguments=_validate_batch_arguments)
+    vsub.add_parser("query", help="query-matcher certificates",
+                    add_arguments=_validate_query_arguments)
+
+
+def _validate_batch_arguments(b: argparse.ArgumentParser) -> None:
     b.add_argument("--x", required=True)
     b.add_argument("--y")
     b.add_argument("--self-match", action="store_true")
@@ -339,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out")
     b.set_defaults(func=cmd_validate_batch)
 
-    q = vsub.add_parser("query", help="query-matcher certificates")
+
+def _validate_query_arguments(q: argparse.ArgumentParser) -> None:
     q.add_argument("--x", required=True)
     q.add_argument("--y")
     q.add_argument("--self-match", action="store_true")
@@ -357,17 +378,38 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out")
     q.set_defaults(func=cmd_validate_query)
 
-    p = sub.add_parser("coverage", help="Monte Carlo failure-rate experiment")
+
+def _coverage_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="ExperimentConfig JSON file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_coverage)
 
-    p = sub.add_parser("report", help="pretty-print a saved report")
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", required=True)
     p.set_defaults(func=cmd_report)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser; each subcommand's own parser is built
+    when that command runs (:class:`_Command`)."""
+    parser = argparse.ArgumentParser(
+        prog="matchcert",
+        description="PAC certification of precision and recall for "
+        "network reconciliation algorithms",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, help_text, add_arguments in (
+        ("gen", "synthesize a correlated network pair", _gen_arguments),
+        ("match", "run a matcher in batch mode", _match_arguments),
+        ("split", "train/validation subsampling", _split_arguments),
+        ("validate", "compute certificates", _validate_arguments),
+        ("coverage", "Monte Carlo failure-rate experiment", _coverage_arguments),
+        ("report", "pretty-print a saved report", _report_arguments),
+    ):
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
 

@@ -668,11 +668,11 @@ def read_pairs(path: str | Path) -> list[tuple[str, str]]:
 
 
 def read_items(path: str | Path) -> list[str]:
-    """The stripped lines of a one-item-per-line file, in file order;
-    ``#`` lines are comments."""
+    """The lines of a one-item-per-line file, verbatim and in file order;
+    ``#`` lines are comments and blank lines are skipped."""
     lines = _scan(path)
     rows = np.flatnonzero(lines.kind == _DATA)
-    return [item.strip() for item in lines.strings(lines.start[rows], lines.end[rows])]
+    return lines.strings(lines.start[rows], lines.end[rows])
 
 
 def load_matches(path: str | Path, pair: NetworkPair) -> MatchSet:

@@ -10,16 +10,23 @@ against the truth.
 The generator stays in ints until the end: each copy maps its surviving
 entities to their positions in sorted node-id order and builds its
 network's index (``graphs.NodeIndex.build``) from the int edge arrays.
-Node ids are formatted once per node, for that sort and the attributes;
-no string edge is built, and the truth set is built from the positions of
+No string edge is built, and the truth set is built from the positions of
 the entities kept by both copies.
+
+A copy's node ids depend only on its prefix and the entity count, so
+they are formatted and string-sorted once per universe (``_universe``)
+and each copy picks its survivors out of that table. The table of the
+last two universes stays in memory (one per side of a pair, about 1 MB at
+2,000 entities), so repeated trials of one configuration, as in a
+coverage run, never format or sort an id.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import compress
 
 import numpy as np
 
@@ -146,13 +153,30 @@ def _base_edges(cfg: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
     return np.array(edges, dtype=np.int64)
 
 
+@lru_cache(maxsize=2)
+def _universe(prefix: str, n: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """The node ids of entities 0..n-1 of a ``prefix`` copy: (the id of
+    each entity, the ids in string order, the entities in that order as a
+    read-only array).
+
+    Node ids sort as strings, not as entity numbers ("x10" < "x9"). The
+    cache holds one universe per side of a pair; its values are immutable,
+    so every copy can share them.
+    """
+    names = tuple(f"{prefix}{i}" for i in range(n))
+    order = sorted(range(n), key=names.__getitem__)
+    entities = np.array(order, dtype=np.int64)
+    entities.flags.writeable = False
+    return names, tuple(map(names.__getitem__, order)), entities
+
+
 def _uid_attrs(
-    names: list[str], entities: list[int], noisy: list[bool]
+    names: tuple[str, ...], survivors: np.ndarray, noisy: np.ndarray
 ) -> dict[str, dict[str, str]]:
-    """A copy's attributes, ``{node: {ATTR_KEY: uid}}``."""
+    """A copy's attributes, ``{node: {ATTR_KEY: uid}}``, in entity order."""
     return {
-        name: {ATTR_KEY: f"{i}{NOISE_MARK}" if mark else str(i)}
-        for name, i, mark in zip(names, entities, noisy)
+        names[i]: {ATTR_KEY: f"{i}{NOISE_MARK}" if mark else str(i)}
+        for i, mark in zip(survivors.tolist(), noisy[survivors].tolist())
     }
 
 
@@ -184,17 +208,15 @@ def _copy(
         kept_edges = base[alive & (rng_edges.random(base.shape[0]) < retain)]
     else:
         kept_edges = base
-    entities = survivors.tolist()
-    names = [f"{prefix}{i}" for i in entities]
-    # node ids sort as strings, not as entity numbers ("x10" < "x9")
-    order = sorted(range(len(names)), key=names.__getitem__)
-    ids = [names[k] for k in order]
+    names, sorted_names, order = _universe(prefix, n)
+    kept = keep[order]  # the keep mask in id order
+    ids = list(compress(sorted_names, kept.tolist()))
     at = np.empty(n, dtype=np.int64)  # entity -> position in ids
-    at[survivors[order]] = np.arange(len(ids))
+    at[order[kept]] = np.arange(len(ids))
     index = NodeIndex.build(
         ids, dict(zip(ids, range(len(ids)))), at[kept_edges[:, 0]], at[kept_edges[:, 1]]
     )
-    attrs = LazyAttrs(partial(_uid_attrs, names, entities, noisy[survivors].tolist()))
+    attrs = LazyAttrs(partial(_uid_attrs, names, survivors, noisy))
     return keep, at, Network(index, attrs)
 
 

@@ -53,12 +53,13 @@ def invert_upper_exact(n: int, s: int, k: int, delta: Fraction) -> Fraction:
 
 
 def hypergeom_invert_lower_reference(
-    n: int, s: int, k: int, delta: Confidence
+    n: int, s: int, k: int, delta: Confidence, slop: float = _TIE_EPS
 ) -> float:
     """Bisection over [k, n]: the exact lower bound before the guided search.
 
     Kept verbatim as the search's oracle; it reads the library's own tail,
-    so the two searches can be compared with ``==``.
+    so the two searches can be compared with ``==``. An m passes when its
+    tail is at least ``delta - slop``; ``slop=0`` inverts at delta exactly.
     """
     if not 0 <= k <= s <= n:
         raise MatchcertError(f"invalid-hypergeom-params: n={n}, s={s}, k={k}")
@@ -67,7 +68,7 @@ def hypergeom_invert_lower_reference(
     lo, hi = k, n  # tail is 0 below m = k and 1 at m = n
     while lo < hi:
         mid = (lo + hi) // 2
-        if hypergeom_tail_upper(mid, n, s, k) >= delta.delta - _TIE_EPS:
+        if hypergeom_tail_upper(mid, n, s, k) >= delta.delta - slop:
             hi = mid
         else:
             lo = mid + 1
@@ -75,9 +76,10 @@ def hypergeom_invert_lower_reference(
 
 
 def hypergeom_invert_upper_reference(
-    n: int, s: int, k: int, delta: Confidence
+    n: int, s: int, k: int, delta: Confidence, slop: float = _TIE_EPS
 ) -> float:
-    """Bisection over [0, n]: the exact upper bound before the guided search."""
+    """Bisection over [0, n]: the exact upper bound before the guided search,
+    with the lower bound's ``slop``."""
     if not 0 <= k <= s <= n:
         raise MatchcertError(f"invalid-hypergeom-params: n={n}, s={s}, k={k}")
     if k == s:
@@ -85,7 +87,7 @@ def hypergeom_invert_upper_reference(
     lo, hi = 0, n  # tail is 1 at m = 0
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if hypergeom_tail_lower(mid, n, s, k) >= delta.delta - _TIE_EPS:
+        if hypergeom_tail_lower(mid, n, s, k) >= delta.delta - slop:
             lo = mid
         else:
             hi = mid - 1
@@ -456,4 +458,4 @@ def read_pairs_reference(path):
 
 def read_items_reference(path):
     """graphs.read_items as one walk over the lines."""
-    return [raw.strip() for _, raw in _lines(path) if not raw.startswith("#")]
+    return [raw for _, raw in _lines(path) if not raw.startswith("#")]

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -354,6 +355,28 @@ class TestInversionSearch:
             assert any(counts)  # the counter sees the search's calls
             if not edges:
                 assert sum(counts) / len(counts) <= 8
+
+    def test_tie_slop_only_widens_the_interval(self, monkeypatch):
+        # _TIE_EPS's claim: inverting at delta - _TIE_EPS never narrows the
+        # interval of bisection at delta exactly, over every small case
+        tail = bounds_module._tail
+        deltas = [Confidence(delta) for delta in (0.01, 0.05, 0.1)]
+        widened = 0
+        for n in range(1, 41):
+            # the same floats, each computed once per n
+            monkeypatch.setattr(bounds_module, "_tail", functools.cache(tail))
+            for s in range(n + 1):
+                for k in range(s + 1):
+                    for d in deltas:
+                        lower = hypergeom_invert_lower(n, s, k, d)
+                        upper = hypergeom_invert_upper(n, s, k, d)
+                        exact = (
+                            hypergeom_invert_lower_reference(n, s, k, d, slop=0.0),
+                            hypergeom_invert_upper_reference(n, s, k, d, slop=0.0),
+                        )
+                        assert lower <= exact[0] and upper >= exact[1], (n, s, k, d)
+                        widened += (lower, upper) != exact
+        assert widened  # ties that the slop resolves occur on this grid
 
     def test_tail_slices_equal_gathers(self):
         # _tail reads the log-factorial table through slices; the values and

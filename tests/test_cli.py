@@ -463,6 +463,27 @@ class TestValidateQuery:
         by_id = {r["bound_id"]: r for r in doc["reports"]}
         assert "reduced-to-holdout" in by_id["complete-query-recall"]["flags"]
 
+    def test_sample_item_with_leading_space_names_its_node(self, tmp_path):
+        x = write(tmp_path / "x.tsv", "#node\t a\n#node\tb\n#attr\t a\tuid\t1\n")
+        y = write(tmp_path / "y.tsv", "#node\tc\n#attr\tc\tuid\t1\n")
+        matcher = write(
+            tmp_path / "matcher.json",
+            json.dumps({"kind": "attribute-exact", "attr_key": "uid"}),
+        )
+        out = tmp_path / "report.json"
+        rc = main(
+            [
+                "validate", "query", "--x", str(x), "--y", str(y),
+                "--matcher", str(matcher),
+                "--s-x", str(write(tmp_path / "s_x.txt", " a\n")),
+                "--actual", str(write(tmp_path / "actual.tsv", " a\tc\n")),
+                "--emit-node-stats", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        stats = json.loads(out.read_text())["node_stats"]
+        assert [(row["node"], row["p"], row["r"]) for row in stats] == [(" a", 1.0, 1.0)]
+
     def test_reports_whose_deltas_sum_to_one_exit_one(self, tmp_path, world, capsys):
         # six certificates at 0.2 each: the union bound holds at no level
         matcher = write(
@@ -733,3 +754,89 @@ class TestImportSurface:
         out = _fresh_python("-m", "matchcert", "--help").stdout
         listed = {line.split()[0] for line in out.splitlines() if line.startswith("    ")}
         assert listed == {"gen", "match", "split", "validate", "coverage", "report"}
+
+
+TOP_USAGE = "usage: matchcert [-h] {gen,match,split,validate,coverage,report} ...\n"
+TOP_HELP = TOP_USAGE + """
+PAC certification of precision and recall for network reconciliation
+algorithms
+
+positional arguments:
+  {gen,match,split,validate,coverage,report}
+    gen                 synthesize a correlated network pair
+    match               run a matcher in batch mode
+    split               train/validation subsampling
+    validate            compute certificates
+    coverage            Monte Carlo failure-rate experiment
+    report              pretty-print a saved report
+
+options:
+  -h, --help            show this help message and exit
+"""
+VALIDATE_USAGE = "usage: matchcert validate [-h] {batch,query} ...\n"
+VALIDATE_HELP = VALIDATE_USAGE + """
+positional arguments:
+  {batch,query}
+    batch        batch-matcher certificates
+    query        query-matcher certificates
+
+options:
+  -h, --help     show this help message and exit
+"""
+GEN_USAGE = "usage: matchcert gen [-h] --config CONFIG [--seed SEED] --out-dir OUT_DIR\n"
+BATCH_USAGE = """\
+usage: matchcert validate batch [-h] --x X [--y Y] [--self-match]
+                                --m-hat-holdout M_HAT_HOLDOUT
+                                [--m-hat-complete M_HAT_COMPLETE] --s-m S_M
+                                --s-x S_X --actual ACTUAL [--k-y K_Y]
+                                [--m-size M_SIZE]
+                                [--m-size-upper M_SIZE_UPPER]
+                                [--method METHOD] [--delta DELTA] [--out OUT]
+"""
+
+
+class TestParserText:
+    """Each command builds only its own parser; argparse's help and error
+    texts stay as they were when every parser was built up front."""
+
+    @pytest.fixture(autouse=True)
+    def _eighty_columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def _run(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        return info.value.code, out, err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["--help"], TOP_HELP), (["validate", "--help"], VALIDATE_HELP)],
+    )
+    def test_help(self, argv, text, capsys):
+        assert self._run(argv, capsys) == (0, text, "")
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            ([], TOP_USAGE + "matchcert: error: the following arguments are "
+             "required: command\n"),
+            (["bogus"], TOP_USAGE + "matchcert: error: argument command: invalid "
+             "choice: 'bogus' (choose from 'gen', 'match', 'split', 'validate', "
+             "'coverage', 'report')\n"),
+            (["validate"], VALIDATE_USAGE + "matchcert validate: error: the "
+             "following arguments are required: validate_mode\n"),
+            (["validate", "bogus"], VALIDATE_USAGE + "matchcert validate: error: "
+             "argument validate_mode: invalid choice: 'bogus' (choose from "
+             "'batch', 'query')\n"),
+            (["gen"], GEN_USAGE + "matchcert gen: error: the following arguments "
+             "are required: --config, --out-dir\n"),
+            (["validate", "batch", "--x", "a"], BATCH_USAGE + "matchcert validate "
+             "batch: error: the following arguments are required: --m-hat-holdout, "
+             "--s-m, --s-x, --actual\n"),
+            (["gen", "--config", "c", "--out-dir", "d", "extra"], TOP_USAGE
+             + "matchcert: error: unrecognized arguments: extra\n"),
+        ],
+    )
+    def test_usage_errors(self, argv, text, capsys):
+        assert self._run(argv, capsys) == (2, "", text)

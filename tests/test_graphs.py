@@ -636,6 +636,14 @@ class TestBulkParseReference:
             with pytest.raises(UnicodeDecodeError):
                 read(f)
 
+    def test_items_are_taken_verbatim(self, tmp_path):
+        # a node id may start or end with a space (load_network accepts
+        # "#node\t a"), so an item list keeps each line as it is
+        f = tmp_path / "items.txt"
+        f.write_text(" a\nb \n\t\n# c\n \u3000\nd\td\r\n", encoding="utf-8")
+        assert read_items(f) == [" a", "b ", "d\td"]
+        assert read_items_reference(f) == [" a", "b ", "d\td"]
+
     @pytest.mark.parametrize(
         "text, message",
         [

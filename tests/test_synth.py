@@ -1,6 +1,8 @@
 import pickle
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from oracles import csr_reference, generate_pair_reference
 
@@ -10,6 +12,7 @@ from matchcert.synth import (
     ErdosRenyi,
     GeneratorConfig,
     PreferentialAttachment,
+    _universe,
     generate_pair,
 )
 
@@ -130,6 +133,24 @@ def _reference_configs():
     return configs
 
 
+def _assert_equals_reference(pair, truth, ref_pair, ref_truth):
+    for net, ref in ((pair.x_net, ref_pair.x_net), (pair.y_net, ref_pair.y_net)):
+        assert net.nodes == ref.nodes
+        assert net.edges == ref.edges
+        assert dict(net.attrs) == ref.attrs
+        assert list(net.attrs) == list(ref.attrs)
+        assert net.index.ids == ref.index.ids
+        assert net.index.pos == ref.index.pos
+        assert net.index.indptr.tolist() == ref.index.indptr.tolist()
+        assert net.index.nbr.tolist() == ref.index.nbr.tolist()
+        ids, indptr, nbr = csr_reference(ref.nodes, ref.edges)
+        assert (net.index.ids, net.index.indptr.tolist(), net.index.nbr.tolist()) == (
+            ids, indptr, nbr)
+    assert pair == ref_pair
+    assert truth == ref_truth
+    assert truth.sorted_pairs == tuple(sorted(ref_truth.pairs))
+
+
 def test_generate_pair_matches_string_reference():
     seen = {"er": 0, "pa": 0, "retain0": 0, "retain1": 0, "drop0": 0,
             "drop_high": 0, "noise": 0, "ids_sort_apart": 0, "degenerate": 0}
@@ -142,20 +163,7 @@ def test_generate_pair_matches_string_reference():
             seen["degenerate"] += 1
             continue
         pair, truth = generate_pair(cfg)
-        for net, ref in ((pair.x_net, ref_pair.x_net), (pair.y_net, ref_pair.y_net)):
-            assert net.nodes == ref.nodes
-            assert net.edges == ref.edges
-            assert dict(net.attrs) == ref.attrs
-            assert net.index.ids == ref.index.ids
-            assert net.index.pos == ref.index.pos
-            assert net.index.indptr.tolist() == ref.index.indptr.tolist()
-            assert net.index.nbr.tolist() == ref.index.nbr.tolist()
-            ids, indptr, nbr = csr_reference(ref.nodes, ref.edges)
-            assert (net.index.ids, net.index.indptr.tolist(), net.index.nbr.tolist()) == (
-                ids, indptr, nbr)
-        assert pair == ref_pair
-        assert truth == ref_truth
-        assert truth.sorted_pairs == tuple(sorted(ref_truth.pairs))
+        _assert_equals_reference(pair, truth, ref_pair, ref_truth)
         seen["er" if isinstance(cfg.base_model, ErdosRenyi) else "pa"] += 1
         seen["retain0"] += 0.0 in (cfg.edge_retain_x, cfg.edge_retain_y)
         seen["retain1"] += 1.0 in (cfg.edge_retain_x, cfg.edge_retain_y)
@@ -168,6 +176,42 @@ def test_generate_pair_matches_string_reference():
         entities = [int(x[1:]) for x in pair.x_net.index.ids]
         seen["ids_sort_apart"] += entities != sorted(entities)
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 101])
+def test_universe_table(n):
+    for prefix in ("x", "y"):
+        names, sorted_names, order = _universe(prefix, n)
+        assert names == tuple(f"{prefix}{i}" for i in range(n))
+        assert sorted_names == tuple(sorted(names))
+        assert order.dtype == np.int64
+        assert [names[i] for i in order.tolist()] == list(sorted_names)
+        assert type(names) is tuple and type(sorted_names) is tuple
+        with pytest.raises(ValueError):
+            order[0] = 0
+        assert _universe(prefix, n)[2] is order  # the memo's own entry
+
+
+@pytest.mark.parametrize("n", [2, 9, 10, 11, 100, 101])
+def test_generate_pair_equals_reference_on_cache_miss_and_hit(n):
+    # n = 1 is no valid config (test_universe_table covers its ids)
+    cfg = GeneratorConfig(
+        n_entities=n, base_model=ErdosRenyi(0.3), edge_retain_x=0.8,
+        edge_retain_y=0.7, node_drop_x=0.2, node_drop_y=0.3, attr_noise=0.4,
+        rng_seed=n,
+    )
+    ref_pair, ref_truth = generate_pair_reference(cfg)
+    generate_pair(replace(cfg, n_entities=n + 1))  # fills the cache with n + 1
+    before = _universe.cache_info()
+    first = generate_pair(cfg)
+    missed = _universe.cache_info()
+    second = generate_pair(cfg)
+    hit = _universe.cache_info()
+    assert (missed.misses - before.misses, missed.hits - before.hits) == (2, 0)
+    assert (hit.misses - missed.misses, hit.hits - missed.hits) == (0, 2)
+    assert hit.currsize == hit.maxsize == 2
+    for pair, truth in (first, second):
+        _assert_equals_reference(pair, truth, ref_pair, ref_truth)
 
 
 def test_generated_attributes_behave_as_a_dict():
