@@ -52,7 +52,6 @@ from .graphs import MatchSet, NetworkPair, pair_keys
 from .reports import (
     ValidationReport,
     build_report,
-    encode,
     require_distinct,
     verified_sample,
 )
@@ -109,11 +108,10 @@ class BatchValidationInput:
         return len(self.pair.x_net.index.ids)
 
 
-def _payload(inp: BatchValidationInput) -> Callable[[], dict[str, str]]:
+def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
     """``inp``'s digest fields but the bound id and deltas, which each
-    report adds, as their JSON. They hold the input's match sets and
-    samples, not the input and its networks; each match set's pairs are
-    encoded once, for every report that reads them."""
+    report adds. They hold the input's match sets and samples, not the
+    input and its networks."""
     holdout, complete = inp.m_hat_holdout, inp.m_hat_complete
     s_m, s_x = inp.s_m, inp.s_x
     scalars = {
@@ -124,11 +122,12 @@ def _payload(inp: BatchValidationInput) -> Callable[[], dict[str, str]]:
         "m_size_upper": inp.m_size_upper,
     }
     return lambda: {
-        **{name: encode(value) for name, value in scalars.items()},
-        "m_hat_holdout": holdout.pairs_json,
-        "m_hat_complete": complete.pairs_json if complete else encode(None),
-        "s_m": encode(sorted(map(list, s_m))),
-        "s_x": encode(sorted(s_x)),
+        **scalars,
+        # a sorted tuple of pairs encodes as the sorted list of [x, y]
+        "m_hat_holdout": holdout.sorted_pairs,
+        "m_hat_complete": complete.sorted_pairs if complete else None,
+        "s_m": sorted(map(list, s_m)),
+        "s_x": sorted(s_x),
     }
 
 

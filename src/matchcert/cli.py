@@ -14,8 +14,7 @@ query, reports, coverage, synth or sampling modules. Only ``graphs`` (the
 file formats, which every command but ``report`` reads) and ``matchers``
 load with this module. perfbench's span tracer wraps the functions of the
 modules that ``import matchcert.cli`` loads, so its pipeline traces keep
-the parse and the matcher, the two largest costs of a stage. Likewise
-only the parser of the command being run is built (``_Command``).
+the parse and the matcher, the two largest costs of a stage.
 """
 
 from __future__ import annotations
@@ -168,17 +167,6 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _actual_map(pair: NetworkPair, actual_path: str, s_x: list[str]):
-    """The verified matches of each sampled node, read once per command.
-
-    The whole file is parsed and checked; only the sampled nodes' matches
-    are looked up, by binary search on the set's keys.
-    """
-    actual = load_matches(actual_path, pair)
-    found = matches_of(actual, pair, s_x)
-    return {x: found.get(x, frozenset()) for x in s_x}
-
-
 def cmd_validate_batch(args) -> int:
     from .batch import BatchValidationInput, batch_reports
     from .bounds import BoundMethod
@@ -187,13 +175,13 @@ def cmd_validate_batch(args) -> int:
     m_hat_h = load_matches(args.m_hat_holdout, pair)
     m_hat_c = load_matches(args.m_hat_complete, pair) if args.m_hat_complete else None
     s_m = tuple(read_pairs(args.s_m))
-    s_x = read_items(args.s_x)
+    s_x = tuple(read_items(args.s_x))
     inp = BatchValidationInput(
         pair=pair,
         m_hat_holdout=m_hat_h,
         s_m=s_m,
-        s_x=tuple(s_x),
-        actual_for=_actual_map(pair, args.actual, s_x),
+        s_x=s_x,
+        actual_for=matches_of(load_matches(args.actual, pair), pair, s_x),
         delta=_delta(args.delta),
         method=BoundMethod.parse(args.method),
         k_y=args.k_y,
@@ -223,13 +211,13 @@ def cmd_validate_query(args) -> int:
             read_pairs(args.seeds_complete) if args.seeds_complete else seeds
         )
         complete = build_matcher(complete_cfg, training_matches=complete_seeds)
-    s_x = read_items(args.s_x)
+    s_x = tuple(read_items(args.s_x))
     inp = QueryValidationInput(
         pair=pair,
         holdout=holdout,
-        s_x=tuple(s_x),
+        s_x=s_x,
         s_x_prime=tuple(read_items(args.s_x_prime)) if args.s_x_prime else (),
-        actual_for=_actual_map(pair, args.actual, s_x),
+        actual_for=matches_of(load_matches(args.actual, pair), pair, s_x),
         delta=_delta(args.delta),
         method=BoundMethod.parse(args.method),
         complete=complete,
@@ -287,25 +275,6 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-class _Command:
-    """A subcommand's parser, built only when its command runs.
-
-    argparse keeps the name and help of every subcommand on the parent's
-    subparsers action and hands a subparser nothing but the arguments after
-    its name, through ``parse_known_args``; so a process builds the parser
-    of the one command it runs, and help and error texts stay argparse's.
-    """
-
-    def __init__(self, add_arguments, **kwargs):
-        self._add_arguments = add_arguments
-        self._kwargs = kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self._kwargs)
-        self._add_arguments(parser)
-        return parser.parse_known_args(args, namespace)
-
-
 def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="GeneratorConfig JSON file")
     p.add_argument("--seed", type=int, default=None)
@@ -335,11 +304,9 @@ def _split_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _validate_arguments(p: argparse.ArgumentParser) -> None:
-    vsub = p.add_subparsers(dest="validate_mode", required=True, parser_class=_Command)
-    vsub.add_parser("batch", help="batch-matcher certificates",
-                    add_arguments=_validate_batch_arguments)
-    vsub.add_parser("query", help="query-matcher certificates",
-                    add_arguments=_validate_query_arguments)
+    vsub = p.add_subparsers(dest="validate_mode", required=True)
+    _validate_batch_arguments(vsub.add_parser("batch", help="batch-matcher certificates"))
+    _validate_query_arguments(vsub.add_parser("query", help="query-matcher certificates"))
 
 
 def _validate_batch_arguments(b: argparse.ArgumentParser) -> None:
@@ -393,14 +360,12 @@ def _report_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser; each subcommand's own parser is built
-    when that command runs (:class:`_Command`)."""
     parser = argparse.ArgumentParser(
         prog="matchcert",
         description="PAC certification of precision and recall for "
         "network reconciliation algorithms",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments in (
         ("gen", "synthesize a correlated network pair", _gen_arguments),
         ("match", "run a matcher in batch mode", _match_arguments),
@@ -409,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("coverage", "Monte Carlo failure-rate experiment", _coverage_arguments),
         ("report", "pretty-print a saved report", _report_arguments),
     ):
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 

@@ -218,8 +218,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     )
     # every reader of actual_for (the validation seeds below and each
     # certificate) reads the nodes of s_x only
-    found = matches_of(truth, pair, s_x)
-    actual_for = {x: found.get(x, frozenset()) for x in s_x}
+    actual_for = matches_of(truth, pair, s_x)
 
     holdout = build_matcher(cfg.matcher_holdout, training_matches=train)
     complete_base = (

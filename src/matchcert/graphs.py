@@ -70,7 +70,6 @@ whitespace only or starts with ``#``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import islice, repeat
@@ -318,12 +317,6 @@ class MatchSet:
         return tuple(self.decode(self.keys))
 
     @cached_property
-    def pairs_json(self) -> str:
-        """The sorted pairs as compact JSON, a list of ``[x, y]`` lists:
-        encoded once for every report digest that holds the set."""
-        return json.dumps(self.sorted_pairs, separators=(",", ":"))
-
-    @cached_property
     def pairs(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.sorted_pairs)
 
@@ -409,26 +402,23 @@ def by_x(ms: MatchSet) -> Mapping[str, frozenset[str]]:
 def matches_of(
     ms: MatchSet, pair: NetworkPair, nodes: Iterable[str]
 ) -> dict[str, frozenset[str]]:
-    """{x: set of matched y} for each of ``nodes`` that has a match in
-    ``ms``, a set over ``pair``'s universes: the entries of ``by_x(ms)``
-    for those nodes, found by binary search on the keys. A node that is
-    not a node of X has no entry."""
+    """{x: set of matched y} for each distinct node of ``nodes``, in
+    ``ms``, a set over ``pair``'s universes: found by binary search on the
+    keys. A node with no match in ``ms``, or that is not a node of X, maps
+    to the empty set."""
     ix = pair.x_net.index
     ms.check_universe(ix.ids, pair.y_net.index.ids)
-    xs = [x for x in dict.fromkeys(nodes) if x in ix.pos]
+    xs = list(dict.fromkeys(nodes))
     ny = len(ms.y_ids)
-    row = np.fromiter(map(ix.pos.__getitem__, xs), dtype=np.int64, count=len(xs)) * ny
+    # a node not in X has position -1, a row below every key: count 0
+    row = ix.positions(xs) * ny
     lo = np.searchsorted(ms.keys, row)
     count = np.searchsorted(ms.keys, row + ny) - lo
-    hit = np.flatnonzero(count)
-    lo, count = lo[hit], count[hit]
-    # every matched key of the hit rows, row after row
+    # every matched key of the rows, row after row
     at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
     y_ids = ms.y_ids
     ys = iter([y_ids[k] for k in (ms.keys[at] % ny).tolist()])
-    return {
-        xs[i]: frozenset(islice(ys, c)) for i, c in zip(hit.tolist(), count.tolist())
-    }
+    return {x: frozenset(islice(ys, c)) for x, c in zip(xs, count.tolist())}
 
 
 # line kinds

@@ -40,7 +40,6 @@ function as the sorted keys of a MatchSet, the same ``x * n_y + y``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -134,23 +133,16 @@ class MatcherHandle:
     """A matcher config plus the training pairs it is seeded with.
 
     A complete handle is a holdout handle whose seeds were augmented with
-    validation data (see :func:`with_extra_seeds`).
+    validation data (see :func:`with_extra_seeds`). Two handles compare
+    equal when they compute the same function: the same config and the
+    same training pairs in the same order, since percolation takes its
+    seeds in order and drops those that conflict with earlier ones.
     """
 
     config: MatcherConfig
     training_matches: tuple[tuple[str, str], ...] = ()
-    _cache_pair: NetworkPair | None = field(default=None, repr=False)
-    _cache_result: MatchSet | None = field(default=None, repr=False)
-
-    def same_function(self, other: "MatcherHandle") -> bool:
-        """True when both handles compute the same matching function: the
-        same config, and the same training pairs counted with repeats."""
-        mine, theirs = self.training_matches, other.training_matches
-        return (
-            self.config == other.config
-            and len(mine) == len(theirs)
-            and (mine == theirs or Counter(mine) == Counter(theirs))
-        )
+    _cache_pair: NetworkPair | None = field(default=None, repr=False, compare=False)
+    _cache_result: MatchSet | None = field(default=None, repr=False, compare=False)
 
 
 def build_matcher(
@@ -344,5 +336,5 @@ def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str
     """Identified matches for one node, read from the batch result."""
     if x not in pair.x_net.index.pos:
         raise MatchcertError(f"unknown-node: {x!r}")
-    return matches_of(run_batch(handle, pair), pair, (x,)).get(x, frozenset())
+    return matches_of(run_batch(handle, pair), pair, (x,))[x]
 

@@ -74,7 +74,7 @@ from .bounds import BoundMethod, Confidence, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
-from .reports import ValidationReport, build_report, encode
+from .reports import ValidationReport, build_report
 from .reports import sample_positions, verified_sample
 
 __all__ = [
@@ -214,7 +214,7 @@ def _columns(inp: QueryValidationInput) -> Columns:
         return columns
 
     # the complete matcher, per node of s_x and s_x'
-    reduced = inp.complete.same_function(inp.holdout)
+    reduced = inp.complete == inp.holdout
     if reduced:
         c = both = h
     else:
@@ -235,23 +235,20 @@ def _columns(inp: QueryValidationInput) -> Columns:
     )
 
 
-def _payload(inp: QueryValidationInput) -> Callable[[], dict[str, str]]:
+def _payload(inp: QueryValidationInput) -> Callable[[], dict]:
     """``inp``'s digest fields but the bound id and deltas, which each
-    report adds, as their JSON. They hold the matchers' configs, not the
-    handles and the networks."""
+    report adds. They hold the matchers' configs, not the handles and the
+    networks."""
     s_x, s_x_prime = inp.s_x, inp.s_x_prime
     holdout = inp.holdout.config
     complete = inp.complete.config if inp.complete else None
     scalars = {"n_x": inp.n_x, "method": inp.method.value, "k_cap": inp.k_cap}
     return lambda: {
-        name: encode(value)
-        for name, value in {
-            **scalars,
-            "s_x": sorted(s_x),
-            "s_x_prime": sorted(s_x_prime),
-            "holdout": holdout.to_json_dict(),
-            "complete": complete.to_json_dict() if complete else None,
-        }.items()
+        **scalars,
+        "s_x": sorted(s_x),
+        "s_x_prime": sorted(s_x_prime),
+        "holdout": holdout.to_json_dict(),
+        "complete": complete.to_json_dict() if complete else None,
     }
 
 

@@ -1,11 +1,9 @@
 """Validation report structure shared by the batch and query certifiers.
 
 A report's ``inputs_digest`` hashes one plain JSON object: the fields of
-its certificate's input, which a callable encodes when the digest is
-first read, plus the bound id and the report's delta parts. The object is
-assembled from each field's JSON (:func:`digest_of_encoded`), so a field
-that several reports share, such as a match set's pairs, is encoded once
-for all of them. The sampled-node checks that both certifiers run on s_x
+its certificate's input, as plain JSON values that a callable returns
+when the digest is first read, plus the bound id and the report's delta
+parts. The sampled-node checks that both certifiers run on s_x
 (and the query certifier on s_x') are :func:`sample_positions`, and
 :func:`verified_sample` adds the checks of s_x's verified matches.
 """
@@ -30,8 +28,6 @@ __all__ = [
     "build_report",
     "combine_reports",
     "digest_of",
-    "digest_of_encoded",
-    "encode",
     "require_distinct",
     "sample_positions",
     "verified_sample",
@@ -86,22 +82,10 @@ def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
     return at, pair_keys(pair, "actual_for", pairs)
 
 
-def encode(value) -> str:
-    """The sorted-key compact JSON of a JSON-serializable value."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def digest_of(payload) -> str:
     """Short stable content hash of a JSON-serializable payload: the
-    sha256 of its :func:`encode` JSON."""
-    return hashlib.sha256(encode(payload).encode("utf-8")).hexdigest()[:16]
-
-
-def digest_of_encoded(fields: Mapping[str, str]) -> str:
-    """``digest_of`` of the JSON object whose fields ``fields`` gives
-    already encoded, each as its :func:`encode` JSON: the object is
-    assembled from them, and no field is encoded again."""
-    blob = "{" + ",".join(f"{encode(k)}:{fields[k]}" for k in sorted(fields)) + "}"
+    sha256 of its sorted-key compact JSON."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -118,7 +102,7 @@ class ValidationReport:
     ``delta_parts`` holds one delta per bound term, and ``delta_total``
     their sum, the report's failure probability by the union bound.
     ``inputs_digest`` hashes the bound id, the delta parts and the
-    input fields, whose :func:`encode` JSON ``payload`` returns, as one
+    input fields, which ``payload`` returns as plain JSON values, as one
     plain JSON object. It is computed when first read, so a caller that
     never reads it (a coverage trial) never builds the fields. A pickled
     report carries its digest, not ``payload``. Reports compare equal
@@ -135,7 +119,7 @@ class ValidationReport:
     terms: Mapping[str, float] = field(default_factory=dict)
     term_methods: Mapping[str, str] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
-    payload: Callable[[], Mapping[str, str]] | None = field(
+    payload: Callable[[], Mapping] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -143,10 +127,10 @@ class ValidationReport:
     def inputs_digest(self) -> str:
         if self.payload is None:
             return ""
-        return digest_of_encoded({
+        return digest_of({
             **self.payload(),
-            "bound_id": encode(self.bound_id),
-            "deltas": encode(self.delta_parts),
+            "bound_id": self.bound_id,
+            "deltas": self.delta_parts,
         })
 
     def __getstate__(self) -> dict:
@@ -194,7 +178,7 @@ class ValidationReport:
 def build_report(
     bound_id: str,
     delta_parts: tuple[float, ...],
-    inputs: Callable[[], Mapping[str, str]],
+    inputs: Callable[[], Mapping],
     terms: Mapping[str, Term | float],
     value: float | Callable[[], float],
     flags: tuple[str, ...] = (),
@@ -211,10 +195,9 @@ def build_report(
     assembled from: each :class:`Term` gives the report's ``terms`` its
     bound and ``term_methods`` the method it used, and a plain number (a
     sample size, a count) passes through to ``terms``. ``inputs`` returns
-    the fields of the certificate's input, each as its :func:`encode`
-    JSON; it is called when the report's
-    ``inputs_digest`` is first read, not here, and its result is hashed
-    with the bound id and ``delta_parts``. It should close over the
+    the fields of the certificate's input as plain JSON values; it is
+    called when the report's ``inputs_digest`` is first read, not here,
+    and its result is hashed with the bound id and ``delta_parts``. It should close over the
     input's fields rather than the input, so that a report does not keep
     the input's networks alive.
     """

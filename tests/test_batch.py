@@ -1,13 +1,10 @@
 import gc
-import json
 import math
 import pickle
 import weakref
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from matchcert.batch import (
     BatchValidationInput,
@@ -30,7 +27,7 @@ from matchcert.graphs import (
     make_match_set,
     make_network,
 )
-from matchcert.reports import ValidationReport, digest_of, digest_of_encoded, encode
+from matchcert.reports import ValidationReport, digest_of
 from matchcert.sampling import sample_without_replacement
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 
@@ -577,39 +574,7 @@ class TestSharedTerms:
                     batch_reports(no_matches)
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: (
-        st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
-    ),
-    max_leaves=12,
-)
-
-
 class TestDeferredDigest:
-    @settings(max_examples=200, deadline=None)
-    @given(st.dictionaries(st.text(), _JSON, max_size=6))
-    def test_digest_from_encoded_fields_is_the_digest_of_the_object(self, payload):
-        fields = {name: encode(value) for name, value in payload.items()}
-        assert digest_of_encoded(fields) == digest_of(payload)
-
-    def test_each_identified_set_is_encoded_once(self, world, monkeypatch):
-        inp = complete_world_input(*world)
-        sets = (inp.m_hat_holdout, inp.m_hat_complete)
-        encoded = []
-        dumps = json.dumps
-
-        def counting_dumps(value, **kw):
-            encoded.extend(i for i, ms in enumerate(sets) if value is ms.sorted_pairs)
-            return dumps(value, **kw)
-
-        monkeypatch.setattr(json, "dumps", counting_dumps)
-        reports = batch_reports(inp)
-        assert len({r.inputs_digest for r in reports}) == 4
-        assert sorted(encoded) == [0, 1]
-        for ms in sets:
-            assert ms.pairs_json == encode(ms.sorted_pairs)
-
     @staticmethod
     def reports_and_payload():
         """Reports of a fresh world, the full payload of each report's

@@ -306,9 +306,12 @@ class TestInversionSearch:
     tail evaluations."""
 
     @pytest.mark.parametrize("delta", SEARCH_DELTAS)
-    def test_equals_bisection_exhaustively_small(self, delta):
+    def test_equals_bisection_exhaustively_small(self, delta, monkeypatch):
         d = Confidence(delta)
+        tail = bounds_module._tail
         for n in range(1, 41):
+            # the same floats, each computed once per n
+            monkeypatch.setattr(bounds_module, "_tail", functools.cache(tail))
             for s in range(1, n + 1):
                 for k in range(s + 1):
                     assert hypergeom_invert_lower(

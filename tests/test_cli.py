@@ -359,15 +359,16 @@ class TestValidateBatch:
 
 
 class TestActualMap:
-    """``validate`` groups the verified matches of the sampled nodes only."""
+    """``validate`` reads the verified matches of the sampled nodes only,
+    through ``matches_of``, and checks the whole file."""
 
     def test_equals_whole_set_view(self, tmp_path, world):
-        from matchcert.cli import _actual_map
         from matchcert.graphs import (
             NetworkPair,
             by_x,
             load_matches,
             load_network,
+            matches_of,
         )
 
         pair = NetworkPair(load_network(world / "x.tsv"), load_network(world / "y.tsv"))
@@ -376,22 +377,32 @@ class TestActualMap:
         per_x = by_x(load_matches(actual, pair))
         nodes = sorted(pair.x_net.nodes)
         s_x = nodes[::3] + nodes[:2]  # some without matches, two repeated
-        got = _actual_map(pair, str(actual), s_x)
+        got = matches_of(load_matches(actual, pair), pair, s_x)
         assert got == {x: per_x.get(x, frozenset()) for x in s_x}
         assert list(got) == list(dict.fromkeys(s_x))
         assert any(not ys for ys in got.values()) and any(got.values())
 
-    def test_unsampled_bad_pair_still_rejected(self, tmp_path, world):
-        from matchcert.cli import _actual_map
-        from matchcert.errors import MatchcertError
-        from matchcert.graphs import NetworkPair, load_network
+    def test_unsampled_bad_pair_still_rejected(self, tmp_path, world, capsys):
+        from matchcert.graphs import load_network
 
-        pair = NetworkPair(load_network(world / "x.tsv"), load_network(world / "y.tsv"))
+        nodes = sorted(load_network(world / "x.tsv").nodes)[:3]
+        s_x = write(tmp_path / "s_x.txt", "".join(f"{n}\n" for n in nodes))
         text = (world / "matches.tsv").read_text(encoding="utf-8")
         actual = write(tmp_path / "actual.tsv", text + "nobody\ty0\n")
-        bad = r"unknown-node: match pair \('nobody', 'y0'\)"
-        with pytest.raises(MatchcertError, match=bad):
-            _actual_map(pair, str(actual), sorted(pair.x_net.nodes)[:3])
+        rc = main(
+            [
+                "validate", "batch",
+                "--x", str(world / "x.tsv"),
+                "--y", str(world / "y.tsv"),
+                "--m-hat-holdout", str(world / "matches.tsv"),
+                "--s-m", str(world / "matches.tsv"),
+                "--s-x", str(s_x),
+                "--actual", str(actual),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown-node: match pair ('nobody', 'y0')" in err
 
 
 class TestValidateQuery:

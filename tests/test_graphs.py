@@ -14,7 +14,6 @@ from oracles import (
 )
 
 from matchcert.errors import MatchcertError
-from matchcert.reports import encode
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 from matchcert.graphs import (
     NetworkPair,
@@ -199,11 +198,13 @@ class TestMatchSetKeys:
         assert ms.pairs == frozenset(pairs)
         assert ms.sorted_pairs == tuple(sorted(ms.pairs))
         assert ms.decode(keys) == list(ms.sorted_pairs)
-        assert ms.pairs_json == encode(ms.sorted_pairs)
         assert dict(by_x(ms)) == by_x_reference(ms)
         nodes = list(reversed(pair.x_net.index.ids)) + ["absent", "n0"]
-        want = {x: ys for x, ys in by_x_reference(ms).items() if x in nodes}
-        assert matches_of(ms, pair, nodes) == want
+        # every distinct node, in order; the empty set for one without a
+        # match or not in X
+        got = matches_of(ms, pair, nodes)
+        assert got == {x: by_x_reference(ms).get(x, frozenset()) for x in nodes}
+        assert list(got) == list(dict.fromkeys(nodes))
 
     @settings(max_examples=60, deadline=None)
     @given(match_worlds())

@@ -659,6 +659,25 @@ class TestQueryReports:
         assert len(reports) == 6
         assert ran and all(handle is holdout for handle in ran)
 
+    def test_reordered_conflicting_seeds_are_another_function(self):
+        # percolation keeps the first of two seeds that share x0: from
+        # (x0, y0) it spreads along the path, from (x0, yc) it cannot
+        x = make_network(["x0", "x1", "x2"], [("x0", "x1"), ("x1", "x2")])
+        y = make_network(["y0", "y1", "y2", "yc"], [("y0", "y1"), ("y1", "y2")])
+        pair = NetworkPair(x, y)
+        config = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=1)
+        holdout = build_matcher(config, [("x0", "y0"), ("x0", "yc")])
+        complete = build_matcher(config, [("x0", "yc"), ("x0", "y0")])
+        assert run_batch(holdout, pair).keys.size == 3
+        assert run_batch(complete, pair).keys.size == 1
+        actual = {x: frozenset({"y" + x[1:]}) for x in ("x0", "x1", "x2")}
+        inp = tiny_input(pair, holdout, ["x0", "x1", "x2"], actual, 0.05,
+                         complete=complete, s_x_prime=["x0", "x1", "x2"])
+        reports = query_reports(inp)
+        assert len(reports) == 6
+        assert not any("reduced-to-holdout" in r.flags for r in reports)
+        assert any(stats.d_r for stats in compute_node_stats(inp))
+
     def test_digest_is_of_each_certificates_inputs(self, tiny):
         # the certificates of one call share their inputs; each digest
         # must still hash the certificate's own whole payload
@@ -1053,7 +1072,7 @@ class TestColumns:
         with patch.object(query, "run_batch", identified_set):
             columns = query._columns(inp)
         hv = by_x(sets["h"])
-        reduced = inp.complete is not None and inp.complete.same_function(inp.holdout)
+        reduced = inp.complete is not None and inp.complete == inp.holdout
         cv = None if inp.complete is None else hv if reduced else by_x(sets["c"])
         assert columns.reduced == reduced
         assert ran == (["h"] if reduced or inp.complete is None else ["h", "c"])
