@@ -18,14 +18,17 @@ Only when every trial fails does the run raise, with the first error.
 Everything is deterministic given the experiment seed: per-trial
 generators are spawned from (seed, trial index), trials can run in a
 process pool, and rows are aggregated in trial order with exact summation,
-so repeated runs emit byte-identical tables.
+so repeated runs emit byte-identical tables. Each row is built once, from
+its certificate's records, as a frozen ``CoverageRow``; the CSV and the
+JSON are both written from that one row.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -74,21 +77,11 @@ class SampleSizes:
     train: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "s_m": self.s_m,
-            "s_x": self.s_x,
-            "s_x_prime": self.s_x_prime,
-            "train": self.train,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SampleSizes":
-        return cls(
-            s_m=int(doc["s_m"]),
-            s_x=int(doc["s_x"]),
-            s_x_prime=int(doc["s_x_prime"]),
-            train=int(doc["train"]),
-        )
+        return cls(**{f.name: int(doc[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -274,75 +267,54 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     return records
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoverageRow:
-    bound_id: str
+    """One certificate's aggregate over the trials that completed; its
+    fields are the JSON row's keys, the first seven the CSV's columns."""
+
+    bound: str
     method: str
     deltas: str
-    trials: int = 0
-    bounds: list = None
-    truths: list = None
-    failures: int = 0
-    vacuous: int = 0
+    trials: int
+    mean_bound: float
+    mean_truth: float
+    failure_rate: float
+    vacuous_trials: int
 
-    def __post_init__(self):
-        self.bounds = [] if self.bounds is None else self.bounds
-        self.truths = [] if self.truths is None else self.truths
 
-    @property
-    def mean_bound(self) -> float:
-        return math.fsum(self.bounds) / self.trials
-
-    @property
-    def mean_truth(self) -> float:
-        return math.fsum(self.truths) / self.trials
-
-    @property
-    def failure_rate(self) -> float:
-        return self.failures / self.trials
+def _row(records: list[TrialRecord]) -> CoverageRow:
+    """The row of one certificate's records, given in trial order."""
+    first, trials = records[0], len(records)
+    return CoverageRow(
+        bound=first.bound_id,
+        method=first.method,
+        deltas=first.deltas,
+        trials=trials,
+        mean_bound=math.fsum(r.bound for r in records) / trials,
+        mean_truth=math.fsum(r.truth for r in records) / trials,
+        failure_rate=sum(r.failed for r in records) / trials,
+        vacuous_trials=sum(r.vacuous for r in records),
+    )
 
 
 @dataclass
 class CoverageTable:
-    rows: dict[tuple[str, str, str], CoverageRow]
+    rows: dict[tuple[str, str, str], CoverageRow]  # in key order
     config: ExperimentConfig
     failed_trials: int = 0
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for key in sorted(self.rows):
-            r = self.rows[key]
-            lines.append(
-                ",".join(
-                    [
-                        r.bound_id,
-                        r.method,
-                        r.deltas,
-                        str(r.trials),
-                        repr(r.mean_bound),
-                        repr(r.mean_truth),
-                        repr(r.failure_rate),
-                    ]
-                )
-            )
+        # str of a float is its repr
+        lines = [",".join(CSV_COLUMNS)] + [
+            ",".join(str(row[c]) for c in CSV_COLUMNS)
+            for row in map(asdict, self.rows.values())
+        ]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         doc = {
             "config": self.config.to_json_dict(),
-            "rows": [
-                {
-                    "bound": r.bound_id,
-                    "method": r.method,
-                    "deltas": r.deltas,
-                    "trials": r.trials,
-                    "mean_bound": r.mean_bound,
-                    "mean_truth": r.mean_truth,
-                    "failure_rate": r.failure_rate,
-                    "vacuous_trials": r.vacuous,
-                }
-                for _, r in sorted(self.rows.items())
-            ],
+            "rows": [asdict(r) for r in self.rows.values()],
         }
         if self.failed_trials:
             doc["failed_trials"] = self.failed_trials
@@ -385,18 +357,9 @@ def run_coverage(cfg: ExperimentConfig, jobs: int = 1) -> CoverageTable:
     failed = [r for r in all_records if isinstance(r, str)]
     if len(failed) == cfg.trials:
         raise MatchcertError(failed[0])
-    rows: dict[tuple[str, str, str], CoverageRow] = {}
-    for trial_records in all_records:
-        if isinstance(trial_records, str):
-            continue
-        for rec in trial_records:
-            key = (rec.bound_id, rec.method, rec.deltas)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = CoverageRow(rec.bound_id, rec.method, rec.deltas)
-            row.trials += 1
-            row.bounds.append(rec.bound)
-            row.truths.append(rec.truth)
-            row.failures += int(rec.failed)
-            row.vacuous += int(rec.vacuous)
+    completed = (r for r in all_records if not isinstance(r, str))
+    groups: dict[tuple[str, str, str], list[TrialRecord]] = {}
+    for rec in chain.from_iterable(completed):
+        groups.setdefault((rec.bound_id, rec.method, rec.deltas), []).append(rec)
+    rows = {key: _row(groups[key]) for key in sorted(groups)}
     return CoverageTable(rows, cfg, len(failed))

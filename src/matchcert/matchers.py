@@ -40,7 +40,7 @@ function as the sorted keys of a MatchSet, the same ``x * n_y + y``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,19 +96,12 @@ class MatcherConfig:
             raise MatchcertError(f"unknown-seed-rule: {self.seeds!r}")
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.seeds, TopDegree):
-            seeds = {"top-degree-k": self.seeds.k}
-        elif isinstance(self.seeds, tuple):
-            seeds = [list(p) for p in self.seeds]
-        else:
-            seeds = self.seeds
-        return {
-            "kind": self.kind,
-            "attr_key": self.attr_key,
-            "seeds": seeds,
-            "threshold": self.threshold,
-            "max_iters": self.max_iters,
-        }
+        seeds = self.seeds
+        if isinstance(seeds, TopDegree):
+            seeds = {"top-degree-k": seeds.k}
+        elif isinstance(seeds, tuple):
+            seeds = [list(p) for p in seeds]
+        return {**asdict(self), "seeds": seeds}
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MatcherConfig":

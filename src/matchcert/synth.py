@@ -24,7 +24,7 @@ coverage run, never format or sort an id.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import compress
 
@@ -79,21 +79,10 @@ class GeneratorConfig:
                 raise MatchcertError(f"invalid-generator: {name}={v}")
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.base_model, ErdosRenyi):
-            model = {"kind": "erdos-renyi", "p": self.base_model.p}
-        else:
-            model = {"kind": "preferential-attachment",
-                     "m_edges": self.base_model.m_edges}
-        return {
-            "n_entities": self.n_entities,
-            "base_model": model,
-            "edge_retain_x": self.edge_retain_x,
-            "edge_retain_y": self.edge_retain_y,
-            "node_drop_x": self.node_drop_x,
-            "node_drop_y": self.node_drop_y,
-            "attr_noise": self.attr_noise,
-            "rng_seed": self.rng_seed,
-        }
+        doc = asdict(self)  # base_model as {"p": ...} or {"m_edges": ...}
+        er = isinstance(self.base_model, ErdosRenyi)
+        doc["base_model"]["kind"] = "erdos-renyi" if er else "preferential-attachment"
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "GeneratorConfig":
