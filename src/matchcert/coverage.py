@@ -269,9 +269,6 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
 
 @dataclass(frozen=True)
 class CoverageRow:
-    """One certificate's aggregate over the trials that completed; its
-    fields are the JSON row's keys, the first seven the CSV's columns."""
-
     bound: str
     method: str
     deltas: str
@@ -357,9 +354,8 @@ def run_coverage(cfg: ExperimentConfig, jobs: int = 1) -> CoverageTable:
     failed = [r for r in all_records if isinstance(r, str)]
     if len(failed) == cfg.trials:
         raise MatchcertError(failed[0])
-    completed = (r for r in all_records if not isinstance(r, str))
     groups: dict[tuple[str, str, str], list[TrialRecord]] = {}
-    for rec in chain.from_iterable(completed):
+    for rec in chain.from_iterable(r for r in all_records if not isinstance(r, str)):
         groups.setdefault((rec.bound_id, rec.method, rec.deltas), []).append(rec)
     rows = {key: _row(groups[key]) for key in sorted(groups)}
     return CoverageTable(rows, cfg, len(failed))

@@ -76,6 +76,10 @@ class TopDegree:
 
     k: int
 
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise MatchcertError(f"invalid-top-degree: {self.k}")
+
 
 @dataclass(frozen=True)
 class MatcherConfig:
@@ -92,8 +96,13 @@ class MatcherConfig:
             raise MatchcertError(f"invalid-threshold: {self.threshold}")
         if self.max_iters < 1:
             raise MatchcertError(f"invalid-max-iters: {self.max_iters}")
-        if isinstance(self.seeds, str) and self.seeds != VERIFIED_SAMPLE:
-            raise MatchcertError(f"unknown-seed-rule: {self.seeds!r}")
+        seeds = self.seeds
+        ok = isinstance(seeds, tuple) and all(
+            isinstance(p, tuple) and len(p) == 2 and all(isinstance(v, str) for v in p)
+            for p in seeds
+        )
+        if not (ok or seeds in (None, VERIFIED_SAMPLE) or isinstance(seeds, TopDegree)):
+            raise MatchcertError(f"unknown-seed-rule: {seeds!r}")
 
     def to_json_dict(self) -> dict:
         seeds = self.seeds
@@ -111,6 +120,9 @@ class MatcherConfig:
                 raise MatchcertError(f"unknown-seed-rule: {dict(seeds)!r}")
             seeds = TopDegree(int(seeds["top-degree-k"]))
         elif isinstance(seeds, list):
+            for p in seeds:  # one of another length than two fails to unpack
+                if not isinstance(p, list):
+                    raise MatchcertError(f"unknown-seed-rule: seed {p!r}")
             seeds = tuple((str(x), str(y)) for x, y in seeds)
         return cls(
             kind=doc["kind"],
@@ -129,13 +141,19 @@ class MatcherHandle:
     validation data (see :func:`with_extra_seeds`). Two handles compare
     equal when they compute the same function: the same config and the
     same training pairs in the same order, since percolation takes its
-    seeds in order and drops those that conflict with earlier ones.
+    seeds in order and drops those that conflict with earlier ones. An
+    attribute-exact matcher never reads training pairs, so its handle
+    holds none, and every handle of one attribute-exact config is equal.
     """
 
     config: MatcherConfig
     training_matches: tuple[tuple[str, str], ...] = ()
     _cache_pair: NetworkPair | None = field(default=None, repr=False, compare=False)
     _cache_result: MatchSet | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.config.kind == "attribute-exact":
+            self.training_matches = ()
 
 
 def build_matcher(
@@ -149,13 +167,10 @@ def with_extra_seeds(
 ) -> MatcherHandle:
     """Derive a complete matcher by feeding validation data in as seeds.
 
-    The result is no longer a holdout matcher: its output depends on the
-    validation samples in ``extra_pairs``.
+    Unless the matcher is attribute-exact, which reads no seeds, the result
+    is no longer a holdout matcher: its output depends on ``extra_pairs``.
     """
-    return MatcherHandle(
-        config=handle.config,
-        training_matches=tuple(handle.training_matches) + tuple(extra_pairs),
-    )
+    return build_matcher(handle.config, (*handle.training_matches, *extra_pairs))
 
 
 def _resolve_seeds(handle: MatcherHandle, pair: NetworkPair) -> list[tuple[str, str]]:

@@ -159,12 +159,7 @@ class ValidationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "bound_id": self.bound_id,
-            "quantity": self.quantity,
-            "variant": self.variant,
-            "mode": self.mode,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.compare},
             "delta_parts": list(self.delta_parts),
             "delta_total": self.delta_total,
             "confidence": self.confidence,

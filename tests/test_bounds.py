@@ -301,6 +301,10 @@ def sweep_shaped_cases(seed: int, edges: bool) -> list[tuple[int, int, int]]:
     return cases
 
 
+# the same floats as _tail, each computed once across all the deltas
+_CACHED_TAIL = functools.cache(bounds_module._tail)
+
+
 class TestInversionSearch:
     """The guided search returns exactly what bisection returns, in few
     tail evaluations."""
@@ -308,10 +312,8 @@ class TestInversionSearch:
     @pytest.mark.parametrize("delta", SEARCH_DELTAS)
     def test_equals_bisection_exhaustively_small(self, delta, monkeypatch):
         d = Confidence(delta)
-        tail = bounds_module._tail
+        monkeypatch.setattr(bounds_module, "_tail", _CACHED_TAIL)
         for n in range(1, 41):
-            # the same floats, each computed once per n
-            monkeypatch.setattr(bounds_module, "_tail", functools.cache(tail))
             for s in range(1, n + 1):
                 for k in range(s + 1):
                     assert hypergeom_invert_lower(

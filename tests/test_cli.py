@@ -162,6 +162,23 @@ class TestMatch:
         assert main(argv) == 1
         assert "missing-network: supply --y or --self-match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds,token", [
+        (5, "unknown-seed-rule"),
+        (True, "unknown-seed-rule"),
+        (["ab"], "unknown-seed-rule"),
+        ({"top-degree-k": -1}, "invalid-top-degree"),
+    ])
+    def test_seeds_that_cannot_run_exit_one(self, tmp_path, world, capsys, seeds, token):
+        cfg = write(
+            tmp_path / "matcher.json", json.dumps({"kind": "percolation", "seeds": seeds})
+        )
+        out = tmp_path / "mhat.tsv"
+        argv = ["match", "--x", str(world / "x.tsv"), "--y", str(world / "y.tsv"),
+                "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 1
+        assert f"matchcert: error: {token}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSplit:
     def test_t_zero_validation_is_everything(self, tmp_path):

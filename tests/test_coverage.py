@@ -19,7 +19,12 @@ from matchcert.matchers import (
 )
 from matchcert.query import QueryValidationInput, query_reports
 from matchcert.sampling import sample_without_replacement, spawn_rng
-from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
+from matchcert.synth import (
+    ErdosRenyi,
+    GeneratorConfig,
+    PreferentialAttachment,
+    generate_pair,
+)
 
 
 def _criterion_4_world(seeds, threshold, trials, s_x=200, methods=None):
@@ -40,6 +45,38 @@ def _criterion_4_world(seeds, threshold, trials, s_x=200, methods=None):
         trials=trials,
         seed=20260808,
     )
+
+
+def test_experiment_config_json_round_trip():
+    # the config codecs are derived from the dataclass fields: every field
+    # must come back, the tagged seeds and base model included
+    cfg = ExperimentConfig(
+        generator=GeneratorConfig(
+            n_entities=300, base_model=PreferentialAttachment(3), edge_retain_x=0.9,
+            edge_retain_y=0.85, node_drop_x=0.05, node_drop_y=0.1, attr_noise=0.2,
+            rng_seed=17,
+        ),
+        matcher_holdout=MatcherConfig(
+            "percolation", seeds=TopDegree(5), threshold=2, max_iters=9
+        ),
+        sample_sizes=SampleSizes(s_m=30, s_x=40, s_x_prime=60, train=25),
+        methods=(BoundMethod.HOEFFDING, BoundMethod.HYPERGEOMETRIC),
+        trials=7,
+        seed=11,
+        matcher_complete=MatcherConfig(
+            "percolation", attr_key="uid", seeds=(("x1", "y1"), ("x2", "y2"))
+        ),
+        delta_total=0.1,
+    )
+    doc = json.loads(json.dumps(cfg.to_json_dict()))
+    assert ExperimentConfig.from_json_dict(doc) == cfg
+    assert doc["generator"]["base_model"] == {"kind": "preferential-attachment", "m_edges": 3}
+    assert doc["matcher_holdout"]["seeds"] == {"top-degree-k": 5}
+    assert doc["matcher_complete"]["seeds"] == [["x1", "y1"], ["x2", "y2"]]
+    assert doc["sample_sizes"] == {"s_m": 30, "s_x": 40, "s_x_prime": 60, "train": 25}
+    er = replace(cfg.generator, base_model=ErdosRenyi(0.25))
+    assert er.to_json_dict()["base_model"] == {"kind": "erdos-renyi", "p": 0.25}
+    assert GeneratorConfig.from_json_dict(er.to_json_dict()) == er
 
 
 def test_failed_trials_are_counted_not_fatal():

@@ -637,3 +637,38 @@ class TestHandles:
             MatcherConfig("percolation", threshold=0)
         with pytest.raises(MatchcertError, match="unknown-seed-rule"):
             MatcherConfig("percolation", seeds="all-of-them")
+
+    def test_negative_top_degree_is_rejected(self):
+        # read as a slice bound, k = -1 would seed every ranked pair but
+        # the last
+        with pytest.raises(MatchcertError, match="^invalid-top-degree: -1$"):
+            MatcherConfig.from_json_dict(
+                {"kind": "percolation", "seeds": {"top-degree-k": -1}}
+            )
+        # k = 0 seeds nothing, so a path world percolates to nothing
+        pair = mirrored_pair([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+        handle = build_matcher(MatcherConfig("percolation", seeds=TopDegree(0)))
+        assert run_batch(handle, pair).keys.size == 0
+
+    @pytest.mark.parametrize("seeds", [True, 5, 2.5, ["ab"], [["a", "b"], "cd"]])
+    def test_json_seeds_that_cannot_run(self, seeds):
+        # "ab" would unpack to the seed ("a", "b"), and True or 5 would
+        # fail only when match iterates them
+        with pytest.raises(MatchcertError, match="^unknown-seed-rule: "):
+            MatcherConfig.from_json_dict({"kind": "percolation", "seeds": seeds})
+
+    @pytest.mark.parametrize(
+        "seeds", [[("a", "b")], (("a", "b", "c"),), (("a", 1),), ("ab",), (["a", "b"],)]
+    )
+    def test_seeds_are_a_rule_or_a_tuple_of_string_pairs(self, seeds):
+        with pytest.raises(MatchcertError, match="^unknown-seed-rule: "):
+            MatcherConfig("percolation", seeds=seeds)
+
+    def test_attribute_exact_handle_holds_no_training_pairs(self):
+        # the matcher never reads them, so every handle of its config is
+        # the same function and compares equal
+        config = MatcherConfig("attribute-exact", attr_key="uid")
+        holdout = build_matcher(config, [("x0", "y0")])
+        assert holdout.training_matches == ()
+        assert with_extra_seeds(holdout, [("x1", "y1")]) == holdout
+        assert holdout == build_matcher(config)

@@ -678,6 +678,31 @@ class TestQueryReports:
         assert not any("reduced-to-holdout" in r.flags for r in reports)
         assert any(stats.d_r for stats in compute_node_stats(inp))
 
+    def test_attribute_exact_complete_handle_reduces_to_holdout(self):
+        # an attribute-exact matcher reads no seeds: the complete handle
+        # with_extra_seeds derives is the holdout one, and its certificates
+        # reduce instead of running it again and reading 0.0 and 1.0
+        nodes = range(6)
+        x = make_network([f"x{i}" for i in nodes], [], {f"x{i}": {"u": str(i)} for i in nodes})
+        y = make_network([f"y{i}" for i in nodes], [], {f"y{i}": {"u": str(i)} for i in nodes})
+        holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="u"))
+        s_x = ["x0", "x1", "x2", "x3"]
+        complete = with_extra_seeds(holdout, [(v, "y" + v[1:]) for v in s_x])
+        actual = {f"x{i}": frozenset({f"y{i}"}) for i in nodes}
+        inp = tiny_input(NetworkPair(x, y), holdout, s_x, actual, 0.05,
+                         complete=complete, s_x_prime=["x2", "x3", "x4", "x5"])
+        by_id = {r.bound_id: r for r in query_reports(inp)}
+        for quantity in ("precision", "recall"):
+            assert by_id[f"holdout-query-{quantity}"].lower_bound == pytest.approx(
+                1 - math.sqrt(math.log(1 / 0.05) / 8)
+            )
+        for bound_id in ("complete-query-recall", "complete-query-precision",
+                         "complete-query-error-rate"):
+            assert "reduced-to-holdout" in by_id[bound_id].flags
+        assert by_id["complete-query-recall"].lower_bound > 0.0
+        assert by_id["complete-query-precision"].lower_bound > 0.0
+        assert by_id["complete-query-error-rate"].upper_bound < 1.0
+
     def test_digest_is_of_each_certificates_inputs(self, tiny):
         # the certificates of one call share their inputs; each digest
         # must still hash the certificate's own whole payload
