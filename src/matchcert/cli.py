@@ -150,7 +150,7 @@ def cmd_split(args) -> int:
         labeled=tuple(items),
         t=args.train_size,
         s=args.validation_size,
-        rng_seed=args.seed if args.seed is not None else 0,
+        rng_seed=args.seed,
     )
     train, validation = split_train_validation(spec)
     Path(args.train_out).write_text(
@@ -202,15 +202,12 @@ def cmd_validate_query(args) -> int:
     holdout = build_matcher(holdout_cfg, training_matches=seeds)
     complete = None
     if args.matcher_complete or args.seeds_complete:
-        complete_cfg = (
+        complete = build_matcher(
             _read_json(args.matcher_complete, MatcherConfig.from_json_dict)
             if args.matcher_complete
-            else holdout_cfg
+            else holdout_cfg,
+            read_pairs(args.seeds_complete) if args.seeds_complete else seeds,
         )
-        complete_seeds = (
-            read_pairs(args.seeds_complete) if args.seeds_complete else seeds
-        )
-        complete = build_matcher(complete_cfg, training_matches=complete_seeds)
     s_x = tuple(read_items(args.s_x))
     inp = QueryValidationInput(
         pair=pair,
@@ -282,10 +279,14 @@ def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=cmd_gen)
 
 
-def _match_arguments(p: argparse.ArgumentParser) -> None:
+def _network_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x", required=True)
     p.add_argument("--y")
     p.add_argument("--self-match", action="store_true")
+
+
+def _match_arguments(p: argparse.ArgumentParser) -> None:
+    _network_arguments(p)
     p.add_argument("--config", required=True, help="MatcherConfig JSON file")
     p.add_argument("--seeds", help="training seed pairs TSV")
     p.add_argument("--out", required=True)
@@ -297,7 +298,7 @@ def _split_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--population-n", type=int, required=True)
     p.add_argument("--train-size", type=int, required=True)
     p.add_argument("--validation-size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-out", required=True)
     p.add_argument("--validation-out", required=True)
     p.set_defaults(func=cmd_split)
@@ -310,9 +311,7 @@ def _validate_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _validate_batch_arguments(b: argparse.ArgumentParser) -> None:
-    b.add_argument("--x", required=True)
-    b.add_argument("--y")
-    b.add_argument("--self-match", action="store_true")
+    _network_arguments(b)
     b.add_argument("--m-hat-holdout", required=True)
     b.add_argument("--m-hat-complete")
     b.add_argument("--s-m", required=True, help="verified match sample TSV")
@@ -328,9 +327,7 @@ def _validate_batch_arguments(b: argparse.ArgumentParser) -> None:
 
 
 def _validate_query_arguments(q: argparse.ArgumentParser) -> None:
-    q.add_argument("--x", required=True)
-    q.add_argument("--y")
-    q.add_argument("--self-match", action="store_true")
+    _network_arguments(q)
     q.add_argument("--matcher", required=True, help="holdout MatcherConfig JSON")
     q.add_argument("--matcher-complete")
     q.add_argument("--seeds")

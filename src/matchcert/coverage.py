@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import chain
 from typing import Mapping
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .batch import BatchValidationInput, batch_reports, true_batch_metrics
 from .bounds import BoundMethod, Confidence
-from .errors import MatchcertError
+from .errors import MatchcertError, read_fields
 from .graphs import matches_of
 from .matchers import MatcherConfig, build_matcher, run_batch, with_extra_seeds
 from .query import (
@@ -76,13 +77,6 @@ class SampleSizes:
     s_x_prime: int
     train: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "SampleSizes":
-        return cls(**{f.name: int(doc[f.name]) for f in fields(cls)})
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -107,40 +101,37 @@ class ExperimentConfig:
             raise MatchcertError(f"invalid-trials: {self.trials}")
         if not self.methods:
             raise MatchcertError("invalid-methods: no bound method given")
+        if self.seed < 0:
+            raise MatchcertError(f"invalid-seed: seed {self.seed}")
         Confidence(self.delta_total)
 
     def to_json_dict(self) -> dict:
+        complete = self.matcher_complete
         return {
+            **asdict(self),
             "generator": self.generator.to_json_dict(),
             "matcher_holdout": self.matcher_holdout.to_json_dict(),
-            "matcher_complete": (
-                self.matcher_complete.to_json_dict()
-                if self.matcher_complete
-                else None
-            ),
-            "sample_sizes": self.sample_sizes.to_json_dict(),
+            "matcher_complete": complete and complete.to_json_dict(),
             "methods": [m.value for m in self.methods],
-            "trials": self.trials,
-            "seed": self.seed,
-            "delta_total": self.delta_total,
         }
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        return cls(
-            generator=GeneratorConfig.from_json_dict(doc["generator"]),
-            matcher_holdout=MatcherConfig.from_json_dict(doc["matcher_holdout"]),
-            matcher_complete=(
-                MatcherConfig.from_json_dict(doc["matcher_complete"])
-                if doc.get("matcher_complete")
-                else None
-            ),
-            sample_sizes=SampleSizes.from_json_dict(doc["sample_sizes"]),
-            methods=tuple(BoundMethod.parse(m) for m in doc["methods"]),
-            trials=int(doc["trials"]),
-            seed=int(doc["seed"]),
-            delta_total=float(doc.get("delta_total", 0.05)),
+        return read_fields(
+            cls,
+            doc,
+            generator=GeneratorConfig.from_json_dict,
+            matcher_holdout=MatcherConfig.from_json_dict,
+            matcher_complete=MatcherConfig.from_json_dict,
+            sample_sizes=partial(read_fields, SampleSizes),
+            methods=_read_methods,
         )
+
+
+def _read_methods(doc) -> tuple[BoundMethod, ...]:
+    if not isinstance(doc, list):
+        raise MatchcertError(f"invalid-config: methods takes a list, not {doc!r}")
+    return tuple(map(BoundMethod.parse, doc))
 
 
 @dataclass(frozen=True)
@@ -186,29 +177,18 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     gen_cfg = replace(cfg.generator, rng_seed=_trial_seed(cfg.seed, idx))
     pair, truth = generate_pair(gen_cfg)
     x_nodes = pair.x_net.index.ids  # sorted
+
+    def draw(universe, s: int, purpose: int) -> tuple:
+        rng = spawn_rng(cfg.seed, idx, purpose)
+        return tuple(sample_without_replacement(universe, s, rng))
+
     # the actual matches are sampled as keys, in key (= sorted pair) order,
     # and only the drawn keys become string pairs
     m = truth.keys.size
-    train = truth.decode(
-        sample_without_replacement(
-            truth.keys, min(sizes.train, m), spawn_rng(cfg.seed, idx, 1)
-        )
-    )
-    s_m = tuple(
-        truth.decode(
-            sample_without_replacement(
-                truth.keys, min(sizes.s_m, m), spawn_rng(cfg.seed, idx, 2)
-            )
-        )
-    )
-    s_x = tuple(
-        sample_without_replacement(x_nodes, sizes.s_x, spawn_rng(cfg.seed, idx, 3))
-    )
-    s_x_prime = tuple(
-        sample_without_replacement(
-            x_nodes, sizes.s_x_prime, spawn_rng(cfg.seed, idx, 4)
-        )
-    )
+    train = truth.decode(draw(truth.keys, min(sizes.train, m), 1))
+    s_m = tuple(truth.decode(draw(truth.keys, min(sizes.s_m, m), 2)))
+    s_x = draw(x_nodes, sizes.s_x, 3)
+    s_x_prime = draw(x_nodes, sizes.s_x_prime, 4)
     # every reader of actual_for (the validation seeds below and each
     # certificate) reads the nodes of s_x only
     actual_for = matches_of(truth, pair, s_x)

@@ -28,11 +28,12 @@ A Network is its int index (``Network.index``) plus its attributes: node
 ids sorted once, so index order is id order, an id -> position map, and
 CSR adjacency arrays. ``make_network`` builds the index from string edges;
 ``load_network`` and the generator build it straight from int edge arrays
-with ``NodeIndex.build``, and both defer their attribute dicts
-(``LazyAttrs``). ``Network.nodes`` and ``Network.edges`` are read-only
-views of the index, built on first use. Equality compares nodes, edges
-and attributes (equal ids and CSR arrays are equal node and edge sets),
-and ``repr`` shows the views, not the arrays.
+with ``NodeIndex.build``, and both defer their attribute dicts (a
+``Network`` holds the function that builds them, ``build_attrs``).
+``Network.nodes`` and ``Network.edges`` are read-only views of the
+index, built on first use. Equality compares nodes, edges and
+attributes (equal ids and CSR arrays are equal node and edge sets), and
+``repr`` shows the views, not the arrays.
 
 A MatchSet is int-native in the same way: the X and Y id lists of its
 pair, and one sorted, distinct int64 key ``x_pos * len(y_ids) + y_pos``
@@ -70,7 +71,7 @@ whitespace only or starts with ``#``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice, repeat
 from pathlib import Path
@@ -115,14 +116,6 @@ def distinct_sorted(keys: np.ndarray) -> np.ndarray:
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
-
-
-def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Whether each of ``keys`` occurs in the ascending ``sorted_keys``."""
-    at = np.searchsorted(sorted_keys, keys)
-    found = at < sorted_keys.size
-    found[found] = sorted_keys[at[found]] == keys[found]
-    return found
 
 
 class NodeIndex(NamedTuple):
@@ -173,40 +166,21 @@ def _edge_ids(index: NodeIndex) -> tuple[list[str], list[str]]:
     )
 
 
-class LazyAttrs(Mapping):
-    """Node attributes, ``{node: {key: value}}``, built by ``build`` on
-    first read: a coverage trial and most commands never read them."""
-
-    def __init__(self, build: Callable[[], dict[str, dict[str, str]]]):
-        self._build = build
-
-    @cached_property
-    def _dict(self) -> dict[str, dict[str, str]]:
-        return self._build()
-
-    def __getitem__(self, node: str) -> dict[str, str]:
-        return self._dict[node]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self) -> int:
-        return len(self._dict)
-
-    def __repr__(self) -> str:
-        return repr(self._dict)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class Network:
     """A network: its int index plus flat string attributes per node.
 
-    ``nodes`` and ``edges`` are read-only views of the index, built on
-    first use and cached on the object.
+    ``nodes`` and ``edges`` are read-only views of the index, and ``attrs``
+    is what ``build_attrs`` returns, each built on first use and cached on
+    the object: a coverage trial and most commands never read ``attrs``.
     """
 
     index: NodeIndex
-    attrs: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
+    build_attrs: Callable[[], Mapping[str, Mapping[str, str]]] = dict
+
+    @cached_property
+    def attrs(self) -> Mapping[str, Mapping[str, str]]:
+        return self.build_attrs()
 
     @cached_property
     def nodes(self) -> frozenset[str]:
@@ -236,15 +210,6 @@ class Network:
         )
 
 
-def _sorted_ids(nodes: Iterable[str]) -> tuple[list[str], dict[str, int]]:
-    """The distinct checked ids in sorted order, and id -> position; a bad
-    id fails naming the least."""
-    ids = sorted(set(nodes))
-    for node in ids:
-        _check_node_id(node)
-    return ids, dict(zip(ids, range(len(ids))))
-
-
 def make_network(
     nodes: Iterable[str],
     edges: Iterable[tuple[str, str]],
@@ -253,7 +218,10 @@ def make_network(
     """Build a validated Network; edges are deduplicated and canonicalized.
     An attribute key or value holds no tab, LF or CR (``invalid-attribute``),
     so ``save_network`` writes it as one field."""
-    ids, pos = _sorted_ids(nodes)
+    ids = sorted(set(nodes))
+    for node in ids:  # a bad id fails naming the least
+        _check_node_id(node)
+    pos = dict(zip(ids, range(len(ids))))
     edges = list(edges)
     ends = np.fromiter(
         (pos.get(node, -1) for u, v in edges for node in (u, v)),
@@ -274,7 +242,7 @@ def make_network(
         for text in (*values, *values.values()):
             if "\t" in text or "\n" in text or "\r" in text:
                 raise MatchcertError(f"invalid-attribute: {node!r}: {text!r}")
-    return Network(NodeIndex.build(ids, pos, u, v), attrs)
+    return Network(NodeIndex.build(ids, pos, u, v), attrs.copy)
 
 
 @dataclass(frozen=True)
@@ -340,7 +308,10 @@ class MatchSet:
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         """Whether the set holds each of ``keys`` (keys of its universe)."""
-        return _member(keys, self.keys)
+        at = np.searchsorted(self.keys, keys)
+        found = at < self.keys.size
+        found[found] = self.keys[at[found]] == keys[found]
+        return found
 
     def found_in(self, other: "MatchSet") -> np.ndarray:
         """Whether ``other`` holds each of this set's pairs, in key order."""
@@ -624,7 +595,7 @@ def load_network(path: str | Path) -> Network:
     rows = gather_runs(lines.buf, attr_node, end[attr] + 1 - attr_node).tobytes()
     return Network(
         NodeIndex.build(ids, dict(zip(ids, range(len(ids)))), at[u], at[v]),
-        LazyAttrs(partial(_file_attrs, rows)),
+        partial(_file_attrs, rows),
     )
 
 

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MatchcertError
+from .errors import MatchcertError, read_fields
 from .graphs import (
     MatchSet,
     NetworkPair,
@@ -114,23 +114,21 @@ class MatcherConfig:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "MatcherConfig":
-        seeds = doc.get("seeds")
-        if isinstance(seeds, Mapping):
-            if set(seeds) != {"top-degree-k"}:
-                raise MatchcertError(f"unknown-seed-rule: {dict(seeds)!r}")
-            seeds = TopDegree(int(seeds["top-degree-k"]))
-        elif isinstance(seeds, list):
-            for p in seeds:  # one of another length than two fails to unpack
-                if not isinstance(p, list):
-                    raise MatchcertError(f"unknown-seed-rule: seed {p!r}")
-            seeds = tuple((str(x), str(y)) for x, y in seeds)
-        return cls(
-            kind=doc["kind"],
-            attr_key=doc.get("attr_key"),
-            seeds=seeds,
-            threshold=int(doc.get("threshold", 1)),
-            max_iters=int(doc.get("max_iters", 25)),
-        )
+        return read_fields(cls, doc, seeds=_read_seeds)
+
+
+def _read_seeds(seeds) -> tuple[tuple[str, str], ...] | TopDegree | str:
+    """The seed rule of a matcher config's JSON ``seeds``; ``__post_init__``
+    rejects a value that is no rule."""
+    if isinstance(seeds, Mapping):
+        if set(seeds) != {"top-degree-k"}:
+            raise MatchcertError(f"unknown-seed-rule: {dict(seeds)!r}")
+        return read_fields(TopDegree, {"k": seeds["top-degree-k"]})
+    if isinstance(seeds, list):
+        if not all(isinstance(p, list) for p in seeds):  # "ab" would unpack
+            raise MatchcertError(f"unknown-seed-rule: {seeds!r}")
+        return tuple((x, y) for x, y in seeds)  # [x] or [x, y, z] fails to unpack
+    return seeds
 
 
 @dataclass

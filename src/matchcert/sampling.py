@@ -123,6 +123,8 @@ class SplitSpec:
             )
         if len(set(self.labeled)) != len(self.labeled):
             raise MatchcertError("invalid-split: labeled items must be distinct")
+        if self.rng_seed < 0:
+            raise MatchcertError(f"invalid-seed: rng_seed {self.rng_seed}")
 
 
 def split_train_validation(spec: SplitSpec) -> tuple[list, list]:

@@ -27,11 +27,12 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import compress
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import MatchcertError
-from .graphs import LazyAttrs, MatchSet, Network, NetworkPair, NodeIndex
+from .errors import MatchcertError, read_fields
+from .graphs import MatchSet, Network, NetworkPair, NodeIndex
 from .sampling import spawn_rng
 
 __all__ = ["ErdosRenyi", "PreferentialAttachment", "GeneratorConfig", "generate_pair"]
@@ -43,6 +44,7 @@ NOISE_MARK = "~"
 @dataclass(frozen=True)
 class ErdosRenyi:
     p: float
+    kind: ClassVar[str] = "erdos-renyi"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
@@ -52,10 +54,20 @@ class ErdosRenyi:
 @dataclass(frozen=True)
 class PreferentialAttachment:
     m_edges: int
+    kind: ClassVar[str] = "preferential-attachment"
 
     def __post_init__(self) -> None:
         if self.m_edges < 1:
             raise MatchcertError(f"invalid-generator: m_edges {self.m_edges}")
+
+
+def _read_model(doc: Mapping) -> ErdosRenyi | PreferentialAttachment:
+    """The base model of a JSON object: ``kind`` names the model, and the
+    other keys are its fields."""
+    for model in (ErdosRenyi, PreferentialAttachment):
+        if doc.get("kind") == model.kind:
+            return read_fields(model, {k: v for k, v in doc.items() if k != "kind"})
+    raise MatchcertError(f"invalid-generator: model kind {doc.get('kind')!r}")
 
 
 @dataclass(frozen=True)
@@ -77,32 +89,17 @@ class GeneratorConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise MatchcertError(f"invalid-generator: {name}={v}")
+        if self.rng_seed < 0:
+            raise MatchcertError(f"invalid-seed: rng_seed {self.rng_seed}")
 
     def to_json_dict(self) -> dict:
         doc = asdict(self)  # base_model as {"p": ...} or {"m_edges": ...}
-        er = isinstance(self.base_model, ErdosRenyi)
-        doc["base_model"]["kind"] = "erdos-renyi" if er else "preferential-attachment"
+        doc["base_model"]["kind"] = self.base_model.kind
         return doc
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "GeneratorConfig":
-        model = doc["base_model"]
-        if model["kind"] == "erdos-renyi":
-            base: ErdosRenyi | PreferentialAttachment = ErdosRenyi(float(model["p"]))
-        elif model["kind"] == "preferential-attachment":
-            base = PreferentialAttachment(int(model["m_edges"]))
-        else:
-            raise MatchcertError(f"invalid-generator: model kind {model['kind']!r}")
-        return cls(
-            n_entities=int(doc["n_entities"]),
-            base_model=base,
-            edge_retain_x=float(doc.get("edge_retain_x", 1.0)),
-            edge_retain_y=float(doc.get("edge_retain_y", 1.0)),
-            node_drop_x=float(doc.get("node_drop_x", 0.0)),
-            node_drop_y=float(doc.get("node_drop_y", 0.0)),
-            attr_noise=float(doc.get("attr_noise", 0.0)),
-            rng_seed=int(doc.get("rng_seed", 0)),
-        )
+        return read_fields(cls, doc, base_model=_read_model)
 
 
 def _base_edges(cfg: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
@@ -205,8 +202,7 @@ def _copy(
     index = NodeIndex.build(
         ids, dict(zip(ids, range(len(ids)))), at[kept_edges[:, 0]], at[kept_edges[:, 1]]
     )
-    attrs = LazyAttrs(partial(_uid_attrs, names, survivors, noisy))
-    return keep, at, Network(index, attrs)
+    return keep, at, Network(index, partial(_uid_attrs, names, survivors, noisy))
 
 
 def generate_pair(cfg: GeneratorConfig) -> tuple[NetworkPair, MatchSet]:
@@ -216,12 +212,9 @@ def generate_pair(cfg: GeneratorConfig) -> tuple[NetworkPair, MatchSet]:
     leave nodes in the other copy with no actual match, so the ground
     truth exercises unmatched-node handling.
     """
-    rng_base = spawn_rng(cfg.rng_seed, 0)
-    rng_xn = spawn_rng(cfg.rng_seed, 1)
-    rng_xe = spawn_rng(cfg.rng_seed, 2)
-    rng_yn = spawn_rng(cfg.rng_seed, 3)
-    rng_ye = spawn_rng(cfg.rng_seed, 4)
-    rng_noise = spawn_rng(cfg.rng_seed, 5)
+    rng_base, rng_xn, rng_xe, rng_yn, rng_ye, rng_noise = (
+        spawn_rng(cfg.rng_seed, key) for key in range(6)
+    )
 
     base = _base_edges(cfg, rng_base)
     n = cfg.n_entities
