@@ -99,8 +99,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise MatchcertError(f"invalid-trials: {self.trials}")
-        if not self.methods:
-            raise MatchcertError("invalid-methods: no bound method given")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise MatchcertError(f"invalid-methods: want distinct methods, got {self.methods}")
         if self.seed < 0:
             raise MatchcertError(f"invalid-seed: seed {self.seed}")
         Confidence(self.delta_total)

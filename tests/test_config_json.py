@@ -64,6 +64,10 @@ BAD = {
     "matcher-complete-empty": ("coverage", {**EXP, "matcher_complete": {}},
                                "invalid-config"),
     "methods-string": ("coverage", {**EXP, "methods": "hoeffding"}, "invalid-config"),
+    # a repeated method would count each trial twice in its rows
+    "methods-repeated": ("coverage", {**EXP, "methods": ["hoeffding", "hoeffding"]},
+                         "invalid-methods"),
+    "methods-empty": ("coverage", {**EXP, "methods": []}, "invalid-methods"),
     "trials-float": ("coverage", {**EXP, "trials": 2.0}, "invalid-config"),
     "delta-string": ("coverage", {**EXP, "delta_total": "0.05"}, "invalid-config"),
     "sample-size-float": ("coverage", {**EXP, "sample_sizes": {
