@@ -49,6 +49,7 @@ from .bounds import BoundMethod, Confidence, Term, bound_term
 from .bounds import bound_mean  # noqa: F401
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair, pair_keys
+from .query import exact_metrics
 from .reports import (
     ValidationReport,
     build_report,
@@ -287,10 +288,8 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
 def true_batch_metrics(
     pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet
 ) -> tuple[float | None, float | None]:
-    """Exact (precision, recall) by key arithmetic; None on an empty
-    denominator. Test and harness oracle only: requires full ground truth."""
-    hit = int(np.count_nonzero(m_hat.found_in(m_true)))
-    identified, actual = m_hat.keys.size, m_true.keys.size
-    precision = hit / identified if identified else None
-    recall = hit / actual if actual else None
-    return precision, recall
+    """Exact (precision, recall) (see ``query.exact_metrics``); None on an
+    empty denominator. Test and harness oracle only: requires full ground
+    truth."""
+    exact = exact_metrics(pair, m_hat, m_true)
+    return exact.batch_precision, exact.batch_recall

@@ -34,19 +34,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .batch import BatchValidationInput, batch_reports, true_batch_metrics
+from .batch import BatchValidationInput, batch_reports
 from .bounds import BoundMethod, Confidence
 from .errors import MatchcertError, read_fields
 from .graphs import matches_of
 from .matchers import MatcherConfig, build_matcher, run_batch, with_extra_seeds
-from .query import (
-    QueryValidationInput,
-    query_reports,
-    true_error_rate,
-    true_query_metrics,
-)
-from .reports import ValidationReport
-from .sampling import sample_without_replacement, spawn_rng
+from .query import QueryValidationInput, exact_metrics, query_reports
+from .reports import ValidationReport, verified_pairs
+from .sampling import sample_indices, sample_without_replacement, spawn_rng
 from .synth import GeneratorConfig, generate_pair
 
 __all__ = [
@@ -178,17 +173,16 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     pair, truth = generate_pair(gen_cfg)
     x_nodes = pair.x_net.index.ids  # sorted
 
-    def draw(universe, s: int, purpose: int) -> tuple:
-        rng = spawn_rng(cfg.seed, idx, purpose)
-        return tuple(sample_without_replacement(universe, s, rng))
+    def rng(purpose: int) -> np.random.Generator:
+        return spawn_rng(cfg.seed, idx, purpose)
 
-    # the actual matches are sampled as keys, in key (= sorted pair) order,
-    # and only the drawn keys become string pairs
+    # the actual matches are sampled as positions in the keys, in key (=
+    # sorted pair) order, and only the drawn keys become string pairs
     m = truth.keys.size
-    train = truth.decode(draw(truth.keys, min(sizes.train, m), 1))
-    s_m = tuple(truth.decode(draw(truth.keys, min(sizes.s_m, m), 2)))
-    s_x = draw(x_nodes, sizes.s_x, 3)
-    s_x_prime = draw(x_nodes, sizes.s_x_prime, 4)
+    train = truth.decode(truth.keys[sample_indices(m, min(sizes.train, m), rng(1))])
+    s_m = tuple(truth.decode(truth.keys[sample_indices(m, min(sizes.s_m, m), rng(2))]))
+    s_x = tuple(sample_without_replacement(x_nodes, sizes.s_x, rng(3)))
+    s_x_prime = tuple(sample_without_replacement(x_nodes, sizes.s_x_prime, rng(4)))
     # every reader of actual_for (the validation seeds below and each
     # certificate) reads the nodes of s_x only
     actual_for = matches_of(truth, pair, s_x)
@@ -199,23 +193,18 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
         if cfg.matcher_complete is not None
         else holdout
     )
-    validation_seeds = list(s_m) + [
-        (x, y) for x in s_x for y in sorted(actual_for[x])
-    ]
-    complete = with_extra_seeds(complete_base, validation_seeds)
+    complete = with_extra_seeds(complete_base, [*s_m, *verified_pairs(s_x, actual_for)])
 
     m_hat_h = run_batch(holdout, pair)
     m_hat_c = run_batch(complete, pair)
     if not m_hat_h.keys.size or not m_hat_c.keys.size:
         raise MatchcertError("trial-degenerate: a matcher identified nothing")
 
-    truths = {}  # exact value of each certified quantity, by bound id
-    for variant, m_hat in (("holdout", m_hat_h), ("complete", m_hat_c)):
-        for mode, exact in (("batch", true_batch_metrics), ("query", true_query_metrics)):
-            p, r = exact(pair, m_hat, truth)
-            truths[f"{variant}-{mode}-precision"] = p
-            truths[f"{variant}-{mode}-recall"] = r
-        truths[f"{variant}-query-error-rate"] = true_error_rate(pair, m_hat, truth)
+    truths = {  # exact value of each certified quantity, by bound id
+        f"{variant}-{name.replace('_', '-')}": value
+        for variant, m_hat in (("holdout", m_hat_h), ("complete", m_hat_c))
+        for name, value in exact_metrics(pair, m_hat, truth)._asdict().items()
+    }
 
     records: list[TrialRecord] = []
     for method in cfg.methods:

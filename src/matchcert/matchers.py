@@ -127,7 +127,10 @@ def _read_seeds(seeds) -> tuple[tuple[str, str], ...] | TopDegree | str:
     if isinstance(seeds, list):
         if not all(isinstance(p, list) for p in seeds):  # "ab" would unpack
             raise MatchcertError(f"unknown-seed-rule: {seeds!r}")
-        return tuple((x, y) for x, y in seeds)  # [x] or [x, y, z] fails to unpack
+        for p in seeds:
+            if len(p) != 2:
+                raise MatchcertError(f"invalid-config: a seed pair has two ids, not {p!r}")
+        return tuple(map(tuple, seeds))
     return seeds
 
 

@@ -39,8 +39,11 @@ all its certificates; a certificate called on its own builds them
 itself. Each report's digest fields come from the input its own
 certificate was given (see :mod:`.reports`).
 
-The truth oracles read keys too: numpy set arithmetic over the sorted
-keys, with per-node rates from ``np.bincount`` and means by ``math.fsum``.
+The truth oracle, :func:`exact_metrics`, reads keys too: one binary
+search of each set's keys in the other's gives every exact batch and
+query metric, with per-node rates from ``np.bincount`` and means by
+``math.fsum``; ``true_query_metrics``, ``true_error_rate`` and
+``batch.true_batch_metrics`` are projections of it.
 
 The holdout precision and recall terms bound means over a subset D of X
 from the sampled nodes in D, which, given their number, are a uniform
@@ -86,6 +89,8 @@ __all__ = [
     "error_rate_bounds",
     "query_reports",
     "compute_node_stats",
+    "ExactMetrics",
+    "exact_metrics",
     "true_query_metrics",
     "true_error_rate",
 ]
@@ -490,14 +495,51 @@ def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
     return out
 
 
-def _mean_rate(a: MatchSet, b: MatchSet) -> float | None:
-    """The mean, over the x with a pair in ``a``, of the fraction of x's
-    pairs in ``a`` that ``b`` holds; None when ``a`` is empty."""
-    if not a.keys.size:
+class ExactMetrics(NamedTuple):
+    """The exact value of each certified quantity of an identified set,
+    by the name its bound ids end in; None on an empty denominator."""
+
+    batch_precision: float | None
+    batch_recall: float | None
+    query_precision: float | None
+    query_recall: float | None
+    query_error_rate: float
+
+
+def exact_metrics(pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet) -> ExactMetrics:
+    """The exact metrics of ``m_hat`` against ``m_true`` from one membership
+    pass each way: batch precision and recall are the shares of the common
+    pairs, query precision and recall the means of p(x) and r(x) over the
+    nodes where they are defined, and the error rate the share of X whose
+    two match sets differ. Test and harness oracle only: requires full
+    ground truth."""
+    hat_in_true, true_in_hat = m_hat.found_in(m_true), m_true.found_in(m_hat)
+    hit = int(np.count_nonzero(hat_in_true))
+    identified, actual = m_hat.keys.size, m_true.keys.size
+    n_x, n_y = len(pair.x_net.index.ids), max(len(m_hat.y_ids), 1)
+    # x errs when some pair of x is in exactly one of the two sets
+    wrong = np.zeros(n_x, dtype=bool)
+    wrong[m_hat.keys[~hat_in_true] // n_y] = True
+    wrong[m_true.keys[~true_in_hat] // n_y] = True
+    return ExactMetrics(
+        batch_precision=hit / identified if identified else None,
+        batch_recall=hit / actual if actual else None,
+        query_precision=_mean_rate(m_hat.keys, hat_in_true, n_y),
+        query_recall=_mean_rate(m_true.keys, true_in_hat, n_y),
+        query_error_rate=int(np.count_nonzero(wrong)) / n_x,
+    )
+
+
+def _mean_rate(keys: np.ndarray, hits: np.ndarray, n_y: int) -> float | None:
+    """The mean, over the x with a pair in ``keys``, of the fraction of x's
+    pairs that ``hits`` marks; None when ``keys`` is empty."""
+    if not keys.size:
         return None
-    x = a.keys // len(a.y_ids)
+    x = keys // n_y
     size = np.bincount(x)
-    hit = np.bincount(x, weights=a.found_in(b))
+    if size.max() == 1:  # each rate is 0 or 1: fsum would give this count
+        return int(np.count_nonzero(hits)) / keys.size
+    hit = np.bincount(x, weights=hits)
     rows = size > 0
     return math.fsum((hit[rows] / size[rows]).tolist()) / int(np.count_nonzero(rows))
 
@@ -505,18 +547,13 @@ def _mean_rate(a: MatchSet, b: MatchSet) -> float | None:
 def true_query_metrics(
     pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet
 ) -> tuple[float | None, float | None]:
-    """Exact query precision/recall: means of p(x) and r(x) over the nodes
-    where they are defined. Test and harness oracle only."""
-    return _mean_rate(m_hat, m_true), _mean_rate(m_true, m_hat)
+    """Exact query precision/recall (see :func:`exact_metrics`). Test and
+    harness oracle only."""
+    exact = exact_metrics(pair, m_hat, m_true)
+    return exact.query_precision, exact.query_recall
 
 
 def true_error_rate(pair: NetworkPair, m_hat: MatchSet, m_true: MatchSet) -> float:
-    """Exact mean single-node error over all of X. Oracle only."""
-    # x errs when some pair of x is in exactly one of the two sets
-    only = np.concatenate([
-        m_hat.keys[~m_hat.found_in(m_true)], m_true.keys[~m_true.found_in(m_hat)]
-    ])
-    n_x = len(pair.x_net.index.ids)
-    wrong = np.zeros(n_x, dtype=bool)
-    wrong[only // max(len(m_hat.y_ids), 1)] = True
-    return int(np.count_nonzero(wrong)) / n_x
+    """Exact mean single-node error over all of X (see
+    :func:`exact_metrics`). Oracle only."""
+    return exact_metrics(pair, m_hat, m_true).query_error_rate

@@ -30,6 +30,7 @@ __all__ = [
     "digest_of",
     "require_distinct",
     "sample_positions",
+    "verified_pairs",
     "verified_sample",
 ]
 
@@ -71,15 +72,24 @@ def sample_positions(
     return at
 
 
+def verified_pairs(nodes: Sequence[str], actual_for: Mapping) -> list[tuple[str, str]]:
+    """The pairs (x, y) with y in ``actual_for[x]``, in node order and
+    each node's matches in id order, whatever the set iteration order."""
+    return [
+        (x, y)
+        for x, ys in zip(nodes, map(actual_for.__getitem__, nodes))
+        # most nodes have at most one match, which needs no sort
+        for y in (sorted(ys) if len(ys) > 1 else ys)
+    ]
+
+
 def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
     """The positions in X of the sampled ``nodes`` (s_x, checked by
-    :func:`sample_positions`) and the keys of their verified pairs (x, y in
-    ``actual_for[x]``), checked by ``graphs.pair_keys`` in node order and
-    each node's matches in id order, so an error names the same pair
-    whatever the set iteration order."""
+    :func:`sample_positions`) and the keys of their verified pairs, checked
+    by ``graphs.pair_keys`` in :func:`verified_pairs` order, so an error
+    names the same pair whatever the set iteration order."""
     at = sample_positions(pair.x_net.index, "s_x", nodes, actual_for)
-    pairs = [(x, y) for x in nodes for y in sorted(actual_for[x])]
-    return at, pair_keys(pair, "actual_for", pairs)
+    return at, pair_keys(pair, "actual_for", verified_pairs(nodes, actual_for))
 
 
 def digest_of(payload) -> str:

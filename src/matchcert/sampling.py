@@ -24,6 +24,7 @@ from .errors import MatchcertError
 
 __all__ = [
     "spawn_rng",
+    "sample_indices",
     "sample_without_replacement",
     "stream_without_replacement",
     "hypergeometric_draw",
@@ -46,17 +47,19 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return spawn_rng(int(seed_or_rng))
 
 
+def sample_indices(n: int, s: int, seed_or_rng) -> np.ndarray:
+    """A uniformly random size-s subset of ``range(n)``, in draw order, as
+    an int array. Size 0 draws nothing from the generator."""
+    if not 0 <= s <= n:
+        raise MatchcertError(f"invalid-sample-size: s={s} not in [0, {n}]")
+    if s == 0:
+        return np.empty(0, dtype=np.int64)
+    return _as_rng(seed_or_rng).choice(n, size=s, replace=False, shuffle=False)
+
+
 def sample_without_replacement(universe: Sequence[T], s: int, seed_or_rng) -> list[T]:
     """A uniformly random size-s subset of ``universe``, in draw order."""
-    if not 0 <= s <= len(universe):
-        raise MatchcertError(
-            f"invalid-sample-size: s={s} not in [0, {len(universe)}]"
-        )
-    if s == 0:
-        return []
-    rng = _as_rng(seed_or_rng)
-    idx = rng.choice(len(universe), size=s, replace=False, shuffle=False)
-    return [universe[i] for i in idx]
+    return [universe[i] for i in sample_indices(len(universe), s, seed_or_rng).tolist()]
 
 
 def stream_without_replacement(universe: Sequence[T], seed_or_rng) -> Iterator[T]:

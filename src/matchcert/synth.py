@@ -64,6 +64,8 @@ class PreferentialAttachment:
 def _read_model(doc: Mapping) -> ErdosRenyi | PreferentialAttachment:
     """The base model of a JSON object: ``kind`` names the model, and the
     other keys are its fields."""
+    if not isinstance(doc, Mapping):
+        raise MatchcertError(f"invalid-config: base_model takes an object, not {doc!r}")
     for model in (ErdosRenyi, PreferentialAttachment):
         if doc.get("kind") == model.kind:
             return read_fields(model, {k: v for k, v in doc.items() if k != "kind"})
@@ -189,18 +191,17 @@ def _copy(
         raise MatchcertError(
             f"degenerate-config: every node dropped from the {prefix} copy"
         )
-    if base.shape[0]:
-        alive = keep[base[:, 0]] & keep[base[:, 1]]
-        kept_edges = base[alive & (rng_edges.random(base.shape[0]) < retain)]
-    else:
-        kept_edges = base
+    # the edge columns are masked on their own: selecting rows of the
+    # (E, 2) array costs twice as much
+    u, v = base.T
+    live = keep[u] & keep[v] & (rng_edges.random(u.size) < retain)
     names, sorted_names, order = _universe(prefix, n)
     kept = keep[order]  # the keep mask in id order
     ids = list(compress(sorted_names, kept.tolist()))
     at = np.empty(n, dtype=np.int64)  # entity -> position in ids
     at[order[kept]] = np.arange(len(ids))
     index = NodeIndex.build(
-        ids, dict(zip(ids, range(len(ids)))), at[kept_edges[:, 0]], at[kept_edges[:, 1]]
+        ids, dict(zip(ids, range(len(ids)))), at[u[live]], at[v[live]]
     )
     return keep, at, Network(index, partial(_uid_attrs, names, survivors, noisy))
 

@@ -48,6 +48,8 @@ BAD = {
     "threshold-float": ("match", {**MATCHER, "threshold": 2.9}, "invalid-config"),
     "max-iters-string": ("match", {**MATCHER, "max_iters": "7"}, "invalid-config"),
     "seeds-not-strings": ("match", {**MATCHER, "seeds": [[1, 2]]}, "unknown-seed-rule"),
+    "seed-pair-short": ("match", {**MATCHER, "seeds": [["a"]]}, "invalid-config"),
+    "seed-pair-long": ("match", {**MATCHER, "seeds": [["a", "b", "c"]]}, "invalid-config"),
     "misspelt-key": ("match", {**MATCHER, "treshold": 2}, "invalid-config"),
     "attr-key-number": ("match", {**MATCHER, "attr_key": 3}, "invalid-config"),
     "kind-null": ("match", {**MATCHER, "kind": None}, "invalid-config"),
@@ -56,6 +58,7 @@ BAD = {
                                                      "m_edges": 2.5}}, "invalid-config"),
     "p-string": ("gen", {**GEN, "base_model": {"kind": "erdos-renyi", "p": "0.1"}},
                  "invalid-config"),
+    "model-string": ("gen", {**GEN, "base_model": "erdos-renyi"}, "invalid-config"),
     "model-unknown-key": ("gen", {**GEN, "base_model": {"kind": "erdos-renyi", "p": 0.1,
                                                          "m_edges": 2}}, "invalid-config"),
     "noise-bool": ("gen", {**GEN, "attr_noise": True}, "invalid-config"),

@@ -218,3 +218,44 @@ def test_holdout_matcher_without_seeds_is_a_degenerate_trial():
     error = "^trial-failed: trial 0: trial-degenerate: a matcher identified nothing$"
     with pytest.raises(MatchcertError, match=error):
         run_trial(cfg, 0)
+
+
+class _Drawn(Exception):
+    """Stops a trial once its samples are drawn."""
+
+
+@pytest.mark.parametrize("train, s_m", [(0, 0), (20, 30), (10**6, 10**6)])
+def test_trial_draws_the_pairs_sample_without_replacement_draws(monkeypatch, train, s_m):
+    # a trial draws train and s_m as positions in the truth's keys; they
+    # must be the pairs that sampling the keys themselves gives, at sizes
+    # 0, in between and |truth| (a larger size is cut to |truth|)
+    seen = {}
+
+    def recording_generate_pair(cfg):
+        seen["world"] = generate_pair(cfg)
+        return seen["world"]
+
+    def stop(handle, extra_pairs):
+        seen["train"], seen["extra"] = list(handle.training_matches), list(extra_pairs)
+        raise _Drawn
+
+    monkeypatch.setattr("matchcert.coverage.generate_pair", recording_generate_pair)
+    monkeypatch.setattr("matchcert.coverage.with_extra_seeds", stop)
+    base = _small_world(MatcherConfig("percolation", seeds=VERIFIED_SAMPLE))
+    for seed, idx in ((3, 0), (3, 7), (91, 2)):
+        cfg = replace(base, seed=seed, sample_sizes=replace(
+            base.sample_sizes, train=train, s_m=s_m))
+        with pytest.raises(_Drawn):
+            run_trial(cfg, idx)
+        pair, truth = seen["world"]
+        m = truth.keys.size
+
+        def drawn(s, purpose):
+            rng = spawn_rng(seed, idx, purpose)
+            return truth.decode(sample_without_replacement(truth.keys, min(s, m), rng))
+
+        s_x = sample_without_replacement(pair.x_net.index.ids, 30, spawn_rng(seed, idx, 3))
+        actual = matches_of(truth, pair, s_x)
+        verified = [(x, y) for x in s_x for y in sorted(actual[x])]
+        assert seen["train"] == drawn(train, 1)
+        assert seen["extra"] == drawn(s_m, 2) + verified

@@ -43,6 +43,7 @@ from matchcert.query import (
     complete_query_recall,
     compute_node_stats,
     error_rate_bounds,
+    exact_metrics,
     holdout_query_bounds,
     query_reports,
     true_error_rate,
@@ -603,11 +604,14 @@ class TestSampleChecks:
             with pytest.raises(MatchcertError) as info:
                 certify(of)
             assert str(info.value) == error
-        # among several bad matches the error names the first in id order
+        # among several bad matches the error names the first in id order,
+        # in both modes, after a node with two good matches
         bad = frozenset({"zz", "nope", "y1", "ghost"})
-        with pytest.raises(MatchcertError) as info:
-            query_reports(replace(inp, actual_for={**inp.actual_for, "x1": bad}))
-        assert str(info.value) == "unknown-node: actual_for pair ('x1', 'ghost')"
+        actual = {**inp.actual_for, "x0": frozenset({"y3", "y0"}), "x1": bad}
+        for certify, of in self.both_modes(replace(inp, actual_for=actual)):
+            with pytest.raises(MatchcertError) as info:
+                certify(of)
+            assert str(info.value) == "unknown-node: actual_for pair ('x1', 'ghost')"
 
     def test_identity_verified_match_rejected_in_self_match_mode(self):
         net = make_network([f"n{i}" for i in range(4)], [])
@@ -905,6 +909,26 @@ class TestTruthOraclesMatchReferences:
                 assert oracle(pair, m_hat, truth) == reference(pair, m_hat, truth)
                 assert oracle(pair, truth, m_hat) == reference(pair, truth, m_hat)
         assert multi >= 100  # nodes with 2-3 identified matches are common
+
+    def test_exact_metrics_is_every_reference(self):
+        # the one computation behind the three oracles, on the same worlds
+        # and on an empty identified set, an empty truth and both empty
+        rnd = random.Random(911)
+        worlds = [_random_sets(rnd, self_mode) for self_mode in (False, True) * 100]
+        first, m_hat, truth = worlds[0]
+        empty = make_match_set([], first)
+        worlds += [(first, empty, truth), (first, m_hat, empty), (first, empty, empty)]
+        empties = multi = 0
+        for pair, m_hat, truth in worlds:
+            empties += not m_hat.keys.size
+            multi += any(len(ys) > 1 for ys in by_x(m_hat).values())
+            assert exact_metrics(pair, m_hat, truth) == (
+                *true_batch_metrics_reference(pair, m_hat, truth),
+                *true_query_metrics_reference(pair, m_hat, truth),
+                true_error_rate_reference(pair, m_hat, truth),
+            )
+        assert exact_metrics(first, empty, empty) == (None, None, None, None, 0.0)
+        assert empties >= 5 and multi >= 50  # None paths and one-to-many sets
 
     def test_percolation_on_generated_world(self):
         cfg = GeneratorConfig(
