@@ -58,7 +58,7 @@ KAPPA = 7.0 / 3.0 + 3.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """A finite population of ``n`` items carrying values in ``[lo, hi]``."""
+    """A finite population of ``n`` items carrying values in a finite ``[lo, hi]``."""
 
     n: int
     lo: float = 0.0
@@ -67,9 +67,9 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise MatchcertError(f"invalid-population: n must be >= 1, got {self.n}")
-        if not self.lo <= self.hi:
+        if not 0.0 <= self.width < math.inf:  # NaN fails too
             raise MatchcertError(
-                f"invalid-population: range lo={self.lo} exceeds hi={self.hi}"
+                f"invalid-population: want finite lo <= hi, got [{self.lo}, {self.hi}]"
             )
 
     @property

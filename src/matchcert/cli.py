@@ -218,7 +218,6 @@ def cmd_validate_query(args) -> int:
         delta=_delta(args.delta),
         method=BoundMethod.parse(args.method),
         complete=complete,
-        k_cap=args.k_cap,
     )
     reports = query_reports(inp)
     node_stats = compute_node_stats(inp) if args.emit_node_stats else None
@@ -335,7 +334,6 @@ def _validate_query_arguments(q: argparse.ArgumentParser) -> None:
     q.add_argument("--s-x", required=True)
     q.add_argument("--s-x-prime")
     q.add_argument("--actual", required=True)
-    q.add_argument("--k-cap", type=int, default=1)
     q.add_argument("--method", default="hypergeometric-exact")
     q.add_argument("--delta", default="0.05", help=DELTA_HELP)
     q.add_argument("--emit-node-stats", action="store_true")

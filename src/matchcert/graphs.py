@@ -102,10 +102,11 @@ __all__ = [
 
 
 def _check_node_id(node: str) -> None:
-    """Raise unless ``node`` is a node id: not empty or whitespace only,
-    with no tab, LF or CR, and not starting with ``#``, so a network file
+    """Raise unless ``node`` is a node id: a string, not empty or whitespace
+    only, with no tab, LF or CR, and not starting with ``#``, so a network file
     holds it as one field of a line that is neither blank nor a comment."""
-    if not node or node[0] == "#" or node.isspace() or any(c in node for c in "\t\n\r"):
+    name = node if isinstance(node, str) else ""
+    if not name.strip() or name[0] == "#" or any(c in name for c in "\t\n\r"):
         raise MatchcertError(f"invalid-node-id: {node!r}")
 
 
@@ -216,8 +217,8 @@ def make_network(
     attrs: Mapping[str, Mapping[str, str]] | None = None,
 ) -> Network:
     """Build a validated Network; edges are deduplicated and canonicalized.
-    An attribute key or value holds no tab, LF or CR (``invalid-attribute``),
-    so ``save_network`` writes it as one field."""
+    An attribute key or value is a string with no tab, LF or CR
+    (``invalid-attribute``), so ``save_network`` writes it as one field."""
     ids = sorted(set(nodes))
     for node in ids:  # a bad id fails naming the least
         _check_node_id(node)
@@ -240,7 +241,7 @@ def make_network(
         if node not in pos:
             raise MatchcertError(f"unknown-node: attribute for {node!r}")
         for text in (*values, *values.values()):
-            if "\t" in text or "\n" in text or "\r" in text:
+            if not isinstance(text, str) or any(c in text for c in "\t\n\r"):
                 raise MatchcertError(f"invalid-attribute: {node!r}: {text!r}")
     return Network(NodeIndex.build(ids, pos, u, v), attrs.copy)
 

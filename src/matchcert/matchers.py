@@ -11,8 +11,8 @@ candidate pairs by highest matched-neighbor count, then lexicographic
 (x, y) node id order. Its seed set is one-to-one too: it takes the seeds
 in order, the training pairs first (they are verified), then the rule's
 or the config's, and drops a seed whose x or y an earlier one took. So
-percolation gives each x and each y at most one match, the k_cap = 1
-premise of the query certificates.
+percolation gives each x and each y at most one match, a largest count of
+1, hence binary p(x) and the d_p range [0, 2] of the query certificates.
 
 Percolation runs on the networks' int indexes (``Network.index``: ids in
 sorted order plus CSR adjacency), joined for the call into one CSR: X's

@@ -16,7 +16,8 @@ correction bounded from a second, independent node sample on which only
 matcher outputs are observed, never actual matches: d_r(x) flags nodes
 where the holdout matcher found something the complete one dropped, and
 d_p(x) additionally charges for partial overlap. The d_p bound's range,
-(-1, 2) or (0, 1 + k_cap), is fixed by ``k_cap`` before s_x' is read.
+(0, 1 + the most matches the holdout matcher gives any x of X), is read
+from its whole identified set, so it is fixed before s_x' is read.
 
 One stage, ``_columns``, checks the samples and runs each matcher once.
 It maps s_x and s_x' to positions and counts, per sampled node, from the
@@ -95,9 +96,6 @@ __all__ = [
     "true_error_rate",
 ]
 
-DP_DEFAULT_RANGE = (-1.0, 2.0)
-
-
 @dataclass(frozen=True)
 class PerNodeStats:
     node: str
@@ -120,8 +118,7 @@ class QueryValidationInput:
     drawn independently of ``s_x``, for which actual matches are NOT
     required (and are never read): it only feeds matcher-vs-matcher
     disagreement terms. ``delta`` is each certificate's failure
-    probability, split equally over its terms. ``k_cap`` caps identified
-    matches per node and sets the widened d_p range.
+    probability, split equally over its terms.
     """
 
     pair: NetworkPair
@@ -132,12 +129,9 @@ class QueryValidationInput:
     delta: float
     complete: MatcherHandle | None = None
     s_x_prime: tuple[str, ...] = ()
-    k_cap: int = 1
 
     def __post_init__(self) -> None:
         Confidence(self.delta)
-        if self.k_cap < 1:
-            raise MatchcertError(f"invalid-kcap: {self.k_cap}")
 
     @property
     def n_x(self) -> int:
@@ -155,9 +149,9 @@ class Columns(NamedTuple):
     s_x' part, ``compute_node_stats`` both. ``h_ind`` and ``c_ind`` are 1.0
     where the holdout or complete matcher identifies anything, and
     ``diff`` where the two differ. ``identified`` counts the x of X for
-    which the holdout matcher identifies anything, and ``binary_p`` is set
-    when it identifies at most one match for every x of X, so that p(x)
-    is 0 or 1 on all of D whatever s_x is drawn. The complete
+    which the holdout matcher identifies anything, and ``most`` is the
+    largest number of matches it identifies for any x of X; when that is at
+    most 1, p(x) is 0 or 1 on all of D whatever s_x is drawn. The complete
     matcher's columns are None without one. ``reduced`` is set when it
     computes the holdout matcher's function; its columns are then the
     holdout's, and d_r, d_p and diff are 0.
@@ -165,7 +159,7 @@ class Columns(NamedTuple):
 
     n: int
     identified: int
-    binary_p: bool
+    most: int
     p: np.ndarray
     r: np.ndarray
     w: np.ndarray
@@ -208,7 +202,7 @@ def _columns(inp: QueryValidationInput) -> Columns:
     columns = Columns(
         n=n,
         identified=int(np.count_nonzero(per_x)),
-        binary_p=bool(per_x.max() <= 1),
+        most=int(per_x.max()),
         p=np.divide(hits, h[:n], out=np.full(n, np.nan), where=h[:n] > 0),
         r=np.divide(hits, n_actual, out=np.full(n, np.nan), where=n_actual > 0),
         w=(~same).astype(float),
@@ -247,7 +241,7 @@ def _payload(inp: QueryValidationInput) -> Callable[[], dict]:
     s_x, s_x_prime = inp.s_x, inp.s_x_prime
     holdout = inp.holdout.config
     complete = inp.complete.config if inp.complete else None
-    scalars = {"n_x": inp.n_x, "method": inp.method.value, "k_cap": inp.k_cap}
+    scalars = {"n_x": inp.n_x, "method": inp.method.value}
     return lambda: {
         **scalars,
         "s_x": sorted(s_x),
@@ -264,7 +258,7 @@ def _holdout_term(
     (``quantity`` precision or recall) over the nodes D where it is
     defined: the bound and the number of usable nodes, the sampled nodes in
     D. Precision is bounded at |D|, recorded as ``identified_nodes``, with
-    the exact method only when p(x) is 0/1 on all of D (``binary_p``);
+    the exact method only when p(x) is 0/1 on all of D (``most`` <= 1);
     recall, whose |D| is unknown, at the stand-in |X| with ``exact=False``
     (see the module docstring)."""
     column = columns.p if quantity == "precision" else columns.r
@@ -276,7 +270,7 @@ def _holdout_term(
         term = bound_term(inp.n_x, sample, inp.method, delta, "lower", exact=False)
         return {"recall_term": term, "usable_nodes": float(len(sample))}
     term = bound_term(
-        columns.identified, sample, inp.method, delta, "lower", exact=columns.binary_p
+        columns.identified, sample, inp.method, delta, "lower", exact=columns.most <= 1
     )
     return {
         "precision_term": term,
@@ -351,12 +345,10 @@ def complete_query_precision(
     """[lower(holdout-matched fraction) * lower(holdout precision) -
     upper(d_p mean)] / upper(complete-matched fraction).
 
-    The d_p term's range is fixed by ``k_cap`` before s_x' is read, as
-    Hoeffding's bound requires: (-1, 2) when k_cap is 1, else (0, 1 +
-    k_cap), flagged ``dp-range-widened``. A d_p above 1 + k_cap needs the
-    holdout matcher to give that node more than k_cap matches; the first
-    such node of s_x' fails with ``kcap-violated``. The range used is
-    recorded in the terms.
+    d_p(x) is at most 1 + |holdout matches of x|, so the d_p term's range
+    is (0, 1 + ``most``), read from the holdout matcher's whole identified
+    set and so fixed before s_x' is read, as Hoeffding's bound requires.
+    The range used is recorded in the terms.
     """
     delta = Confidence(inp.delta / 4)
     _require_complete(inp)
@@ -374,21 +366,11 @@ def complete_query_precision(
     if columns.reduced:
         flags = ("reduced-to-holdout",)
     else:
-        lo, hi = DP_DEFAULT_RANGE
-        if inp.k_cap > 1:
-            lo, hi, flags = 0.0, 1.0 + inp.k_cap, ("dp-range-widened",)
-        d_p = columns.d_p[n:]
-        over = d_p > hi
-        if over.any():
-            x = inp.s_x_prime[int(np.argmax(over))]
-            raise MatchcertError(
-                f"kcap-violated: node {x!r} has more than k_cap={inp.k_cap} "
-                "identified matches"
-            )
+        hi = 1.0 + columns.most
         dp = terms["dp_term"] = bound_term(
-            inp.n_x, d_p.tolist(), inp.method, delta, "upper", lo=lo, hi=hi
+            inp.n_x, columns.d_p[n:].tolist(), inp.method, delta, "upper", hi=hi
         )
-        terms.update(dp_range_lo=lo, dp_range_hi=hi)
+        terms.update(dp_range_lo=0.0, dp_range_hi=hi)
         dp_ub = dp.value
     return build_report(
         "complete-query-precision",

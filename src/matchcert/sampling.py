@@ -36,7 +36,9 @@ T = TypeVar("T")
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """A PCG64 generator on an independent stream for (seed, *key)."""
+    """A PCG64 generator on an independent stream for non-negative (seed, *key)."""
+    if min((seed, *key)) < 0:
+        raise MatchcertError(f"invalid-seed: seed {seed} and key {key} must be >= 0")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
 

@@ -1,6 +1,8 @@
 import functools
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -382,6 +384,43 @@ class TestInversionSearch:
                         assert lower <= exact[0] and upper >= exact[1], (n, s, k, d)
                         widened += (lower, upper) != exact
         assert widened  # ties that the slop resolves occur on this grid
+
+    @pytest.mark.parametrize(
+        "invert, reference, n, s, k, want",
+        [
+            (hypergeom_invert_lower, hypergeom_invert_lower_reference, 10, 4, 1, 0.7),
+            (hypergeom_invert_lower, hypergeom_invert_lower_reference, 10, 7, 3, 0.6),
+            (hypergeom_invert_lower, hypergeom_invert_lower_reference,
+             10**6, 2292, 1, 0.006003),
+            (hypergeom_invert_upper, hypergeom_invert_upper_reference,
+             2000, 814, 2, 0.001),
+        ],
+    )
+    def test_bisection_fallback(self, invert, reference, n, s, k, want):
+        # at delta = 0.999999 these searches meet a tail of 0 or two equal
+        # log-tails, where the secant step is undefined and the search
+        # bisects instead
+        lines, first = inspect.getsourcelines(bounds_module._least_passing)
+        branch = next(i for i, line in enumerate(lines) if "math.isinf(log_tail)" in line)
+        assert lines[branch + 1].strip() == "nxt = (a + b) // 2"
+        fallback = first + branch + 1
+        code, seen = bounds_module._least_passing.__code__, set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            seen.add(frame.f_lineno)
+            return trace
+
+        d = Confidence(0.999999)
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            got = invert(n, s, k, d)
+        finally:
+            sys.settrace(previous)
+        assert got == reference(n, s, k, d) == want
+        assert fallback in seen
 
     def test_tail_slices_equal_gathers(self):
         # _tail reads the log-factorial table through slices; the values and

@@ -106,7 +106,9 @@ def test_failed_trials_are_counted_not_fatal():
 
 def test_top_degree_world_completes_every_trial():
     # a top-degree seed that shares an x or a y with a training pair is
-    # dropped, so every trial keeps the k_cap = 1 premise and completes
+    # dropped, so percolation stays one-to-one: its largest per-node count
+    # is 1, which makes p(x) binary and the d_p range [0, 2], and every
+    # trial completes
     cfg = _criterion_4_world(TopDegree(30), 1, trials=10)
     table = run_coverage(cfg)
     assert table.failed_trials == 0

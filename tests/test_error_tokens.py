@@ -1,12 +1,36 @@
 """Every ``MatchcertError`` the package raises starts with a stable
 kebab-case token, followed by ``:`` or the end of the message, so callers
-and tests can match on the token alone (see ``matchcert.errors``)."""
+and tests can match on the token alone (see ``matchcert.errors``). Two
+tables call token sites that no other test reaches, and Python-API input
+that must fail with a token rather than a numpy or type error."""
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import matchcert
+from matchcert.bounds import (
+    BoundMethod,
+    Confidence,
+    PopulationSpec,
+    SampleSummary,
+    bound_mean,
+    hoeffding_bounds,
+    hypergeom_invert_lower,
+)
+from matchcert.coverage import ExperimentConfig
+from matchcert.errors import MatchcertError, read_fields
+from matchcert.graphs import make_network
+from matchcert.matchers import MatcherConfig, TopDegree
+from matchcert.sampling import (
+    SplitSpec,
+    hypergeometric_draw,
+    sample_without_replacement,
+    spawn_rng,
+)
+from matchcert.synth import ErdosRenyi, GeneratorConfig, PreferentialAttachment
 
 SRC = Path(matchcert.__file__).parent
 TOKEN = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
@@ -70,3 +94,102 @@ def test_token_rule():
     assert not _has_token("Unknown node: 'x'", whole=True)
     assert not _has_token("unknown node: 'x'", whole=True)
     assert not _has_token("-node: 'x'", whole=True)
+
+
+D05 = Confidence(0.05)
+COVERAGE = {
+    "generator": {"n_entities": 20, "base_model": {"kind": "erdos-renyi", "p": 0.1}},
+    "matcher_holdout": {"kind": "percolation", "seeds": "verified-sample"},
+    "sample_sizes": {"s_m": 5, "s_x": 5, "s_x_prime": 5, "train": 5},
+    "methods": ["hoeffding"],
+    "seed": 0,
+}
+
+# (token, call, the message's text after the token): token sites that the
+# other tests do not reach
+SITES = [
+    ("invalid-population", lambda: PopulationSpec(0), "n must be >= 1"),
+    ("invalid-population", lambda: PopulationSpec(5, 1.0, 0.0), "got [1.0, 0.0]"),
+    ("unknown-method", lambda: BoundMethod.parse("exact"), "'exact'"),
+    (
+        "empty-sample",
+        lambda: hoeffding_bounds(PopulationSpec(5), SampleSummary(()), D05),
+        "bound requires",
+    ),
+    (
+        "invalid-sample-size",
+        lambda: hoeffding_bounds(PopulationSpec(2), SampleSummary.of([0, 1, 1]), D05),
+        "s=3 exceeds population n=2",
+    ),
+    ("invalid-hypergeom-params", lambda: hypergeom_invert_lower(5, 3, 4, D05), "n=5"),
+    (
+        "invalid-side",
+        lambda: bound_mean(
+            PopulationSpec(5), SampleSummary.of([1]), BoundMethod.HOEFFDING, D05, "mid"
+        ),
+        "'mid'",
+    ),
+    (
+        "invalid-trials",
+        lambda: ExperimentConfig.from_json_dict({**COVERAGE, "trials": 0}),
+        "0",
+    ),
+    ("invalid-config", lambda: read_fields(TopDegree, [3]), "TopDegree takes an object"),
+    ("invalid-max-iters", lambda: MatcherConfig("percolation", max_iters=0), "0"),
+    (
+        "unknown-seed-rule",
+        lambda: MatcherConfig.from_json_dict(
+            {"kind": "percolation", "seeds": {"top-degree": 3}}
+        ),
+        "{'top-degree': 3}",
+    ),
+    ("invalid-split", lambda: SplitSpec(10, (1, 2), -1, 3, 0), "t=-1 and s=3"),
+    ("invalid-split", lambda: SplitSpec(10, (1, 1), 1, 1, 0), "labeled items"),
+    ("invalid-generator", lambda: ErdosRenyi(1.5), "edge probability 1.5"),
+    ("invalid-generator", lambda: PreferentialAttachment(0), "m_edges 0"),
+    (
+        "invalid-generator",
+        lambda: GeneratorConfig.from_json_dict(
+            {"n_entities": 10, "base_model": {"kind": "ring"}}
+        ),
+        "model kind 'ring'",
+    ),
+    (
+        "invalid-generator",
+        lambda: GeneratorConfig(10, ErdosRenyi(0.1), node_drop_y=-0.5),
+        "node_drop_y=-0.5",
+    ),
+]
+
+
+def _ids(table):
+    return [f"{token}-{i}" for i, (token, _, _) in enumerate(table)]
+
+
+def _raises(token, call, text):
+    with pytest.raises(MatchcertError) as info:
+        call()
+    assert str(info.value).startswith(f"{token}: ")
+    assert text in str(info.value)
+
+
+@pytest.mark.parametrize("token, call, text", SITES, ids=_ids(SITES))
+def test_token_site_raises_its_token(token, call, text):
+    _raises(token, call, text)
+
+
+# Python-API input that once escaped the tokens as numpy's ValueError, an
+# infinite bound, or a TypeError
+ESCAPES = [
+    ("invalid-seed", lambda: spawn_rng(-3), "seed -3"),
+    ("invalid-seed", lambda: sample_without_replacement([1, 2], 1, -1), "seed -1"),
+    ("invalid-seed", lambda: hypergeometric_draw(10, 3, 4, -5), "seed -5"),
+    ("invalid-population", lambda: PopulationSpec(10, 0, float("inf")), "inf"),
+    ("invalid-attribute", lambda: make_network(["a"], [], {"a": {"k": 3}}), "'a': 3"),
+    ("invalid-node-id", lambda: make_network([1], []), "1"),
+]
+
+
+@pytest.mark.parametrize("token, call, text", ESCAPES, ids=_ids(ESCAPES))
+def test_python_api_input_fails_with_its_token(token, call, text):
+    _raises(token, call, text)

@@ -143,7 +143,7 @@ def tiny():
 
 
 def tiny_input(pair, holdout, s_x, actual_for, delta, complete=None,
-               s_x_prime=(), method=HOEFF, k_cap=1):
+               s_x_prime=(), method=HOEFF):
     return QueryValidationInput(
         pair=pair,
         holdout=holdout,
@@ -153,7 +153,6 @@ def tiny_input(pair, holdout, s_x, actual_for, delta, complete=None,
         delta=delta,
         complete=complete,
         s_x_prime=tuple(s_x_prime),
-        k_cap=k_cap,
     )
 
 
@@ -263,6 +262,38 @@ class TestCompleteQueryRecall:
             assert str(info.value) == "missing-complete: no complete matcher supplied"
 
 
+def _dp_scan(holdout_pairs, complete_pairs, mean, method=HOEFF):
+    """complete-query-precision at delta 0.2 on a 10-node X whose matchers
+    identify the given pairs, over all 252 samples s_x' of size 5: the share
+    whose d_p term is below ``mean``, and the set of (dp_range_lo,
+    dp_range_hi, flags) the reports carry."""
+    n = 10
+    pair, (holdout, complete) = fixed_world(
+        NetworkPair(
+            make_network([f"x{i}" for i in range(n)], []),
+            make_network([f"y{i}" for i in range(2 * n)], []),
+        ),
+        holdout_pairs,
+        complete_pairs,
+    )
+    s_x = [f"x{i}" for i in range(n)]
+    actual = {x: frozenset({f"y{i}"}) for i, x in enumerate(s_x)}
+    samples = list(itertools.combinations(s_x, 5))
+    reports = [
+        complete_query_precision(
+            tiny_input(pair, holdout, s_x, actual, 0.2, complete=complete,
+                       s_x_prime=s_prime, method=method)
+        )
+        for s_prime in samples
+    ]
+    failed = sum(rep.terms["dp_term"] < mean for rep in reports) / len(samples)
+    ranges = {
+        (rep.terms["dp_range_lo"], rep.terms["dp_range_hi"], rep.flags)
+        for rep in reports
+    }
+    return failed, ranges
+
+
 class TestCompleteQueryPrecision:
     def test_reduces_to_three_term_expression(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
@@ -287,68 +318,22 @@ class TestCompleteQueryPrecision:
             [("x0", "y0"), ("x0", "y1"), ("x0", "y2"), ("x1", "y3")],
             [("x0", "y0"), ("x1", "y3")],
         )
-        # d_p(x0) = 1 + 2/1 = 3 > 2
+        # d_p(x0) = 1 + 2/1 = 3 > 2; the holdout matcher gives x0 three
+        # matches, so the range is (0, 1 + 3)
         s_x = [f"x{i}" for i in range(8)]
         inp = tiny_input(world, holdout, s_x, actual,
                          0.05,
-                         complete=complete, s_x_prime=s_x, k_cap=3)
+                         complete=complete, s_x_prime=s_x)
         rep = complete_query_precision(inp)
-        assert "dp-range-widened" in rep.flags
+        assert rep.flags == ()
         assert rep.terms["dp_range_lo"] == 0.0
         assert rep.terms["dp_range_hi"] == 4.0
 
-    def test_dp_range_fixed_before_the_sample_is_read(self):
-        # d_p is 6 on x0 and x1 (five holdout-only matches over one complete
-        # match) and 2 on x2..x9 (one match each, never the same), so its
-        # mean over X is 2.8. A range chosen from s_x' would stay (-1, 2) on
-        # the 56 of 252 samples that miss x0 and x1, and the bound, at most
-        # 2 there, would fail with probability 0.22 at delta_3 = 0.2 / 4.
-        n = 10
-        wide = [(x, f"y{j}") for x in ("x0", "x1") for j in range(1, 6)]
-        pair, (holdout, complete) = fixed_world(
-            NetworkPair(
-                make_network([f"x{i}" for i in range(n)], []),
-                make_network([f"y{i}" for i in range(2 * n)], []),
-            ),
-            wide + [(f"x{i}", f"y{i + 4}") for i in range(2, n)],
-            [("x0", "y0"), ("x1", "y0")] + [(f"x{i}", f"y{n + i}") for i in range(2, n)],
-        )
-        d_p = [6.0, 6.0] + [2.0] * (n - 2)
-        mean = sum(d_p) / n
-        s_x = [f"x{i}" for i in range(n)]
-        actual = {x: frozenset({f"y{i}"}) for i, x in enumerate(s_x)}
-        delta = 0.2
-        samples = list(itertools.combinations(s_x, 5))
-        reports = [
-            complete_query_precision(
-                tiny_input(pair, holdout, s_x, actual, delta, complete=complete,
-                           s_x_prime=s_prime, k_cap=5)
-            )
-            for s_prime in samples
-        ]
-        failed = sum(rep.terms["dp_term"] < mean for rep in reports)
-        assert failed / len(samples) <= delta / 4
-        assert {
-            (rep.terms["dp_range_lo"], rep.terms["dp_range_hi"], rep.flags)
-            for rep in reports
-        } == {(0.0, 6.0, ("dp-range-widened",))}
-
-    def test_requires_usable_precision_sample(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([])
-        complete = fixed_matcher([("x0", "y0")])
-        inp = tiny_input(tiny, holdout, ["x1", "x2"], actual,
-                         0.05,
-                         complete=complete, s_x_prime=("x0",))
-        with pytest.raises(MatchcertError, match="no-usable-sample"):
-            complete_query_precision(inp)
-
-
-class TestKcapViolated:
     @pytest.mark.parametrize("method", [HOEFF, HG])
-    def test_dp_over_one_plus_k_cap_names_the_node(self, tiny, method):
+    def test_dp_range_covers_nodes_outside_the_sample(self, tiny, method):
         # the holdout matcher gives x0 three matches and the complete one
-        # one of them: d_p(x0) = 1 + 2/1 = 3 > 1 + k_cap; x0 is only in s_x'
+        # one of them: d_p(x0) = 1 + 2/1 = 3, and x0 is only in s_x'. The
+        # range comes from the whole identified set, so it holds x0's d_p.
         world, (holdout, complete) = fixed_world(
             tiny,
             [("x0", "y0"), ("x0", "y1"), ("x0", "y2")]
@@ -361,10 +346,50 @@ class TestKcapViolated:
                          0.05,
                          complete=complete, s_x_prime=("x6", "x0", "x7"),
                          method=method)
-        with pytest.raises(
-            MatchcertError,
-            match=r"^kcap-violated: node 'x0' has more than k_cap=1 identified",
-        ):
+        rep = complete_query_precision(inp)
+        assert (rep.terms["dp_range_lo"], rep.terms["dp_range_hi"]) == (0.0, 4.0)
+        assert rep.terms["dp_term"] == bound_term(
+            8, [0.0, 3.0, 0.0], method, Confidence(0.05 / 4), "upper", hi=4.0
+        ).value
+
+    def test_dp_range_fixed_before_the_sample_is_read(self):
+        # d_p is 6 on x0 and x1 (five holdout-only matches over one complete
+        # match) and 2 on x2..x9 (one match each, never the same), so its
+        # mean over X is 2.8. A range chosen from s_x' would be (0, 2) on
+        # the 56 of 252 samples that miss x0 and x1, and the bound, at most
+        # 2 there, would fail with probability 0.22 at delta_3 = 0.2 / 4.
+        # The holdout matcher gives x0 and x1 five matches each, so the range
+        # read from its identified set is (0, 6) on every sample.
+        wide = [(x, f"y{j}") for x in ("x0", "x1") for j in range(1, 6)]
+        failed, ranges = _dp_scan(
+            wide + [(f"x{i}", f"y{i + 4}") for i in range(2, 10)],
+            [("x0", "y0"), ("x1", "y0")]
+            + [(f"x{i}", f"y{10 + i}") for i in range(2, 10)],
+            mean=(6.0 + 6.0 + 2.0 * 8) / 10,
+        )
+        assert failed <= 0.2 / 4
+        assert ranges == {(0.0, 6.0, ())}
+
+    @pytest.mark.parametrize("method", list(BoundMethod))
+    def test_one_to_one_dp_range_is_zero_to_two(self, method):
+        # a one-to-one holdout matcher: d_p is 2 on x0 and x1 (the complete
+        # matcher picks another y), 1 on x2 (it picks none) and 0 on x3..x9
+        # (it agrees), so its mean over X is 0.5
+        pairs = [(f"x{i}", f"y{i}") for i in range(10)]
+        failed, ranges = _dp_scan(
+            pairs, [("x0", "y10"), ("x1", "y11")] + pairs[3:], mean=0.5, method=method
+        )
+        assert failed <= 0.2 / 4
+        assert ranges == {(0.0, 2.0, ())}
+
+    def test_requires_usable_precision_sample(self, tiny):
+        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
+        holdout = fixed_matcher([])
+        complete = fixed_matcher([("x0", "y0")])
+        inp = tiny_input(tiny, holdout, ["x1", "x2"], actual,
+                         0.05,
+                         complete=complete, s_x_prime=("x0",))
+        with pytest.raises(MatchcertError, match="no-usable-sample"):
             complete_query_precision(inp)
 
 
@@ -624,10 +649,6 @@ class TestSampleChecks:
                 certify(inp)
             assert str(info.value) == "identity-pair-forbidden: ('n2', 'n2')"
 
-    def test_k_cap_below_one_rejected(self):
-        with pytest.raises(MatchcertError, match="^invalid-kcap: 0$"):
-            _ten_node_input(k_cap=0)
-
 
 class TestQueryReports:
     def test_holdout_only_without_complete_matcher(self, tiny):
@@ -726,7 +747,6 @@ class TestQueryReports:
                 "s_x_prime": sorted(s_x_prime),
                 "method": HG.value,
                 "deltas": list(r.delta_parts),
-                "k_cap": 1,
                 "holdout": holdout.config.to_json_dict(),
                 "complete": (
                     complete.config.to_json_dict() if r.variant == "complete" else None
@@ -809,7 +829,6 @@ class TestStatRanges:
         per_x = by_x(truth)
         actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
         nodes = sorted(pair.x_net.nodes)
-        k_cap = 1
         inp = QueryValidationInput(
             pair=pair,
             holdout=holdout,
@@ -819,8 +838,9 @@ class TestStatRanges:
             delta=0.03,
             complete=complete,
             s_x_prime=tuple(nodes[60:120]),
-            k_cap=k_cap,
         )
+        # the largest number of matches the holdout matcher gives any x
+        most = max(map(len, by_x(run_batch(holdout, pair)).values()))
         for stat in compute_node_stats(inp):
             if stat.p is not None:
                 assert 0.0 <= stat.p <= 1.0
@@ -831,7 +851,7 @@ class TestStatRanges:
             if stat.d_r is not None:
                 assert stat.d_r in (0.0, 1.0)
             if stat.d_p is not None:
-                assert 0.0 <= stat.d_p <= 1.0 + k_cap
+                assert 0.0 <= stat.d_p <= 1.0 + most
 
     def test_node_stats_without_complete_matcher(self, tiny):
         actual = {"x0": frozenset({"y0"}), "x1": frozenset({"y1"}), "x2": frozenset()}
@@ -1050,6 +1070,7 @@ def _assert_columns_follow_definitions(inp, columns, hv, cv):
         assert columns.d_r[j] == disagreement_recall(h, c)
         assert columns.d_p[j] == disagreement_precision(h, c)
         assert columns.diff[j] == (1.0 if h != c else 0.0)
+    assert columns.most == max(map(len, hv.values()), default=0)
     if cv is None:
         assert columns.c_ind is columns.d_r is columns.d_p is columns.diff is None
 
@@ -1058,8 +1079,8 @@ def _assert_columns_follow_definitions(inp, columns, hv, cv):
 def column_worlds(draw):
     """(inp, sets): a query input on a small edgeless pair, in self-match
     mode or not, and the identified set each matcher handle stands for, by
-    its attr_key. Identified sets give an x up to k_cap
-    matches (k_cap 1-3), and actual sets up to three nodes of Y (never x
+    its attr_key. Identified sets give an x up to ``cap``
+    matches (``cap`` 1-3), and actual sets up to three nodes of Y (never x
     itself in self-match mode); the complete matcher is absent, identifies nothing, computes the
     holdout's function or identifies its own set."""
     self_mode = draw(st.booleans())
@@ -1070,7 +1091,7 @@ def column_worlds(draw):
     else:
         ys = [f"m{i}" for i in range(draw(st.integers(1, 7)))]
         pair = NetworkPair(x_net, make_network(ys, []))
-    k_cap = draw(st.integers(1, 3))
+    cap = draw(st.integers(1, 3))
 
     def matches(x, most):
         options = [y for y in ys if not (self_mode and y == x)]
@@ -1079,7 +1100,7 @@ def column_worlds(draw):
         return draw(st.lists(st.sampled_from(options), max_size=most, unique=True))
 
     def identified():
-        return make_match_set([(x, y) for x in xs for y in matches(x, k_cap)], pair)
+        return make_match_set([(x, y) for x in xs for y in matches(x, cap)], pair)
 
     s_x = tuple(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True)))
     actual_for = {x: frozenset(matches(x, 3)) for x in s_x}
@@ -1100,7 +1121,6 @@ def column_worlds(draw):
     inp = QueryValidationInput(
         pair=pair, holdout=holdout, s_x=s_x, actual_for=actual_for, method=HOEFF,
         delta=0.05, complete=complete, s_x_prime=s_x_prime,
-        k_cap=k_cap,
     )
     return inp, sets
 
@@ -1183,7 +1203,6 @@ class TestSharedQueryInputs:
                     "s_x_prime": sorted(inp.s_x_prime),
                     "method": HOEFF.value,
                     "deltas": list(r.delta_parts),
-                    "k_cap": 1,
                     "holdout": inp.holdout.config.to_json_dict(),
                     "complete": (
                         inp.complete.config.to_json_dict()
@@ -1202,8 +1221,9 @@ class TestSharedQueryInputs:
 
     def test_reports_differing_only_in_inputs_are_unequal(self):
         inp = _views_world()
-        # the holdout certificates never read k_cap, but it is an input
-        mine, theirs = query_reports(inp)[:3], query_reports(replace(inp, k_cap=2))[:3]
+        # the holdout certificates never read s_x', but it is an input
+        other = replace(inp, s_x_prime=inp.s_x_prime[1:])
+        mine, theirs = query_reports(inp)[:3], query_reports(other)[:3]
         for a, b in zip(mine, theirs):
             assert a.terms == b.terms and a.flags == b.flags
             assert a != b

@@ -5,9 +5,11 @@ The tour's ``python`` blocks run in order in one namespace. The
 walkthrough's shell block is run step by step in a temporary directory:
 each ``cat > FILE <<'TAG'`` heredoc writes its file, each ``python3 -
 <<'TAG'`` heredoc runs as Python, and each ``matchcert`` command
-(backslash continuations joined) runs through ``cli.main``.
+(backslash continuations joined) runs through ``cli.main``. Every
+``--flag`` the README names outside "Benchmark" is a CLI option.
 """
 
+import argparse
 import json
 import re
 import shlex
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from matchcert.batch import true_batch_metrics
-from matchcert.cli import main
+from matchcert.cli import build_parser, main
 from matchcert.graphs import NetworkPair, load_matches, load_network
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -86,3 +88,22 @@ def test_walkthrough_runs_and_its_numbers_hold(tmp_path, monkeypatch, capsys):
         recall, precision,
     )
     assert quoted == tuple(f"{v:.2f}" for v in got)
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of ``parser`` and of the parsers under it."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                found |= _options(child)
+    return found
+
+
+def test_readme_flags_are_cli_options():
+    # the Benchmark section documents perfbench's flags, not the CLI's
+    text = README.read_text(encoding="utf-8").replace(_section("Benchmark"), "")
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert len(flags) >= 30  # the pattern finds the walkthrough's flags
+    assert sorted(flags - _options(build_parser())) == []
