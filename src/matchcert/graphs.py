@@ -119,6 +119,14 @@ def distinct_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def split_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod(keys, n)`` for int keys >= 0 and n >= 1, by one floor
+    division and a multiply-subtract: numpy's int64 ``divmod`` and ``%``
+    cost about four times ``//``."""
+    high = keys // n
+    return high, keys - high * n
+
+
 class NodeIndex(NamedTuple):
     """Int positions for a network's nodes and CSR adjacency over them.
 
@@ -138,16 +146,18 @@ class NodeIndex(NamedTuple):
         """The index over ``ids`` (sorted, distinct; ``pos`` maps each to
         its position) with an edge between positions ``u[i]`` and ``v[i]``
         for each i. u != v elementwise; edges may come in either
-        orientation and repeat."""
+        orientation and repeat.
+
+        Both directions of every edge, as arc keys ``src * n + dst``, go
+        through one distinct sort: sorted by (src, dst), each arc once,
+        whatever orientation and repeats the input held. The CSR rows are
+        then the runs of equal ``src``."""
         n = len(ids)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = distinct_sorted(lo * n + hi)  # one key per distinct edge
-        lo, hi = np.divmod(keys, n)
-        # both directions of every edge as src * n + dst, sorted by (src, dst)
-        arcs = np.sort(np.concatenate([keys, hi * n + lo]))
+        arcs = distinct_sorted(np.concatenate([u * n + v, v * n + u]))
+        src, nbr = split_keys(arcs, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
-        return cls(ids, pos, indptr, arcs % n)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(ids, pos, indptr, nbr)
 
     def positions(self, ids: Sequence[str]) -> np.ndarray:
         """The position of each of ``ids``, in order; -1 for an id that is
@@ -276,7 +286,7 @@ class MatchSet:
 
     def decode(self, keys) -> list[tuple[str, str]]:
         """The (x, y) id pair of each of ``keys``, in order."""
-        xs, ys = np.divmod(np.asarray(keys, dtype=np.int64), max(len(self.y_ids), 1))
+        xs, ys = split_keys(np.asarray(keys, dtype=np.int64), max(len(self.y_ids), 1))
         x_ids, y_ids = self.x_ids, self.y_ids
         return [(x_ids[a], y_ids[b]) for a, b in zip(xs.tolist(), ys.tolist())]
 
@@ -389,7 +399,7 @@ def matches_of(
     # every matched key of the rows, row after row
     at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
     y_ids = ms.y_ids
-    ys = iter([y_ids[k] for k in (ms.keys[at] % ny).tolist()])
+    ys = iter([y_ids[k] for k in split_keys(ms.keys[at], ny)[1].tolist()])
     return {x: frozenset(islice(ys, c)) for x, c in zip(xs, count.tolist())}
 
 

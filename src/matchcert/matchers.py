@@ -22,11 +22,14 @@ marks once, in the round after it is matched (the seeds in round one): its
 x's unmatched neighbours times its y's. One gather over the joint CSR
 reads the neighbours of the round's x ends and y ends together. The marks
 are int64 keys ``x * n_y + y`` in a mark table that lasts across rounds:
-a sorted multiset with one entry per mark, merged with the round's marks
-by one sort. A key has at least ``threshold`` marks when the entry
-``threshold - 1`` places after its first equals it. The entries that pass
-this test list such a key once per mark past ``threshold - 1``, so the
-length of its listing is its count less ``threshold - 1``. The eligible
+a sorted multiset with one entry per mark. Each round drops the entries
+with a matched end, sorts the round's marks on their own and merges the two
+sorted runs with a stable sort, which numpy runs as timsort over the runs.
+Keys split into (x, y) by floor division (``graphs.split_keys``). A key
+has at least ``threshold`` marks when the entry ``threshold - 1`` places
+after its first equals it. The entries that pass this test list such a
+key once per mark past ``threshold - 1``, so the length of its listing is
+its count less ``threshold - 1``. The eligible
 candidates are ranked with ``np.lexsort`` on (-count, key); because index
 order is id order, the key sorts as (x, y) by id, so the tie-break is the
 one above. Pairs are then accepted greedily in that order, skipping any
@@ -54,6 +57,7 @@ from .graphs import (
     gather_runs,
     matches_of,
     pair_keys,
+    split_keys,
 )
 
 __all__ = [
@@ -242,7 +246,7 @@ def _one_to_one(keys: np.ndarray, ny: int) -> np.ndarray:
     seed whose x and y no earlier kept seed has. A seed list without such
     a conflict is kept whole without a loop over its seeds."""
     distinct = distinct_sorted(keys)
-    xs, ys = np.divmod(distinct, ny)
+    xs, ys = split_keys(distinct, ny)
     if (xs[1:] != xs[:-1]).all() and distinct_sorted(ys).size == ys.size:
         return distinct
     return np.sort(np.array(_first_come(keys.tolist(), ny), dtype=np.int64))
@@ -273,7 +277,7 @@ def _percolate(
         # marks every (unmatched neighbour of x, unmatched neighbour of y);
         # rows holds the pairs' x ends, then their y ends
         k = new.size
-        new_x, new_y = np.divmod(new, ny)
+        new_x, new_y = split_keys(new, ny)
         rows = np.concatenate([new_x, new_y + nx])
         unmatched[rows] = False
         lens = degree[rows]
@@ -293,11 +297,13 @@ def _percolate(
         if pair.self_match_mode:
             keep = cand_x != cand_y
             cand_x, cand_y = cand_x[keep], cand_y[keep]
-        tx, ty = np.divmod(table, ny)
-        table = np.concatenate([
-            table[unmatched_x[tx] & unmatched_y[ty]], cand_x * ny + cand_y
-        ])
-        table.sort()
+        marks = cand_x * ny + cand_y
+        marks.sort()
+        # the purged table and the sorted marks are two sorted runs, which
+        # a stable sort (timsort for int64) merges in one pass
+        tx, ty = split_keys(table, ny)
+        table = np.concatenate([table[unmatched_x[tx] & unmatched_y[ty]], marks])
+        table.sort(kind="stable")
         # a key with c >= threshold marks starts a run of that length, so
         # it is listed c - threshold + 1 times: its first listing is its
         # candidate, and the length of its listing ranks as c does

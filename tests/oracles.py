@@ -265,6 +265,19 @@ def csr_reference(nodes, edges):
     return ids, indptr, [j for row in rows for j in sorted(row)]
 
 
+def two_sort_csr_reference(n: int, u: np.ndarray, v: np.ndarray):
+    """(indptr, nbr) of ``NodeIndex.build`` over n nodes by the two sorts
+    it once made: one key ``lo * n + hi`` per distinct edge, split by
+    ``np.divmod``, then both directions of each sorted as arc keys."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = np.unique(lo * n + hi)
+    lo, hi = np.divmod(keys, n)
+    arcs = np.sort(np.concatenate([keys, hi * n + lo]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
+    return indptr, arcs % n
+
+
 def generate_pair_reference(cfg):
     """synth.generate_pair through string ids: every node and edge named,
     then validated by make_network and make_match_set."""

@@ -11,12 +11,14 @@ from oracles import (
     load_network_reference,
     read_items_reference,
     read_pairs_reference,
+    two_sort_csr_reference,
 )
 
 from matchcert.errors import MatchcertError
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 from matchcert.graphs import (
     NetworkPair,
+    NodeIndex,
     by_x,
     load_matches,
     load_network,
@@ -27,6 +29,7 @@ from matchcert.graphs import (
     read_pairs,
     save_matches,
     save_network,
+    split_keys,
 )
 
 
@@ -271,6 +274,47 @@ def _check_against_reference(nodes, edges):
     assert net.index.indptr.tolist() == indptr
     assert net.index.nbr.tolist() == nbr
     return net
+
+
+class TestKeyKernels:
+    """The int64 key kernels against the numpy calls they replaced."""
+
+    # (nodes, edges, seed); at 70,001 nodes the arc keys pass 2**32
+    @pytest.mark.parametrize(
+        "n, m, seed", [(2, 1, 1), (9, 40, 2), (500, 3_000, 3), (70_001, 20_000, 4)]
+    )
+    def test_build_equals_the_two_sort_build(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, n, m)
+        v = (u + rng.integers(1, n, m)) % n  # u != v
+        u[0], v[0] = n - 1, n - 2  # the largest arc keys
+        # repeats, in the same and in the other orientation
+        again = rng.integers(0, m, m // 3 + 1)
+        flip = rng.random(again.size) < 0.5
+        u2 = np.where(flip, v[again], u[again])
+        v2 = np.where(flip, u[again], v[again])
+        u, v = np.concatenate([u, u2]), np.concatenate([v, v2])
+        ids = [f"{i:06d}" for i in range(n)]
+        got = NodeIndex.build(ids, dict(zip(ids, range(n))), u, v)
+        indptr, nbr = two_sort_csr_reference(n, u, v)
+        assert np.array_equal(got.indptr, indptr)
+        assert np.array_equal(got.nbr, nbr)
+        assert got.indptr.dtype == got.nbr.dtype == np.int64
+        if n == 70_001:
+            assert (np.diff(got.indptr) == 0).any()  # isolated nodes
+            assert got.indptr[-1] < 2 * u.size  # repeats dropped
+            assert (n - 1) * n + (n - 2) >= 2**32
+
+    def test_split_equals_divmod(self):
+        rng = np.random.default_rng(20261019)
+        n_x = n_y = 10**5
+        keys = np.concatenate([
+            rng.integers(0, n_x * n_y, 100_000),
+            [0, n_y - 1, n_y, n_x * n_y - 1],
+        ])
+        for got, want in zip(split_keys(keys, n_y), np.divmod(keys, n_y)):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype
 
 
 class TestMakeNetworkReference:

@@ -394,8 +394,26 @@ class TestMarksAddUpAcrossRounds:
         one, two = percolate_rounds(pair, [("xc", "yc")], 1, rounds=2)
         assert one == two == {("xc", "yc"), ("xl1", "yl1")}
 
+    def test_new_marks_repeat_a_key_in_the_table(self):
+        # threshold 3: round 1 gives (xa, ya) and (xb, yb) three marks each
+        # (from s1, s2, s3) and (xc, yc) one (from s1); in round 2 the table
+        # still holds that mark, and a and b mark (xc, yc) once each, so
+        # the round's marks repeat the key twice and the merge adds to 3
+        names = ["s1", "s2", "s3", "a", "b", "c"]
+        edges = [(s, t) for s in ("s1", "s2", "s3") for t in ("a", "b")]
+        edges += [("a", "c"), ("b", "c")]
+        seeds = [("xs1", "ys1"), ("xs2", "ys2"), ("xs3", "ys3")]
+        pair = mirrored_pair(names, edges + [("s1", "c")])
+        one, two, three = percolate_rounds(pair, seeds, 3, rounds=3)
+        assert one - set(seeds) == {("xa", "ya"), ("xb", "yb")}
+        assert two - one == {("xc", "yc")}
+        assert three == two
+        # without the table's mark from round 1, (xc, yc) stays at 2
+        one, two = percolate_rounds(mirrored_pair(names, edges), seeds, 3, rounds=2)
+        assert two == one
+
     @pytest.mark.parametrize("graph", ["chain", "stolen"])
-    @pytest.mark.parametrize("threshold", [1, 2])
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
     def test_one_round_and_self_match_mode(self, graph, threshold):
         # percolate_rounds starts at max_iters=1; in one universe the same
         # pairs come out, round by round
