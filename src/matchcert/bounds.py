@@ -65,6 +65,8 @@ class PopulationSpec:
     hi: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise MatchcertError(f"invalid-population: n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise MatchcertError(f"invalid-population: n must be >= 1, got {self.n}")
         if not 0.0 <= self.width < math.inf:  # NaN fails too

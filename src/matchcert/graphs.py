@@ -102,11 +102,10 @@ __all__ = [
 
 
 def _check_node_id(node: str) -> None:
-    """Raise unless ``node`` is a node id: a string, not empty or whitespace
+    """Raise unless the string ``node`` is a node id: not empty or whitespace
     only, with no tab, LF or CR, and not starting with ``#``, so a network file
     holds it as one field of a line that is neither blank nor a comment."""
-    name = node if isinstance(node, str) else ""
-    if not name.strip() or name[0] == "#" or any(c in name for c in "\t\n\r"):
+    if not node.strip() or node[0] == "#" or any(c in node for c in "\t\n\r"):
         raise MatchcertError(f"invalid-node-id: {node!r}")
 
 
@@ -227,13 +226,23 @@ def make_network(
     attrs: Mapping[str, Mapping[str, str]] | None = None,
 ) -> Network:
     """Build a validated Network; edges are deduplicated and canonicalized.
-    An attribute key or value is a string with no tab, LF or CR
-    (``invalid-attribute``), so ``save_network`` writes it as one field."""
+    A node id is a string (``invalid-node-id`` names the first that is not,
+    in input order), and an edge a tuple or list of two ids
+    (``invalid-edge``). A node's attributes are a mapping whose keys and
+    values are strings with no tab, LF or CR (``invalid-attribute``), so
+    ``save_network`` writes each as one field."""
+    nodes = list(nodes)
+    for node in nodes:  # ids of other types do not sort with strings
+        if not isinstance(node, str):
+            raise MatchcertError(f"invalid-node-id: {node!r}")
     ids = sorted(set(nodes))
     for node in ids:  # a bad id fails naming the least
         _check_node_id(node)
     pos = dict(zip(ids, range(len(ids))))
     edges = list(edges)
+    for edge in edges:
+        if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+            raise MatchcertError(f"invalid-edge: {edge!r} is not a pair of node ids")
     ends = np.fromiter(
         (pos.get(node, -1) for u, v in edges for node in (u, v)),
         dtype=np.int64,
@@ -250,6 +259,8 @@ def make_network(
     for node, values in attrs.items():
         if node not in pos:
             raise MatchcertError(f"unknown-node: attribute for {node!r}")
+        if not isinstance(values, Mapping):
+            raise MatchcertError(f"invalid-attribute: {node!r}: {values!r}")
         for text in (*values, *values.values()):
             if not isinstance(text, str) or any(c in text for c in "\t\n\r"):
                 raise MatchcertError(f"invalid-attribute: {node!r}: {text!r}")

@@ -36,17 +36,20 @@ T = TypeVar("T")
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """A PCG64 generator on an independent stream for non-negative (seed, *key)."""
+    """A PCG64 generator on an independent stream for non-negative integer
+    (seed, *key); Python and numpy integers give the same stream."""
+    if not all(isinstance(v, (int, np.integer)) for v in (seed, *key)):
+        raise MatchcertError(f"invalid-seed: seed {seed!r} and key {key!r} must be integers")
     if min((seed, *key)) < 0:
         raise MatchcertError(f"invalid-seed: seed {seed} and key {key} must be >= 0")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return spawn_rng(int(seed_or_rng))
+    return spawn_rng(seed_or_rng)
 
 
 def sample_indices(n: int, s: int, seed_or_rng) -> np.ndarray:

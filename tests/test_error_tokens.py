@@ -8,6 +8,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matchcert
@@ -27,6 +28,7 @@ from matchcert.matchers import MatcherConfig, TopDegree
 from matchcert.sampling import (
     SplitSpec,
     hypergeometric_draw,
+    sample_indices,
     sample_without_replacement,
     spawn_rng,
 )
@@ -178,8 +180,9 @@ def test_token_site_raises_its_token(token, call, text):
     _raises(token, call, text)
 
 
-# Python-API input that once escaped the tokens as numpy's ValueError, an
-# infinite bound, or a TypeError
+# Python-API input that once escaped the tokens as a numpy or type error,
+# or was accepted: an infinite bound, a seed truncated to an integer, a
+# population of 2.5 items
 ESCAPES = [
     ("invalid-seed", lambda: spawn_rng(-3), "seed -3"),
     ("invalid-seed", lambda: sample_without_replacement([1, 2], 1, -1), "seed -1"),
@@ -187,9 +190,24 @@ ESCAPES = [
     ("invalid-population", lambda: PopulationSpec(10, 0, float("inf")), "inf"),
     ("invalid-attribute", lambda: make_network(["a"], [], {"a": {"k": 3}}), "'a': 3"),
     ("invalid-node-id", lambda: make_network([1], []), "1"),
+    ("invalid-node-id", lambda: make_network(["a", 1], []), "1"),
+    ("invalid-attribute", lambda: make_network(["a"], [], {"a": "k"}), "'a': 'k'"),
+    ("invalid-attribute", lambda: make_network(["a"], [], {"a": None}), "'a': None"),
+    ("invalid-edge", lambda: make_network(["a", "b"], [("a",)]), "('a',)"),
+    ("invalid-edge", lambda: make_network(["a", "b"], ["ab"]), "'ab'"),
+    ("invalid-seed", lambda: spawn_rng(1.5), "seed 1.5"),
+    ("invalid-seed", lambda: spawn_rng(1, 0.5), "key (0.5,)"),
+    ("invalid-seed", lambda: sample_indices(5, 2, 1.5), "seed 1.5"),
+    ("invalid-population", lambda: PopulationSpec(2.5), "integer, got 2.5"),
 ]
 
 
 @pytest.mark.parametrize("token, call, text", ESCAPES, ids=_ids(ESCAPES))
 def test_python_api_input_fails_with_its_token(token, call, text):
     _raises(token, call, text)
+
+
+def test_numpy_integers_are_seeds_and_sizes():
+    assert spawn_rng(np.int64(3), np.int32(2)).random() == spawn_rng(3, 2).random()
+    assert sample_indices(10, 3, np.int64(4)).tolist() == sample_indices(10, 3, 4).tolist()
+    assert PopulationSpec(np.int64(4)).n == 4

@@ -107,3 +107,13 @@ def test_readme_flags_are_cli_options():
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
     assert len(flags) >= 30  # the pattern finds the walkthrough's flags
     assert sorted(flags - _options(build_parser())) == []
+
+
+def test_readme_names_the_latest_benchmark_record():
+    records = [
+        int(m.group(1))
+        for path in README.parent.glob("BENCH_*.json")
+        if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))
+    ]
+    named = re.findall(r"The latest is `BENCH_(\d+)\.json`", _section("Benchmark"))
+    assert records and named == [str(max(records))]
