@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -193,7 +194,11 @@ def build_report(
 
     ``bound_id`` reads ``<variant>-<mode>-<quantity>``; error rates get an
     upper bound, precision and recall a lower one. ``value`` is clamped to
-    [0, 1]. A ratio certificate passes its denominator's bound and ``value``
+    [0, 1], and a value strictly inside is then stepped one float toward the
+    safe side (an upper bound up, a lower bound down): float arithmetic can
+    leave a composed bound just past the exact one, as 0.9000000000000001
+    for a product of terms that sit at a truth of 0.9, and even one
+    rounded ratio such as 88/100 lies above the exact 0.88. A ratio certificate passes its denominator's bound and ``value``
     as a function that divides by it: when the denominator is at most 0
     the value is never computed, and the report carries 0 and the
     vacuous-denominator flag instead. ``terms`` names what the value was
@@ -215,6 +220,8 @@ def build_report(
             value = value()
     value = min(1.0, max(0.0, value))
     upper = quantity == "error-rate"
+    if 0.0 < value < 1.0:
+        value = math.nextafter(value, 1.0 if upper else 0.0)
     return ValidationReport(
         bound_id=bound_id,
         quantity=quantity,

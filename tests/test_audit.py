@@ -213,6 +213,7 @@ def test_holdout_batch_precision_holds_exactly(name, method):
     shares = {(m, x): share(m, x)[0] for m in SIZES for x in SIZES}
     assert all(s <= DELTA for s in shares.values()), shares
     # At census sizes every term may sit exactly at its truth, and the
-    # product of the terms can then exceed the truth by rounding alone.
+    # product of the terms can then exceed the truth by rounding alone;
+    # the report's step toward the safe side keeps it at or below.
     _, census = share(len(TRUTH), N)
-    assert all(r.lower_bound <= precision + 4 * math.ulp(precision) for r in census)
+    assert all(r.lower_bound <= precision for r in census)

@@ -309,7 +309,8 @@ class TestCompleteQueryPrecision:
         want = (
             rep.terms["holdout_fraction_term"] * rep.terms["precision_term"]
         ) / rep.terms["complete_fraction_term"]
-        assert rep.lower_bound == min(1.0, max(0.0, want))
+        assert 0.0 < want < 1.0  # so the report steps it one float down
+        assert rep.lower_bound == math.nextafter(want, 0.0)
 
     def test_dp_above_two_widens_range(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
