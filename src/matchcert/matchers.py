@@ -29,10 +29,9 @@ Keys split into (x, y) by floor division (``graphs.split_keys``). A key
 has at least ``threshold`` marks when the entry ``threshold - 1`` places
 after its first equals it. The entries that pass this test list such a
 key once per mark past ``threshold - 1``, so the length of its listing is
-its count less ``threshold - 1``. The eligible
-candidates are ranked with ``np.lexsort`` on (-count, key); because index
-order is id order, the key sorts as (x, y) by id, so the tie-break is the
-one above. Pairs are then accepted greedily in that order, skipping any
+its count less ``threshold - 1``. The eligible candidates are ranked with
+``np.lexsort`` on (-count, key); because index order is id order, the key
+sorts as (x, y) by id, so the tie-break is the one above. Pairs are then accepted greedily in that order, skipping any
 whose x or y was taken earlier in the round, and the next merge drops
 every entry with a matched end. Each eligible candidate is accepted or
 loses an end in its round, so the table carries only counts below the

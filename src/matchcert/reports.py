@@ -197,11 +197,12 @@ def build_report(
     [0, 1], and a value strictly inside is then stepped one float toward the
     safe side (an upper bound up, a lower bound down): float arithmetic can
     leave a composed bound just past the exact one, as 0.9000000000000001
-    for a product of terms that sit at a truth of 0.9, and even one
-    rounded ratio such as 88/100 lies above the exact 0.88. A ratio certificate passes its denominator's bound and ``value``
-    as a function that divides by it: when the denominator is at most 0
-    the value is never computed, and the report carries 0 and the
-    vacuous-denominator flag instead. ``terms`` names what the value was
+    for a product of terms that sit at a truth of 0.9, and even one rounded
+    ratio such as 88/100 lies above the exact 0.88. A ratio certificate
+    passes its denominator's bound and ``value`` as a function that divides
+    by it: when the denominator is at most 0 the value is never computed,
+    and the report carries 0 and the vacuous-denominator flag instead.
+    ``terms`` names what the value was
     assembled from: each :class:`Term` gives the report's ``terms`` its
     bound and ``term_methods`` the method it used, and a plain number (a
     sample size, a count) passes through to ``terms``. ``inputs`` returns

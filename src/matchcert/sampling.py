@@ -42,7 +42,7 @@ def spawn_rng(seed: int, *key: int) -> np.random.Generator:
         raise MatchcertError(f"invalid-seed: seed {seed!r} and key {key!r} must be integers")
     if min((seed, *key)) < 0:
         raise MatchcertError(f"invalid-seed: seed {seed} and key {key} must be >= 0")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
 
 
