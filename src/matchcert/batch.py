@@ -32,7 +32,9 @@ with an endpoint outside X or Y, and a node outside X (``unknown-node``),
 which would otherwise count as a miss or as a node with no matches; an
 identity pair in self-match mode (``identity-pair-forbidden``), in s_m
 and in the verified matches of s_x alike; and a sampled node with more
-verified matches than ``k_y`` (``ky-violated``).
+verified matches than ``k_y``, or an s_m with more pairs than k_y·|X|
+(``ky-violated``). That k_y·|X| >= |M| is the recall term's population
+size when ``m_size`` is not given (see ``bounds.bound_term``).
 """
 
 from __future__ import annotations
@@ -76,11 +78,11 @@ class BatchValidationInput:
     actual matches; ``s_x`` likewise from the x universe, with
     ``actual_for`` giving the verified actual matches for each sampled
     node. ``delta`` is each certificate's failure probability, split
-    equally over its terms. ``m_size`` is the actual-match count when
-    known; when unknown, ``m_size_upper`` supplies a conservative stand-in
-    (the exact method is then unavailable for the recall term and
-    Hoeffding is used instead). Both identified sets must be over
-    ``pair``'s node universes (``universe-mismatch`` otherwise).
+    equally over its terms. ``k_y`` caps any x's actual matches, so
+    |M| <= k_y·|X|. ``m_size`` is |M| when known; without it the recall
+    term stands in k_y·|X| and uses Hoeffding for the exact method. Both
+    identified sets must be over ``pair``'s node universes
+    (``universe-mismatch`` otherwise).
     """
 
     pair: NetworkPair
@@ -93,7 +95,6 @@ class BatchValidationInput:
     k_y: int = 1
     m_hat_complete: MatchSet | None = None
     m_size: int | None = None
-    m_size_upper: int | None = None
 
     def __post_init__(self) -> None:
         Confidence(self.delta)
@@ -120,7 +121,6 @@ def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
         "k_y": inp.k_y,
         "method": inp.method.value,
         "m_size": inp.m_size,
-        "m_size_upper": inp.m_size_upper,
     }
     return lambda: {
         **scalars,
@@ -139,12 +139,13 @@ def _recall_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     require_distinct("s_m", inp.s_m)
     hits = inp.m_hat_holdout.contains(pair_keys(inp.pair, "s_m", inp.s_m))
     values = [1.0 if hit else 0.0 for hit in hits.tolist()]
-    n = inp.m_size if inp.m_size is not None else inp.m_size_upper
-    if n is None:
+    stand_in = inp.k_y * inp.n_x
+    if len(values) > stand_in:
         raise MatchcertError(
-            "missing-population: supply m_size or m_size_upper for the recall term"
+            f"ky-violated: s_m has {len(values)} pairs, more than k_y={inp.k_y} allows"
         )
     exact = inp.m_size is not None
+    n = inp.m_size if exact else stand_in
     return bound_term(n, values, inp.method, delta, "lower", exact=exact)
 
 

@@ -509,25 +509,26 @@ def bound_term(
     method: BoundMethod,
     delta: Confidence,
     side: str,
-    lo: float = 0.0,
     hi: float = 1.0,
     exact: bool = True,
 ) -> Term:
-    """One side of one certificate term, with the method it used.
+    """One side of one certificate term over [0, ``hi``], with its method.
 
     This is where a certificate's requested method is downgraded. The
     exact method needs 0/1 values and the true population size. A term
     whose range is not [0, 1], or that passes ``exact=False`` because it
     only has a stand-in size or its population's values need not be 0/1,
-    gets Hoeffding, whose slack ignores ``n``.
+    gets Hoeffding, whose slack ignores ``n``. Every stand-in size is
+    derived from the input and is at least the true one: the query recall
+    terms use |X|, and batch recall without ``m_size`` uses k_y·|X|.
     EBS is kept: its rho factor only grows when ``n`` overstates the
     population. ``tests/test_bounds.py`` checks both families exhaustively
     under such stand-in sizes on small populations.
     """
-    if method is BoundMethod.HYPERGEOMETRIC and (not exact or (lo, hi) != (0.0, 1.0)):
+    if method is BoundMethod.HYPERGEOMETRIC and (not exact or hi != 1.0):
         method = BoundMethod.HOEFFDING
     res = bound_mean(
-        PopulationSpec(n, lo, hi), SampleSummary.of(values), method, delta, side
+        PopulationSpec(n, 0.0, hi), SampleSummary.of(values), method, delta, side
     )
     return Term(res.lower if side == "lower" else res.upper, method.value)
 

@@ -97,16 +97,8 @@ def _write_report(args, reports, node_stats=None) -> int:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-    vacuous = any(r.vacuous for r in reports)
-    for r in reports:
-        value = r.lower_bound if r.lower_bound is not None else r.upper_bound
-        kind = ">=" if r.lower_bound is not None else "<="
-        print(
-            f"{r.bound_id}: {r.quantity} {kind} {value:.6f} "
-            f"(confidence {r.confidence:.4f}{', VACUOUS' if r.vacuous else ''})",
-            file=sys.stderr,
-        )
-    return EXIT_VACUOUS if vacuous else EXIT_OK
+    print("\n".join(_report_lines(doc)), file=sys.stderr)
+    return EXIT_VACUOUS if any(r.vacuous for r in reports) else EXIT_OK
 
 
 def cmd_gen(args) -> int:
@@ -187,7 +179,6 @@ def cmd_validate_batch(args) -> int:
         k_y=args.k_y,
         m_hat_complete=m_hat_c,
         m_size=args.m_size,
-        m_size_upper=args.m_size_upper,
     )
     return _write_report(args, batch_reports(inp))
 
@@ -317,8 +308,9 @@ def _validate_batch_arguments(b: argparse.ArgumentParser) -> None:
     b.add_argument("--s-x", required=True, help="node sample, one id per line")
     b.add_argument("--actual", required=True, help="verified matches TSV for s-x")
     b.add_argument("--k-y", type=int, default=1)
-    b.add_argument("--m-size", type=int, default=None)
-    b.add_argument("--m-size-upper", type=int, default=None)
+    b.add_argument(
+        "--m-size", type=int, help="|M| when known; else recall stands in k-y times |X|"
+    )
     b.add_argument("--method", default="hypergeometric-exact")
     b.add_argument("--delta", default="0.05", help=DELTA_HELP)
     b.add_argument("--out")

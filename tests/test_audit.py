@@ -12,6 +12,9 @@ The one-to-many world gives x0 and x1 the matches {y0, y1} each, so p(x)
 is not 0/1 on the identified nodes: the exact method's binary premise
 fails on the population even where a sample's values happen to be 0/1.
 
+Batch recall is also audited without ``m_size``, where the recall term
+stands in k_y·|X| for |M|: 12 at k_y = 1 and 24 at k_y = 2, against 10.
+
 Holdout batch precision draws two independent samples, s_m and s_x. Its
 report reads s_m only through the hit count and s_x only through the
 verified-match count, so the audit groups each sample's enumeration by
@@ -135,23 +138,34 @@ def test_holdout_query_certificates_hold_exactly(world, method, size):
     assert all(share <= DELTA for share in shares.values()), shares
 
 
-@pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
-@pytest.mark.parametrize("size", SIZES)
-def test_holdout_batch_recall_holds_exactly(world, method, size):
+def _audit_batch_recall(world, method, size, **population):
     pair, holdout, truth, actual_for = world
     m_hat = run_batch(holdout, pair)
     truths = {"holdout-batch-recall": true_batch_metrics(pair, m_hat, truth)[1]}
 
     def certify(s_m):
         inp = BatchValidationInput(
-            pair, m_hat, s_m, ("x0",), actual_for, method, DELTA,
-            m_size=len(TRUTH),
+            pair, m_hat, s_m, ("x0",), actual_for, method, DELTA, **population
         )
         return [holdout_batch_recall(inp)]
 
     shares, raised = _audit(certify, list(itertools.combinations(TRUTH, size)), truths)
     assert not raised, raised
     assert all(share <= DELTA for share in shares.values()), shares
+
+
+@pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("size", SIZES)
+def test_holdout_batch_recall_holds_exactly(world, method, size):
+    _audit_batch_recall(world, method, size, m_size=len(TRUTH))
+
+
+@pytest.mark.parametrize("k_y", [1, 2])
+@pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("size", SIZES)
+def test_holdout_batch_recall_holds_exactly_without_m_size(world, method, size, k_y):
+    # the recall term stands in k_y·|X|, 12 or 24, for |M| = 10
+    _audit_batch_recall(world, method, size, k_y=k_y)
 
 
 # right on x0..x8, wrong on x10, nothing for x9 and x11

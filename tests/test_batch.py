@@ -18,6 +18,10 @@ from matchcert.batch import (
 from matchcert.bounds import (
     BoundMethod,
     Confidence,
+    PopulationSpec,
+    SampleSummary,
+    ebs_bounds,
+    hoeffding_bounds,
     hypergeom_invert_lower,
 )
 from matchcert.errors import MatchcertError
@@ -125,7 +129,6 @@ class TestHoldoutRecall:
             method=HG,
             delta=0.05,
             m_size=None,
-            m_size_upper=len(pair.x_net.nodes),
         )
         rep = holdout_batch_recall(inp)
         assert rep.term_methods["recall_term"] == "hoeffding"
@@ -133,20 +136,33 @@ class TestHoldoutRecall:
             1.0 - math.sqrt(math.log(1 / 0.05) / (2 * 30))
         )
 
-    def test_no_population_info_rejected(self, world):
+    def test_no_population_size_certifies_at_ky_times_x(self, world):
+        # without m_size the recall term is bounded at k_y·|X| >= |M|:
+        # Hoeffding in place of the exact method, and EBS at that size
         pair, truth = world
-        m_hat = make_match_set(truth.pairs, pair)
-        inp = BatchValidationInput(
-            pair=pair,
-            m_hat_holdout=m_hat,
-            s_m=(next(iter(truth.pairs)),),
-            s_x=("x0",),
-            actual_for=_full_actuals(pair, truth),
-            method=HOEFF,
-            delta=0.05,
-        )
-        with pytest.raises(MatchcertError, match="missing-population"):
-            holdout_batch_recall(inp)
+        s_m = sample_without_replacement(sorted(truth.pairs), 30, 3)
+        m_hat = make_match_set(sorted(truth.pairs)[::2], pair)
+        summary = SampleSummary.of([float(p in m_hat.pairs) for p in s_m])
+        assert 0 < sum(summary.values) < len(s_m)
+        for k_y in (1, 2):
+            inp = BatchValidationInput(
+                pair=pair,
+                m_hat_holdout=m_hat,
+                s_m=tuple(s_m),
+                s_x=("x0",),
+                actual_for=_full_actuals(pair, truth),
+                method=HG,
+                delta=0.05,
+                k_y=k_y,
+            )
+            population = PopulationSpec(k_y * len(pair.x_net.nodes))
+            for method, bounds in ((HG, hoeffding_bounds), (BoundMethod.EBS, ebs_bounds)):
+                rep = holdout_batch_recall(replace(inp, method=method))
+                want = bounds(population, summary, Confidence(0.05)).lower
+                assert rep.terms["recall_term"] == want
+                assert rep.term_methods["recall_term"] == (
+                    "hoeffding" if method is HG else method.value
+                )
 
     def test_monotone_in_identified_count(self, world):
         pair, truth = world
@@ -499,7 +515,6 @@ class TestBatchReports:
                 "method": HG.value,
                 "deltas": list(r.delta_parts),
                 "m_size": len(truth.pairs),
-                "m_size_upper": None,
             }
             assert r.inputs_digest == digest_of({"bound_id": r.bound_id, **inputs})
         alone = holdout_batch_recall(replace(inp, m_hat_complete=None))
@@ -605,7 +620,6 @@ class TestDeferredDigest:
                 "method": HG.value,
                 "deltas": list(r.delta_parts),
                 "m_size": len(truth.pairs),
-                "m_size_upper": None,
             })
         return reports, payloads, weakref.ref(pair)
 
@@ -625,9 +639,10 @@ class TestDeferredDigest:
         assert copies == reports
 
     def test_reports_differing_only_in_inputs_are_unequal(self, world):
-        inp = complete_world_input(*world)
-        # m_size_upper is ignored when m_size is given, but it is an input
-        other = replace(inp, m_size_upper=10 * len(world[1].pairs))
+        inp = replace(complete_world_input(*world), method=HOEFF)
+        # Hoeffding's slack ignores the recall term's population size, but
+        # m_size is an input
+        other = replace(inp, m_size=None)
         for a, b in zip(batch_reports(inp), batch_reports(other)):
             assert a.terms == b.terms and a.lower_bound == b.lower_bound
             assert a.inputs_digest != b.inputs_digest

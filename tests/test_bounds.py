@@ -469,9 +469,7 @@ class TestBoundMean:
 
     def test_bound_term_downgrades_exact_off_unit_range(self):
         values = [0.0, 1.0, 2.0, 1.0]
-        got = bound_term(
-            10, values, BoundMethod.HYPERGEOMETRIC, D05, "lower", lo=0.0, hi=2.0
-        )
+        got = bound_term(10, values, BoundMethod.HYPERGEOMETRIC, D05, "lower", hi=2.0)
         pop = PopulationSpec(10, 0.0, 2.0)
         want = hoeffding_bounds(pop, SampleSummary.of(values), D05).lower
         assert got == (want, "hoeffding")
@@ -521,8 +519,10 @@ class TestBoundMean:
 class TestStandInPopulationSize:
     """A certificate that cannot know the size N' of the population it
     samples passes a stand-in n >= N' instead. For every binary population
-    with N' <= 30 and every sample size, sum the exact probability that the
-    bound computed with n lands on the wrong side of the true mean m/N'.
+    with N' <= 30, every sample size and every stand-in from N' to 4·N'
+    (batch recall's k_y·|X| may exceed |M| by more than twice), sum the
+    exact probability that the bound computed with n lands on the wrong
+    side of the true mean m/N'.
 
     The exact inversion is not checked here: its bound lies on the m/n
     lattice, is not monotone in n, and fails this check (ROADMAP open
@@ -534,7 +534,7 @@ class TestStandInPopulationSize:
         delta = Fraction(1, 20)
         failures = []
         for n_true in range(1, 31):
-            stand_ins = (n_true, n_true + 1, 2 * n_true)
+            stand_ins = (n_true, n_true + 1, 2 * n_true, 3 * n_true, 4 * n_true)
             for s in range(1, n_true + 1):
                 bounds = {
                     n: [

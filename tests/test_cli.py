@@ -669,9 +669,11 @@ class TestReport:
                 "--out", str(out),
             ]
         )
-        capsys.readouterr()
+        written = capsys.readouterr().err
         assert main(["report", "--in", str(out)]) == 0
-        assert "joint confidence" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "joint confidence" in printed
+        assert written == printed  # validate prints the report's own lines
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -817,9 +819,8 @@ usage: matchcert validate batch [-h] --x X [--y Y] [--self-match]
                                 --m-hat-holdout M_HAT_HOLDOUT
                                 [--m-hat-complete M_HAT_COMPLETE] --s-m S_M
                                 --s-x S_X --actual ACTUAL [--k-y K_Y]
-                                [--m-size M_SIZE]
-                                [--m-size-upper M_SIZE_UPPER]
-                                [--method METHOD] [--delta DELTA] [--out OUT]
+                                [--m-size M_SIZE] [--method METHOD]
+                                [--delta DELTA] [--out OUT]
 """
 
 

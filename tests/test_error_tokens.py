@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import matchcert
+from matchcert.batch import BatchValidationInput, holdout_batch_recall
 from matchcert.bounds import (
     BoundMethod,
     Confidence,
@@ -23,7 +24,7 @@ from matchcert.bounds import (
 )
 from matchcert.coverage import ExperimentConfig
 from matchcert.errors import MatchcertError, read_fields
-from matchcert.graphs import make_network
+from matchcert.graphs import NetworkPair, make_match_set, make_network
 from matchcert.matchers import MatcherConfig, TopDegree
 from matchcert.sampling import (
     SplitSpec,
@@ -107,6 +108,16 @@ COVERAGE = {
     "seed": 0,
 }
 
+def _recall_on_two_nodes(s_m, k_y):
+    pair = NetworkPair(make_network(["a", "b"], []), make_network(["p", "q"], []))
+    return holdout_batch_recall(
+        BatchValidationInput(
+            pair, make_match_set([], pair), s_m, ("a",), {"a": frozenset()},
+            BoundMethod.HOEFFDING, 0.05, k_y=k_y,
+        )
+    )
+
+
 # (token, call, the message's text after the token): token sites that the
 # other tests do not reach
 SITES = [
@@ -160,6 +171,14 @@ SITES = [
         "invalid-generator",
         lambda: GeneratorConfig(10, ErdosRenyi(0.1), node_drop_y=-0.5),
         "node_drop_y=-0.5",
+    ),
+    (
+        # three actual matches cannot lie on two x nodes with one match each
+        "ky-violated",
+        lambda: _recall_on_two_nodes(
+            (("a", "p"), ("a", "q"), ("b", "p")), k_y=1
+        ),
+        "s_m has 3 pairs, more than k_y=1 allows",
     ),
 ]
 

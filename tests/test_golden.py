@@ -95,15 +95,16 @@ def _world() -> None:
         assert rc == 0
 
 
-def _validate_batch(size_flag: str) -> tuple[int, str]:
+def _validate_batch(m_size: bool) -> tuple[int, str]:
+    """``validate batch`` with ``--m-size`` the true |M|, or without it."""
     n_matches = len(Path("world/matches.tsv").read_text(encoding="utf-8").splitlines())
-    size = n_matches if size_flag == "--m-size" else n_matches + 20
-    out = f"batch{size_flag[1:]}.json"
+    size_flag = ["--m-size", str(n_matches)] if m_size else []
+    out = "batch-m-size.json" if m_size else "batch.json"
     rc = main([
         "validate", "batch", "--x", "world/x.tsv", "--y", "world/y.tsv",
         "--m-hat-holdout", "mhat_h.tsv", "--m-hat-complete", "mhat_c.tsv",
         "--s-m", "s_m.tsv", "--s-x", "s_x.txt", "--actual", "world/matches.tsv",
-        size_flag, str(size), "--out", out,
+        *size_flag, "--out", out,
     ])
     return rc, out
 
@@ -137,9 +138,9 @@ def world(tmp_path, monkeypatch):
     _world()
 
 
-@pytest.mark.parametrize("size_flag", ["--m-size", "--m-size-upper"])
-def test_validate_batch_report_is_golden(world, size_flag):
-    rc, out = _validate_batch(size_flag)
+@pytest.mark.parametrize("m_size", [True, False], ids=["--m-size", "no-size-flag"])
+def test_validate_batch_report_is_golden(world, m_size):
+    rc, out = _validate_batch(m_size)
     _check(out, 0, rc)
 
 
@@ -164,8 +165,8 @@ def _regenerate() -> None:
         os.chdir(tmp)
         _world()
         names = [
-            _validate_batch("--m-size")[1],
-            _validate_batch("--m-size-upper")[1],
+            _validate_batch(True)[1],
+            _validate_batch(False)[1],
             _validate_query()[1],
             *_coverage()[1],
         ]
