@@ -123,6 +123,12 @@ def member(by_type, k, last: bool = False) -> tuple[str, ...]:
     )
 
 
+def _no_statement(e: MatchcertError) -> None:
+    """Pass a sample with no usable node; raise any other token."""
+    if not str(e).startswith("no-usable-sample:"):
+        raise e
+
+
 def statements(inp: QueryValidationInput) -> dict[str, float]:
     """Each holdout query bound id's bound on ``inp``'s sample, for the
     certificates that make a statement there."""
@@ -131,14 +137,14 @@ def statements(inp: QueryValidationInput) -> dict[str, float]:
     try:
         reports = holdout_query_bounds(inp, columns)
     except MatchcertError as e:
-        if not str(e).startswith("no-usable-sample:"):
-            raise
+        _no_statement(e)
         for quantity in ("precision", "recall"):
             try:
                 terms = _holdout_term(inp, columns, quantity, Confidence(inp.delta))
-            except MatchcertError:
-                continue
-            bounds[f"holdout-query-{quantity}"] = terms[f"{quantity}_term"].value
+            except MatchcertError as e:
+                _no_statement(e)
+            else:
+                bounds[f"holdout-query-{quantity}"] = terms[f"{quantity}_term"].value
     else:
         bounds.update((r.bound_id, r.lower_bound) for r in reports)
     return bounds
