@@ -32,9 +32,11 @@ with an endpoint outside X or Y, and a node outside X (``unknown-node``),
 which would otherwise count as a miss or as a node with no matches; an
 identity pair in self-match mode (``identity-pair-forbidden``), in s_m
 and in the verified matches of s_x alike; and a sampled node with more
-verified matches than ``k_y``, or an s_m with more pairs than k_y·|X|
-(``ky-violated``). That k_y·|X| >= |M| is the recall term's population
-size when ``m_size`` is not given (see ``bounds.bound_term``).
+verified matches than ``k_y``, or an s_m that gives some x more than
+k_y pairs (``ky-violated``, naming the first such x in id order). No x
+has more than k_y actual matches, so k_y·|X| >= |M| is the recall term's
+population size when ``m_size`` is not given (see ``bounds.bound_term``);
+the per-x check also implies that s_m has at most k_y·|X| pairs.
 """
 
 from __future__ import annotations
@@ -137,15 +139,16 @@ def _recall_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     if not inp.s_m:
         raise MatchcertError("empty-sample: s_m has no verified matches")
     require_distinct("s_m", inp.s_m)
-    hits = inp.m_hat_holdout.contains(pair_keys(inp.pair, "s_m", inp.s_m))
-    values = [1.0 if hit else 0.0 for hit in hits.tolist()]
-    stand_in = inp.k_y * inp.n_x
-    if len(values) > stand_in:
+    keys = pair_keys(inp.pair, "s_m", inp.s_m)
+    over = np.bincount(keys // len(inp.pair.y_net.index.ids)) > inp.k_y
+    if over.any():
+        x = inp.pair.x_net.index.ids[int(np.argmax(over))]
         raise MatchcertError(
-            f"ky-violated: s_m has {len(values)} pairs, more than k_y={inp.k_y} allows"
+            f"ky-violated: s_m gives node {x!r} more than k_y={inp.k_y} actual matches"
         )
+    values = [1.0 if hit else 0.0 for hit in inp.m_hat_holdout.contains(keys).tolist()]
     exact = inp.m_size is not None
-    n = inp.m_size if exact else stand_in
+    n = inp.m_size if exact else inp.k_y * inp.n_x
     return bound_term(n, values, inp.method, delta, "lower", exact=exact)
 
 

@@ -324,7 +324,11 @@ def _validate_query_arguments(q: argparse.ArgumentParser) -> None:
     q.add_argument("--seeds")
     q.add_argument("--seeds-complete")
     q.add_argument("--s-x", required=True)
-    q.add_argument("--s-x-prime")
+    q.add_argument(
+        "--s-x-prime",
+        help="optional second node sample; no certificate reads it, "
+        "--emit-node-stats lists its nodes",
+    )
     q.add_argument("--actual", required=True)
     q.add_argument("--method", default="hypergeometric-exact")
     q.add_argument("--delta", default="0.05", help=DELTA_HELP)

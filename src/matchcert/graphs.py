@@ -227,10 +227,11 @@ def make_network(
 ) -> Network:
     """Build a validated Network; edges are deduplicated and canonicalized.
     A node id is a string (``invalid-node-id`` names the first that is not,
-    in input order), and an edge a tuple or list of two ids
-    (``invalid-edge``). A node's attributes are a mapping whose keys and
-    values are strings with no tab, LF or CR (``invalid-attribute``), so
-    ``save_network`` writes each as one field."""
+    in input order), and an edge a tuple or list of two string ids
+    (``invalid-edge``). ``attrs`` maps nodes to their attributes, each a
+    mapping whose keys and values are strings with no tab, LF or CR
+    (``invalid-attribute``), so ``save_network`` writes each as one
+    field."""
     nodes = list(nodes)
     for node in nodes:  # ids of other types do not sort with strings
         if not isinstance(node, str):
@@ -241,7 +242,11 @@ def make_network(
     pos = dict(zip(ids, range(len(ids))))
     edges = list(edges)
     for edge in edges:
-        if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+        if not (
+            isinstance(edge, (tuple, list))
+            and len(edge) == 2
+            and all(isinstance(node, str) for node in edge)
+        ):
             raise MatchcertError(f"invalid-edge: {edge!r} is not a pair of node ids")
     ends = np.fromiter(
         (pos.get(node, -1) for u, v in edges for node in (u, v)),
@@ -255,6 +260,8 @@ def make_network(
         if a == b:
             raise MatchcertError(f"self-loop: edge ({a!r}, {b!r})")
         raise MatchcertError(f"unknown-node: edge endpoint {a!r} or {b!r}")
+    if attrs is not None and not isinstance(attrs, Mapping):
+        raise MatchcertError(f"invalid-attribute: {attrs!r} is not a mapping")
     attrs = dict(attrs or {})
     for node, values in attrs.items():
         if node not in pos:

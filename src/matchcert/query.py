@@ -11,34 +11,46 @@ on per-node statistics of sampled nodes:
 
 Query precision/recall are means of p(x) and r(x) over the nodes where
 they are defined. The holdout certificates bound these means from the
-verified node sample directly. The complete-matcher certificates add a
-correction bounded from a second, independent node sample on which only
-matcher outputs are observed, never actual matches: d_r(x) flags nodes
-where the holdout matcher found something the complete one dropped, and
-d_p(x) additionally charges for partial overlap. The d_p bound's range,
-(0, 1 + the most matches the holdout matcher gives any x of X), is read
-from its whole identified set, so it is fixed before s_x' is read.
+verified node sample directly. The complete matcher may have been built
+from the verified samples, so its certificates bound how far it can
+drift from the holdout matcher. Both matchers run over all of X, so the
+drift is counted exactly, never sampled: d_r(x) flags nodes where the
+holdout matcher found something the complete one dropped, d_p(x)
+additionally charges for partial overlap, and the disagreement indicator
+is 1 where the two sets of x differ. With D_H and D_C the nodes each
+matcher identifies anything for and D_a the nodes with actual matches,
+three inequalities hold for every pair of matchers:
+
+* P_C >= (|D_H| * P_H - sum_X d_p) / |D_C|;
+* R_C >= R_H - sum_X d_r / |D_a|;
+* E_C <= E_H + mean_X 1[H_x != C_x].
+
+So only the holdout terms are random: complete-query-precision and
+complete-query-error-rate bound one term, P_H or E_H, at the full delta,
+and complete-query-recall two, R_H and the matched fraction of X (a
+lower bound on |D_a| / |X|), at delta / 2 each.
 
 One stage, ``_columns``, checks the samples and runs each matcher once.
-It maps s_x and s_x' to positions and counts, per sampled node, from the
-match sets' keys (``np.bincount`` over ``key // n_y``, membership by
-binary search): the identified and actual matches, the hits, and the
-holdout-only and complete-only matches. From these it builds float
-columns, in s_x and s_x' order: p, r, w and the matched indicator over
-s_x, and the holdout and complete indicators, d_r, d_p and the
-disagreement indicator over s_x'. Every certificate and
+It maps s_x to positions and counts, per node, from the match sets' keys
+(``np.bincount`` over ``key // n_y``, membership by binary search): the
+identified and actual matches, the hits, and the holdout-only and
+complete-only matches. From these it builds float columns: p, r, w and
+the matched indicator over s_x, in s_x order, and d_r, d_p and the
+disagreement indicator over all of X. Every certificate and
 ``compute_node_stats`` reads these columns. When the complete matcher
-computes the same function as the holdout one, its columns are the
-holdout's and it never runs. The samples are drawn without replacement,
-so a node repeated in s_x or s_x' (or a pair in a batch input's s_m) is
-rejected with ``duplicate-sample-item``: it would be counted as several
-independent draws. A verified match outside Y, or an identity pair in
-self-match mode, fails (``unknown-node``, ``identity-pair-forbidden``)
-rather than count as an actual match that was missed. Each certificate
-takes optional ``columns``, which :func:`query_reports` builds once for
-all its certificates; a certificate called on its own builds them
-itself. Each report's digest fields come from the input its own
-certificate was given (see :mod:`.reports`).
+computes the same function as the holdout one, its counts are the
+holdout's and it never runs. The second sample s_x' feeds only
+``compute_node_stats`` and the digest; it is checked like s_x. The
+samples are drawn without replacement, so a node repeated in s_x or s_x'
+(or a pair in a batch input's s_m) is rejected with
+``duplicate-sample-item``: it would be counted as several independent
+draws. A verified match outside Y, or an identity pair in self-match
+mode, fails (``unknown-node``, ``identity-pair-forbidden``) rather than
+count as an actual match that was missed. Each certificate takes
+optional ``columns``, which :func:`query_reports` builds once for all
+its certificates; a certificate called on its own builds them itself.
+Each report's digest fields come from the input its own certificate was
+given (see :mod:`.reports`).
 
 The truth oracle, :func:`exact_metrics`, reads keys too: one binary
 search of each set's keys in the other's gives every exact batch and
@@ -48,22 +60,21 @@ query metric, with per-node rates from ``np.bincount`` and means by
 
 The holdout precision and recall terms bound means over a subset D of X
 from the sampled nodes in D, which, given their number, are a uniform
-sample of D. For precision, D is the nodes the holdout matcher identifies
-anything for; its size is known once the matcher has run, so the
-precision terms of holdout-query-precision and complete-query-precision
-are bounded at n = |D| by the requested method and record it as
-``identified_nodes``. The exact method also needs p(x) to be 0 or 1 on
-all of D, which holds when the holdout matcher gives every x at most one
-match; this is read from its whole identified set, never from s_x, and
-otherwise the precision terms get Hoeffding. For recall, D is the nodes
-with actual matches, whose size is unknown. The recall terms of holdout-query-recall and
-complete-query-recall use the stand-in |X| with ``exact=False``: the exact
-inversion is not monotone in n and may under-cover there, so it becomes
-Hoeffding, whose slack ignores the size; EBS is kept, as its
-sampling-fraction factor only grows with the size. tests/test_bounds.py
-checks both families exhaustively under stand-in sizes, and
-``tests/test_query.py::TestTermPopulationSize`` both terms by exact sums.
-Every other term is a mean over X, bounded at |X|.
+sample of D. For precision, D is D_H; its size is known once the matcher
+has run, so the precision terms of holdout-query-precision and
+complete-query-precision are bounded at n = |D| by the requested method
+and record it as ``identified_nodes``. The exact method also needs p(x)
+to be 0 or 1 on all of D, which holds when the holdout matcher gives
+every x at most one match; this is read from its whole identified set,
+never from s_x, and otherwise the precision terms get Hoeffding. For
+recall, D is D_a, whose size is unknown. The recall terms of
+holdout-query-recall and complete-query-recall use the stand-in |X| with
+``exact=False``: the exact inversion is not monotone in n and may
+under-cover there, so it becomes Hoeffding, whose slack ignores the
+size; EBS is kept, as its sampling-fraction factor only grows with the
+size. tests/test_bounds.py checks both families exhaustively under
+stand-in sizes, and ``tests/test_query.py::TestTermPopulationSize`` both
+terms by exact sums. Every other term is a mean over X, bounded at |X|.
 """
 
 from __future__ import annotations
@@ -114,11 +125,10 @@ class QueryValidationInput:
     """Inputs for the query certificates.
 
     ``s_x`` is a uniform without-replacement node sample with verified
-    actual matches in ``actual_for``. ``s_x_prime`` is a second sample,
-    drawn independently of ``s_x``, for which actual matches are NOT
-    required (and are never read): it only feeds matcher-vs-matcher
-    disagreement terms. ``delta`` is each certificate's failure
-    probability, split equally over its terms.
+    actual matches in ``actual_for``. ``s_x_prime`` is an optional second
+    sample whose actual matches are never read: no certificate uses it,
+    and it feeds only ``compute_node_stats`` and the digest. ``delta`` is
+    each certificate's failure probability, split equally over its terms.
     """
 
     pair: NetworkPair
@@ -139,33 +149,30 @@ class QueryValidationInput:
 
 
 class Columns(NamedTuple):
-    """The per-node statistics of one input's sampled nodes, as float
-    arrays (see ``_columns``).
+    """The per-node statistics of one input, as float arrays (see
+    ``_columns``).
 
     ``p``, ``r``, ``w`` and ``matched`` (1.0 where x has actual matches)
     hold one entry per node of s_x; ``p`` and ``r`` are NaN where
-    undefined. The matcher columns hold one entry per node of s_x, then
-    one per node of s_x' (from index ``n`` on); the certificates read the
-    s_x' part, ``compute_node_stats`` both. ``h_ind`` and ``c_ind`` are 1.0
-    where the holdout or complete matcher identifies anything, and
-    ``diff`` where the two differ. ``identified`` counts the x of X for
-    which the holdout matcher identifies anything, and ``most`` is the
-    largest number of matches it identifies for any x of X; when that is at
-    most 1, p(x) is 0 or 1 on all of D whatever s_x is drawn. The complete
-    matcher's columns are None without one. ``reduced`` is set when it
-    computes the holdout matcher's function; its columns are then the
-    holdout's, and d_r, d_p and diff are 0.
+    undefined. ``identified`` counts the x of X for which the holdout
+    matcher identifies anything, |D_H|, and ``most`` is the largest number
+    of matches it identifies for any x of X; when that is at most 1, p(x)
+    is 0 or 1 on all of D_H whatever s_x is drawn. The complete matcher's
+    census: ``complete`` counts the x of X it identifies anything for,
+    |D_C|, and ``d_r``, ``d_p`` and ``diff`` (1.0 where the two matchers'
+    sets of x differ) hold one entry per node of X, in id order; they are
+    None without a complete matcher. ``reduced`` is set when it computes
+    the holdout matcher's function; its counts are then the holdout's, and
+    d_r, d_p and diff are 0.
     """
 
-    n: int
     identified: int
     most: int
     p: np.ndarray
     r: np.ndarray
     w: np.ndarray
     matched: np.ndarray
-    h_ind: np.ndarray
-    c_ind: np.ndarray | None = None
+    complete: int = 0
     d_r: np.ndarray | None = None
     d_p: np.ndarray | None = None
     diff: np.ndarray | None = None
@@ -181,54 +188,50 @@ def _columns(inp: QueryValidationInput) -> Columns:
     """Check the samples, run each matcher once and return the columns.
 
     The samples are checked first (see ``reports.verified_sample``): s_x
-    with its ``actual_for``, then s_x' when a complete matcher is given or
-    s_x' is non-empty. The complete matcher
-    does not run when it computes the same function as the holdout one.
+    with its ``actual_for``, then s_x' when it is non-empty. The complete
+    matcher does not run when it computes the same function as the
+    holdout one.
     """
-    ix = inp.pair.x_net.index
     at, verified = verified_sample(inp.pair, inp.s_x, inp.actual_for)
-    if inp.complete is not None or inp.s_x_prime:
-        at = np.concatenate([at, sample_positions(ix, "s_x_prime", inp.s_x_prime)])
+    if inp.s_x_prime:
+        sample_positions(inp.pair.x_net.index, "s_x_prime", inp.s_x_prime)
     m_hat = run_batch(inp.holdout, inp.pair)
-    n, n_x, n_y = len(inp.s_x), len(ix.ids), len(inp.pair.y_net.index.ids)
+    n, n_x, n_y = len(inp.s_x), inp.n_x, len(inp.pair.y_net.index.ids)
 
     # the verified nodes: identified, actual and both, per node
     n_actual = np.fromiter((len(inp.actual_for[x]) for x in inp.s_x), np.int64, n)
     owner = np.repeat(np.arange(n), n_actual)
     hits = np.bincount(owner, weights=m_hat.contains(verified), minlength=n)
-    per_x = _per_x(m_hat.keys, n_x, n_y)
-    h = per_x[at]
-    same = (h[:n] == n_actual) & (hits == n_actual)
+    h = _per_x(m_hat.keys, n_x, n_y)
+    h_at = h[at]
+    same = (h_at == n_actual) & (hits == n_actual)
     columns = Columns(
-        n=n,
-        identified=int(np.count_nonzero(per_x)),
-        most=int(per_x.max()),
-        p=np.divide(hits, h[:n], out=np.full(n, np.nan), where=h[:n] > 0),
+        identified=int(np.count_nonzero(h)),
+        most=int(h.max()),
+        p=np.divide(hits, h_at, out=np.full(n, np.nan), where=h_at > 0),
         r=np.divide(hits, n_actual, out=np.full(n, np.nan), where=n_actual > 0),
         w=(~same).astype(float),
         matched=(n_actual > 0).astype(float),
-        h_ind=(h > 0).astype(float),
     )
     if inp.complete is None:
         return columns
 
-    # the complete matcher, per node of s_x and s_x'
+    # the complete matcher, per node of X
     reduced = inp.complete == inp.holdout
     if reduced:
         c = both = h
     else:
         complete = run_batch(inp.complete, inp.pair)
-        c = _per_x(complete.keys, n_x, n_y)[at]
-        both = _per_x(m_hat.keys[m_hat.found_in(complete)], n_x, n_y)[at]
+        c = _per_x(complete.keys, n_x, n_y)
+        both = _per_x(m_hat.keys[m_hat.found_in(complete)], n_x, n_y)
     h_only, differ = h - both, (h != both) | (c != both)
     # 0 when x's holdout set is empty or equals its complete one, 1 when
     # only the holdout matcher speaks, else 1 + |holdout-only| / |complete|
-    ratio = np.divide(h_only, c, out=np.zeros(h.size), where=c > 0)
-    d_p = np.where((h > 0) & differ, 1.0 + ratio, 0.0)
+    ratio = np.divide(h_only, c, out=np.zeros(n_x), where=c > 0)
     return columns._replace(
-        c_ind=(c > 0).astype(float),
+        complete=int(np.count_nonzero(c)),
         d_r=(h_only > 0).astype(float),
-        d_p=d_p,
+        d_p=np.where((h > 0) & differ, 1.0 + ratio, 0.0),
         diff=differ.astype(float),
         reduced=reduced,
     )
@@ -306,35 +309,37 @@ def _require_complete(inp: QueryValidationInput) -> None:
         raise MatchcertError("missing-complete: no complete matcher supplied")
 
 
+def _reduced(columns: Columns) -> tuple[str, ...]:
+    """A complete certificate's flags."""
+    return ("reduced-to-holdout",) if columns.reduced else ()
+
+
 def complete_query_recall(
     inp: QueryValidationInput, columns: Columns | None = None
 ) -> ValidationReport:
-    """Holdout recall minus the disagreement rate rescaled by the matched
-    fraction of X; reduces exactly to the holdout certificate when the
-    complete matcher is the same function as the holdout one."""
-    delta = Confidence(inp.delta / 3)
+    """Holdout recall minus the census d_r mean rescaled by a lower bound
+    on the matched fraction of X, R_C >= R_H - sum_X d_r / |D_a|; each
+    term at half the delta. With no d_r the value is the holdout bound,
+    whatever the matched fraction."""
+    delta = Confidence(inp.delta / 2)
     _require_complete(inp)
     columns = columns or _columns(inp)
-    terms = {**_holdout_term(inp, columns, "recall", delta), "disagreement_term": 0.0}
-    recall = terms["recall_term"]
-    value, denominator, flags = recall.value, None, ("reduced-to-holdout",)
-    if not columns.reduced:
-        d_ub = terms["disagreement_term"] = bound_term(
-            inp.n_x, columns.d_r[columns.n :].tolist(), inp.method, delta, "upper"
-        )
-        frac_lb = terms["matched_fraction_term"] = bound_term(
-            inp.n_x, columns.matched.tolist(), inp.method, delta, "lower"
-        )
-        value, denominator, flags = (
-            (lambda: recall.value - d_ub.value / frac_lb.value), frac_lb.value, ()
-        )
+    terms = _holdout_term(inp, columns, "recall", delta)
+    recall = terms["recall_term"].value
+    frac = terms["matched_fraction_term"] = bound_term(
+        inp.n_x, columns.matched.tolist(), inp.method, delta, "lower"
+    )
+    dropped = terms["disagreement"] = math.fsum(columns.d_r.tolist()) / inp.n_x
+    value, denominator = recall, None
+    if dropped:
+        value, denominator = (lambda: recall - dropped / frac.value), frac.value
     return build_report(
         "complete-query-recall",
-        (delta.delta,) * 3,
+        (delta.delta,) * 2,
         _payload(inp),
         terms,
         value,
-        flags=flags,
+        flags=_reduced(columns),
         denominator=denominator,
     )
 
@@ -342,82 +347,59 @@ def complete_query_recall(
 def complete_query_precision(
     inp: QueryValidationInput, columns: Columns | None = None
 ) -> ValidationReport:
-    """[lower(holdout-matched fraction) * lower(holdout precision) -
-    upper(d_p mean)] / upper(complete-matched fraction).
-
-    d_p(x) is at most 1 + |holdout matches of x|, so the d_p term's range
-    is (0, 1 + ``most``), read from the holdout matcher's whole identified
-    set and so fixed before s_x' is read, as Hoeffding's bound requires.
-    The range used is recorded in the terms.
+    """P_C >= (|D_H| * P_H - sum_X d_p) / |D_C|, with P_H's bound at the
+    full delta and the rest counted over X. The value is written
+    ``precision * (|D_H| / |D_C|) - sum d_p / |D_C|``, so an equal complete
+    matcher gives the holdout bound bit for bit.
     """
-    delta = Confidence(inp.delta / 4)
     _require_complete(inp)
     columns = columns or _columns(inp)
-    n = columns.n
-
-    terms = _holdout_term(inp, columns, "precision", delta)
-    precision = terms["precision_term"]
-    h_frac = bound_term(inp.n_x, columns.h_ind[n:].tolist(), inp.method, delta, "lower")
-    c_frac = bound_term(inp.n_x, columns.c_ind[n:].tolist(), inp.method, delta, "upper")
+    terms = _holdout_term(inp, columns, "precision", Confidence(inp.delta))
+    precision = terms["precision_term"].value
+    damage = math.fsum(columns.d_p.tolist())
+    d_h, d_c = columns.identified, columns.complete
     terms.update(
-        holdout_fraction_term=h_frac, complete_fraction_term=c_frac, dp_term=0.0
+        holdout_fraction=d_h / inp.n_x,
+        complete_fraction=d_c / inp.n_x,
+        dp=damage / inp.n_x,
     )
-    dp_ub, flags = 0.0, ()
-    if columns.reduced:
-        flags = ("reduced-to-holdout",)
-    else:
-        hi = 1.0 + columns.most
-        dp = terms["dp_term"] = bound_term(
-            inp.n_x, columns.d_p[n:].tolist(), inp.method, delta, "upper", hi=hi
-        )
-        terms.update(dp_range_lo=0.0, dp_range_hi=hi)
-        dp_ub = dp.value
     return build_report(
         "complete-query-precision",
-        (delta.delta,) * 4,
+        (inp.delta,),
         _payload(inp),
         terms,
-        lambda: (h_frac.value * precision.value - dp_ub) / c_frac.value,
-        flags=flags,
-        denominator=c_frac.value,
+        lambda: precision * (d_h / d_c) - damage / d_c,
+        flags=_reduced(columns),
+        denominator=d_c,
     )
 
 
 def error_rate_bounds(
     inp: QueryValidationInput, columns: Columns | None = None
 ) -> ValidationReport:
-    """Upper-bound the mean single-node error over X.
+    """Upper-bound the mean single-node error over X at the full delta.
 
     Holdout variant (no complete matcher supplied): one upper bound over
-    the verified sample. Complete variant: the holdout bound plus an upper
-    bound on the holdout/complete disagreement rate from the independent
-    sample, since a complete-matcher error needs the holdout matcher to
-    err or the two matchers to differ.
+    the verified sample. Complete variant: that bound plus the census
+    disagreement rate, E_C <= E_H + mean_X 1[H_x != C_x], since a
+    complete-matcher error needs the holdout matcher to err or the two
+    matchers to differ.
     """
-    k = 1 if inp.complete is None else 2
-    delta = Confidence(inp.delta / k)
     columns = columns or _columns(inp)
-    error = bound_term(inp.n_x, columns.w.tolist(), inp.method, delta, "upper")
-    terms = {"error_term": error}
-    disagreement, flags = 0.0, ()
-    if inp.complete is None:
-        variant = "holdout"
-    else:
-        variant = "complete"
-        if columns.reduced:
-            terms["disagreement_term"] = 0.0
-            flags = ("reduced-to-holdout",)
-        else:
-            diff = terms["disagreement_term"] = bound_term(
-                inp.n_x, columns.diff[columns.n :].tolist(), inp.method, delta, "upper"
-            )
-            disagreement = diff.value
+    error = bound_term(
+        inp.n_x, columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
+    )
+    terms, value, variant, flags = {"error_term": error}, error.value, "holdout", ()
+    if inp.complete is not None:
+        variant, flags = "complete", _reduced(columns)
+        terms["disagreement"] = math.fsum(columns.diff.tolist()) / inp.n_x
+        value += terms["disagreement"]
     return build_report(
         f"{variant}-query-error-rate",
-        (delta.delta,) * k,
+        (inp.delta,),
         _payload(inp),
         terms,
-        error.value + disagreement,
+        value,
         flags=flags,
     )
 
@@ -451,11 +433,10 @@ def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
     """Per-node statistics for reporting.
 
     Verified-sample nodes carry p, r, w against the holdout matcher (plus
-    d_r, d_p when a complete matcher is present); independent-sample-only
-    nodes carry d_r, d_p alone, never touching actual matches.
+    d_r, d_p when a complete matcher is present); nodes only in s_x' carry
+    d_r, d_p alone, never touching actual matches.
     """
     columns = _columns(inp)
-    n = columns.n
     p, r = (
         [None if math.isnan(v) else v for v in column.tolist()]
         for column in (columns.p, columns.r)
@@ -463,18 +444,19 @@ def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
     w = columns.w.astype(int).tolist()
     if columns.d_r is None:
         return [PerNodeStats(x, p[i], r[i], w[i]) for i, x in enumerate(inp.s_x)]
-    d_r, d_p = columns.d_r.tolist(), columns.d_p.tolist()
+    seen = set(inp.s_x)
+    nodes = [*inp.s_x, *(x for x in inp.s_x_prime if x not in seen)]
+    at = inp.pair.x_net.index.positions(nodes)
+    d_r, d_p = columns.d_r[at].tolist(), columns.d_p[at].tolist()
     out = [
         PerNodeStats(x, p[i], r[i], w[i], d_r[i], d_p[i])
         for i, x in enumerate(inp.s_x)
     ]
-    seen = set(inp.s_x)
-    out += [
+    n = len(inp.s_x)
+    return out + [
         PerNodeStats(x, d_r=d_r[n + j], d_p=d_p[n + j])
-        for j, x in enumerate(inp.s_x_prime)
-        if x not in seen
+        for j, x in enumerate(nodes[n:])
     ]
-    return out
 
 
 class ExactMetrics(NamedTuple):

@@ -340,47 +340,35 @@ def test_criterion_5_reduction_identities():
                 )
 
             _, rec_h = holdout_query_bounds(qinp(d, False))
-            rec_c = complete_query_recall(qinp(3 * d, True))
+            rec_c = complete_query_recall(qinp(2 * d, True))
             assert rec_c.lower_bound == rec_h.lower_bound
 
             err_h = error_rate_bounds(qinp(d, False))
-            err_c = error_rate_bounds(qinp(2 * d, True))
+            err_c = error_rate_bounds(qinp(d, True))
             assert err_c.upper_bound == err_h.upper_bound
 
-            # query precision reduces to its own three-term expression with
-            # the disagreement charge identically zero
-            prec_c = complete_query_precision(qinp(4 * d, True))
-            n_x = len(pair.x_net.nodes)
-            pop = PopulationSpec(n_x, 0.0, 1.0)
-            hv_prime = [
-                1.0 if run_query(holdout, pair, x) else 0.0
-                for x in s_x_prime
-            ]
+            # query precision reduces to the holdout precision term: the
+            # census d_p sum is 0 and |D_C| = |D_H|
+            prec_c = complete_query_precision(qinp(d, True))
             p_vals = []
             for x in s_x:
                 view = run_query(holdout, pair, x)
                 if view:
                     p_vals.append(single_node_precision(view, actual_for[x]))
-            t1 = bound_mean(
-                pop, SampleSummary.of(hv_prime), method, Confidence(d), "lower"
-            ).lower
             # the precision term is bounded at the number of nodes the
             # holdout matcher identifies anything for
-            t2 = bound_mean(
+            expected = bound_mean(
                 PopulationSpec(len(covered), 0.0, 1.0),
                 SampleSummary.of(p_vals),
                 method,
                 Confidence(d),
                 "lower",
             ).lower
-            t4 = bound_mean(
-                pop, SampleSummary.of(hv_prime), method, Confidence(d), "upper"
-            ).upper
-            expected = min(1.0, max(0.0, (t1 * t2 - 0.0) / t4))
+            expected = min(1.0, max(0.0, expected))
             if 0.0 < expected < 1.0:  # a lower bound inside steps one float down
                 expected = math.nextafter(expected, 0.0)
             assert prec_c.lower_bound == expected
-            assert prec_c.terms["dp_term"] == 0.0
+            assert prec_c.terms["dp"] == 0.0
 
 
 def test_criterion_6_subsampling_law():

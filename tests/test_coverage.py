@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -125,6 +126,26 @@ def test_every_trial_failed_raises_the_first_error():
     cfg = _criterion_4_world(TopDegree(30), 1, trials=2, s_x=5_000)
     with pytest.raises(MatchcertError, match="^trial-failed: trial 0: invalid-sample-size"):
         run_coverage(cfg)
+
+
+def test_census_complete_query_rows_without_s_x_prime():
+    # the complete query certificates read their disagreement by census
+    # over X, so a trial with no s_x' certifies them: at train 400 the
+    # rows pass the criterion-4 tolerance and complete-query-precision,
+    # whose only random term is the holdout precision term, averages at
+    # least 0.80 (the true complete precision is about 0.998)
+    trials = 200
+    cfg = _criterion_4_world(VERIFIED_SAMPLE, 2, trials=trials)
+    cfg = replace(cfg, sample_sizes=replace(cfg.sample_sizes, s_x_prime=0, train=400))
+    table = run_coverage(cfg)
+    tolerance = 0.05 + 3 * math.sqrt(0.05 * 0.95 / trials)
+    assert table.failed_trials == 0
+    rows = {key[0]: row for key, row in table.rows.items()}
+    for bound_id in ("complete-query-precision", "complete-query-recall",
+                     "complete-query-error-rate"):
+        assert rows[bound_id].trials == trials
+        assert rows[bound_id].failure_rate <= tolerance, (bound_id, rows[bound_id])
+    assert rows["complete-query-precision"].mean_bound >= 0.80
 
 
 # sha256 of the reprs of run_trial(cfg, i) for i = 0..4 in turn, cfg the

@@ -45,9 +45,9 @@ TERMS = {
     "holdout-query-precision": 1,
     "holdout-query-recall": 1,
     "holdout-query-error-rate": 1,
-    "complete-query-recall": 3,
-    "complete-query-precision": 4,
-    "complete-query-error-rate": 2,
+    "complete-query-recall": 2,
+    "complete-query-precision": 1,
+    "complete-query-error-rate": 1,
 }
 
 

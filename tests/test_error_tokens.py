@@ -178,7 +178,7 @@ SITES = [
         lambda: _recall_on_two_nodes(
             (("a", "p"), ("a", "q"), ("b", "p")), k_y=1
         ),
-        "s_m has 3 pairs, more than k_y=1 allows",
+        "s_m gives node 'a' more than k_y=1 actual matches",
     ),
 ]
 
@@ -214,6 +214,14 @@ ESCAPES = [
     ("invalid-attribute", lambda: make_network(["a"], [], {"a": None}), "'a': None"),
     ("invalid-edge", lambda: make_network(["a", "b"], [("a",)]), "('a',)"),
     ("invalid-edge", lambda: make_network(["a", "b"], ["ab"]), "'ab'"),
+    ("invalid-edge", lambda: make_network(["a", "b"], [(["a"], "b")]), "(['a'], 'b')"),
+    ("invalid-attribute", lambda: make_network(["a"], [], ["a"]), "['a'] is not a mapping"),
+    (
+        # two pairs fit k_y·|X| = 2 by count, but give x = a two matches
+        "ky-violated",
+        lambda: _recall_on_two_nodes((("a", "p"), ("a", "q")), k_y=1),
+        "s_m gives node 'a' more than k_y=1 actual matches",
+    ),
     ("invalid-seed", lambda: spawn_rng(1.5), "seed 1.5"),
     ("invalid-seed", lambda: spawn_rng(1, 0.5), "key (0.5,)"),
     ("invalid-seed", lambda: sample_indices(5, 2, 1.5), "seed 1.5"),

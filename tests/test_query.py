@@ -4,10 +4,11 @@ import math
 import random
 import weakref
 from dataclasses import fields, replace
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     disagreement_precision,
@@ -220,13 +221,14 @@ class TestCompleteQueryRecall:
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
         complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
-        # the complete certificate's recall term at 0.06 / 3, as the holdout's
-        inp3 = tiny_input(tiny, holdout, s_x, actual, 0.06,
+        # the complete certificate's recall term at 0.04 / 2, as the holdout's
+        inp2 = tiny_input(tiny, holdout, s_x, actual, 0.04,
                           complete=complete, s_x_prime=("x0",))
         inp1 = tiny_input(tiny, holdout, s_x, actual, 0.02)
-        rep = complete_query_recall(inp3)
+        rep = complete_query_recall(inp2)
         _, holdout_rep = holdout_query_bounds(inp1)
         assert rep.lower_bound == holdout_rep.lower_bound
+        assert rep.terms["disagreement"] == 0.0
         assert "reduced-to-holdout" in rep.flags
 
     def test_total_disagreement_clamps_to_zero(self, tiny):
@@ -234,22 +236,26 @@ class TestCompleteQueryRecall:
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(8)])
         complete = fixed_matcher([])  # drops everything
         s_x = [f"x{i}" for i in range(4)]
-        s_prime = [f"x{i}" for i in range(8)]
-        inp = tiny_input(tiny, holdout, s_x, actual,
-                         0.06,
-                         complete=complete, s_x_prime=s_prime)
+        inp = tiny_input(tiny, holdout, s_x, actual, 0.06, complete=complete)
         rep = complete_query_recall(inp)
         assert rep.lower_bound == 0.0
-        assert rep.terms["disagreement_term"] >= 1.0
+        assert rep.terms["disagreement"] == 1.0  # every x of X, counted
 
-    def test_prime_sample_required(self, tiny):
-        actual = {"x0": frozenset({"y0"})}
-        holdout = fixed_matcher([("x0", "y0")])
+    def test_prime_sample_not_needed(self, tiny):
+        # a complete input without s_x' certifies, with the same bounds as
+        # with one: no certificate reads s_x'
+        actual = {"x0": frozenset({"y0"}), "x1": frozenset({"y1"})}
+        holdout = fixed_matcher([("x0", "y0"), ("x1", "y1")])
         complete = fixed_matcher([("x0", "y1")])
-        inp = tiny_input(tiny, holdout, ["x0"], actual,
-                         0.06, complete=complete)
-        with pytest.raises(MatchcertError, match="empty-sample"):
-            complete_query_recall(inp)
+        inp = tiny_input(tiny, holdout, ["x0", "x1"], actual, 0.06, complete=complete)
+        with_prime = replace(inp, s_x_prime=("x0", "x5", "x7"))
+        reports, reports_prime = query_reports(inp), query_reports(with_prime)
+        assert len(reports) == 6
+        for a, b in zip(reports, reports_prime):
+            assert (a.bound_id, a.lower_bound, a.upper_bound) == (
+                b.bound_id, b.lower_bound, b.upper_bound
+            )
+            assert (a.terms, a.term_methods, a.flags) == (b.terms, b.term_methods, b.flags)
 
     def test_complete_matcher_required(self, tiny):
         actual = {"x0": frozenset({"y0"})}
@@ -262,11 +268,10 @@ class TestCompleteQueryRecall:
             assert str(info.value) == "missing-complete: no complete matcher supplied"
 
 
-def _dp_scan(holdout_pairs, complete_pairs, mean, method=HOEFF):
+def _dp_scan(holdout_pairs, complete_pairs, method=HOEFF):
     """complete-query-precision at delta 0.2 on a 10-node X whose matchers
-    identify the given pairs, over all 252 samples s_x' of size 5: the share
-    whose d_p term is below ``mean``, and the set of (dp_range_lo,
-    dp_range_hi, flags) the reports carry."""
+    identify the given pairs, over all 252 samples s_x' of size 5: the set
+    of (dp, flags) the reports carry."""
     n = 10
     pair, (holdout, complete) = fixed_world(
         NetworkPair(
@@ -278,63 +283,55 @@ def _dp_scan(holdout_pairs, complete_pairs, mean, method=HOEFF):
     )
     s_x = [f"x{i}" for i in range(n)]
     actual = {x: frozenset({f"y{i}"}) for i, x in enumerate(s_x)}
-    samples = list(itertools.combinations(s_x, 5))
     reports = [
         complete_query_precision(
             tiny_input(pair, holdout, s_x, actual, 0.2, complete=complete,
                        s_x_prime=s_prime, method=method)
         )
-        for s_prime in samples
+        for s_prime in itertools.combinations(s_x, 5)
     ]
-    failed = sum(rep.terms["dp_term"] < mean for rep in reports) / len(samples)
-    ranges = {
-        (rep.terms["dp_range_lo"], rep.terms["dp_range_hi"], rep.flags)
-        for rep in reports
-    }
-    return failed, ranges
+    return {(rep.terms["dp"], rep.flags) for rep in reports}
 
 
 class TestCompleteQueryPrecision:
-    def test_reduces_to_three_term_expression(self, tiny):
+    def test_reduces_to_holdout(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
         complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
-        s_prime = [f"x{i}" for i in range(8)]
         inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
-                         complete=complete, s_x_prime=s_prime)
+                         complete=complete, s_x_prime=s_x)
         rep = complete_query_precision(inp)
         assert "reduced-to-holdout" in rep.flags
-        assert rep.terms["dp_term"] == 0.0
-        want = (
-            rep.terms["holdout_fraction_term"] * rep.terms["precision_term"]
-        ) / rep.terms["complete_fraction_term"]
-        assert 0.0 < want < 1.0  # so the report steps it one float down
-        assert rep.lower_bound == math.nextafter(want, 0.0)
+        assert rep.terms["dp"] == 0.0
+        assert rep.terms["holdout_fraction"] == rep.terms["complete_fraction"] == 6 / 8
+        holdout_rep, _ = holdout_query_bounds(replace(inp, complete=None))
+        assert 0.0 < holdout_rep.lower_bound < 1.0  # so both step one float down
+        assert rep.lower_bound == holdout_rep.lower_bound
+        assert rep.delta_parts == holdout_rep.delta_parts == (0.05,)
 
-    def test_dp_above_two_widens_range(self, tiny):
+    def test_dp_above_two_counts_in_full(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         world, (holdout, complete) = fixed_world(
             tiny,
             [("x0", "y0"), ("x0", "y1"), ("x0", "y2"), ("x1", "y3")],
             [("x0", "y0"), ("x1", "y3")],
         )
-        # d_p(x0) = 1 + 2/1 = 3 > 2; the holdout matcher gives x0 three
-        # matches, so the range is (0, 1 + 3)
+        # d_p(x0) = 1 + 2/1 = 3 > 2, and 0 elsewhere
         s_x = [f"x{i}" for i in range(8)]
         inp = tiny_input(world, holdout, s_x, actual,
                          0.05,
                          complete=complete, s_x_prime=s_x)
         rep = complete_query_precision(inp)
         assert rep.flags == ()
-        assert rep.terms["dp_range_lo"] == 0.0
-        assert rep.terms["dp_range_hi"] == 4.0
+        assert rep.terms["dp"] == 3.0 / 8
+        assert set(rep.term_methods) == {"precision_term"}
 
     @pytest.mark.parametrize("method", [HOEFF, HG])
-    def test_dp_range_covers_nodes_outside_the_sample(self, tiny, method):
+    def test_dp_counts_nodes_outside_the_samples(self, tiny, method):
         # the holdout matcher gives x0 three matches and the complete one
-        # one of them: d_p(x0) = 1 + 2/1 = 3, and x0 is only in s_x'. The
-        # range comes from the whole identified set, so it holds x0's d_p.
+        # one of them: d_p(x0) = 1 + 2/1 = 3, and x0 is in no sample. The
+        # census counts it all the same.
         world, (holdout, complete) = fixed_world(
             tiny,
             [("x0", "y0"), ("x0", "y1"), ("x0", "y2")]
@@ -345,43 +342,43 @@ class TestCompleteQueryPrecision:
         actual = {x: frozenset({f"y{x[1:]}"}) for x in s_x}
         inp = tiny_input(world, holdout, s_x, actual,
                          0.05,
-                         complete=complete, s_x_prime=("x6", "x0", "x7"),
+                         complete=complete, s_x_prime=("x6", "x7"),
                          method=method)
         rep = complete_query_precision(inp)
-        assert (rep.terms["dp_range_lo"], rep.terms["dp_range_hi"]) == (0.0, 4.0)
-        assert rep.terms["dp_term"] == bound_term(
-            8, [0.0, 3.0, 0.0], method, Confidence(0.05 / 4), "upper", hi=4.0
+        assert rep.terms["dp"] == 3.0 / 8
+        assert (rep.terms["holdout_fraction"], rep.terms["complete_fraction"]) == (
+            4 / 8, 4 / 8
+        )
+        # P_C >= (4 * P_H - 3) / 4, with P_H's bound at the full delta
+        precision = rep.terms["precision_term"]
+        assert precision == bound_term(
+            4, [1.0, 1.0, 1.0], HOEFF, Confidence(0.05), "lower"
         ).value
+        assert rep.lower_bound == max(0.0, precision * (4 / 4) - 3.0 / 4)
 
-    def test_dp_range_fixed_before_the_sample_is_read(self):
+    def test_dp_mean_is_exact_on_every_sample(self):
         # d_p is 6 on x0 and x1 (five holdout-only matches over one complete
         # match) and 2 on x2..x9 (one match each, never the same), so its
-        # mean over X is 2.8. A range chosen from s_x' would be (0, 2) on
-        # the 56 of 252 samples that miss x0 and x1, and the bound, at most
-        # 2 there, would fail with probability 0.22 at delta_3 = 0.2 / 4.
-        # The holdout matcher gives x0 and x1 five matches each, so the range
-        # read from its identified set is (0, 6) on every sample.
+        # mean over X is 2.8. A d_p bound from s_x' needed a range fixed
+        # before the sample was read; the census reads 2.8 on every sample.
         wide = [(x, f"y{j}") for x in ("x0", "x1") for j in range(1, 6)]
-        failed, ranges = _dp_scan(
+        seen = _dp_scan(
             wide + [(f"x{i}", f"y{i + 4}") for i in range(2, 10)],
             [("x0", "y0"), ("x1", "y0")]
             + [(f"x{i}", f"y{10 + i}") for i in range(2, 10)],
-            mean=(6.0 + 6.0 + 2.0 * 8) / 10,
         )
-        assert failed <= 0.2 / 4
-        assert ranges == {(0.0, 6.0, ())}
+        assert seen == {((6.0 + 6.0 + 2.0 * 8) / 10, ())}
 
     @pytest.mark.parametrize("method", list(BoundMethod))
-    def test_one_to_one_dp_range_is_zero_to_two(self, method):
+    def test_one_to_one_dp_mean_is_exact(self, method):
         # a one-to-one holdout matcher: d_p is 2 on x0 and x1 (the complete
         # matcher picks another y), 1 on x2 (it picks none) and 0 on x3..x9
         # (it agrees), so its mean over X is 0.5
         pairs = [(f"x{i}", f"y{i}") for i in range(10)]
-        failed, ranges = _dp_scan(
-            pairs, [("x0", "y10"), ("x1", "y11")] + pairs[3:], mean=0.5, method=method
+        seen = _dp_scan(
+            pairs, [("x0", "y10"), ("x1", "y11")] + pairs[3:], method=method
         )
-        assert failed <= 0.2 / 4
-        assert ranges == {(0.0, 2.0, ())}
+        assert seen == {(0.5, ())}
 
     def test_requires_usable_precision_sample(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
@@ -428,7 +425,7 @@ class TestTermPopulationSize:
                                      s_x_prime=("x3", "x4", "x7")))
         by_id = {rep.bound_id: rep for rep in full}
         prec_c = by_id["complete-query-precision"]
-        want_c = bound_term(5, [1.0, 1.0, 1.0], HG, Confidence(0.05 / 4), "lower")
+        want_c = bound_term(5, [1.0, 1.0, 1.0], HG, Confidence(0.05), "lower")
         assert prec_c.terms["precision_term"] == want_c.value
         assert prec_c.terms["identified_nodes"] == 5.0
         assert by_id["complete-query-recall"].term_methods["recall_term"] == "hoeffding"
@@ -514,15 +511,17 @@ class TestErrorRate:
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(5)])
         complete = with_extra_seeds(holdout, [])
         s_x = [f"x{i}" for i in range(8)]
-        # the complete certificate's error term at 0.06 / 2, as the holdout's
+        # the complete certificate's one term at the full delta, as the
+        # holdout's
         rep_h = error_rate_bounds(
             tiny_input(tiny, holdout, s_x, actual, 0.03)
         )
         rep_c = error_rate_bounds(
-            tiny_input(tiny, holdout, s_x, actual, 0.06,
+            tiny_input(tiny, holdout, s_x, actual, 0.03,
                        complete=complete, s_x_prime=("x0",))
         )
         assert rep_c.upper_bound == rep_h.upper_bound
+        assert rep_c.terms == {**rep_h.terms, "disagreement": 0.0}
         assert "reduced-to-holdout" in rep_c.flags
 
     def test_complete_adds_disagreement(self, tiny):
@@ -534,9 +533,10 @@ class TestErrorRate:
             tiny_input(tiny, holdout, s_x, actual, 0.05,
                        complete=complete, s_x_prime=s_x)
         )
-        assert rep.terms["disagreement_term"] >= 0.25
+        assert rep.terms["disagreement"] == 0.25  # x6 and x7 of 8
+        assert rep.delta_parts == (0.05,)
         assert rep.upper_bound == pytest.approx(
-            min(1.0, rep.terms["error_term"] + rep.terms["disagreement_term"])
+            min(1.0, rep.terms["error_term"] + rep.terms["disagreement"])
         )
 
 
@@ -1027,19 +1027,16 @@ class TestViewsOnce:
         assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
         assert "reduced-to-holdout" not in reports[3].flags
 
-    def test_views_hold_the_sampled_nodes_only(self):
+    def test_sample_columns_and_census_columns(self):
         import matchcert.query as query
 
         inp = _views_world()
         columns = query._columns(inp)
-        n, n_prime = len(inp.s_x), len(inp.s_x_prime)
-        assert columns.n == n and not columns.reduced
+        assert not columns.reduced
         for column in (columns.p, columns.r, columns.w, columns.matched):
-            assert column.shape == (n,)
-        matcher_columns = (columns.h_ind, columns.c_ind, columns.d_r, columns.d_p,
-                           columns.diff)
-        for column in matcher_columns:
-            assert column.shape == (n + n_prime,)
+            assert column.shape == (len(inp.s_x),)
+        for column in (columns.d_r, columns.d_p, columns.diff):
+            assert column.shape == (inp.n_x,)
         _assert_columns_follow_definitions(
             inp, columns, by_x(run_batch(inp.holdout, inp.pair)),
             by_x(run_batch(inp.complete, inp.pair)),
@@ -1053,7 +1050,9 @@ def _same(got: float, want: float | None) -> bool:
 
 def _assert_columns_follow_definitions(inp, columns, hv, cv):
     """Each column entry equals the per-node definition on the matchers'
-    per-x sets ``hv`` and ``cv`` (cv None without a complete matcher)."""
+    per-x sets ``hv`` and ``cv`` (cv None without a complete matcher): the
+    sample columns at each node of s_x, the census columns and counts over
+    all of X."""
     empty = frozenset()
     for i, x in enumerate(inp.s_x):
         h, actual = hv.get(x, empty), inp.actual_for[x]
@@ -1061,19 +1060,17 @@ def _assert_columns_follow_definitions(inp, columns, hv, cv):
         assert _same(columns.r[i], single_node_recall(h, actual))
         assert columns.w[i] == single_node_error(h, actual)
         assert columns.matched[i] == (1.0 if actual else 0.0)
-    for j, x in enumerate((*inp.s_x, *inp.s_x_prime)):
-        h = hv.get(x, empty)
-        assert columns.h_ind[j] == (1.0 if h else 0.0)
-        if cv is None:
-            continue
-        c = cv.get(x, empty)
-        assert columns.c_ind[j] == (1.0 if c else 0.0)
+    assert columns.identified == len(hv)
+    assert columns.most == max(map(len, hv.values()), default=0)
+    if cv is None:
+        assert columns.d_r is columns.d_p is columns.diff is None
+        return
+    assert columns.complete == len(cv)
+    for j, x in enumerate(inp.pair.x_net.index.ids):
+        h, c = hv.get(x, empty), cv.get(x, empty)
         assert columns.d_r[j] == disagreement_recall(h, c)
         assert columns.d_p[j] == disagreement_precision(h, c)
         assert columns.diff[j] == (1.0 if h != c else 0.0)
-    assert columns.most == max(map(len, hv.values()), default=0)
-    if cv is None:
-        assert columns.c_ind is columns.d_r is columns.d_p is columns.diff is None
 
 
 @st.composite
@@ -1081,9 +1078,10 @@ def column_worlds(draw):
     """(inp, sets): a query input on a small edgeless pair, in self-match
     mode or not, and the identified set each matcher handle stands for, by
     its attr_key. Identified sets give an x up to ``cap``
-    matches (``cap`` 1-3), and actual sets up to three nodes of Y (never x
-    itself in self-match mode); the complete matcher is absent, identifies nothing, computes the
-    holdout's function or identifies its own set."""
+    matches (``cap`` 1-3), and actual sets, drawn for every x of X, up to
+    three nodes of Y (never x itself in self-match mode); the complete
+    matcher is absent, identifies nothing, computes the holdout's function
+    or identifies its own set, and s_x' may be empty."""
     self_mode = draw(st.booleans())
     xs = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
     x_net = make_network(xs, [])
@@ -1104,13 +1102,13 @@ def column_worlds(draw):
         return make_match_set([(x, y) for x in xs for y in matches(x, cap)], pair)
 
     s_x = tuple(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True)))
-    actual_for = {x: frozenset(matches(x, 3)) for x in s_x}
+    actual_for = {x: frozenset(matches(x, 3)) for x in xs}
     holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="h"))
     sets = {"h": identified()}
     mode = draw(st.sampled_from(["none", "empty", "same", "own"]))
     complete, s_x_prime = None, ()
     if mode != "none":
-        s_x_prime = tuple(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True)))
+        s_x_prime = tuple(draw(st.lists(st.sampled_from(xs), unique=True)))
         if mode == "same":
             complete = build_matcher(holdout.config)
         else:
@@ -1147,6 +1145,62 @@ class TestColumns:
         assert columns.reduced == reduced
         assert ran == (["h"] if reduced or inp.complete is None else ["h", "c"])
         _assert_columns_follow_definitions(inp, columns, hv, cv)
+
+
+class TestCensusInequalities:
+    """The complete certificates rest on three inequalities between the
+    complete matcher's exact value, the holdout one's and census sums over
+    X, which hold for every pair of matchers; only the holdout terms are
+    random. Checked here with exact fractions on one-to-many worlds whose
+    actual matches are known for every x of X, with the census sums that
+    ``_columns`` counts."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(column_worlds())
+    def test_inequalities_hold_exactly(self, world):
+        import matchcert.query as query
+
+        inp, sets = world
+        assume(inp.complete is not None)
+        with patch.object(query, "run_batch", lambda handle, _: sets[handle.config.attr_key]):
+            columns = query._columns(inp)
+        empty, xs = frozenset(), inp.pair.x_net.index.ids
+        hv = by_x(sets["h"])
+        cv = hv if columns.reduced else by_x(sets["c"])
+        h_sets = [hv.get(x, empty) for x in xs]
+        c_sets = [cv.get(x, empty) for x in xs]
+        actual = [inp.actual_for[x] for x in xs]
+
+        # the census equals the definitions of tests/oracles.py
+        d_r = [disagreement_recall(h, c) for h, c in zip(h_sets, c_sets)]
+        d_p = [disagreement_precision(h, c) for h, c in zip(h_sets, c_sets)]
+        diff = [float(h != c) for h, c in zip(h_sets, c_sets)]
+        d_h, d_c = sum(map(bool, h_sets)), sum(map(bool, c_sets))
+        assert (columns.identified, columns.complete) == (d_h, d_c)
+        for column, values in ((columns.d_r, d_r), (columns.d_p, d_p),
+                               (columns.diff, diff)):
+            assert math.fsum(column.tolist()) == math.fsum(values)
+
+        def precision_sum(found):  # |D| times the query precision
+            return sum(Fraction(len(f & a), len(f)) for f, a in zip(found, actual) if f)
+
+        def recall_sum(found):  # |D_a| times the query recall
+            return sum(Fraction(len(f & a), len(a)) for f, a in zip(found, actual) if a)
+
+        def error_rate(found):
+            return Fraction(sum(f != a for f, a in zip(found, actual)), len(xs))
+
+        # P_C >= (|D_H| * P_H - sum_X d_p) / |D_C|
+        if d_c:
+            bound = (precision_sum(h_sets) - sum(map(Fraction, d_p))) / d_c
+            assert precision_sum(c_sets) / d_c >= bound
+        # R_C >= R_H - sum_X d_r / |D_a|
+        d_a = sum(map(bool, actual))
+        if d_a:
+            bound = (recall_sum(h_sets) - sum(map(Fraction, d_r))) / d_a
+            assert recall_sum(c_sets) / d_a >= bound
+        # E_C <= E_H + mean_X 1[H_x != C_x]
+        assert error_rate(c_sets) <= error_rate(h_sets) + Fraction(sum(diff)) / len(xs)
 
 
 def certificates_alone(inp):
@@ -1222,9 +1276,10 @@ class TestSharedQueryInputs:
 
     def test_reports_differing_only_in_inputs_are_unequal(self):
         inp = _views_world()
-        # the holdout certificates never read s_x', but it is an input
+        # no certificate reads s_x', but it is an input
         other = replace(inp, s_x_prime=inp.s_x_prime[1:])
-        mine, theirs = query_reports(inp)[:3], query_reports(other)[:3]
+        mine, theirs = query_reports(inp), query_reports(other)
+        assert len(mine) == len(theirs) == 6
         for a, b in zip(mine, theirs):
             assert a.terms == b.terms and a.flags == b.flags
             assert a != b

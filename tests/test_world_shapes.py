@@ -1,7 +1,7 @@
-"""Every world shape of 6 nodes keeps each holdout query certificate's
-exact failure share at most delta (ROADMAP item 1(b)); see
-``world_shapes`` for the enumeration, and run it there for up to 10
-nodes."""
+"""Every world shape of 6 nodes, and of 7 nodes at every sample size
+under the exact method, keeps each holdout query certificate's exact
+failure share at most delta (ROADMAP item 1(b)); see ``world_shapes``
+for the enumeration, and run it there for up to 10 nodes."""
 
 import itertools
 
@@ -63,6 +63,18 @@ def test_every_world_shape_holds_exactly(method):
     for counts in WORLDS:
         shares = world_shares(counts, SIZES, (method,), check=True)
         for (bound_id, _, _), share in shares.items():
+            worst[bound_id] = max(worst.get(bound_id, share), share)
+    assert set(worst) == set(BOUND_IDS)
+    assert all(share <= DELTA for share in worst.values()), worst
+
+
+def test_every_seven_node_world_holds_exactly_at_every_size():
+    # n = 7 is the least n at which a recall term that kept the exact
+    # method at the stand-in |X| fails (world (5, 0, 0, 1, 1), s = 6)
+    method = BoundMethod.HYPERGEOMETRIC
+    worst = {}
+    for counts in compositions(7):
+        for (bound_id, _, _), share in world_shares(counts, range(1, 8), (method,)).items():
             worst[bound_id] = max(worst.get(bound_id, share), share)
     assert set(worst) == set(BOUND_IDS)
     assert all(share <= DELTA for share in worst.values()), worst
