@@ -149,10 +149,11 @@ def test_census_complete_query_rows_without_s_x_prime():
 
 
 # sha256 of the reprs of run_trial(cfg, i) for i = 0..4 in turn, cfg the
-# criterion-4 experiment under all three methods, as computed when every
-# reported bound was first stepped one float toward its safe side: a change
-# of representation or of speed must leave every trial record as it was.
-TRIAL_RECORDS_SHA256 = "7fe1801d486233b9bf4980ab9e526ee12a2a49d10a13db966046932fa76eb33e"
+# criterion-4 experiment under all three methods, as computed when the
+# complete query certificates first read their disagreement by census: a
+# change of representation or of speed must leave every trial record as it
+# was.
+TRIAL_RECORDS_SHA256 = "1fa91a379665961df5d3d9cea450bc0dd53a1d4521f9037ae58c9de555631e96"
 
 
 def test_trial_records_pinned():
