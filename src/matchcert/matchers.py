@@ -142,22 +142,14 @@ class MatcherHandle:
     """A matcher config plus the training pairs it is seeded with.
 
     A complete handle is a holdout handle whose seeds were augmented with
-    validation data (see :func:`with_extra_seeds`). Two handles compare
-    equal when they compute the same function: the same config and the
-    same training pairs in the same order, since percolation takes its
-    seeds in order and drops those that conflict with earlier ones. An
-    attribute-exact matcher never reads training pairs, so its handle
-    holds none, and every handle of one attribute-exact config is equal.
+    validation data (see :func:`with_extra_seeds`). An attribute-exact
+    matcher never reads its training pairs.
     """
 
     config: MatcherConfig
     training_matches: tuple[tuple[str, str], ...] = ()
     _cache_pair: NetworkPair | None = field(default=None, repr=False, compare=False)
     _cache_result: MatchSet | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.config.kind == "attribute-exact":
-            self.training_matches = ()
 
 
 def build_matcher(

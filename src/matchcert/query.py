@@ -37,9 +37,10 @@ identified and actual matches, the hits, and the holdout-only and
 complete-only matches. From these it builds float columns: p, r, w and
 the matched indicator over s_x, in s_x order, and d_r, d_p and the
 disagreement indicator over all of X. Every certificate and
-``compute_node_stats`` reads these columns. When the complete matcher
-computes the same function as the holdout one, its counts are the
-holdout's and it never runs. The second sample s_x' feeds only
+``compute_node_stats`` reads these columns. The two matchers are
+compared by their outputs only: a complete matcher that identifies the
+holdout one's sets has zero census columns, so its certificates give the
+holdout bounds. The second sample s_x' feeds only
 ``compute_node_stats`` and the digest; it is checked like s_x. The
 samples are drawn without replacement, so a node repeated in s_x or s_x'
 (or a pair in a batch input's s_m) is rejected with
@@ -161,9 +162,7 @@ class Columns(NamedTuple):
     census: ``complete`` counts the x of X it identifies anything for,
     |D_C|, and ``d_r``, ``d_p`` and ``diff`` (1.0 where the two matchers'
     sets of x differ) hold one entry per node of X, in id order; they are
-    None without a complete matcher. ``reduced`` is set when it computes
-    the holdout matcher's function; its counts are then the holdout's, and
-    d_r, d_p and diff are 0.
+    None without a complete matcher.
     """
 
     identified: int
@@ -176,7 +175,6 @@ class Columns(NamedTuple):
     d_r: np.ndarray | None = None
     d_p: np.ndarray | None = None
     diff: np.ndarray | None = None
-    reduced: bool = False
 
 
 def _per_x(keys: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
@@ -188,9 +186,7 @@ def _columns(inp: QueryValidationInput) -> Columns:
     """Check the samples, run each matcher once and return the columns.
 
     The samples are checked first (see ``reports.verified_sample``): s_x
-    with its ``actual_for``, then s_x' when it is non-empty. The complete
-    matcher does not run when it computes the same function as the
-    holdout one.
+    with its ``actual_for``, then s_x' when it is non-empty.
     """
     at, verified = verified_sample(inp.pair, inp.s_x, inp.actual_for)
     if inp.s_x_prime:
@@ -217,13 +213,9 @@ def _columns(inp: QueryValidationInput) -> Columns:
         return columns
 
     # the complete matcher, per node of X
-    reduced = inp.complete == inp.holdout
-    if reduced:
-        c = both = h
-    else:
-        complete = run_batch(inp.complete, inp.pair)
-        c = _per_x(complete.keys, n_x, n_y)
-        both = _per_x(m_hat.keys[m_hat.found_in(complete)], n_x, n_y)
+    complete = run_batch(inp.complete, inp.pair)
+    c = _per_x(complete.keys, n_x, n_y)
+    both = _per_x(m_hat.keys[m_hat.found_in(complete)], n_x, n_y)
     h_only, differ = h - both, (h != both) | (c != both)
     # 0 when x's holdout set is empty or equals its complete one, 1 when
     # only the holdout matcher speaks, else 1 + |holdout-only| / |complete|
@@ -233,7 +225,6 @@ def _columns(inp: QueryValidationInput) -> Columns:
         d_r=(h_only > 0).astype(float),
         d_p=np.where((h > 0) & differ, 1.0 + ratio, 0.0),
         diff=differ.astype(float),
-        reduced=reduced,
     )
 
 
@@ -309,11 +300,6 @@ def _require_complete(inp: QueryValidationInput) -> None:
         raise MatchcertError("missing-complete: no complete matcher supplied")
 
 
-def _reduced(columns: Columns) -> tuple[str, ...]:
-    """A complete certificate's flags."""
-    return ("reduced-to-holdout",) if columns.reduced else ()
-
-
 def complete_query_recall(
     inp: QueryValidationInput, columns: Columns | None = None
 ) -> ValidationReport:
@@ -339,7 +325,6 @@ def complete_query_recall(
         _payload(inp),
         terms,
         value,
-        flags=_reduced(columns),
         denominator=denominator,
     )
 
@@ -369,7 +354,6 @@ def complete_query_precision(
         _payload(inp),
         terms,
         lambda: precision * (d_h / d_c) - damage / d_c,
-        flags=_reduced(columns),
         denominator=d_c,
     )
 
@@ -389,9 +373,9 @@ def error_rate_bounds(
     error = bound_term(
         inp.n_x, columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
     )
-    terms, value, variant, flags = {"error_term": error}, error.value, "holdout", ()
+    terms, value, variant = {"error_term": error}, error.value, "holdout"
     if inp.complete is not None:
-        variant, flags = "complete", _reduced(columns)
+        variant = "complete"
         terms["disagreement"] = math.fsum(columns.diff.tolist()) / inp.n_x
         value += terms["disagreement"]
     return build_report(
@@ -400,7 +384,6 @@ def error_rate_bounds(
         _payload(inp),
         terms,
         value,
-        flags=flags,
     )
 
 

@@ -487,9 +487,17 @@ class TestValidateQuery:
             "complete-query-error-rate",
         }
         assert len(doc["node_stats"]) == 40
-        # identical matchers: the complete certificates reduce
+        # identical matchers: no census term, and the holdout bounds
         by_id = {r["bound_id"]: r for r in doc["reports"]}
-        assert "reduced-to-holdout" in by_id["complete-query-recall"]["flags"]
+        assert by_id["complete-query-recall"]["flags"] == []
+        assert by_id["complete-query-recall"]["terms"]["disagreement"] == 0.0
+        assert by_id["complete-query-precision"]["terms"]["dp"] == 0.0
+        for quantity in ("precision", "error-rate"):
+            holdout, complete = (
+                by_id[f"{variant}-query-{quantity}"] for variant in ("holdout", "complete")
+            )
+            bound = "upper_bound" if quantity == "error-rate" else "lower_bound"
+            assert complete[bound] == holdout[bound]
 
     def test_sample_item_with_leading_space_names_its_node(self, tmp_path):
         x = write(tmp_path / "x.tsv", "#node\t a\n#node\tb\n#attr\t a\tuid\t1\n")

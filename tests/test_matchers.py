@@ -681,12 +681,3 @@ class TestHandles:
     def test_seeds_are_a_rule_or_a_tuple_of_string_pairs(self, seeds):
         with pytest.raises(MatchcertError, match="^unknown-seed-rule: "):
             MatcherConfig("percolation", seeds=seeds)
-
-    def test_attribute_exact_handle_holds_no_training_pairs(self):
-        # the matcher never reads them, so every handle of its config is
-        # the same function and compares equal
-        config = MatcherConfig("attribute-exact", attr_key="uid")
-        holdout = build_matcher(config, [("x0", "y0")])
-        assert holdout.training_matches == ()
-        assert with_extra_seeds(holdout, [("x1", "y1")]) == holdout
-        assert holdout == build_matcher(config)

@@ -229,7 +229,7 @@ class TestCompleteQueryRecall:
         _, holdout_rep = holdout_query_bounds(inp1)
         assert rep.lower_bound == holdout_rep.lower_bound
         assert rep.terms["disagreement"] == 0.0
-        assert "reduced-to-holdout" in rep.flags
+        assert rep.flags == ()
 
     def test_total_disagreement_clamps_to_zero(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
@@ -302,7 +302,7 @@ class TestCompleteQueryPrecision:
         inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
                          complete=complete, s_x_prime=s_x)
         rep = complete_query_precision(inp)
-        assert "reduced-to-holdout" in rep.flags
+        assert rep.flags == ()
         assert rep.terms["dp"] == 0.0
         assert rep.terms["holdout_fraction"] == rep.terms["complete_fraction"] == 6 / 8
         holdout_rep, _ = holdout_query_bounds(replace(inp, complete=None))
@@ -522,7 +522,7 @@ class TestErrorRate:
         )
         assert rep_c.upper_bound == rep_h.upper_bound
         assert rep_c.terms == {**rep_h.terms, "disagreement": 0.0}
-        assert "reduced-to-holdout" in rep_c.flags
+        assert rep_c.flags == ()
 
     def test_complete_adds_disagreement(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
@@ -666,25 +666,6 @@ class TestQueryReports:
         ]
         assert all(len(r.delta_parts) == 1 for r in reports)
 
-    def test_same_function_complete_never_runs(self, tiny, monkeypatch):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = with_extra_seeds(holdout, [])
-        ran = []
-
-        def recording_run_batch(handle, pair):
-            ran.append(handle)
-            return run_batch(handle, pair)
-
-        monkeypatch.setattr("matchcert.query.run_batch", recording_run_batch)
-        s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
-                         complete=complete, s_x_prime=s_x)
-        reports = query_reports(inp)
-        compute_node_stats(inp)
-        assert len(reports) == 6
-        assert ran and all(handle is holdout for handle in ran)
-
     def test_reordered_conflicting_seeds_are_another_function(self):
         # percolation keeps the first of two seeds that share x0: from
         # (x0, y0) it spreads along the path, from (x0, yc) it cannot
@@ -701,13 +682,13 @@ class TestQueryReports:
                          complete=complete, s_x_prime=["x0", "x1", "x2"])
         reports = query_reports(inp)
         assert len(reports) == 6
-        assert not any("reduced-to-holdout" in r.flags for r in reports)
+        assert all(r.flags == () for r in reports)
         assert any(stats.d_r for stats in compute_node_stats(inp))
 
     def test_attribute_exact_complete_handle_reduces_to_holdout(self):
         # an attribute-exact matcher reads no seeds: the complete handle
-        # with_extra_seeds derives is the holdout one, and its certificates
-        # reduce instead of running it again and reading 0.0 and 1.0
+        # with_extra_seeds derives identifies the holdout one's sets, so its
+        # census terms are 0 and its certificates give the holdout bounds
         nodes = range(6)
         x = make_network([f"x{i}" for i in nodes], [], {f"x{i}": {"u": str(i)} for i in nodes})
         y = make_network([f"y{i}" for i in nodes], [], {f"y{i}": {"u": str(i)} for i in nodes})
@@ -724,7 +705,10 @@ class TestQueryReports:
             )
         for bound_id in ("complete-query-recall", "complete-query-precision",
                          "complete-query-error-rate"):
-            assert "reduced-to-holdout" in by_id[bound_id].flags
+            assert by_id[bound_id].flags == ()
+        assert by_id["complete-query-recall"].terms["disagreement"] == 0.0
+        assert by_id["complete-query-precision"].terms["dp"] == 0.0
+        assert by_id["complete-query-error-rate"].terms["disagreement"] == 0.0
         assert by_id["complete-query-recall"].lower_bound > 0.0
         assert by_id["complete-query-precision"].lower_bound > 0.0
         assert by_id["complete-query-error-rate"].upper_bound < 1.0
@@ -1025,14 +1009,13 @@ class TestViewsOnce:
         alone = certificates_alone(inp)
         assert len(calls) == 5  # each certificate on its own computes them
         assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
-        assert "reduced-to-holdout" not in reports[3].flags
+        assert reports[3].flags == ()
 
     def test_sample_columns_and_census_columns(self):
         import matchcert.query as query
 
         inp = _views_world()
         columns = query._columns(inp)
-        assert not columns.reduced
         for column in (columns.p, columns.r, columns.w, columns.matched):
             assert column.shape == (len(inp.s_x),)
         for column in (columns.d_r, columns.d_p, columns.diff):
@@ -1080,8 +1063,8 @@ def column_worlds(draw):
     its attr_key. Identified sets give an x up to ``cap``
     matches (``cap`` 1-3), and actual sets, drawn for every x of X, up to
     three nodes of Y (never x itself in self-match mode); the complete
-    matcher is absent, identifies nothing, computes the holdout's function
-    or identifies its own set, and s_x' may be empty."""
+    matcher is absent, identifies nothing, identifies the holdout's set or
+    identifies its own set, and s_x' may be empty."""
     self_mode = draw(st.booleans())
     xs = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
     x_net = make_network(xs, [])
@@ -1140,10 +1123,12 @@ class TestColumns:
         with patch.object(query, "run_batch", identified_set):
             columns = query._columns(inp)
         hv = by_x(sets["h"])
-        reduced = inp.complete is not None and inp.complete == inp.holdout
-        cv = None if inp.complete is None else hv if reduced else by_x(sets["c"])
-        assert columns.reduced == reduced
-        assert ran == (["h"] if reduced or inp.complete is None else ["h", "c"])
+        if inp.complete is None:
+            cv, each = None, ["h"]
+        else:
+            key = inp.complete.config.attr_key
+            cv, each = by_x(sets[key]), ["h", key]
+        assert ran == each  # each matcher once
         _assert_columns_follow_definitions(inp, columns, hv, cv)
 
 
@@ -1165,8 +1150,7 @@ class TestCensusInequalities:
         with patch.object(query, "run_batch", lambda handle, _: sets[handle.config.attr_key]):
             columns = query._columns(inp)
         empty, xs = frozenset(), inp.pair.x_net.index.ids
-        hv = by_x(sets["h"])
-        cv = hv if columns.reduced else by_x(sets["c"])
+        hv, cv = by_x(sets["h"]), by_x(sets[inp.complete.config.attr_key])
         h_sets = [hv.get(x, empty) for x in xs]
         c_sets = [cv.get(x, empty) for x in xs]
         actual = [inp.actual_for[x] for x in xs]
