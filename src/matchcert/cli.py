@@ -185,7 +185,12 @@ def cmd_validate_batch(args) -> int:
 
 def cmd_validate_query(args) -> int:
     from .bounds import BoundMethod
-    from .query import QueryValidationInput, compute_node_stats, query_reports
+    from .query import (
+        QueryValidationInput,
+        compute_node_stats,
+        query_columns,
+        query_reports,
+    )
 
     pair = _load_pair(args)
     holdout_cfg = _read_json(args.matcher, MatcherConfig.from_json_dict)
@@ -210,8 +215,9 @@ def cmd_validate_query(args) -> int:
         method=BoundMethod.parse(args.method),
         complete=complete,
     )
-    reports = query_reports(inp)
-    node_stats = compute_node_stats(inp) if args.emit_node_stats else None
+    columns = query_columns(inp)
+    reports = query_reports(inp, columns)
+    node_stats = compute_node_stats(inp, columns) if args.emit_node_stats else None
     return _write_report(args, reports, node_stats)
 
 

@@ -30,14 +30,14 @@ complete-query-error-rate bound one term, P_H or E_H, at the full delta,
 and complete-query-recall two, R_H and the matched fraction of X (a
 lower bound on |D_a| / |X|), at delta / 2 each.
 
-One stage, ``_columns``, checks the samples and runs each matcher once.
-It maps s_x to positions and counts, per node, from the match sets' keys
-(``np.bincount`` over ``key // n_y``, membership by binary search): the
-identified and actual matches, the hits, and the holdout-only and
-complete-only matches. From these it builds float columns: p, r, w and
-the matched indicator over s_x, in s_x order, and d_r, d_p and the
-disagreement indicator over all of X. Every certificate and
-``compute_node_stats`` reads these columns. The two matchers are
+One stage, :func:`query_columns`, checks the samples and runs each
+matcher once. It maps s_x to positions and counts, per node, from the
+match sets' keys (``np.bincount`` over ``key // n_y``, membership by
+binary search): the identified and actual matches, the hits, and the
+holdout-only and complete-only matches. From these it builds float
+columns: p, r, w and the matched indicator over s_x, in s_x order, and
+d_r, d_p and the disagreement indicator over all of X. Every certificate
+and ``compute_node_stats`` reads these columns. The two matchers are
 compared by their outputs only: a complete matcher that identifies the
 holdout one's sets has zero census columns, so its certificates give the
 holdout bounds. The second sample s_x' feeds only
@@ -47,9 +47,10 @@ samples are drawn without replacement, so a node repeated in s_x or s_x'
 ``duplicate-sample-item``: it would be counted as several independent
 draws. A verified match outside Y, or an identity pair in self-match
 mode, fails (``unknown-node``, ``identity-pair-forbidden``) rather than
-count as an actual match that was missed. Each certificate takes
-optional ``columns``, which :func:`query_reports` builds once for all
-its certificates; a certificate called on its own builds them itself.
+count as an actual match that was missed. Each certificate,
+:func:`query_reports` and :func:`compute_node_stats` take optional
+``columns``; ``validate query`` builds them once for its reports and
+node statistics, and a call without them builds them itself.
 Each report's digest fields come from the input its own certificate was
 given (see :mod:`.reports`).
 
@@ -100,6 +101,8 @@ __all__ = [
     "complete_query_recall",
     "complete_query_precision",
     "error_rate_bounds",
+    "Columns",
+    "query_columns",
     "query_reports",
     "compute_node_stats",
     "ExactMetrics",
@@ -151,7 +154,7 @@ class QueryValidationInput:
 
 class Columns(NamedTuple):
     """The per-node statistics of one input, as float arrays (see
-    ``_columns``).
+    :func:`query_columns`).
 
     ``p``, ``r``, ``w`` and ``matched`` (1.0 where x has actual matches)
     hold one entry per node of s_x; ``p`` and ``r`` are NaN where
@@ -182,7 +185,7 @@ def _per_x(keys: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
     return np.bincount(keys // max(n_y, 1), minlength=n_x)
 
 
-def _columns(inp: QueryValidationInput) -> Columns:
+def query_columns(inp: QueryValidationInput) -> Columns:
     """Check the samples, run each matcher once and return the columns.
 
     The samples are checked first (see ``reports.verified_sample``): s_x
@@ -250,27 +253,26 @@ def _holdout_term(
 ) -> dict:
     """The report terms of a lower bound on the mean of p(x) or r(x)
     (``quantity`` precision or recall) over the nodes D where it is
-    defined: the bound and the number of usable nodes, the sampled nodes in
-    D. Precision is bounded at |D|, recorded as ``identified_nodes``, with
-    the exact method only when p(x) is 0/1 on all of D (``most`` <= 1);
-    recall, whose |D| is unknown, at the stand-in |X| with ``exact=False``
-    (see the module docstring)."""
+    defined: the number of usable nodes, the sampled nodes in D, and the
+    bound, ``<quantity>_term``, when some node is usable. Precision is
+    bounded at |D|, recorded as ``identified_nodes``, with the exact method
+    only when p(x) is 0/1 on all of D (``most`` <= 1); recall, whose |D| is
+    unknown, at the stand-in |X| with ``exact=False`` (see the module
+    docstring). A certificate passes ``usable_nodes`` to ``build_report``
+    as a denominator, so with no usable node it reads 0, flagged
+    vacuous-denominator."""
     column = columns.p if quantity == "precision" else columns.r
     sample = column[~np.isnan(column)].tolist()
-    if not sample:
-        side = "identified" if quantity == "precision" else "actual"
-        raise MatchcertError(f"no-usable-sample: no sampled node has {side} matches")
-    if quantity == "recall":
-        term = bound_term(inp.n_x, sample, inp.method, delta, "lower", exact=False)
-        return {"recall_term": term, "usable_nodes": float(len(sample))}
-    term = bound_term(
-        columns.identified, sample, inp.method, delta, "lower", exact=columns.most <= 1
-    )
-    return {
-        "precision_term": term,
-        "usable_nodes": float(len(sample)),
-        "identified_nodes": float(columns.identified),
-    }
+    terms = {"usable_nodes": float(len(sample))}
+    n, exact = inp.n_x, False
+    if quantity == "precision":
+        n, exact = columns.identified, columns.most <= 1
+        terms["identified_nodes"] = float(n)
+    if sample:
+        terms[f"{quantity}_term"] = bound_term(
+            n, sample, inp.method, delta, "lower", exact=exact
+        )
+    return terms
 
 
 def holdout_query_bounds(
@@ -278,7 +280,7 @@ def holdout_query_bounds(
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at ``inp.delta``
     (``reports.combine_reports`` gives the confidence that both hold)."""
-    columns = columns or _columns(inp)
+    columns = columns or query_columns(inp)
     reports = []
     for quantity in ("precision", "recall"):
         terms = _holdout_term(inp, columns, quantity, Confidence(inp.delta))
@@ -288,7 +290,8 @@ def holdout_query_bounds(
                 (inp.delta,),
                 _payload(inp),
                 terms,
-                terms[f"{quantity}_term"].value,
+                lambda: terms[f"{quantity}_term"].value,
+                denominator=terms["usable_nodes"],
             )
         )
     precision, recall = reports
@@ -306,26 +309,24 @@ def complete_query_recall(
     """Holdout recall minus the census d_r mean rescaled by a lower bound
     on the matched fraction of X, R_C >= R_H - sum_X d_r / |D_a|; each
     term at half the delta. With no d_r the value is the holdout bound,
-    whatever the matched fraction."""
+    whatever the matched fraction; it is vacuous without a usable node or,
+    with d_r, without a matched fraction above 0."""
     delta = Confidence(inp.delta / 2)
     _require_complete(inp)
-    columns = columns or _columns(inp)
+    columns = columns or query_columns(inp)
     terms = _holdout_term(inp, columns, "recall", delta)
-    recall = terms["recall_term"].value
     frac = terms["matched_fraction_term"] = bound_term(
         inp.n_x, columns.matched.tolist(), inp.method, delta, "lower"
     )
     dropped = terms["disagreement"] = math.fsum(columns.d_r.tolist()) / inp.n_x
-    value, denominator = recall, None
-    if dropped:
-        value, denominator = (lambda: recall - dropped / frac.value), frac.value
+    usable = terms["usable_nodes"]
     return build_report(
         "complete-query-recall",
         (delta.delta,) * 2,
         _payload(inp),
         terms,
-        value,
-        denominator=denominator,
+        lambda: terms["recall_term"].value - (dropped and dropped / frac.value),
+        denominator=min(usable, frac.value) if dropped else usable,
     )
 
 
@@ -338,9 +339,8 @@ def complete_query_precision(
     matcher gives the holdout bound bit for bit.
     """
     _require_complete(inp)
-    columns = columns or _columns(inp)
+    columns = columns or query_columns(inp)
     terms = _holdout_term(inp, columns, "precision", Confidence(inp.delta))
-    precision = terms["precision_term"].value
     damage = math.fsum(columns.d_p.tolist())
     d_h, d_c = columns.identified, columns.complete
     terms.update(
@@ -353,8 +353,8 @@ def complete_query_precision(
         (inp.delta,),
         _payload(inp),
         terms,
-        lambda: precision * (d_h / d_c) - damage / d_c,
-        denominator=d_c,
+        lambda: terms["precision_term"].value * (d_h / d_c) - damage / d_c,
+        denominator=min(d_c, terms["usable_nodes"]),
     )
 
 
@@ -369,7 +369,7 @@ def error_rate_bounds(
     complete-matcher error needs the holdout matcher to err or the two
     matchers to differ.
     """
-    columns = columns or _columns(inp)
+    columns = columns or query_columns(inp)
     error = bound_term(
         inp.n_x, columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
     )
@@ -387,7 +387,9 @@ def error_rate_bounds(
     )
 
 
-def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
+def query_reports(
+    inp: QueryValidationInput, columns: Columns | None = None
+) -> list[ValidationReport]:
     """Every certificate the input supports: holdout precision, recall and
     error rate, then, when a complete matcher is given, complete recall,
     precision and error rate.
@@ -395,10 +397,10 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     Each report fails with probability at most ``inp.delta``, so they hold
     jointly by the union bound. The holdout certificates see the input
     without the complete matcher. The columns are built once for all the
-    certificates.
+    certificates, unless they are given.
     """
     holdout = replace(inp, complete=None)
-    columns = _columns(inp)
+    columns = columns or query_columns(inp)
     reports = [
         *holdout_query_bounds(holdout, columns),
         error_rate_bounds(holdout, columns),
@@ -412,14 +414,16 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     return reports
 
 
-def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
+def compute_node_stats(
+    inp: QueryValidationInput, columns: Columns | None = None
+) -> list[PerNodeStats]:
     """Per-node statistics for reporting.
 
     Verified-sample nodes carry p, r, w against the holdout matcher (plus
     d_r, d_p when a complete matcher is present); nodes only in s_x' carry
     d_r, d_p alone, never touching actual matches.
     """
-    columns = _columns(inp)
+    columns = columns or query_columns(inp)
     p, r = (
         [None if math.isnan(v) else v for v in column.tolist()]
         for column in (columns.p, columns.r)

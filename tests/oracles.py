@@ -361,7 +361,7 @@ def true_error_rate_reference(pair, m_hat, m_true):
 
 
 # Per-node statistics of one x, from its identified and actual sets (or its
-# holdout and complete sets): the definitions query._columns computes as
+# holdout and complete sets): the definitions query.query_columns computes as
 # columns over match-set keys.
 
 

@@ -520,6 +520,54 @@ class TestValidateQuery:
         stats = json.loads(out.read_text())["node_stats"]
         assert [(row["node"], row["p"], row["r"]) for row in stats] == [(" a", 1.0, 1.0)]
 
+    @staticmethod
+    def _silent_matcher_argv(tmp_path):
+        """validate query argv on X = {a, b}, where the matcher identifies
+        nothing and a's actual match is c, with --emit-node-stats."""
+        x = write(tmp_path / "x.tsv", "#node\ta\n#node\tb\n")
+        y = write(tmp_path / "y.tsv", "#node\tc\n")
+        matcher = write(
+            tmp_path / "matcher.json",
+            json.dumps({"kind": "attribute-exact", "attr_key": "uid"}),
+        )
+        return [
+            "validate", "query", "--x", str(x), "--y", str(y),
+            "--matcher", str(matcher), "--matcher-complete", str(matcher),
+            "--s-x", str(write(tmp_path / "s_x.txt", "a\nb\n")),
+            "--actual", str(write(tmp_path / "actual.tsv", "a\tc\n")),
+            "--emit-node-stats", "--out", str(tmp_path / "report.json"),
+        ]
+
+    def test_sample_with_no_identified_node_exits_vacuous(self, tmp_path):
+        # no sampled node has an identified match: the precision
+        # certificates read 0, flagged, and the others still certify
+        assert main(self._silent_matcher_argv(tmp_path)) == 2
+        doc = json.loads((tmp_path / "report.json").read_text())
+        flags = {r["bound_id"]: r["flags"] for r in doc["reports"]}
+        assert flags == {
+            "holdout-query-precision": ["vacuous-denominator"],
+            "holdout-query-recall": [],
+            "holdout-query-error-rate": [],
+            "complete-query-recall": [],
+            "complete-query-precision": ["vacuous-denominator"],
+            "complete-query-error-rate": [],
+        }
+        assert len(doc["node_stats"]) == 2
+
+    def test_columns_built_once_for_reports_and_node_stats(self, tmp_path, monkeypatch):
+        import matchcert.query as query
+
+        built = []
+        columns = query.query_columns
+
+        def counting(inp):
+            built.append(inp)
+            return columns(inp)
+
+        monkeypatch.setattr(query, "query_columns", counting)
+        assert main(self._silent_matcher_argv(tmp_path)) == 2
+        assert len(built) == 1
+
     def test_reports_whose_deltas_sum_to_one_exit_one(self, tmp_path, world, capsys):
         # six certificates at 0.2 each: the union bound holds at no level
         matcher = write(

@@ -183,11 +183,21 @@ class TestHoldoutQuery:
         assert r_rep.lower_bound == pytest.approx(max(0.0, want), abs=1e-12)
 
     def test_no_usable_sample(self, tiny):
+        # no sampled node has identified or actual matches: both bounds
+        # read 0, flagged, and the error rate still certifies
         actual = {f"x{i}": frozenset() for i in range(8)}
         holdout = fixed_matcher([])
         inp = tiny_input(tiny, holdout, ["x0", "x1"], actual, 0.05)
-        with pytest.raises(MatchcertError, match="no-usable-sample"):
-            holdout_query_bounds(inp)
+        precision, recall, error = query_reports(inp)
+        for rep in (precision, recall):
+            assert rep.lower_bound == 0.0
+            assert rep.flags == ("vacuous-denominator",)
+            assert rep.terms["usable_nodes"] == 0.0
+            assert not rep.term_methods
+        assert precision.terms == {"usable_nodes": 0.0, "identified_nodes": 0.0}
+        assert recall.terms == {"usable_nodes": 0.0}
+        assert (precision, recall) == holdout_query_bounds(inp)
+        assert error.flags == () and error.upper_bound < 1.0
 
     def test_unknown_sampled_node(self, tiny):
         actual = {"x0": frozenset({"y0"}), "zzz": frozenset()}
@@ -380,15 +390,24 @@ class TestCompleteQueryPrecision:
         )
         assert seen == {(0.5, ())}
 
-    def test_requires_usable_precision_sample(self, tiny):
+    def test_no_usable_precision_sample_is_vacuous(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([])
         complete = fixed_matcher([("x0", "y0")])
         inp = tiny_input(tiny, holdout, ["x1", "x2"], actual,
                          0.05,
                          complete=complete, s_x_prime=("x0",))
-        with pytest.raises(MatchcertError, match="no-usable-sample"):
-            complete_query_precision(inp)
+        rep = complete_query_precision(inp)
+        assert rep.lower_bound == 0.0
+        assert rep.flags == ("vacuous-denominator",)
+        assert rep.terms["usable_nodes"] == 0.0
+        assert "precision_term" not in rep.terms
+        # the recall certificates have usable nodes and still certify
+        by_id = {r.bound_id: r for r in query_reports(inp)}
+        assert by_id["complete-query-precision"] == rep
+        for bound_id in ("holdout-query-recall", "complete-query-recall"):
+            assert by_id[bound_id].flags == ()
+            assert by_id[bound_id].terms["usable_nodes"] == 2.0
 
 
 def _sized_world(n: int, d: int) -> tuple[NetworkPair, object]:
@@ -989,20 +1008,20 @@ def _views_world():
 
 
 class TestViewsOnce:
-    """The columns stage (``query._columns``) runs once per query_reports."""
+    """The columns stage (``query.query_columns``) runs once per query_reports."""
 
     def test_query_reports_equal_certificates_alone(self, monkeypatch):
         import matchcert.query as query
 
         inp = _views_world()
         calls = []
-        columns = query._columns
+        columns = query.query_columns
 
         def counting_columns(of):
             calls.append(of)
             return columns(of)
 
-        monkeypatch.setattr(query, "_columns", counting_columns)
+        monkeypatch.setattr(query, "query_columns", counting_columns)
         reports = query_reports(inp)
         assert len(calls) == 1 and len(reports) == 6
         calls.clear()
@@ -1015,7 +1034,7 @@ class TestViewsOnce:
         import matchcert.query as query
 
         inp = _views_world()
-        columns = query._columns(inp)
+        columns = query.query_columns(inp)
         for column in (columns.p, columns.r, columns.w, columns.matched):
             assert column.shape == (len(inp.s_x),)
         for column in (columns.d_r, columns.d_p, columns.diff):
@@ -1121,7 +1140,7 @@ class TestColumns:
             return sets[handle.config.attr_key]
 
         with patch.object(query, "run_batch", identified_set):
-            columns = query._columns(inp)
+            columns = query.query_columns(inp)
         hv = by_x(sets["h"])
         if inp.complete is None:
             cv, each = None, ["h"]
@@ -1138,7 +1157,7 @@ class TestCensusInequalities:
     X, which hold for every pair of matchers; only the holdout terms are
     random. Checked here with exact fractions on one-to-many worlds whose
     actual matches are known for every x of X, with the census sums that
-    ``_columns`` counts."""
+    ``query_columns`` counts."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(column_worlds())
@@ -1148,7 +1167,7 @@ class TestCensusInequalities:
         inp, sets = world
         assume(inp.complete is not None)
         with patch.object(query, "run_batch", lambda handle, _: sets[handle.config.attr_key]):
-            columns = query._columns(inp)
+            columns = query.query_columns(inp)
         empty, xs = frozenset(), inp.pair.x_net.index.ids
         hv, cv = by_x(sets["h"]), by_x(sets[inp.complete.config.attr_key])
         h_sets = [hv.get(x, empty) for x in xs]
@@ -1217,13 +1236,13 @@ class TestSharedQueryInputs:
 
         inp = _views_world()
         calls = []
-        columns = query._columns
+        columns = query.query_columns
 
         def counting(of):
             calls.append(of)
             return columns(of)
 
-        monkeypatch.setattr(query, "_columns", counting)
+        monkeypatch.setattr(query, "query_columns", counting)
         query_reports(inp)
         assert len(calls) == 1
         calls.clear()

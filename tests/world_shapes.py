@@ -1,30 +1,34 @@
 """Exact audit of the holdout query certificates over every world shape.
 
-Take a one-to-one holdout matcher and a one-to-one truth. Each node of X
-is then of one of five types:
+Take a holdout matcher that gives each x at most two matches and a truth
+that gives each x at most one. Each node of X is then of one of eight
+types (``TYPES``), by its identified and actual matches:
 
 0. identified and correct;
 1. identified and wrong, with an actual match;
 2. identified, with no actual match;
 3. not identified, with an actual match;
-4. neither.
+4. neither;
+5. two identified matches, its actual one and a wrong one (p(x) = 1/2);
+6. two wrong identified matches, with an actual match;
+7. two wrong identified matches, with no actual match.
 
 A holdout query certificate reads a world only through the types of the
-sampled nodes. So a world of n nodes is one composition (c_0, ..., c_4) of
+sampled nodes. So a world of n nodes is one composition (c_0, ..., c_7) of
 n, and the samples of size s fall into classes k <= c with sum(k) = s: a
 uniform sample is in class k with probability prod C(c_i, k_i) / C(n, s).
 The audit certifies one member of each class, the first k_i nodes of each
 type, and sums the probability of the classes whose bound lies on the
-wrong side of the exact truth: a / (a + b + c) for precision,
-a / (a + b + d) for recall and (b + c + d) / n for the error rate, where
-(a, b, c, d) = (c_0, c_1, c_2, c_3). Truths and bounds are compared as
-exact fractions.
+wrong side of the exact truth: the mean of p(x) over the identified
+nodes for precision, the mean of r(x) over the nodes with an actual match
+for recall, and the share of X whose two match sets differ for the error
+rate. Truths and bounds are compared as exact fractions. The first five
+types are the one-to-one worlds; a ``counts`` of five entries has none of
+the others.
 
-A sample with no usable node for precision or recall raises
-``no-usable-sample`` and makes no statement for that certificate; it is
-not a failure. The other certificate's bound is then read from its term,
-which lies at or beyond its report's safe-side step, so reading it is no
-weaker a check.
+A sample with no usable node for precision or recall gets that
+certificate's vacuous report, 0, which lies on the safe side of every
+truth.
 
 Every world of up to N nodes at every sample size, under all three
 methods, with the worst share per bound id and method:
@@ -38,22 +42,28 @@ import math
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
-from matchcert.bounds import BoundMethod, Confidence
-from matchcert.errors import MatchcertError
+from matchcert.bounds import BoundMethod
 from matchcert.graphs import NetworkPair, make_network
 from matchcert.matchers import MatcherConfig, build_matcher
-from matchcert.query import (
-    QueryValidationInput,
-    _columns,
-    _holdout_term,
-    error_rate_bounds,
-    holdout_query_bounds,
-)
+from matchcert.query import QueryValidationInput, query_columns, query_reports
 
 DELTA = 0.05
-TYPES = 5
+# each node type's identified and actual matches, by letter: x_i's actual
+# match is y_i, and its wrong matches z_i and w_i, which no x has
+TYPES = (
+    ("y", "y"),
+    ("z", "y"),
+    ("z", ""),
+    ("", "y"),
+    ("", ""),
+    ("yz", "y"),
+    ("zw", "y"),
+    ("zw", ""),
+)
+ONE_TO_ONE = 5  # the first five types
 BOUND_IDS = (
     "holdout-query-precision",
     "holdout-query-recall",
@@ -61,7 +71,7 @@ BOUND_IDS = (
 )
 
 
-def compositions(n: int, parts: int = TYPES):
+def compositions(n: int, parts: int = len(TYPES)):
     """Every tuple of ``parts`` non-negative ints that sums to ``n``."""
     if parts == 1:
         yield (n,)
@@ -73,43 +83,44 @@ def compositions(n: int, parts: int = TYPES):
 
 def build_world(counts):
     """The pair, an attribute-exact holdout matcher, ``actual_for`` and the
-    x nodes of each type, for ``counts[t]`` nodes of type t. x_i's actual
-    match is y_i; a wrong identified match is z_i, which no x matches."""
+    x nodes of each type, for ``counts[t]`` nodes of type t."""
     types = [t for t, count in enumerate(counts) for _ in range(count)]
     xs = [f"x{i}" for i in range(len(types))]
-    truth, identified = {}, {}
-    for i, t in enumerate(types):
-        if t in (0, 1, 3):
-            truth[xs[i]] = f"y{i}"
-        if t == 0:
-            identified[xs[i]] = f"y{i}"
-        elif t in (1, 2):
-            identified[xs[i]] = f"z{i}"
-    ys = [f"y{i}" for i in range(len(xs))] + [f"z{i}" for i in range(len(xs))]
+    found, actual = (
+        {x: [f"{v}{i}" for v in TYPES[t][side]] for i, (x, t) in enumerate(zip(xs, types))}
+        for side in (0, 1)
+    )
+    ys = [f"{v}{i}" for v in "yzw" for i in range(len(xs))]
     pair = NetworkPair(
-        make_network(xs, [], {x: {"m": x} for x in identified}),
-        make_network(ys, [], {y: {"m": x} for x, y in identified.items()}),
+        make_network(xs, [], {x: {"m": x} for x, f in found.items() if f}),
+        make_network(ys, [], {y: {"m": x} for x, f in found.items() for y in f}),
     )
     holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
-    actual_for = {x: frozenset([truth[x]] if x in truth else ()) for x in xs}
-    by_type = [[x for x, t in zip(xs, types) if t == u] for u in range(TYPES)]
+    actual_for = {x: frozenset(a) for x, a in actual.items()}
+    by_type = [[x for x, t in zip(xs, types) if t == u] for u in range(len(counts))]
     return pair, holdout, actual_for, by_type
 
 
 def exact_truths(counts) -> dict[str, Fraction]:
     """Each bound id's exact truth, where it is defined."""
-    a, b, c, d, _ = counts
-    truths = {"holdout-query-error-rate": Fraction(b + c + d, sum(counts))}
-    if a + b + c:
-        truths["holdout-query-precision"] = Fraction(a, a + b + c)
-    if a + b + d:
-        truths["holdout-query-recall"] = Fraction(a, a + b + d)
+    p, r, wrong = [], [], 0
+    for (found, actual), count in zip(TYPES, counts):
+        hits = len(set(found) & set(actual))
+        if found:
+            p.append((Fraction(hits, len(found)), count))
+        if actual:
+            r.append((Fraction(hits, len(actual)), count))
+        wrong += count if set(found) != set(actual) else 0
+    truths = {"holdout-query-error-rate": Fraction(wrong, sum(counts))}
+    for bound_id, values in (("holdout-query-precision", p), ("holdout-query-recall", r)):
+        if sum(count for _, count in values):
+            truths[bound_id] = sum(v * c for v, c in values) / sum(c for _, c in values)
     return truths
 
 
 def classes(counts, size: int):
     """(k, number of samples in class k) for every class of ``size``."""
-    for k in compositions(size):
+    for k in compositions(size, len(counts)):
         if all(ki <= ci for ki, ci in zip(k, counts)):
             yield k, math.prod(map(math.comb, counts, k))
 
@@ -123,31 +134,13 @@ def member(by_type, k, last: bool = False) -> tuple[str, ...]:
     )
 
 
-def _no_statement(e: MatchcertError) -> None:
-    """Pass a sample with no usable node; raise any other token."""
-    if not str(e).startswith("no-usable-sample:"):
-        raise e
-
-
-def statements(inp: QueryValidationInput) -> dict[str, float]:
-    """Each holdout query bound id's bound on ``inp``'s sample, for the
-    certificates that make a statement there."""
-    columns = _columns(inp)
-    bounds = {"holdout-query-error-rate": error_rate_bounds(inp, columns).upper_bound}
-    try:
-        reports = holdout_query_bounds(inp, columns)
-    except MatchcertError as e:
-        _no_statement(e)
-        for quantity in ("precision", "recall"):
-            try:
-                terms = _holdout_term(inp, columns, quantity, Confidence(inp.delta))
-            except MatchcertError as e:
-                _no_statement(e)
-            else:
-                bounds[f"holdout-query-{quantity}"] = terms[f"{quantity}_term"].value
-    else:
-        bounds.update((r.bound_id, r.lower_bound) for r in reports)
-    return bounds
+def statements(inp: QueryValidationInput, columns=None) -> dict[str, float]:
+    """Each holdout query bound id's bound on ``inp``'s sample, from
+    ``query_reports`` (with ``columns``, when given)."""
+    return {
+        r.bound_id: r.lower_bound if r.upper_bound is None else r.upper_bound
+        for r in query_reports(inp, columns)
+    }
 
 
 def _wrong_side(bound_id: str, bound: float, truth: Fraction) -> bool:
@@ -158,38 +151,37 @@ def _wrong_side(bound_id: str, bound: float, truth: Fraction) -> bool:
 
 def world_shares(counts, sizes, methods=tuple(BoundMethod), check: bool = False):
     """{(bound id, method, size): exact failure share} of the world with
-    ``counts``, for each bound id that makes a statement on some sample.
-    With ``check``, the last member of each class must give the same
-    bounds as the first."""
+    ``counts``, for each bound id with a truth there. With ``check``, the
+    last member of each class must give the same bounds as the first."""
     pair, holdout, actual_for, by_type = build_world(counts)
     truths = exact_truths(counts)
     shares = {}
     for size in sizes:
-        total = math.comb(sum(counts), size)
-        for method in methods:
-            failed, seen = Counter(), set()
-            for k, weight in classes(counts, size):
-                inp = QueryValidationInput(
-                    pair, holdout, member(by_type, k), actual_for, method, DELTA
-                )
-                bounds = statements(inp)
+        failed = Counter()
+        for k, weight in classes(counts, size):
+            first = QueryValidationInput(
+                pair, holdout, member(by_type, k), actual_for, methods[0], DELTA
+            )
+            columns = query_columns(first)  # the methods share them
+            for method in methods:
+                inp = replace(first, method=method)
+                bounds = statements(inp, columns)
                 if check:
-                    other = QueryValidationInput(
-                        pair, holdout, member(by_type, k, True), actual_for, method, DELTA
-                    )
+                    other = replace(inp, s_x=member(by_type, k, True))
                     assert statements(other) == bounds, (counts, k, method)
-                for bound_id, bound in bounds.items():
-                    seen.add(bound_id)
-                    if _wrong_side(bound_id, bound, truths[bound_id]):
-                        failed[bound_id] += weight
-            for bound_id in seen:
-                shares[bound_id, method, size] = Fraction(failed[bound_id], total)
+                for bound_id, truth in truths.items():
+                    if _wrong_side(bound_id, bounds[bound_id], truth):
+                        failed[bound_id, method] += weight
+        total = math.comb(sum(counts), size)
+        for bound_id in truths:
+            for method in methods:
+                shares[bound_id, method, size] = Fraction(failed[bound_id, method], total)
     return shares
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    max_n = int(args[0]) if args else 10
+    max_n = int(args[0]) if args else 8
     worst = {}
     for n in range(1, max_n + 1):
         start, worlds = time.perf_counter(), 0
