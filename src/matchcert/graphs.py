@@ -109,6 +109,16 @@ def _check_node_id(node: str) -> None:
         raise MatchcertError(f"invalid-node-id: {node!r}")
 
 
+def _is_id_pair(value) -> bool:
+    """Whether ``value`` is a tuple or list of two strings."""
+    return (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and isinstance(value[0], str)
+        and isinstance(value[1], str)
+    )
+
+
 def distinct_sorted(keys: np.ndarray) -> np.ndarray:
     """The distinct values of an int array, ascending: sorted, then repeats
     dropped (np.unique's first call imports numpy.ma, ~15 ms)."""
@@ -242,11 +252,7 @@ def make_network(
     pos = dict(zip(ids, range(len(ids))))
     edges = list(edges)
     for edge in edges:
-        if not (
-            isinstance(edge, (tuple, list))
-            and len(edge) == 2
-            and all(isinstance(node, str) for node in edge)
-        ):
+        if not _is_id_pair(edge):
             raise MatchcertError(f"invalid-edge: {edge!r} is not a pair of node ids")
     ends = np.fromiter(
         (pos.get(node, -1) for u, v in edges for node in (u, v)),
@@ -364,10 +370,14 @@ def pair_keys(
     pair: NetworkPair, name: str, pairs: Sequence[tuple[str, str]]
 ) -> np.ndarray:
     """The key of each (x, y) of ``pairs`` over ``pair``'s universes, in
-    order. ``pairs`` must hold nodes of X and Y (``unknown-node``, naming
-    the list as ``name``) and, in self-match mode, no identity pair
+    order. Each of ``pairs`` must be a tuple or list of two string ids
+    (``invalid-edge``, naming the list as ``name``), and hold nodes of X
+    and Y (``unknown-node``) and, in self-match mode, no identity pair
     (``identity-pair-forbidden``); the error names the first bad pair in
     input order."""
+    for p in pairs:
+        if not _is_id_pair(p):
+            raise MatchcertError(f"invalid-edge: {name} pair {p!r} is not a pair of node ids")
     xs, ys = zip(*pairs) if pairs else ((), ())
     u, v = pair.x_net.index.positions(xs), pair.y_net.index.positions(ys)
     bad = (u < 0) | (v < 0)

@@ -24,7 +24,7 @@ from matchcert.bounds import (
 )
 from matchcert.coverage import ExperimentConfig
 from matchcert.errors import MatchcertError, read_fields
-from matchcert.graphs import NetworkPair, make_match_set, make_network
+from matchcert.graphs import NetworkPair, make_match_set, make_network, pair_keys
 from matchcert.matchers import MatcherConfig, TopDegree
 from matchcert.sampling import (
     SplitSpec,
@@ -199,9 +199,13 @@ def test_token_site_raises_its_token(token, call, text):
     _raises(token, call, text)
 
 
+# X = {a, b} and Y = {a, b, c}
+AB = NetworkPair(make_network(["a", "b"], []), make_network(["a", "b", "c"], []))
+
 # Python-API input that once escaped the tokens as a numpy or type error,
 # or was accepted: an infinite bound, a seed truncated to an integer, a
-# population of 2.5 items
+# population of 2.5 items, a string or a mapping read as a pair of ids, a
+# longer pair cut to two ids
 ESCAPES = [
     ("invalid-seed", lambda: spawn_rng(-3), "seed -3"),
     ("invalid-seed", lambda: sample_without_replacement([1, 2], 1, -1), "seed -1"),
@@ -226,6 +230,17 @@ ESCAPES = [
     ("invalid-seed", lambda: spawn_rng(1, 0.5), "key (0.5,)"),
     ("invalid-seed", lambda: sample_indices(5, 2, 1.5), "seed 1.5"),
     ("invalid-population", lambda: PopulationSpec(2.5), "integer, got 2.5"),
+    ("invalid-edge", lambda: make_match_set(["ab"], AB), "match pair 'ab' is not"),
+    ("invalid-edge", lambda: make_match_set([{"a": 0, "b": 1}], AB), "{'a': 0, 'b': 1}"),
+    (
+        "invalid-edge",
+        lambda: make_match_set([("a", "b", "c"), ("a", "c")], AB),
+        "match pair ('a', 'b', 'c')",
+    ),
+    ("invalid-edge", lambda: make_match_set([("a", "b", "c")], AB), "('a', 'b', 'c')"),
+    ("invalid-edge", lambda: make_match_set([("a", ["b"])], AB), "('a', ['b'])"),
+    ("invalid-edge", lambda: make_match_set([None], AB), "match pair None"),
+    ("invalid-edge", lambda: pair_keys(AB, "seed", [("a", "b"), ("a", 1)]), "('a', 1)"),
 ]
 
 
