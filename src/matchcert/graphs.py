@@ -371,13 +371,16 @@ def pair_keys(
 ) -> np.ndarray:
     """The key of each (x, y) of ``pairs`` over ``pair``'s universes, in
     order. Each of ``pairs`` must be a tuple or list of two string ids
-    (``invalid-edge``, naming the list as ``name``), and hold nodes of X
-    and Y (``unknown-node``) and, in self-match mode, no identity pair
-    (``identity-pair-forbidden``); the error names the first bad pair in
-    input order."""
+    (``invalid-edge``, checked first), hold nodes of X and Y
+    (``unknown-node``) and, in self-match mode, be no identity pair
+    (``identity-pair-forbidden``). An error names the first pair that
+    fails its check, in input order, and the first two name the list as
+    ``name``."""
     for p in pairs:
         if not _is_id_pair(p):
-            raise MatchcertError(f"invalid-edge: {name} pair {p!r} is not a pair of node ids")
+            raise MatchcertError(
+                f"invalid-edge: {name} pair {p!r} is not a pair of node ids"
+            )
     xs, ys = zip(*pairs) if pairs else ((), ())
     u, v = pair.x_net.index.positions(xs), pair.y_net.index.positions(ys)
     bad = (u < 0) | (v < 0)

@@ -101,7 +101,6 @@ __all__ = [
     "complete_query_recall",
     "complete_query_precision",
     "error_rate_bounds",
-    "Columns",
     "query_columns",
     "query_reports",
     "compute_node_stats",

@@ -1,9 +1,9 @@
 """Every one-to-one world shape of 6 nodes, and of 7 nodes at every sample
 size under the exact method, and every world of 4 nodes with a two-match
-holdout node at every sample size, keeps each holdout query
-certificate's exact failure share at most delta (ROADMAP item 1(b)); see
-``world_shapes`` for the enumeration, and run it there for up to 8
-nodes."""
+holdout node, and of 7 nodes with only such nodes, at every sample size,
+keeps each holdout query certificate's exact failure share at most delta
+(ROADMAP item 1(b)); see ``world_shapes`` for the enumeration, and run it
+there for up to 8 nodes."""
 
 import itertools
 
@@ -35,8 +35,10 @@ from world_shapes import (
 N = 6
 SIZES = (2, 3, 4)
 WORLDS = list(compositions(N, ONE_TO_ONE))
-# every world of 4 nodes with a node of type 5, 6 or 7
+# every world of 4 nodes with a node of type 5, 6 or 7, and every world
+# of 7 nodes that has only such nodes
 TWO_MATCH = [c for c in compositions(4) if any(c[ONE_TO_ONE:])]
+ONLY_TWO_MATCH = [(0,) * ONE_TO_ONE + c for c in compositions(7, len(TYPES) - ONE_TO_ONE)]
 
 
 def test_every_world_shape_is_enumerated():
@@ -104,10 +106,15 @@ def test_every_seven_node_world_holds_exactly_at_every_size():
     assert all(share <= DELTA for share in worst.values()), worst
 
 
-def test_every_four_node_two_match_world_holds_exactly_at_every_size():
+@pytest.mark.parametrize(
+    "worlds, n, check", [(TWO_MATCH, 4, True), (ONLY_TWO_MATCH, 7, False)], ids=["4", "7"]
+)
+def test_every_two_match_world_holds_exactly_at_every_size(worlds, n, check):
+    # at 7 nodes a sample's bounds are tight enough that reading p(x) = 1
+    # for a node with its actual match and a wrong one under-covers
     worst = {}
-    for counts in TWO_MATCH:
-        shares = world_shares(counts, range(1, 5), check=True)
+    for counts in worlds:
+        shares = world_shares(counts, range(1, n + 1), check=check)
         for (bound_id, method, _), share in shares.items():
             key = bound_id, method
             worst[key] = max(worst.get(key, share), share)
