@@ -86,10 +86,9 @@ def build_world(counts):
     x nodes of each type, for ``counts[t]`` nodes of type t."""
     types = [t for t, count in enumerate(counts) for _ in range(count)]
     xs = [f"x{i}" for i in range(len(types))]
-    found, actual = (
-        {x: [f"{v}{i}" for v in TYPES[t][side]] for i, (x, t) in enumerate(zip(xs, types))}
-        for side in (0, 1)
-    )
+    found, actual = {}, {}
+    for i, (x, t) in enumerate(zip(xs, types)):
+        found[x], actual[x] = ([f"{v}{i}" for v in side] for side in TYPES[t])
     ys = [f"{v}{i}" for v in "yzw" for i in range(len(xs))]
     pair = NetworkPair(
         make_network(xs, [], {x: {"m": x} for x, f in found.items() if f}),
@@ -103,18 +102,18 @@ def build_world(counts):
 
 def exact_truths(counts) -> dict[str, Fraction]:
     """Each bound id's exact truth, where it is defined."""
-    p, r, wrong = [], [], 0
+    p, r, w = [], [], []
     for (found, actual), count in zip(TYPES, counts):
-        hits = len(set(found) & set(actual))
+        found, actual = set(found), set(actual)
         if found:
-            p.append((Fraction(hits, len(found)), count))
+            p += [Fraction(len(found & actual), len(found))] * count
         if actual:
-            r.append((Fraction(hits, len(actual)), count))
-        wrong += count if set(found) != set(actual) else 0
-    truths = {"holdout-query-error-rate": Fraction(wrong, sum(counts))}
+            r += [Fraction(len(found & actual), len(actual))] * count
+        w += [found != actual] * count
+    truths = {"holdout-query-error-rate": Fraction(sum(w), len(w))}
     for bound_id, values in (("holdout-query-precision", p), ("holdout-query-recall", r)):
-        if sum(count for _, count in values):
-            truths[bound_id] = sum(v * c for v, c in values) / sum(c for _, c in values)
+        if values:
+            truths[bound_id] = sum(values) / len(values)
     return truths
 
 
