@@ -19,7 +19,9 @@ own bound terms, and reports one delta part per term.
 :func:`batch_reports` runs every certificate an input supports. The
 precision and complete certificates take an optional ``two_terms``, which
 returns the recall and match-density terms; batch_reports passes one that
-computes them when the first of those certificates asks. Each report's
+computes them when the first of those certificates asks, from s_m's
+hits, which it reads once and passes to ``holdout_batch_recall`` too, for
+the recall terms at the full and at half the delta. Each report's
 digest fields come from the input its own certificate was given (see
 :mod:`.reports`).
 
@@ -134,8 +136,9 @@ def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
     }
 
 
-def _recall_term(inp: BatchValidationInput, delta: Confidence) -> Term:
-    """Lower-bound the identified rate over the actual matches."""
+def _recall_hits(inp: BatchValidationInput) -> list[float]:
+    """Whether the holdout matcher identifies each pair of s_m, as 1.0 or
+    0.0, after checking s_m."""
     if not inp.s_m:
         raise MatchcertError("empty-sample: s_m has no verified matches")
     require_distinct("s_m", inp.s_m)
@@ -146,10 +149,14 @@ def _recall_term(inp: BatchValidationInput, delta: Confidence) -> Term:
         raise MatchcertError(
             f"ky-violated: s_m gives node {x!r} more than k_y={inp.k_y} actual matches"
         )
-    values = [1.0 if hit else 0.0 for hit in inp.m_hat_holdout.contains(keys).tolist()]
+    return [1.0 if hit else 0.0 for hit in inp.m_hat_holdout.contains(keys).tolist()]
+
+
+def _recall_term(inp: BatchValidationInput, delta: Confidence, hits: list) -> Term:
+    """Lower-bound the identified rate over the actual matches."""
     exact = inp.m_size is not None
     n = inp.m_size if exact else inp.k_y * inp.n_x
-    return bound_term(n, values, inp.method, delta, "lower", exact=exact)
+    return bound_term(n, hits, inp.method, delta, "lower", exact=exact)
 
 
 def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
@@ -170,11 +177,11 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     return bound_term(inp.n_x, values, inp.method, delta, "lower", hi=float(inp.k_y))
 
 
-def _two_terms(inp: BatchValidationInput) -> dict[str, Term]:
+def _two_terms(inp: BatchValidationInput, hits: list | None = None) -> dict[str, Term]:
     """The recall and match-density terms, each at half the delta."""
     delta = Confidence(inp.delta / 2)
     return {
-        "recall_term": _recall_term(inp, delta),
+        "recall_term": _recall_term(inp, delta, hits or _recall_hits(inp)),
         "match_density_term": _density_term(inp, delta),
     }
 
@@ -186,8 +193,10 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: Mapping) -> float:
     return n_x / m_hat_size * recall * density
 
 
-def holdout_batch_recall(inp: BatchValidationInput) -> ValidationReport:
-    recall = _recall_term(inp, Confidence(inp.delta))
+def holdout_batch_recall(
+    inp: BatchValidationInput, hits: list | None = None
+) -> ValidationReport:
+    recall = _recall_term(inp, Confidence(inp.delta), hits or _recall_hits(inp))
     return build_report(
         "holdout-batch-recall",
         (inp.delta,),
@@ -270,15 +279,17 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
 
     Each report fails with probability at most ``inp.delta``, so they hold
     jointly by the union bound. The holdout certificates see the input
-    without the complete set. The three two-term certificates share one
-    recall and one match-density term, computed when the first of them
-    needs it, so the errors raised and their order are those of the
-    certificates run one by one.
+    without the complete set. s_m is checked, encoded and matched once,
+    for the recall terms at the full and at half the delta, and the three
+    two-term certificates share one recall and one match-density term,
+    computed when the first of them needs it, so the errors raised and
+    their order are those of the certificates run one by one.
     """
     holdout = replace(inp, m_hat_complete=None)
-    two_terms = cache(lambda: _two_terms(inp))
+    hits = _recall_hits(inp)
+    two_terms = cache(lambda: _two_terms(inp, hits))
     reports = [
-        holdout_batch_recall(holdout),
+        holdout_batch_recall(holdout, hits),
         holdout_batch_precision(holdout, two_terms),
     ]
     if inp.m_hat_complete is not None:

@@ -9,6 +9,11 @@ wrong side of the truth; over many trials the failure rate must stay
 within the advertised delta (plus binomial noise), which is what the
 acceptance suite checks.
 
+A trial draws train and s_m as positions in the truth's keys and seeds
+the matchers with those keys, as MatchSets: train, then train, s_m and
+the verified pairs of s_x. Only the samples the certificates read (s_m,
+s_x, s_x') become node ids.
+
 A trial that fails (``trial-failed``: a matcher identified nothing, no
 sampled node is usable, a term needs a method the sample does not allow)
 does not stop the run. It is counted in the table's ``failed_trials`` and
@@ -37,10 +42,10 @@ import numpy as np
 from .batch import BatchValidationInput, batch_reports
 from .bounds import BoundMethod, Confidence
 from .errors import MatchcertError, read_fields
-from .graphs import matches_of
-from .matchers import MatcherConfig, build_matcher, run_batch, with_extra_seeds
+from .graphs import MatchSet, distinct_sorted, matches_of
+from .matchers import MatcherConfig, build_matcher, run_batch
 from .query import QueryValidationInput, exact_metrics, query_reports
-from .reports import ValidationReport, verified_pairs
+from .reports import ValidationReport
 from .sampling import sample_indices, sample_without_replacement, spawn_rng
 from .synth import GeneratorConfig, generate_pair
 
@@ -176,24 +181,25 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     def rng(purpose: int) -> np.random.Generator:
         return spawn_rng(cfg.seed, idx, purpose)
 
-    # the actual matches are sampled as positions in the keys, in key (=
-    # sorted pair) order, and only the drawn keys become string pairs
+    # samples are drawn as positions, in the truth's keys (key order is
+    # sorted pair order) and in X; the seeds are truth keys
     m = truth.keys.size
-    train = truth.decode(truth.keys[sample_indices(m, min(sizes.train, m), rng(1))])
-    s_m = tuple(truth.decode(truth.keys[sample_indices(m, min(sizes.s_m, m), rng(2))]))
-    s_x = tuple(sample_without_replacement(x_nodes, sizes.s_x, rng(3)))
+    train = truth.keys[np.sort(sample_indices(m, min(sizes.train, m), rng(1)))]
+    drawn = truth.keys[sample_indices(m, min(sizes.s_m, m), rng(2))]
+    s_m = tuple(truth.decode(drawn))
+    x_at = sample_indices(len(x_nodes), sizes.s_x, rng(3))
+    s_x = tuple(map(x_nodes.__getitem__, x_at.tolist()))
     s_x_prime = tuple(sample_without_replacement(x_nodes, sizes.s_x_prime, rng(4)))
-    # every reader of actual_for (the validation seeds below and each
-    # certificate) reads the nodes of s_x only
+    # every reader of actual_for (each certificate) reads the nodes of s_x
+    # only, and the complete matcher's seeds hold their truth keys
     actual_for = matches_of(truth, pair, s_x)
+    sampled = np.bincount(x_at, minlength=len(x_nodes)) > 0
+    verified = truth.keys[sampled[truth.keys // len(truth.y_ids)]]
+    extra = distinct_sorted(np.concatenate([train, drawn, verified]))
 
-    holdout = build_matcher(cfg.matcher_holdout, training_matches=train)
-    complete_base = (
-        build_matcher(cfg.matcher_complete, training_matches=train)
-        if cfg.matcher_complete is not None
-        else holdout
-    )
-    complete = with_extra_seeds(complete_base, [*s_m, *verified_pairs(s_x, actual_for)])
+    seeds = partial(MatchSet, truth.x_ids, truth.y_ids)
+    holdout = build_matcher(cfg.matcher_holdout, seeds(train))
+    complete = build_matcher(cfg.matcher_complete or cfg.matcher_holdout, seeds(extra))
 
     m_hat_h = run_batch(holdout, pair)
     m_hat_c = run_batch(complete, pair)

@@ -9,10 +9,15 @@ Determinism contract: given the same config, seeds, and networks, a
 matcher produces byte-identical output. Percolation resolves conflicting
 candidate pairs by highest matched-neighbor count, then lexicographic
 (x, y) node id order. Its seed set is one-to-one too: it takes the seeds
-in order, the training pairs first (they are verified), then the rule's
-or the config's, and drops a seed whose x or y an earlier one took. So
-percolation gives each x and each y at most one match, a largest count of
-1, hence binary p(x) and the d_p range [0, 2] of the query certificates.
+in order, the training pairs first (they are verified; a MatchSet of them
+in key order), then the rule's or the config's, and drops a seed whose x
+or y an earlier one took. So percolation gives each x and each y at most
+one match, a largest count of 1, hence binary p(x) and the d_p range
+[0, 2] of the query certificates. Seeds are keys ``x * n_y + y`` like the
+marks below: string pairs are checked and encoded once, by
+``graphs.pair_keys``, when the matcher runs, a MatchSet (as a coverage
+trial seeds with truth keys) gives its keys, and ``TopDegree`` ranks
+positions.
 
 Percolation runs on the networks' int indexes (``Network.index``: ids in
 sorted order plus CSR adjacency), joined for the call into one CSR: X's
@@ -43,7 +48,7 @@ function as the sorted keys of a MatchSet, the same ``x * n_y + y``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -51,7 +56,6 @@ from .errors import MatchcertError, read_fields
 from .graphs import (
     MatchSet,
     NetworkPair,
-    NodeIndex,
     distinct_sorted,
     gather_runs,
     matches_of,
@@ -139,7 +143,9 @@ def _read_seeds(seeds) -> tuple[tuple[str, str], ...] | TopDegree | str:
 
 @dataclass
 class MatcherHandle:
-    """A matcher config plus the training pairs it is seeded with.
+    """A matcher config plus the training pairs it is seeded with: string
+    pairs, or a MatchSet over the pair it runs on (``universe-mismatch``
+    otherwise).
 
     A complete handle is a holdout handle whose seeds were augmented with
     validation data (see :func:`with_extra_seeds`). An attribute-exact
@@ -147,49 +153,55 @@ class MatcherHandle:
     """
 
     config: MatcherConfig
-    training_matches: tuple[tuple[str, str], ...] = ()
+    training_matches: tuple[tuple[str, str], ...] | MatchSet = ()
     _cache_pair: NetworkPair | None = field(default=None, repr=False, compare=False)
     _cache_result: MatchSet | None = field(default=None, repr=False, compare=False)
 
 
 def build_matcher(
-    config: MatcherConfig, training_matches: Iterable[tuple[str, str]] = ()
+    config: MatcherConfig, training_matches: Iterable[tuple[str, str]] | MatchSet = ()
 ) -> MatcherHandle:
-    return MatcherHandle(config=config, training_matches=tuple(training_matches))
+    if not isinstance(training_matches, MatchSet):
+        training_matches = tuple(training_matches)
+    return MatcherHandle(config=config, training_matches=training_matches)
 
 
 def with_extra_seeds(
     handle: MatcherHandle, extra_pairs: Iterable[tuple[str, str]]
 ) -> MatcherHandle:
-    """Derive a complete matcher by feeding validation data in as seeds.
+    """Derive a complete matcher by feeding validation data in as seeds,
+    after the training pairs (a MatchSet's in key order).
 
     Unless the matcher is attribute-exact, which reads no seeds, the result
     is no longer a holdout matcher: its output depends on ``extra_pairs``.
     """
-    return build_matcher(handle.config, (*handle.training_matches, *extra_pairs))
+    training = handle.training_matches
+    if isinstance(training, MatchSet):
+        training = training.sorted_pairs
+    return build_matcher(handle.config, (*training, *extra_pairs))
 
 
-def _resolve_seeds(handle: MatcherHandle, pair: NetworkPair) -> list[tuple[str, str]]:
-    """The seeds in the order percolation takes them: the training pairs
-    first, as they are verified, then the rule's or the config's."""
-    seeds = handle.config.seeds
-    training = list(handle.training_matches)
-    if seeds is None or seeds == VERIFIED_SAMPLE:
-        return training
-    if isinstance(seeds, TopDegree):
-        top_x, top_y = (_by_degree(net.index) for net in (pair.x_net, pair.y_net))
-        k = min(seeds.k, len(top_x), len(top_y))
-        ranked = list(zip(top_x[:k], top_y[:k]))
-        if pair.self_match_mode:
-            ranked = [(x, y) for x, y in ranked if x != y]
-        return training + ranked
-    return training + list(seeds)
-
-
-def _by_degree(index: NodeIndex) -> list[str]:
-    """Node ids by descending degree, ties in id order."""
-    order = np.argsort(-np.diff(index.indptr), kind="stable")
-    return [index.ids[i] for i in order.tolist()]
+def _seed_keys(handle: MatcherHandle, pair: NetworkPair) -> np.ndarray:
+    """The seed keys in the order percolation takes them: the training
+    pairs first, as they are verified, then the rule's or the config's."""
+    training, rule = handle.training_matches, handle.config.seeds
+    keys = [np.zeros(0, dtype=np.int64)]
+    if isinstance(training, MatchSet):
+        training.check_universe(pair.x_net.index.ids, pair.y_net.index.ids)
+        keys, training = [training.keys], ()
+    strings = (*training, *rule) if isinstance(rule, tuple) else training
+    if strings:  # one call checks and encodes every string pair
+        keys.append(pair_keys(pair, "seed", strings))
+    if isinstance(rule, TopDegree):
+        # the i-th highest-degree x with the i-th highest-degree y, ties in
+        # id order, but no identity pair (equal positions) in self-match mode
+        top_x, top_y = (
+            np.argsort(-np.diff(net.index.indptr), kind="stable")
+            for net in (pair.x_net, pair.y_net)
+        )
+        x, y = (top[: min(rule.k, top_x.size, top_y.size)] for top in (top_x, top_y))
+        keys.append((x * top_y.size + y)[(x != y) | (not pair.self_match_mode)])
+    return np.concatenate(keys)
 
 
 def _attribute_exact(handle: MatcherHandle, pair: NetworkPair) -> np.ndarray:
@@ -244,12 +256,10 @@ def _one_to_one(keys: np.ndarray, ny: int) -> np.ndarray:
 
 
 def _percolate(
-    pair: NetworkPair,
-    start: Sequence[tuple[str, str]],
-    threshold: int,
-    max_steps: int,
+    pair: NetworkPair, seed_keys: np.ndarray, threshold: int, max_steps: int
 ) -> np.ndarray:
-    """The sorted keys of the pairs percolation ends with."""
+    """The sorted keys of the pairs percolation ends with, from the seed
+    keys in the order it takes them."""
     ix, iy = pair.x_net.index, pair.y_net.index
     nx, ny = len(ix.ids), len(iy.ids)
     # one CSR over both networks: X's rows, then Y's with positions + nx
@@ -258,7 +268,7 @@ def _percolate(
     nbr = np.concatenate([ix.nbr, iy.nbr + nx])
     unmatched = np.ones(nx + ny, dtype=bool)
     unmatched_x, unmatched_y = unmatched[:nx], unmatched[nx:]
-    new = _one_to_one(pair_keys(pair, "seed", start), ny)
+    new = _one_to_one(seed_keys, ny)
     accepted = [new]
     # one entry per mark a live candidate (both ends unmatched) has had
     table = np.zeros(0, dtype=np.int64)
@@ -326,11 +336,11 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
     if cfg.kind == "attribute-exact":
         keys = _attribute_exact(handle, pair)
     else:
-        seeds = _resolve_seeds(handle, pair)
-        keys = _percolate(pair, seeds, cfg.threshold, cfg.max_iters)
+        keys = _percolate(pair, _seed_keys(handle, pair), cfg.threshold, cfg.max_iters)
     # both matchers pair nodes of the two networks and never an identity
-    # pair in self-match mode (pair_keys checks the seeds), so the keys
-    # need no further check
+    # pair in self-match mode (pair_keys checks string seeds, and a
+    # MatchSet's pairs were checked when it was built), so the keys need
+    # no further check
     x_ids, y_ids = pair.x_net.index.ids, pair.y_net.index.ids
     result = MatchSet(x_ids, y_ids, keys)
     handle._cache_pair = pair

@@ -87,7 +87,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundMethod, Confidence, bound_term
+from .bounds import BoundMethod, Confidence, Term, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
@@ -329,17 +329,27 @@ def complete_query_recall(
     )
 
 
+def _terms_of(report: ValidationReport) -> dict:
+    """A report's terms as ``build_report`` was given them."""
+    how = report.term_methods
+    return {k: Term(v, how[k]) if k in how else v for k, v in report.terms.items()}
+
+
 def complete_query_precision(
-    inp: QueryValidationInput, columns: Columns | None = None
+    inp: QueryValidationInput,
+    columns: Columns | None = None,
+    held: ValidationReport | None = None,
 ) -> ValidationReport:
     """P_C >= (|D_H| * P_H - sum_X d_p) / |D_C|, with P_H's bound at the
     full delta and the rest counted over X. The value is written
     ``precision * (|D_H| / |D_C|) - sum d_p / |D_C|``, so an equal complete
-    matcher gives the holdout bound bit for bit.
+    matcher gives the holdout bound bit for bit. ``held``, the input's
+    holdout-query-precision report, gives the precision terms when given.
     """
     _require_complete(inp)
     columns = columns or query_columns(inp)
-    terms = _holdout_term(inp, columns, "precision", Confidence(inp.delta))
+    delta = Confidence(inp.delta)
+    terms = _terms_of(held) if held else _holdout_term(inp, columns, "precision", delta)
     damage = math.fsum(columns.d_p.tolist())
     d_h, d_c = columns.identified, columns.complete
     terms.update(
@@ -358,18 +368,20 @@ def complete_query_precision(
 
 
 def error_rate_bounds(
-    inp: QueryValidationInput, columns: Columns | None = None
+    inp: QueryValidationInput,
+    columns: Columns | None = None,
+    held: ValidationReport | None = None,
 ) -> ValidationReport:
     """Upper-bound the mean single-node error over X at the full delta.
 
     Holdout variant (no complete matcher supplied): one upper bound over
-    the verified sample. Complete variant: that bound plus the census
-    disagreement rate, E_C <= E_H + mean_X 1[H_x != C_x], since a
-    complete-matcher error needs the holdout matcher to err or the two
-    matchers to differ.
+    the verified sample, or ``held``'s, the holdout report, when given.
+    Complete variant: that bound plus the census disagreement rate,
+    E_C <= E_H + mean_X 1[H_x != C_x], since a complete-matcher error
+    needs the holdout matcher to err or the two matchers to differ.
     """
     columns = columns or query_columns(inp)
-    error = bound_term(
+    error = _terms_of(held)["error_term"] if held else bound_term(
         inp.n_x, columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
     )
     terms, value, variant = {"error_term": error}, error.value, "holdout"
@@ -396,19 +408,19 @@ def query_reports(
     Each report fails with probability at most ``inp.delta``, so they hold
     jointly by the union bound. The holdout certificates see the input
     without the complete matcher. The columns are built once for all the
-    certificates, unless they are given.
+    certificates, unless they are given; the complete precision and error
+    rate read their holdout term from the holdout reports.
     """
     holdout = replace(inp, complete=None)
     columns = columns or query_columns(inp)
-    reports = [
-        *holdout_query_bounds(holdout, columns),
-        error_rate_bounds(holdout, columns),
-    ]
+    precision, recall = holdout_query_bounds(holdout, columns)
+    error = error_rate_bounds(holdout, columns)
+    reports = [precision, recall, error]
     if inp.complete is not None:
         reports += [
             complete_query_recall(inp, columns),
-            complete_query_precision(inp, columns),
-            error_rate_bounds(inp, columns),
+            complete_query_precision(inp, columns, precision),
+            error_rate_bounds(inp, columns, error),
         ]
     return reports
 

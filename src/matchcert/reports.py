@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "digest_of",
     "require_distinct",
     "sample_positions",
-    "verified_pairs",
     "verified_sample",
 ]
 
@@ -73,24 +73,25 @@ def sample_positions(
     return at
 
 
-def verified_pairs(nodes: Sequence[str], actual_for: Mapping) -> list[tuple[str, str]]:
-    """The pairs (x, y) with y in ``actual_for[x]``, in node order and
-    each node's matches in id order, whatever the set iteration order."""
-    return [
-        (x, y)
-        for x, ys in zip(nodes, map(actual_for.__getitem__, nodes))
-        # most nodes have at most one match, which needs no sort
-        for y in (sorted(ys) if len(ys) > 1 else ys)
-    ]
-
-
 def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
     """The positions in X of the sampled ``nodes`` (s_x, checked by
-    :func:`sample_positions`) and the keys of their verified pairs, checked
-    by ``graphs.pair_keys`` in :func:`verified_pairs` order, so an error
-    names the same pair whatever the set iteration order."""
+    :func:`sample_positions`) and the keys of their verified pairs, node
+    after node, encoded from the positions of their ends. A bad pair fails
+    ``graphs.pair_keys``' checks, which name the first in node order and
+    each node's matches in id order, non-strings last and by ``str``, so
+    the error does not depend on the set iteration order."""
     at = sample_positions(pair.x_net.index, "s_x", nodes, actual_for)
-    return at, pair_keys(pair, "actual_for", verified_pairs(nodes, actual_for))
+    found = list(map(actual_for.__getitem__, nodes))
+    x_at = np.repeat(at, np.fromiter(map(len, found), np.int64, len(found)))
+    y_at = pair.y_net.index.positions(list(chain.from_iterable(found)))
+    # in self-match mode one shared universe: equal positions, equal ids
+    if ((y_at < 0) | ((x_at == y_at) & pair.self_match_mode)).any():
+        pair_keys(pair, "actual_for", [
+            (x, y)
+            for x, ys in zip(nodes, found)
+            for y in sorted(ys, key=lambda y: (not isinstance(y, str), str(y)))
+        ])
+    return at, x_at * len(pair.y_net.index.ids) + y_at
 
 
 def digest_of(payload) -> str:

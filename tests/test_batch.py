@@ -560,17 +560,19 @@ class TestSharedTerms:
         import matchcert.batch as batch
 
         calls = []
-        for name in ("_recall_term", "_density_term"):
-            def counting(inp, delta, term=getattr(batch, name), name=name):
-                calls.append((name, delta.delta))
-                return term(inp, delta)
+        for name in ("_recall_hits", "_recall_term", "_density_term"):
+            def counting(inp, *rest, term=getattr(batch, name), name=name):
+                calls.append((name, *(delta.delta for delta in rest[:1])))
+                return term(inp, *rest)
 
             monkeypatch.setattr(batch, name, counting)
         batch_reports(complete_world_input(*world))
-        # holdout recall spends all of delta; the three two-term
-        # certificates share one recall and one density term at delta / 2
+        # s_m's hits are read once; holdout recall spends all of delta; the
+        # three two-term certificates share one recall and one density term
+        # at delta / 2
         assert sorted(calls) == [
-            ("_density_term", 0.025), ("_recall_term", 0.025), ("_recall_term", 0.05)
+            ("_density_term", 0.025), ("_recall_hits",), ("_recall_term", 0.025),
+            ("_recall_term", 0.05),
         ]
 
     def test_error_precedence_unchanged(self, world):

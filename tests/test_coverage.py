@@ -1,15 +1,18 @@
 import hashlib
 import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
+
+from matchcert import bounds, graphs
 
 from matchcert.batch import BatchValidationInput, batch_reports
 from matchcert.bounds import BoundMethod
 from matchcert.coverage import ExperimentConfig, SampleSizes, run_coverage, run_trial
 from matchcert.errors import MatchcertError
-from matchcert.graphs import by_x, matches_of
+from matchcert.graphs import MatchSet, by_x, make_match_set, matches_of
 from matchcert.matchers import (
     VERIFIED_SAMPLE,
     MatcherConfig,
@@ -167,6 +170,37 @@ def test_trial_records_pinned():
     assert digest.hexdigest() == TRIAL_RECORDS_SHA256
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` in every matchcert module that binds it; the
+    returned list gets one entry per call."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("matchcert") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_trial_bounds_each_term_once_and_encodes_strings_once(monkeypatch):
+    # a criterion-4 trial bounds 8 terms: batch recall at delta and at
+    # delta / 2 and the match density; query holdout precision, recall and
+    # error rate, complete recall and the matched fraction (the complete
+    # precision and error rate read the holdout terms). Its seeds reach
+    # percolation as keys, so the one string list encoded is s_m, for the
+    # recall terms
+    terms = _count_calls(monkeypatch, bounds, "bound_term")
+    encoded = _count_calls(monkeypatch, graphs, "pair_keys")
+    cfg = _criterion_4_world(VERIFIED_SAMPLE, 2, trials=1)
+    records = run_trial(cfg, 0)
+    assert len(records) == 10
+    assert len(terms) == 8
+    assert [name for _, name, _ in encoded] == ["s_m"]
+
+
 @pytest.mark.parametrize("method", list(BoundMethod))
 def test_actual_map_of_the_sampled_nodes_suffices(method):
     # a trial gives the certificates the actual matches of s_x only; with
@@ -251,19 +285,26 @@ class _Drawn(Exception):
 def test_trial_draws_the_pairs_sample_without_replacement_draws(monkeypatch, train, s_m):
     # a trial draws train and s_m as positions in the truth's keys; they
     # must be the pairs that sampling the keys themselves gives, at sizes
-    # 0, in between and |truth| (a larger size is cut to |truth|)
+    # 0, in between and |truth| (a larger size is cut to |truth|). The
+    # matchers are seeded with truth keys: the holdout one with train, the
+    # complete one with train, s_m and the verified pairs of s_x
     seen = {}
 
     def recording_generate_pair(cfg):
         seen["world"] = generate_pair(cfg)
         return seen["world"]
 
-    def stop(handle, extra_pairs):
-        seen["train"], seen["extra"] = list(handle.training_matches), list(extra_pairs)
+    def matched(handle, pair):
+        seen.setdefault("seeds", []).append(handle.training_matches)
+        return seen["world"][1]  # the truth: no trial is degenerate
+
+    def stop(**fields):
+        seen["s_m"] = fields["s_m"]
         raise _Drawn
 
     monkeypatch.setattr("matchcert.coverage.generate_pair", recording_generate_pair)
-    monkeypatch.setattr("matchcert.coverage.with_extra_seeds", stop)
+    monkeypatch.setattr("matchcert.coverage.run_batch", matched)
+    monkeypatch.setattr("matchcert.coverage.BatchValidationInput", stop)
     base = _small_world(MatcherConfig("percolation", seeds=VERIFIED_SAMPLE))
     for seed, idx in ((3, 0), (3, 7), (91, 2)):
         cfg = replace(base, seed=seed, sample_sizes=replace(
@@ -275,10 +316,15 @@ def test_trial_draws_the_pairs_sample_without_replacement_draws(monkeypatch, tra
 
         def drawn(s, purpose):
             rng = spawn_rng(seed, idx, purpose)
-            return truth.decode(sample_without_replacement(truth.keys, min(s, m), rng))
+            return sample_without_replacement(truth.keys.tolist(), min(s, m), rng)
 
         s_x = sample_without_replacement(pair.x_net.index.ids, 30, spawn_rng(seed, idx, 3))
         actual = matches_of(truth, pair, s_x)
-        verified = [(x, y) for x in s_x for y in sorted(actual[x])]
-        assert seen["train"] == drawn(train, 1)
-        assert seen["extra"] == drawn(s_m, 2) + verified
+        verified = make_match_set([(x, y) for x in s_x for y in actual[x]], pair)
+        holdout_seeds, complete_seeds = seen.pop("seeds")
+        assert isinstance(holdout_seeds, MatchSet)
+        assert isinstance(complete_seeds, MatchSet)
+        assert holdout_seeds.keys.tolist() == sorted(drawn(train, 1))
+        assert seen["s_m"] == tuple(truth.decode(drawn(s_m, 2)))
+        union = {*drawn(train, 1), *drawn(s_m, 2), *verified.keys.tolist()}
+        assert complete_seeds.keys.tolist() == sorted(union)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import matchcert
-from matchcert.batch import BatchValidationInput, holdout_batch_recall
+from matchcert.batch import BatchValidationInput, batch_reports, holdout_batch_recall
 from matchcert.bounds import (
     BoundMethod,
     Confidence,
@@ -25,7 +25,8 @@ from matchcert.bounds import (
 from matchcert.coverage import ExperimentConfig
 from matchcert.errors import MatchcertError, read_fields
 from matchcert.graphs import NetworkPair, make_match_set, make_network, pair_keys
-from matchcert.matchers import MatcherConfig, TopDegree
+from matchcert.matchers import MatcherConfig, TopDegree, build_matcher
+from matchcert.query import QueryValidationInput, query_reports
 from matchcert.sampling import (
     SplitSpec,
     hypergeometric_draw,
@@ -107,6 +108,21 @@ COVERAGE = {
     "methods": ["hoeffding"],
     "seed": 0,
 }
+
+def _verified_on_ab(certify, actual_for):
+    """``certify``'s reports on pair AB, with s_x = (b, a) and the verified
+    matches ``actual_for`` of a; b has none."""
+    s_x, actual_for = ("b", "a"), {"b": frozenset(), **actual_for}
+    if certify is batch_reports:
+        return certify(BatchValidationInput(
+            AB, make_match_set([("a", "a")], AB), (("a", "a"),), s_x, actual_for,
+            BoundMethod.HOEFFDING, 0.05,
+        ))
+    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
+    return certify(QueryValidationInput(
+        AB, holdout, s_x, actual_for, BoundMethod.HOEFFDING, 0.05
+    ))
+
 
 def _recall_on_two_nodes(s_m, k_y):
     pair = NetworkPair(make_network(["a", "b"], []), make_network(["p", "q"], []))
@@ -241,6 +257,23 @@ ESCAPES = [
     ("invalid-edge", lambda: make_match_set([("a", ["b"])], AB), "('a', ['b'])"),
     ("invalid-edge", lambda: make_match_set([None], AB), "match pair None"),
     ("invalid-edge", lambda: pair_keys(AB, "seed", [("a", "b"), ("a", 1)]), "('a', 1)"),
+    (
+        # a verified match that is no string, alone or among node ids that
+        # do not sort with it, on either certifier
+        "invalid-edge",
+        lambda: _verified_on_ab(batch_reports, {"a": frozenset({5})}),
+        "actual_for pair ('a', 5) is not a pair of node ids",
+    ),
+    (
+        "invalid-edge",
+        lambda: _verified_on_ab(batch_reports, {"a": frozenset({"a", 5, "b", 7})}),
+        "actual_for pair ('a', 5) is not a pair of node ids",
+    ),
+    (
+        "invalid-edge",
+        lambda: _verified_on_ab(query_reports, {"a": frozenset({"a", 5, "b", 7})}),
+        "actual_for pair ('a', 5) is not a pair of node ids",
+    ),
 ]
 
 

@@ -4,7 +4,7 @@ import pytest
 from oracles import percolate_reference, top_degree_reference
 
 from matchcert.errors import MatchcertError
-from matchcert.graphs import NetworkPair, by_x, make_network
+from matchcert.graphs import NetworkPair, by_x, make_match_set, make_network
 from matchcert.matchers import (
     VERIFIED_SAMPLE,
     MatcherConfig,
@@ -246,6 +246,34 @@ class TestPercolationMatchesReference:
             )
             seen["grew"] += len(want) > len(set(start))
             seen["top-degree"] += top is not None
+        assert min(seen.values()) >= 10, seen
+
+    def test_key_seeds_give_the_string_seeds_set(self):
+        # the same 400 pairs: training pairs given as a MatchSet are taken
+        # in key order, so they give the set that their string pairs give
+        # in sorted order, under a TopDegree rule and in self-match mode too
+        rnd = random.Random(20260808)
+        seen = dict.fromkeys(("self-mode", "top-degree", "conflict"), 0)
+        for _ in range(400):
+            pair = random_pair(rnd)
+            seeds = random_seeds(rnd, pair)
+            threshold, max_iters = rnd.randint(1, 3), rnd.randint(1, 5)
+            top = TopDegree(rnd.randint(1, 4)) if rnd.random() < 0.25 else None
+            config = MatcherConfig(
+                "percolation",
+                seeds=top or VERIFIED_SAMPLE,
+                threshold=threshold,
+                max_iters=max_iters,
+            )
+            ordered = sorted(set(seeds))
+            as_keys = run_batch(build_matcher(config, make_match_set(seeds, pair)), pair)
+            assert as_keys == run_batch(build_matcher(config, ordered), pair)
+            start = ordered + (top_degree_reference(pair, top.k) if top else [])
+            assert as_keys.pairs == percolate_reference(pair, start, threshold, max_iters)
+
+            seen["self-mode"] += pair.self_match_mode
+            seen["top-degree"] += top is not None
+            seen["conflict"] += len({x for x, _ in ordered}) < len(ordered)
         assert min(seen.values()) >= 10, seen
 
     @pytest.mark.parametrize("threshold", [1, 2, 3])
@@ -619,6 +647,18 @@ class TestHandles:
         assert complete != holdout
         unchanged = with_extra_seeds(holdout, [])
         assert unchanged == holdout
+
+    def test_match_set_seeds(self):
+        pair = mirrored_pair(["a", "b", "c"], [])
+        seeds = make_match_set([("xc", "yc"), ("xa", "ya")], pair)
+        handle = build_matcher(MatcherConfig("percolation"), seeds)
+        assert handle.training_matches is seeds
+        assert run_batch(handle, pair) == seeds
+        # a complete handle takes them in key order, then the extra pairs
+        complete = with_extra_seeds(handle, [("xb", "yb")])
+        assert complete.training_matches == (("xa", "ya"), ("xc", "yc"), ("xb", "yb"))
+        with pytest.raises(MatchcertError, match="^universe-mismatch:"):
+            run_batch(handle, mirrored_pair(["a", "b"], []))
 
     def test_equal_handles_have_one_config_and_one_seed_order(self):
         # percolation takes its seeds in order and drops one that conflicts

@@ -1030,6 +1030,29 @@ class TestViewsOnce:
         assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
         assert reports[3].flags == ()
 
+    def test_complete_certificates_read_the_holdout_terms(self, monkeypatch):
+        # the precision and error terms at the full delta are bounded once,
+        # by the holdout certificates: the complete reports carry them bit
+        # for bit
+        import matchcert.query as query
+
+        inp = _views_world()
+        calls, bound_term = [], query.bound_term
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bound_term(*args, **kwargs)
+
+        monkeypatch.setattr(query, "bound_term", counting)
+        reports = {r.bound_id: r for r in query_reports(inp)}
+        assert len(calls) == 5 and len(reports) == 6
+        for quantity, term in (("precision", "precision_term"), ("error-rate", "error_term")):
+            held = reports[f"holdout-query-{quantity}"]
+            complete = reports[f"complete-query-{quantity}"]
+            assert complete.terms[term].hex() == held.terms[term].hex()
+            assert complete.term_methods[term] == held.term_methods[term]
+        assert reports["complete-query-error-rate"].terms["disagreement"] > 0
+
     def test_sample_columns_and_census_columns(self):
         import matchcert.query as query
 

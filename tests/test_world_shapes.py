@@ -1,14 +1,16 @@
 """Every one-to-one world shape of 6 nodes, and of 7 nodes at every sample
 size under the exact method, and every world of 4 nodes with a two-match
 holdout node, and of 7 nodes with only such nodes, at every sample size,
-keeps each holdout query certificate's exact failure share at most delta
-(ROADMAP item 1(b)); see ``world_shapes`` for the enumeration, and run it
-there for up to 8 nodes."""
+keeps each holdout query certificate's exact failure share at most delta,
+and every world of up to 10 actual matches keeps the batch s_m recall
+term's at most its delta (ROADMAP item 1(b)); see ``world_shapes`` for the
+enumeration, and run it there for up to 8 nodes."""
 
 import itertools
 
 import pytest
 
+from matchcert.batch import true_batch_metrics
 from matchcert.bounds import BoundMethod
 from matchcert.graphs import make_match_set
 from matchcert.matchers import run_batch
@@ -22,12 +24,17 @@ from world_shapes import (
     BOUND_IDS,
     DELTA,
     ONE_TO_ONE,
+    RECALL_DELTAS,
+    STAND_IN_EXTRA,
     TYPES,
+    batch_recall_shares,
+    batch_truths,
     build_world,
     classes,
     compositions,
     exact_truths,
     member,
+    recall_world,
     statements,
     world_shares,
 )
@@ -142,3 +149,46 @@ def test_sample_with_no_identified_node_gets_every_holdout_report():
         }
     # the last sample has no usable node for recall either
     assert (recall.lower_bound, recall.flags) == (0.0, ("vacuous-denominator",))
+
+
+def test_batch_recall_term_holds_exactly_in_every_world_of_ten_matches():
+    worst = batch_recall_shares(10)
+    populations = 1 + len(STAND_IN_EXTRA)
+    assert len(worst) == populations * len(BoundMethod) * len(RECALL_DELTAS)
+    assert all(share <= delta for (_, _, delta), (share, *_) in worst.items()), worst
+    # with the true |M| the exact method comes within a factor 2 of delta,
+    # so a bound that over-reached would show
+    for delta in RECALL_DELTAS:
+        assert worst["m_size", BoundMethod.HYPERGEOMETRIC, delta][0] > delta / 2
+
+
+def test_batch_precision_is_recall_times_density_over_identified():
+    # precision = recall·|M| / |M̂| and |M| = |X|·density, so the precision
+    # and complete certificates compose their recall and density terms
+    checked = 0
+    for n_x in range(1, 7):
+        for m in range(1, n_x + 1):
+            pair, actual = recall_world(n_x, m)
+            xs, ys = pair.x_net.index.ids, pair.y_net.index.ids
+            # the first j actual matches, pairs of the nodes without one, and
+            # a pair that gives x0 a wrong match
+            for j, extra, swap in itertools.product(
+                range(m + 1), range(n_x - m + 1), (False, True)
+            ):
+                identified = actual[:j] + list(zip(xs[m:], ys[m:]))[:extra]
+                identified += [(xs[0], ys[-1])] if swap and n_x > 1 else []
+                if not identified:
+                    continue
+                exact = batch_truths(n_x, actual, identified)
+                recall, precision, density = (
+                    exact[k] for k in ("recall", "precision", "density")
+                )
+                assert precision == recall * n_x * density / len(identified)
+                assert m == n_x * density
+                m_hat = make_match_set(identified, pair)
+                truth = make_match_set(actual, pair)
+                assert true_batch_metrics(pair, m_hat, truth) == (
+                    float(precision), float(recall)
+                )
+                checked += 1
+    assert checked > 150

@@ -30,14 +30,32 @@ A sample with no usable node for precision or recall gets that
 certificate's vacuous report, 0, which lies on the safe side of every
 truth.
 
+The batch s_m recall term is audited the same way. It reads a world only
+through |M|, the number h of actual matches that the holdout set holds,
+and s = |s_m|: the sample's hit count j is hypergeometric, with
+probability C(h, j) C(|M| - h, s - j) / C(|M|, s). So the audit builds
+one holdout set per hit count j (the first j of |M| actual matches),
+certifies the sample of the first s matches, which holds j hits, and sums
+the probability of the hit counts whose bound lies above h / |M|: for
+every |M| <= 10, h and s, under all three methods, at delta (holdout
+batch recall) and at delta / 2 (the recall term of the precision and
+complete certificates), with ``m_size`` given and with the stand-in
+k_y·|X| for |X| - |M| in ``STAND_IN_EXTRA``. The precision and complete
+batch certificates follow from their two terms, each at delta / 2:
+precision = recall·|M| / |M̂| and |M| = |X|·density, so a recall term
+and a density term at or below their truths give a precision bound at or
+below the truth (``batch_truths`` holds these as exact fractions).
+
 Every world of up to N nodes at every sample size, under all three
-methods, with the worst share per bound id and method:
+methods, with the worst share per bound id and method, then the batch
+recall term's worst share per population, method and delta:
 
     PYTHONPATH=src python -m tests.world_shapes N
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -45,8 +63,9 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+from matchcert.batch import BatchValidationInput, holdout_batch_recall
 from matchcert.bounds import BoundMethod
-from matchcert.graphs import NetworkPair, make_network
+from matchcert.graphs import NetworkPair, make_match_set, make_network
 from matchcert.matchers import MatcherConfig, build_matcher
 from matchcert.query import QueryValidationInput, query_columns, query_reports
 
@@ -178,6 +197,72 @@ def world_shares(counts, sizes, methods=tuple(BoundMethod), check: bool = False)
     return shares
 
 
+STAND_IN_EXTRA = (1, 3, 10)  # |X| - |M| under the stand-in k_y·|X|, k_y = 1
+RECALL_DELTAS = (DELTA, DELTA / 2)
+
+
+def recall_world(n_x: int, m: int):
+    """A pair of ``n_x`` nodes a side without edges and its first ``m``
+    identity-numbered pairs (x_i, y_i), the actual matches, in id order."""
+    xs, ys = ([f"{v}{i:02d}" for i in range(n_x)] for v in "xy")
+    pair = NetworkPair(make_network(xs, []), make_network(ys, []))
+    return pair, list(zip(xs, ys))[:m]
+
+
+def batch_truths(n_x: int, actual, identified) -> dict[str, Fraction]:
+    """Exact batch recall, precision and match density (the mean actual
+    match count over X) of a world, as fractions."""
+    hits = len(set(actual) & set(identified))
+    return {
+        "recall": Fraction(hits, len(actual)),
+        "precision": Fraction(hits, len(identified)),
+        "density": Fraction(len(actual), n_x),
+    }
+
+
+def recall_bounds(n_x: int, m: int, m_size, methods=tuple(BoundMethod)):
+    """{(s, j, method, delta): holdout-batch-recall's bound} on a world of
+    |M| = ``m`` actual matches whose holdout set holds the first j, for the
+    sample of the first s matches (j hits), with ``m_size`` or, when None,
+    the stand-in k_y·|X| at k_y = 1."""
+    pair, actual = recall_world(n_x, m)
+    bounds = {}
+    for j in range(m + 1):
+        m_hat = make_match_set(actual[:j], pair)
+        sizes = range(max(j, 1), m + 1)
+        for s, method, delta in itertools.product(sizes, methods, RECALL_DELTAS):
+            inp = BatchValidationInput(
+                pair, m_hat, tuple(actual[:s]), (), {}, method, delta, m_size=m_size
+            )
+            bounds[s, j, method, delta] = holdout_batch_recall(inp).lower_bound
+    return bounds
+
+
+def batch_recall_shares(max_m: int = 10, methods=tuple(BoundMethod)):
+    """{(population, method, delta): (worst exact share, |M|, h, s)} of the
+    recall term over every |M| <= ``max_m``, h <= |M| and 1 <= s <= |M|;
+    the population is "m_size" or "|X|=|M|+e" for the stand-in."""
+    worst = {}
+    for m in range(1, max_m + 1):
+        populations = [("m_size", m, m)]
+        populations += [(f"|X|=|M|+{e}", m + e, None) for e in STAND_IN_EXTRA]
+        for name, n_x, m_size in populations:
+            bounds = recall_bounds(n_x, m, m_size, methods)
+            for h, s, method, delta in itertools.product(
+                range(m + 1), range(1, m + 1), methods, RECALL_DELTAS
+            ):
+                failed = sum(
+                    math.comb(h, j) * math.comb(m - h, s - j)
+                    for j in range(max(0, s - (m - h)), min(h, s) + 1)
+                    if Fraction(bounds[s, j, method, delta]) > Fraction(h, m)
+                )
+                share = Fraction(failed, math.comb(m, s))
+                key = name, method, delta
+                if key not in worst or share > worst[key][0]:
+                    worst[key] = share, m, h, s
+    return worst
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     max_n = int(args[0]) if args else 8
@@ -200,7 +285,18 @@ def main(argv=None) -> int:
             f"  {bound_id} [{method}]: {float(share):.4f} "
             f"(world {counts}, s={size}) {verdict}"
         )
-    return 0 if all(share <= DELTA for share, _, _ in worst.values()) else 1
+    recall = batch_recall_shares()
+    print("worst exact failure share of the batch recall term, |M| <= 10:")
+    for (name, method, delta), (share, m, h, s) in sorted(
+        recall.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2])
+    ):
+        verdict = "ok" if share <= delta else "OVER DELTA"
+        print(
+            f"  {name} [{method.value}] delta={delta}: {float(share):.4f} "
+            f"(|M|={m}, h={h}, s={s}) {verdict}"
+        )
+    ok = all(share <= DELTA for share, _, _ in worst.values())
+    return 0 if ok and all(v[0] <= k[2] for k, v in recall.items()) else 1
 
 
 if __name__ == "__main__":
