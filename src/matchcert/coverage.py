@@ -182,7 +182,8 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
         return spawn_rng(cfg.seed, idx, purpose)
 
     # samples are drawn as positions, in the truth's keys (key order is
-    # sorted pair order) and in X; the seeds are truth keys
+    # sorted pair order) and in X. The seeds are truth keys: one-to-one, so
+    # the order percolation takes them in does not matter
     m = truth.keys.size
     train = truth.keys[np.sort(sample_indices(m, min(sizes.train, m), rng(1)))]
     drawn = truth.keys[sample_indices(m, min(sizes.s_m, m), rng(2))]
@@ -190,8 +191,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     x_at = sample_indices(len(x_nodes), sizes.s_x, rng(3))
     s_x = tuple(map(x_nodes.__getitem__, x_at.tolist()))
     s_x_prime = tuple(sample_without_replacement(x_nodes, sizes.s_x_prime, rng(4)))
-    # every reader of actual_for (each certificate) reads the nodes of s_x
-    # only, and the complete matcher's seeds hold their truth keys
+    # every reader of actual_for (each certificate) reads s_x's nodes only
     actual_for = matches_of(truth, pair, s_x)
     sampled = np.bincount(x_at, minlength=len(x_nodes)) > 0
     verified = truth.keys[sampled[truth.keys // len(truth.y_ids)]]
