@@ -15,15 +15,14 @@ with known actual matches, these functions certify:
   only the holdout matcher must be independent of them.
 
 Every certificate spends the input's ``delta``, split equally over its
-own bound terms, and reports one delta part per term.
-:func:`batch_reports` runs every certificate an input supports. The
-precision and complete certificates take an optional ``two_terms``, which
-returns the recall and match-density terms; batch_reports passes one that
-computes them when the first of those certificates asks, from s_m's
-hits, which it reads once and passes to ``holdout_batch_recall`` too, for
-the recall terms at the full and at half the delta. Each report's
-digest fields come from the input its own certificate was given (see
-:mod:`.reports`).
+own bound terms, and reports one delta part per term. A certificate's
+optional arguments are what :func:`batch_reports`, which runs every
+certificate an input supports, has already computed: s_m's ``hits`` for
+a holdout certificate's recall term, and, for a complete certificate,
+``held``, the holdout-batch-precision report, whose recall and
+match-density terms it reads back (``reports.terms_of``). A certificate
+called without them computes them itself. Each report's digest fields
+come from the input its own certificate was given (see :mod:`.reports`).
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
@@ -44,7 +43,6 @@ the per-x check also implies that s_m has at most k_y·|X| pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -60,6 +58,7 @@ from .reports import (
     ValidationReport,
     build_report,
     require_distinct,
+    terms_of,
     verified_sample,
 )
 
@@ -167,23 +166,15 @@ def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     sampled node with more than k_y verified matches breaks that range
     (``ky-violated``, naming the first such node in sample order).
     """
-    verified_sample(inp.pair, inp.s_x, inp.actual_for)
-    values = [float(len(inp.actual_for[x])) for x in inp.s_x]
-    over = [x for x, count in zip(inp.s_x, values) if count > inp.k_y]
-    if over:
+    counts = verified_sample(inp.pair, inp.s_x, inp.actual_for)[2]
+    over = counts > inp.k_y
+    if over.any():
+        x = inp.s_x[int(np.argmax(over))]
         raise MatchcertError(
-            f"ky-violated: node {over[0]!r} has more than k_y={inp.k_y} actual matches"
+            f"ky-violated: node {x!r} has more than k_y={inp.k_y} actual matches"
         )
+    values = counts.tolist()
     return bound_term(inp.n_x, values, inp.method, delta, "lower", hi=float(inp.k_y))
-
-
-def _two_terms(inp: BatchValidationInput, hits: list | None = None) -> dict[str, Term]:
-    """The recall and match-density terms, each at half the delta."""
-    delta = Confidence(inp.delta / 2)
-    return {
-        "recall_term": _recall_term(inp, delta, hits or _recall_hits(inp)),
-        "match_density_term": _density_term(inp, delta),
-    }
 
 
 def _precision_scale(n_x: int, m_hat_size: int, terms: Mapping) -> float:
@@ -207,13 +198,17 @@ def holdout_batch_recall(
 
 
 def holdout_batch_precision(
-    inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
+    inp: BatchValidationInput, hits: list | None = None
 ) -> ValidationReport:
     identified = inp.m_hat_holdout.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
-    terms = two_terms() if two_terms else _two_terms(inp)
-    terms = {**terms, "identified_count": float(identified)}
+    delta = Confidence(inp.delta / 2)
+    terms = {
+        "recall_term": _recall_term(inp, delta, hits or _recall_hits(inp)),
+        "match_density_term": _density_term(inp, delta),
+        "identified_count": float(identified),
+    }
     return build_report(
         "holdout-batch-precision",
         (inp.delta / 2,) * 2,
@@ -235,10 +230,11 @@ def _disagreement(inp: BatchValidationInput, m_hat: MatchSet) -> int:
 
 
 def complete_batch_recall(
-    inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
+    inp: BatchValidationInput, held: ValidationReport | None = None
 ) -> ValidationReport:
     m_hat = _require_complete(inp)
-    terms = two_terms() if two_terms else _two_terms(inp)
+    terms = terms_of(held or holdout_batch_precision(inp))
+    del terms["identified_count"]
     disagreement = _disagreement(inp, m_hat)
     recall, density = terms["recall_term"].value, terms["match_density_term"].value
     return build_report(
@@ -252,13 +248,13 @@ def complete_batch_recall(
 
 
 def complete_batch_precision(
-    inp: BatchValidationInput, two_terms: Callable[[], Mapping] | None = None
+    inp: BatchValidationInput, held: ValidationReport | None = None
 ) -> ValidationReport:
     m_hat = _require_complete(inp)
     identified = m_hat.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: complete identified set is empty")
-    terms = two_terms() if two_terms else _two_terms(inp)
+    terms = terms_of(held or holdout_batch_precision(inp))
     disagreement = _disagreement(inp, m_hat)
     return build_report(
         "complete-batch-precision",
@@ -280,22 +276,21 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     Each report fails with probability at most ``inp.delta``, so they hold
     jointly by the union bound. The holdout certificates see the input
     without the complete set. s_m is checked, encoded and matched once,
-    for the recall terms at the full and at half the delta, and the three
-    two-term certificates share one recall and one match-density term,
-    computed when the first of them needs it, so the errors raised and
-    their order are those of the certificates run one by one.
+    for the recall terms at the full and at half the delta, and the
+    complete certificates read their terms from the holdout-batch-precision
+    report, so the errors raised and their order are those of the
+    certificates run one by one.
     """
     holdout = replace(inp, m_hat_complete=None)
     hits = _recall_hits(inp)
-    two_terms = cache(lambda: _two_terms(inp, hits))
     reports = [
         holdout_batch_recall(holdout, hits),
-        holdout_batch_precision(holdout, two_terms),
+        held := holdout_batch_precision(holdout, hits),
     ]
     if inp.m_hat_complete is not None:
         reports += [
-            complete_batch_recall(inp, two_terms),
-            complete_batch_precision(inp, two_terms),
+            complete_batch_recall(inp, held),
+            complete_batch_precision(inp, held),
         ]
     return reports
 

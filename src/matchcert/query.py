@@ -31,28 +31,28 @@ and complete-query-recall two, R_H and the matched fraction of X (a
 lower bound on |D_a| / |X|), at delta / 2 each.
 
 One stage, :func:`query_columns`, checks the samples and runs each
-matcher once. It maps s_x to positions and counts, per node, from the
-match sets' keys (``np.bincount`` over ``key // n_y``, membership by
-binary search): the identified and actual matches, the hits, and the
-holdout-only and complete-only matches. From these it builds float
-columns: p, r, w and the matched indicator over s_x, in s_x order, and
-d_r, d_p and the disagreement indicator over all of X. Every certificate
-and ``compute_node_stats`` reads these columns. The two matchers are
-compared by their outputs only: a complete matcher that identifies the
-holdout one's sets has zero census columns, so its certificates give the
-holdout bounds. The second sample s_x' feeds only
-``compute_node_stats`` and the digest; it is checked like s_x. The
-samples are drawn without replacement, so a node repeated in s_x or s_x'
-(or a pair in a batch input's s_m) is rejected with
-``duplicate-sample-item``: it would be counted as several independent
-draws. A verified match outside Y, or an identity pair in self-match
-mode, fails (``unknown-node``, ``identity-pair-forbidden``) rather than
-count as an actual match that was missed. Each certificate,
-:func:`query_reports` and :func:`compute_node_stats` take optional
-``columns``; ``validate query`` builds them once for its reports and
-node statistics, and a call without them builds them itself.
-Each report's digest fields come from the input its own certificate was
-given (see :mod:`.reports`).
+matcher once. It takes s_x's positions and actual-match counts from
+``reports.verified_sample`` and counts, per node, from the match sets'
+keys (``np.bincount`` over ``key // n_y``, membership by binary search):
+the identified matches, the hits, and the holdout-only and complete-only
+matches. From these it builds float columns: p, r, w and the matched
+indicator over s_x, in s_x order, and d_r, d_p and the disagreement
+indicator over all of X. Every certificate and ``compute_node_stats``
+reads these columns. The two matchers are compared by their outputs
+only: a complete matcher that identifies the holdout one's sets has zero
+census columns, so its certificates give the holdout bounds. The second
+sample s_x' feeds only ``compute_node_stats`` and the digest; it is
+checked like s_x. A node repeated in s_x or s_x' would count as several
+independent draws (``duplicate-sample-item``), and a verified match
+outside Y or an identity pair in self-match mode as a missed actual match
+(``unknown-node``, ``identity-pair-forbidden``). A certificate's
+optional arguments are what :func:`query_reports` has already computed:
+``columns`` and, for the complete precision and error rate, ``held``,
+the holdout report whose term they read back (``reports.terms_of``). A
+call without them computes them itself; ``validate query`` builds the
+columns once for its reports and ``compute_node_stats``. Each report's
+digest fields come from the input its own certificate was given (see
+:mod:`.reports`).
 
 The truth oracle, :func:`exact_metrics`, reads keys too: one binary
 search of each set's keys in the other's gives every exact batch and
@@ -87,12 +87,12 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundMethod, Confidence, Term, bound_term
+from .bounds import BoundMethod, Confidence, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
 from .matchers import MatcherHandle, run_batch
 from .reports import ValidationReport, build_report
-from .reports import sample_positions, verified_sample
+from .reports import sample_positions, terms_of, verified_sample
 
 __all__ = [
     "PerNodeStats",
@@ -190,14 +190,13 @@ def query_columns(inp: QueryValidationInput) -> Columns:
     The samples are checked first (see ``reports.verified_sample``): s_x
     with its ``actual_for``, then s_x' when it is non-empty.
     """
-    at, verified = verified_sample(inp.pair, inp.s_x, inp.actual_for)
+    at, verified, n_actual = verified_sample(inp.pair, inp.s_x, inp.actual_for)
     if inp.s_x_prime:
         sample_positions(inp.pair.x_net.index, "s_x_prime", inp.s_x_prime)
     m_hat = run_batch(inp.holdout, inp.pair)
     n, n_x, n_y = len(inp.s_x), inp.n_x, len(inp.pair.y_net.index.ids)
 
     # the verified nodes: identified, actual and both, per node
-    n_actual = np.fromiter((len(inp.actual_for[x]) for x in inp.s_x), np.int64, n)
     owner = np.repeat(np.arange(n), n_actual)
     hits = np.bincount(owner, weights=m_hat.contains(verified), minlength=n)
     h = _per_x(m_hat.keys, n_x, n_y)
@@ -329,12 +328,6 @@ def complete_query_recall(
     )
 
 
-def _terms_of(report: ValidationReport) -> dict:
-    """A report's terms as ``build_report`` was given them."""
-    how = report.term_methods
-    return {k: Term(v, how[k]) if k in how else v for k, v in report.terms.items()}
-
-
 def complete_query_precision(
     inp: QueryValidationInput,
     columns: Columns | None = None,
@@ -349,7 +342,7 @@ def complete_query_precision(
     _require_complete(inp)
     columns = columns or query_columns(inp)
     delta = Confidence(inp.delta)
-    terms = _terms_of(held) if held else _holdout_term(inp, columns, "precision", delta)
+    terms = terms_of(held) if held else _holdout_term(inp, columns, "precision", delta)
     damage = math.fsum(columns.d_p.tolist())
     d_h, d_c = columns.identified, columns.complete
     terms.update(
@@ -381,7 +374,7 @@ def error_rate_bounds(
     needs the holdout matcher to err or the two matchers to differ.
     """
     columns = columns or query_columns(inp)
-    error = _terms_of(held)["error_term"] if held else bound_term(
+    error = terms_of(held)["error_term"] if held else bound_term(
         inp.n_x, columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
     )
     terms, value, variant = {"error_term": error}, error.value, "holdout"

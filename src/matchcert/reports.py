@@ -4,8 +4,9 @@ A report's ``inputs_digest`` hashes one plain JSON object: the fields of
 its certificate's input, as plain JSON values that a callable returns
 when the digest is first read, plus the bound id and the report's delta
 parts. The sampled-node checks that both certifiers run on s_x
-(and the query certifier on s_x') are :func:`sample_positions`, and
-:func:`verified_sample` adds the checks of s_x's verified matches.
+(and the query certifier on s_x') are :func:`sample_positions`;
+:func:`verified_sample` adds the checks and the per-node counts of s_x's
+verified matches, and :func:`terms_of` reads a report's terms back.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "digest_of",
     "require_distinct",
     "sample_positions",
+    "terms_of",
     "verified_sample",
 ]
 
@@ -75,14 +77,15 @@ def sample_positions(
 
 def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
     """The positions in X of the sampled ``nodes`` (s_x, checked by
-    :func:`sample_positions`) and the keys of their verified pairs, node
-    after node, encoded from the positions of their ends. A bad pair fails
+    :func:`sample_positions`), the keys of their verified pairs, node after
+    node, and each node's count of them. A bad pair fails
     ``graphs.pair_keys``' checks, which name the first in node order and
     each node's matches in id order, non-strings last and by ``str``, so
     the error does not depend on the set iteration order."""
     at = sample_positions(pair.x_net.index, "s_x", nodes, actual_for)
     found = list(map(actual_for.__getitem__, nodes))
-    x_at = np.repeat(at, np.fromiter(map(len, found), np.int64, len(found)))
+    counts = np.fromiter(map(len, found), np.int64, len(found))
+    x_at = np.repeat(at, counts)
     y_at = pair.y_net.index.positions(list(chain.from_iterable(found)))
     # in self-match mode one shared universe: equal positions, equal ids
     if ((y_at < 0) | ((x_at == y_at) & pair.self_match_mode)).any():
@@ -91,7 +94,7 @@ def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
             for x, ys in zip(nodes, found)
             for y in sorted(ys, key=lambda y: (not isinstance(y, str), str(y)))
         ])
-    return at, x_at * len(pair.y_net.index.ids) + y_at
+    return at, x_at * len(pair.y_net.index.ids) + y_at, counts
 
 
 def digest_of(payload) -> str:
@@ -237,6 +240,12 @@ def build_report(
         flags=flags,
         payload=inputs,
     )
+
+
+def terms_of(report: ValidationReport) -> dict:
+    """A report's terms as ``build_report`` was given them."""
+    how = report.term_methods
+    return {k: Term(v, how[k]) if k in how else v for k, v in report.terms.items()}
 
 
 @dataclass(frozen=True)

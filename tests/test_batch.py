@@ -353,6 +353,20 @@ class TestCompleteVariants:
         with pytest.raises(MatchcertError, match=error):
             batch_reports(inp)
 
+    def test_empty_holdout_set_rejected(self, world):
+        # a complete certificate reads its terms from the holdout-batch-
+        # precision report, which an empty holdout set cannot give, even
+        # when the certificate is called on its own
+        pair, truth, _, m_hat_c, s_m, s_x = self.make_inputs(world)
+        empty = make_match_set([], pair)
+        inp = base_input(
+            pair, truth, empty, s_m, s_x, HOEFF, 0.05, m_hat_complete=m_hat_c
+        )
+        error = "^no-identified-matches: holdout identified set is empty$"
+        for certify in (complete_batch_recall, complete_batch_precision, batch_reports):
+            with pytest.raises(MatchcertError, match=error):
+                certify(inp)
+
     def test_k_y_below_one_rejected(self, world):
         pair, truth, m_hat_h, _, s_m, s_x = self.make_inputs(world)
         with pytest.raises(MatchcertError, match="^invalid-ky: 0$"):
@@ -591,6 +605,34 @@ class TestSharedTerms:
             ):
                 with pytest.raises(MatchcertError, match="no-identified-matches"):
                     batch_reports(no_matches)
+
+
+class TestCompleteReadsHoldout:
+    """A complete certificate reads its recall and match-density terms from
+    the holdout-batch-precision report (``held``)."""
+
+    def test_complete_certificates_read_the_holdout_terms(self, world):
+        reports = {r.bound_id: r for r in batch_reports(complete_world_input(*world))}
+        held = reports["holdout-batch-precision"]
+        for bound_id in ("complete-batch-recall", "complete-batch-precision"):
+            complete = reports[bound_id]
+            assert complete.terms["disagreement_count"] > 0
+            for term in ("recall_term", "match_density_term"):
+                assert complete.terms[term].hex() == held.terms[term].hex()
+                assert complete.term_methods[term] == held.term_methods[term]
+
+    def test_one_verified_sample_and_three_bound_terms(self, world, monkeypatch):
+        import matchcert.batch as batch
+
+        calls = []
+        for name in ("verified_sample", "bound_term"):
+            def counting(*args, call=getattr(batch, name), name=name, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(batch, name, counting)
+        assert len(batch_reports(complete_world_input(*world))) == 4
+        assert sorted(calls) == ["bound_term"] * 3 + ["verified_sample"]
 
 
 class TestDeferredDigest:

@@ -1053,6 +1053,19 @@ class TestViewsOnce:
             assert complete.term_methods[term] == held.term_methods[term]
         assert reports["complete-query-error-rate"].terms["disagreement"] > 0
 
+    def test_one_verified_sample_and_five_bound_terms(self, monkeypatch):
+        import matchcert.query as query
+
+        calls = []
+        for name in ("verified_sample", "bound_term"):
+            def counting(*args, call=getattr(query, name), name=name, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(query, name, counting)
+        assert len(query_reports(_views_world())) == 6
+        assert sorted(calls) == ["bound_term"] * 5 + ["verified_sample"]
+
     def test_sample_columns_and_census_columns(self):
         import matchcert.query as query
 
