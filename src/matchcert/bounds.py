@@ -49,7 +49,6 @@ __all__ = [
     "bound_mean",
     "Term",
     "bound_term",
-    "is_binary_sample",
 ]
 
 # Constant in the empirical Bernstein-Serfling range term: 7/3 + 3/sqrt(2).
@@ -454,10 +453,6 @@ def hypergeom_invert_upper(n: int, s: int, k: int, delta: Confidence) -> float:
     return (n - _least_m(n, s, s - k, delta)) / n
 
 
-def is_binary_sample(sample: SampleSummary) -> bool:
-    return set(sample.values) <= {0.0, 1.0}
-
-
 def bound_mean(
     pop: PopulationSpec,
     sample: SampleSummary,
@@ -482,7 +477,7 @@ def bound_mean(
         lower = res.lower if side == "lower" else pop.lo
         upper = res.upper if side == "upper" else pop.hi
         return BoundResult(res.estimate, lower, upper, delta, method, res.diagnostics)
-    if (pop.lo, pop.hi) != (0.0, 1.0) or not is_binary_sample(sample):
+    if (pop.lo, pop.hi) != (0.0, 1.0) or not set(sample.values) <= {0.0, 1.0}:
         raise MatchcertError(
             "method-requires-binary: hypergeometric-exact needs 0/1 "
             "values with range (0, 1)"

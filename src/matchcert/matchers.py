@@ -141,7 +141,7 @@ def _read_seeds(seeds) -> tuple[tuple[str, str], ...] | TopDegree | str:
     return seeds
 
 
-@dataclass
+@dataclass(eq=False)
 class MatcherHandle:
     """A matcher config plus the training pairs it is seeded with: string
     pairs, or a MatchSet over the pair it runs on (``universe-mismatch``
@@ -154,8 +154,8 @@ class MatcherHandle:
 
     config: MatcherConfig
     training_matches: tuple[tuple[str, str], ...] | MatchSet = ()
-    _cache_pair: NetworkPair | None = field(default=None, repr=False, compare=False)
-    _cache_result: MatchSet | None = field(default=None, repr=False, compare=False)
+    _cache_pair: NetworkPair | None = field(default=None, repr=False)
+    _cache_result: MatchSet | None = field(default=None, repr=False)
 
 
 def build_matcher(
