@@ -140,8 +140,8 @@ def _recall_hits(inp: BatchValidationInput) -> list[float]:
     0.0, after checking s_m."""
     if not inp.s_m:
         raise MatchcertError("empty-sample: s_m has no verified matches")
-    require_distinct("s_m", inp.s_m)
     keys = pair_keys(inp.pair, "s_m", inp.s_m)
+    require_distinct("s_m", list(map(tuple, inp.s_m)))  # a pair may be a list
     over = np.bincount(keys // len(inp.pair.y_net.index.ids)) > inp.k_y
     if over.any():
         x = inp.pair.x_net.index.ids[int(np.argmax(over))]

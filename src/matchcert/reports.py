@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
@@ -43,14 +44,16 @@ VACUOUS_DENOMINATOR = "vacuous-denominator"
 def require_distinct(name: str, items: Sequence) -> None:
     """Raise ``duplicate-sample-item`` naming the first item of ``items``
     that repeats an earlier one: a without-replacement sample (the field
-    ``name`` of a certificate input) has distinct items."""
-    if len(set(items)) == len(items):
-        return
+    ``name`` of a certificate input) has distinct items. An item that
+    cannot be hashed is no node id (``unknown-node``): ids are strings."""
     seen = set()
     for item in items:
-        if item in seen:
-            raise MatchcertError(f"duplicate-sample-item: {name} repeats {item!r}")
-        seen.add(item)
+        try:
+            if item in seen:
+                raise MatchcertError(f"duplicate-sample-item: {name} repeats {item!r}")
+            seen.add(item)
+        except TypeError:
+            raise MatchcertError(f"unknown-node: {item!r}") from None
 
 
 def sample_positions(
@@ -60,7 +63,8 @@ def sample_positions(
     sampled ``nodes``, the field ``name`` of a certificate input, after
     checking, in order: the sample is non-empty (``empty-sample``), repeats
     no node (``duplicate-sample-item``), has verified matches for every
-    node when ``actual_for`` is given (``missing-actual``), and holds only
+    node when ``actual_for`` is given (``missing-actual``), each a set,
+    frozenset, list or tuple of ids (``invalid-actual``), and holds only
     nodes of the network (``unknown-node``)."""
     if not nodes:
         raise MatchcertError(f"empty-sample: {name} has no nodes")
@@ -69,6 +73,8 @@ def sample_positions(
         for x in nodes:
             if x not in actual_for:
                 raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
+            if not isinstance(actual_for[x], (set, frozenset, list, tuple)):
+                raise MatchcertError(f"invalid-actual: {x!r} maps to {actual_for[x]!r}")
     at = index.positions(nodes)
     if (at < 0).any():
         raise MatchcertError(f"unknown-node: {nodes[int(np.argmax(at < 0))]!r}")
@@ -85,8 +91,9 @@ def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
     at = sample_positions(pair.x_net.index, "s_x", nodes, actual_for)
     found = list(map(actual_for.__getitem__, nodes))
     counts = np.fromiter(map(len, found), np.int64, len(found))
-    x_at = np.repeat(at, counts)
-    y_at = pair.y_net.index.positions(list(chain.from_iterable(found)))
+    x_at, y_at = np.repeat(at, counts), np.full(counts.sum(), -1)
+    with suppress(TypeError):  # an unhashable match is no node id
+        y_at = pair.y_net.index.positions(list(chain.from_iterable(found)))
     # in self-match mode one shared universe: equal positions, equal ids
     if ((y_at < 0) | ((x_at == y_at) & pair.self_match_mode)).any():
         pair_keys(pair, "actual_for", [

@@ -109,18 +109,19 @@ COVERAGE = {
     "seed": 0,
 }
 
-def _verified_on_ab(certify, actual_for):
-    """``certify``'s reports on pair AB, with s_x = (b, a) and the verified
-    matches ``actual_for`` of a; b has none."""
-    s_x, actual_for = ("b", "a"), {"b": frozenset(), **actual_for}
+def _verified_on_ab(certify, actual_for, s_x=("b", "a"), s_m=(("a", "a"),), **query):
+    """``certify``'s reports on pair AB, with s_x (b, a) and the verified
+    matches ``actual_for`` of a, where b has none, unless given; ``s_m``
+    feeds a batch input and ``query`` (s_x_prime) a query input."""
+    actual_for = {"b": frozenset(), **actual_for}
     if certify is batch_reports:
         return certify(BatchValidationInput(
-            AB, make_match_set([("a", "a")], AB), (("a", "a"),), s_x, actual_for,
+            AB, make_match_set([("a", "a")], AB), s_m, s_x, actual_for,
             BoundMethod.HOEFFDING, 0.05,
         ))
     holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
     return certify(QueryValidationInput(
-        AB, holdout, s_x, actual_for, BoundMethod.HOEFFDING, 0.05
+        AB, holdout, s_x, actual_for, BoundMethod.HOEFFDING, 0.05, **query
     ))
 
 
@@ -274,12 +275,60 @@ ESCAPES = [
         lambda: _verified_on_ab(query_reports, {"a": frozenset({"a", 5, "b", 7})}),
         "actual_for pair ('a', 5) is not a pair of node ids",
     ),
+    # verified matches that are no collection of ids: a string was read as
+    # its characters (here the two nodes a and b of Y), None and an int
+    # escaped from len(), on either certifier
+    ("invalid-actual", lambda: _verified_on_ab(batch_reports, {"a": "ab"}), "'a' maps to 'ab'"),
+    ("invalid-actual", lambda: _verified_on_ab(query_reports, {"a": "ab"}), "'a' maps to 'ab'"),
+    ("invalid-actual", lambda: _verified_on_ab(batch_reports, {"a": None}), "'a' maps to None"),
+    ("invalid-actual", lambda: _verified_on_ab(query_reports, {"a": 3}), "'a' maps to 3"),
+    (
+        "invalid-edge",
+        lambda: _verified_on_ab(query_reports, {"a": [["a"]]}),
+        "actual_for pair ('a', ['a']) is not a pair of node ids",
+    ),
+    # unhashable sample items, which escaped from the duplicate check
+    (
+        "unknown-node",
+        lambda: _verified_on_ab(batch_reports, {}, s_x=("b", ["a"])),
+        "['a']",
+    ),
+    (
+        "unknown-node",
+        lambda: _verified_on_ab(query_reports, {}, s_x=("b", ["a"])),
+        "['a']",
+    ),
+    (
+        "unknown-node",
+        lambda: _verified_on_ab(query_reports, {"a": ()}, s_x_prime=("a", ["b"])),
+        "['b']",
+    ),
+    (
+        "invalid-edge",
+        lambda: _verified_on_ab(batch_reports, {}, s_m=(("a", ["a"]),)),
+        "s_m pair ('a', ['a']) is not a pair of node ids",
+    ),
+    (
+        # a list pair is the pair of its ids, as graphs.pair_keys reads it
+        "duplicate-sample-item",
+        lambda: _verified_on_ab(batch_reports, {}, s_m=(["a", "a"], ("a", "a"))),
+        "s_m repeats ('a', 'a')",
+    ),
 ]
 
 
 @pytest.mark.parametrize("token, call, text", ESCAPES, ids=_ids(ESCAPES))
 def test_python_api_input_fails_with_its_token(token, call, text):
     _raises(token, call, text)
+
+
+@pytest.mark.parametrize("certify", [batch_reports, query_reports])
+def test_list_matches_and_list_pairs_read_as_sets_and_tuples(certify):
+    want = _verified_on_ab(certify, {"a": frozenset({"a"})})
+    for actual_for in ({"a": ["a"], "b": []}, {"a": ("a",), "b": set()}):
+        assert _verified_on_ab(certify, actual_for) == want
+    if certify is batch_reports:
+        assert _verified_on_ab(certify, {"a": {"a"}}, s_m=(["a", "a"],)) == want
 
 
 def test_numpy_integers_are_seeds_and_sizes():
