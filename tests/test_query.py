@@ -1037,25 +1037,6 @@ class TestViewsOnce:
         import matchcert.query as query
 
         inp = _views_world()
-        calls, bound_term = [], query.bound_term
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return bound_term(*args, **kwargs)
-
-        monkeypatch.setattr(query, "bound_term", counting)
-        reports = {r.bound_id: r for r in query_reports(inp)}
-        assert len(calls) == 5 and len(reports) == 6
-        for quantity, term in (("precision", "precision_term"), ("error-rate", "error_term")):
-            held = reports[f"holdout-query-{quantity}"]
-            complete = reports[f"complete-query-{quantity}"]
-            assert complete.terms[term].hex() == held.terms[term].hex()
-            assert complete.term_methods[term] == held.term_methods[term]
-        assert reports["complete-query-error-rate"].terms["disagreement"] > 0
-
-    def test_one_verified_sample_and_five_bound_terms(self, monkeypatch):
-        import matchcert.query as query
-
         calls = []
         for name in ("verified_sample", "bound_term"):
             def counting(*args, call=getattr(query, name), name=name, **kwargs):
@@ -1063,8 +1044,16 @@ class TestViewsOnce:
                 return call(*args, **kwargs)
 
             monkeypatch.setattr(query, name, counting)
-        assert len(query_reports(_views_world())) == 6
+        reports = {r.bound_id: r for r in query_reports(inp)}
+        # s_x's verified matches are checked and counted once
         assert sorted(calls) == ["bound_term"] * 5 + ["verified_sample"]
+        assert len(reports) == 6
+        for quantity, term in (("precision", "precision_term"), ("error-rate", "error_term")):
+            held = reports[f"holdout-query-{quantity}"]
+            complete = reports[f"complete-query-{quantity}"]
+            assert complete.terms[term].hex() == held.terms[term].hex()
+            assert complete.term_methods[term] == held.term_methods[term]
+        assert reports["complete-query-error-rate"].terms["disagreement"] > 0
 
     def test_sample_columns_and_census_columns(self):
         import matchcert.query as query
