@@ -26,9 +26,12 @@ come from the input its own certificate was given (see :mod:`.reports`).
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
-holdout-minus-complete count are key counts. The samples are drawn
-without replacement, so a term that reads ``s_m`` or ``s_x`` rejects a
-repeated pair or node (``duplicate-sample-item``). It also rejects a pair
+holdout-minus-complete count are key counts. An s_m or ``actual_for``
+given as a MatchSet (as a coverage trial gives the truth's keys) is read
+as keys; string pairs and ids are checked and encoded. The samples are
+drawn without replacement, so a term that reads ``s_m`` or ``s_x``
+rejects a repeated pair or node (``duplicate-sample-item``; a MatchSet's
+keys are distinct). It also rejects a pair
 with an endpoint outside X or Y, and a node outside X (``unknown-node``),
 which would otherwise count as a miss or as a node with no matches; an
 identity pair in self-match mode (``identity-pair-forbidden``), in s_m
@@ -78,21 +81,24 @@ class BatchValidationInput:
     """Inputs shared by the batch certificates.
 
     ``s_m`` is a sample drawn uniformly without replacement from the
-    actual matches; ``s_x`` likewise from the x universe, with
-    ``actual_for`` giving the verified actual matches for each sampled
-    node. ``delta`` is each certificate's failure probability, split
-    equally over its terms. ``k_y`` caps any x's actual matches, so
-    |M| <= k_y·|X|. ``m_size`` is |M| when known; without it the recall
-    term stands in k_y·|X| and uses Hoeffding for the exact method. Both
-    identified sets must be over ``pair``'s node universes
+    actual matches: (x, y) id pairs, or a MatchSet of them. ``s_x`` is
+    drawn likewise from the x universe, with ``actual_for`` giving the
+    verified actual matches of each sampled node: a mapping from each to
+    its ids, or a MatchSet whose rows are them (see
+    ``reports.verified_sample``). ``delta`` is each certificate's failure
+    probability, split equally over its terms. ``k_y`` caps any x's
+    actual matches, so |M| <= k_y·|X|. ``m_size`` is |M| when known;
+    without it the recall term stands in k_y·|X| and uses Hoeffding for
+    the exact method. Both identified sets, and s_m and ``actual_for``
+    when they are MatchSets, must be over ``pair``'s node universes
     (``universe-mismatch`` otherwise).
     """
 
     pair: NetworkPair
     m_hat_holdout: MatchSet
-    s_m: tuple[tuple[str, str], ...]
+    s_m: tuple[tuple[str, str], ...] | MatchSet
     s_x: tuple[str, ...]
-    actual_for: Mapping[str, frozenset[str]]
+    actual_for: Mapping[str, frozenset[str]] | MatchSet
     method: BoundMethod
     delta: float
     k_y: int = 1
@@ -104,9 +110,9 @@ class BatchValidationInput:
         if self.k_y < 1:
             raise MatchcertError(f"invalid-ky: {self.k_y}")
         universe = self.pair.x_net.index.ids, self.pair.y_net.index.ids
-        for m_hat in (self.m_hat_holdout, self.m_hat_complete):
-            if m_hat is not None:
-                m_hat.check_universe(*universe)
+        for ms in (self.m_hat_holdout, self.m_hat_complete, self.s_m):
+            if isinstance(ms, MatchSet):
+                ms.check_universe(*universe)
 
     @property
     def n_x(self) -> int:
@@ -130,18 +136,25 @@ def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
         # a sorted tuple of pairs encodes as the sorted list of [x, y]
         "m_hat_holdout": holdout.sorted_pairs,
         "m_hat_complete": complete.sorted_pairs if complete else None,
-        "s_m": sorted(map(list, s_m)),
+        "s_m": (
+            s_m.sorted_pairs if isinstance(s_m, MatchSet) else sorted(map(list, s_m))
+        ),
         "s_x": sorted(s_x),
     }
 
 
 def _recall_hits(inp: BatchValidationInput) -> list[float]:
     """Whether the holdout matcher identifies each pair of s_m, as 1.0 or
-    0.0, after checking s_m."""
-    if not inp.s_m:
+    0.0, after checking s_m: in s_m's order, or key order for a MatchSet.
+    The values are 0/1, so their order changes no bound."""
+    s_m, is_set = inp.s_m, isinstance(inp.s_m, MatchSet)
+    if not (s_m.keys.size if is_set else s_m):
         raise MatchcertError("empty-sample: s_m has no verified matches")
-    keys = pair_keys(inp.pair, "s_m", inp.s_m)
-    require_distinct("s_m", list(map(tuple, inp.s_m)))  # a pair may be a list
+    if is_set:  # its keys are distinct and over the pair's universes
+        keys = s_m.keys
+    else:
+        keys = pair_keys(inp.pair, "s_m", s_m)
+        require_distinct("s_m", list(map(tuple, s_m)))  # a pair may be a list
     over = np.bincount(keys // len(inp.pair.y_net.index.ids)) > inp.k_y
     if over.any():
         x = inp.pair.x_net.index.ids[int(np.argmax(over))]
@@ -187,12 +200,13 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: Mapping) -> float:
 def holdout_batch_recall(
     inp: BatchValidationInput, hits: list | None = None
 ) -> ValidationReport:
-    recall = _recall_term(inp, Confidence(inp.delta), hits or _recall_hits(inp))
+    hits = hits or _recall_hits(inp)
+    recall = _recall_term(inp, Confidence(inp.delta), hits)
     return build_report(
         "holdout-batch-recall",
         (inp.delta,),
         _payload(inp),
-        {"recall_term": recall, "sample_size": float(len(inp.s_m))},
+        {"recall_term": recall, "sample_size": float(len(hits))},
         recall.value,
     )
 

@@ -30,7 +30,6 @@ from .graphs import (
     NetworkPair,
     load_matches,
     load_network,
-    matches_of,
     read_items,
     read_pairs,
     save_matches,
@@ -166,14 +165,12 @@ def cmd_validate_batch(args) -> int:
     pair = _load_pair(args)
     m_hat_h = load_matches(args.m_hat_holdout, pair)
     m_hat_c = load_matches(args.m_hat_complete, pair) if args.m_hat_complete else None
-    s_m = tuple(read_pairs(args.s_m))
-    s_x = tuple(read_items(args.s_x))
     inp = BatchValidationInput(
         pair=pair,
         m_hat_holdout=m_hat_h,
-        s_m=s_m,
-        s_x=s_x,
-        actual_for=matches_of(load_matches(args.actual, pair), pair, s_x),
+        s_m=tuple(read_pairs(args.s_m)),
+        s_x=tuple(read_items(args.s_x)),
+        actual_for=load_matches(args.actual, pair),
         delta=_delta(args.delta),
         method=BoundMethod.parse(args.method),
         k_y=args.k_y,
@@ -204,13 +201,12 @@ def cmd_validate_query(args) -> int:
             else holdout_cfg,
             read_pairs(args.seeds_complete) if args.seeds_complete else seeds,
         )
-    s_x = tuple(read_items(args.s_x))
     inp = QueryValidationInput(
         pair=pair,
         holdout=holdout,
-        s_x=s_x,
+        s_x=tuple(read_items(args.s_x)),
         s_x_prime=tuple(read_items(args.s_x_prime)) if args.s_x_prime else (),
-        actual_for=matches_of(load_matches(args.actual, pair), pair, s_x),
+        actual_for=load_matches(args.actual, pair),
         delta=_delta(args.delta),
         method=BoundMethod.parse(args.method),
         complete=complete,

@@ -11,8 +11,10 @@ acceptance suite checks.
 
 A trial draws train and s_m as positions in the truth's keys and seeds
 the matchers with those keys, as MatchSets: train, then train, s_m and
-the verified pairs of s_x. Only the samples the certificates read (s_m,
-s_x, s_x') become node ids.
+the verified pairs of s_x. The certificates get s_m as a MatchSet of its
+truth keys and the truth itself as ``actual_for``, whose rows are s_x's
+verified matches, so no pair becomes strings; only the node samples s_x
+and s_x' become node ids.
 
 A trial that fails (``trial-failed``: a matcher identified nothing, no
 sampled node is usable, a term needs a method the sample does not allow)
@@ -42,7 +44,7 @@ import numpy as np
 from .batch import BatchValidationInput, batch_reports
 from .bounds import BoundMethod, Confidence
 from .errors import MatchcertError, read_fields
-from .graphs import MatchSet, distinct_sorted, matches_of
+from .graphs import MatchSet, distinct_sorted
 from .matchers import MatcherConfig, build_matcher, run_batch
 from .query import QueryValidationInput, exact_metrics, query_reports
 from .reports import ValidationReport
@@ -187,17 +189,15 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     m = truth.keys.size
     train = truth.keys[np.sort(sample_indices(m, min(sizes.train, m), rng(1)))]
     drawn = truth.keys[sample_indices(m, min(sizes.s_m, m), rng(2))]
-    s_m = tuple(truth.decode(drawn))
     x_at = sample_indices(len(x_nodes), sizes.s_x, rng(3))
     s_x = tuple(map(x_nodes.__getitem__, x_at.tolist()))
     s_x_prime = tuple(sample_without_replacement(x_nodes, sizes.s_x_prime, rng(4)))
-    # every reader of actual_for (each certificate) reads s_x's nodes only
-    actual_for = matches_of(truth, pair, s_x)
     sampled = np.bincount(x_at, minlength=len(x_nodes)) > 0
     verified = truth.keys[sampled[truth.keys // len(truth.y_ids)]]
     extra = distinct_sorted(np.concatenate([train, drawn, verified]))
 
     seeds = partial(MatchSet, truth.x_ids, truth.y_ids)
+    s_m = seeds(np.sort(drawn))
     holdout = build_matcher(cfg.matcher_holdout, seeds(train))
     complete = build_matcher(cfg.matcher_complete or cfg.matcher_holdout, seeds(extra))
 
@@ -220,7 +220,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
                 m_hat_holdout=m_hat_h,
                 s_m=s_m,
                 s_x=s_x,
-                actual_for=actual_for,
+                actual_for=truth,
                 method=method,
                 delta=cfg.delta_total,
                 m_hat_complete=m_hat_c,
@@ -231,7 +231,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
                 pair=pair,
                 holdout=holdout,
                 s_x=s_x,
-                actual_for=actual_for,
+                actual_for=truth,
                 method=method,
                 delta=cfg.delta_total,
                 complete=complete,

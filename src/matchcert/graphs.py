@@ -25,8 +25,9 @@ Blank and whitespace-only lines (whitespace as ``str.isspace`` defines
 it) are skipped. Node ids sort by Unicode code point.
 
 A Network is its int index (``Network.index``) plus its attributes: node
-ids sorted once, so index order is id order, an id -> position map, and
-CSR adjacency arrays. ``make_network`` builds the index from string edges;
+ids sorted once, so index order is id order, an id table that resolves an
+id to its position (``NodeIndex.positions``, the one lookup), and CSR
+adjacency arrays. ``make_network`` builds the index from string edges;
 ``load_network`` and the generator build it straight from int edge arrays
 with ``NodeIndex.build``, and both defer their attribute dicts (a
 ``Network`` holds the function that builds them, ``build_attrs``).
@@ -39,14 +40,15 @@ A MatchSet is int-native in the same way: the X and Y id lists of its
 pair, and one sorted, distinct int64 key ``x_pos * len(y_ids) + y_pos``
 per pair. Because index order is id order, key order is (x, y) id order.
 ``pair_keys`` is the one checked path from string pairs to keys: match
-files and ``make_match_set``, matcher seeds and the verified sample
+files and ``make_match_set``, matcher seeds and a string verified sample
 ``s_m`` all go through it. The generator and the matchers build keys
 directly. ``pairs``, ``sorted_pairs`` and ``by_x`` are string views of the
 keys, built on first use; ``sorted_pairs`` needs no sort. Set arithmetic
 (``MatchSet.found_in``, ``MatchSet.contains``) and per-node lookups
-(``matches_of``) read the keys with binary searches. Two sets are compared only over the same X and
-Y id lists (the same lists, or equal ones); otherwise the comparison
-raises ``universe-mismatch``. Equality means equal pairs.
+(``MatchSet.rows``, ``matches_of``) read the keys with binary searches.
+Two sets are compared only over the same X and Y id lists (the same
+lists, or equal ones); otherwise the comparison raises
+``universe-mismatch``. Equality means equal pairs.
 String ids stay at the I/O boundary and in the views.
 
 Network and match files go through one scanner (``_scan``), a few numpy
@@ -141,37 +143,59 @@ class NodeIndex(NamedTuple):
 
     The neighbours of the node at position i are
     ``nbr[indptr[i]:indptr[i + 1]]``, in ascending order.
+
+    Ids resolve through an id table that several indexes may share:
+    ``rank`` maps each id of a sorted id list that contains the network's
+    ids to its rank there, and ``at`` maps rank r to the position of its
+    id, or -1 when that id is no node here. ``at`` ends with one more -1,
+    the entry of rank -1, which stands for an id missing from the table.
+    A loaded or ``make_network`` network's table holds its own ids; a
+    generated copy shares its universe's (see ``synth``).
     """
 
     ids: list[str]  # node ids in sorted order
-    pos: dict[str, int]  # id -> position in ids
+    rank: Mapping[str, int]  # id -> rank in a sorted id list holding ids
+    at: np.ndarray  # int64 rank -> position or -1, then a -1 for rank -1
     indptr: np.ndarray  # int64, len(ids) + 1 row offsets
     nbr: np.ndarray  # int64 neighbour positions, two per edge
 
     @classmethod
     def build(
-        cls, ids: list[str], pos: dict[str, int], u: np.ndarray, v: np.ndarray
+        cls,
+        ids: list[str],
+        u: np.ndarray,
+        v: np.ndarray,
+        rank: Mapping[str, int] | None = None,
+        at: np.ndarray | None = None,
     ) -> "NodeIndex":
-        """The index over ``ids`` (sorted, distinct; ``pos`` maps each to
-        its position) with an edge between positions ``u[i]`` and ``v[i]``
-        for each i. u != v elementwise; edges may come in either
-        orientation and repeat.
+        """The index over ``ids`` (sorted, distinct) with an edge between
+        positions ``u[i]`` and ``v[i]`` for each i. u != v elementwise;
+        edges may come in either orientation and repeat. ``rank`` and ``at``
+        are the id table (see the class docstring); without them the table
+        is the ids' own, and ``rank`` when given alone maps each id to its
+        position.
 
         Both directions of every edge, as arc keys ``src * n + dst``, go
         through one distinct sort: sorted by (src, dst), each arc once,
         whatever orientation and repeats the input held. The CSR rows are
         then the runs of equal ``src``."""
         n = len(ids)
+        if rank is None:
+            rank = dict(zip(ids, range(n)))
+        if at is None:
+            at = np.arange(n + 1, dtype=np.int64)
+            at[n] = -1
         arcs = distinct_sorted(np.concatenate([u * n + v, v * n + u]))
         src, nbr = split_keys(arcs, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(ids, pos, indptr, nbr)
+        return cls(ids, rank, at, indptr, nbr)
 
     def positions(self, ids: Sequence[str]) -> np.ndarray:
         """The position of each of ``ids``, in order; -1 for an id that is
         not a node."""
-        return np.fromiter(map(self.pos.get, ids, repeat(-1)), np.int64, len(ids))
+        ranks = np.fromiter(map(self.rank.get, ids, repeat(-1)), np.int64, len(ids))
+        return self.at[ranks]
 
 
 def _edge_ids(index: NodeIndex) -> tuple[list[str], list[str]]:
@@ -277,7 +301,7 @@ def make_network(
         for text in (*values, *values.values()):
             if not isinstance(text, str) or any(c in text for c in "\t\n\r"):
                 raise MatchcertError(f"invalid-attribute: {node!r}: {text!r}")
-    return Network(NodeIndex.build(ids, pos, u, v), attrs.copy)
+    return Network(NodeIndex.build(ids, u, v, pos), attrs.copy)
 
 
 @dataclass(frozen=True)
@@ -347,6 +371,17 @@ class MatchSet:
         found = at < self.keys.size
         found[found] = self.keys[at[found]] == keys[found]
         return found
+
+    def rows(self, x_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The keys of the pairs of the x at each of the X positions
+        ``x_at``, row after row and each row in key order, and each row's
+        count, by binary search. A position -1 has no row: count 0."""
+        ny = len(self.y_ids)
+        row = x_at * ny  # -1 gives a row below every key
+        lo = np.searchsorted(self.keys, row)
+        count = np.searchsorted(self.keys, row + ny) - lo
+        at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return self.keys[at], count
 
     def found_in(self, other: "MatchSet") -> np.ndarray:
         """Whether ``other`` holds each of this set's pairs, in key order."""
@@ -422,15 +457,9 @@ def matches_of(
     ix = pair.x_net.index
     ms.check_universe(ix.ids, pair.y_net.index.ids)
     xs = list(dict.fromkeys(nodes))
-    ny = len(ms.y_ids)
-    # a node not in X has position -1, a row below every key: count 0
-    row = ix.positions(xs) * ny
-    lo = np.searchsorted(ms.keys, row)
-    count = np.searchsorted(ms.keys, row + ny) - lo
-    # every matched key of the rows, row after row
-    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    keys, count = ms.rows(ix.positions(xs))
     y_ids = ms.y_ids
-    ys = iter([y_ids[k] for k in split_keys(ms.keys[at], ny)[1].tolist()])
+    ys = iter([y_ids[k] for k in split_keys(keys, len(y_ids))[1].tolist()])
     return {x: frozenset(islice(ys, c)) for x, c in zip(xs, count.tolist())}
 
 
@@ -636,7 +665,7 @@ def load_network(path: str | Path) -> Network:
         _check_node_id(ids[i])
     rows = gather_runs(lines.buf, attr_node, end[attr] + 1 - attr_node).tobytes()
     return Network(
-        NodeIndex.build(ids, dict(zip(ids, range(len(ids)))), at[u], at[v]),
+        NodeIndex.build(ids, at[u], at[v]),
         partial(_file_attrs, rows),
     )
 

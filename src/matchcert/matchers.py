@@ -350,7 +350,7 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
 
 def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str]:
     """Identified matches for one node, read from the batch result."""
-    if x not in pair.x_net.index.pos:
+    if pair.x_net.index.positions((x,))[0] < 0:
         raise MatchcertError(f"unknown-node: {x!r}")
     return matches_of(run_batch(handle, pair), pair, (x,))[x]
 

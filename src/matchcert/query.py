@@ -128,7 +128,9 @@ class QueryValidationInput:
     """Inputs for the query certificates.
 
     ``s_x`` is a uniform without-replacement node sample with verified
-    actual matches in ``actual_for``. ``s_x_prime`` is an optional second
+    actual matches in ``actual_for``: a mapping from each sampled node to
+    its ids, or a MatchSet over ``pair`` whose rows are them (see
+    ``reports.verified_sample``). ``s_x_prime`` is an optional second
     sample whose actual matches are never read: no certificate uses it,
     and it feeds only ``compute_node_stats`` and the digest. ``delta`` is
     each certificate's failure probability, split equally over its terms.
@@ -137,7 +139,7 @@ class QueryValidationInput:
     pair: NetworkPair
     holdout: MatcherHandle
     s_x: tuple[str, ...]
-    actual_for: Mapping[str, frozenset[str]]
+    actual_for: Mapping[str, frozenset[str]] | MatchSet
     method: BoundMethod
     delta: float
     complete: MatcherHandle | None = None
@@ -188,10 +190,10 @@ def query_columns(inp: QueryValidationInput) -> Columns:
     """Check the samples, run each matcher once and return the columns.
 
     The samples are checked first (see ``reports.verified_sample``): s_x
-    with its ``actual_for``, then s_x' when it is non-empty.
+    with its ``actual_for``, then s_x' when it is non-empty or a string.
     """
     at, verified, n_actual = verified_sample(inp.pair, inp.s_x, inp.actual_for)
-    if inp.s_x_prime:
+    if inp.s_x_prime or isinstance(inp.s_x_prime, str):
         sample_positions(inp.pair.x_net.index, "s_x_prime", inp.s_x_prime)
     m_hat = run_batch(inp.holdout, inp.pair)
     n, n_x, n_y = len(inp.s_x), inp.n_x, len(inp.pair.y_net.index.ids)

@@ -6,7 +6,8 @@ when the digest is first read, plus the bound id and the report's delta
 parts. The sampled-node checks that both certifiers run on s_x
 (and the query certifier on s_x') are :func:`sample_positions`;
 :func:`verified_sample` adds the checks and the per-node counts of s_x's
-verified matches, and :func:`terms_of` reads a report's terms back.
+verified matches, given as a mapping of ids or as a ``MatchSet``, and
+:func:`terms_of` reads a report's terms back.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .bounds import Term
 from .errors import MatchcertError
-from .graphs import pair_keys
+from .graphs import MatchSet, pair_keys
 
 __all__ = [
     "ValidationReport",
@@ -45,7 +46,12 @@ def require_distinct(name: str, items: Sequence) -> None:
     """Raise ``duplicate-sample-item`` naming the first item of ``items``
     that repeats an earlier one: a without-replacement sample (the field
     ``name`` of a certificate input) has distinct items. An item that
-    cannot be hashed is no node id (``unknown-node``): ids are strings."""
+    cannot be hashed is no node id (``unknown-node``): ids are strings.
+    Only when one set of all the items shows a repeat or cannot be built
+    does a walk in input order find the item to name."""
+    with suppress(TypeError):
+        if len(set(items)) == len(items):
+            return
     seen = set()
     for item in items:
         try:
@@ -61,11 +67,16 @@ def sample_positions(
 ) -> np.ndarray:
     """The positions in ``index`` (a network's ``NodeIndex``) of the
     sampled ``nodes``, the field ``name`` of a certificate input, after
-    checking, in order: the sample is non-empty (``empty-sample``), repeats
-    no node (``duplicate-sample-item``), has verified matches for every
-    node when ``actual_for`` is given (``missing-actual``), each a set,
-    frozenset, list or tuple of ids (``invalid-actual``), and holds only
-    nodes of the network (``unknown-node``)."""
+    checking, in order: the sample is no string, which would read as its
+    characters (``invalid-sample``), is non-empty (``empty-sample``),
+    repeats no node (``duplicate-sample-item``), has verified matches for
+    every node when ``actual_for`` is given (``missing-actual``), each a
+    set, frozenset, list or tuple of ids (``invalid-actual``), and holds
+    only nodes of the network (``unknown-node``)."""
+    if isinstance(nodes, str):
+        raise MatchcertError(
+            f"invalid-sample: {name} is the string {nodes!r}, not a sequence of ids"
+        )
     if not nodes:
         raise MatchcertError(f"empty-sample: {name} has no nodes")
     require_distinct(name, nodes)
@@ -81,19 +92,32 @@ def sample_positions(
     return at
 
 
-def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
+def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping | MatchSet) -> tuple:
     """The positions in X of the sampled ``nodes`` (s_x, checked by
     :func:`sample_positions`), the keys of their verified pairs, node after
-    node, and each node's count of them. A bad pair fails
-    ``graphs.pair_keys``' checks, which name the first in node order and
-    each node's matches in id order, non-strings last and by ``str``, so
-    the error does not depend on the set iteration order."""
-    at = sample_positions(pair.x_net.index, "s_x", nodes, actual_for)
+    node and each node's in key order, and each node's count of them.
+
+    ``actual_for`` holds the verified matches in either of two forms, which
+    give the same three arrays. A MatchSet over ``pair``'s universes
+    (``universe-mismatch`` otherwise) gives each node its row, found by
+    binary search; a node with no pair in it has no verified match. A
+    mapping gives each node a collection of ids. A bad pair of the mapping
+    fails ``graphs.pair_keys``' checks, which name the first in node order
+    and each node's matches in id order, non-strings last and by ``str``,
+    so the error does not depend on the set iteration order; a list or
+    tuple that repeats an id fails ``invalid-actual``, naming the first
+    node in sample order that does and its least repeated id."""
+    ix, iy = pair.x_net.index, pair.y_net.index
+    if isinstance(actual_for, MatchSet):
+        actual_for.check_universe(ix.ids, iy.ids)
+        at = sample_positions(ix, "s_x", nodes)
+        return (at, *actual_for.rows(at))
+    at = sample_positions(ix, "s_x", nodes, actual_for)
     found = list(map(actual_for.__getitem__, nodes))
     counts = np.fromiter(map(len, found), np.int64, len(found))
     x_at, y_at = np.repeat(at, counts), np.full(counts.sum(), -1)
     with suppress(TypeError):  # an unhashable match is no node id
-        y_at = pair.y_net.index.positions(list(chain.from_iterable(found)))
+        y_at = iy.positions(list(chain.from_iterable(found)))
     # in self-match mode one shared universe: equal positions, equal ids
     if ((y_at < 0) | ((x_at == y_at) & pair.self_match_mode)).any():
         pair_keys(pair, "actual_for", [
@@ -101,7 +125,16 @@ def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping) -> tuple:
             for x, ys in zip(nodes, found)
             for y in sorted(ys, key=lambda y: (not isinstance(y, str), str(y)))
         ])
-    return at, x_at * len(pair.y_net.index.ids) + y_at, counts
+    keys = x_at * len(iy.ids) + y_at
+    # node after node, as the owners ascend, and each node's in key order
+    keys = keys[np.lexsort((keys, np.repeat(np.arange(counts.size), counts)))]
+    again = np.flatnonzero(keys[1:] == keys[:-1])
+    if again.size:
+        x, y = divmod(int(keys[again[0]]), len(iy.ids))
+        raise MatchcertError(
+            f"invalid-actual: {ix.ids[x]!r} lists {iy.ids[y]!r} more than once"
+        )
+    return at, keys, counts
 
 
 def digest_of(payload) -> str:

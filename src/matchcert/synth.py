@@ -14,11 +14,14 @@ No string edge is built, and the truth set is built from the positions of
 the entities kept by both copies.
 
 A copy's node ids depend only on its prefix and the entity count, so
-they are formatted and string-sorted once per universe (``_universe``)
-and each copy picks its survivors out of that table. The table of the
-last two universes stays in memory (one per side of a pair, about 1 MB at
-2,000 entities), so repeated trials of one configuration, as in a
-coverage run, never format or sort an id.
+they are formatted and string-sorted once per universe (``_universe``),
+with the universe's id table: each id's rank in string order. Each copy
+picks its survivors out of that list and resolves ids through the shared
+table plus its own rank -> position array, so no copy builds a dict. The
+last two universes stay in memory (one per side of a pair, about 0.26 MB
+each at 2,000 entities by ``tracemalloc``, 0.11 MB of it the table), so
+repeated trials of one configuration, as in a coverage run, never format
+or sort an id.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import compress
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -141,21 +144,29 @@ def _base_edges(cfg: GeneratorConfig, rng: np.random.Generator) -> np.ndarray:
     return np.array(edges, dtype=np.int64)
 
 
+class _Universe(NamedTuple):
+    """The node ids of entities 0..n-1 of a ``prefix`` copy."""
+
+    names: tuple[str, ...]  # the id of each entity
+    ids: tuple[str, ...]  # the ids in string order
+    rank: dict[str, int]  # id -> its index in ids: every copy's id table
+    order: np.ndarray  # the entities in id order, read-only
+
+
 @lru_cache(maxsize=2)
-def _universe(prefix: str, n: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """The node ids of entities 0..n-1 of a ``prefix`` copy: (the id of
-    each entity, the ids in string order, the entities in that order as a
-    read-only array).
+def _universe(prefix: str, n: int) -> _Universe:
+    """The ids of a ``prefix`` copy of n entities and their id table.
 
     Node ids sort as strings, not as entity numbers ("x10" < "x9"). The
-    cache holds one universe per side of a pair; its values are immutable,
-    so every copy can share them.
+    cache holds one universe per side of a pair; its values are not
+    changed, so every copy can share them.
     """
     names = tuple(f"{prefix}{i}" for i in range(n))
     order = sorted(range(n), key=names.__getitem__)
+    ids = tuple(map(names.__getitem__, order))
     entities = np.array(order, dtype=np.int64)
     entities.flags.writeable = False
-    return names, tuple(map(names.__getitem__, order)), entities
+    return _Universe(names, ids, dict(zip(ids, range(n))), entities)
 
 
 def _uid_attrs(
@@ -179,8 +190,8 @@ def _copy(
     rng_edges: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, Network]:
     """One copy of the base graph: the entities it keeps (a mask), each
-    kept entity's position in the network's sorted node ids, and the
-    network.
+    entity's position in the network's sorted node ids (-1 when dropped),
+    and the network, whose index shares the universe's id table.
 
     Entity i becomes node ``f"{prefix}{i}"`` with attribute ``uid`` set to
     ``str(i)``, plus NOISE_MARK where ``noisy[i]``.
@@ -195,14 +206,14 @@ def _copy(
     # (E, 2) array costs twice as much
     u, v = base.T
     live = keep[u] & keep[v] & (rng_edges.random(u.size) < retain)
-    names, sorted_names, order = _universe(prefix, n)
+    names, sorted_ids, rank, order = _universe(prefix, n)
     kept = keep[order]  # the keep mask in id order
-    ids = list(compress(sorted_names, kept.tolist()))
-    at = np.empty(n, dtype=np.int64)  # entity -> position in ids
-    at[order[kept]] = np.arange(len(ids))
-    index = NodeIndex.build(
-        ids, dict(zip(ids, range(len(ids)))), at[u[live]], at[v[live]]
-    )
+    ids = list(compress(sorted_ids, kept.tolist()))
+    by_rank = np.full(n + 1, -1, dtype=np.int64)  # rank -> position, or -1
+    by_rank[np.flatnonzero(kept)] = np.arange(len(ids))
+    at = np.empty(n, dtype=np.int64)  # entity -> position in ids, or -1
+    at[order] = by_rank[:n]
+    index = NodeIndex.build(ids, at[u[live]], at[v[live]], rank, by_rank)
     return keep, at, Network(index, partial(_uid_attrs, names, survivors, noisy))
 
 

@@ -376,8 +376,9 @@ class TestValidateBatch:
 
 
 class TestActualMap:
-    """``validate`` reads the verified matches of the sampled nodes only,
-    through ``matches_of``, and checks the whole file."""
+    """``validate`` reads the verified matches of the sampled nodes as their
+    rows of the ``--actual`` set, which give what the mapping of their ids
+    (``matches_of``) gives, and checks the whole file."""
 
     def test_equals_whole_set_view(self, tmp_path, world):
         from matchcert.graphs import (
@@ -398,6 +399,13 @@ class TestActualMap:
         assert got == {x: per_x.get(x, frozenset()) for x in s_x}
         assert list(got) == list(dict.fromkeys(s_x))
         assert any(not ys for ys in got.values()) and any(got.values())
+        # the set and the mapping: equal positions, keys and counts
+        from matchcert.reports import verified_sample
+
+        sample = list(got)
+        by_set = verified_sample(pair, sample, load_matches(actual, pair))
+        by_map = verified_sample(pair, sample, got)
+        assert [a.tolist() for a in by_set] == [a.tolist() for a in by_map]
 
     def test_unsampled_bad_pair_still_rejected(self, tmp_path, world, capsys):
         from matchcert.graphs import load_network

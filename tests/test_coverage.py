@@ -185,26 +185,29 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def test_trial_bounds_each_term_once_and_encodes_strings_once(monkeypatch):
+def test_trial_bounds_each_term_once_and_keeps_pairs_in_keys(monkeypatch):
     # a criterion-4 trial bounds 8 terms: batch recall at delta and at
     # delta / 2 and the match density; query holdout precision, recall and
     # error rate, complete recall and the matched fraction (the complete
     # precision and error rate read the holdout terms). Its seeds reach
-    # percolation as keys, so the one string list encoded is s_m, for the
-    # recall terms
+    # percolation as keys, and s_m and the verified matches of s_x reach
+    # the certificates as truth keys, so no pair is encoded or decoded
     terms = _count_calls(monkeypatch, bounds, "bound_term")
     encoded = _count_calls(monkeypatch, graphs, "pair_keys")
+    decoded = _count_calls(monkeypatch, graphs, "matches_of")
     cfg = _criterion_4_world(VERIFIED_SAMPLE, 2, trials=1)
     records = run_trial(cfg, 0)
     assert len(records) == 10
     assert len(terms) == 8
-    assert [name for _, name, _ in encoded] == ["s_m"]
+    assert encoded == [] and decoded == []
 
 
 @pytest.mark.parametrize("method", list(BoundMethod))
 def test_actual_map_of_the_sampled_nodes_suffices(method):
-    # a trial gives the certificates the actual matches of s_x only; with
-    # those of every node of X they must report exactly the same
+    # the actual matches of s_x alone, or those of every node of X, as a
+    # mapping or as a MatchSet (a trial gives the truth), with s_m as a
+    # tuple or as a MatchSet (a trial gives truth keys): every form must
+    # report exactly the same
     cfg = _criterion_4_world(VERIFIED_SAMPLE, 2, trials=1)
     pair, truth = generate_pair(cfg.generator)
     ids = pair.x_net.index.ids
@@ -220,12 +223,21 @@ def test_actual_map_of_the_sampled_nodes_suffices(method):
     complete = with_extra_seeds(
         holdout, list(s_m) + [(x, y) for x in s_x for y in sorted(full[x])]
     )
+    verified = make_match_set([(x, y) for x in s_x for y in full[x]], pair)
+    s_m_set = make_match_set(s_m, pair)
     got = {}
-    for name, actual_for in (("full", full), ("restricted", restricted)):
+    for name, actual_for, sample in (
+        ("full", full, s_m),
+        ("restricted", restricted, s_m),
+        ("truth", truth, s_m),
+        ("verified", verified, s_m),
+        ("s_m set", restricted, s_m_set),
+        ("sets", truth, s_m_set),
+    ):
         got[name] = [
             r.to_json_dict()
             for r in batch_reports(BatchValidationInput(
-                pair=pair, m_hat_holdout=run_batch(holdout, pair), s_m=s_m, s_x=s_x,
+                pair=pair, m_hat_holdout=run_batch(holdout, pair), s_m=sample, s_x=s_x,
                 actual_for=actual_for, method=method, delta=0.05,
                 m_hat_complete=run_batch(complete, pair), m_size=truth.keys.size,
             ))
@@ -237,7 +249,8 @@ def test_actual_map_of_the_sampled_nodes_suffices(method):
             ))
         ]
     assert len(got["full"]) == 10
-    assert got["restricted"] == got["full"]  # every field, digests included
+    for name in got:  # every field, digests included
+        assert got[name] == got["full"], name
 
 
 def _small_world(matcher_holdout, train=20, **kw):
@@ -299,7 +312,7 @@ def test_trial_draws_the_pairs_sample_without_replacement_draws(monkeypatch, tra
         return seen["world"][1]  # the truth: no trial is degenerate
 
     def stop(**fields):
-        seen["s_m"] = fields["s_m"]
+        seen["s_m"], seen["actual_for"] = fields["s_m"], fields["actual_for"]
         raise _Drawn
 
     monkeypatch.setattr("matchcert.coverage.generate_pair", recording_generate_pair)
@@ -325,6 +338,10 @@ def test_trial_draws_the_pairs_sample_without_replacement_draws(monkeypatch, tra
         assert isinstance(holdout_seeds, MatchSet)
         assert isinstance(complete_seeds, MatchSet)
         assert holdout_seeds.keys.tolist() == sorted(drawn(train, 1))
-        assert seen["s_m"] == tuple(truth.decode(drawn(s_m, 2)))
+        # s_m reaches the certificates as a set of truth keys, and the
+        # verified matches of s_x as the truth's rows
+        assert isinstance(seen["s_m"], MatchSet)
+        assert seen["s_m"].keys.tolist() == sorted(drawn(s_m, 2))
+        assert seen["actual_for"] is truth
         union = {*drawn(train, 1), *drawn(s_m, 2), *verified.keys.tolist()}
         assert complete_seeds.keys.tolist() == sorted(union)

@@ -314,6 +314,39 @@ ESCAPES = [
         lambda: _verified_on_ab(batch_reports, {}, s_m=(["a", "a"], ("a", "a"))),
         "s_m repeats ('a', 'a')",
     ),
+    # a verified match listed twice counted twice: p(a) = 2.0 and w(a) = 1
+    # in the query columns, two matches in the batch density term
+    (
+        "invalid-actual",
+        lambda: _verified_on_ab(batch_reports, {"a": ["a", "a"]}),
+        "'a' lists 'a' more than once",
+    ),
+    (
+        "invalid-actual",
+        lambda: _verified_on_ab(query_reports, {"a": ("c", "a", "c", "a")}),
+        "'a' lists 'a' more than once",
+    ),
+    # a string sample was read as its characters: s_x "ab" as (a, b)
+    (
+        "invalid-sample",
+        lambda: _verified_on_ab(batch_reports, {"a": ()}, s_x="ab"),
+        "s_x is the string 'ab'",
+    ),
+    (
+        "invalid-sample",
+        lambda: _verified_on_ab(query_reports, {"a": ()}, s_x="ab"),
+        "s_x is the string 'ab'",
+    ),
+    (
+        "invalid-sample",
+        lambda: _verified_on_ab(query_reports, {"a": ()}, s_x_prime="ab"),
+        "s_x_prime is the string 'ab'",
+    ),
+    (
+        "invalid-sample",
+        lambda: _verified_on_ab(query_reports, {"a": ()}, s_x_prime=""),
+        "s_x_prime is the string ''",
+    ),
 ]
 
 

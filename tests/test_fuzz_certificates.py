@@ -3,7 +3,8 @@ either return reports or raise a ``MatchcertError`` whose message starts
 with a kebab-case token, on one tiny world, whatever items the samples
 s_x, s_x' and s_m hold and whatever values ``actual_for`` maps them to.
 The samples are sequences and ``actual_for`` is a mapping, as the input
-types say."""
+types say, or s_m and ``actual_for`` are MatchSets, over the world's pair
+or over another one (``universe-mismatch``)."""
 
 import re
 
@@ -72,17 +73,31 @@ actual_maps = mostly(
 )
 
 
+# which field a MatchSet replaces: one over the world's pair, or over
+# another pair with the same ids
+set_fields = st.sampled_from(
+    [None, ("s_m", "own"), ("actual_for", "own"), ("s_m", "other"),
+     ("actual_for", "other")]
+)
+
+
 @pytest.fixture(scope="module")
 def world():
     """Networks X = {a, b}, Y = {a, c}, an identified set of each matcher
     for the batch inputs and two attribute-exact matchers for the query
-    inputs, which identify (a, a) and (a, a), (b, c)."""
+    inputs, which identify (a, a) and (a, a), (b, c); and the set of those
+    two pairs over the pair and over another pair, whose Y is {a, b, c}."""
     x_net = make_network(["a", "b"], [], {"a": {"h": "1", "c": "1"}, "b": {"c": "2"}})
     y_net = make_network(["a", "c"], [], {"a": {"h": "1", "c": "1"}, "c": {"c": "2"}})
     pair = NetworkPair(x_net, y_net)
     sets = make_match_set([("a", "a")], pair), make_match_set([("a", "a"), ("b", "c")], pair)
     handles = tuple(build_matcher(MatcherConfig("attribute-exact", attr_key=k)) for k in "hc")
-    return pair, sets, handles
+    other = NetworkPair(x_net, make_network(["a", "b", "c"], []))
+    as_set = {
+        "own": sets[1],
+        "other": make_match_set([("a", "a"), ("b", "c")], other),
+    }
+    return pair, sets, handles, as_set
 
 
 @FUZZ
@@ -93,11 +108,16 @@ def world():
     actual_maps,
     st.sampled_from(list(BoundMethod)),
     st.booleans(),
+    set_fields,
 )
 def test_certificates_return_or_raise_a_token(
-    world, s_x, s_x_prime, s_m, actual_for, method, complete
+    world, s_x, s_x_prime, s_m, actual_for, method, complete, set_field
 ):
-    pair, (m_hat_h, m_hat_c), (holdout, other) = world
+    pair, (m_hat_h, m_hat_c), (holdout, other), as_set = world
+    if set_field and set_field[0] == "s_m":
+        s_m = as_set[set_field[1]]
+    elif set_field:
+        actual_for = as_set[set_field[1]]
     inputs = (
         lambda: batch_reports(BatchValidationInput(
             pair, m_hat_h, s_m, s_x, actual_for, method, 0.05,
@@ -115,3 +135,22 @@ def test_certificates_return_or_raise_a_token(
             assert TOKEN.match(str(e)), str(e)
         else:
             assert reports and all(isinstance(r, ValidationReport) for r in reports)
+
+
+def test_a_match_set_over_another_pair_fails_universe_mismatch(world):
+    pair, (m_hat_h, _), (holdout, _), as_set = world
+    good = {"a": frozenset({"a"}), "b": frozenset({"c"})}  # as_set["own"]
+    calls = [
+        lambda s_m, actual_for: batch_reports(BatchValidationInput(
+            pair, m_hat_h, s_m, ("a", "b"), actual_for, BoundMethod.HOEFFDING, 0.05,
+        )),
+        lambda s_m, actual_for: query_reports(QueryValidationInput(
+            pair, holdout, ("a", "b"), actual_for, BoundMethod.HOEFFDING, 0.05,
+        )),
+    ]
+    for certify in calls:
+        assert certify((("a", "a"),), as_set["own"]) == certify((("a", "a"),), good)
+        with pytest.raises(MatchcertError, match="^universe-mismatch: "):
+            certify((("a", "a"),), as_set["other"])
+    with pytest.raises(MatchcertError, match="^universe-mismatch: "):
+        calls[0](as_set["other"], good)

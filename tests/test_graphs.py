@@ -66,7 +66,8 @@ class TestNetwork:
         )
         index = net.index
         assert index.ids == ["n10", "n2", "n5", "n9"]
-        assert index.pos == {"n10": 0, "n2": 1, "n5": 2, "n9": 3}
+        probe = ["n10", "n2", "n5", "n9", "n1", "n"]
+        assert index.positions(probe).tolist() == [0, 1, 2, 3, -1, -1]
         assert index.indptr.tolist() == [0, 2, 4, 4, 6]
         assert index.nbr.tolist() == [1, 3, 0, 3, 0, 1]
         assert net.index is index  # built once per network
@@ -270,7 +271,7 @@ def _check_against_reference(nodes, edges):
     assert net.edges == edge_set
     ids, indptr, nbr = csr_reference(node_set, edge_set)
     assert net.index.ids == ids
-    assert net.index.pos == {node: i for i, node in enumerate(ids)}
+    assert net.index.positions([*ids, "#"]).tolist() == [*range(len(ids)), -1]
     assert net.index.indptr.tolist() == indptr
     assert net.index.nbr.tolist() == nbr
     return net
@@ -295,7 +296,7 @@ class TestKeyKernels:
         v2 = np.where(flip, u[again], v[again])
         u, v = np.concatenate([u, u2]), np.concatenate([v, v2])
         ids = [f"{i:06d}" for i in range(n)]
-        got = NodeIndex.build(ids, dict(zip(ids, range(n))), u, v)
+        got = NodeIndex.build(ids, u, v)
         indptr, nbr = two_sort_csr_reference(n, u, v)
         assert np.array_equal(got.indptr, indptr)
         assert np.array_equal(got.nbr, nbr)

@@ -133,14 +133,20 @@ def _reference_configs():
     return configs
 
 
-def _assert_equals_reference(pair, truth, ref_pair, ref_truth):
-    for net, ref in ((pair.x_net, ref_pair.x_net), (pair.y_net, ref_pair.y_net)):
+def _assert_equals_reference(pair, truth, ref_pair, ref_truth, n):
+    for prefix, net, ref in (
+        ("x", pair.x_net, ref_pair.x_net), ("y", pair.y_net, ref_pair.y_net)
+    ):
         assert net.nodes == ref.nodes
         assert net.edges == ref.edges
         assert dict(net.attrs) == ref.attrs
         assert list(net.attrs) == list(ref.attrs)
         assert net.index.ids == ref.index.ids
-        assert net.index.pos == ref.index.pos
+        # every id of the universe, kept or dropped, and foreign strings
+        # resolve as a dict over the reference's ids resolves them
+        probe = [f"{prefix}{i}" for i in range(n)] + [prefix, f"{prefix}{n}", "z0", ""]
+        want = {node: i for i, node in enumerate(ref.index.ids)}
+        assert net.index.positions(probe).tolist() == [want.get(x, -1) for x in probe]
         assert net.index.indptr.tolist() == ref.index.indptr.tolist()
         assert net.index.nbr.tolist() == ref.index.nbr.tolist()
         ids, indptr, nbr = csr_reference(ref.nodes, ref.edges)
@@ -163,7 +169,7 @@ def test_generate_pair_matches_string_reference():
             seen["degenerate"] += 1
             continue
         pair, truth = generate_pair(cfg)
-        _assert_equals_reference(pair, truth, ref_pair, ref_truth)
+        _assert_equals_reference(pair, truth, ref_pair, ref_truth, cfg.n_entities)
         seen["er" if isinstance(cfg.base_model, ErdosRenyi) else "pa"] += 1
         seen["retain0"] += 0.0 in (cfg.edge_retain_x, cfg.edge_retain_y)
         seen["retain1"] += 1.0 in (cfg.edge_retain_x, cfg.edge_retain_y)
@@ -181,15 +187,17 @@ def test_generate_pair_matches_string_reference():
 @pytest.mark.parametrize("n", [1, 9, 10, 11, 100, 101])
 def test_universe_table(n):
     for prefix in ("x", "y"):
-        names, sorted_names, order = _universe(prefix, n)
+        universe = _universe(prefix, n)
+        names, sorted_names, rank, order = universe
         assert names == tuple(f"{prefix}{i}" for i in range(n))
         assert sorted_names == tuple(sorted(names))
+        assert rank == {node: i for i, node in enumerate(sorted_names)}
         assert order.dtype == np.int64
         assert [names[i] for i in order.tolist()] == list(sorted_names)
         assert type(names) is tuple and type(sorted_names) is tuple
         with pytest.raises(ValueError):
             order[0] = 0
-        assert _universe(prefix, n)[2] is order  # the memo's own entry
+        assert _universe(prefix, n) is universe  # the memo's own entry
 
 
 @pytest.mark.parametrize("n", [2, 9, 10, 11, 100, 101])
@@ -211,7 +219,20 @@ def test_generate_pair_equals_reference_on_cache_miss_and_hit(n):
     assert (hit.misses - missed.misses, hit.hits - missed.hits) == (0, 2)
     assert hit.currsize == hit.maxsize == 2
     for pair, truth in (first, second):
-        _assert_equals_reference(pair, truth, ref_pair, ref_truth)
+        _assert_equals_reference(pair, truth, ref_pair, ref_truth, n)
+
+
+def test_pairs_of_one_config_share_one_id_table_per_universe():
+    cfg = GeneratorConfig(
+        n_entities=50, base_model=ErdosRenyi(0.1), node_drop_x=0.3,
+        node_drop_y=0.2, rng_seed=4,
+    )
+    (a, _), (b, _) = generate_pair(cfg), generate_pair(replace(cfg, rng_seed=5))
+    assert a.x_net.index.ids != b.x_net.index.ids  # other survivors
+    assert a.x_net.index.rank is b.x_net.index.rank
+    assert a.y_net.index.rank is b.y_net.index.rank
+    assert a.x_net.index.rank is not a.y_net.index.rank
+    assert a.x_net.index.rank is _universe("x", 50).rank
 
 
 def test_generated_attributes_behave_as_a_dict():
