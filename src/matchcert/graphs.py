@@ -380,6 +380,7 @@ class MatchSet:
         row = x_at * ny  # -1 gives a row below every key
         lo = np.searchsorted(self.keys, row)
         count = np.searchsorted(self.keys, row + ny) - lo
+        # every matched key of the rows, row after row
         at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
         return self.keys[at], count
 

@@ -92,7 +92,9 @@ def sample_positions(
     return at
 
 
-def verified_sample(pair, nodes: Sequence[str], actual_for: Mapping | MatchSet) -> tuple:
+def verified_sample(
+    pair, nodes: Sequence[str], actual_for: Mapping | MatchSet
+) -> tuple:
     """The positions in X of the sampled ``nodes`` (s_x, checked by
     :func:`sample_positions`), the keys of their verified pairs, node after
     node and each node's in key order, and each node's count of them.
