@@ -15,14 +15,15 @@ with known actual matches, these functions certify:
   only the holdout matcher must be independent of them.
 
 Every certificate spends the input's ``delta``, split equally over its
-own bound terms, and reports one delta part per term. A certificate's
-optional arguments are what :func:`batch_reports`, which runs every
-certificate an input supports, has already computed: s_m's ``hits`` for
-a holdout certificate's recall term, and, for a complete certificate,
-``held``, the holdout-batch-precision report, whose recall and
-match-density terms it reads back (``reports.terms_of``). A certificate
-called without them computes them itself. Each report's digest fields
-come from the input its own certificate was given (see :mod:`.reports`).
+own bound terms, and reports one delta part per term. The sample stage,
+s_m's ``hits``, is an attribute of the input computed on its first read,
+so it is computed once per input however many certificates read it. A
+complete certificate's one optional argument is ``held``, the input's
+holdout-batch-precision report, whose recall and match-density terms it
+reads back (``reports.terms_of``) instead of bounding them again. So a
+certificate run alone gives the report that :func:`batch_reports`, which
+runs every certificate an input supports, gives. A holdout report's
+digest fields leave out the complete set (see :mod:`.reports`).
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
@@ -45,7 +46,8 @@ the per-x check also implies that s_m has at most k_y·|X| pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -118,13 +120,35 @@ class BatchValidationInput:
     def n_x(self) -> int:
         return len(self.pair.x_net.index.ids)
 
+    @cached_property
+    def hits(self) -> list[float]:
+        """Whether the holdout matcher identifies each pair of s_m, as 1.0
+        or 0.0, after checking s_m: in s_m's order, or key order for a
+        MatchSet. The values are 0/1, so their order changes no bound.
+        Computed on the first read; a failed check raises on every read."""
+        s_m, is_set = self.s_m, isinstance(self.s_m, MatchSet)
+        if not (s_m.keys.size if is_set else s_m):
+            raise MatchcertError("empty-sample: s_m has no verified matches")
+        if is_set:  # its keys are distinct and over the pair's universes
+            keys = s_m.keys
+        else:
+            keys = pair_keys(self.pair, "s_m", s_m)
+            require_distinct("s_m", list(map(tuple, s_m)))  # a pair may be a list
+        over = np.bincount(keys // len(self.pair.y_net.index.ids)) > self.k_y
+        if over.any():
+            x = self.pair.x_net.index.ids[int(np.argmax(over))]
+            raise MatchcertError(
+                f"ky-violated: s_m gives node {x!r} more than k_y={self.k_y} actual matches"
+            )
+        return [1.0 if hit else 0.0 for hit in self.m_hat_holdout.contains(keys).tolist()]
 
-def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
+
+def _payload(inp: BatchValidationInput, complete: MatchSet | None) -> Callable[[], dict]:
     """``inp``'s digest fields but the bound id and deltas, which each
-    report adds. They hold the input's match sets and samples, not the
-    input and its networks."""
-    holdout, complete = inp.m_hat_holdout, inp.m_hat_complete
-    s_m, s_x = inp.s_m, inp.s_x
+    report adds, with ``complete`` as the complete set: None in a holdout
+    report. They hold the input's match sets and samples, not the input
+    and its networks."""
+    holdout, s_m, s_x = inp.m_hat_holdout, inp.s_m, inp.s_x
     scalars = {
         "n_x": inp.n_x,
         "k_y": inp.k_y,
@@ -143,32 +167,11 @@ def _payload(inp: BatchValidationInput) -> Callable[[], dict]:
     }
 
 
-def _recall_hits(inp: BatchValidationInput) -> list[float]:
-    """Whether the holdout matcher identifies each pair of s_m, as 1.0 or
-    0.0, after checking s_m: in s_m's order, or key order for a MatchSet.
-    The values are 0/1, so their order changes no bound."""
-    s_m, is_set = inp.s_m, isinstance(inp.s_m, MatchSet)
-    if not (s_m.keys.size if is_set else s_m):
-        raise MatchcertError("empty-sample: s_m has no verified matches")
-    if is_set:  # its keys are distinct and over the pair's universes
-        keys = s_m.keys
-    else:
-        keys = pair_keys(inp.pair, "s_m", s_m)
-        require_distinct("s_m", list(map(tuple, s_m)))  # a pair may be a list
-    over = np.bincount(keys // len(inp.pair.y_net.index.ids)) > inp.k_y
-    if over.any():
-        x = inp.pair.x_net.index.ids[int(np.argmax(over))]
-        raise MatchcertError(
-            f"ky-violated: s_m gives node {x!r} more than k_y={inp.k_y} actual matches"
-        )
-    return [1.0 if hit else 0.0 for hit in inp.m_hat_holdout.contains(keys).tolist()]
-
-
-def _recall_term(inp: BatchValidationInput, delta: Confidence, hits: list) -> Term:
+def _recall_term(inp: BatchValidationInput, delta: Confidence) -> Term:
     """Lower-bound the identified rate over the actual matches."""
     exact = inp.m_size is not None
     n = inp.m_size if exact else inp.k_y * inp.n_x
-    return bound_term(n, hits, inp.method, delta, "lower", exact=exact)
+    return bound_term(n, inp.hits, inp.method, delta, "lower", exact=exact)
 
 
 def _density_term(inp: BatchValidationInput, delta: Confidence) -> Term:
@@ -197,36 +200,31 @@ def _precision_scale(n_x: int, m_hat_size: int, terms: Mapping) -> float:
     return n_x / m_hat_size * recall * density
 
 
-def holdout_batch_recall(
-    inp: BatchValidationInput, hits: list | None = None
-) -> ValidationReport:
-    hits = hits or _recall_hits(inp)
-    recall = _recall_term(inp, Confidence(inp.delta), hits)
+def holdout_batch_recall(inp: BatchValidationInput) -> ValidationReport:
+    recall = _recall_term(inp, Confidence(inp.delta))
     return build_report(
         "holdout-batch-recall",
         (inp.delta,),
-        _payload(inp),
-        {"recall_term": recall, "sample_size": float(len(hits))},
+        _payload(inp, None),
+        {"recall_term": recall, "sample_size": float(len(inp.hits))},
         recall.value,
     )
 
 
-def holdout_batch_precision(
-    inp: BatchValidationInput, hits: list | None = None
-) -> ValidationReport:
+def holdout_batch_precision(inp: BatchValidationInput) -> ValidationReport:
     identified = inp.m_hat_holdout.keys.size
     if not identified:
         raise MatchcertError("no-identified-matches: holdout identified set is empty")
     delta = Confidence(inp.delta / 2)
     terms = {
-        "recall_term": _recall_term(inp, delta, hits or _recall_hits(inp)),
+        "recall_term": _recall_term(inp, delta),
         "match_density_term": _density_term(inp, delta),
         "identified_count": float(identified),
     }
     return build_report(
         "holdout-batch-precision",
         (inp.delta / 2,) * 2,
-        _payload(inp),
+        _payload(inp, None),
         terms,
         _precision_scale(inp.n_x, identified, terms),
     )
@@ -254,7 +252,7 @@ def complete_batch_recall(
     return build_report(
         "complete-batch-recall",
         (inp.delta / 2,) * 2,
-        _payload(inp),
+        _payload(inp, m_hat),
         {**terms, "disagreement_count": float(disagreement)},
         lambda: recall - disagreement / (inp.n_x * density),
         denominator=density,
@@ -273,7 +271,7 @@ def complete_batch_precision(
     return build_report(
         "complete-batch-precision",
         (inp.delta / 2,) * 2,
-        _payload(inp),
+        _payload(inp, m_hat),
         {
             **terms,
             "disagreement_count": float(disagreement),
@@ -288,19 +286,13 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     then, when ``m_hat_complete`` is given, complete recall and precision.
 
     Each report fails with probability at most ``inp.delta``, so they hold
-    jointly by the union bound. The holdout certificates see the input
-    without the complete set. s_m is checked, encoded and matched once,
-    for the recall terms at the full and at half the delta, and the
-    complete certificates read their terms from the holdout-batch-precision
-    report, so the errors raised and their order are those of the
-    certificates run one by one.
+    jointly by the union bound. Each is the report its certificate gives
+    when run alone on ``inp``: s_m's hits are the input's, computed once,
+    and the complete certificates read their terms from the
+    holdout-batch-precision report (``held``), so the errors raised and
+    their order are those of the certificates run one by one.
     """
-    holdout = replace(inp, m_hat_complete=None)
-    hits = _recall_hits(inp)
-    reports = [
-        holdout_batch_recall(holdout, hits),
-        held := holdout_batch_precision(holdout, hits),
-    ]
+    reports = [holdout_batch_recall(inp), held := holdout_batch_precision(inp)]
     if inp.m_hat_complete is not None:
         reports += [
             complete_batch_recall(inp, held),

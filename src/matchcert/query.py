@@ -31,7 +31,8 @@ and complete-query-recall two, R_H and the matched fraction of X (a
 lower bound on |D_a| / |X|), at delta / 2 each.
 
 One stage, :func:`query_columns`, checks the samples and runs each
-matcher once. It takes s_x's positions and actual-match counts from
+matcher once; the input's ``columns`` attribute computes it on its first
+read, so it runs once per input however many certificates read it. It takes s_x's positions and actual-match counts from
 ``reports.verified_sample`` and counts, per node, from the match sets'
 keys (``np.bincount`` over ``key // n_y``, membership by binary search):
 the identified matches, the hits, and the holdout-only and complete-only
@@ -45,14 +46,13 @@ sample s_x' feeds only ``compute_node_stats`` and the digest; it is
 checked like s_x. A node repeated in s_x or s_x' would count as several
 independent draws (``duplicate-sample-item``), and a verified match
 outside Y or an identity pair in self-match mode as a missed actual match
-(``unknown-node``, ``identity-pair-forbidden``). A certificate's
-optional arguments are what :func:`query_reports` has already computed:
-``columns`` and, for the complete precision and error rate, ``held``,
-the holdout report whose term they read back (``reports.terms_of``). A
-call without them computes them itself; ``validate query`` builds the
-columns once for its reports and ``compute_node_stats``. Each report's
-digest fields come from the input its own certificate was given (see
-:mod:`.reports`).
+(``unknown-node``, ``identity-pair-forbidden``). The one optional
+argument, of the complete precision and error rate, is ``held``, the
+holdout report whose term they read back (``reports.terms_of``) instead
+of bounding it again. So a certificate run alone gives the report that
+:func:`query_reports` gives, and ``validate query`` builds the columns
+once for its reports and ``compute_node_stats``. A holdout report's
+digest fields leave out the complete matcher (see :mod:`.reports`).
 
 The truth oracle, :func:`exact_metrics`, reads keys too: one binary
 search of each set's keys in the other's gives every exact batch and
@@ -82,7 +82,8 @@ terms by exact sums. Every other term is a mean over X, bounded at |X|.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -151,6 +152,12 @@ class QueryValidationInput:
     @property
     def n_x(self) -> int:
         return len(self.pair.x_net.index.ids)
+
+    @cached_property
+    def columns(self) -> Columns:
+        """The input's per-node statistics, :func:`query_columns`, computed
+        on the first read; a failed check raises on every read."""
+        return query_columns(self)
 
 
 class Columns(NamedTuple):
@@ -231,13 +238,16 @@ def query_columns(inp: QueryValidationInput) -> Columns:
     )
 
 
-def _payload(inp: QueryValidationInput) -> Callable[[], dict]:
+def _payload(
+    inp: QueryValidationInput, complete: MatcherHandle | None
+) -> Callable[[], dict]:
     """``inp``'s digest fields but the bound id and deltas, which each
-    report adds. They hold the matchers' configs, not the handles and the
-    networks."""
+    report adds, with ``complete`` as the complete matcher: None in a
+    holdout report. They hold the matchers' configs, not the handles and
+    the networks."""
     s_x, s_x_prime = inp.s_x, inp.s_x_prime
     holdout = inp.holdout.config
-    complete = inp.complete.config if inp.complete else None
+    complete = complete.config if complete else None
     scalars = {"n_x": inp.n_x, "method": inp.method.value}
     return lambda: {
         **scalars,
@@ -248,9 +258,7 @@ def _payload(inp: QueryValidationInput) -> Callable[[], dict]:
     }
 
 
-def _holdout_term(
-    inp: QueryValidationInput, columns: Columns, quantity: str, delta: Confidence
-) -> dict:
+def _holdout_term(inp: QueryValidationInput, quantity: str, delta: Confidence) -> dict:
     """The report terms of a lower bound on the mean of p(x) or r(x)
     (``quantity`` precision or recall) over the nodes D where it is
     defined: the number of usable nodes, the sampled nodes in D, and the
@@ -261,6 +269,7 @@ def _holdout_term(
     docstring). A certificate passes ``usable_nodes`` to ``build_report``
     as a denominator, so with no usable node it reads 0, flagged
     vacuous-denominator."""
+    columns = inp.columns
     column = columns.p if quantity == "precision" else columns.r
     sample = column[~np.isnan(column)].tolist()
     terms = {"usable_nodes": float(len(sample))}
@@ -276,19 +285,18 @@ def _holdout_term(
 
 
 def holdout_query_bounds(
-    inp: QueryValidationInput, columns: Columns | None = None
+    inp: QueryValidationInput,
 ) -> tuple[ValidationReport, ValidationReport]:
     """Certify holdout query precision and recall, each at ``inp.delta``
     (``reports.combine_reports`` gives the confidence that both hold)."""
-    columns = columns or query_columns(inp)
     reports = []
     for quantity in ("precision", "recall"):
-        terms = _holdout_term(inp, columns, quantity, Confidence(inp.delta))
+        terms = _holdout_term(inp, quantity, Confidence(inp.delta))
         reports.append(
             build_report(
                 f"holdout-query-{quantity}",
                 (inp.delta,),
-                _payload(inp),
+                _payload(inp, None),
                 terms,
                 lambda: terms[f"{quantity}_term"].value,
                 denominator=terms["usable_nodes"],
@@ -303,9 +311,7 @@ def _require_complete(inp: QueryValidationInput) -> None:
         raise MatchcertError("missing-complete: no complete matcher supplied")
 
 
-def complete_query_recall(
-    inp: QueryValidationInput, columns: Columns | None = None
-) -> ValidationReport:
+def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
     """Holdout recall minus the census d_r mean rescaled by a lower bound
     on the matched fraction of X, R_C >= R_H - sum_X d_r / |D_a|; each
     term at half the delta. With no d_r the value is the holdout bound,
@@ -313,8 +319,8 @@ def complete_query_recall(
     with d_r, without a matched fraction above 0."""
     delta = Confidence(inp.delta / 2)
     _require_complete(inp)
-    columns = columns or query_columns(inp)
-    terms = _holdout_term(inp, columns, "recall", delta)
+    terms = _holdout_term(inp, "recall", delta)
+    columns = inp.columns
     frac = terms["matched_fraction_term"] = bound_term(
         inp.n_x, columns.matched.tolist(), inp.method, delta, "lower"
     )
@@ -323,7 +329,7 @@ def complete_query_recall(
     return build_report(
         "complete-query-recall",
         (delta.delta,) * 2,
-        _payload(inp),
+        _payload(inp, inp.complete),
         terms,
         lambda: terms["recall_term"].value - (dropped and dropped / frac.value),
         denominator=min(usable, frac.value) if dropped else usable,
@@ -331,9 +337,7 @@ def complete_query_recall(
 
 
 def complete_query_precision(
-    inp: QueryValidationInput,
-    columns: Columns | None = None,
-    held: ValidationReport | None = None,
+    inp: QueryValidationInput, held: ValidationReport | None = None
 ) -> ValidationReport:
     """P_C >= (|D_H| * P_H - sum_X d_p) / |D_C|, with P_H's bound at the
     full delta and the rest counted over X. The value is written
@@ -342,9 +346,9 @@ def complete_query_precision(
     holdout-query-precision report, gives the precision terms when given.
     """
     _require_complete(inp)
-    columns = columns or query_columns(inp)
+    columns = inp.columns
     delta = Confidence(inp.delta)
-    terms = terms_of(held) if held else _holdout_term(inp, columns, "precision", delta)
+    terms = terms_of(held) if held else _holdout_term(inp, "precision", delta)
     damage = math.fsum(columns.d_p.tolist())
     d_h, d_c = columns.identified, columns.complete
     terms.update(
@@ -355,81 +359,85 @@ def complete_query_precision(
     return build_report(
         "complete-query-precision",
         (inp.delta,),
-        _payload(inp),
+        _payload(inp, inp.complete),
         terms,
         lambda: terms["precision_term"].value * (d_h / d_c) - damage / d_c,
         denominator=min(d_c, terms["usable_nodes"]),
     )
 
 
+def _holdout_error(inp: QueryValidationInput) -> ValidationReport:
+    """The holdout-query-error-rate report: one upper bound on the mean
+    single-node error over X from the verified sample, at the full delta."""
+    error = bound_term(
+        inp.n_x, inp.columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
+    )
+    return build_report(
+        "holdout-query-error-rate",
+        (inp.delta,),
+        _payload(inp, None),
+        {"error_term": error},
+        error.value,
+    )
+
+
 def error_rate_bounds(
-    inp: QueryValidationInput,
-    columns: Columns | None = None,
-    held: ValidationReport | None = None,
+    inp: QueryValidationInput, held: ValidationReport | None = None
 ) -> ValidationReport:
     """Upper-bound the mean single-node error over X at the full delta.
 
     Holdout variant (no complete matcher supplied): one upper bound over
-    the verified sample, or ``held``'s, the holdout report, when given.
-    Complete variant: that bound plus the census disagreement rate,
-    E_C <= E_H + mean_X 1[H_x != C_x], since a complete-matcher error
-    needs the holdout matcher to err or the two matchers to differ.
+    the verified sample. Complete variant: that bound, or ``held``'s, the
+    input's holdout-query-error-rate report, when given, plus the census
+    disagreement rate, E_C <= E_H + mean_X 1[H_x != C_x], since a
+    complete-matcher error needs the holdout matcher to err or the two
+    matchers to differ.
     """
-    columns = columns or query_columns(inp)
-    error = terms_of(held)["error_term"] if held else bound_term(
-        inp.n_x, columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
-    )
-    terms, value, variant = {"error_term": error}, error.value, "holdout"
-    if inp.complete is not None:
-        variant = "complete"
-        terms["disagreement"] = math.fsum(columns.diff.tolist()) / inp.n_x
-        value += terms["disagreement"]
+    if inp.complete is None:
+        return _holdout_error(inp)
+    terms = terms_of(held or _holdout_error(inp))
+    terms["disagreement"] = math.fsum(inp.columns.diff.tolist()) / inp.n_x
     return build_report(
-        f"{variant}-query-error-rate",
+        "complete-query-error-rate",
         (inp.delta,),
-        _payload(inp),
+        _payload(inp, inp.complete),
         terms,
-        value,
+        terms["error_term"].value + terms["disagreement"],
     )
 
 
-def query_reports(
-    inp: QueryValidationInput, columns: Columns | None = None
-) -> list[ValidationReport]:
+def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     """Every certificate the input supports: holdout precision, recall and
     error rate, then, when a complete matcher is given, complete recall,
     precision and error rate.
 
     Each report fails with probability at most ``inp.delta``, so they hold
-    jointly by the union bound. The holdout certificates see the input
-    without the complete matcher. The columns are built once for all the
-    certificates, unless they are given; the complete precision and error
-    rate read their holdout term from the holdout reports.
+    jointly by the union bound. Each is the report its certificate gives
+    when run alone on ``inp`` (the holdout error rate, when a complete
+    matcher is given, is the one ``error_rate_bounds`` gives without it):
+    the columns are the input's, computed once, and the complete
+    precision and error rate read their holdout term from the holdout
+    reports (``held``).
     """
-    holdout = replace(inp, complete=None)
-    columns = columns or query_columns(inp)
-    precision, recall = holdout_query_bounds(holdout, columns)
-    error = error_rate_bounds(holdout, columns)
-    reports = [precision, recall, error]
+    precision, recall = holdout_query_bounds(inp)
+    reports = [precision, recall, error := _holdout_error(inp)]
     if inp.complete is not None:
         reports += [
-            complete_query_recall(inp, columns),
-            complete_query_precision(inp, columns, precision),
-            error_rate_bounds(inp, columns, error),
+            complete_query_recall(inp),
+            complete_query_precision(inp, precision),
+            error_rate_bounds(inp, error),
         ]
     return reports
 
 
-def compute_node_stats(
-    inp: QueryValidationInput, columns: Columns | None = None
-) -> list[PerNodeStats]:
+def compute_node_stats(inp: QueryValidationInput) -> list[PerNodeStats]:
     """Per-node statistics for reporting.
 
     Verified-sample nodes carry p, r, w against the holdout matcher (plus
     d_r, d_p when a complete matcher is present); nodes only in s_x' carry
     d_r, d_p alone, never touching actual matches.
     """
-    columns = columns or query_columns(inp)
+    columns = inp.columns
     p, r = (
         [None if math.isnan(v) else v for v in column.tolist()]
         for column in (columns.p, columns.r)

@@ -560,33 +560,42 @@ def assert_same_reports(got, want):
 
 class TestSharedTerms:
     def test_each_certificate_alone_equals_its_report(self, world):
+        # each certificate runs on its own copy of the input with the
+        # complete set, so it computes s_m's hits itself
         inp = complete_world_input(*world)
-        holdout = replace(inp, m_hat_complete=None)
         alone = [
-            holdout_batch_recall(holdout),
-            holdout_batch_precision(holdout),
-            complete_batch_recall(inp),
-            complete_batch_precision(inp),
+            certify(replace(inp))
+            for certify in (
+                holdout_batch_recall,
+                holdout_batch_precision,
+                complete_batch_recall,
+                complete_batch_precision,
+            )
         ]
-        assert_same_reports(batch_reports(inp), alone)
+        reports = batch_reports(inp)
+        assert_same_reports(reports, alone)
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
+        # a holdout report's digest leaves the complete set out
+        holdout = replace(inp, m_hat_complete=None)
+        assert_same_reports(reports[:2], batch_reports(holdout))
 
     def test_recall_and_density_terms_computed_once(self, world, monkeypatch):
         import matchcert.batch as batch
 
         calls = []
-        for name in ("_recall_hits", "_recall_term", "_density_term"):
-            def counting(inp, *rest, term=getattr(batch, name), name=name):
-                calls.append((name, *(delta.delta for delta in rest[:1])))
-                return term(inp, *rest)
+        for name in ("pair_keys", "_recall_term", "_density_term"):
+            def counting(*args, call=getattr(batch, name), name=name):
+                calls.append((name, *(d.delta for d in args if isinstance(d, Confidence))))
+                return call(*args)
 
             monkeypatch.setattr(batch, name, counting)
         batch_reports(complete_world_input(*world))
-        # s_m's hits are read once; holdout recall spends all of delta; the
-        # three two-term certificates share one recall and one density term
-        # at delta / 2
+        # s_m is encoded once, for the input's hits; holdout recall spends
+        # all of delta; the three two-term certificates share one recall
+        # and one density term at delta / 2
         assert sorted(calls) == [
-            ("_density_term", 0.025), ("_recall_hits",), ("_recall_term", 0.025),
-            ("_recall_term", 0.05),
+            ("_density_term", 0.025), ("_recall_term", 0.025), ("_recall_term", 0.05),
+            ("pair_keys",),
         ]
 
     def test_error_precedence_unchanged(self, world):

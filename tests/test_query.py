@@ -1029,6 +1029,10 @@ class TestViewsOnce:
         assert len(calls) == 5  # each certificate on its own computes them
         assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
         assert reports[3].flags == ()
+        calls.clear()
+        compute_node_stats(inp)
+        holdout_query_bounds(inp)
+        assert not calls  # the input keeps its columns
 
     def test_complete_certificates_read_the_holdout_terms(self, monkeypatch):
         # the precision and error terms at the full delta are bounded once,
@@ -1232,14 +1236,15 @@ class TestCensusInequalities:
 
 
 def certificates_alone(inp):
-    """Each certificate of query_reports(inp), called on its own."""
-    holdout = replace(inp, complete=None)
+    """Each certificate of query_reports(inp), called on its own copy of
+    ``inp``: the holdout error rate without the complete matcher, every
+    other one on the whole input."""
     return [
-        *holdout_query_bounds(holdout),
-        error_rate_bounds(holdout),
-        complete_query_recall(inp),
-        complete_query_precision(inp),
-        error_rate_bounds(inp),
+        *holdout_query_bounds(replace(inp)),
+        error_rate_bounds(replace(inp, complete=None)),
+        complete_query_recall(replace(inp)),
+        complete_query_precision(replace(inp)),
+        error_rate_bounds(replace(inp)),
     ]
 
 
@@ -1273,6 +1278,11 @@ class TestSharedQueryInputs:
         calls.clear()
         certificates_alone(inp)
         assert len(calls) == 5  # each certificate alone builds the record
+        calls.clear()
+        assert [r.to_json_dict() for r in query_reports(inp)] == [
+            r.to_json_dict() for r in certificates_alone(inp)
+        ]
+        assert len(calls) == 5  # query_reports(inp) reused inp's columns
 
     def test_digest_read_after_the_input_is_gone(self):
         def reports_and_payloads():

@@ -67,7 +67,7 @@ from matchcert.batch import BatchValidationInput, holdout_batch_recall
 from matchcert.bounds import BoundMethod
 from matchcert.graphs import NetworkPair, make_match_set, make_network
 from matchcert.matchers import MatcherConfig, build_matcher
-from matchcert.query import QueryValidationInput, query_columns, query_reports
+from matchcert.query import QueryValidationInput, query_reports
 
 DELTA = 0.05
 # each node type's identified and actual matches, by letter: x_i's actual
@@ -152,12 +152,12 @@ def member(by_type, k, last: bool = False) -> tuple[str, ...]:
     )
 
 
-def statements(inp: QueryValidationInput, columns=None) -> dict[str, float]:
+def statements(inp: QueryValidationInput) -> dict[str, float]:
     """Each holdout query bound id's bound on ``inp``'s sample, from
-    ``query_reports`` (with ``columns``, when given)."""
+    ``query_reports``."""
     return {
         r.bound_id: r.lower_bound if r.upper_bound is None else r.upper_bound
-        for r in query_reports(inp, columns)
+        for r in query_reports(inp)
     }
 
 
@@ -180,10 +180,9 @@ def world_shares(counts, sizes, methods=tuple(BoundMethod), check: bool = False)
             first = QueryValidationInput(
                 pair, holdout, member(by_type, k), actual_for, methods[0], DELTA
             )
-            columns = query_columns(first)  # the methods share them
             for method in methods:
                 inp = replace(first, method=method)
-                bounds = statements(inp, columns)
+                bounds = statements(inp)
                 if check:
                     other = replace(inp, s_x=member(by_type, k, True))
                     assert statements(other) == bounds, (counts, k, method)
