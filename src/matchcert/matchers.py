@@ -69,7 +69,6 @@ __all__ = [
     "MatcherConfig",
     "MatcherHandle",
     "build_matcher",
-    "with_extra_seeds",
     "run_batch",
     "run_query",
 ]
@@ -147,9 +146,9 @@ class MatcherHandle:
     pairs, or a MatchSet over the pair it runs on (``universe-mismatch``
     otherwise).
 
-    A complete handle is a holdout handle whose seeds were augmented with
-    validation data (see :func:`with_extra_seeds`). An attribute-exact
-    matcher never reads its training pairs.
+    A complete handle is built like a holdout one, from training pairs
+    that may include validation data. An attribute-exact matcher never
+    reads its training pairs.
     """
 
     config: MatcherConfig
@@ -164,21 +163,6 @@ def build_matcher(
     if not isinstance(training_matches, MatchSet):
         training_matches = tuple(training_matches)
     return MatcherHandle(config=config, training_matches=training_matches)
-
-
-def with_extra_seeds(
-    handle: MatcherHandle, extra_pairs: Iterable[tuple[str, str]]
-) -> MatcherHandle:
-    """Derive a complete matcher by feeding validation data in as seeds,
-    after the training pairs (a MatchSet's in key order).
-
-    Unless the matcher is attribute-exact, which reads no seeds, the result
-    is no longer a holdout matcher: its output depends on ``extra_pairs``.
-    """
-    training = handle.training_matches
-    if isinstance(training, MatchSet):
-        training = training.sorted_pairs
-    return build_matcher(handle.config, (*training, *extra_pairs))
 
 
 def _seed_keys(handle: MatcherHandle, pair: NetworkPair) -> np.ndarray:

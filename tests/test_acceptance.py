@@ -48,7 +48,6 @@ from matchcert.matchers import (
     build_matcher,
     run_batch,
     run_query,
-    with_extra_seeds,
 )
 from matchcert.query import (
     QueryValidationInput,
@@ -267,7 +266,7 @@ def _reduction_world(rng: random.Random):
         ),
         training_matches=seeds,
     )
-    complete = with_extra_seeds(holdout, [])
+    complete = build_matcher(holdout.config, holdout.training_matches)
     return pair, truth, holdout, complete
 
 

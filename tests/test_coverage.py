@@ -19,7 +19,6 @@ from matchcert.matchers import (
     TopDegree,
     build_matcher,
     run_batch,
-    with_extra_seeds,
 )
 from matchcert.query import QueryValidationInput, query_reports
 from matchcert.sampling import sample_without_replacement, spawn_rng
@@ -220,9 +219,11 @@ def test_actual_map_of_the_sampled_nodes_suffices(method):
     restricted = {x: found.get(x, frozenset()) for x in s_x}
     assert restricted == {x: full[x] for x in s_x}
     holdout = build_matcher(cfg.matcher_holdout, training_matches=truth.sorted_pairs[::16])
-    complete = with_extra_seeds(
-        holdout, list(s_m) + [(x, y) for x in s_x for y in sorted(full[x])]
-    )
+    complete = build_matcher(cfg.matcher_holdout, (
+        *truth.sorted_pairs[::16],
+        *s_m,
+        *((x, y) for x in s_x for y in sorted(full[x])),
+    ))
     verified = make_match_set([(x, y) for x in s_x for y in full[x]], pair)
     s_m_set = make_match_set(s_m, pair)
     got = {}

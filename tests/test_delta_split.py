@@ -22,7 +22,6 @@ from matchcert.matchers import (
     MatcherConfig,
     build_matcher,
     run_batch,
-    with_extra_seeds,
 )
 from matchcert.query import (
     QueryValidationInput,
@@ -66,7 +65,7 @@ def inputs():
     actual_for = {x: found.get(x, frozenset()) for x in s_x}
     config = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=1)
     holdout = build_matcher(config, training_matches=truth.sorted_pairs[::5])
-    complete = with_extra_seeds(holdout, list(s_m))
+    complete = build_matcher(config, (*truth.sorted_pairs[::5], *s_m))
     batch_inp = BatchValidationInput(
         pair, run_batch(holdout, pair), s_m, s_x, actual_for,
         BoundMethod.HYPERGEOMETRIC, DELTA,

@@ -12,7 +12,6 @@ from matchcert.matchers import (
     build_matcher,
     run_batch,
     run_query,
-    with_extra_seeds,
 )
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
 
@@ -637,27 +636,12 @@ class TestHandles:
             assert set(doc) == {"kind", "attr_key", "seeds", "threshold", "max_iters"}
             assert MatcherConfig.from_json_dict(doc) == cfg
 
-    def test_complete_handle_provenance(self):
-        holdout = build_matcher(
-            MatcherConfig("percolation", seeds=VERIFIED_SAMPLE),
-            training_matches=[("xa", "ya")],
-        )
-        complete = with_extra_seeds(holdout, [("xb", "yb")])
-        assert complete.config == holdout.config
-        assert complete.training_matches == (("xa", "ya"), ("xb", "yb"))
-        unchanged = with_extra_seeds(holdout, [])
-        assert unchanged.config == holdout.config
-        assert unchanged.training_matches == holdout.training_matches
-
     def test_match_set_seeds(self):
         pair = mirrored_pair(["a", "b", "c"], [])
         seeds = make_match_set([("xc", "yc"), ("xa", "ya")], pair)
         handle = build_matcher(MatcherConfig("percolation"), seeds)
         assert handle.training_matches is seeds
         assert run_batch(handle, pair) == seeds
-        # a complete handle takes them in key order, then the extra pairs
-        complete = with_extra_seeds(handle, [("xb", "yb")])
-        assert complete.training_matches == (("xa", "ya"), ("xc", "yc"), ("xb", "yb"))
         with pytest.raises(MatchcertError, match="^universe-mismatch:"):
             run_batch(handle, mirrored_pair(["a", "b"], []))
 

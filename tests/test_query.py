@@ -35,7 +35,6 @@ from matchcert.matchers import (
     MatcherConfig,
     build_matcher,
     run_batch,
-    with_extra_seeds,
 )
 from matchcert.query import (
     PerNodeStats,
@@ -229,7 +228,7 @@ class TestCompleteQueryRecall:
     def test_reduces_to_holdout(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = with_extra_seeds(holdout, [])
+        complete = build_matcher(holdout.config, holdout.training_matches)
         s_x = [f"x{i}" for i in range(8)]
         # the complete certificate's recall term at 0.04 / 2, as the holdout's
         inp2 = tiny_input(tiny, holdout, s_x, actual, 0.04,
@@ -307,7 +306,7 @@ class TestCompleteQueryPrecision:
     def test_reduces_to_holdout(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = with_extra_seeds(holdout, [])
+        complete = build_matcher(holdout.config, holdout.training_matches)
         s_x = [f"x{i}" for i in range(8)]
         inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
                          complete=complete, s_x_prime=s_x)
@@ -528,7 +527,7 @@ class TestErrorRate:
     def test_complete_equals_holdout_reduces(self, tiny):
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
         holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(5)])
-        complete = with_extra_seeds(holdout, [])
+        complete = build_matcher(holdout.config, holdout.training_matches)
         s_x = [f"x{i}" for i in range(8)]
         # the complete certificate's one term at the full delta, as the
         # holdout's
@@ -705,15 +704,15 @@ class TestQueryReports:
         assert any(stats.d_r for stats in compute_node_stats(inp))
 
     def test_attribute_exact_complete_handle_reduces_to_holdout(self):
-        # an attribute-exact matcher reads no seeds: the complete handle
-        # with_extra_seeds derives identifies the holdout one's sets, so its
+        # an attribute-exact matcher reads no seeds: a complete handle
+        # seeded with s_x's matches identifies the holdout one's sets, so its
         # census terms are 0 and its certificates give the holdout bounds
         nodes = range(6)
         x = make_network([f"x{i}" for i in nodes], [], {f"x{i}": {"u": str(i)} for i in nodes})
         y = make_network([f"y{i}" for i in nodes], [], {f"y{i}": {"u": str(i)} for i in nodes})
         holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="u"))
         s_x = ["x0", "x1", "x2", "x3"]
-        complete = with_extra_seeds(holdout, [(v, "y" + v[1:]) for v in s_x])
+        complete = build_matcher(holdout.config, [(v, "y" + v[1:]) for v in s_x])
         actual = {f"x{i}": frozenset({f"y{i}"}) for i in nodes}
         inp = tiny_input(NetworkPair(x, y), holdout, s_x, actual, 0.05,
                          complete=complete, s_x_prime=["x2", "x3", "x4", "x5"])
@@ -829,7 +828,7 @@ class TestStatRanges:
         holdout = build_matcher(
             MatcherConfig("percolation", seeds=tuple(ordered[:20]), threshold=2)
         )
-        complete = with_extra_seeds(holdout, ordered[20:40])
+        complete = build_matcher(holdout.config, ordered[20:40])
         per_x = by_x(truth)
         actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
         nodes = sorted(pair.x_net.nodes)
@@ -992,9 +991,10 @@ def _views_world():
     truth_x = by_x(truth)
     config = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=1)
     holdout = build_matcher(config, training_matches=truth.sorted_pairs[::5])
-    complete = with_extra_seeds(
-        holdout, [(x, y) for x in s_x for y in sorted(truth_x.get(x, ()))]
-    )
+    complete = build_matcher(config, (
+        *holdout.training_matches,
+        *((x, y) for x in s_x for y in sorted(truth_x.get(x, ()))),
+    ))
     return QueryValidationInput(
         pair=pair,
         holdout=holdout,
