@@ -16,14 +16,13 @@ with known actual matches, these functions certify:
 
 Every certificate spends the input's ``delta``, split equally over its
 own bound terms, and reports one delta part per term. The sample stage,
-s_m's ``hits``, is an attribute of the input computed on its first read,
-so it is computed once per input however many certificates read it. A
-complete certificate's one optional argument is ``held``, the input's
-holdout-batch-precision report, whose recall and match-density terms it
-reads back (``reports.terms_of``) instead of bounding them again. So a
-certificate run alone gives the report that :func:`batch_reports`, which
-runs every certificate an input supports, gives. A holdout report's
-digest fields leave out the complete set (see :mod:`.reports`).
+s_m's ``hits``, is an input attribute computed on its first read, so once
+per input. A complete certificate's one optional argument, ``held``, is
+the input's holdout-batch-precision report, whose recall and
+match-density terms it reads back (``reports.terms_of``) instead of
+bounding them again. So a certificate run alone gives the report that
+:func:`batch_reports`, which runs every certificate an input supports,
+gives. A holdout report's digest leaves out the complete set.
 
 The terms read the match sets' int keys: ``s_m`` membership is a binary
 search of the verified pairs' keys, and the set sizes and the
@@ -93,7 +92,8 @@ class BatchValidationInput:
     without it the recall term stands in k_y·|X| and uses Hoeffding for
     the exact method. Both identified sets, and s_m and ``actual_for``
     when they are MatchSets, must be over ``pair``'s node universes
-    (``universe-mismatch`` otherwise).
+    (``universe-mismatch`` otherwise) and hold valid keys (``invalid-keys``
+    otherwise, see ``MatchSet.check_input``).
     """
 
     pair: NetworkPair
@@ -109,12 +109,13 @@ class BatchValidationInput:
 
     def __post_init__(self) -> None:
         Confidence(self.delta)
+        if not isinstance(self.method, BoundMethod):
+            raise MatchcertError(f"unknown-method: {self.method!r}")
         if self.k_y < 1:
             raise MatchcertError(f"invalid-ky: {self.k_y}")
-        universe = self.pair.x_net.index.ids, self.pair.y_net.index.ids
-        for ms in (self.m_hat_holdout, self.m_hat_complete, self.s_m):
-            if isinstance(ms, MatchSet):
-                ms.check_universe(*universe)
+        for name in ("m_hat_holdout", "m_hat_complete", "s_m"):
+            if isinstance(getattr(self, name), MatchSet):
+                getattr(self, name).check_input(self.pair, name)
 
     @property
     def n_x(self) -> int:
@@ -124,15 +125,12 @@ class BatchValidationInput:
     def hits(self) -> list[float]:
         """Whether the holdout matcher identifies each pair of s_m, as 1.0
         or 0.0, after checking s_m: in s_m's order, or key order for a
-        MatchSet. The values are 0/1, so their order changes no bound.
-        Computed on the first read; a failed check raises on every read."""
+        MatchSet. The values are 0/1, so their order changes no bound."""
         s_m, is_set = self.s_m, isinstance(self.s_m, MatchSet)
         if not (s_m.keys.size if is_set else s_m):
             raise MatchcertError("empty-sample: s_m has no verified matches")
-        if is_set:  # its keys are distinct and over the pair's universes
-            keys = s_m.keys
-        else:
-            keys = pair_keys(self.pair, "s_m", s_m)
+        keys = s_m.keys if is_set else pair_keys(self.pair, "s_m", s_m)
+        if not is_set:  # a MatchSet's keys are distinct (see check_input)
             require_distinct("s_m", list(map(tuple, s_m)))  # a pair may be a list
         over = np.bincount(keys // len(self.pair.y_net.index.ids)) > self.k_y
         if over.any():
@@ -144,10 +142,9 @@ class BatchValidationInput:
 
 
 def _payload(inp: BatchValidationInput, complete: MatchSet | None) -> Callable[[], dict]:
-    """``inp``'s digest fields but the bound id and deltas, which each
-    report adds, with ``complete`` as the complete set: None in a holdout
-    report. They hold the input's match sets and samples, not the input
-    and its networks."""
+    """``inp``'s digest fields, with ``complete`` for the complete set (None
+    in a holdout report), but the bound id and deltas, which each report
+    adds: match sets and samples, not the input and its networks."""
     holdout, s_m, s_x = inp.m_hat_holdout, inp.s_m, inp.s_x
     scalars = {
         "n_x": inp.n_x,
@@ -286,11 +283,10 @@ def batch_reports(inp: BatchValidationInput) -> list[ValidationReport]:
     then, when ``m_hat_complete`` is given, complete recall and precision.
 
     Each report fails with probability at most ``inp.delta``, so they hold
-    jointly by the union bound. Each is the report its certificate gives
-    when run alone on ``inp``: s_m's hits are the input's, computed once,
-    and the complete certificates read their terms from the
-    holdout-batch-precision report (``held``), so the errors raised and
-    their order are those of the certificates run one by one.
+    jointly by the union bound. s_m's hits are computed once per input, and
+    the complete certificates read their terms from the only optional
+    argument, ``held``: so each report, and each error and its order, is
+    what the certificates give run alone on ``inp``.
     """
     reports = [holdout_batch_recall(inp), held := holdout_batch_precision(inp)]
     if inp.m_hat_complete is not None:

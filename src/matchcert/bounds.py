@@ -23,11 +23,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import MatchcertError
+from .errors import MatchcertError, is_count
 
 __all__ = [
     "KAPPA",
@@ -64,13 +65,14 @@ class PopulationSpec:
     hi: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)):
+        if not is_count(self.n):
             raise MatchcertError(f"invalid-population: n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise MatchcertError(f"invalid-population: n must be >= 1, got {self.n}")
-        if not 0.0 <= self.width < math.inf:  # NaN fails too
+        ends = isinstance(self.lo, Real) and isinstance(self.hi, Real)
+        if not (ends and 0.0 <= self.width < math.inf):  # NaN fails too
             raise MatchcertError(
-                f"invalid-population: want finite lo <= hi, got [{self.lo}, {self.hi}]"
+                f"invalid-population: want finite lo <= hi, got [{self.lo!r}, {self.hi!r}]"
             )
 
     @property
@@ -86,7 +88,10 @@ class SampleSummary:
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "SampleSummary":
-        return cls(tuple(map(float, values)))
+        try:
+            return cls(tuple(map(float, values)))
+        except (TypeError, ValueError, OverflowError):
+            raise MatchcertError(f"invalid-value: {values!r} holds a non-number") from None
 
     @property
     def s(self) -> int:
@@ -100,9 +105,9 @@ class Confidence:
     delta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
+        if not (isinstance(self.delta, Real) and 0.0 < self.delta < 1.0):
             raise MatchcertError(
-                f"invalid-confidence: delta must be in (0,1), got {self.delta}"
+                f"invalid-confidence: delta must be in (0,1), got {self.delta!r}"
             )
 
 
@@ -162,8 +167,8 @@ def rho_s(n: int, s: int) -> float:
     Equals 1 - (s-1)/n while the sample covers at most half the
     population, and (1 - s/n)(1 + 1/n) beyond; 0 at a full census.
     """
-    if s < 1 or s > n:
-        raise MatchcertError(f"invalid-sample-size: s={s} not in [1, n={n}]")
+    if not (is_count(n) and is_count(s) and 1 <= s <= n):
+        raise MatchcertError(f"invalid-sample-size: s={s!r} not in [1, n={n!r}]")
     if 2 * s <= n:
         return 1.0 - (s - 1) / n
     return (1.0 - s / n) * (1.0 + 1.0 / n)
@@ -276,9 +281,9 @@ def _logfact(n: int) -> np.ndarray:
 
 
 def _check_hypergeom(m: int, n: int, s: int, k: int) -> None:
-    if not (0 <= m <= n and 0 <= s <= n and 0 <= k <= s):
+    if not (all(map(is_count, (m, n, s, k))) and 0 <= m <= n and 0 <= s <= n and 0 <= k <= s):
         raise MatchcertError(
-            f"invalid-hypergeom-params: m={m}, n={n}, s={s}, k={k}"
+            f"invalid-hypergeom-params: m={m!r}, n={n!r}, s={s!r}, k={k!r}"
         )
 
 
@@ -411,8 +416,8 @@ def _least_passing(tail_at, a: int, b: int, guess: int, step: int, level: float)
 
 
 def _check_counts(n: int, s: int, k: int) -> None:
-    if not 0 <= k <= s <= n:
-        raise MatchcertError(f"invalid-hypergeom-params: n={n}, s={s}, k={k}")
+    if not (all(map(is_count, (n, s, k))) and 0 <= k <= s <= n and n >= 1):
+        raise MatchcertError(f"invalid-hypergeom-params: n={n!r}, s={s!r}, k={k!r}")
 
 
 def _least_m(n: int, s: int, k: int, delta: Confidence) -> int:
@@ -465,9 +470,12 @@ def bound_mean(
     ``side`` is one of ``lower``, ``upper``, ``both``; a one-sided request
     fills the unrequested side with the trivial range endpoint. The
     hypergeometric method requires binary {0,1} values and range (0, 1).
+    A ``method`` that is no BoundMethod fails with ``unknown-method``.
     """
     if side not in ("lower", "upper", "both"):
         raise MatchcertError(f"invalid-side: {side!r}")
+    if not isinstance(method, BoundMethod):
+        raise MatchcertError(f"unknown-method: {method!r}")
     if method is not BoundMethod.HYPERGEOMETRIC:
         res = (hoeffding_bounds if method is BoundMethod.HOEFFDING else ebs_bounds)(
             pop, sample, delta

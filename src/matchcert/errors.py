@@ -1,6 +1,8 @@
 from dataclasses import MISSING, fields
 from typing import Callable, Mapping
 
+import numpy as np
+
 
 class MatchcertError(ValueError):
     """Contract violation.
@@ -9,6 +11,11 @@ class MatchcertError(ValueError):
     ``invalid-hypergeom-params``) so callers and tests can match on it
     without depending on the free-text tail.
     """
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an int, Python's or numpy's, and no bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}

@@ -31,8 +31,8 @@ and complete-query-recall two, R_H and the matched fraction of X (a
 lower bound on |D_a| / |X|), at delta / 2 each.
 
 One stage, :func:`query_columns`, checks the samples and runs each
-matcher once; the input's ``columns`` attribute computes it on its first
-read, so it runs once per input however many certificates read it. It takes s_x's positions and actual-match counts from
+matcher once; the input's ``columns`` attribute runs it on its first
+read. It takes s_x's positions and actual-match counts from
 ``reports.verified_sample`` and counts, per node, from the match sets'
 keys (``np.bincount`` over ``key // n_y``, membership by binary search):
 the identified matches, the hits, and the holdout-only and complete-only
@@ -148,6 +148,8 @@ class QueryValidationInput:
 
     def __post_init__(self) -> None:
         Confidence(self.delta)
+        if not isinstance(self.method, BoundMethod):
+            raise MatchcertError(f"unknown-method: {self.method!r}")
 
     @property
     def n_x(self) -> int:
@@ -155,8 +157,7 @@ class QueryValidationInput:
 
     @cached_property
     def columns(self) -> Columns:
-        """The input's per-node statistics, :func:`query_columns`, computed
-        on the first read; a failed check raises on every read."""
+        """:func:`query_columns` of the input, computed on the first read."""
         return query_columns(self)
 
 
@@ -238,13 +239,10 @@ def query_columns(inp: QueryValidationInput) -> Columns:
     )
 
 
-def _payload(
-    inp: QueryValidationInput, complete: MatcherHandle | None
-) -> Callable[[], dict]:
-    """``inp``'s digest fields but the bound id and deltas, which each
-    report adds, with ``complete`` as the complete matcher: None in a
-    holdout report. They hold the matchers' configs, not the handles and
-    the networks."""
+def _payload(inp: QueryValidationInput, complete: MatcherHandle | None) -> Callable[[], dict]:
+    """``inp``'s digest fields, with ``complete`` for the complete matcher
+    (None in a holdout report), but the bound id and deltas, which each
+    report adds: matcher configs, not the handles and the networks."""
     s_x, s_x_prime = inp.s_x, inp.s_x_prime
     holdout = inp.holdout.config
     complete = complete.config if complete else None
@@ -269,13 +267,12 @@ def _holdout_term(inp: QueryValidationInput, quantity: str, delta: Confidence) -
     docstring). A certificate passes ``usable_nodes`` to ``build_report``
     as a denominator, so with no usable node it reads 0, flagged
     vacuous-denominator."""
-    columns = inp.columns
-    column = columns.p if quantity == "precision" else columns.r
+    column = inp.columns.p if quantity == "precision" else inp.columns.r
     sample = column[~np.isnan(column)].tolist()
     terms = {"usable_nodes": float(len(sample))}
     n, exact = inp.n_x, False
     if quantity == "precision":
-        n, exact = columns.identified, columns.most <= 1
+        n, exact = inp.columns.identified, inp.columns.most <= 1
         terms["identified_nodes"] = float(n)
     if sample:
         terms[f"{quantity}_term"] = bound_term(
@@ -320,11 +317,10 @@ def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
     delta = Confidence(inp.delta / 2)
     _require_complete(inp)
     terms = _holdout_term(inp, "recall", delta)
-    columns = inp.columns
     frac = terms["matched_fraction_term"] = bound_term(
-        inp.n_x, columns.matched.tolist(), inp.method, delta, "lower"
+        inp.n_x, inp.columns.matched.tolist(), inp.method, delta, "lower"
     )
-    dropped = terms["disagreement"] = math.fsum(columns.d_r.tolist()) / inp.n_x
+    dropped = terms["disagreement"] = math.fsum(inp.columns.d_r.tolist()) / inp.n_x
     usable = terms["usable_nodes"]
     return build_report(
         "complete-query-recall",
@@ -347,8 +343,7 @@ def complete_query_precision(
     """
     _require_complete(inp)
     columns = inp.columns
-    delta = Confidence(inp.delta)
-    terms = terms_of(held) if held else _holdout_term(inp, "precision", delta)
+    terms = terms_of(held) if held else _holdout_term(inp, "precision", Confidence(inp.delta))
     damage = math.fsum(columns.d_p.tolist())
     d_h, d_c = columns.identified, columns.complete
     terms.update(
@@ -366,18 +361,22 @@ def complete_query_precision(
     )
 
 
-def _holdout_error(inp: QueryValidationInput) -> ValidationReport:
-    """The holdout-query-error-rate report: one upper bound on the mean
-    single-node error over X from the verified sample, at the full delta."""
-    error = bound_term(
+def _error_rate(inp: QueryValidationInput, complete, held) -> ValidationReport:
+    """:func:`error_rate_bounds` with ``complete`` (a handle or None) as its matcher."""
+    error = terms_of(held)["error_term"] if held else bound_term(
         inp.n_x, inp.columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
     )
+    terms, value, variant = {"error_term": error}, error.value, "holdout"
+    if complete is not None:
+        variant = "complete"
+        terms["disagreement"] = math.fsum(inp.columns.diff.tolist()) / inp.n_x
+        value += terms["disagreement"]
     return build_report(
-        "holdout-query-error-rate",
+        f"{variant}-query-error-rate",
         (inp.delta,),
-        _payload(inp, None),
-        {"error_term": error},
-        error.value,
+        _payload(inp, complete),
+        terms,
+        value,
     )
 
 
@@ -388,22 +387,11 @@ def error_rate_bounds(
 
     Holdout variant (no complete matcher supplied): one upper bound over
     the verified sample. Complete variant: that bound, or ``held``'s, the
-    input's holdout-query-error-rate report, when given, plus the census
-    disagreement rate, E_C <= E_H + mean_X 1[H_x != C_x], since a
-    complete-matcher error needs the holdout matcher to err or the two
-    matchers to differ.
+    input's holdout report, plus the census disagreement rate, E_C <= E_H
+    + mean_X 1[H_x != C_x], since a complete-matcher error needs the
+    holdout matcher to err or the two matchers to differ.
     """
-    if inp.complete is None:
-        return _holdout_error(inp)
-    terms = terms_of(held or _holdout_error(inp))
-    terms["disagreement"] = math.fsum(inp.columns.diff.tolist()) / inp.n_x
-    return build_report(
-        "complete-query-error-rate",
-        (inp.delta,),
-        _payload(inp, inp.complete),
-        terms,
-        terms["error_term"].value + terms["disagreement"],
-    )
+    return _error_rate(inp, inp.complete, held)
 
 
 def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
@@ -412,15 +400,14 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     precision and error rate.
 
     Each report fails with probability at most ``inp.delta``, so they hold
-    jointly by the union bound. Each is the report its certificate gives
-    when run alone on ``inp`` (the holdout error rate, when a complete
-    matcher is given, is the one ``error_rate_bounds`` gives without it):
-    the columns are the input's, computed once, and the complete
-    precision and error rate read their holdout term from the holdout
-    reports (``held``).
+    jointly by the union bound. The columns are computed once per input and
+    the complete precision and error rate read their holdout term from the
+    one optional argument, ``held``, so each report is what its certificate
+    run alone on ``inp`` gives; the holdout error rate's certificate, given
+    a complete matcher, is ``error_rate_bounds`` of ``inp`` without it.
     """
     precision, recall = holdout_query_bounds(inp)
-    reports = [precision, recall, error := _holdout_error(inp)]
+    reports = [precision, recall, error := _error_rate(inp, None, None)]
     if inp.complete is not None:
         reports += [
             complete_query_recall(inp),

@@ -100,8 +100,8 @@ def verified_sample(
     node and each node's in key order, and each node's count of them.
 
     ``actual_for`` holds the verified matches in either of two forms, which
-    give the same three arrays. A MatchSet over ``pair``'s universes
-    (``universe-mismatch`` otherwise) gives each node its row, found by
+    give the same three arrays. A MatchSet (checked by
+    ``MatchSet.check_input``) gives each node its row, found by
     binary search; a node with no pair in it has no verified match. A
     mapping gives each node a collection of ids. A bad pair of the mapping
     fails ``graphs.pair_keys``' checks, which name the first in node order
@@ -111,7 +111,7 @@ def verified_sample(
     node in sample order that does and its least repeated id."""
     ix, iy = pair.x_net.index, pair.y_net.index
     if isinstance(actual_for, MatchSet):
-        actual_for.check_universe(ix.ids, iy.ids)
+        actual_for.check_input(pair, "actual_for")
         at = sample_positions(ix, "s_x", nodes)
         return (at, *actual_for.rows(at))
     at = sample_positions(ix, "s_x", nodes, actual_for)
@@ -158,12 +158,15 @@ class ValidationReport:
 
     ``delta_parts`` holds one delta per bound term, and ``delta_total``
     their sum, the report's failure probability by the union bound.
-    ``inputs_digest`` hashes the bound id, the delta parts and the
-    input fields, which ``payload`` returns as plain JSON values, as one
-    plain JSON object. It is computed when first read, so a caller that
-    never reads it (a coverage trial) never builds the fields. A pickled
-    report carries its digest, not ``payload``. Reports compare equal
-    when their fields and their digests do.
+    ``inputs_digest`` hashes the bound id, the delta parts and the input
+    fields that ``payload`` returns as plain JSON values, one plain JSON
+    object: those each certifier's ``_payload`` lists, less the complete
+    part in a holdout report. ``actual_for`` and a matcher's training
+    pairs are not among them: inputs that differ only there share a
+    digest. It is computed when first read, so a caller that never reads
+    it (a coverage trial) never builds the fields. A pickled report
+    carries its digest, not ``payload``. Reports compare equal when their
+    fields and their digests do.
     """
 
     bound_id: str

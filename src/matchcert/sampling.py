@@ -20,7 +20,7 @@ from typing import Iterator, Sequence, TypeVar
 import numpy as np
 
 from .bounds import hypergeom_pmf
-from .errors import MatchcertError
+from .errors import MatchcertError, is_count
 
 __all__ = [
     "spawn_rng",
@@ -38,7 +38,7 @@ T = TypeVar("T")
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     """A PCG64 generator on an independent stream for non-negative integer
     (seed, *key); Python and numpy integers give the same stream."""
-    if not all(isinstance(v, (int, np.integer)) for v in (seed, *key)):
+    if not all(map(is_count, (seed, *key))):
         raise MatchcertError(f"invalid-seed: seed {seed!r} and key {key!r} must be integers")
     if min((seed, *key)) < 0:
         raise MatchcertError(f"invalid-seed: seed {seed} and key {key} must be >= 0")
@@ -55,8 +55,8 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
 def sample_indices(n: int, s: int, seed_or_rng) -> np.ndarray:
     """A uniformly random size-s subset of ``range(n)``, in draw order, as
     an int array. Size 0 draws nothing from the generator."""
-    if not 0 <= s <= n:
-        raise MatchcertError(f"invalid-sample-size: s={s} not in [0, {n}]")
+    if not (is_count(n) and is_count(s) and 0 <= s <= n):
+        raise MatchcertError(f"invalid-sample-size: s={s!r} not in [0, {n!r}]")
     if s == 0:
         return np.empty(0, dtype=np.int64)
     return _as_rng(seed_or_rng).choice(n, size=s, replace=False, shuffle=False)
@@ -85,8 +85,8 @@ def hypergeometric_draw(n: int, t: int, s: int, seed_or_rng) -> int:
     Inverse-CDF over the exact pmf, so the sampler shares its distribution
     with the tested tail computations.
     """
-    if not (0 <= t <= n and 0 <= s <= n):
-        raise MatchcertError(f"invalid-hypergeom-params: n={n}, t={t}, s={s}")
+    if not (all(map(is_count, (n, t, s))) and 0 <= t <= n and 0 <= s <= n):
+        raise MatchcertError(f"invalid-hypergeom-params: n={n!r}, t={t!r}, s={s!r}")
     rng = _as_rng(seed_or_rng)
     u = rng.random()
     lo = max(0, s - (n - t))
@@ -115,9 +115,10 @@ class SplitSpec:
     rng_seed: int
 
     def __post_init__(self) -> None:
-        if self.t < 0 or self.s < 0:
+        counts = all(map(is_count, (self.population_n, self.t, self.s)))
+        if not counts or self.t < 0 or self.s < 0:
             raise MatchcertError(
-                f"invalid-split: t={self.t} and s={self.s} must be >= 0"
+                f"invalid-split: t={self.t!r} and s={self.s!r} and population_n must be counts"
             )
         if self.t + self.s != len(self.labeled):
             raise MatchcertError(
@@ -129,10 +130,14 @@ class SplitSpec:
                 f"invalid-split: labeled sample larger than population "
                 f"{self.population_n}"
             )
-        if len(set(self.labeled)) != len(self.labeled):
-            raise MatchcertError("invalid-split: labeled items must be distinct")
-        if self.rng_seed < 0:
-            raise MatchcertError(f"invalid-seed: rng_seed {self.rng_seed}")
+        try:
+            repeats = len(set(self.labeled)) != len(self.labeled)
+        except TypeError:  # an unhashable item
+            repeats = True
+        if repeats:
+            raise MatchcertError("invalid-split: labeled items must be distinct and hashable")
+        if not (is_count(self.rng_seed) and self.rng_seed >= 0):
+            raise MatchcertError(f"invalid-seed: rng_seed {self.rng_seed!r}")
 
 
 def split_train_validation(spec: SplitSpec) -> tuple[list, list]:

@@ -21,10 +21,12 @@ from matchcert.bounds import (
     bound_mean,
     hoeffding_bounds,
     hypergeom_invert_lower,
+    hypergeom_pmf,
+    rho_s,
 )
 from matchcert.coverage import ExperimentConfig
 from matchcert.errors import MatchcertError, read_fields
-from matchcert.graphs import NetworkPair, make_match_set, make_network, pair_keys
+from matchcert.graphs import MatchSet, NetworkPair, make_match_set, make_network, pair_keys
 from matchcert.matchers import MatcherConfig, TopDegree, build_matcher
 from matchcert.query import QueryValidationInput, query_reports
 from matchcert.sampling import (
@@ -347,7 +349,80 @@ ESCAPES = [
         lambda: _verified_on_ab(query_reports, {"a": ()}, s_x_prime=""),
         "s_x_prime is the string ''",
     ),
+    # a method given by its name ran EBS in bound_mean, and failed as an
+    # AttributeError in the runners
+    (
+        "unknown-method",
+        lambda: bound_mean(PopulationSpec(100), SampleSummary.of([1.0] * 30 + [0.0] * 10),
+                           "hoeffding", D05),
+        "'hoeffding'",
+    ),
+    ("unknown-method", lambda: _on_ab(batch_reports, method="hoeffding"), "'hoeffding'"),
+    ("unknown-method", lambda: _on_ab(query_reports, method=None), "None"),
+    # caller-built MatchSets, over X = {a, b} and Y = {p, q}: out of order,
+    # repeated and out-of-range keys gave wrong counts, or a misleading
+    # ky-violated for s_m
+    ("invalid-keys", lambda: _keys_on_pq("actual_for", [3, 0]), "actual_for is no sorted set"),
+    ("invalid-keys", lambda: _keys_on_pq("actual_for", [0, 0, 3], query_reports), "actual_for"),
+    ("invalid-keys", lambda: _keys_on_pq("actual_for", [0, 9]), "actual_for is no sorted set"),
+    ("invalid-keys", lambda: _keys_on_pq("s_m", [0, 0, 3]), "s_m is no sorted set"),
+    ("invalid-keys", lambda: _keys_on_pq("m_hat_holdout", [-1, 0]), "m_hat_holdout is no"),
+    ("invalid-keys", lambda: _keys_on_pq("m_hat_complete", [0, 1.5]), "m_hat_complete is no"),
+    ("invalid-keys", lambda: _keys_on_pq("s_m", [0], self_match=True), "s_m is no sorted set"),
+    # the bounds and sampling entry points on values of the wrong type
+    ("invalid-hypergeom-params", lambda: hypergeom_invert_lower(0, 0, 0, Confidence(0.1)), "n=0"),
+    ("invalid-confidence", lambda: Confidence("0.1"), "got '0.1'"),
+    ("invalid-confidence", lambda: Confidence(None), "got None"),
+    ("invalid-hypergeom-params", lambda: hypergeom_pmf(2.5, 10, 3, 1), "m=2.5"),
+    ("invalid-hypergeom-params", lambda: hypergeom_invert_lower(10.5, 3, 1, D05), "n=10.5"),
+    ("invalid-value", lambda: SampleSummary.of(["a"]), "['a'] holds a non-number"),
+    ("invalid-value", lambda: SampleSummary.of([10**400]), "holds a non-number"),
+    ("invalid-population", lambda: PopulationSpec(10, "a", 1.0), "got ['a', 1.0]"),
+    ("invalid-population", lambda: PopulationSpec(True), "integer, got True"),
+    ("invalid-sample-size", lambda: sample_indices(10, 2.5, 1), "s=2.5"),
+    ("invalid-sample-size", lambda: rho_s(10, "2"), "s='2'"),
+    ("invalid-split", lambda: SplitSpec(10, ([1], [2]), 1, 1, 0), "distinct and hashable"),
+    ("invalid-split", lambda: SplitSpec(10, (1, 2), 1.5, 0.5, 0), "t=1.5"),
+    ("invalid-seed", lambda: SplitSpec(10, (1, 2), 1, 1, "0"), "rng_seed '0'"),
+    ("invalid-seed", lambda: spawn_rng(True), "seed True"),
+    ("invalid-hypergeom-params", lambda: hypergeometric_draw(10, "3", 4, 0), "t='3'"),
 ]
+
+
+def _on_ab(certify, method):
+    """``certify``'s reports on pair AB with ``method``, which is no
+    BoundMethod: the input rejects it."""
+    if certify is batch_reports:
+        return certify(BatchValidationInput(
+            AB, make_match_set([("a", "a")], AB), (("a", "a"),), ("a",), {"a": ()},
+            method, 0.05,
+        ))
+    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
+    return certify(QueryValidationInput(AB, holdout, ("a",), {"a": ()}, method, 0.05))
+
+
+def _keys_on_pq(field, keys, certify=batch_reports, self_match=False):
+    """``certify``'s reports on X = {a, b} and Y = {p, q} (or, in
+    self-match mode, X = Y = {a, b}) with the field ``field`` a MatchSet of
+    the raw ``keys``, which the input rejects."""
+    x, y = make_network(["a", "b"], []), make_network(["a", "b"] if self_match else ["p", "q"], [])
+    pair = NetworkPair(x, y, self_match_mode=self_match)
+    ids = pair.x_net.index.ids, pair.y_net.index.ids
+    fields = {
+        "m_hat_holdout": make_match_set([("a", y.index.ids[1])], pair),
+        "s_m": ((("a", y.index.ids[1])),),
+        "actual_for": {"a": (), "b": ()},
+        field: MatchSet(*ids, np.array(keys)),
+    }
+    if certify is query_reports:
+        holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
+        return certify(QueryValidationInput(
+            pair, holdout, ("a", "b"), fields["actual_for"], BoundMethod.HOEFFDING, 0.05
+        ))
+    return certify(BatchValidationInput(
+        pair, fields["m_hat_holdout"], fields["s_m"], ("a", "b"), fields["actual_for"],
+        BoundMethod.HOEFFDING, 0.05, m_hat_complete=fields.get("m_hat_complete"),
+    ))
 
 
 @pytest.mark.parametrize("token, call, text", ESCAPES, ids=_ids(ESCAPES))

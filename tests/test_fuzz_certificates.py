@@ -3,11 +3,14 @@ either return reports or raise a ``MatchcertError`` whose message starts
 with a kebab-case token, on one tiny world, whatever items the samples
 s_x, s_x' and s_m hold and whatever values ``actual_for`` maps them to.
 The samples are sequences and ``actual_for`` is a mapping, as the input
-types say, or s_m and ``actual_for`` are MatchSets, over the world's pair
-or over another one (``universe-mismatch``)."""
+types say, or s_m and ``actual_for`` are MatchSets: over the world's pair,
+over another one (``universe-mismatch``), or built by the caller from
+arbitrary keys (``invalid-keys`` unless valid). The method is mostly a
+``BoundMethod``, else its name or None (``unknown-method``)."""
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from matchcert.batch import BatchValidationInput, batch_reports
 from matchcert.bounds import BoundMethod
 from matchcert.errors import MatchcertError
-from matchcert.graphs import NetworkPair, make_match_set, make_network
+from matchcert.graphs import MatchSet, NetworkPair, make_match_set, make_network
 from matchcert.matchers import MatcherConfig, build_matcher
 from matchcert.query import QueryValidationInput, query_reports
 from matchcert.reports import ValidationReport
@@ -73,11 +76,17 @@ actual_maps = mostly(
 )
 
 
-# which field a MatchSet replaces: one over the world's pair, or over
-# another pair with the same ids
+# which field a MatchSet replaces: one over the world's pair, over
+# another pair with the same ids, or one of keys drawn below
 set_fields = st.sampled_from(
     [None, ("s_m", "own"), ("actual_for", "own"), ("s_m", "other"),
-     ("actual_for", "other")]
+     ("actual_for", "other"), ("s_m", "keys"), ("actual_for", "keys")]
+)
+# keys over X = {a, b} and Y = {a, c}, of which 0 to 3 are valid, in any order
+keys = st.lists(st.integers(-1, 4), max_size=4)
+methods = mostly(
+    st.sampled_from(list(BoundMethod)),
+    st.sampled_from([None, *(m.value for m in BoundMethod)]),
 )
 
 
@@ -106,14 +115,17 @@ def world():
     st.one_of(st.just(()), s_xs),
     s_ms,
     actual_maps,
-    st.sampled_from(list(BoundMethod)),
+    methods,
     st.booleans(),
     set_fields,
+    keys,
 )
 def test_certificates_return_or_raise_a_token(
-    world, s_x, s_x_prime, s_m, actual_for, method, complete, set_field
+    world, s_x, s_x_prime, s_m, actual_for, method, complete, set_field, drawn
 ):
     pair, (m_hat_h, m_hat_c), (holdout, other), as_set = world
+    own = as_set["own"]
+    as_set = {**as_set, "keys": MatchSet(own.x_ids, own.y_ids, np.array(drawn, dtype=np.int64))}
     if set_field and set_field[0] == "s_m":
         s_m = as_set[set_field[1]]
     elif set_field:
