@@ -366,7 +366,7 @@ class MatchSet:
             )
 
     def check_input(self, pair: "NetworkPair", name: str) -> None:
-        """Check a set given as the field ``name`` of a certificate input:
+        """Check a set given as the field ``name`` of an input or handle:
         ``universe-mismatch`` unless it is over ``pair``'s universes, then
         ``invalid-keys`` unless its keys are ascending, distinct ints in
         [0, |X|*|Y|), with no identity pair in self-match mode."""

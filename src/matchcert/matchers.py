@@ -143,8 +143,8 @@ def _read_seeds(seeds) -> tuple[tuple[str, str], ...] | TopDegree | str:
 @dataclass(eq=False)
 class MatcherHandle:
     """A matcher config plus the training pairs it is seeded with: string
-    pairs, or a MatchSet over the pair it runs on (``universe-mismatch``
-    otherwise).
+    pairs, or a MatchSet over the pair it runs on (checked when it runs,
+    see ``MatchSet.check_input``).
 
     A complete handle is built like a holdout one, from training pairs
     that may include validation data. An attribute-exact matcher never
@@ -171,7 +171,7 @@ def _seed_keys(handle: MatcherHandle, pair: NetworkPair) -> np.ndarray:
     training, rule = handle.training_matches, handle.config.seeds
     keys = [np.zeros(0, dtype=np.int64)]
     if isinstance(training, MatchSet):
-        training.check_universe(pair.x_net.index.ids, pair.y_net.index.ids)
+        training.check_input(pair, "training_matches")
         keys, training = [training.keys], ()
     strings = (*training, *rule) if isinstance(rule, tuple) else training
     if strings:  # one call checks and encodes every string pair
@@ -322,9 +322,9 @@ def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
     else:
         keys = _percolate(pair, _seed_keys(handle, pair), cfg.threshold, cfg.max_iters)
     # both matchers pair nodes of the two networks and never an identity
-    # pair in self-match mode (pair_keys checks string seeds, and a
-    # MatchSet's pairs were checked when it was built), so the keys need
-    # no further check
+    # pair in self-match mode (pair_keys checks string seeds, and
+    # MatchSet.check_input a set of them), so the keys need no further
+    # check
     x_ids, y_ids = pair.x_net.index.ids, pair.y_net.index.ids
     result = MatchSet(x_ids, y_ids, keys)
     handle._cache_pair = pair

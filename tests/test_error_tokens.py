@@ -27,7 +27,7 @@ from matchcert.bounds import (
 from matchcert.coverage import ExperimentConfig
 from matchcert.errors import MatchcertError, read_fields
 from matchcert.graphs import MatchSet, NetworkPair, make_match_set, make_network, pair_keys
-from matchcert.matchers import MatcherConfig, TopDegree, build_matcher
+from matchcert.matchers import MatcherConfig, TopDegree, build_matcher, run_batch
 from matchcert.query import QueryValidationInput, query_reports
 from matchcert.sampling import (
     SplitSpec,
@@ -369,6 +369,13 @@ ESCAPES = [
     ("invalid-keys", lambda: _keys_on_pq("m_hat_holdout", [-1, 0]), "m_hat_holdout is no"),
     ("invalid-keys", lambda: _keys_on_pq("m_hat_complete", [0, 1.5]), "m_hat_complete is no"),
     ("invalid-keys", lambda: _keys_on_pq("s_m", [0], self_match=True), "s_m is no sorted set"),
+    # a matcher seeded with such a set ran into an IndexError
+    (
+        "invalid-keys",
+        lambda: run_batch(build_matcher(MatcherConfig("percolation"), MatchSet(
+            ["a", "b"], ["a", "b", "c"], np.array([0, 9]))), AB),
+        "training_matches is no sorted set",
+    ),
     # the bounds and sampling entry points on values of the wrong type
     ("invalid-hypergeom-params", lambda: hypergeom_invert_lower(0, 0, 0, Confidence(0.1)), "n=0"),
     ("invalid-confidence", lambda: Confidence("0.1"), "got '0.1'"),
