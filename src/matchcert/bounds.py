@@ -23,7 +23,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Real
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -52,6 +51,8 @@ __all__ = [
     "bound_term",
 ]
 
+_NUMBERS = (int, float, np.integer, np.floating)  # a delta or a range end
+
 # Constant in the empirical Bernstein-Serfling range term: 7/3 + 3/sqrt(2).
 KAPPA = 7.0 / 3.0 + 3.0 / math.sqrt(2.0)
 
@@ -69,7 +70,7 @@ class PopulationSpec:
             raise MatchcertError(f"invalid-population: n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise MatchcertError(f"invalid-population: n must be >= 1, got {self.n}")
-        ends = isinstance(self.lo, Real) and isinstance(self.hi, Real)
+        ends = isinstance(self.lo, _NUMBERS) and isinstance(self.hi, _NUMBERS)
         if not (ends and 0.0 <= self.width < math.inf):  # NaN fails too
             raise MatchcertError(
                 f"invalid-population: want finite lo <= hi, got [{self.lo!r}, {self.hi!r}]"
@@ -105,7 +106,7 @@ class Confidence:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.delta, Real) and 0.0 < self.delta < 1.0):
+        if not (isinstance(self.delta, _NUMBERS) and 0.0 < self.delta < 1.0):
             raise MatchcertError(
                 f"invalid-confidence: delta must be in (0,1), got {self.delta!r}"
             )

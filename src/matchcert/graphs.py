@@ -371,11 +371,10 @@ class MatchSet:
         ``invalid-keys`` unless its keys are ascending, distinct ints in
         [0, |X|*|Y|), with no identity pair in self-match mode."""
         self.check_universe(pair.x_net.index.ids, pair.y_net.index.ids)
-        keys, n_y = self.keys, len(self.y_ids)
+        keys, n_x, n_y = self.keys, len(self.x_ids), len(self.y_ids)
         ok = isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype.kind == "i"
         if ok and keys.size:  # ascending and distinct, so the ends bound them
-            ok = 0 <= keys[0] and keys[-1] < len(self.x_ids) * n_y
-            ok = ok and (keys[1:] > keys[:-1]).all()
+            ok = 0 <= keys[0] and keys[-1] < n_x * n_y and (keys[1:] > keys[:-1]).all()
             ok = ok and not (pair.self_match_mode and (keys // n_y == keys % n_y).any())
         if not ok:
             raise MatchcertError(f"invalid-keys: {name} is no sorted set of allowed pair keys")
