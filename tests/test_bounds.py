@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import math
 import random
@@ -223,6 +224,26 @@ class TestHypergeomTails:
                         assert hypergeom_tail_lower(m, n, s, k) == pytest.approx(
                             float(tail_lower_exact(m, n, s, k)), abs=1e-12
                         )
+
+    def test_step_in_m_has_a_closed_form(self):
+        # P{X >= k | m + 1} - P{X >= k | m} = (s/n) P{Y = k - 1}, Y the count
+        # of s - 1 draws from n - 1 items of which m are successes: the count
+        # reaches k only through the added success, drawn with k - 1 others
+        for n in range(1, 31):
+            for s in range(1, n + 1):
+                tails = [_upper_tails_exact(m, n, s) for m in range(n + 1)]
+                for m in range(n):
+                    for k in range(1, s + 1):
+                        step = Fraction(s, n) * pmf_exact(m, n - 1, s - 1, k - 1)
+                        assert tails[m + 1][k] - tails[m][k] == step, (n, s, m, k)
+
+
+def _upper_tails_exact(m: int, n: int, s: int) -> list[Fraction]:
+    """P{X >= k | m} for k = 0..s, exactly."""
+    tails = [Fraction(0)] * (s + 2)
+    for k in range(s, -1, -1):
+        tails[k] = tails[k + 1] + pmf_exact(m, n, s, k)
+    return tails[: s + 1]
 
 
 class TestInversion:
@@ -514,6 +535,60 @@ class TestBoundMean:
             hg = bound_mean(pop, sample, BoundMethod.HYPERGEOMETRIC, D05).lower
             hf = bound_mean(pop, sample, BoundMethod.HOEFFDING, D05).lower
             assert hg >= hf
+
+
+# Population sizes up to the bounds-sweep's 10**6, sample sizes up to its
+# 2,000, and deltas from a single bound's 0.5 to a tie-slopped level below 0.
+PIN_NS = (1, 3, 40, 2_000, 100_000, 1_000_000)
+PIN_SS = (1, 2, 5, 50, 200, 2_000)
+PIN_DELTAS = (0.5, 0.05, 0.05 / 6, 1e-4, 1e-12)
+
+
+def pinned_grid():
+    """(pop, sample, method, delta, side) for every method, side and delta
+    over 0/1 samples at means 0, 0.05, 0.5, 0.95 and 1, and, for Hoeffding
+    and EBS, integer samples over [0, 3] and [-1, 2] and uniform samples
+    over [0, 1]; values drawn from one seed."""
+    rng = random.Random(3_400)
+    sides = ("lower", "upper", "both")
+    for n in PIN_NS:
+        for s in (s for s in PIN_SS if s <= n):
+            samples = [
+                ((0.0, 1.0), [float(rng.random() < mean) for _ in range(s)])
+                for mean in (0.0, 0.05, 0.5, 0.95, 1.0)
+            ]
+            samples += [
+                ((0.0, 3.0), [float(rng.randint(0, 3)) for _ in range(s)]),
+                ((-1.0, 2.0), [float(rng.randint(-1, 2)) for _ in range(s)]),
+                ((0.0, 1.0), [rng.random() for _ in range(s)]),
+            ]
+            for (lo, hi), values in samples:
+                pop, sample = PopulationSpec(n, lo, hi), SampleSummary.of(values)
+                binary = (lo, hi) == (0.0, 1.0) and set(values) <= {0.0, 1.0}
+                for method in BoundMethod:
+                    if method is BoundMethod.HYPERGEOMETRIC and not binary:
+                        continue
+                    for delta in PIN_DELTAS:
+                        for side in sides:
+                            yield pop, sample, method, Confidence(delta), side
+
+
+# sha256 of the reprs of (estimate, lower, upper, sorted diagnostics) of
+# bound_mean over pinned_grid(), in turn, as computed before the sample
+# reader and the inversion search were last reworked: a change of speed
+# must leave every bound as it was, bit for bit.
+PINNED_GRID_CALLS = 7_560
+PINNED_GRID_SHA256 = "ad4516a40eb29537934ffb0ed28fbebca1121366c5199214ee85d6d8fcefc74c"
+
+
+def test_bound_mean_outputs_pinned():
+    digest, calls = hashlib.sha256(), 0
+    for args in pinned_grid():
+        res = bound_mean(*args)
+        row = (res.estimate, res.lower, res.upper, sorted(res.diagnostics.items()))
+        digest.update(repr(row).encode())
+        calls += 1
+    assert (calls, digest.hexdigest()) == (PINNED_GRID_CALLS, PINNED_GRID_SHA256)
 
 
 class TestStandInPopulationSize:
