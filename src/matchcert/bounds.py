@@ -19,6 +19,7 @@ hold jointly with probability at least 1 minus the sum of their deltas.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -143,11 +144,31 @@ class BoundResult:
     diagnostics: Mapping[str, float] = field(default_factory=dict)
 
 
+def _fsum(values) -> float:
+    """The exactly rounded sum of ``values``: the same float in any order."""
+    try:
+        return math.fsum(values)
+    except (TypeError, ValueError, OverflowError):
+        raise MatchcertError(
+            "invalid-value: the sample holds a non-number, or its sum overflows a float"
+        ) from None
+
+
 def sample_mean(sample: SampleSummary) -> float:
     """Mean of the sample values; unbiased for the population mean."""
     if sample.s == 0:
         raise MatchcertError("empty-sample: cannot take the mean of no values")
-    return math.fsum(sample.values) / sample.s
+    return _fsum(sample.values) / sample.s
+
+
+def _sigma_hat(values, mu: float) -> float:
+    mean_sq = _fsum(map(operator.mul, values, values)) / len(values)
+    if max(mean_sq, mu * mu) == math.inf and math.isfinite(mu):
+        # squares past the float range: the same formula on the values
+        # scaled down by 2**600, which is exact, then scaled back up
+        small = [math.ldexp(v, -600) for v in values]
+        return math.ldexp(_sigma_hat(small, math.ldexp(mu, -600)), 600)
+    return math.sqrt(max(0.0, mean_sq - mu * mu))
 
 
 def sample_sigma_hat(sample: SampleSummary) -> float:
@@ -156,10 +177,7 @@ def sample_sigma_hat(sample: SampleSummary) -> float:
     Algebraically equal to the all-pairs average sum_{i,j} (x_i - x_j)^2 /
     (2 s^2); computed as sqrt(mean of squares - squared mean).
     """
-    mu = sample_mean(sample)
-    v = sample.values
-    mean_sq = math.fsum(map(operator.mul, v, v)) / sample.s
-    return math.sqrt(max(0.0, mean_sq - mu * mu))
+    return _sigma_hat(sample.values, sample_mean(sample))
 
 
 def rho_s(n: int, s: int) -> float:
@@ -175,38 +193,53 @@ def rho_s(n: int, s: int) -> float:
     return (1.0 - s / n) * (1.0 + 1.0 / n)
 
 
-def _check_sample(pop: PopulationSpec, sample: SampleSummary) -> None:
-    if sample.s == 0:
-        raise MatchcertError("empty-sample: bound requires at least one value")
-    if sample.s > pop.n:
-        raise MatchcertError(
-            f"invalid-sample-size: s={sample.s} exceeds population n={pop.n}"
-        )
+def _read_sample(pop: PopulationSpec, sample: SampleSummary) -> tuple[list, float]:
+    """The sample's values sorted, and their exactly rounded sum, once the
+    sample is checked against the population: the one pass a bound makes
+    over its sample."""
     values = sample.values
-    # Fast accept on the ends of one C-level sort. A NaN can land anywhere
-    # in a sort, but it turns the sum to NaN, so such a sample (and any
-    # other the ends cannot clear) takes the walk, which names the first
-    # bad value.
-    ordered = sorted(values)
-    total = sum(values)
-    if pop.lo <= ordered[0] and ordered[-1] <= pop.hi and total == total:
-        return
+    if not values:
+        raise MatchcertError("empty-sample: bound requires at least one value")
+    if len(values) > pop.n:
+        raise MatchcertError(
+            f"invalid-sample-size: s={len(values)} exceeds population n={pop.n}"
+        )
+    # Accept on the ends of one C-level sort and on the sum. A NaN can land
+    # anywhere in a sort, but it turns the sum to NaN, so such a sample (and
+    # any other the ends or the sum cannot clear) takes the walk, which
+    # names the first bad value.
+    try:
+        ordered = sorted(values)
+        if pop.lo <= ordered[0] and ordered[-1] <= pop.hi:
+            total = math.fsum(ordered)
+            if total == total:
+                return ordered, total
+    except (TypeError, ValueError, OverflowError):
+        pass
     for v in values:
-        if not pop.lo <= v <= pop.hi:
+        try:
+            inside = pop.lo <= v <= pop.hi
+        except TypeError:
+            raise MatchcertError(f"invalid-value: {v!r} is not a number") from None
+        if not inside:
             raise MatchcertError(
                 f"value-out-of-range: {v} outside [{pop.lo}, {pop.hi}]"
             )
+    # every value is in range: the sort or the sum failed
+    raise MatchcertError(
+        "invalid-value: the sample holds a non-number, or its sum overflows a float"
+    )
 
 
 def _around_mean(
     pop: PopulationSpec,
-    sample: SampleSummary,
+    mu: float,
     delta: Confidence,
     method: BoundMethod,
     diagnostics: dict,
 ) -> BoundResult:
-    """The sample mean ± ``diagnostics["slack"]``, clamped to the range."""
-    mu, slack = sample_mean(sample), diagnostics["slack"]
+    """The sample mean ``mu`` ± ``diagnostics["slack"]``, clamped to the range."""
+    slack = diagnostics["slack"]
     lower, upper = (min(pop.hi, max(pop.lo, b)) for b in (mu - slack, mu + slack))
     return BoundResult(mu, lower, upper, delta, method, diagnostics)
 
@@ -219,9 +252,10 @@ def hoeffding_bounds(
     Valid for sampling without replacement; the population size does not
     enter the slack.
     """
-    _check_sample(pop, sample)
-    slack = pop.width * math.sqrt(math.log(1.0 / delta.delta) / (2.0 * sample.s))
-    return _around_mean(pop, sample, delta, BoundMethod.HOEFFDING, {"slack": slack})
+    ordered, total = _read_sample(pop, sample)
+    s = len(ordered)
+    slack = pop.width * math.sqrt(math.log(1.0 / delta.delta) / (2.0 * s))
+    return _around_mean(pop, total / s, delta, BoundMethod.HOEFFDING, {"slack": slack})
 
 
 def ebs_bounds(
@@ -235,15 +269,17 @@ def ebs_bounds(
     The variance term vanishes for constant samples and at a full census
     (rho_s = 0), leaving only the O(1/s) range term.
     """
-    _check_sample(pop, sample)
-    sigma = sample_sigma_hat(sample)
-    rho = rho_s(pop.n, sample.s)
+    ordered, total = _read_sample(pop, sample)
+    s = len(ordered)
+    mu = total / s
+    sigma = _sigma_hat(ordered, mu)
+    rho = rho_s(pop.n, s)
     log_term = math.log(5.0 / delta.delta)
-    variance_term = sigma * math.sqrt(2.0 * rho * log_term / sample.s)
-    range_term = KAPPA * pop.width * log_term / sample.s
+    variance_term = sigma * math.sqrt(2.0 * rho * log_term / s)
+    range_term = KAPPA * pop.width * log_term / s
     return _around_mean(
         pop,
-        sample,
+        mu,
         delta,
         BoundMethod.EBS,
         {
@@ -263,15 +299,21 @@ _TIE_EPS = 1e-11
 
 # Log-factorial table, grown on demand. Entry i holds lgamma(i + 1); each
 # entry is computed directly (no cumulative summation) so the error stays at
-# lgamma's own accuracy.
+# lgamma's own accuracy. The exact method tabulates up to its population
+# size, so that size is capped: 10**7 entries take 80 MB.
 _LOGFACT = np.zeros(1)
+_MAX_EXACT_N = 10**7
 
 
 def _logfact(n: int) -> np.ndarray:
     global _LOGFACT
     have = len(_LOGFACT)
     if n >= have:
-        size = max(n + 1, 2 * have)
+        if n > _MAX_EXACT_N:
+            raise MatchcertError(
+                f"population-too-large: the exact method takes n <= {_MAX_EXACT_N}, got n={n}"
+            )
+        size = min(max(n + 1, 2 * have), _MAX_EXACT_N + 1)
         # lgamma of an int equals lgamma of the float: ints below 2**53
         # convert exactly
         grown = np.fromiter(
@@ -355,63 +397,80 @@ def _normal_quantile(delta: float) -> float:
     return z if delta <= 0.5 else -z
 
 
-def _wilson_guess(n: int, s: int, k: int, delta: float) -> tuple[int, int]:
-    """(first guess at m, gallop step) for the exact inversion.
+def _tail_step(m: int, n: int, s: int, k: int) -> float:
+    """P{count >= k | m + 1} - P{count >= k | m}, for 1 <= k <= s and m < n.
 
-    The guess is the one-sided lower Wilson score bound with continuity
-    correction, its variance scaled by the finite-population factor
-    (n - s)/(n - 1). The step is a twentieth of the estimate's standard
-    deviation.
+    One more success in the population lifts the count to k exactly when
+    it is drawn along with k - 1 others: (s/n) P{Y = k - 1}, Y the count
+    of s - 1 draws from the n - 1 other items, m of them successes. That
+    is C(m, k - 1) C(n - 1 - m, s - k) / C(n, s), nine reads of the table.
     """
+    if k - 1 > m or s - k > n - 1 - m:
+        return 0.0
+    lf = _logfact(n)
+    log_p = (
+        (lf[m] - lf[k - 1] - lf[m - k + 1])
+        + (lf[n - 1 - m] - lf[s - k] - lf[n - 1 - m - s + k])
+        - (lf[n] - lf[s] - lf[n - s])
+    )
+    return math.exp(log_p)
+
+
+def _wilson_guess(n: int, s: int, k: int, delta: float) -> int:
+    """First guess at m for the exact inversion: the one-sided lower
+    Wilson score bound with continuity correction, its variance scaled by
+    the finite-population factor (n - s)/(n - 1), times n."""
     fpc = (n - s) / (n - 1) if n > 1 else 0.0
     z = _normal_quantile(delta) * math.sqrt(fpc)
     p = min(max(k - 0.5, 0.0), s) / s
     spread = math.sqrt(p * (1.0 - p) / s + z * z / (4.0 * s * s))
     bound = (p + z * z / (2.0 * s) - z * spread) / (1.0 + z * z / s)
-    return round(bound * n), max(1, int(0.05 * n * spread * math.sqrt(fpc)))
+    return round(bound * n)
 
 
-def _least_passing(tail_at, a: int, b: int, guess: int, step: int, level: float) -> int:
+def _least_passing(tail_at, step_at, a: int, b: int, guess: int, level: float) -> int:
     """The least x in (a, b] with ``tail_at(x) >= level``.
 
-    ``tail_at`` must be nondecreasing in x. The predicate is taken as false
-    at ``a`` and true at ``b`` without evaluating either. The search
-    evaluates the guess, gallops away from it until a false and a true
-    point bracket the answer, then shrinks the bracket by secant steps on
-    log(tail) through the last two points. A step longer than half the step
-    two before it is replaced by a bisection step. It returns only
-    when b = a + 1, each end either evaluated or an end of the range:
-    exactly how bisection's answer is defined, so the two agree whenever
-    the floating-point tail is monotone.
+    ``tail_at`` must be nondecreasing in x, and ``step_at(x)`` must give
+    ``tail_at(x + 1) - tail_at(x)``. The predicate is taken as false at
+    ``a`` and true at ``b`` without evaluating either; ``a`` must be at
+    least 0. From the guess, the search takes Newton steps on log(tail)
+    as a function of log(x), the slope at x being x times the forward
+    difference log(tail(x + 1)) - log(tail(x)), which the step gives
+    without a second tail. On a log-log scale the exact method's tails are
+    close to straight (a tail near c·x, as at k = 1, is straight), so a
+    step from a far guess lands near the answer. Each evaluation moves
+    one end of a bracket; a zero tail or step, or a step longer than half
+    the step two before once both ends are evaluated, is replaced by a
+    bisection step. It returns only when b = a + 1, each end either
+    evaluated or an end of the range: exactly how bisection's answer is
+    defined, so the two agree whenever the floating-point tail is
+    monotone.
     """
     target = math.log(level)
     x = min(max(guess, a + 1), b - 1)
-    last = None  # (x, log tail) of the previous evaluation
     passed = failed = False
     moves = [b - a, b - a]
     while b - a > 1:
         tail = tail_at(x)
-        log_tail = math.log(tail) if tail > 0.0 else -math.inf
         if tail >= level:
             b, passed = x, True
         else:
             a, failed = x, True
         if b - a == 1:
             break
-        if last is None:
-            nxt = x - step if tail >= level else x + step
-        elif math.isinf(log_tail) or math.isinf(last[1]) or log_tail == last[1]:
+        step = step_at(x) if tail > 0.0 else 0.0
+        if step == 0.0:
             nxt = (a + b) // 2
         else:
-            x0, log0 = last
-            nxt = math.ceil(x + (target - log_tail) * (x - x0) / (log_tail - log0))
-            if not (passed and failed):  # still galloping: overshoot a little
-                nxt += (nxt - x) // 4
+            # the log-x distance to the target over the slope in log x; its
+            # cap keeps exp finite, and any x past b is clamped below
+            log_move = (target - math.log(tail)) / (x * math.log1p(step / tail))
+            nxt = math.ceil(x * math.exp(min(log_move, 50.0)))
         nxt = min(max(nxt, a + 1), b - 1)
         if passed and failed and 2 * abs(nxt - x) > moves[-2]:
             nxt = (a + b) // 2
         moves.append(abs(nxt - x))
-        last = (x, log_tail)
         x = nxt
     return b
 
@@ -425,18 +484,26 @@ def _least_m(n: int, s: int, k: int, delta: Confidence) -> int:
     """min{m : P{count >= k | m} >= delta}: the one exact inversion.
 
     The upper tail is nondecreasing in m, 0 at m = k - 1 and 1 at m = n, so
-    :func:`_least_passing` finds the boundary from a Wilson-score guess: in
-    4 to 5 tail evaluations on average over the bounds-sweep grid, where
-    bisection over [k, n] takes log2(n). A level at or below 0 passes every
-    m, and the answer is k. ``tests/test_bounds.py::TestInversionSearch``
-    checks that both inversions return exactly what bisection
-    (``tests/oracles.py``) returns, in at most 8 evaluations on average.
+    :func:`_least_passing` finds the boundary from a Wilson-score guess by
+    Newton steps whose slope :func:`_tail_step` gives in closed form: in
+    about 3 tail evaluations on average over the bounds-sweep grid, and 4
+    at most, where bisection over [k, n] takes log2(n). A level at or
+    below 0 passes every m, and the answer is k.
+    ``tests/test_bounds.py::TestInversionSearch`` checks that both
+    inversions return exactly what bisection (``tests/oracles.py``)
+    returns, in at most 3.5 evaluations on average.
     """
     level = delta.delta - _TIE_EPS
     if k == 0 or level <= 0.0:
         return k
-    guess, step = _wilson_guess(n, s, k, delta.delta)
-    return _least_passing(lambda m: _tail(m, n, s, k), k - 1, n, guess, step, level)
+    return _least_passing(
+        lambda m: _tail(m, n, s, k),
+        lambda m: _tail_step(m, n, s, k),
+        k - 1,
+        n,
+        _wilson_guess(n, s, k, delta.delta),
+        level,
+    )
 
 
 def hypergeom_invert_lower(n: int, s: int, k: int, delta: Confidence) -> float:
@@ -486,14 +553,18 @@ def bound_mean(
         lower = res.lower if side == "lower" else pop.lo
         upper = res.upper if side == "upper" else pop.hi
         return BoundResult(res.estimate, lower, upper, delta, method, res.diagnostics)
-    if (pop.lo, pop.hi) != (0.0, 1.0) or not set(sample.values) <= {0.0, 1.0}:
+    binary = (pop.lo, pop.hi) == (0.0, 1.0)
+    if binary:
+        ordered, total = _read_sample(pop, sample)
+        # all values lie in [0, 1]: they are 0/1 when those below 1 are 0
+        binary = bisect.bisect_right(ordered, 0.0) == bisect.bisect_left(ordered, 1.0)
+    if not binary:
         raise MatchcertError(
             "method-requires-binary: hypergeometric-exact needs 0/1 "
             "values with range (0, 1)"
         )
-    _check_sample(pop, sample)
-    k = int(round(math.fsum(sample.values)))
-    n, s = pop.n, sample.s
+    k = int(round(total))
+    n, s = pop.n, len(ordered)
     lower = pop.lo if side == "upper" else hypergeom_invert_lower(n, s, k, delta)
     upper = pop.hi if side == "lower" else hypergeom_invert_upper(n, s, k, delta)
     return BoundResult(k / s, lower, upper, delta, method, {"k": float(k)})

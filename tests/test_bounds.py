@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import hypergeom
 
 from matchcert.bounds import (
     KAPPA,
@@ -176,6 +177,28 @@ class TestEbs:
         assert res.diagnostics["variance_term"] == 0.0
         assert res.diagnostics["slack"] == res.diagnostics["range_term"]
 
+    def test_squares_past_the_float_range(self):
+        # scaling values and range by 2**1000 scales every term exactly;
+        # the squares overflow there, which once read as sigma_hat = 0 and
+        # gave a bound too narrow to hold
+        vals = [0.0, 0.8] * 1000 + [0.3, 0.55, 0.05]
+        big = 2.0**1000
+        for method in (BoundMethod.EBS, BoundMethod.HOEFFDING):
+            small = bound_mean(PopulationSpec(10**6), SampleSummary.of(vals), method, D05)
+            scaled = bound_mean(
+                PopulationSpec(10**6, 0.0, big),
+                SampleSummary.of([v * big for v in vals]),
+                method,
+                D05,
+            )
+            assert (scaled.estimate, scaled.lower, scaled.upper) == (
+                small.estimate * big, small.lower * big, small.upper * big
+            )
+            assert scaled.diagnostics == {
+                name: value * (1.0 if name == "rho_s" else big)
+                for name, value in small.diagnostics.items()
+            }
+
 
 class TestHypergeomPmf:
     def test_fixture(self):
@@ -236,6 +259,9 @@ class TestHypergeomTails:
                     for k in range(1, s + 1):
                         step = Fraction(s, n) * pmf_exact(m, n - 1, s - 1, k - 1)
                         assert tails[m + 1][k] - tails[m][k] == step, (n, s, m, k)
+                        assert bounds_module._tail_step(m, n, s, k) == pytest.approx(
+                            float(step), rel=1e-12
+                        ), (n, s, m, k)
 
 
 def _upper_tails_exact(m: int, n: int, s: int) -> list[Fraction]:
@@ -382,7 +408,8 @@ class TestInversionSearch:
                     counts.append(len(calls))
             assert any(counts)  # the counter sees the search's calls
             if not edges:
-                assert sum(counts) / len(counts) <= 8
+                # 2.91 on average and at most 4 at the time of writing
+                assert sum(counts) / len(counts) <= 3.5
 
     def test_tie_slop_only_widens_the_interval(self, monkeypatch):
         # _TIE_EPS's claim: inverting at delta - _TIE_EPS never narrows the
@@ -412,17 +439,17 @@ class TestInversionSearch:
             (hypergeom_invert_lower, hypergeom_invert_lower_reference, 10, 4, 1, 0.7),
             (hypergeom_invert_lower, hypergeom_invert_lower_reference, 10, 7, 3, 0.6),
             (hypergeom_invert_lower, hypergeom_invert_lower_reference,
-             10**6, 2292, 1, 0.006003),
+             10**6, 1500, 1499, 0.999999),
             (hypergeom_invert_upper, hypergeom_invert_upper_reference,
              2000, 814, 2, 0.001),
         ],
     )
     def test_bisection_fallback(self, invert, reference, n, s, k, want):
-        # at delta = 0.999999 these searches meet a tail of 0 or two equal
-        # log-tails, where the secant step is undefined and the search
-        # bisects instead
+        # at delta = 0.999999 these searches meet a tail of 1, whose step
+        # is 0, where the Newton step is undefined and the search bisects
+        # instead
         lines, first = inspect.getsourcelines(bounds_module._least_passing)
-        branch = next(i for i, line in enumerate(lines) if "math.isinf(log_tail)" in line)
+        branch = next(i for i, line in enumerate(lines) if "if step == 0.0:" in line)
         assert lines[branch + 1].strip() == "nxt = (a + b) // 2"
         fallback = first + branch + 1
         code, seen = bounds_module._least_passing.__code__, set()
@@ -463,6 +490,47 @@ class TestInversionSearch:
             peak = float(logs.max())
             expected = min(1.0, math.exp(peak) * float(np.exp(logs - peak).sum()))
             assert bounds_module._tail(m, n, s, 0) == expected
+
+    def test_tail_step_at_sweep_sizes(self):
+        # against scipy's pmf near each sample's mean, where the step is
+        # largest; log-factorials near 1e7 carry ~1e-9 of absolute error,
+        # as in the tails themselves
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randint(2, 10**6)
+            s = rng.randint(1, min(n, 2_000))
+            m = rng.randint(0, n - 1)
+            k = min(max(1, round(s * m / n) + rng.randint(-3, 3)), s)
+            step = s / n * hypergeom.pmf(k - 1, n - 1, m, s - 1)
+            assert bounds_module._tail_step(m, n, s, k) == pytest.approx(
+                step, rel=1e-7, abs=1e-300
+            ), (n, s, m, k)
+
+    def test_exact_population_past_the_table_cap(self, monkeypatch):
+        # n = 10**12 once asked numpy for a ~7 TiB table; the cap refuses it
+        # before any allocation, which this test would fail on
+        def allocation(*args, **kwargs):
+            raise AssertionError("the log-factorial table grew past its cap")
+
+        monkeypatch.setattr(bounds_module.np, "fromiter", allocation)
+        monkeypatch.setattr(bounds_module.np, "concatenate", allocation)
+        have = len(bounds_module._LOGFACT)
+        huge = 10**12
+        for call in (
+            lambda: hypergeom_invert_lower(huge, 5, 1, D05),
+            lambda: hypergeom_invert_upper(huge, 5, 1, D05),
+            lambda: hypergeom_pmf(3, huge, 5, 1),
+            lambda: hypergeom_tail_upper(3, huge, 5, 1),
+            lambda: bound_mean(
+                PopulationSpec(huge), SampleSummary.of([1.0] * 5),
+                BoundMethod.HYPERGEOMETRIC, D05,
+            ),
+        ):
+            with pytest.raises(MatchcertError, match="^population-too-large: .* n=10+$"):
+                call()
+        assert len(bounds_module._LOGFACT) == have
+        # the largest population the tests and the bounds-sweep use passes
+        assert bounds_module._MAX_EXACT_N >= 10**6
 
     def test_logfact_entries_are_lgamma(self):
         lf = bounds_module._logfact(70_000)

@@ -23,6 +23,8 @@ from matchcert.bounds import (
     hypergeom_invert_lower,
     hypergeom_pmf,
     rho_s,
+    sample_mean,
+    sample_sigma_hat,
 )
 from matchcert.coverage import ExperimentConfig
 from matchcert.errors import MatchcertError, read_fields
@@ -393,7 +395,38 @@ ESCAPES = [
     ("invalid-seed", lambda: SplitSpec(10, (1, 2), 1, 1, "0"), "rng_seed '0'"),
     ("invalid-seed", lambda: spawn_rng(True), "seed True"),
     ("invalid-hypergeom-params", lambda: hypergeometric_draw(10, "3", 4, 0), "t='3'"),
+    # values in range whose sum overflows a float raised a bare OverflowError
+    ("invalid-value", lambda: _on_huge(BoundMethod.HOEFFDING), "its sum overflows a float"),
+    ("invalid-value", lambda: _on_huge(BoundMethod.EBS), "its sum overflows a float"),
+    ("invalid-value", lambda: sample_mean(SampleSummary.of([1.7e308] * 3)), "overflows"),
+    ("invalid-value", lambda: sample_sigma_hat(SampleSummary.of([1.7e308] * 3)), "overflows"),
+    # a SampleSummary built directly, whose values nothing converted, raised
+    # a TypeError
+    (
+        "invalid-value",
+        lambda: bound_mean(
+            PopulationSpec(10), SampleSummary(("a",)), BoundMethod.HOEFFDING, Confidence(0.1)
+        ),
+        "'a' is not a number",
+    ),
+    (
+        "invalid-value",
+        lambda: bound_mean(
+            PopulationSpec(10), SampleSummary((1.0, None)), BoundMethod.HYPERGEOMETRIC, D05
+        ),
+        "None is not a number",
+    ),
+    ("invalid-value", lambda: sample_mean(SampleSummary(("a",))), "holds a non-number"),
+    ("invalid-value", lambda: sample_sigma_hat(SampleSummary((0.5, "a"))), "non-number"),
 ]
+
+
+def _on_huge(method):
+    """``method``'s bound on three values of 1.7e308 over [0, 1.7e308]."""
+    return bound_mean(
+        PopulationSpec(10, 0.0, 1.7e308), SampleSummary.of([1.7e308] * 3), method,
+        Confidence(0.1),
+    )
 
 
 def _on_ab(certify, method):

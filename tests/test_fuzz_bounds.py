@@ -5,7 +5,10 @@ side, a method) takes any scalar: None, a bool, an int, a float, a string.
 A collection argument (a universe, a labeled pool) is a list or tuple of
 such scalars, and sample values may also be one scalar. The population,
 sample and confidence objects are built by their constructors from such
-values. Population sizes stay at or below 10**6."""
+values; a sample is built either by ``SampleSummary.of`` or, unconverted,
+from a tuple by ``SampleSummary`` itself. Range ends and sample values
+reach magnitudes near 1.7e308, where sums and squares overflow a float.
+Population sizes stay at or below 10**6."""
 
 import re
 
@@ -40,11 +43,14 @@ deltas = mostly(st.floats(0.0, 1.0))
 sides = mostly(st.sampled_from(["lower", "upper", "both"]))
 methods = mostly(st.sampled_from(list(bounds.BoundMethod)))
 names = mostly(st.sampled_from([m.value for m in bounds.BoundMethod]))
-ends = mostly(st.floats(-2.0, 2.0))
+# near the float range's ends, where a sum of two overflows
+huge = st.one_of(st.floats(-1.7e308, 1.7e308), st.sampled_from([1.7e308, -1.7e308]))
+ends = mostly(st.one_of(st.floats(-2.0, 2.0), huge))
 values = mostly(
     st.one_of(
         st.lists(st.sampled_from([0.0, 1.0]), max_size=12),
         st.lists(st.floats(-1.0, 2.0), max_size=12),
+        st.lists(huge, max_size=12),
     ),
     st.one_of(st.lists(scalars, max_size=4), st.tuples(scalars, scalars), scalars),
 )
@@ -60,12 +66,20 @@ def returns_or_raises_a_token(call, *args):
     return None
 
 
+def sample_of(vals, direct):
+    """``SampleSummary.of(vals)``, or, when ``direct``, a SampleSummary of
+    the values as they are, in a tuple."""
+    if not direct:
+        return bounds.SampleSummary.of(vals)
+    return bounds.SampleSummary(tuple(vals) if isinstance(vals, (list, tuple)) else (vals,))
+
+
 @FUZZ
-@given(sizes, ends, ends, values, methods, deltas, sides, names)
-def test_bound_mean_and_its_objects(n, lo, hi, vals, method, delta, side, name):
+@given(sizes, ends, ends, values, st.booleans(), methods, deltas, sides, names)
+def test_bound_mean_and_its_objects(n, lo, hi, vals, direct, method, delta, side, name):
     def run():
         pop = bounds.PopulationSpec(n, lo, hi)
-        sample = bounds.SampleSummary.of(vals)
+        sample = sample_of(vals, direct)
         confidence = bounds.Confidence(delta)
         bounds.BoundMethod.parse(name)
         bounds.sample_mean(sample)
@@ -73,6 +87,23 @@ def test_bound_mean_and_its_objects(n, lo, hi, vals, method, delta, side, name):
         bounds.hoeffding_bounds(pop, sample, confidence)
         bounds.ebs_bounds(pop, sample, confidence)
         return bounds.bound_mean(pop, sample, method, confidence, side)
+
+    returns_or_raises_a_token(run)
+
+
+@FUZZ
+@given(sizes, st.lists(huge, max_size=12), st.booleans(), methods, deltas, sides)
+def test_bound_mean_near_the_float_range(n, vals, direct, method, delta, side):
+    # a range from 0 or the least value up to 1.7e308 holds every value
+    # where its width allows, so the sample's sum and squares are reached
+    lo = min([0.0, *vals])
+
+    def run():
+        pop = bounds.PopulationSpec(n, lo, 1.7e308)
+        sample = sample_of(vals, direct)
+        bounds.sample_mean(sample)
+        bounds.sample_sigma_hat(sample)
+        return bounds.bound_mean(pop, sample, method, bounds.Confidence(delta), side)
 
     returns_or_raises_a_token(run)
 
