@@ -24,20 +24,17 @@ bounding them again. So a certificate run alone gives the report that
 :func:`batch_reports`, which runs every certificate an input supports,
 gives. A holdout report's digest leaves out the complete set.
 
-The terms read the match sets' int keys: ``s_m`` membership is a binary
-search of the verified pairs' keys, and the set sizes and the
-holdout-minus-complete count are key counts. An s_m or ``actual_for``
-given as a MatchSet (as a coverage trial gives the truth's keys) is read
-as keys; string pairs and ids are checked and encoded. The samples are
-drawn without replacement, so a term that reads ``s_m`` or ``s_x``
-rejects a repeated pair or node (``duplicate-sample-item``; a MatchSet's
-keys are distinct). It also rejects a pair
-with an endpoint outside X or Y, and a node outside X (``unknown-node``),
-which would otherwise count as a miss or as a node with no matches; an
-identity pair in self-match mode (``identity-pair-forbidden``), in s_m
-and in the verified matches of s_x alike; and a sampled node with more
-verified matches than ``k_y``, or an s_m that gives some x more than
-k_y pairs (``ky-violated``, naming the first such x in id order). No x
+Every set of the input is a MatchSet, read as int keys: ``s_m``
+membership is a binary search of the verified pairs' keys, and the set
+sizes and the holdout-minus-complete count are key counts. The input
+checks each set's keys (``invalid-keys``: a MatchSet's keys are distinct
+and in range, with no identity pair in self-match mode). The samples
+are drawn without replacement, so a term that reads ``s_x`` rejects a
+repeated node (``duplicate-sample-item``) and a node outside X
+(``unknown-node``), which would otherwise count as a node with no
+matches. It also rejects a sampled node with more verified matches than
+``k_y``, or an s_m that gives some x more than k_y pairs
+(``ky-violated``, naming the first such x in id order). No x
 has more than k_y actual matches, so k_y·|X| >= |M| is the recall term's
 population size when ``m_size`` is not given (see ``bounds.bound_term``);
 the per-x check also implies that s_m has at most k_y·|X| pairs.
@@ -56,15 +53,9 @@ from .bounds import BoundMethod, Confidence, Term, bound_term
 # that tracing reaches this imported name.
 from .bounds import bound_mean  # noqa: F401
 from .errors import MatchcertError
-from .graphs import MatchSet, NetworkPair, pair_keys
+from .graphs import MatchSet, NetworkPair
 from .query import exact_metrics
-from .reports import (
-    ValidationReport,
-    build_report,
-    require_distinct,
-    terms_of,
-    verified_sample,
-)
+from .reports import ValidationReport, build_report, terms_of, verified_sample
 
 __all__ = [
     "BatchValidationInput",
@@ -82,25 +73,23 @@ class BatchValidationInput:
     """Inputs shared by the batch certificates.
 
     ``s_m`` is a sample drawn uniformly without replacement from the
-    actual matches: (x, y) id pairs, or a MatchSet of them. ``s_x`` is
-    drawn likewise from the x universe, with ``actual_for`` giving the
-    verified actual matches of each sampled node: a mapping from each to
-    its ids, or a MatchSet whose rows are them (see
+    actual matches. ``s_x`` is drawn likewise from the x universe, and its
+    verified actual matches are its rows of ``actual_for`` (see
     ``reports.verified_sample``). ``delta`` is each certificate's failure
     probability, split equally over its terms. ``k_y`` caps any x's
     actual matches, so |M| <= k_y·|X|. ``m_size`` is |M| when known;
     without it the recall term stands in k_y·|X| and uses Hoeffding for
-    the exact method. Both identified sets, and s_m and ``actual_for``
-    when they are MatchSets, must be over ``pair``'s node universes
-    (``universe-mismatch`` otherwise) and hold valid keys (``invalid-keys``
-    otherwise, see ``MatchSet.check_input``).
+    the exact method. Every set (both identified sets, s_m and
+    ``actual_for``) must be a MatchSet over ``pair``'s node universes
+    with valid keys (``invalid-keys``, ``universe-mismatch``, see
+    ``MatchSet.check_input``).
     """
 
     pair: NetworkPair
     m_hat_holdout: MatchSet
-    s_m: tuple[tuple[str, str], ...] | MatchSet
+    s_m: MatchSet
     s_x: tuple[str, ...]
-    actual_for: Mapping[str, frozenset[str]] | MatchSet
+    actual_for: MatchSet
     method: BoundMethod
     delta: float
     k_y: int = 1
@@ -113,9 +102,12 @@ class BatchValidationInput:
             raise MatchcertError(f"unknown-method: {self.method!r}")
         if self.k_y < 1:
             raise MatchcertError(f"invalid-ky: {self.k_y}")
-        for name in ("m_hat_holdout", "m_hat_complete", "s_m"):
-            if isinstance(getattr(self, name), MatchSet):
-                getattr(self, name).check_input(self.pair, name)
+        for name in ("m_hat_holdout", "m_hat_complete", "s_m", "actual_for"):
+            value = getattr(self, name)
+            if isinstance(value, MatchSet):
+                value.check_input(self.pair, name)
+            elif value is not None or name != "m_hat_complete":
+                raise MatchcertError(f"invalid-keys: {name} is {value!r}, not a MatchSet")
 
     @property
     def n_x(self) -> int:
@@ -124,14 +116,11 @@ class BatchValidationInput:
     @cached_property
     def hits(self) -> list[float]:
         """Whether the holdout matcher identifies each pair of s_m, as 1.0
-        or 0.0, after checking s_m: in s_m's order, or key order for a
-        MatchSet. The values are 0/1, so their order changes no bound."""
-        s_m, is_set = self.s_m, isinstance(self.s_m, MatchSet)
-        if not (s_m.keys.size if is_set else s_m):
+        or 0.0, in key order, after checking s_m. The values are 0/1, so
+        their order changes no bound."""
+        keys = self.s_m.keys
+        if not keys.size:
             raise MatchcertError("empty-sample: s_m has no verified matches")
-        keys = s_m.keys if is_set else pair_keys(self.pair, "s_m", s_m)
-        if not is_set:  # a MatchSet's keys are distinct (see check_input)
-            require_distinct("s_m", list(map(tuple, s_m)))  # a pair may be a list
         over = np.bincount(keys // len(self.pair.y_net.index.ids)) > self.k_y
         if over.any():
             x = self.pair.x_net.index.ids[int(np.argmax(over))]
@@ -145,7 +134,7 @@ def _payload(inp: BatchValidationInput, complete: MatchSet | None) -> Callable[[
     """``inp``'s digest fields, with ``complete`` for the complete set (None
     in a holdout report), but the bound id and deltas, which each report
     adds: match sets and samples, not the input and its networks."""
-    holdout, s_m, s_x = inp.m_hat_holdout, inp.s_m, inp.s_x
+    holdout, s_m, s_x, actual = inp.m_hat_holdout, inp.s_m, inp.s_x, inp.actual_for
     scalars = {
         "n_x": inp.n_x,
         "k_y": inp.k_y,
@@ -157,10 +146,9 @@ def _payload(inp: BatchValidationInput, complete: MatchSet | None) -> Callable[[
         # a sorted tuple of pairs encodes as the sorted list of [x, y]
         "m_hat_holdout": holdout.sorted_pairs,
         "m_hat_complete": complete.sorted_pairs if complete else None,
-        "s_m": (
-            s_m.sorted_pairs if isinstance(s_m, MatchSet) else sorted(map(list, s_m))
-        ),
+        "s_m": s_m.sorted_pairs,
         "s_x": sorted(s_x),
+        "actual_for": actual.sorted_pairs,
     }
 
 

@@ -97,6 +97,9 @@ class SampleSummary:
 
     @property
     def s(self) -> int:
+        """The sample size; ``invalid-sample`` when ``values`` is no tuple."""
+        if not isinstance(self.values, tuple):
+            raise MatchcertError(f"invalid-sample: values {self.values!r} are no tuple")
         return len(self.values)
 
 
@@ -197,13 +200,11 @@ def _read_sample(pop: PopulationSpec, sample: SampleSummary) -> tuple[list, floa
     """The sample's values sorted, and their exactly rounded sum, once the
     sample is checked against the population: the one pass a bound makes
     over its sample."""
-    values = sample.values
-    if not values:
+    values, s = sample.values, sample.s
+    if not s:
         raise MatchcertError("empty-sample: bound requires at least one value")
-    if len(values) > pop.n:
-        raise MatchcertError(
-            f"invalid-sample-size: s={len(values)} exceeds population n={pop.n}"
-        )
+    if s > pop.n:
+        raise MatchcertError(f"invalid-sample-size: s={s} exceeds population n={pop.n}")
     # Accept on the ends of one C-level sort and on the sum. A NaN can land
     # anywhere in a sort, but it turns the sum to NaN, so such a sample (and
     # any other the ends or the sum cannot clear) takes the walk, which

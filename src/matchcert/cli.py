@@ -27,9 +27,12 @@ from pathlib import Path
 
 from .errors import MatchcertError
 from .graphs import (
+    MatchSet,
     NetworkPair,
+    distinct_sorted,
     load_matches,
     load_network,
+    pair_keys,
     read_items,
     read_pairs,
     save_matches,
@@ -158,6 +161,18 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
+def _load_sample(path: str, pair: NetworkPair) -> MatchSet:
+    """The verified match sample in the TSV file at ``path``: each line a
+    pair of nodes of X and Y (``unknown-node``), none repeated, since the
+    sample is drawn without replacement (``duplicate-sample-item``)."""
+    from .reports import require_distinct
+
+    pairs = read_pairs(path)
+    keys = pair_keys(pair, "s_m", pairs)
+    require_distinct("s_m", pairs)
+    return MatchSet(pair.x_net.index.ids, pair.y_net.index.ids, distinct_sorted(keys))
+
+
 def cmd_validate_batch(args) -> int:
     from .batch import BatchValidationInput, batch_reports
     from .bounds import BoundMethod
@@ -168,7 +183,7 @@ def cmd_validate_batch(args) -> int:
     inp = BatchValidationInput(
         pair=pair,
         m_hat_holdout=m_hat_h,
-        s_m=tuple(read_pairs(args.s_m)),
+        s_m=_load_sample(args.s_m, pair),
         s_x=tuple(read_items(args.s_x)),
         actual_for=load_matches(args.actual, pair),
         delta=_delta(args.delta),
@@ -187,8 +202,8 @@ def cmd_validate_query(args) -> int:
     pair = _load_pair(args)
     holdout_cfg = _read_json(args.matcher, MatcherConfig.from_json_dict)
     seeds = read_pairs(args.seeds) if args.seeds else []
-    holdout = build_matcher(holdout_cfg, training_matches=seeds)
-    complete = None
+    m_hat_h = run_batch(build_matcher(holdout_cfg, training_matches=seeds), pair)
+    m_hat_c = None
     if args.matcher_complete or args.seeds_complete:
         complete = build_matcher(
             _read_json(args.matcher_complete, MatcherConfig.from_json_dict)
@@ -196,15 +211,16 @@ def cmd_validate_query(args) -> int:
             else holdout_cfg,
             read_pairs(args.seeds_complete) if args.seeds_complete else seeds,
         )
+        m_hat_c = run_batch(complete, pair)
     inp = QueryValidationInput(
         pair=pair,
-        holdout=holdout,
+        m_hat_holdout=m_hat_h,
         s_x=tuple(read_items(args.s_x)),
         s_x_prime=tuple(read_items(args.s_x_prime)) if args.s_x_prime else (),
         actual_for=load_matches(args.actual, pair),
         delta=_delta(args.delta),
         method=BoundMethod.parse(args.method),
-        complete=complete,
+        m_hat_complete=m_hat_c,
     )
     reports = query_reports(inp)
     node_stats = compute_node_stats(inp) if args.emit_node_stats else None

@@ -229,12 +229,12 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
         ) + query_reports(
             QueryValidationInput(
                 pair=pair,
-                holdout=holdout,
+                m_hat_holdout=m_hat_h,
                 s_x=s_x,
                 actual_for=truth,
                 method=method,
                 delta=cfg.delta_total,
-                complete=complete,
+                m_hat_complete=m_hat_c,
                 s_x_prime=s_x_prime,
             )
         )

@@ -13,8 +13,8 @@ Query precision/recall are means of p(x) and r(x) over the nodes where
 they are defined. The holdout certificates bound these means from the
 verified node sample directly. The complete matcher may have been built
 from the verified samples, so its certificates bound how far it can
-drift from the holdout matcher. Both matchers run over all of X, so the
-drift is counted exactly, never sampled: d_r(x) flags nodes where the
+drift from the holdout matcher. The input holds both matchers' identified
+sets over all of X, so the drift is counted exactly, never sampled: d_r(x) flags nodes where the
 holdout matcher found something the complete one dropped, d_p(x)
 additionally charges for partial overlap, and the disagreement indicator
 is 1 where the two sets of x differ. With D_H and D_C the nodes each
@@ -30,29 +30,27 @@ complete-query-error-rate bound one term, P_H or E_H, at the full delta,
 and complete-query-recall two, R_H and the matched fraction of X (a
 lower bound on |D_a| / |X|), at delta / 2 each.
 
-One stage, :func:`query_columns`, checks the samples and runs each
-matcher once; the input's ``columns`` attribute runs it on its first
-read. It takes s_x's positions and actual-match counts from
+No certificate runs a matcher: the input holds the identified sets, as
+``matchers.run_batch`` gives them. One stage, :func:`query_columns`,
+checks the samples and counts; the input's ``columns`` attribute runs it
+on its first read. It takes s_x's positions and actual-match counts from
 ``reports.verified_sample`` and counts, per node, from the match sets'
 keys (``np.bincount`` over ``key // n_y``, membership by binary search):
 the identified matches, the hits, and the holdout-only and complete-only
 matches. From these it builds float columns: p, r, w and the matched
 indicator over s_x, in s_x order, and d_r, d_p and the disagreement
 indicator over all of X. Every certificate and ``compute_node_stats``
-reads these columns. The two matchers are compared by their outputs
-only: a complete matcher that identifies the holdout one's sets has zero
+reads these columns. A complete set equal to the holdout one has zero
 census columns, so its certificates give the holdout bounds. The second
 sample s_x' feeds only ``compute_node_stats`` and the digest; it is
 checked like s_x. A node repeated in s_x or s_x' would count as several
-independent draws (``duplicate-sample-item``), and a verified match
-outside Y or an identity pair in self-match mode as a missed actual match
-(``unknown-node``, ``identity-pair-forbidden``). The one optional
+independent draws (``duplicate-sample-item``). The one optional
 argument, of the complete precision and error rate, is ``held``, the
 holdout report whose term they read back (``reports.terms_of``) instead
 of bounding it again. So a certificate run alone gives the report that
 :func:`query_reports` gives, and ``validate query`` builds the columns
 once for its reports and ``compute_node_stats``. A holdout report's
-digest fields leave out the complete matcher (see :mod:`.reports`).
+digest fields leave out the complete set (see :mod:`.reports`).
 
 The truth oracle, :func:`exact_metrics`, reads keys too: one binary
 search of each set's keys in the other's gives every exact batch and
@@ -84,14 +82,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bounds import BoundMethod, Confidence, bound_term
 from .errors import MatchcertError
 from .graphs import MatchSet, NetworkPair
-from .matchers import MatcherHandle, run_batch
 from .reports import ValidationReport, build_report
 from .reports import sample_positions, terms_of, verified_sample
 
@@ -128,28 +125,37 @@ class PerNodeStats:
 class QueryValidationInput:
     """Inputs for the query certificates.
 
-    ``s_x`` is a uniform without-replacement node sample with verified
-    actual matches in ``actual_for``: a mapping from each sampled node to
-    its ids, or a MatchSet over ``pair`` whose rows are them (see
+    ``m_hat_holdout`` and ``m_hat_complete`` are the holdout and complete
+    matchers' identified sets over all of X, as ``matchers.run_batch``
+    gives them. ``s_x`` is a uniform without-replacement node sample whose
+    verified actual matches are its rows of ``actual_for`` (see
     ``reports.verified_sample``). ``s_x_prime`` is an optional second
     sample whose actual matches are never read: no certificate uses it,
     and it feeds only ``compute_node_stats`` and the digest. ``delta`` is
     each certificate's failure probability, split equally over its terms.
+    Every set must be a MatchSet over ``pair``'s universes with valid keys
+    (``invalid-keys``, ``universe-mismatch``, see ``MatchSet.check_input``).
     """
 
     pair: NetworkPair
-    holdout: MatcherHandle
+    m_hat_holdout: MatchSet
     s_x: tuple[str, ...]
-    actual_for: Mapping[str, frozenset[str]] | MatchSet
+    actual_for: MatchSet
     method: BoundMethod
     delta: float
-    complete: MatcherHandle | None = None
+    m_hat_complete: MatchSet | None = None
     s_x_prime: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         Confidence(self.delta)
         if not isinstance(self.method, BoundMethod):
             raise MatchcertError(f"unknown-method: {self.method!r}")
+        for name in ("m_hat_holdout", "m_hat_complete", "actual_for"):
+            value = getattr(self, name)
+            if isinstance(value, MatchSet):
+                value.check_input(self.pair, name)
+            elif value is not None or name != "m_hat_complete":
+                raise MatchcertError(f"invalid-keys: {name} is {value!r}, not a MatchSet")
 
     @property
     def n_x(self) -> int:
@@ -195,7 +201,7 @@ def _per_x(keys: np.ndarray, n_x: int, n_y: int) -> np.ndarray:
 
 
 def query_columns(inp: QueryValidationInput) -> Columns:
-    """Check the samples, run each matcher once and return the columns.
+    """Check the samples and return the columns of the identified sets.
 
     The samples are checked first (see ``reports.verified_sample``): s_x
     with its ``actual_for``, then s_x' when it is non-empty or a string.
@@ -203,7 +209,7 @@ def query_columns(inp: QueryValidationInput) -> Columns:
     at, verified, n_actual = verified_sample(inp.pair, inp.s_x, inp.actual_for)
     if inp.s_x_prime or isinstance(inp.s_x_prime, str):
         sample_positions(inp.pair.x_net.index, "s_x_prime", inp.s_x_prime)
-    m_hat = run_batch(inp.holdout, inp.pair)
+    m_hat = inp.m_hat_holdout
     n, n_x, n_y = len(inp.s_x), inp.n_x, len(inp.pair.y_net.index.ids)
 
     # the verified nodes: identified, actual and both, per node
@@ -220,11 +226,11 @@ def query_columns(inp: QueryValidationInput) -> Columns:
         w=(~same).astype(float),
         matched=(n_actual > 0).astype(float),
     )
-    if inp.complete is None:
+    complete = inp.m_hat_complete
+    if complete is None:
         return columns
 
     # the complete matcher, per node of X
-    complete = run_batch(inp.complete, inp.pair)
     c = _per_x(complete.keys, n_x, n_y)
     both = _per_x(m_hat.keys[m_hat.found_in(complete)], n_x, n_y)
     h_only, differ = h - both, (h != both) | (c != both)
@@ -239,20 +245,21 @@ def query_columns(inp: QueryValidationInput) -> Columns:
     )
 
 
-def _payload(inp: QueryValidationInput, complete: MatcherHandle | None) -> Callable[[], dict]:
-    """``inp``'s digest fields, with ``complete`` for the complete matcher
-    (None in a holdout report), but the bound id and deltas, which each
-    report adds: matcher configs, not the handles and the networks."""
+def _payload(inp: QueryValidationInput, complete: MatchSet | None) -> Callable[[], dict]:
+    """``inp``'s digest fields, with ``complete`` for the complete set (None
+    in a holdout report), but the bound id and deltas, which each report
+    adds: match sets and samples, not the input and its networks."""
+    holdout, actual = inp.m_hat_holdout, inp.actual_for
     s_x, s_x_prime = inp.s_x, inp.s_x_prime
-    holdout = inp.holdout.config
-    complete = complete.config if complete else None
     scalars = {"n_x": inp.n_x, "method": inp.method.value}
     return lambda: {
         **scalars,
+        # a sorted tuple of pairs encodes as the sorted list of [x, y]
+        "m_hat_holdout": holdout.sorted_pairs,
+        "m_hat_complete": complete.sorted_pairs if complete else None,
+        "actual_for": actual.sorted_pairs,
         "s_x": sorted(s_x),
         "s_x_prime": sorted(s_x_prime),
-        "holdout": holdout.to_json_dict(),
-        "complete": complete.to_json_dict() if complete else None,
     }
 
 
@@ -304,7 +311,7 @@ def holdout_query_bounds(
 
 
 def _require_complete(inp: QueryValidationInput) -> None:
-    if inp.complete is None:
+    if inp.m_hat_complete is None:
         raise MatchcertError("missing-complete: no complete matcher supplied")
 
 
@@ -325,7 +332,7 @@ def complete_query_recall(inp: QueryValidationInput) -> ValidationReport:
     return build_report(
         "complete-query-recall",
         (delta.delta,) * 2,
-        _payload(inp, inp.complete),
+        _payload(inp, inp.m_hat_complete),
         terms,
         lambda: terms["recall_term"].value - (dropped and dropped / frac.value),
         denominator=min(usable, frac.value) if dropped else usable,
@@ -354,7 +361,7 @@ def complete_query_precision(
     return build_report(
         "complete-query-precision",
         (inp.delta,),
-        _payload(inp, inp.complete),
+        _payload(inp, inp.m_hat_complete),
         terms,
         lambda: terms["precision_term"].value * (d_h / d_c) - damage / d_c,
         denominator=min(d_c, terms["usable_nodes"]),
@@ -362,7 +369,7 @@ def complete_query_precision(
 
 
 def _error_rate(inp: QueryValidationInput, complete, held) -> ValidationReport:
-    """:func:`error_rate_bounds` with ``complete`` (a handle or None) as its matcher."""
+    """:func:`error_rate_bounds` with ``complete`` (a set or None) as its complete set."""
     error = terms_of(held)["error_term"] if held else bound_term(
         inp.n_x, inp.columns.w.tolist(), inp.method, Confidence(inp.delta), "upper"
     )
@@ -391,7 +398,7 @@ def error_rate_bounds(
     + mean_X 1[H_x != C_x], since a complete-matcher error needs the
     holdout matcher to err or the two matchers to differ.
     """
-    return _error_rate(inp, inp.complete, held)
+    return _error_rate(inp, inp.m_hat_complete, held)
 
 
 def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
@@ -408,7 +415,7 @@ def query_reports(inp: QueryValidationInput) -> list[ValidationReport]:
     """
     precision, recall = holdout_query_bounds(inp)
     reports = [precision, recall, error := _error_rate(inp, None, None)]
-    if inp.complete is not None:
+    if inp.m_hat_complete is not None:
         reports += [
             complete_query_recall(inp),
             complete_query_precision(inp, precision),

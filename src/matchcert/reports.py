@@ -5,9 +5,9 @@ its certificate's input, as plain JSON values that a callable returns
 when the digest is first read, plus the bound id and the report's delta
 parts. The sampled-node checks that both certifiers run on s_x
 (and the query certifier on s_x') are :func:`sample_positions`;
-:func:`verified_sample` adds the checks and the per-node counts of s_x's
-verified matches, given as a mapping of ids or as a ``MatchSet``, and
-:func:`terms_of` reads a report's terms back.
+:func:`verified_sample` adds the keys and the per-node counts of s_x's
+verified matches, its rows of a ``MatchSet``, and :func:`terms_of` reads
+a report's terms back.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .bounds import Term
 from .errors import MatchcertError
-from .graphs import MatchSet, pair_keys
+from .graphs import MatchSet
 
 __all__ = [
     "ValidationReport",
@@ -62,17 +61,13 @@ def require_distinct(name: str, items: Sequence) -> None:
             raise MatchcertError(f"unknown-node: {item!r}") from None
 
 
-def sample_positions(
-    index, name: str, nodes: Sequence[str], actual_for: Mapping | None = None
-) -> np.ndarray:
+def sample_positions(index, name: str, nodes: Sequence[str]) -> np.ndarray:
     """The positions in ``index`` (a network's ``NodeIndex``) of the
     sampled ``nodes``, the field ``name`` of a certificate input, after
     checking, in order: the sample is no string, which would read as its
     characters (``invalid-sample``), is non-empty (``empty-sample``),
-    repeats no node (``duplicate-sample-item``), has verified matches for
-    every node when ``actual_for`` is given (``missing-actual``), each a
-    set, frozenset, list or tuple of ids (``invalid-actual``), and holds
-    only nodes of the network (``unknown-node``)."""
+    repeats no node (``duplicate-sample-item``) and holds only nodes of
+    the network (``unknown-node``)."""
     if isinstance(nodes, str):
         raise MatchcertError(
             f"invalid-sample: {name} is the string {nodes!r}, not a sequence of ids"
@@ -80,63 +75,23 @@ def sample_positions(
     if not nodes:
         raise MatchcertError(f"empty-sample: {name} has no nodes")
     require_distinct(name, nodes)
-    if actual_for is not None:
-        for x in nodes:
-            if x not in actual_for:
-                raise MatchcertError(f"missing-actual: no verified matches for {x!r}")
-            if not isinstance(actual_for[x], (set, frozenset, list, tuple)):
-                raise MatchcertError(f"invalid-actual: {x!r} maps to {actual_for[x]!r}")
     at = index.positions(nodes)
     if (at < 0).any():
         raise MatchcertError(f"unknown-node: {nodes[int(np.argmax(at < 0))]!r}")
     return at
 
 
-def verified_sample(
-    pair, nodes: Sequence[str], actual_for: Mapping | MatchSet
-) -> tuple:
+def verified_sample(pair, nodes: Sequence[str], actual_for: MatchSet) -> tuple:
     """The positions in X of the sampled ``nodes`` (s_x, checked by
     :func:`sample_positions`), the keys of their verified pairs, node after
     node and each node's in key order, and each node's count of them.
 
-    ``actual_for`` holds the verified matches in either of two forms, which
-    give the same three arrays. A MatchSet (checked by
-    ``MatchSet.check_input``) gives each node its row, found by
-    binary search; a node with no pair in it has no verified match. A
-    mapping gives each node a collection of ids. A bad pair of the mapping
-    fails ``graphs.pair_keys``' checks, which name the first in node order
-    and each node's matches in id order, non-strings last and by ``str``,
-    so the error does not depend on the set iteration order; a list or
-    tuple that repeats an id fails ``invalid-actual``, naming the first
-    node in sample order that does and its least repeated id."""
-    ix, iy = pair.x_net.index, pair.y_net.index
-    if isinstance(actual_for, MatchSet):
-        actual_for.check_input(pair, "actual_for")
-        at = sample_positions(ix, "s_x", nodes)
-        return (at, *actual_for.rows(at))
-    at = sample_positions(ix, "s_x", nodes, actual_for)
-    found = list(map(actual_for.__getitem__, nodes))
-    counts = np.fromiter(map(len, found), np.int64, len(found))
-    x_at, y_at = np.repeat(at, counts), np.full(counts.sum(), -1)
-    with suppress(TypeError):  # an unhashable match is no node id
-        y_at = iy.positions(list(chain.from_iterable(found)))
-    # in self-match mode one shared universe: equal positions, equal ids
-    if ((y_at < 0) | ((x_at == y_at) & pair.self_match_mode)).any():
-        pair_keys(pair, "actual_for", [
-            (x, y)
-            for x, ys in zip(nodes, found)
-            for y in sorted(ys, key=lambda y: (not isinstance(y, str), str(y)))
-        ])
-    keys = x_at * len(iy.ids) + y_at
-    # node after node, as the owners ascend, and each node's in key order
-    keys = keys[np.lexsort((keys, np.repeat(np.arange(counts.size), counts)))]
-    again = np.flatnonzero(keys[1:] == keys[:-1])
-    if again.size:
-        x, y = divmod(int(keys[again[0]]), len(iy.ids))
-        raise MatchcertError(
-            f"invalid-actual: {ix.ids[x]!r} lists {iy.ids[y]!r} more than once"
-        )
-    return at, keys, counts
+    Each node's verified matches are its row of ``actual_for``, a MatchSet
+    over ``pair``'s universes that the certificate input has checked
+    (``MatchSet.check_input``), found by binary search; a node with no
+    pair in it has no verified match."""
+    at = sample_positions(pair.x_net.index, "s_x", nodes)
+    return (at, *actual_for.rows(at))
 
 
 def digest_of(payload) -> str:
@@ -161,9 +116,10 @@ class ValidationReport:
     ``inputs_digest`` hashes the bound id, the delta parts and the input
     fields that ``payload`` returns as plain JSON values, one plain JSON
     object: those each certifier's ``_payload`` lists, less the complete
-    part in a holdout report. ``actual_for`` and a matcher's training
-    pairs are not among them: inputs that differ only there share a
-    digest. It is computed when first read, so a caller that never reads
+    part in a holdout report. These are the input's match sets, samples
+    and scalars, so inputs that certify different bounds get different
+    digests; a matcher's training pairs enter through the identified set
+    it outputs. It is computed when first read, so a caller that never reads
     it (a coverage trial) never builds the fields. A pickled report
     carries its digest, not ``payload``. Reports compare equal when their
     fields and their digests do.

@@ -285,12 +285,12 @@ def test_criterion_5_reduction_identities():
             # d is a multiple of 2**-10, so that k * d / k == d exactly.
             d = rng.randint(11, 102) / 1024
             per_x = by_x(truth)
-            actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
             truth_ordered = sorted(truth.pairs)
-            s_m = tuple(
+            s_m = make_match_set(
                 sample_without_replacement(
                     truth_ordered, min(12, len(truth_ordered)), rng.randint(0, 9999)
-                )
+                ),
+                pair,
             )
             # sample nodes the holdout matcher covers plus a few others so
             # both certificates stay computable
@@ -304,7 +304,7 @@ def test_criterion_5_reduction_identities():
                     m_hat_holdout=m_hat_h,
                     s_m=s_m,
                     s_x=s_x,
-                    actual_for=actual_for,
+                    actual_for=truth,
                     method=method,
                     delta=delta,
                     m_hat_complete=complete_set,
@@ -329,12 +329,12 @@ def test_criterion_5_reduction_identities():
             def qinp(delta, with_complete):
                 return QueryValidationInput(
                     pair=pair,
-                    holdout=holdout,
+                    m_hat_holdout=m_hat_h,
                     s_x=s_x,
-                    actual_for=actual_for,
+                    actual_for=truth,
                     method=method,
                     delta=delta,
-                    complete=complete if with_complete else None,
+                    m_hat_complete=m_hat_c if with_complete else None,
                     s_x_prime=s_x_prime,
                 )
 
@@ -353,7 +353,7 @@ def test_criterion_5_reduction_identities():
             for x in s_x:
                 view = run_query(holdout, pair, x)
                 if view:
-                    p_vals.append(single_node_precision(view, actual_for[x]))
+                    p_vals.append(single_node_precision(view, per_x.get(x, frozenset())))
             # the precision term is bounded at the number of nodes the
             # holdout matcher identifies anything for
             expected = bound_mean(
@@ -409,17 +409,15 @@ def test_criterion_7_union_bound_arithmetic():
         pair, truth = generate_pair(cfg)
         ordered = sorted(truth.pairs)
         half = len(ordered) // 2
-        per_x = by_x(truth)
-        actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
         reports = []
         for subset in (ordered[:half], ordered[half:]):
             m_hat = make_match_set(subset, pair)
             inp = BatchValidationInput(
                 pair=pair,
                 m_hat_holdout=m_hat,
-                s_m=tuple(ordered[::3]),
+                s_m=make_match_set(ordered[::3], pair),
                 s_x=("x0",),
-                actual_for=actual_for,
+                actual_for=truth,
                 method=BoundMethod.HYPERGEOMETRIC,
                 delta=0.025,
                 m_size=len(truth.pairs),

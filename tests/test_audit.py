@@ -1,6 +1,6 @@
 """Exact audit of the holdout certificates on tiny worlds.
 
-Each world has 12 nodes a side and a fixed holdout matcher, so the only
+Each world has 12 nodes a side and a fixed holdout set, so the only
 randomness is the verified sample. Every s_x (every s_m for batch recall)
 of a given size is equally likely, so a certificate's failure probability
 is the share of samples whose report lies on the wrong side of the true
@@ -41,7 +41,6 @@ from matchcert.batch import (
 from matchcert.bounds import BoundMethod
 from matchcert.errors import MatchcertError
 from matchcert.graphs import NetworkPair, by_x, make_match_set, make_network
-from matchcert.matchers import MatcherConfig, build_matcher, run_batch
 from matchcert.query import (
     QueryValidationInput,
     error_rate_bounds,
@@ -63,20 +62,11 @@ ONE_TO_MANY = [(x, y) for x in ("x0", "x1") for y in ("y0", "y1")] + ONE_TO_ONE[
 
 
 def _world(identified):
-    """The pair and an attribute-exact holdout matcher that identifies
-    exactly ``identified``: the nodes of each connected block of pairs
-    share one value of the attribute ``m``."""
-    block = {}
-    for x, y in identified:  # a block is named by its first x
-        block[x] = block[y] = block.get(x, block.get(y, x))
-    xs, ys = [f"x{i}" for i in range(N)], [f"y{i}" for i in range(N)]
-    pair = NetworkPair(
-        make_network(xs, [], {x: {"m": block[x]} for x in xs if x in block}),
-        make_network(ys, [], {y: {"m": block[y]} for y in ys if y in block}),
-    )
-    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
-    assert run_batch(holdout, pair).pairs == set(identified)
-    return pair, holdout
+    """The pair, the holdout set ``identified`` and the truth."""
+    pair = NetworkPair(*(
+        make_network([f"{v}{i}" for i in range(N)], []) for v in "xy"
+    ))
+    return pair, make_match_set(identified, pair), make_match_set(TRUTH, pair)
 
 
 WORLDS = {"one-to-one": ONE_TO_ONE, "one-to-many": ONE_TO_MANY}
@@ -84,11 +74,7 @@ WORLDS = {"one-to-one": ONE_TO_ONE, "one-to-many": ONE_TO_MANY}
 
 @pytest.fixture(scope="module", params=sorted(WORLDS))
 def world(request):
-    pair, holdout = _world(WORLDS[request.param])
-    truth = make_match_set(TRUTH, pair)
-    per_x = by_x(truth)
-    actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.index.ids}
-    return pair, holdout, truth, actual_for
+    return _world(WORLDS[request.param])
 
 
 def _wrong_side(report, truth: float) -> bool:
@@ -118,8 +104,7 @@ def _audit(certify, samples, truths):
 @pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
 @pytest.mark.parametrize("size", SIZES)
 def test_holdout_query_certificates_hold_exactly(world, method, size):
-    pair, holdout, truth, actual_for = world
-    m_hat = run_batch(holdout, pair)
+    pair, m_hat, truth = world
     precision, recall = true_query_metrics(pair, m_hat, truth)
     truths = {
         "holdout-query-precision": precision,
@@ -128,7 +113,7 @@ def test_holdout_query_certificates_hold_exactly(world, method, size):
     }
 
     def certify(s_x):
-        inp = QueryValidationInput(pair, holdout, s_x, actual_for, method, DELTA)
+        inp = QueryValidationInput(pair, m_hat, s_x, truth, method, DELTA)
         return [*holdout_query_bounds(inp), error_rate_bounds(inp)]
 
     samples = list(itertools.combinations(pair.x_net.index.ids, size))
@@ -139,13 +124,13 @@ def test_holdout_query_certificates_hold_exactly(world, method, size):
 
 
 def _audit_batch_recall(world, method, size, **population):
-    pair, holdout, truth, actual_for = world
-    m_hat = run_batch(holdout, pair)
+    pair, m_hat, truth = world
     truths = {"holdout-batch-recall": true_batch_metrics(pair, m_hat, truth)[1]}
 
     def certify(s_m):
         inp = BatchValidationInput(
-            pair, m_hat, s_m, ("x0",), actual_for, method, DELTA, **population
+            pair, m_hat, make_match_set(s_m, pair), ("x0",), truth, method, DELTA,
+            **population,
         )
         return [holdout_batch_recall(inp)]
 
@@ -192,17 +177,14 @@ def _read(report) -> dict:
 @pytest.mark.parametrize("method", list(BoundMethod), ids=lambda m: m.value)
 @pytest.mark.parametrize("name", sorted(PRECISION_WORLDS))
 def test_holdout_batch_precision_holds_exactly(name, method):
-    pair, holdout = _world(PRECISION_WORLDS[name])
-    truth = make_match_set(TRUTH, pair)
-    per_x = by_x(truth)
-    actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.index.ids}
-    m_hat = run_batch(holdout, pair)
+    pair, m_hat, truth = _world(PRECISION_WORLDS[name])
     precision = true_batch_metrics(pair, m_hat, truth)[0]
-    identified = m_hat.pairs
+    identified, per_x = m_hat.pairs, by_x(truth)
 
     def certify(s_m, s_x):
         inp = BatchValidationInput(
-            pair, m_hat, s_m, s_x, actual_for, method, DELTA, m_size=len(TRUTH)
+            pair, m_hat, make_match_set(s_m, pair), s_x, truth, method, DELTA,
+            m_size=len(TRUTH),
         )
         return holdout_batch_precision(inp)
 
@@ -211,7 +193,7 @@ def test_holdout_batch_precision_holds_exactly(name, method):
         and every class pair's report."""
         by_hits = _classes(TRUTH, size_m, lambda s: len(identified.intersection(s)))
         by_found = _classes(
-            pair.x_net.index.ids, size_x, lambda s: sum(len(actual_for[x]) for x in s)
+            pair.x_net.index.ids, size_x, lambda s: sum(len(per_x.get(x, ())) for x in s)
         )
         failed, reports = Fraction(0), []
         for n_m, first_m, last_m in by_hits.values():

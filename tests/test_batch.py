@@ -4,6 +4,7 @@ import pickle
 import weakref
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from matchcert.batch import (
@@ -26,6 +27,7 @@ from matchcert.bounds import (
 )
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
+    MatchSet,
     NetworkPair,
     by_x,
     make_match_set,
@@ -53,22 +55,19 @@ def world():
 
 
 def base_input(pair, truth, m_hat, s_m, s_x, method, delta, **kw):
+    """A batch input whose verified sample holds the pairs ``s_m`` and
+    whose verified matches are the truth's."""
     return BatchValidationInput(
         pair=pair,
         m_hat_holdout=m_hat,
-        s_m=tuple(s_m),
+        s_m=make_match_set(s_m, pair),
         s_x=tuple(s_x),
-        actual_for=_full_actuals(pair, truth),
+        actual_for=truth,
         method=method,
         delta=delta,
         m_size=len(truth.pairs),
         **kw,
     )
-
-
-def _full_actuals(pair, truth):
-    per_x = by_x(truth)
-    return {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
 
 
 class TestHoldoutRecall:
@@ -123,9 +122,9 @@ class TestHoldoutRecall:
         inp = BatchValidationInput(
             pair=pair,
             m_hat_holdout=m_hat,
-            s_m=tuple(s_m),
+            s_m=make_match_set(s_m, pair),
             s_x=("x0",),
-            actual_for=_full_actuals(pair, truth),
+            actual_for=truth,
             method=HG,
             delta=0.05,
             m_size=None,
@@ -148,9 +147,9 @@ class TestHoldoutRecall:
             inp = BatchValidationInput(
                 pair=pair,
                 m_hat_holdout=m_hat,
-                s_m=tuple(s_m),
+                s_m=make_match_set(s_m, pair),
                 s_x=("x0",),
-                actual_for=_full_actuals(pair, truth),
+                actual_for=truth,
                 method=HG,
                 delta=0.05,
                 k_y=k_y,
@@ -390,12 +389,13 @@ class TestDuplicateSampleItems:
 
     def test_repeated_s_m_pair_rejected(self):
         # one verified match, counted eight times, would certify holdout
-        # batch recall >= 0.9 with m_size 10
-        inp = self.ten_pair_input([("x0", "y0")] * 8, ["x0"])
-        for certify in (batch_reports, holdout_batch_recall, holdout_batch_precision):
-            with pytest.raises(MatchcertError) as info:
-                certify(inp)
-            assert str(info.value) == "duplicate-sample-item: s_m repeats ('x0', 'y0')"
+        # batch recall >= 0.9 with m_size 10: a MatchSet's keys are
+        # distinct (``validate batch`` rejects a repeated s_m line)
+        inp = self.ten_pair_input([("x0", "y0")], ["x0"])
+        ids = inp.pair.x_net.index.ids, inp.pair.y_net.index.ids
+        with pytest.raises(MatchcertError) as info:
+            replace(inp, s_m=MatchSet(*ids, np.zeros(8, dtype=np.int64)))
+        assert str(info.value) == "invalid-keys: s_m is no sorted set of allowed pair keys"
 
     def test_repeated_s_x_node_rejected(self):
         inp = self.ten_pair_input([("x0", "y0")], ["x3", "x1", "x2", "x1", "x3"])
@@ -413,56 +413,60 @@ class TestUnknownSampleNodes:
 
     ten_pair_input = staticmethod(TestDuplicateSampleItems.ten_pair_input)
 
-    def test_s_m_pair_outside_the_networks_rejected(self):
-        for bad, error in (
-            (("ghost", "y1"), "unknown-node: s_m pair ('ghost', 'y1')"),
-            (("x1", "nobody"), "unknown-node: s_m pair ('x1', 'nobody')"),
+    @staticmethod
+    def outside(inp, name):
+        """The errors of ``inp`` with the set field ``name`` holding a pair
+        outside the networks: over a pair whose Y also holds "nobody", and
+        as a raw key past |X|·|Y|."""
+        x_net, ids = inp.pair.x_net, inp.pair.x_net.index.ids
+        wider = NetworkPair(x_net, make_network([*inp.pair.y_net.index.ids, "nobody"], []))
+        errors = []
+        for bad in (
+            make_match_set([("x0", "y0"), ("x1", "nobody")], wider),
+            MatchSet(ids, inp.pair.y_net.index.ids, np.array([0, 11, 100])),
         ):
-            inp = self.ten_pair_input([("x0", "y0"), bad, ("x2", "y2")], ["x0"])
-            for certify in (batch_reports, holdout_batch_recall, holdout_batch_precision):
-                with pytest.raises(MatchcertError) as info:
-                    certify(inp)
-                assert str(info.value) == error
+            with pytest.raises(MatchcertError) as info:
+                replace(inp, **{name: bad})
+            errors.append(str(info.value))
+        return errors
+
+    def test_s_m_pair_outside_the_networks_rejected(self):
+        inp = self.ten_pair_input([("x0", "y0")], ["x0"])
+        assert self.outside(inp, "s_m") == [
+            "universe-mismatch: match sets over different X or Y node id lists",
+            "invalid-keys: s_m is no sorted set of allowed pair keys",
+        ]
 
     def test_s_x_node_outside_x_rejected(self):
         inp = self.ten_pair_input([("x0", "y0")], ["x0", "nobody", "x1"])
-        # an actual-match map that lists the stray node, as ``validate``
-        # builds one for every sampled node
-        inp = replace(inp, actual_for={**inp.actual_for, "nobody": frozenset()})
         for certify in (batch_reports, holdout_batch_precision):
             with pytest.raises(MatchcertError) as info:
                 certify(inp)
             assert str(info.value) == "unknown-node: 'nobody'"
 
     def test_verified_match_outside_y_rejected(self):
-        # "nope" is not a node of Y; it would count as an actual match of x1
-        # in the density term
+        # it would count as an actual match of x1 in the density term
         inp = self.ten_pair_input([("x0", "y0")], ["x0", "x1", "x2"])
-        inp = replace(inp, actual_for={**inp.actual_for, "x1": frozenset({"nope"})})
-        for certify in (batch_reports, holdout_batch_precision):
-            with pytest.raises(MatchcertError) as info:
-                certify(inp)
-            assert str(info.value) == "unknown-node: actual_for pair ('x1', 'nope')"
-
+        assert self.outside(inp, "actual_for") == [
+            "universe-mismatch: match sets over different X or Y node id lists",
+            "invalid-keys: actual_for is no sorted set of allowed pair keys",
+        ]
 
     def test_identity_s_m_pair_rejected_in_self_match_mode(self):
-        # one shared universe: (n2, n2) is no match, and would count as a miss
+        # one shared universe: (n2, n2) is no match, and would count as a
+        # miss; its key is n2's row and column
         net = make_network([f"n{i}" for i in range(10)], [])
         pair = NetworkPair(net, net, self_match_mode=True)
         truth = make_match_set([(f"n{i}", f"n{(i + 1) % 10}") for i in range(10)], pair)
-        s_m = [("n0", "n1"), ("n2", "n2"), ("n3", "n4")]
-        inp = base_input(pair, truth, truth, s_m, ["n0"], HG, 0.05)
-        for certify in (batch_reports, holdout_batch_recall, holdout_batch_precision):
-            with pytest.raises(MatchcertError) as info:
-                certify(inp)
-            assert str(info.value) == "identity-pair-forbidden: ('n2', 'n2')"
+        inp = base_input(pair, truth, truth, [("n0", "n1")], ["n0", "n2"], HG, 0.05)
         # so is an identity pair among a sampled node's verified matches
-        inp = replace(inp, s_m=(("n0", "n1"),), s_x=("n0", "n2"))
-        inp = replace(inp, actual_for={**inp.actual_for, "n2": frozenset({"n2"})})
-        for certify in (batch_reports, holdout_batch_precision):
+        with_identity = MatchSet(net.index.ids, net.index.ids, np.array([1, 22, 34]))
+        for name in ("s_m", "actual_for"):
             with pytest.raises(MatchcertError) as info:
-                certify(inp)
-            assert str(info.value) == "identity-pair-forbidden: ('n2', 'n2')"
+                replace(inp, **{name: with_identity})
+            assert str(info.value) == (
+                f"invalid-keys: {name} is no sorted set of allowed pair keys"
+            )
 
 
 class TestMatchCountCap:
@@ -474,7 +478,7 @@ class TestMatchCountCap:
     @pytest.mark.parametrize("method", [HG, HOEFF])
     def test_node_over_k_y_rejected(self, method):
         inp = self.ten_pair_input([("x0", "y0")], ["x3", "x1", "x2"])
-        two = {**inp.actual_for, "x1": frozenset({"y1", "y2"})}
+        two = make_match_set([*inp.actual_for.sorted_pairs, ("x1", "y2")], inp.pair)
         inp = replace(inp, actual_for=two, method=method)
         for certify in (batch_reports, holdout_batch_precision):
             with pytest.raises(MatchcertError) as info:
@@ -525,6 +529,7 @@ class TestBatchReports:
                 ),
                 "s_m": sorted(map(list, s_m)),
                 "s_x": sorted(s_x),
+                "actual_for": list(map(list, truth.sorted_pairs)),
                 "k_y": 1,
                 "method": HG.value,
                 "deltas": list(r.delta_parts),
@@ -583,26 +588,24 @@ class TestSharedTerms:
         import matchcert.batch as batch
 
         calls = []
-        for name in ("pair_keys", "_recall_term", "_density_term"):
+        for name in ("_recall_term", "_density_term"):
             def counting(*args, call=getattr(batch, name), name=name):
                 calls.append((name, *(d.delta for d in args if isinstance(d, Confidence))))
                 return call(*args)
 
             monkeypatch.setattr(batch, name, counting)
         batch_reports(complete_world_input(*world))
-        # s_m is encoded once, for the input's hits; holdout recall spends
-        # all of delta; the three two-term certificates share one recall
-        # and one density term at delta / 2
+        # holdout recall spends all of delta; the three two-term
+        # certificates share one recall and one density term at delta / 2
         assert sorted(calls) == [
             ("_density_term", 0.025), ("_recall_term", 0.025), ("_recall_term", 0.05),
-            ("pair_keys",),
         ]
 
     def test_error_precedence_unchanged(self, world):
         pair, truth = world
         empty = make_match_set([], pair)
         inp = complete_world_input(pair, truth)
-        for bad_s_x, error in (((), "empty-sample"), (("x0", "nope"), "missing-actual")):
+        for bad_s_x, error in (((), "empty-sample"), (("x0", "nope"), "unknown-node")):
             bad = replace(inp, s_x=bad_s_x)
             with pytest.raises(MatchcertError, match=error):
                 batch_reports(bad)
@@ -668,8 +671,9 @@ class TestDeferredDigest:
                 "m_hat_complete": (
                     sorted(map(list, complete.pairs)) if complete else None
                 ),
-                "s_m": sorted(map(list, inp.s_m)),
+                "s_m": list(map(list, inp.s_m.sorted_pairs)),
                 "s_x": sorted(inp.s_x),
+                "actual_for": list(map(list, truth.sorted_pairs)),
                 "k_y": 1,
                 "method": HG.value,
                 "deltas": list(r.delta_parts),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -357,6 +358,20 @@ class TestValidateBatch:
         assert rc == 1
         assert "unknown-node: 'nobody'" in capsys.readouterr().err
 
+    def test_bad_s_m_line_exits_one(self, tmp_path, world, capsys):
+        # an s_m pair outside the networks, and a repeated s_m pair, which
+        # would count one verified match twice
+        first = (world / "matches.tsv").read_text(encoding="utf-8").splitlines()[0]
+        pair = tuple(first.split("\t"))
+        for text, error in (
+            (f"{first}\nx0\tnobody\n", "unknown-node: s_m pair ('x0', 'nobody')"),
+            (f"{first}\n{first}\n", f"duplicate-sample-item: s_m repeats {pair!r}"),
+        ):
+            s_m = write(tmp_path / "s_m.tsv", text)
+            rc = self._validate(tmp_path, world, "--s-m", str(s_m))
+            assert rc == 1
+            assert error in capsys.readouterr().err
+
     def test_malformed_input_exits_one(self, tmp_path, world, capsys):
         bad = write(tmp_path / "bad.tsv", "only-one-field\n")
         rc = main(
@@ -399,13 +414,18 @@ class TestActualMap:
         assert got == {x: per_x.get(x, frozenset()) for x in s_x}
         assert list(got) == list(dict.fromkeys(s_x))
         assert any(not ys for ys in got.values()) and any(got.values())
-        # the set and the mapping: equal positions, keys and counts
+        # the rows the certificates read: each node's keys decode to its ids
         from matchcert.reports import verified_sample
 
         sample = list(got)
-        by_set = verified_sample(pair, sample, load_matches(actual, pair))
-        by_map = verified_sample(pair, sample, got)
-        assert [a.tolist() for a in by_set] == [a.tolist() for a in by_map]
+        verified = load_matches(actual, pair)
+        at, keys, counts = verified_sample(pair, sample, verified)
+        assert at.tolist() == pair.x_net.index.positions(sample).tolist()
+        rows = iter(verified.decode(keys))
+        assert {
+            x: frozenset(y for _, y in islice(rows, count))
+            for x, count in zip(sample, counts.tolist())
+        } == got
 
     def test_unsampled_bad_pair_still_rejected(self, tmp_path, world, capsys):
         from matchcert.graphs import load_network

@@ -6,13 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from matchcert import bounds, graphs
+from matchcert import bounds, graphs, matchers, query, reports
 
 from matchcert.batch import BatchValidationInput, batch_reports
 from matchcert.bounds import BoundMethod
 from matchcert.coverage import ExperimentConfig, SampleSizes, run_coverage, run_trial
 from matchcert.errors import MatchcertError
-from matchcert.graphs import MatchSet, by_x, make_match_set, matches_of
+from matchcert.graphs import MatchSet, make_match_set, matches_of
 from matchcert.matchers import (
     VERIFIED_SAMPLE,
     MatcherConfig,
@@ -188,70 +188,58 @@ def test_trial_bounds_each_term_once_and_keeps_pairs_in_keys(monkeypatch):
     # a criterion-4 trial bounds 8 terms: batch recall at delta and at
     # delta / 2 and the match density; query holdout precision, recall and
     # error rate, complete recall and the matched fraction (the complete
-    # precision and error rate read the holdout terms). Its seeds reach
-    # percolation as keys, and s_m and the verified matches of s_x reach
-    # the certificates as truth keys, so no pair is encoded or decoded
+    # precision and error rate read the holdout terms). Each matcher runs
+    # once, and both certificate inputs read its identified set; each input
+    # reads s_x's verified matches once. Its seeds reach percolation as
+    # keys, and s_m and the verified matches of s_x reach the certificates
+    # as truth keys, so no pair is encoded or decoded
     terms = _count_calls(monkeypatch, bounds, "bound_term")
+    ran = _count_calls(monkeypatch, matchers, "run_batch")
+    verified = _count_calls(monkeypatch, reports, "verified_sample")
+    columns = _count_calls(monkeypatch, query, "query_columns")
     encoded = _count_calls(monkeypatch, graphs, "pair_keys")
     decoded = _count_calls(monkeypatch, graphs, "matches_of")
     cfg = _criterion_4_world(VERIFIED_SAMPLE, 2, trials=1)
     records = run_trial(cfg, 0)
     assert len(records) == 10
-    assert len(terms) == 8
+    assert (len(terms), len(ran), len(verified), len(columns)) == (8, 2, 2, 1)
     assert encoded == [] and decoded == []
 
 
 @pytest.mark.parametrize("method", list(BoundMethod))
 def test_actual_map_of_the_sampled_nodes_suffices(method):
-    # the actual matches of s_x alone, or those of every node of X, as a
-    # mapping or as a MatchSet (a trial gives the truth), with s_m as a
-    # tuple or as a MatchSet (a trial gives truth keys): every form must
-    # report exactly the same
+    # the actual matches of s_x alone, or those of every node of X (a trial
+    # gives the truth), must report exactly the same bounds; only the
+    # digests, which hash the verified set, differ
     cfg = _criterion_4_world(VERIFIED_SAMPLE, 2, trials=1)
     pair, truth = generate_pair(cfg.generator)
     ids = pair.x_net.index.ids
     s_x = tuple(sample_without_replacement(ids, 200, spawn_rng(3, 1)))
     s_x_prime = tuple(sample_without_replacement(ids, 400, spawn_rng(3, 2)))
-    s_m = tuple(truth.sorted_pairs[::9])
-    truth_x = by_x(truth)
-    full = {x: truth_x.get(x, frozenset()) for x in ids}
+    s_m = make_match_set(truth.sorted_pairs[::9], pair)
     found = matches_of(truth, pair, s_x)
-    restricted = {x: found.get(x, frozenset()) for x in s_x}
-    assert restricted == {x: full[x] for x in s_x}
+    verified = make_match_set([(x, y) for x in s_x for y in found[x]], pair)
     holdout = build_matcher(cfg.matcher_holdout, training_matches=truth.sorted_pairs[::16])
     complete = build_matcher(cfg.matcher_holdout, (
         *truth.sorted_pairs[::16],
-        *s_m,
-        *((x, y) for x in s_x for y in sorted(full[x])),
+        *s_m.sorted_pairs,
+        *verified.sorted_pairs,
     ))
-    verified = make_match_set([(x, y) for x in s_x for y in full[x]], pair)
-    s_m_set = make_match_set(s_m, pair)
+    m_hat_h, m_hat_c = run_batch(holdout, pair), run_batch(complete, pair)
     got = {}
-    for name, actual_for, sample in (
-        ("full", full, s_m),
-        ("restricted", restricted, s_m),
-        ("truth", truth, s_m),
-        ("verified", verified, s_m),
-        ("s_m set", restricted, s_m_set),
-        ("sets", truth, s_m_set),
-    ):
-        got[name] = [
-            r.to_json_dict()
-            for r in batch_reports(BatchValidationInput(
-                pair=pair, m_hat_holdout=run_batch(holdout, pair), s_m=sample, s_x=s_x,
-                actual_for=actual_for, method=method, delta=0.05,
-                m_hat_complete=run_batch(complete, pair), m_size=truth.keys.size,
-            ))
-        ] + [
-            r.to_json_dict()
-            for r in query_reports(QueryValidationInput(
-                pair=pair, holdout=holdout, s_x=s_x, actual_for=actual_for,
-                method=method, delta=0.05, complete=complete, s_x_prime=s_x_prime,
-            ))
-        ]
-    assert len(got["full"]) == 10
-    for name in got:  # every field, digests included
-        assert got[name] == got["full"], name
+    for name, actual_for in (("truth", truth), ("verified", verified)):
+        reports = batch_reports(BatchValidationInput(
+            pair=pair, m_hat_holdout=m_hat_h, s_m=s_m, s_x=s_x, actual_for=actual_for,
+            method=method, delta=0.05, m_hat_complete=m_hat_c, m_size=truth.keys.size,
+        )) + query_reports(QueryValidationInput(
+            pair=pair, m_hat_holdout=m_hat_h, s_x=s_x, actual_for=actual_for,
+            method=method, delta=0.05, m_hat_complete=m_hat_c, s_x_prime=s_x_prime,
+        ))
+        got[name] = [r.to_json_dict() for r in reports]
+    assert len(got["truth"]) == 10
+    for a, b in zip(got["truth"], got["verified"]):
+        assert a.pop("inputs_digest") != b.pop("inputs_digest")
+        assert a == b  # every other field
 
 
 def _small_world(matcher_holdout, train=20, **kw):

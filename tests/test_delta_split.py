@@ -16,7 +16,7 @@ from matchcert.batch import (
 )
 from matchcert.bounds import BoundMethod
 from matchcert.errors import MatchcertError
-from matchcert.graphs import matches_of
+from matchcert.graphs import make_match_set
 from matchcert.matchers import (
     VERIFIED_SAMPLE,
     MatcherConfig,
@@ -59,21 +59,19 @@ def inputs():
     )
     pair, truth = generate_pair(cfg)
     ids = pair.x_net.index.ids
-    s_m = tuple(sample_without_replacement(truth.sorted_pairs, 40, 1))
+    s_m = sample_without_replacement(truth.sorted_pairs, 40, 1)
     s_x = tuple(sample_without_replacement(ids, 60, 2))
-    found = matches_of(truth, pair, s_x)
-    actual_for = {x: found.get(x, frozenset()) for x in s_x}
     config = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=1)
     holdout = build_matcher(config, training_matches=truth.sorted_pairs[::5])
     complete = build_matcher(config, (*truth.sorted_pairs[::5], *s_m))
+    m_hat_h, m_hat_c = run_batch(holdout, pair), run_batch(complete, pair)
     batch_inp = BatchValidationInput(
-        pair, run_batch(holdout, pair), s_m, s_x, actual_for,
-        BoundMethod.HYPERGEOMETRIC, DELTA,
-        m_hat_complete=run_batch(complete, pair), m_size=truth.keys.size,
+        pair, m_hat_h, make_match_set(s_m, pair), s_x, truth,
+        BoundMethod.HYPERGEOMETRIC, DELTA, m_hat_complete=m_hat_c, m_size=truth.keys.size,
     )
     query_inp = QueryValidationInput(
-        pair, holdout, s_x, actual_for, BoundMethod.HYPERGEOMETRIC, DELTA,
-        complete=complete, s_x_prime=tuple(sample_without_replacement(ids, 90, 3)),
+        pair, m_hat_h, s_x, truth, BoundMethod.HYPERGEOMETRIC, DELTA,
+        m_hat_complete=m_hat_c, s_x_prime=tuple(sample_without_replacement(ids, 90, 3)),
     )
     return batch_inp, query_inp
 
@@ -83,7 +81,7 @@ def test_each_certificate_alone_splits_delta_and_equals_its_report(inputs):
     # the holdout certificates of *_reports see the input without the
     # complete set or matcher
     batch_holdout = replace(batch_inp, m_hat_complete=None)
-    query_holdout = replace(query_inp, complete=None)
+    query_holdout = replace(query_inp, m_hat_complete=None)
     alone = [
         holdout_batch_recall(batch_holdout),
         holdout_batch_precision(batch_holdout),

@@ -31,6 +31,7 @@ from matchcert.errors import MatchcertError, read_fields
 from matchcert.graphs import MatchSet, NetworkPair, make_match_set, make_network, pair_keys
 from matchcert.matchers import MatcherConfig, TopDegree, build_matcher, run_batch
 from matchcert.query import QueryValidationInput, query_reports
+from matchcert.reports import require_distinct
 from matchcert.sampling import (
     SplitSpec,
     hypergeometric_draw,
@@ -113,27 +114,31 @@ COVERAGE = {
     "seed": 0,
 }
 
-def _verified_on_ab(certify, actual_for, s_x=("b", "a"), s_m=(("a", "a"),), **query):
+def _verified_on_ab(certify, actual_for=(), s_x=("b", "a"), **query):
     """``certify``'s reports on pair AB, with s_x (b, a) and the verified
-    matches ``actual_for`` of a, where b has none, unless given; ``s_m``
-    feeds a batch input and ``query`` (s_x_prime) a query input."""
-    actual_for = {"b": frozenset(), **actual_for}
+    matches ``actual_for``: pairs, or a value that is no MatchSet, which
+    the input rejects. The holdout set and the batch input's s_m hold
+    (a, a); ``query`` (s_x_prime) feeds a query input."""
+    if not isinstance(actual_for, (list, tuple)):
+        verified = actual_for
+    else:
+        verified = make_match_set(actual_for, AB)
+    identified = make_match_set([("a", "a")], AB)
     if certify is batch_reports:
         return certify(BatchValidationInput(
-            AB, make_match_set([("a", "a")], AB), s_m, s_x, actual_for,
-            BoundMethod.HOEFFDING, 0.05,
+            AB, identified, identified, s_x, verified, BoundMethod.HOEFFDING, 0.05,
         ))
-    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
     return certify(QueryValidationInput(
-        AB, holdout, s_x, actual_for, BoundMethod.HOEFFDING, 0.05, **query
+        AB, identified, s_x, verified, BoundMethod.HOEFFDING, 0.05, **query
     ))
 
 
 def _recall_on_two_nodes(s_m, k_y):
     pair = NetworkPair(make_network(["a", "b"], []), make_network(["p", "q"], []))
+    empty = make_match_set([], pair)
     return holdout_batch_recall(
         BatchValidationInput(
-            pair, make_match_set([], pair), s_m, ("a",), {"a": frozenset()},
+            pair, empty, make_match_set(s_m, pair), ("a",), empty,
             BoundMethod.HOEFFDING, 0.05, k_y=k_y,
         )
     )
@@ -264,91 +269,83 @@ ESCAPES = [
     ("invalid-edge", lambda: pair_keys(AB, "seed", [("a", "b"), ("a", 1)]), "('a', 1)"),
     (
         # a verified match that is no string, alone or among node ids that
-        # do not sort with it, on either certifier
+        # do not sort with it, fails where its set is built
         "invalid-edge",
-        lambda: _verified_on_ab(batch_reports, {"a": frozenset({5})}),
-        "actual_for pair ('a', 5) is not a pair of node ids",
+        lambda: _verified_on_ab(batch_reports, make_match_set([("a", 5)], AB)),
+        "match pair ('a', 5) is not a pair of node ids",
     ),
     (
         "invalid-edge",
-        lambda: _verified_on_ab(batch_reports, {"a": frozenset({"a", 5, "b", 7})}),
-        "actual_for pair ('a', 5) is not a pair of node ids",
+        lambda: make_match_set([("a", "a"), ("a", 5), ("a", "b"), ("a", 7)], AB),
+        "match pair ('a', 5) is not a pair of node ids",
     ),
     (
         "invalid-edge",
-        lambda: _verified_on_ab(query_reports, {"a": frozenset({"a", 5, "b", 7})}),
-        "actual_for pair ('a', 5) is not a pair of node ids",
+        lambda: _verified_on_ab(query_reports, make_match_set([("a", 5), ("a", 7)], AB)),
+        "match pair ('a', 5) is not a pair of node ids",
     ),
-    # verified matches that are no collection of ids: a string was read as
-    # its characters (here the two nodes a and b of Y), None and an int
-    # escaped from len(), on either certifier
-    ("invalid-actual", lambda: _verified_on_ab(batch_reports, {"a": "ab"}), "'a' maps to 'ab'"),
-    ("invalid-actual", lambda: _verified_on_ab(query_reports, {"a": "ab"}), "'a' maps to 'ab'"),
-    ("invalid-actual", lambda: _verified_on_ab(batch_reports, {"a": None}), "'a' maps to None"),
-    ("invalid-actual", lambda: _verified_on_ab(query_reports, {"a": 3}), "'a' maps to 3"),
+    # verified matches that are no MatchSet: a mapping of ids (once read
+    # as a string's characters), None and an int, on either certifier
+    ("invalid-keys", lambda: _verified_on_ab(batch_reports, {"a": "ab"}), "actual_for is {"),
+    ("invalid-keys", lambda: _verified_on_ab(query_reports, {"a": "ab"}), "actual_for is {"),
+    ("invalid-keys", lambda: _verified_on_ab(batch_reports, None), "actual_for is None"),
+    ("invalid-keys", lambda: _verified_on_ab(query_reports, 3), "actual_for is 3, not a"),
     (
         "invalid-edge",
-        lambda: _verified_on_ab(query_reports, {"a": [["a"]]}),
-        "actual_for pair ('a', ['a']) is not a pair of node ids",
+        lambda: _verified_on_ab(query_reports, make_match_set([("a", ["a"])], AB)),
+        "match pair ('a', ['a']) is not a pair of node ids",
     ),
     # unhashable sample items, which escaped from the duplicate check
     (
         "unknown-node",
-        lambda: _verified_on_ab(batch_reports, {}, s_x=("b", ["a"])),
+        lambda: _verified_on_ab(batch_reports, s_x=("b", ["a"])),
         "['a']",
     ),
     (
         "unknown-node",
-        lambda: _verified_on_ab(query_reports, {}, s_x=("b", ["a"])),
+        lambda: _verified_on_ab(query_reports, s_x=("b", ["a"])),
         "['a']",
     ),
     (
         "unknown-node",
-        lambda: _verified_on_ab(query_reports, {"a": ()}, s_x_prime=("a", ["b"])),
+        lambda: _verified_on_ab(query_reports, s_x_prime=("a", ["b"])),
         "['b']",
     ),
     (
+        # the check that ``validate batch`` runs on its s_m file's pairs
         "invalid-edge",
-        lambda: _verified_on_ab(batch_reports, {}, s_m=(("a", ["a"]),)),
+        lambda: pair_keys(AB, "s_m", [("a", ["a"])]),
         "s_m pair ('a', ['a']) is not a pair of node ids",
     ),
     (
         # a list pair is the pair of its ids, as graphs.pair_keys reads it
         "duplicate-sample-item",
-        lambda: _verified_on_ab(batch_reports, {}, s_m=(["a", "a"], ("a", "a"))),
+        lambda: require_distinct("s_m", [tuple(["a", "a"]), ("a", "a")]),
         "s_m repeats ('a', 'a')",
     ),
     # a verified match listed twice counted twice: p(a) = 2.0 and w(a) = 1
     # in the query columns, two matches in the batch density term
-    (
-        "invalid-actual",
-        lambda: _verified_on_ab(batch_reports, {"a": ["a", "a"]}),
-        "'a' lists 'a' more than once",
-    ),
-    (
-        "invalid-actual",
-        lambda: _verified_on_ab(query_reports, {"a": ("c", "a", "c", "a")}),
-        "'a' lists 'a' more than once",
-    ),
+    ("invalid-keys", lambda: _verified_on_ab(batch_reports, _twice()), "actual_for is no"),
+    ("invalid-keys", lambda: _verified_on_ab(query_reports, _twice()), "actual_for is no"),
     # a string sample was read as its characters: s_x "ab" as (a, b)
     (
         "invalid-sample",
-        lambda: _verified_on_ab(batch_reports, {"a": ()}, s_x="ab"),
+        lambda: _verified_on_ab(batch_reports, s_x="ab"),
         "s_x is the string 'ab'",
     ),
     (
         "invalid-sample",
-        lambda: _verified_on_ab(query_reports, {"a": ()}, s_x="ab"),
+        lambda: _verified_on_ab(query_reports, s_x="ab"),
         "s_x is the string 'ab'",
     ),
     (
         "invalid-sample",
-        lambda: _verified_on_ab(query_reports, {"a": ()}, s_x_prime="ab"),
+        lambda: _verified_on_ab(query_reports, s_x_prime="ab"),
         "s_x_prime is the string 'ab'",
     ),
     (
         "invalid-sample",
-        lambda: _verified_on_ab(query_reports, {"a": ()}, s_x_prime=""),
+        lambda: _verified_on_ab(query_reports, s_x_prime=""),
         "s_x_prime is the string ''",
     ),
     # a method given by its name ran EBS in bound_mean, and failed as an
@@ -418,7 +415,68 @@ ESCAPES = [
     ),
     ("invalid-value", lambda: sample_mean(SampleSummary(("a",))), "holds a non-number"),
     ("invalid-value", lambda: sample_sigma_hat(SampleSummary((0.5, "a"))), "non-number"),
+    # a set field that is no MatchSet raised an AttributeError or a
+    # TypeError in the certificates
+    ("invalid-keys", lambda: _set_on_ab("m_hat_holdout", [("a", "b")]), "m_hat_holdout is ["),
+    ("invalid-keys", lambda: _set_on_ab("m_hat_holdout", None), "m_hat_holdout is None"),
+    ("invalid-keys", lambda: _set_on_ab("s_m", 5), "s_m is 5, not a MatchSet"),
+    ("invalid-keys", lambda: _set_on_ab("s_m", (("a", "a"),)), "s_m is (('a', 'a'),)"),
+    ("invalid-keys", lambda: _set_on_ab("m_hat_complete", ()), "m_hat_complete is ()"),
+    (
+        "invalid-keys",
+        lambda: _set_on_ab("m_hat_holdout", [("a", "a")], query_reports),
+        "m_hat_holdout is [",
+    ),
+    (
+        "invalid-keys",
+        lambda: _set_on_ab("m_hat_complete", "ab", query_reports),
+        "m_hat_complete is 'ab'",
+    ),
+    # a SampleSummary whose values are no tuple raised a TypeError, or read
+    # None as an empty sample
+    (
+        "invalid-sample",
+        lambda: bound_mean(PopulationSpec(10), SampleSummary(5), BoundMethod.HOEFFDING,
+                           Confidence(0.1)),
+        "values 5 are no tuple",
+    ),
+    (
+        "invalid-sample",
+        lambda: bound_mean(PopulationSpec(10), SampleSummary(iter([0.5])),
+                           BoundMethod.HYPERGEOMETRIC, D05),
+        "are no tuple",
+    ),
+    ("invalid-sample", lambda: sample_mean(SampleSummary(5)), "values 5 are no tuple"),
+    (
+        "invalid-sample",
+        lambda: hoeffding_bounds(PopulationSpec(5), SampleSummary(None), D05),
+        "values None are no tuple",
+    ),
+    ("invalid-sample", lambda: sample_sigma_hat(SampleSummary([0.5])), "values [0.5] are"),
 ]
+
+
+def _twice():
+    """A verified set on AB whose raw keys list (a, a) twice."""
+    return MatchSet(AB.x_net.index.ids, AB.y_net.index.ids, np.array([0, 0]))
+
+
+def _set_on_ab(field, value, certify=batch_reports):
+    """``certify``'s reports on pair AB with the set field ``field`` the
+    value ``value``, which the input rejects."""
+    identified = make_match_set([("a", "a")], AB)
+    fields = {
+        "m_hat_holdout": identified, "s_m": identified, "m_hat_complete": None, field: value
+    }
+    if certify is query_reports:
+        return certify(QueryValidationInput(
+            AB, fields["m_hat_holdout"], ("a",), identified, BoundMethod.HOEFFDING, 0.05,
+            m_hat_complete=fields["m_hat_complete"],
+        ))
+    return certify(BatchValidationInput(
+        AB, fields["m_hat_holdout"], fields["s_m"], ("a",), identified,
+        BoundMethod.HOEFFDING, 0.05, m_hat_complete=fields["m_hat_complete"],
+    ))
 
 
 def _on_huge(method):
@@ -432,13 +490,12 @@ def _on_huge(method):
 def _on_ab(certify, method):
     """``certify``'s reports on pair AB with ``method``, which is no
     BoundMethod: the input rejects it."""
+    identified = make_match_set([("a", "a")], AB)
     if certify is batch_reports:
         return certify(BatchValidationInput(
-            AB, make_match_set([("a", "a")], AB), (("a", "a"),), ("a",), {"a": ()},
-            method, 0.05,
+            AB, identified, identified, ("a",), identified, method, 0.05,
         ))
-    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
-    return certify(QueryValidationInput(AB, holdout, ("a",), {"a": ()}, method, 0.05))
+    return certify(QueryValidationInput(AB, identified, ("a",), identified, method, 0.05))
 
 
 def _keys_on_pq(field, keys, certify=batch_reports, self_match=False):
@@ -448,16 +505,16 @@ def _keys_on_pq(field, keys, certify=batch_reports, self_match=False):
     x, y = make_network(["a", "b"], []), make_network(["a", "b"] if self_match else ["p", "q"], [])
     pair = NetworkPair(x, y, self_match_mode=self_match)
     ids = pair.x_net.index.ids, pair.y_net.index.ids
+    identified = make_match_set([("a", y.index.ids[1])], pair)
     fields = {
-        "m_hat_holdout": make_match_set([("a", y.index.ids[1])], pair),
-        "s_m": ((("a", y.index.ids[1])),),
-        "actual_for": {"a": (), "b": ()},
+        "m_hat_holdout": identified,
+        "s_m": identified,
+        "actual_for": make_match_set([], pair),
         field: MatchSet(*ids, np.array(keys)),
     }
     if certify is query_reports:
-        holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
         return certify(QueryValidationInput(
-            pair, holdout, ("a", "b"), fields["actual_for"], BoundMethod.HOEFFDING, 0.05
+            pair, identified, ("a", "b"), fields["actual_for"], BoundMethod.HOEFFDING, 0.05
         ))
     return certify(BatchValidationInput(
         pair, fields["m_hat_holdout"], fields["s_m"], ("a", "b"), fields["actual_for"],
@@ -472,11 +529,11 @@ def test_python_api_input_fails_with_its_token(token, call, text):
 
 @pytest.mark.parametrize("certify", [batch_reports, query_reports])
 def test_list_matches_and_list_pairs_read_as_sets_and_tuples(certify):
-    want = _verified_on_ab(certify, {"a": frozenset({"a"})})
-    for actual_for in ({"a": ["a"], "b": []}, {"a": ("a",), "b": set()}):
-        assert _verified_on_ab(certify, actual_for) == want
-    if certify is batch_reports:
-        assert _verified_on_ab(certify, {"a": {"a"}}, s_m=(["a", "a"],)) == want
+    # a verified set built from list pairs, or from a set of pairs, is the
+    # set of their tuples
+    want = _verified_on_ab(certify, [("a", "a")])
+    for pairs in ([["a", "a"]], {("a", "a")}, [("a", "a"), ["a", "a"]]):
+        assert _verified_on_ab(certify, make_match_set(pairs, AB)) == want
 
 
 def test_numpy_integers_are_seeds_and_sizes():

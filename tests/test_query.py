@@ -5,8 +5,8 @@ import random
 import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
-from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,6 +25,7 @@ from matchcert.batch import BatchValidationInput, batch_reports, true_batch_metr
 from matchcert.bounds import BoundMethod, Confidence, bound_term
 from matchcert.errors import MatchcertError
 from matchcert.graphs import (
+    MatchSet,
     NetworkPair,
     by_x,
     make_match_set,
@@ -103,36 +104,9 @@ class TestPerNodeStats:
         assert disagreement_precision(frozenset(), frozenset({"y9"})) == 0.0
 
 
-def fixed_matcher(pairs):
-    """A matcher that outputs exactly `pairs`, which give each x and each y
-    at most one match: explicit seeds, a threshold no count can reach, one
-    iteration."""
-    return build_matcher(
-        MatcherConfig("percolation", seeds=tuple(pairs), threshold=99, max_iters=1)
-    )
-
-
-def fixed_world(pair, *sets):
-    """``pair`` with node attributes under which the i-th of the returned
-    matchers, attribute-exact on the key ``m<i>``, identifies exactly
-    ``sets[i]``, where an x may have several matches. Each set is a union
-    of complete bipartite blocks, whose nodes share one value."""
-    attrs_x, attrs_y = {}, {}
-    handles = []
-    for i, pairs in enumerate(sets):
-        key = f"m{i}"
-        block = {y: min(x for x, b in pairs if b == y) for _, y in pairs}
-        for x, y in pairs:
-            attrs_x.setdefault(x, {})[key] = block[y]
-            attrs_y.setdefault(y, {})[key] = block[y]
-        handles.append(build_matcher(MatcherConfig("attribute-exact", attr_key=key)))
-    world = NetworkPair(
-        make_network(pair.x_net.nodes, pair.x_net.edges, attrs_x),
-        make_network(pair.y_net.nodes, pair.y_net.edges, attrs_y),
-    )
-    for pairs, handle in zip(sets, handles):
-        assert run_batch(handle, world).pairs == set(pairs)
-    return world, handles
+def diagonal(n, start=0):
+    """The pairs (x_i, y_i) for i in [start, n)."""
+    return [(f"x{i}", f"y{i}") for i in range(start, n)]
 
 
 @pytest.fixture(scope="module")
@@ -142,26 +116,27 @@ def tiny():
     return NetworkPair(x, y)
 
 
-def tiny_input(pair, holdout, s_x, actual_for, delta, complete=None,
+def tiny_input(pair, holdout, s_x, actual, delta, complete=None,
                s_x_prime=(), method=HOEFF):
+    """A query input on ``pair`` whose identified sets hold the pairs
+    ``holdout`` and ``complete`` (None: no complete set) and whose verified
+    matches hold the pairs ``actual``."""
     return QueryValidationInput(
         pair=pair,
-        holdout=holdout,
+        m_hat_holdout=make_match_set(holdout, pair),
         s_x=tuple(s_x),
-        actual_for=actual_for,
+        actual_for=make_match_set(actual, pair),
         method=method,
         delta=delta,
-        complete=complete,
+        m_hat_complete=None if complete is None else make_match_set(complete, pair),
         s_x_prime=tuple(s_x_prime),
     )
 
 
 class TestHoldoutQuery:
     def test_perfect_matcher_closed_form(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(8)])
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(tiny, holdout, s_x, actual, 0.05)
+        inp = tiny_input(tiny, diagonal(8), s_x, diagonal(8), 0.05)
         p_rep, r_rep = holdout_query_bounds(inp)
         want = 1.0 - math.sqrt(math.log(1 / 0.05) / (2 * 8))
         assert p_rep.lower_bound == pytest.approx(want, abs=1e-12)
@@ -170,12 +145,9 @@ class TestHoldoutQuery:
     def test_half_wrong_closed_form(self, tiny):
         # four sampled nodes fully right, four fully wrong: mean 0.5 and
         # Hoeffding slack sqrt(ln 20 / 16)
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        pairs = [(f"x{i}", f"y{i}") for i in range(4)]
-        pairs += [(f"x{i}", f"y{(i + 1) % 8}") for i in range(4, 8)]
-        world, (holdout,) = fixed_world(tiny, pairs)  # x0 and x7 match y0
+        pairs = diagonal(4) + [(f"x{i}", f"y{(i + 1) % 8}") for i in range(4, 8)]
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(world, holdout, s_x, actual, 0.05)
+        inp = tiny_input(tiny, pairs, s_x, diagonal(8), 0.05)  # x0 and x7 match y0
         p_rep, r_rep = holdout_query_bounds(inp)
         want = 0.5 - math.sqrt(math.log(20) / 16)
         assert p_rep.lower_bound == pytest.approx(max(0.0, want), abs=1e-12)
@@ -184,9 +156,7 @@ class TestHoldoutQuery:
     def test_no_usable_sample(self, tiny):
         # no sampled node has identified or actual matches: both bounds
         # read 0, flagged, and the error rate still certifies
-        actual = {f"x{i}": frozenset() for i in range(8)}
-        holdout = fixed_matcher([])
-        inp = tiny_input(tiny, holdout, ["x0", "x1"], actual, 0.05)
+        inp = tiny_input(tiny, [], ["x0", "x1"], [], 0.05)
         precision, recall, error = query_reports(inp)
         for rep in (precision, recall):
             assert rep.lower_bound == 0.0
@@ -199,11 +169,9 @@ class TestHoldoutQuery:
         assert error.flags == () and error.upper_bound < 1.0
 
     def test_unknown_sampled_node(self, tiny):
-        actual = {"x0": frozenset({"y0"}), "zzz": frozenset()}
-        holdout = fixed_matcher([("x0", "y0")])
+        pairs = [("x0", "y0")]
         for s_x, s_x_prime in ((["x0", "zzz"], ()), (["x0"], ["zzz"])):
-            inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
-                             s_x_prime=s_x_prime)
+            inp = tiny_input(tiny, pairs, s_x, pairs, 0.05, s_x_prime=s_x_prime)
             with pytest.raises(MatchcertError, match="unknown-node"):
                 holdout_query_bounds(inp)
 
@@ -211,12 +179,10 @@ class TestHoldoutQuery:
         # the holdout matcher gives x0 two matches, so p(x) need not be 0/1
         # on D = {x0, x1}: the precision term gets Hoeffding whatever s_x
         # holds, p(x0) = 0.5 or p(x1) = 1.0
-        actual = {"x0": frozenset({"y0"}), "x1": frozenset({"y2"})}
-        world, (holdout,) = fixed_world(
-            tiny, [("x0", "y0"), ("x0", "y1"), ("x1", "y2")]
-        )
+        actual = [("x0", "y0"), ("x1", "y2")]
+        holdout = [("x0", "y0"), ("x0", "y1"), ("x1", "y2")]
         for s_x, p in ((["x0"], 0.5), (["x1"], 1.0)):
-            inp = tiny_input(world, holdout, s_x, actual, 0.05, method=HG)
+            inp = tiny_input(tiny, holdout, s_x, actual, 0.05, method=HG)
             precision, recall = holdout_query_bounds(inp)
             assert precision.term_methods["precision_term"] == "hoeffding"
             want = bound_term(2, [p], HOEFF, Confidence(0.05), "lower")
@@ -226,13 +192,11 @@ class TestHoldoutQuery:
 
 class TestCompleteQueryRecall:
     def test_reduces_to_holdout(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = build_matcher(holdout.config, holdout.training_matches)
+        actual, holdout = diagonal(8), diagonal(6)
         s_x = [f"x{i}" for i in range(8)]
         # the complete certificate's recall term at 0.04 / 2, as the holdout's
         inp2 = tiny_input(tiny, holdout, s_x, actual, 0.04,
-                          complete=complete, s_x_prime=("x0",))
+                          complete=holdout, s_x_prime=("x0",))
         inp1 = tiny_input(tiny, holdout, s_x, actual, 0.02)
         rep = complete_query_recall(inp2)
         _, holdout_rep = holdout_query_bounds(inp1)
@@ -241,11 +205,9 @@ class TestCompleteQueryRecall:
         assert rep.flags == ()
 
     def test_total_disagreement_clamps_to_zero(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(8)])
-        complete = fixed_matcher([])  # drops everything
         s_x = [f"x{i}" for i in range(4)]
-        inp = tiny_input(tiny, holdout, s_x, actual, 0.06, complete=complete)
+        # the complete set drops everything
+        inp = tiny_input(tiny, diagonal(8), s_x, diagonal(8), 0.06, complete=[])
         rep = complete_query_recall(inp)
         assert rep.lower_bound == 0.0
         assert rep.terms["disagreement"] == 1.0  # every x of X, counted
@@ -253,10 +215,8 @@ class TestCompleteQueryRecall:
     def test_prime_sample_not_needed(self, tiny):
         # a complete input without s_x' certifies, with the same bounds as
         # with one: no certificate reads s_x'
-        actual = {"x0": frozenset({"y0"}), "x1": frozenset({"y1"})}
-        holdout = fixed_matcher([("x0", "y0"), ("x1", "y1")])
-        complete = fixed_matcher([("x0", "y1")])
-        inp = tiny_input(tiny, holdout, ["x0", "x1"], actual, 0.06, complete=complete)
+        inp = tiny_input(tiny, diagonal(2), ["x0", "x1"], diagonal(2), 0.06,
+                         complete=[("x0", "y1")])
         with_prime = replace(inp, s_x_prime=("x0", "x5", "x7"))
         reports, reports_prime = query_reports(inp), query_reports(with_prime)
         assert len(reports) == 6
@@ -267,10 +227,8 @@ class TestCompleteQueryRecall:
             assert (a.terms, a.term_methods, a.flags) == (b.terms, b.term_methods, b.flags)
 
     def test_complete_matcher_required(self, tiny):
-        actual = {"x0": frozenset({"y0"})}
-        holdout = fixed_matcher([("x0", "y0")])
         for certify in (complete_query_recall, complete_query_precision):
-            inp = tiny_input(tiny, holdout, ["x0"], actual,
+            inp = tiny_input(tiny, diagonal(1), ["x0"], diagonal(1),
                              0.05, s_x_prime=("x1",))
             with pytest.raises(MatchcertError) as info:
                 certify(inp)
@@ -282,20 +240,15 @@ def _dp_scan(holdout_pairs, complete_pairs, method=HOEFF):
     identify the given pairs, over all 252 samples s_x' of size 5: the set
     of (dp, flags) the reports carry."""
     n = 10
-    pair, (holdout, complete) = fixed_world(
-        NetworkPair(
-            make_network([f"x{i}" for i in range(n)], []),
-            make_network([f"y{i}" for i in range(2 * n)], []),
-        ),
-        holdout_pairs,
-        complete_pairs,
+    pair = NetworkPair(
+        make_network([f"x{i}" for i in range(n)], []),
+        make_network([f"y{i}" for i in range(2 * n)], []),
     )
     s_x = [f"x{i}" for i in range(n)]
-    actual = {x: frozenset({f"y{i}"}) for i, x in enumerate(s_x)}
     reports = [
         complete_query_precision(
-            tiny_input(pair, holdout, s_x, actual, 0.2, complete=complete,
-                       s_x_prime=s_prime, method=method)
+            tiny_input(pair, holdout_pairs, s_x, diagonal(n), 0.2,
+                       complete=complete_pairs, s_x_prime=s_prime, method=method)
         )
         for s_prime in itertools.combinations(s_x, 5)
     ]
@@ -304,32 +257,24 @@ def _dp_scan(holdout_pairs, complete_pairs, method=HOEFF):
 
 class TestCompleteQueryPrecision:
     def test_reduces_to_holdout(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = build_matcher(holdout.config, holdout.training_matches)
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
-                         complete=complete, s_x_prime=s_x)
+        inp = tiny_input(tiny, diagonal(6), s_x, diagonal(8), 0.05,
+                         complete=diagonal(6), s_x_prime=s_x)
         rep = complete_query_precision(inp)
         assert rep.flags == ()
         assert rep.terms["dp"] == 0.0
         assert rep.terms["holdout_fraction"] == rep.terms["complete_fraction"] == 6 / 8
-        holdout_rep, _ = holdout_query_bounds(replace(inp, complete=None))
+        holdout_rep, _ = holdout_query_bounds(replace(inp, m_hat_complete=None))
         assert 0.0 < holdout_rep.lower_bound < 1.0  # so both step one float down
         assert rep.lower_bound == holdout_rep.lower_bound
         assert rep.delta_parts == holdout_rep.delta_parts == (0.05,)
 
     def test_dp_above_two_counts_in_full(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        world, (holdout, complete) = fixed_world(
-            tiny,
-            [("x0", "y0"), ("x0", "y1"), ("x0", "y2"), ("x1", "y3")],
-            [("x0", "y0"), ("x1", "y3")],
-        )
+        holdout = [("x0", "y0"), ("x0", "y1"), ("x0", "y2"), ("x1", "y3")]
+        complete = [("x0", "y0"), ("x1", "y3")]
         # d_p(x0) = 1 + 2/1 = 3 > 2, and 0 elsewhere
         s_x = [f"x{i}" for i in range(8)]
-        inp = tiny_input(world, holdout, s_x, actual,
-                         0.05,
+        inp = tiny_input(tiny, holdout, s_x, diagonal(8), 0.05,
                          complete=complete, s_x_prime=s_x)
         rep = complete_query_precision(inp)
         assert rep.flags == ()
@@ -341,18 +286,11 @@ class TestCompleteQueryPrecision:
         # the holdout matcher gives x0 three matches and the complete one
         # one of them: d_p(x0) = 1 + 2/1 = 3, and x0 is in no sample. The
         # census counts it all the same.
-        world, (holdout, complete) = fixed_world(
-            tiny,
-            [("x0", "y0"), ("x0", "y1"), ("x0", "y2")]
-            + [(f"x{i}", f"y{i}") for i in range(3, 6)],
-            [("x0", "y0")] + [(f"x{i}", f"y{i}") for i in range(3, 6)],
-        )
+        holdout = [("x0", "y0"), ("x0", "y1"), ("x0", "y2")] + diagonal(6, 3)
+        complete = [("x0", "y0")] + diagonal(6, 3)
         s_x = ["x3", "x4", "x5"]
-        actual = {x: frozenset({f"y{x[1:]}"}) for x in s_x}
-        inp = tiny_input(world, holdout, s_x, actual,
-                         0.05,
-                         complete=complete, s_x_prime=("x6", "x7"),
-                         method=method)
+        inp = tiny_input(tiny, holdout, s_x, diagonal(6, 3), 0.05,
+                         complete=complete, s_x_prime=("x6", "x7"), method=method)
         rep = complete_query_precision(inp)
         assert rep.terms["dp"] == 3.0 / 8
         assert (rep.terms["holdout_fraction"], rep.terms["complete_fraction"]) == (
@@ -390,12 +328,8 @@ class TestCompleteQueryPrecision:
         assert seen == {(0.5, ())}
 
     def test_no_usable_precision_sample_is_vacuous(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([])
-        complete = fixed_matcher([("x0", "y0")])
-        inp = tiny_input(tiny, holdout, ["x1", "x2"], actual,
-                         0.05,
-                         complete=complete, s_x_prime=("x0",))
+        inp = tiny_input(tiny, [], ["x1", "x2"], diagonal(8), 0.05,
+                         complete=diagonal(1), s_x_prime=("x0",))
         rep = complete_query_precision(inp)
         assert rep.lower_bound == 0.0
         assert rep.flags == ("vacuous-denominator",)
@@ -409,14 +343,14 @@ class TestCompleteQueryPrecision:
             assert by_id[bound_id].terms["usable_nodes"] == 2.0
 
 
-def _sized_world(n: int, d: int) -> tuple[NetworkPair, object]:
-    """n nodes a side; the holdout matcher pairs x_i with y_i for i < d, so
-    the nodes it identifies anything for are D = {x_0, ..., x_(d-1)}."""
+def _sized_world(n: int, d: int) -> tuple[NetworkPair, MatchSet]:
+    """n nodes a side; the holdout set pairs x_i with y_i for i < d, so the
+    nodes it identifies anything for are D = {x_0, ..., x_(d-1)}."""
     pair = NetworkPair(
         make_network([f"x{i}" for i in range(n)], []),
         make_network([f"y{i}" for i in range(n)] + ["y-wrong"], []),
     )
-    return pair, fixed_matcher([(f"x{i}", f"y{i}") for i in range(d)])
+    return pair, make_match_set(diagonal(d), pair)
 
 
 class TestTermPopulationSize:
@@ -425,12 +359,9 @@ class TestTermPopulationSize:
     D has no known size, with a size-free family."""
 
     def test_precision_term_at_identified_size(self, tiny):
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(5)])
-        complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(4)])
         s_x = ["x0", "x1", "x2", "x6"]
-        actual = {x: frozenset({f"y{x[1:]}"}) for x in s_x}
-        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
-                         method=HG)
+        actual = [(x, f"y{x[1:]}") for x in s_x]
+        inp = tiny_input(tiny, diagonal(5), s_x, actual, 0.05, method=HG)
         precision, recall = holdout_query_bounds(inp)
         want = bound_term(5, [1.0, 1.0, 1.0], HG, Confidence(0.05), "lower")
         assert precision.terms["precision_term"] == want.value
@@ -439,7 +370,8 @@ class TestTermPopulationSize:
         assert recall.term_methods["recall_term"] == "hoeffding"
         assert "identified_nodes" not in recall.terms
 
-        full = query_reports(replace(inp, complete=complete,
+        complete = make_match_set(diagonal(4), tiny)
+        full = query_reports(replace(inp, m_hat_complete=complete,
                                      s_x_prime=("x3", "x4", "x7")))
         by_id = {rep.bound_id: rep for rep in full}
         prec_c = by_id["complete-query-precision"]
@@ -469,13 +401,9 @@ class TestTermPopulationSize:
                         for k in range(s_in + 1):
                             # outside D no actual matches, so D is also
                             # the set the recall term averages over
-                            actual = {x: frozenset() for x in s_x}
-                            actual.update(
-                                {f"x{i}": frozenset({"y-wrong"}) for i in range(s_in)}
-                            )
-                            actual.update(
-                                {f"x{i}": frozenset({f"y{i}"}) for i in range(k)}
-                            )
+                            actual = make_match_set(diagonal(k) + [
+                                (f"x{i}", "y-wrong") for i in range(k, s_in)
+                            ], pair)
                             inp = QueryValidationInput(
                                 pair, holdout, tuple(s_x), actual, method, delta,
                             )
@@ -499,10 +427,7 @@ class TestTermPopulationSize:
 
 class TestErrorRate:
     def test_perfect_matcher_slack_only(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(8)])
-        inp = tiny_input(tiny, holdout, [f"x{i}" for i in range(8)], actual,
-                         0.05)
+        inp = tiny_input(tiny, diagonal(8), [f"x{i}" for i in range(8)], diagonal(8), 0.05)
         rep = error_rate_bounds(inp)
         assert rep.upper_bound == pytest.approx(
             math.sqrt(math.log(20) / 16), abs=1e-12
@@ -515,19 +440,15 @@ class TestErrorRate:
         x = make_network([f"x{i}" for i in range(n)], [])
         y = make_network([f"y{i}" for i in range(n)], [])
         pair = NetworkPair(x, y)
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(n)}
-        good = [(f"x{i}", f"y{i}") for i in range(90)]
-        holdout = fixed_matcher(good)  # the last 10 nodes get nothing
-        inp = tiny_input(pair, holdout, [f"x{i}" for i in range(n)], actual,
+        # the last 10 nodes get nothing
+        inp = tiny_input(pair, diagonal(90), [f"x{i}" for i in range(n)], diagonal(n),
                          0.05)
         rep = error_rate_bounds(inp)
         want = 0.1 + math.sqrt(math.log(20) / 200)
         assert rep.upper_bound == pytest.approx(want, abs=1e-12)
 
     def test_complete_equals_holdout_reduces(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(5)])
-        complete = build_matcher(holdout.config, holdout.training_matches)
+        actual, holdout = diagonal(8), diagonal(5)
         s_x = [f"x{i}" for i in range(8)]
         # the complete certificate's one term at the full delta, as the
         # holdout's
@@ -536,20 +457,17 @@ class TestErrorRate:
         )
         rep_c = error_rate_bounds(
             tiny_input(tiny, holdout, s_x, actual, 0.03,
-                       complete=complete, s_x_prime=("x0",))
+                       complete=holdout, s_x_prime=("x0",))
         )
         assert rep_c.upper_bound == rep_h.upper_bound
         assert rep_c.terms == {**rep_h.terms, "disagreement": 0.0}
         assert rep_c.flags == ()
 
     def test_complete_adds_disagreement(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(8)])
-        complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
         s_x = [f"x{i}" for i in range(8)]
         rep = error_rate_bounds(
-            tiny_input(tiny, holdout, s_x, actual, 0.05,
-                       complete=complete, s_x_prime=s_x)
+            tiny_input(tiny, diagonal(8), s_x, diagonal(8), 0.05,
+                       complete=diagonal(6), s_x_prime=s_x)
         )
         assert rep.terms["disagreement"] == 0.25  # x6 and x7 of 8
         assert rep.delta_parts == (0.05,)
@@ -558,21 +476,22 @@ class TestErrorRate:
         )
 
 
-def _ten_node_input(**kw):
-    """A query input on a 10-node X with verified matches for every node."""
-    names = [f"{i}" for i in range(10)]
+def _ten_node_input(complete=None, **kw):
+    """A query input on a 10-node X with verified matches for every node,
+    which the holdout set identifies; ``complete`` holds the pairs of the
+    complete set (None: no complete set)."""
     pair = NetworkPair(*(
-        make_network([f"{side}{n}" for n in names], [],
-                     {f"{side}{n}": {"uid": n} for n in names})
-        for side in "xy"
+        make_network([f"{side}{i}" for i in range(10)], []) for side in "xy"
     ))
+    every = make_match_set(diagonal(10), pair)
     args = dict(
         pair=pair,
-        holdout=build_matcher(MatcherConfig("attribute-exact", attr_key="uid")),
+        m_hat_holdout=every,
         s_x=("x0",),
-        actual_for={f"x{n}": frozenset({f"y{n}"}) for n in names},
+        actual_for=every,
         method=HG,
         delta=0.05,
+        m_hat_complete=None if complete is None else make_match_set(complete, pair),
     )
     return QueryValidationInput(**{**args, **kw})
 
@@ -591,20 +510,14 @@ class TestDuplicateSampleItems:
             assert str(info.value) == "duplicate-sample-item: s_x repeats 'x0'"
 
     def test_repeated_s_x_prime_node_rejected(self):
-        complete = build_matcher(MatcherConfig("attribute-exact", attr_key="other"))
-        inp = _ten_node_input(
-            complete=complete, s_x_prime=("x1", "x2", "x3", "x2", "x1")
-        )
+        inp = _ten_node_input(complete=[], s_x_prime=("x1", "x2", "x3", "x2", "x1"))
         with pytest.raises(MatchcertError) as info:
             query_reports(inp)
         # the first item that repeats an earlier one, in input order
         assert str(info.value) == "duplicate-sample-item: s_x_prime repeats 'x2'"
 
     def test_overlap_between_the_two_samples_allowed(self):
-        complete = build_matcher(MatcherConfig("attribute-exact", attr_key="other"))
-        inp = _ten_node_input(
-            s_x=("x0", "x1"), complete=complete, s_x_prime=("x1", "x0")
-        )
+        inp = _ten_node_input(s_x=("x0", "x1"), complete=[], s_x_prime=("x1", "x0"))
         assert len(query_reports(inp)) == 6
 
 
@@ -619,7 +532,7 @@ class TestSampleChecks:
         batch_inp = BatchValidationInput(
             pair=inp.pair,
             m_hat_holdout=make_match_set([("x0", "y0")], inp.pair),
-            s_m=(("x0", "y0"),),
+            s_m=make_match_set([("x0", "y0")], inp.pair),
             s_x=inp.s_x,
             actual_for=inp.actual_for,
             method=HG,
@@ -629,54 +542,44 @@ class TestSampleChecks:
         return (batch_reports, batch_inp), (query_reports, inp)
 
     def test_stray_node_gets_the_same_token_in_both_modes(self):
-        # "nope" is neither a node of X nor a key of actual_for
+        # "nope" is not a node of X
         inp = _ten_node_input(s_x=("x0", "nope"))
         for certify, of in self.both_modes(inp):
             with pytest.raises(MatchcertError) as info:
                 certify(of)
-            assert str(info.value) == "missing-actual: no verified matches for 'nope'"
+            assert str(info.value) == "unknown-node: 'nope'"
 
     def test_verified_match_outside_y_gets_the_same_token_in_both_modes(self):
         # "nope" is not a node of Y; it would count as an actual match of x1
-        # that the matcher missed
+        # that the matcher missed. A set that holds it is over another Y.
         inp = _ten_node_input(s_x=("x0", "x1", "x2"))
-        inp = replace(inp, actual_for={**inp.actual_for, "x1": frozenset({"nope"})})
-        certifiers = (*self.both_modes(inp), (holdout_query_bounds, inp),
-                      (compute_node_stats, inp))
-        error = "unknown-node: actual_for pair ('x1', 'nope')"
-        for certify, of in certifiers:
+        y_ids = [*inp.pair.y_net.index.ids, "nope"]
+        wider = NetworkPair(inp.pair.x_net, make_network(y_ids, []))
+        actual = make_match_set([("x0", "y0"), ("x1", "nope")], wider)
+        for certify, of in self.both_modes(inp):
             with pytest.raises(MatchcertError) as info:
-                certify(of)
-            assert str(info.value) == error
-        # among several bad matches the error names the first in id order,
-        # in both modes, after a node with two good matches
-        bad = frozenset({"zz", "nope", "y1", "ghost"})
-        actual = {**inp.actual_for, "x0": frozenset({"y3", "y0"}), "x1": bad}
-        for certify, of in self.both_modes(replace(inp, actual_for=actual)):
-            with pytest.raises(MatchcertError) as info:
-                certify(of)
-            assert str(info.value) == "unknown-node: actual_for pair ('x1', 'ghost')"
+                certify(replace(of, actual_for=actual))
+            assert str(info.value) == (
+                "universe-mismatch: match sets over different X or Y node id lists"
+            )
 
     def test_identity_verified_match_rejected_in_self_match_mode(self):
+        # the verified set holds (n2, n2): its key is n2's row and column
         net = make_network([f"n{i}" for i in range(4)], [])
         pair = NetworkPair(net, net, self_match_mode=True)
-        holdout = fixed_matcher([("n0", "n1")])
-        actual = {"n0": frozenset({"n1"}), "n2": frozenset({"n2", "n3"})}
-        inp = tiny_input(pair, holdout, ["n0", "n2"], actual, 0.05)
-        for certify in (query_reports, compute_node_stats):
-            with pytest.raises(MatchcertError) as info:
-                certify(inp)
-            assert str(info.value) == "identity-pair-forbidden: ('n2', 'n2')"
+        holdout = make_match_set([("n0", "n1")], pair)
+        actual = MatchSet(net.index.ids, net.index.ids, np.array([1, 10, 11]))
+        with pytest.raises(MatchcertError) as info:
+            QueryValidationInput(pair, holdout, ("n0", "n2"), actual, HOEFF, 0.05)
+        assert str(info.value) == (
+            "invalid-keys: actual_for is no sorted set of allowed pair keys"
+        )
 
 
 class TestQueryReports:
     def test_holdout_only_without_complete_matcher(self, tiny):
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
         s_x = [f"x{i}" for i in range(8)]
-        reports = query_reports(
-            tiny_input(tiny, holdout, s_x, actual, 0.05)
-        )
+        reports = query_reports(tiny_input(tiny, diagonal(6), s_x, diagonal(8), 0.05))
         assert [r.bound_id for r in reports] == [
             "holdout-query-precision",
             "holdout-query-recall",
@@ -691,13 +594,12 @@ class TestQueryReports:
         y = make_network(["y0", "y1", "y2", "yc"], [("y0", "y1"), ("y1", "y2")])
         pair = NetworkPair(x, y)
         config = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=1)
-        holdout = build_matcher(config, [("x0", "y0"), ("x0", "yc")])
-        complete = build_matcher(config, [("x0", "yc"), ("x0", "y0")])
-        assert run_batch(holdout, pair).keys.size == 3
-        assert run_batch(complete, pair).keys.size == 1
-        actual = {x: frozenset({"y" + x[1:]}) for x in ("x0", "x1", "x2")}
-        inp = tiny_input(pair, holdout, ["x0", "x1", "x2"], actual, 0.05,
-                         complete=complete, s_x_prime=["x0", "x1", "x2"])
+        holdout = run_batch(build_matcher(config, [("x0", "y0"), ("x0", "yc")]), pair)
+        complete = run_batch(build_matcher(config, [("x0", "yc"), ("x0", "y0")]), pair)
+        assert (holdout.keys.size, complete.keys.size) == (3, 1)
+        inp = tiny_input(pair, holdout.sorted_pairs, ["x0", "x1", "x2"], diagonal(3),
+                         0.05, complete=complete.sorted_pairs,
+                         s_x_prime=["x0", "x1", "x2"])
         reports = query_reports(inp)
         assert len(reports) == 6
         assert all(r.flags == () for r in reports)
@@ -710,12 +612,13 @@ class TestQueryReports:
         nodes = range(6)
         x = make_network([f"x{i}" for i in nodes], [], {f"x{i}": {"u": str(i)} for i in nodes})
         y = make_network([f"y{i}" for i in nodes], [], {f"y{i}": {"u": str(i)} for i in nodes})
+        pair = NetworkPair(x, y)
         holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="u"))
         s_x = ["x0", "x1", "x2", "x3"]
-        complete = build_matcher(holdout.config, [(v, "y" + v[1:]) for v in s_x])
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in nodes}
-        inp = tiny_input(NetworkPair(x, y), holdout, s_x, actual, 0.05,
-                         complete=complete, s_x_prime=["x2", "x3", "x4", "x5"])
+        complete = build_matcher(holdout.config, diagonal(4))
+        inp = tiny_input(pair, run_batch(holdout, pair).sorted_pairs, s_x, diagonal(6),
+                         0.05, complete=run_batch(complete, pair).sorted_pairs,
+                         s_x_prime=["x2", "x3", "x4", "x5"])
         by_id = {r.bound_id: r for r in query_reports(inp)}
         for quantity in ("precision", "recall"):
             assert by_id[f"holdout-query-{quantity}"].lower_bound == pytest.approx(
@@ -734,13 +637,10 @@ class TestQueryReports:
     def test_digest_is_of_each_certificates_inputs(self, tiny):
         # the certificates of one call share their inputs; each digest
         # must still hash the certificate's own whole payload
-        actual = {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(6)])
-        complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(7)])
         s_x = ["x5", "x0", "x3", "x7"]
         s_x_prime = ["x6", "x1", "x2"]
-        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
-                         complete=complete, s_x_prime=s_x_prime, method=HG)
+        inp = tiny_input(tiny, diagonal(6), s_x, diagonal(8), 0.05,
+                         complete=diagonal(7), s_x_prime=s_x_prime, method=HG)
         reports = query_reports(inp)
         assert len(reports) == 6
         for r in reports:
@@ -750,44 +650,39 @@ class TestQueryReports:
                 "s_x_prime": sorted(s_x_prime),
                 "method": HG.value,
                 "deltas": list(r.delta_parts),
-                "holdout": holdout.config.to_json_dict(),
-                "complete": (
-                    complete.config.to_json_dict() if r.variant == "complete" else None
+                "m_hat_holdout": [list(p) for p in diagonal(6)],
+                "m_hat_complete": (
+                    [list(p) for p in diagonal(7)] if r.variant == "complete" else None
                 ),
+                "actual_for": [list(p) for p in diagonal(8)],
             }
             assert r.inputs_digest == digest_of({"bound_id": r.bound_id, **inputs})
         alone = error_rate_bounds(inp)
         assert alone.inputs_digest == reports[-1].inputs_digest
 
 
-class RecordingActuals(dict):
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        self.accessed = set()
+class RecordingRows(MatchSet):
+    """A MatchSet that records the X positions whose rows are read."""
 
-    def __getitem__(self, key):
-        self.accessed.add(key)
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        return super().__contains__(key)
+    def rows(self, x_at):
+        self.__dict__.setdefault("read", set()).update(x_at.tolist())
+        return super().rows(x_at)
 
 
 class TestIndependentSampleNeverReadsActuals:
     def test_disagreement_terms_blind(self, tiny):
-        actual = RecordingActuals(
-            {f"x{i}": frozenset({f"y{i}"}) for i in range(8)}
-        )
-        holdout = fixed_matcher([(f"x{i}", f"y{i}") for i in range(8)])
-        complete = fixed_matcher([(f"x{i}", f"y{i}") for i in range(4)])
+        every = make_match_set(diagonal(8), tiny)
+        actual = RecordingRows(every.x_ids, every.y_ids, every.keys)
         s_x = ["x0", "x1", "x2"]
         s_prime = ["x4", "x5", "x6", "x7"]  # disjoint from s_x
-        inp = tiny_input(tiny, holdout, s_x, actual, 0.05,
-                         complete=complete, s_x_prime=s_prime)
+        inp = QueryValidationInput(
+            tiny, every, tuple(s_x), actual, HOEFF, 0.05,
+            m_hat_complete=make_match_set(diagonal(4), tiny), s_x_prime=tuple(s_prime),
+        )
         for certify in (complete_query_recall, complete_query_precision,
                         error_rate_bounds, compute_node_stats):
             certify(inp)
-        assert actual.accessed <= set(s_x)
+        assert actual.read == set(tiny.x_net.index.positions(s_x).tolist())
 
 
 class TestIntersectionSamplingLaw:
@@ -829,21 +724,19 @@ class TestStatRanges:
             MatcherConfig("percolation", seeds=tuple(ordered[:20]), threshold=2)
         )
         complete = build_matcher(holdout.config, ordered[20:40])
-        per_x = by_x(truth)
-        actual_for = {x: per_x.get(x, frozenset()) for x in pair.x_net.nodes}
         nodes = sorted(pair.x_net.nodes)
         inp = QueryValidationInput(
             pair=pair,
-            holdout=holdout,
+            m_hat_holdout=run_batch(holdout, pair),
             s_x=tuple(nodes[:60]),
-            actual_for=actual_for,
+            actual_for=truth,
             method=HOEFF,
             delta=0.03,
-            complete=complete,
+            m_hat_complete=run_batch(complete, pair),
             s_x_prime=tuple(nodes[60:120]),
         )
         # the largest number of matches the holdout matcher gives any x
-        most = max(map(len, by_x(run_batch(holdout, pair)).values()))
+        most = max(map(len, by_x(inp.m_hat_holdout).values()))
         for stat in compute_node_stats(inp):
             if stat.p is not None:
                 assert 0.0 <= stat.p <= 1.0
@@ -857,9 +750,8 @@ class TestStatRanges:
                 assert 0.0 <= stat.d_p <= 1.0 + most
 
     def test_node_stats_without_complete_matcher(self, tiny):
-        actual = {"x0": frozenset({"y0"}), "x1": frozenset({"y1"}), "x2": frozenset()}
-        holdout = fixed_matcher([("x0", "y0"), ("x1", "y2")])
-        inp = tiny_input(tiny, holdout, ["x0", "x1", "x2"], actual, 0.05)
+        holdout = [("x0", "y0"), ("x1", "y2")]
+        inp = tiny_input(tiny, holdout, ["x0", "x1", "x2"], diagonal(2), 0.05)
         # no d_r or d_p without a complete matcher; p and r None where undefined
         assert compute_node_stats(inp) == [
             PerNodeStats("x0", p=1.0, r=1.0, w=0),
@@ -960,7 +852,7 @@ class TestTruthOraclesMatchReferences:
         )
         pair, truth = generate_pair(cfg)
         seeds = truth.sorted_pairs[::6]
-        m_hat = run_batch(fixed_matcher(seeds), pair)
+        m_hat = make_match_set(seeds, pair)
         grown = run_batch(
             build_matcher(MatcherConfig("percolation", seeds=seeds, threshold=1)), pair
         )
@@ -997,12 +889,12 @@ def _views_world():
     ))
     return QueryValidationInput(
         pair=pair,
-        holdout=holdout,
+        m_hat_holdout=run_batch(holdout, pair),
         s_x=s_x,
-        actual_for={x: truth_x.get(x, frozenset()) for x in ids},
+        actual_for=truth,
         method=HOEFF,
         delta=0.05,
-        complete=complete,
+        m_hat_complete=run_batch(complete, pair),
         s_x_prime=tuple(rnd.sample(ids, 90)),
     )
 
@@ -1069,8 +961,7 @@ class TestViewsOnce:
         for column in (columns.d_r, columns.d_p, columns.diff):
             assert column.shape == (inp.n_x,)
         _assert_columns_follow_definitions(
-            inp, columns, by_x(run_batch(inp.holdout, inp.pair)),
-            by_x(run_batch(inp.complete, inp.pair)),
+            inp, columns, by_x(inp.m_hat_holdout), by_x(inp.m_hat_complete)
         )
 
 
@@ -1084,9 +975,9 @@ def _assert_columns_follow_definitions(inp, columns, hv, cv):
     per-x sets ``hv`` and ``cv`` (cv None without a complete matcher): the
     sample columns at each node of s_x, the census columns and counts over
     all of X."""
-    empty = frozenset()
+    empty, av = frozenset(), by_x(inp.actual_for)
     for i, x in enumerate(inp.s_x):
-        h, actual = hv.get(x, empty), inp.actual_for[x]
+        h, actual = hv.get(x, empty), av.get(x, empty)
         assert _same(columns.p[i], single_node_precision(h, actual))
         assert _same(columns.r[i], single_node_recall(h, actual))
         assert columns.w[i] == single_node_error(h, actual)
@@ -1106,13 +997,11 @@ def _assert_columns_follow_definitions(inp, columns, hv, cv):
 
 @st.composite
 def column_worlds(draw):
-    """(inp, sets): a query input on a small edgeless pair, in self-match
-    mode or not, and the identified set each matcher handle stands for, by
-    its attr_key. Identified sets give an x up to ``cap``
-    matches (``cap`` 1-3), and actual sets, drawn for every x of X, up to
-    three nodes of Y (never x itself in self-match mode); the complete
-    matcher is absent, identifies nothing, identifies the holdout's set or
-    identifies its own set, and s_x' may be empty."""
+    """A query input on a small edgeless pair, in self-match mode or not.
+    Identified sets give an x up to ``cap`` matches (``cap`` 1-3), and the
+    verified set, drawn for every x of X, up to three nodes of Y (never x
+    itself in self-match mode); the complete set is absent, empty, the
+    holdout's set or its own, and s_x' may be empty."""
     self_mode = draw(st.booleans())
     xs = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
     x_net = make_network(xs, [])
@@ -1129,55 +1018,36 @@ def column_worlds(draw):
             return []
         return draw(st.lists(st.sampled_from(options), max_size=most, unique=True))
 
-    def identified():
-        return make_match_set([(x, y) for x in xs for y in matches(x, cap)], pair)
+    def identified(most=cap):
+        return make_match_set([(x, y) for x in xs for y in matches(x, most)], pair)
 
     s_x = tuple(draw(st.lists(st.sampled_from(xs), min_size=1, unique=True)))
-    actual_for = {x: frozenset(matches(x, 3)) for x in xs}
-    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="h"))
-    sets = {"h": identified()}
+    actual_for = identified(3)
+    holdout = identified()
     mode = draw(st.sampled_from(["none", "empty", "same", "own"]))
     complete, s_x_prime = None, ()
     if mode != "none":
         s_x_prime = tuple(draw(st.lists(st.sampled_from(xs), unique=True)))
         if mode == "same":
-            complete = build_matcher(holdout.config)
+            complete = holdout
         else:
-            complete = build_matcher(MatcherConfig("attribute-exact", attr_key="c"))
-            sets["c"] = (
-                make_match_set([], pair)
-                if mode == "empty" else identified()
-            )
-    inp = QueryValidationInput(
-        pair=pair, holdout=holdout, s_x=s_x, actual_for=actual_for, method=HOEFF,
-        delta=0.05, complete=complete, s_x_prime=s_x_prime,
+            complete = make_match_set([], pair) if mode == "empty" else identified()
+    return QueryValidationInput(
+        pair=pair, m_hat_holdout=holdout, s_x=s_x, actual_for=actual_for,
+        method=HOEFF, delta=0.05, m_hat_complete=complete, s_x_prime=s_x_prime,
     )
-    return inp, sets
 
 
 class TestColumns:
     @settings(max_examples=300, deadline=None)
     @given(column_worlds())
-    def test_columns_follow_per_node_definitions(self, world):
+    def test_columns_follow_per_node_definitions(self, inp):
         import matchcert.query as query
 
-        inp, sets = world
-        ran = []
-
-        def identified_set(handle, pair):
-            ran.append(handle.config.attr_key)
-            return sets[handle.config.attr_key]
-
-        with patch.object(query, "run_batch", identified_set):
-            columns = query.query_columns(inp)
-        hv = by_x(sets["h"])
-        if inp.complete is None:
-            cv, each = None, ["h"]
-        else:
-            key = inp.complete.config.attr_key
-            cv, each = by_x(sets[key]), ["h", key]
-        assert ran == each  # each matcher once
-        _assert_columns_follow_definitions(inp, columns, hv, cv)
+        columns = query.query_columns(inp)
+        complete = inp.m_hat_complete
+        cv = None if complete is None else by_x(complete)
+        _assert_columns_follow_definitions(inp, columns, by_x(inp.m_hat_holdout), cv)
 
 
 class TestCensusInequalities:
@@ -1190,18 +1060,16 @@ class TestCensusInequalities:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(column_worlds())
-    def test_inequalities_hold_exactly(self, world):
+    def test_inequalities_hold_exactly(self, inp):
         import matchcert.query as query
 
-        inp, sets = world
-        assume(inp.complete is not None)
-        with patch.object(query, "run_batch", lambda handle, _: sets[handle.config.attr_key]):
-            columns = query.query_columns(inp)
+        assume(inp.m_hat_complete is not None)
+        columns = query.query_columns(inp)
         empty, xs = frozenset(), inp.pair.x_net.index.ids
-        hv, cv = by_x(sets["h"]), by_x(sets[inp.complete.config.attr_key])
+        hv, cv, av = map(by_x, (inp.m_hat_holdout, inp.m_hat_complete, inp.actual_for))
         h_sets = [hv.get(x, empty) for x in xs]
         c_sets = [cv.get(x, empty) for x in xs]
-        actual = [inp.actual_for[x] for x in xs]
+        actual = [av.get(x, empty) for x in xs]
 
         # the census equals the definitions of tests/oracles.py
         d_r = [disagreement_recall(h, c) for h, c in zip(h_sets, c_sets)]
@@ -1241,7 +1109,7 @@ def certificates_alone(inp):
     other one on the whole input."""
     return [
         *holdout_query_bounds(replace(inp)),
-        error_rate_bounds(replace(inp, complete=None)),
+        error_rate_bounds(replace(inp, m_hat_complete=None)),
         complete_query_recall(replace(inp)),
         complete_query_precision(replace(inp)),
         error_rate_bounds(replace(inp)),
@@ -1296,11 +1164,12 @@ class TestSharedQueryInputs:
                     "s_x_prime": sorted(inp.s_x_prime),
                     "method": HOEFF.value,
                     "deltas": list(r.delta_parts),
-                    "holdout": inp.holdout.config.to_json_dict(),
-                    "complete": (
-                        inp.complete.config.to_json_dict()
+                    "m_hat_holdout": list(map(list, inp.m_hat_holdout.sorted_pairs)),
+                    "m_hat_complete": (
+                        list(map(list, inp.m_hat_complete.sorted_pairs))
                         if r.variant == "complete" else None
                     ),
+                    "actual_for": list(map(list, inp.actual_for.sorted_pairs)),
                 }
                 for r in reports
             ]
@@ -1308,7 +1177,7 @@ class TestSharedQueryInputs:
 
         reports, payloads, pair_ref = reports_and_payloads()
         gc.collect()
-        assert pair_ref() is None  # nor the handles, which cache the pair
+        assert pair_ref() is None
         for r, payload in zip(reports, payloads):
             assert r.inputs_digest == digest_of(payload)
 
@@ -1321,3 +1190,39 @@ class TestSharedQueryInputs:
         for a, b in zip(mine, theirs):
             assert a.terms == b.terms and a.flags == b.flags
             assert a != b
+
+
+class TestDigestsTellInputsApart:
+    """Inputs that certify different bounds get different digests: the
+    digest hashes the identified sets, which carry the matcher's training
+    pairs, and the verified matches. On the README tour's world."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return generate_pair(GeneratorConfig(
+            n_entities=300, base_model=ErdosRenyi(0.03), edge_retain_x=0.8,
+            edge_retain_y=0.8, rng_seed=5,
+        ))
+
+    def test_holdout_sets_from_other_training_pairs(self, world):
+        pair, truth = world
+        config = MatcherConfig("percolation", seeds=VERIFIED_SAMPLE, threshold=2)
+        s_x = tuple(pair.x_net.index.ids[::5])
+        digests = []
+        for training in (truth.sorted_pairs[::8], truth.sorted_pairs[1::3]):
+            m_hat = run_batch(build_matcher(config, training), pair)
+            inp = QueryValidationInput(pair, m_hat, s_x, truth, HG, 0.05)
+            digests.append([r.inputs_digest for r in query_reports(inp)])
+        assert all(a != b for a, b in zip(*digests))
+
+    def test_batch_inputs_differing_only_in_actual_for(self, world):
+        pair, truth = world
+        inp = BatchValidationInput(
+            pair, truth, make_match_set(truth.sorted_pairs[::4], pair),
+            tuple(pair.x_net.index.ids[::5]), truth, HG, 0.05,
+        )
+        other = replace(inp, actual_for=make_match_set([], pair))
+        assert all(
+            a.inputs_digest != b.inputs_digest
+            for a, b in zip(batch_reports(inp), batch_reports(other))
+        )

@@ -13,7 +13,6 @@ import pytest
 from matchcert.batch import true_batch_metrics
 from matchcert.bounds import BoundMethod
 from matchcert.graphs import make_match_set
-from matchcert.matchers import run_batch
 from matchcert.query import (
     QueryValidationInput,
     query_reports,
@@ -73,9 +72,7 @@ def test_every_world_shape_is_enumerated():
     ],
 )
 def test_worlds_and_truths_are_as_declared(counts):
-    pair, holdout, actual_for, by_type = build_world(counts)
-    m_hat = run_batch(holdout, pair)
-    truth = make_match_set([(x, y) for x, ys in actual_for.items() for y in ys], pair)
+    pair, m_hat, truth, by_type = build_world(counts)
     assert [len(nodes) for nodes in by_type] == list(counts)
     assert len(m_hat.pairs) == sum(len(TYPES[t][0]) * c for t, c in enumerate(counts))
     precision, recall = true_query_metrics(pair, m_hat, truth)
@@ -133,10 +130,10 @@ def test_sample_with_no_identified_node_gets_every_holdout_report():
     # three nodes with an actual match the matcher misses, three with
     # neither: precision has no usable node, and recall and the error rate
     # still certify
-    pair, holdout, actual_for, by_type = build_world((0, 0, 0, 3, 3))
+    pair, m_hat, truth, by_type = build_world((0, 0, 0, 3, 3))
     for k in ((0, 0, 0, 2, 1), (0, 0, 0, 0, 3)):
         inp = QueryValidationInput(
-            pair, holdout, member(by_type, k), actual_for, BoundMethod.HOEFFDING, DELTA
+            pair, m_hat, member(by_type, k), truth, BoundMethod.HOEFFDING, DELTA
         )
         precision, recall, error = query_reports(inp)
         assert [r.bound_id for r in (precision, recall, error)] == list(BOUND_IDS)

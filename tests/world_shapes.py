@@ -66,7 +66,6 @@ from fractions import Fraction
 from matchcert.batch import BatchValidationInput, holdout_batch_recall
 from matchcert.bounds import BoundMethod
 from matchcert.graphs import NetworkPair, make_match_set, make_network
-from matchcert.matchers import MatcherConfig, build_matcher
 from matchcert.query import QueryValidationInput, query_reports
 
 DELTA = 0.05
@@ -101,22 +100,18 @@ def compositions(n: int, parts: int = len(TYPES)):
 
 
 def build_world(counts):
-    """The pair, an attribute-exact holdout matcher, ``actual_for`` and the
-    x nodes of each type, for ``counts[t]`` nodes of type t."""
+    """The pair, the holdout set, the actual matches (the truth) and the x
+    nodes of each type, for ``counts[t]`` nodes of type t."""
     types = [t for t, count in enumerate(counts) for _ in range(count)]
     xs = [f"x{i}" for i in range(len(types))]
-    found, actual = {}, {}
+    found, actual = [], []
     for i, (x, t) in enumerate(zip(xs, types)):
-        found[x], actual[x] = ([f"{v}{i}" for v in side] for side in TYPES[t])
+        for pairs, side in zip((found, actual), TYPES[t]):
+            pairs += [(x, f"{v}{i}") for v in side]
     ys = [f"{v}{i}" for v in "yzw" for i in range(len(xs))]
-    pair = NetworkPair(
-        make_network(xs, [], {x: {"m": x} for x, f in found.items() if f}),
-        make_network(ys, [], {y: {"m": x} for x, f in found.items() for y in f}),
-    )
-    holdout = build_matcher(MatcherConfig("attribute-exact", attr_key="m"))
-    actual_for = {x: frozenset(a) for x, a in actual.items()}
+    pair = NetworkPair(make_network(xs, []), make_network(ys, []))
     by_type = [[x for x, t in zip(xs, types) if t == u] for u in range(len(counts))]
-    return pair, holdout, actual_for, by_type
+    return pair, make_match_set(found, pair), make_match_set(actual, pair), by_type
 
 
 def exact_truths(counts) -> dict[str, Fraction]:
@@ -171,14 +166,14 @@ def world_shares(counts, sizes, methods=tuple(BoundMethod), check: bool = False)
     """{(bound id, method, size): exact failure share} of the world with
     ``counts``, for each bound id with a truth there. With ``check``, the
     last member of each class must give the same bounds as the first."""
-    pair, holdout, actual_for, by_type = build_world(counts)
+    pair, m_hat, actual, by_type = build_world(counts)
     truths = exact_truths(counts)
     shares = {}
     for size in sizes:
         failed = Counter()
         for k, weight in classes(counts, size):
             first = QueryValidationInput(
-                pair, holdout, member(by_type, k), actual_for, methods[0], DELTA
+                pair, m_hat, member(by_type, k), actual, methods[0], DELTA
             )
             for method in methods:
                 inp = replace(first, method=method)
@@ -225,13 +220,14 @@ def recall_bounds(n_x: int, m: int, m_size, methods=tuple(BoundMethod)):
     sample of the first s matches (j hits), with ``m_size`` or, when None,
     the stand-in k_y·|X| at k_y = 1."""
     pair, actual = recall_world(n_x, m)
+    samples = [make_match_set(actual[:s], pair) for s in range(m + 1)]
     bounds = {}
     for j in range(m + 1):
-        m_hat = make_match_set(actual[:j], pair)
         sizes = range(max(j, 1), m + 1)
         for s, method, delta in itertools.product(sizes, methods, RECALL_DELTAS):
             inp = BatchValidationInput(
-                pair, m_hat, tuple(actual[:s]), (), {}, method, delta, m_size=m_size
+                pair, samples[j], samples[s], (), samples[0], method, delta,
+                m_size=m_size,
             )
             bounds[s, j, method, delta] = holdout_batch_recall(inp).lower_bound
     return bounds
