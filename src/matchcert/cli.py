@@ -38,7 +38,7 @@ from .graphs import (
     save_matches,
     save_network,
 )
-from .matchers import MatcherConfig, build_matcher, run_batch
+from .matchers import MatcherConfig, build_matcher, run_batch, run_batches
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -202,16 +202,16 @@ def cmd_validate_query(args) -> int:
     pair = _load_pair(args)
     holdout_cfg = _read_json(args.matcher, MatcherConfig.from_json_dict)
     seeds = read_pairs(args.seeds) if args.seeds else []
-    m_hat_h = run_batch(build_matcher(holdout_cfg, training_matches=seeds), pair)
-    m_hat_c = None
+    handles = [build_matcher(holdout_cfg, training_matches=seeds)]
     if args.matcher_complete or args.seeds_complete:
-        complete = build_matcher(
+        handles.append(build_matcher(
             _read_json(args.matcher_complete, MatcherConfig.from_json_dict)
             if args.matcher_complete
             else holdout_cfg,
             read_pairs(args.seeds_complete) if args.seeds_complete else seeds,
-        )
-        m_hat_c = run_batch(complete, pair)
+        ))
+    m_hat_h, *complete = run_batches(handles, pair)
+    m_hat_c = complete[0] if complete else None
     inp = QueryValidationInput(
         pair=pair,
         m_hat_holdout=m_hat_h,

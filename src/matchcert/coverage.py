@@ -45,7 +45,7 @@ from .batch import BatchValidationInput, batch_reports
 from .bounds import BoundMethod, Confidence
 from .errors import MatchcertError, read_fields
 from .graphs import MatchSet, distinct_sorted
-from .matchers import MatcherConfig, build_matcher, run_batch
+from .matchers import MatcherConfig, build_matcher, run_batches
 from .query import QueryValidationInput, exact_metrics, query_reports
 from .reports import ValidationReport
 from .sampling import sample_indices, sample_without_replacement, spawn_rng
@@ -201,8 +201,7 @@ def _run_trial(cfg: ExperimentConfig, idx: int) -> list[TrialRecord]:
     holdout = build_matcher(cfg.matcher_holdout, seeds(train))
     complete = build_matcher(cfg.matcher_complete or cfg.matcher_holdout, seeds(extra))
 
-    m_hat_h = run_batch(holdout, pair)
-    m_hat_c = run_batch(complete, pair)
+    m_hat_h, m_hat_c = run_batches([holdout, complete], pair)
     if not m_hat_h.keys.size or not m_hat_c.keys.size:
         raise MatchcertError("trial-degenerate: a matcher identified nothing")
 

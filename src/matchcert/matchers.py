@@ -43,6 +43,19 @@ loses an end in its round, so the table carries only counts below the
 threshold, and a candidate's count is the number of matched pairs that
 support it, as if all were gathered anew each round. Matches leave the
 function as the sorted keys of a MatchSet, the same ``x * n_y + y``.
+
+``_percolate`` runs several seed lists at once, as lanes: ``run_batches``
+gives it every percolation handle of a call that shares a threshold and
+``max_iters`` (a coverage trial's holdout and complete matchers), so the
+fixed numpy cost of a round is paid once for all of them. It works on the
+disjoint union of one copy of the pair per lane: lane l's x is
+``l * n_x + x`` and its y ``l * n_y + y``, so no two lanes share a node,
+and a union key sorts as (lane, x, y). A lane's marks, counts and matched
+ends are therefore its own; within a lane the ranking by (-count, key) is
+its (x, y) tie-break, and ``_first_come`` and the one-to-one seed rule
+never see two lanes' keys conflict. A lane with no candidate left gets no
+marks, so it adds nothing while the others go on, and the loop stops when
+no lane adds a pair. Each lane thus ends with the bytes it gives alone.
 """
 
 from __future__ import annotations
@@ -70,6 +83,7 @@ __all__ = [
     "MatcherHandle",
     "build_matcher",
     "run_batch",
+    "run_batches",
     "run_query",
 ]
 
@@ -240,19 +254,36 @@ def _one_to_one(keys: np.ndarray, ny: int) -> np.ndarray:
 
 
 def _percolate(
-    pair: NetworkPair, seed_keys: np.ndarray, threshold: int, max_steps: int
-) -> np.ndarray:
-    """The sorted keys of the pairs percolation ends with, from the seed
-    keys in the order it takes them."""
+    pair: NetworkPair, lanes: list[np.ndarray], threshold: int, max_steps: int
+) -> list[np.ndarray]:
+    """The sorted keys of the pairs percolation ends with, one array per
+    lane, from each lane's seed keys in the order it takes them. The lanes
+    run in lockstep on the disjoint union of one copy of the pair each."""
     ix, iy = pair.x_net.index, pair.y_net.index
-    nx, ny = len(ix.ids), len(iy.ids)
-    # one CSR over both networks: X's rows, then Y's with positions + nx
-    indptr = np.concatenate([ix.indptr, iy.indptr[1:] + ix.indptr[-1]])
+    nx, ny, n_lanes = len(ix.ids), len(iy.ids), len(lanes)
+    # lane l's x is l * nx + x and its y is l * ny + y; a union key is
+    # X * uy + Y, so it sorts as (lane, x, y)
+    ux, uy = n_lanes * nx, n_lanes * ny
+    lane = np.arange(n_lanes)
+    # one CSR over the union: the X copies' rows, then the Y copies' with
+    # positions + ux
+    ex, ey = ix.indptr[-1], iy.indptr[-1]
+    indptr = np.concatenate([
+        (ix.indptr[:-1] + ex * lane[:, None]).ravel(),
+        (iy.indptr[:-1] + ey * lane[:, None] + n_lanes * ex).ravel(),
+        [n_lanes * (ex + ey)],
+    ])
     degree = np.diff(indptr)
-    nbr = np.concatenate([ix.nbr, iy.nbr + nx])
-    unmatched = np.ones(nx + ny, dtype=bool)
-    unmatched_x, unmatched_y = unmatched[:nx], unmatched[nx:]
-    new = _one_to_one(seed_keys, ny)
+    nbr = np.concatenate([
+        (ix.nbr + nx * lane[:, None]).ravel(),
+        (iy.nbr + ny * lane[:, None] + ux).ravel(),
+    ])
+    unmatched = np.ones(ux + uy, dtype=bool)
+    unmatched_x, unmatched_y = unmatched[:ux], unmatched[ux:]
+    # the lanes' seeds, lane after lane, each in its own order
+    seed_lane = np.repeat(lane, [seeds.size for seeds in lanes])
+    seed_x, seed_y = split_keys(np.concatenate([np.zeros(0, np.int64), *lanes]), ny)
+    new = _one_to_one((seed_x + seed_lane * nx) * uy + seed_y + seed_lane * ny, uy)
     accepted = [new]
     # one entry per mark a live candidate (both ends unmatched) has had
     table = np.zeros(0, dtype=np.int64)
@@ -262,8 +293,8 @@ def _percolate(
         # marks every (unmatched neighbour of x, unmatched neighbour of y);
         # rows holds the pairs' x ends, then their y ends
         k = new.size
-        new_x, new_y = split_keys(new, ny)
-        rows = np.concatenate([new_x, new_y + nx])
+        new_x, new_y = split_keys(new, uy)
+        rows = np.concatenate([new_x, new_y + ux])
         unmatched[rows] = False
         lens = degree[rows]
         owner = np.repeat(np.arange(2 * k), lens)
@@ -278,15 +309,15 @@ def _percolate(
         y_row = owner[:split] + k
         reps = per_row[y_row]
         cand_x = np.repeat(node[:split], reps)
-        cand_y = gather_runs(node, first[y_row], reps) - nx
-        if pair.self_match_mode:
+        cand_y = gather_runs(node, first[y_row], reps) - ux
+        if pair.self_match_mode:  # nx == ny: equal in the union, equal in the lane
             keep = cand_x != cand_y
             cand_x, cand_y = cand_x[keep], cand_y[keep]
-        marks = cand_x * ny + cand_y
+        marks = cand_x * uy + cand_y
         marks.sort()
         # the purged table and the sorted marks are two sorted runs, which
         # a stable sort (timsort for int64) merges in one pass
-        tx, ty = split_keys(table, ny)
+        tx, ty = split_keys(table, uy)
         table = np.concatenate([table[unmatched_x[tx] & unmatched_y[ty]], marks])
         table.sort(kind="stable")
         # a key with c >= threshold marks starts a run of that length, so
@@ -300,36 +331,58 @@ def _percolate(
         at = np.flatnonzero(bounds)
         cand = listed[at[:-1]]
         listings = at[1:] - at[:-1]
-        # highest count first, ties by (x, y) id order: the key x * ny + y
-        # sorts as (x, y), and index order is id order
+        # highest count first, ties by (x, y) id order: within a lane the
+        # key sorts as (x, y), and index order is id order
         ranked = cand[np.lexsort((cand, -listings))]
-        added = _first_come(ranked.tolist(), ny)
-        if not added:
+        added = _first_come(ranked.tolist(), uy)
+        if not added:  # no lane has a candidate left
             break
         new = np.array(added, dtype=np.int64)
         accepted.append(new)
     # distinct: the seed keys are, and every later pair has a new x and y
-    return np.sort(np.concatenate(accepted))
+    union_x, union_y = split_keys(np.sort(np.concatenate(accepted)), uy)
+    key_lane = union_x // max(nx, 1)
+    keys = (union_x - key_lane * nx) * ny + union_y - key_lane * ny
+    return np.split(keys, np.searchsorted(key_lane, lane[1:]))
 
 
-def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
-    """Compute the full identified-match set for a pair."""
-    if handle._cache_pair is pair and handle._cache_result is not None:
-        return handle._cache_result
-    cfg = handle.config
-    if cfg.kind == "attribute-exact":
-        keys = _attribute_exact(handle, pair)
-    else:
-        keys = _percolate(pair, _seed_keys(handle, pair), cfg.threshold, cfg.max_iters)
+def run_batches(handles: list[MatcherHandle], pair: NetworkPair) -> list[MatchSet]:
+    """The full identified-match set of each handle on a pair. The
+    percolation handles that share a threshold and ``max_iters`` run as
+    lanes of one ``_percolate`` call."""
+    keys: list[np.ndarray | MatchSet | None] = [None] * len(handles)
+    groups: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+    for i, handle in enumerate(handles):  # in order, so the first bad seed is named
+        cfg = handle.config
+        if handle._cache_pair is pair and handle._cache_result is not None:
+            keys[i] = handle._cache_result
+        elif cfg.kind == "attribute-exact":
+            keys[i] = _attribute_exact(handle, pair)
+        else:
+            lane = (i, _seed_keys(handle, pair))
+            groups.setdefault((cfg.threshold, cfg.max_iters), []).append(lane)
+    for (threshold, max_iters), lanes in groups.items():
+        at, seeds = zip(*lanes)
+        for i, found in zip(at, _percolate(pair, list(seeds), threshold, max_iters)):
+            keys[i] = found
     # both matchers pair nodes of the two networks and never an identity
     # pair in self-match mode (pair_keys checks string seeds, and
     # MatchSet.check_input a set of them), so the keys need no further
     # check
     x_ids, y_ids = pair.x_net.index.ids, pair.y_net.index.ids
-    result = MatchSet(x_ids, y_ids, keys)
-    handle._cache_pair = pair
-    handle._cache_result = result
-    return result
+    results = []
+    for handle, found in zip(handles, keys):
+        if not isinstance(found, MatchSet):
+            found = MatchSet(x_ids, y_ids, found)
+            handle._cache_pair = pair
+            handle._cache_result = found
+        results.append(found)
+    return results
+
+
+def run_batch(handle: MatcherHandle, pair: NetworkPair) -> MatchSet:
+    """Compute the full identified-match set for a pair."""
+    return run_batches([handle], pair)[0]
 
 
 def run_query(handle: MatcherHandle, pair: NetworkPair, x: str) -> frozenset[str]:

@@ -188,13 +188,15 @@ def test_trial_bounds_each_term_once_and_keeps_pairs_in_keys(monkeypatch):
     # a criterion-4 trial bounds 8 terms: batch recall at delta and at
     # delta / 2 and the match density; query holdout precision, recall and
     # error rate, complete recall and the matched fraction (the complete
-    # precision and error rate read the holdout terms). Each matcher runs
-    # once, and both certificate inputs read its identified set; each input
-    # reads s_x's verified matches once. Its seeds reach percolation as
+    # precision and error rate read the holdout terms). Both matchers run
+    # as lanes of one percolation, and both certificate inputs read their
+    # identified sets; each input reads s_x's verified matches once. Its
+    # seeds reach percolation as
     # keys, and s_m and the verified matches of s_x reach the certificates
     # as truth keys, so no pair is encoded or decoded
     terms = _count_calls(monkeypatch, bounds, "bound_term")
-    ran = _count_calls(monkeypatch, matchers, "run_batch")
+    ran = _count_calls(monkeypatch, matchers, "run_batches")
+    percolated = _count_calls(monkeypatch, matchers, "_percolate")
     verified = _count_calls(monkeypatch, reports, "verified_sample")
     columns = _count_calls(monkeypatch, query, "query_columns")
     encoded = _count_calls(monkeypatch, graphs, "pair_keys")
@@ -202,7 +204,8 @@ def test_trial_bounds_each_term_once_and_keeps_pairs_in_keys(monkeypatch):
     cfg = _criterion_4_world(VERIFIED_SAMPLE, 2, trials=1)
     records = run_trial(cfg, 0)
     assert len(records) == 10
-    assert (len(terms), len(ran), len(verified), len(columns)) == (8, 2, 2, 1)
+    assert (len(terms), len(ran), len(verified), len(columns)) == (8, 1, 2, 1)
+    assert len(percolated) == 1 and len(percolated[0][1]) == 2  # two lanes
     assert encoded == [] and decoded == []
 
 
@@ -296,16 +299,16 @@ def test_trial_draws_the_pairs_sample_without_replacement_draws(monkeypatch, tra
         seen["world"] = generate_pair(cfg)
         return seen["world"]
 
-    def matched(handle, pair):
-        seen.setdefault("seeds", []).append(handle.training_matches)
-        return seen["world"][1]  # the truth: no trial is degenerate
+    def matched(handles, pair):
+        seen["seeds"] = [handle.training_matches for handle in handles]
+        return [seen["world"][1]] * len(handles)  # the truth: no trial is degenerate
 
     def stop(**fields):
         seen["s_m"], seen["actual_for"] = fields["s_m"], fields["actual_for"]
         raise _Drawn
 
     monkeypatch.setattr("matchcert.coverage.generate_pair", recording_generate_pair)
-    monkeypatch.setattr("matchcert.coverage.run_batch", matched)
+    monkeypatch.setattr("matchcert.coverage.run_batches", matched)
     monkeypatch.setattr("matchcert.coverage.BatchValidationInput", stop)
     base = _small_world(MatcherConfig("percolation", seeds=VERIFIED_SAMPLE))
     for seed, idx in ((3, 0), (3, 7), (91, 2)):

@@ -3,6 +3,7 @@ import random
 import pytest
 from oracles import percolate_reference, top_degree_reference
 
+from matchcert import matchers
 from matchcert.errors import MatchcertError
 from matchcert.graphs import NetworkPair, by_x, make_match_set, make_network
 from matchcert.matchers import (
@@ -11,6 +12,7 @@ from matchcert.matchers import (
     TopDegree,
     build_matcher,
     run_batch,
+    run_batches,
     run_query,
 )
 from matchcert.synth import ErdosRenyi, GeneratorConfig, generate_pair
@@ -678,3 +680,71 @@ class TestHandles:
     def test_seeds_are_a_rule_or_a_tuple_of_string_pairs(self, seeds):
         with pytest.raises(MatchcertError, match="^unknown-seed-rule: "):
             MatcherConfig("percolation", seeds=seeds)
+
+
+def random_handle(rnd: random.Random, pair: NetworkPair):
+    """A percolation handle with random seeds, given as string pairs or as
+    a MatchSet, under the verified-sample or a TopDegree rule; threshold
+    and ``max_iters`` come from few values, so handles often share both."""
+    seeds = random_seeds(rnd, pair)
+    training = make_match_set(seeds, pair) if rnd.random() < 0.3 else seeds
+    rule = TopDegree(rnd.randint(1, 4)) if rnd.random() < 0.25 else VERIFIED_SAMPLE
+    config = MatcherConfig(
+        "percolation", seeds=rule, threshold=rnd.randint(1, 3),
+        max_iters=rnd.choice([2, 5]),
+    )
+    return build_matcher(config, training)
+
+
+class TestLanes:
+    """run_batches runs the percolation handles that share a threshold and
+    max_iters as lanes of one _percolate call, and gives each handle the
+    set run_batch gives it alone."""
+
+    def test_each_lane_gets_the_set_it_gets_alone(self, monkeypatch):
+        percolations = []
+        percolate = matchers._percolate
+
+        def counted(pair, lanes, threshold, max_steps):
+            percolations.append((threshold, max_steps))
+            return percolate(pair, lanes, threshold, max_steps)
+
+        monkeypatch.setattr(matchers, "_percolate", counted)
+        rnd = random.Random(20261022)
+        seen = dict.fromkeys(
+            ("self-mode", "top-degree", "no-seeds", "shared-group", "two-groups",
+             "threshold-1", "threshold-2", "threshold-3"), 0
+        )
+        for _ in range(300):
+            pair = random_pair(rnd)
+            handles = [random_handle(rnd, pair) for _ in range(rnd.randint(1, 4))]
+            groups = {(h.config.threshold, h.config.max_iters) for h in handles}
+            percolations.clear()
+            got = run_batches(handles, pair)
+            assert sorted(percolations) == sorted(groups)  # one call a group
+            for handle, found in zip(handles, got):
+                fresh = build_matcher(handle.config, handle.training_matches)
+                assert found == run_batch(fresh, pair)
+
+            seen["self-mode"] += pair.self_match_mode
+            seen["top-degree"] += any(isinstance(h.config.seeds, TopDegree) for h in handles)
+            seen["no-seeds"] += any(not matchers._seed_keys(h, pair).size for h in handles)
+            seen["shared-group"] += len(groups) < len(handles)
+            seen["two-groups"] += len(groups) > 1
+            for threshold, _ in groups:
+                seen[f"threshold-{threshold}"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_attribute_exact_and_cached_handles(self):
+        pair = mirrored_pair(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        exact = build_matcher(MatcherConfig("attribute-exact", attr_key="uid"))
+        cached = build_matcher(MatcherConfig("percolation"), [("x0", "y0")])
+        before = run_batch(cached, pair)
+        lane = build_matcher(MatcherConfig("percolation", threshold=2), [("x5", "y5")])
+        got = run_batches([exact, cached, lane, build_matcher(lane.config)], pair)
+        assert got[1] is before  # read from the handle, not run again
+        assert got[0] == run_batch(build_matcher(exact.config), pair)
+        assert got[0].keys.size == 6
+        assert got[2] == run_batch(build_matcher(lane.config, lane.training_matches), pair)
+        assert got[3].keys.size == 0  # the empty lane beside it stays empty
+        assert run_batches([], pair) == []
