@@ -143,12 +143,12 @@ def _payload(inp: BatchValidationInput, complete: MatchSet | None) -> Callable[[
     }
     return lambda: {
         **scalars,
-        # a sorted tuple of pairs encodes as the sorted list of [x, y]
-        "m_hat_holdout": holdout.sorted_pairs,
-        "m_hat_complete": complete.sorted_pairs if complete else None,
-        "s_m": s_m.sorted_pairs,
+        # each set by its digest, hashed once per set
+        "m_hat_holdout": holdout.digest,
+        "m_hat_complete": complete.digest if complete else None,
+        "s_m": s_m.digest,
         "s_x": sorted(s_x),
-        "actual_for": actual.sorted_pairs,
+        "actual_for": actual.digest,
     }
 
 

@@ -73,6 +73,7 @@ whitespace only or starts with ``#``.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice, repeat
@@ -324,8 +325,8 @@ class MatchSet:
     ``keys`` holds ``x_pos * len(y_ids) + y_pos`` for each pair, sorted and
     distinct, with positions into ``x_ids`` and ``y_ids`` (the pair's node
     ids, sorted), so key order is (x, y) id order. ``pairs``,
-    ``sorted_pairs`` and the per-x view are built from the keys on first
-    use and cached on the object.
+    ``sorted_pairs``, the per-x view and ``digest`` are built from the
+    keys on first use and cached on the object.
     """
 
     x_ids: list[str]
@@ -346,6 +347,17 @@ class MatchSet:
     @cached_property
     def pairs(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.sorted_pairs)
+
+    @cached_property
+    def digest(self) -> str:
+        """The sha256 hex digest of the X ids, then the Y ids, each id
+        followed by a newline and each table closed by a tab (no id holds
+        either), in UTF-8, then the keys as little-endian int64."""
+        h = hashlib.sha256()
+        for ids in (self.x_ids, self.y_ids):
+            h.update("".join([*(f"{node}\n" for node in ids), "\t"]).encode("utf-8"))
+        h.update(np.asarray(self.keys, dtype="<i8").tobytes())
+        return h.hexdigest()
 
     @cached_property
     def _per_x(self) -> dict[str, frozenset[str]]:

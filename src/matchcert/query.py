@@ -254,10 +254,10 @@ def _payload(inp: QueryValidationInput, complete: MatchSet | None) -> Callable[[
     scalars = {"n_x": inp.n_x, "method": inp.method.value}
     return lambda: {
         **scalars,
-        # a sorted tuple of pairs encodes as the sorted list of [x, y]
-        "m_hat_holdout": holdout.sorted_pairs,
-        "m_hat_complete": complete.sorted_pairs if complete else None,
-        "actual_for": actual.sorted_pairs,
+        # each set by its digest, hashed once per set
+        "m_hat_holdout": holdout.digest,
+        "m_hat_complete": complete.digest if complete else None,
+        "actual_for": actual.digest,
         "s_x": sorted(s_x),
         "s_x_prime": sorted(s_x_prime),
     }

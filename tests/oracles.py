@@ -5,6 +5,7 @@ brute-force enumeration, kept separate from the library's computation
 paths so the two sides of each check stay independent.
 """
 
+import hashlib
 import itertools
 from collections import defaultdict
 from fractions import Fraction
@@ -20,6 +21,22 @@ from matchcert.bounds import (
     hypergeom_tail_upper,
 )
 from matchcert.errors import MatchcertError
+
+
+def set_digest(pairs, pair) -> str:
+    """``MatchSet.digest`` of the string ``pairs`` over ``pair``'s
+    universes, by its recipe: sha256 of the sorted X ids, then the sorted Y
+    ids, each id followed by a newline and each table by a tab, in UTF-8,
+    then each pair's key x_pos * |Y| + y_pos, ascending, as little-endian
+    int64."""
+    x_ids, y_ids = sorted(pair.x_net.nodes), sorted(pair.y_net.nodes)
+    x_at = {x: i for i, x in enumerate(x_ids)}
+    y_at = {y: i for i, y in enumerate(y_ids)}
+    keys = sorted(x_at[x] * len(y_ids) + y_at[y] for x, y in set(pairs))
+    blob = "".join(f"{x}\n" for x in x_ids) + "\t" + "".join(f"{y}\n" for y in y_ids) + "\t"
+    return hashlib.sha256(
+        blob.encode("utf-8") + b"".join(k.to_bytes(8, "little", signed=True) for k in keys)
+    ).hexdigest()
 
 
 def pmf_exact(m: int, n: int, s: int, k: int) -> Fraction:

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from oracles import set_digest
 
 from matchcert.batch import (
     BatchValidationInput,
@@ -523,13 +524,11 @@ class TestBatchReports:
             complete = m_hat_c if r.variant == "complete" else None
             inputs = {
                 "n_x": len(pair.x_net.nodes),
-                "m_hat_holdout": sorted(map(list, m_hat_h.pairs)),
-                "m_hat_complete": (
-                    sorted(map(list, complete.pairs)) if complete else None
-                ),
-                "s_m": sorted(map(list, s_m)),
+                "m_hat_holdout": set_digest(m_hat_h.pairs, pair),
+                "m_hat_complete": set_digest(complete.pairs, pair) if complete else None,
+                "s_m": set_digest(s_m, pair),
                 "s_x": sorted(s_x),
-                "actual_for": list(map(list, truth.sorted_pairs)),
+                "actual_for": set_digest(truth.pairs, pair),
                 "k_y": 1,
                 "method": HG.value,
                 "deltas": list(r.delta_parts),
@@ -667,13 +666,11 @@ class TestDeferredDigest:
             payloads.append({
                 "bound_id": r.bound_id,
                 "n_x": len(pair.x_net.nodes),
-                "m_hat_holdout": sorted(map(list, inp.m_hat_holdout.pairs)),
-                "m_hat_complete": (
-                    sorted(map(list, complete.pairs)) if complete else None
-                ),
-                "s_m": list(map(list, inp.s_m.sorted_pairs)),
+                "m_hat_holdout": set_digest(inp.m_hat_holdout.pairs, pair),
+                "m_hat_complete": set_digest(complete.pairs, pair) if complete else None,
+                "s_m": set_digest(inp.s_m.pairs, pair),
                 "s_x": sorted(inp.s_x),
-                "actual_for": list(map(list, truth.sorted_pairs)),
+                "actual_for": set_digest(truth.pairs, pair),
                 "k_y": 1,
                 "method": HG.value,
                 "deltas": list(r.delta_parts),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     disagreement_precision,
     disagreement_recall,
+    set_digest,
     single_node_error,
     single_node_precision,
     single_node_recall,
@@ -650,11 +651,11 @@ class TestQueryReports:
                 "s_x_prime": sorted(s_x_prime),
                 "method": HG.value,
                 "deltas": list(r.delta_parts),
-                "m_hat_holdout": [list(p) for p in diagonal(6)],
+                "m_hat_holdout": set_digest(diagonal(6), tiny),
                 "m_hat_complete": (
-                    [list(p) for p in diagonal(7)] if r.variant == "complete" else None
+                    set_digest(diagonal(7), tiny) if r.variant == "complete" else None
                 ),
-                "actual_for": [list(p) for p in diagonal(8)],
+                "actual_for": set_digest(diagonal(8), tiny),
             }
             assert r.inputs_digest == digest_of({"bound_id": r.bound_id, **inputs})
         alone = error_rate_bounds(inp)
@@ -1164,12 +1165,12 @@ class TestSharedQueryInputs:
                     "s_x_prime": sorted(inp.s_x_prime),
                     "method": HOEFF.value,
                     "deltas": list(r.delta_parts),
-                    "m_hat_holdout": list(map(list, inp.m_hat_holdout.sorted_pairs)),
+                    "m_hat_holdout": set_digest(inp.m_hat_holdout.pairs, inp.pair),
                     "m_hat_complete": (
-                        list(map(list, inp.m_hat_complete.sorted_pairs))
+                        set_digest(inp.m_hat_complete.pairs, inp.pair)
                         if r.variant == "complete" else None
                     ),
-                    "actual_for": list(map(list, inp.actual_for.sorted_pairs)),
+                    "actual_for": set_digest(inp.actual_for.pairs, inp.pair),
                 }
                 for r in reports
             ]
