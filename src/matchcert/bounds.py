@@ -293,10 +293,18 @@ def ebs_bounds(
     )
 
 
-# Tie slop for the inversion search: tail probabilities that equal delta
-# as exact rationals can land a few ulps below it in floating point. The slop
-# only ever widens the returned interval, so validity is preserved.
+# A delta at or below _TIE_EPS gets the trivial exact bound (k / n below,
+# 1 above) without a search, as when this was an absolute slop on delta.
+# Near-ties are decided by _tail_eps and the integer tail instead:
+# tests/test_bounds.py checks the inversions against bisection at delta
+# for every case with n <= 40 and against the integer tail at contrived
+# near-tie deltas at n = 10**5 and 10**6.
 _TIE_EPS = 1e-11
+
+# The float tail's relative error, over the table's ulp at n: it sums nine
+# table entries of size up to lf[n] and exponentiates. The largest error
+# seen against the integer tail was 2.7 ulp(lf[n]) at n <= 10**6.
+_TAIL_ULPS = 64
 
 # Log-factorial table, grown on demand. Entry i holds lgamma(i + 1); each
 # entry is computed directly (no cumulative summation) so the error stays at
@@ -476,6 +484,32 @@ def _least_passing(tail_at, step_at, a: int, b: int, guess: int, level: float) -
     return b
 
 
+def _tail_eps(n: int) -> float:
+    """A bound on ``_tail``'s relative error at population size n."""
+    return _TAIL_ULPS * math.ulp(max(float(_logfact(n)[n]), 1.0))
+
+
+def _tail_reaches(m: int, n: int, s: int, k: int, delta: float) -> bool:
+    """Whether P{count >= k | m} >= delta, decided in integers: the sum of
+    C(m, j) C(n - m, s - j) over j >= k against delta C(n, s), delta read
+    as the shortest decimal that prints as it (the delta a user wrote).
+    Each term follows from the one before by one multiply and one exact
+    division."""
+    from fractions import Fraction  # only near-ties get here
+
+    j, j_hi = max(k, s - (n - m)), min(s, m)
+    if j > j_hi:
+        return False
+    p, q = Fraction(repr(delta)).as_integer_ratio()
+    term = math.comb(m, j) * math.comb(n - m, s - j)
+    total = term
+    while j < j_hi:
+        term = term * (m - j) * (s - j) // ((j + 1) * (n - m - s + j + 1))
+        total += term
+        j += 1
+    return total * q >= p * math.comb(n, s)
+
+
 def _check_counts(n: int, s: int, k: int) -> None:
     if not (all(map(is_count, (n, s, k))) and 0 <= k <= s <= n and n >= 1):
         raise MatchcertError(f"invalid-hypergeom-params: n={n!r}, s={s!r}, k={k!r}")
@@ -488,23 +522,41 @@ def _least_m(n: int, s: int, k: int, delta: Confidence) -> int:
     :func:`_least_passing` finds the boundary from a Wilson-score guess by
     Newton steps whose slope :func:`_tail_step` gives in closed form: in
     about 3 tail evaluations on average over the bounds-sweep grid, and 4
-    at most, where bisection over [k, n] takes log2(n). A level at or
-    below 0 passes every m, and the answer is k.
-    ``tests/test_bounds.py::TestInversionSearch`` checks that both
-    inversions return exactly what bisection (``tests/oracles.py``)
-    returns, in at most 3.5 evaluations on average.
+    at most, where bisection over [k, n] takes log2(n).
+
+    The search runs at delta (1 - eps), eps the float tail's relative
+    error (:func:`_tail_eps`), so every m whose exact tail reaches delta
+    passes, and the m before its answer has an exact tail below delta.
+    Its answer's own exact tail may still fall short of delta when the
+    float tail lies within eps of delta; such a near-tie is decided with
+    the integer tail, moving up one m at a time. A delta at or below
+    ``_TIE_EPS`` gives k. ``tests/test_bounds.py::TestInversionSearch``
+    checks that both inversions return exactly what bisection
+    (``tests/oracles.py``) returns, in at most 3.5 evaluations on average.
     """
-    level = delta.delta - _TIE_EPS
-    if k == 0 or level <= 0.0:
+    if k == 0 or delta.delta <= _TIE_EPS:
         return k
-    return _least_passing(
-        lambda m: _tail(m, n, s, k),
+    eps = _tail_eps(n)
+    tails = {n: 1.0}
+
+    def tail_at(m: int) -> float:
+        tails[m] = _tail(m, n, s, k)
+        return tails[m]
+
+    m = _least_passing(
+        tail_at,
         lambda m: _tail_step(m, n, s, k),
         k - 1,
         n,
         _wilson_guess(n, s, k, delta.delta),
-        level,
+        delta.delta * (1.0 - eps),
     )
+    near = delta.delta * (1.0 + eps)
+    while (tails[m] if m in tails else tail_at(m)) < near and not _tail_reaches(
+        m, n, s, k, delta.delta
+    ):
+        m += 1
+    return m
 
 
 def hypergeom_invert_lower(n: int, s: int, k: int, delta: Confidence) -> float:
@@ -522,7 +574,7 @@ def hypergeom_invert_upper(n: int, s: int, k: int, delta: Confidence) -> float:
     failures among the n - m failures, so that m is n less the least
     failure count for s - k."""
     _check_counts(n, s, k)
-    if k == s or delta.delta - _TIE_EPS <= 0.0:
+    if k == s or delta.delta <= _TIE_EPS:
         return 1.0
     return (n - _least_m(n, s, s - k, delta)) / n
 

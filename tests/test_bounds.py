@@ -412,8 +412,10 @@ class TestInversionSearch:
                 assert sum(counts) / len(counts) <= 3.5
 
     def test_tie_slop_only_widens_the_interval(self, monkeypatch):
-        # _TIE_EPS's claim: inverting at delta - _TIE_EPS never narrows the
-        # interval of bisection at delta exactly, over every small case
+        # searching at delta (1 - eps) and deciding near-ties in integers
+        # never narrows the interval of float bisection at delta exactly,
+        # over every small case; where a float tail lands just below an
+        # exact tie, it widens it
         tail = bounds_module._tail
         deltas = [Confidence(delta) for delta in (0.01, 0.05, 0.1)]
         widened = 0
@@ -432,6 +434,34 @@ class TestInversionSearch:
                         assert lower <= exact[0] and upper >= exact[1], (n, s, k, d)
                         widened += (lower, upper) != exact
         assert widened  # ties that the slop resolves occur on this grid
+
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_near_tie_deltas_get_the_exact_answer(self, n):
+        # delta is made the largest float whose decimal is at or below the
+        # exact tail at m0, so m0 is the exact answer, and the float tail
+        # at m0 lies within its error (~1e-9 relative at n = 10**6) of
+        # delta; both inversions must return m0 all the same, and m0 + 1
+        # at the next float up, whose decimal is above that tail
+        def tail(m, s, k):  # P{count >= k | m}, in integers over C(n, s)
+            return sum(math.comb(m, j) * math.comb(n - m, s - j) for j in range(k, s + 1))
+
+        rng = random.Random(n)
+        for _ in range(20):
+            s = rng.choice((20, 50, 200))
+            k = rng.randint(1, s)
+            m0 = round(hypergeom_invert_lower(n, s, k, Confidence(rng.uniform(1e-3, 0.5))) * n)
+            exact = Fraction(tail(m0, s, k), math.comb(n, s))
+            delta = float(exact)
+            while Fraction(repr(delta)) > exact:
+                delta = math.nextafter(delta, 0.0)
+            d = Confidence(delta)
+            assert Fraction(tail(m0 - 1, s, k), math.comb(n, s)) < Fraction(repr(delta))
+            assert round(hypergeom_invert_lower(n, s, k, d) * n) == m0, (s, k, delta)
+            # the upper inversion of s - k successes counts k failures
+            assert round(hypergeom_invert_upper(n, s, s - k, d) * n) == n - m0, (s, k, delta)
+            above = math.nextafter(delta, 1.0)
+            assert Fraction(repr(above)) > exact
+            assert round(hypergeom_invert_lower(n, s, k, Confidence(above)) * n) == m0 + 1
 
     @pytest.mark.parametrize(
         "invert, reference, n, s, k, want",
@@ -642,11 +672,14 @@ def pinned_grid():
 
 
 # sha256 of the reprs of (estimate, lower, upper, sorted diagnostics) of
-# bound_mean over pinned_grid(), in turn, as computed before the sample
-# reader and the inversion search were last reworked: a change of speed
-# must leave every bound as it was, bit for bit.
+# bound_mean over pinned_grid(), in turn: a change of speed must leave
+# every bound as it was, bit for bit. Last moved when the exact inversion
+# began deciding near-ties in integers, which moved six of its answers by
+# one count to the exact one (at n = 10**5 and 10**6: s = 1 at delta 0.5
+# and 0.05, and s = 5 at 0.5, where the exact tail equals delta, and s = 5
+# at 1e-4, where it falls 7.2e-12 short of it).
 PINNED_GRID_CALLS = 7_560
-PINNED_GRID_SHA256 = "ad4516a40eb29537934ffb0ed28fbebca1121366c5199214ee85d6d8fcefc74c"
+PINNED_GRID_SHA256 = "4527dfa709ae221a8d9a6398beb2ea44b2db94427b73f631d6a7b1350d299bf2"
 
 
 def test_bound_mean_outputs_pinned():
