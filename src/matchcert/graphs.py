@@ -504,8 +504,10 @@ _HIGH7 = np.array([(1 << 56) - (1 << (56 - 8 * r)) for r in range(8)], dtype=np.
 
 
 def gather_runs(src: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``src[starts[i] : starts[i] + lens[i]]`` for each i, concatenated."""
-    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    """``src[starts[i] : starts[i] + lens[i]]`` for each i, concatenated.
+    Array methods, not numpy's functions, as percolation calls it twice a
+    round on small arrays."""
+    shift = (starts - (lens.cumsum() - lens)).repeat(lens)
     return src[shift + np.arange(shift.size)]
 
 

@@ -288,6 +288,9 @@ def _percolate(
     # one entry per mark a live candidate (both ends unmatched) has had
     table = np.zeros(0, dtype=np.int64)
 
+    # the rounds call array methods (x.repeat, x.cumsum, b.nonzero), not
+    # numpy's functions, which add a Python-level call to each of the
+    # rounds' many small-array steps
     for _ in range(max_steps):
         # each pair (x, y) matched last round, or each seed in round one,
         # marks every (unmatched neighbour of x, unmatched neighbour of y);
@@ -297,18 +300,18 @@ def _percolate(
         rows = np.concatenate([new_x, new_y + ux])
         unmatched[rows] = False
         lens = degree[rows]
-        owner = np.repeat(np.arange(2 * k), lens)
+        owner = np.arange(2 * k).repeat(lens)
         node = gather_runs(nbr, indptr[rows], lens)
         live = unmatched[node]
         owner, node = owner[live], node[live]
         # owner ascends, so the x ends' neighbours come first; each is
         # paired with every neighbour of the same pair's y end
         per_row = np.bincount(owner, minlength=2 * k)
-        first = np.cumsum(per_row) - per_row
+        first = per_row.cumsum() - per_row
         split = int(per_row[:k].sum())
         y_row = owner[:split] + k
         reps = per_row[y_row]
-        cand_x = np.repeat(node[:split], reps)
+        cand_x = node[:split].repeat(reps)
         cand_y = gather_runs(node, first[y_row], reps) - ux
         if pair.self_match_mode:  # nx == ny: equal in the union, equal in the lane
             keep = cand_x != cand_y
@@ -328,7 +331,7 @@ def _percolate(
         # where each key's listing starts, then the end of the last one
         bounds = np.ones(listed.size + 1, dtype=bool)
         bounds[1:-1] = listed[1:] != listed[:-1]
-        at = np.flatnonzero(bounds)
+        at = bounds.nonzero()[0]
         cand = listed[at[:-1]]
         listings = at[1:] - at[:-1]
         # highest count first, ties by (x, y) id order: within a lane the
