@@ -73,7 +73,6 @@ whitespace only or starts with ``#``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice, repeat
@@ -353,6 +352,8 @@ class MatchSet:
         """The sha256 hex digest of the X ids, then the Y ids, each id
         followed by a newline and each table closed by a tab (no id holds
         either), in UTF-8, then the keys as little-endian int64."""
+        import hashlib  # here, not at the top: gen and match hash no set
+
         h = hashlib.sha256()
         for ids in (self.x_ids, self.y_ids):
             h.update("".join([*(f"{node}\n" for node in ids), "\t"]).encode("utf-8"))
