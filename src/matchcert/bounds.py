@@ -294,11 +294,10 @@ def ebs_bounds(
 
 
 # A delta at or below _TIE_EPS gets the trivial exact bound (k / n below,
-# 1 above) without a search, as when this was an absolute slop on delta.
-# Near-ties are decided by _tail_eps and the integer tail instead:
-# tests/test_bounds.py checks the inversions against bisection at delta
-# for every case with n <= 40 and against the integer tail at contrived
-# near-tie deltas at n = 10**5 and 10**6.
+# 1 above) without a search. Above it, near-ties are decided by _tail_eps
+# and the integer tail: tests/test_bounds.py checks the inversions against
+# bisection at delta for every case with n <= 40, and against the integer
+# tail at contrived near-tie deltas at n = 10**5 and 10**6.
 _TIE_EPS = 1e-11
 
 # The float tail's relative error, over the table's ulp at n: it sums nine

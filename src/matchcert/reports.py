@@ -118,10 +118,11 @@ class ValidationReport:
     object: those each certifier's ``_payload`` lists, less the complete
     part in a holdout report. These are the input's match sets, each as
     its ``MatchSet.digest`` (hashed once per set, however many reports
-    read it), samples and scalars, so inputs that certify different bounds
-    get different digests; a matcher's training pairs enter through the identified set
-    it outputs. It is computed when first read, so a caller that never reads
-    it (a coverage trial) never builds the fields. A pickled report
+    read it), samples and scalars, so inputs that certify different
+    bounds get different digests; a matcher's training pairs enter
+    through the identified set it outputs. It is computed when first
+    read, so a caller that never reads it (a coverage trial) never builds
+    the fields. A pickled report
     carries its digest, not ``payload``. Reports compare equal when their
     fields and their digests do.
     """

@@ -191,9 +191,9 @@ def test_trial_bounds_each_term_once_and_keeps_pairs_in_keys(monkeypatch):
     # precision and error rate read the holdout terms). Both matchers run
     # as lanes of one percolation, and both certificate inputs read their
     # identified sets; each input reads s_x's verified matches once. Its
-    # seeds reach percolation as
-    # keys, and s_m and the verified matches of s_x reach the certificates
-    # as truth keys, so no pair is encoded or decoded
+    # seeds reach percolation as keys, and s_m and the verified matches of
+    # s_x reach the certificates as truth keys, so no pair is encoded or
+    # decoded
     terms = _count_calls(monkeypatch, bounds, "bound_term")
     ran = _count_calls(monkeypatch, matchers, "run_batches")
     percolated = _count_calls(monkeypatch, matchers, "_percolate")
