@@ -297,38 +297,65 @@ def ebs_bounds(
 # 1 above) without a search. Above it, near-ties are decided by _tail_eps
 # and the integer tail: tests/test_bounds.py checks the inversions against
 # bisection at delta for every case with n <= 40, and against the integer
-# tail at contrived near-tie deltas at n = 10**5 and 10**6.
+# tail at contrived near-tie deltas at n = 10**5, 10**6 and 10**7.
 _TIE_EPS = 1e-11
 
 # The float tail's relative error, over the table's ulp at n: it sums nine
 # table entries of size up to lf[n] and exponentiates. The largest error
-# seen against the integer tail was 2.7 ulp(lf[n]) at n <= 10**6.
+# seen against the integer tail was 2.7 ulp(lf[n]) at n <= 10**6, and 1.08
+# ulp(lf[n]) over 12 seeded inversions at 10**7.
 _TAIL_ULPS = 64
 
-# Log-factorial table, grown on demand. Entry i holds lgamma(i + 1); each
-# entry is computed directly (no cumulative summation) so the error stays at
-# lgamma's own accuracy. The exact method tabulates up to its population
-# size, so that size is capped: 10**7 entries take 80 MB.
-_LOGFACT = np.zeros(1)
+# Log-factorial table, computed on demand in blocks of _BLOCK entries. Entry
+# i holds lgamma(i + 1), computed directly (no cumulative summation) so the
+# error stays at lgamma's own accuracy. At population n, s draws and m
+# successes the exact method reads only the spans (0, s), (m - s, m),
+# (n - m - s, n - m) and (n - s, n), so only the blocks holding those are
+# computed: a first inversion at n = 10**7 fills a few thousand entries,
+# where a full table held 10**7 + 1 (80 MB). The array is reserved up to n, a
+# whole number of blocks, and only the pages of filled blocks become
+# resident. n stays capped all the same: past 10**7 the float tail's error
+# bound (_TAIL_ULPS) is unchecked, and the reserved address space grows with
+# n, 8 bytes an item.
+_BLOCK = 256
+_LOGFACT = np.zeros(0)
+_FILLED = bytearray()  # one flag per block of _LOGFACT: 1 once computed
+_COMPLETE = 0  # every entry below it is computed
 _MAX_EXACT_N = 10**7
 
 
-def _logfact(n: int) -> np.ndarray:
-    global _LOGFACT
-    have = len(_LOGFACT)
-    if n >= have:
-        if n > _MAX_EXACT_N:
-            raise MatchcertError(
-                f"population-too-large: the exact method takes n <= {_MAX_EXACT_N}, got n={n}"
-            )
-        size = min(max(n + 1, 2 * have), _MAX_EXACT_N + 1)
-        # lgamma of an int equals lgamma of the float: ints below 2**53
-        # convert exactly
-        grown = np.fromiter(
-            map(math.lgamma, range(have + 1, size + 1)), float, size - have
+def _ready(n: int, s: int, *ends: int) -> None:
+    """Make entries e - s .. e of the table readable for each e of ``ends``,
+    in a table that holds entries up to ``n``; ``population-too-large``,
+    before any allocation, when n is past the cap."""
+    global _LOGFACT, _FILLED, _COMPLETE
+    # the last block may hold entries past the cap
+    if n > _MAX_EXACT_N:
+        raise MatchcertError(
+            f"population-too-large: the exact method takes n <= {_MAX_EXACT_N}, got n={n}"
         )
-        _LOGFACT = np.concatenate((_LOGFACT, grown))
-    return _LOGFACT
+    if n >= len(_LOGFACT):
+        # copy only the filled blocks: the rest of the new array is never read
+        grown = np.zeros((n // _BLOCK + 1) * _BLOCK)
+        filled = np.frombuffer(bytes(_FILLED), np.bool_)
+        grown.reshape(-1, _BLOCK)[: len(_FILLED)][filled] = _LOGFACT.reshape(-1, _BLOCK)[filled]
+        _LOGFACT = grown
+        _FILLED += bytes(len(grown) // _BLOCK - len(_FILLED))
+    for e in ends:
+        last = e // _BLOCK + 1
+        b = _FILLED.find(0, (e - s) // _BLOCK if e > s else 0, last)
+        while b >= 0:
+            # lgamma of an int equals lgamma of the float: ints below 2**53
+            # convert exactly
+            lo = b * _BLOCK
+            _LOGFACT[lo : lo + _BLOCK] = np.fromiter(
+                map(math.lgamma, range(lo + 1, lo + _BLOCK + 1)), float, _BLOCK
+            )
+            _FILLED[b] = 1
+            gap = _FILLED.find(0)
+            # callers skip _ready below _COMPLETE, so it stops at the cap
+            _COMPLETE = min((len(_FILLED) if gap < 0 else gap) * _BLOCK, _MAX_EXACT_N + 1)
+            b = _FILLED.find(0, b + 1, last)
 
 
 def _check_hypergeom(m: int, n: int, s: int, k: int) -> None:
@@ -348,7 +375,9 @@ def hypergeom_pmf(m: int, n: int, s: int, k: int) -> float:
     _check_hypergeom(m, n, s, k)
     if k > m or s - k > n - m:
         return 0.0
-    lf = _logfact(n)
+    if n >= _COMPLETE:
+        _ready(n, s, s, m, n - m, n)
+    lf = _LOGFACT
     log_p = (
         (lf[m] - lf[k] - lf[m - k])
         + (lf[n - m] - lf[s - k] - lf[n - m - s + k])
@@ -358,29 +387,33 @@ def hypergeom_pmf(m: int, n: int, s: int, k: int) -> float:
 
 
 def _tail(m: int, n: int, s: int, k: int) -> float:
-    # P{count >= k}: the pmf summed over the feasible j >= k, via log-sum-exp
+    # P{count >= k}: the pmf summed over the feasible j >= k, via log-sum-exp;
+    # reads the spans (0, s), (m - s, m), (n - m - s, n - m) and (n - s, n)
     j_lo, j_hi = max(k, s - (n - m)), min(s, m)
     if j_lo > j_hi:
         return 0.0
-    lf = _logfact(n)
-    # lf at j, m - j, s - j and n - m - s + j for j = j_lo..j_hi, as slices
+    lf = _LOGFACT
+    # lf at j, m - j, s - j and n - m - s + j for j = j_lo..j_hi, as slices;
+    # the log pmfs (lf[m] - lf[j] - lf[m - j]) + (lf[n - m] - lf[s - j] -
+    # lf[n - m - s + j]) - (lf[n] - lf[s] - lf[n - s]), in that order, in
+    # place in two arrays
     d = n - m - s
-    logs = (
-        (lf[m] - lf[j_lo : j_hi + 1] - lf[m - j_hi : m - j_lo + 1][::-1])
-        + (
-            lf[n - m]
-            - lf[s - j_hi : s - j_lo + 1][::-1]
-            - lf[d + j_lo : d + j_hi + 1]
-        )
-        - (lf[n] - lf[s] - lf[n - s])
-    )
+    logs = lf[m] - lf[j_lo : j_hi + 1]
+    logs -= lf[m - j_hi : m - j_lo + 1][::-1]
+    rest = lf[n - m] - lf[s - j_hi : s - j_lo + 1][::-1]
+    rest -= lf[d + j_lo : d + j_hi + 1]
+    logs += rest
+    logs -= lf[n] - lf[s] - lf[n - s]
     peak = float(logs.max())
-    return min(1.0, math.exp(peak) * float(np.exp(logs - peak).sum()))
+    logs -= peak
+    return min(1.0, math.exp(peak) * float(np.exp(logs, out=logs).sum()))
 
 
 def hypergeom_tail_upper(m: int, n: int, s: int, k: int) -> float:
     """P{sample success count >= k}."""
     _check_hypergeom(m, n, s, k)
+    if n >= _COMPLETE:
+        _ready(n, s, s, m, n - m, n)
     return _tail(m, n, s, k)
 
 
@@ -388,6 +421,8 @@ def hypergeom_tail_lower(m: int, n: int, s: int, k: int) -> float:
     """P{sample success count <= k}: the chance of s - k or more failures
     among the n - m failures of the population."""
     _check_hypergeom(m, n, s, k)
+    if n >= _COMPLETE:
+        _ready(n, s, s, m, n - m, n)
     return _tail(n - m, n, s, s - k)
 
 
@@ -411,11 +446,12 @@ def _tail_step(m: int, n: int, s: int, k: int) -> float:
     One more success in the population lifts the count to k exactly when
     it is drawn along with k - 1 others: (s/n) P{Y = k - 1}, Y the count
     of s - 1 draws from the n - 1 other items, m of them successes. That
-    is C(m, k - 1) C(n - 1 - m, s - k) / C(n, s), nine reads of the table.
+    is C(m, k - 1) C(n - 1 - m, s - k) / C(n, s), nine reads of the table,
+    all in the spans that ``_tail(m, n, s, k)`` reads.
     """
     if k - 1 > m or s - k > n - 1 - m:
         return 0.0
-    lf = _logfact(n)
+    lf = _LOGFACT
     log_p = (
         (lf[m] - lf[k - 1] - lf[m - k + 1])
         + (lf[n - 1 - m] - lf[s - k] - lf[n - 1 - m - s + k])
@@ -484,8 +520,9 @@ def _least_passing(tail_at, step_at, a: int, b: int, guess: int, level: float) -
 
 
 def _tail_eps(n: int) -> float:
-    """A bound on ``_tail``'s relative error at population size n."""
-    return _TAIL_ULPS * math.ulp(max(float(_logfact(n)[n]), 1.0))
+    """A bound on ``_tail``'s relative error at population size n; reads
+    table entry n."""
+    return _TAIL_ULPS * math.ulp(max(float(_LOGFACT[n]), 1.0))
 
 
 def _tail_reaches(m: int, n: int, s: int, k: int, delta: float) -> bool:
@@ -535,10 +572,17 @@ def _least_m(n: int, s: int, k: int, delta: Confidence) -> int:
     """
     if k == 0 or delta.delta <= _TIE_EPS:
         return k
+    # the spans every tail reads, and then each m's own two, which its step
+    # reads too; none once the table is complete up to n
+    lazy = n >= _COMPLETE
+    if lazy:
+        _ready(n, s, s, n)
     eps = _tail_eps(n)
     tails = {n: 1.0}
 
     def tail_at(m: int) -> float:
+        if lazy:
+            _ready(n, s, m, n - m)
         tails[m] = _tail(m, n, s, k)
         return tails[m]
 
@@ -589,8 +633,10 @@ def bound_mean(
 
     ``side`` is one of ``lower``, ``upper``, ``both``; a one-sided request
     fills the unrequested side with the trivial range endpoint. The
-    hypergeometric method requires binary {0,1} values and range (0, 1).
-    A ``method`` that is no BoundMethod fails with ``unknown-method``.
+    hypergeometric method requires binary {0,1} values and range (0, 1);
+    at a delta at or below 1e-11 it returns the trivial bound, k/n below
+    and 1 above, without a search. A ``method`` that is no BoundMethod
+    fails with ``unknown-method``.
     """
     if side not in ("lower", "upper", "both"):
         raise MatchcertError(f"invalid-side: {side!r}")

@@ -2,7 +2,9 @@ import functools
 import hashlib
 import inspect
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -47,6 +49,70 @@ from oracles import (
 )
 
 D05 = Confidence(0.05)
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """An empty log-factorial table for one test; the module's own table
+    comes back after it."""
+    monkeypatch.setattr(bounds_module, "_LOGFACT", np.zeros(0))
+    monkeypatch.setattr(bounds_module, "_FILLED", bytearray())
+    monkeypatch.setattr(bounds_module, "_COMPLETE", 0)
+
+
+def _lf(i):
+    """log(i!) straight from math.lgamma, for an int or, entry by entry, an
+    array of them."""
+    if isinstance(i, np.ndarray):
+        return np.array([math.lgamma(x + 1.0) for x in i.tolist()])
+    return math.lgamma(i + 1.0)
+
+
+def _pmf_from_lgamma(m: int, n: int, s: int, k: int) -> float:
+    """``hypergeom_pmf`` for a feasible k, its operations in its order."""
+    lf = _lf
+    log_p = (
+        (lf(m) - lf(k) - lf(m - k))
+        + (lf(n - m) - lf(s - k) - lf(n - m - s + k))
+        - (lf(n) - lf(s) - lf(n - s))
+    )
+    return min(1.0, math.exp(log_p))
+
+
+def _tail_from_lgamma(m: int, n: int, s: int, k: int) -> float:
+    """P{count >= k | m}, as ``hypergeom_tail_upper`` computes it."""
+    j = np.arange(max(k, s - (n - m)), min(s, m) + 1)
+    if not len(j):
+        return 0.0
+    lf = _lf
+    logs = (
+        (lf(m) - lf(j) - lf(m - j))
+        + (lf(n - m) - lf(s - j) - lf(n - m - s + j))
+        - (lf(n) - lf(s) - lf(n - s))
+    )
+    peak = float(logs.max())
+    return min(1.0, math.exp(peak) * float(np.exp(logs - peak).sum()))
+
+
+def _invert_from_lgamma(n: int, s: int, k: int) -> int:
+    """min{m : P{count >= k | m} >= 0.05}: bisection over the tails of
+    :func:`_tail_from_lgamma`, its answer then moved to where the exact
+    integer tail crosses 0.05, which a float tail within its error of 0.05
+    cannot decide."""
+    lo, hi = k, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _tail_from_lgamma(mid, n, s, k) >= 0.05 else (mid + 1, hi)
+
+    def reaches(m: int) -> bool:
+        tail = sum(math.comb(m, j) * math.comb(n - m, s - j) for j in range(k, s + 1))
+        return 20 * tail >= math.comb(n, s)
+
+    while lo > k and reaches(lo - 1):
+        lo -= 1
+    while not reaches(lo):
+        lo += 1
+    return lo
 
 
 class TestSampleStats:
@@ -256,6 +322,7 @@ class TestHypergeomTails:
             for s in range(1, n + 1):
                 tails = [_upper_tails_exact(m, n, s) for m in range(n + 1)]
                 for m in range(n):
+                    bounds_module._ready(n, s, s, m, n - m, n)
                     for k in range(1, s + 1):
                         step = Fraction(s, n) * pmf_exact(m, n - 1, s - 1, k - 1)
                         assert tails[m + 1][k] - tails[m][k] == step, (n, s, m, k)
@@ -435,11 +502,11 @@ class TestInversionSearch:
                         widened += (lower, upper) != exact
         assert widened  # ties that the slop resolves occur on this grid
 
-    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    @pytest.mark.parametrize("n", [100_000, 1_000_000, 10_000_000])
     def test_near_tie_deltas_get_the_exact_answer(self, n):
         # delta is made the largest float whose decimal is at or below the
         # exact tail at m0, so m0 is the exact answer, and the float tail
-        # at m0 lies within its error (~1e-9 relative at n = 10**6) of
+        # at m0 lies within its error (~1e-8 relative at n = 10**7) of
         # delta; both inversions must return m0 all the same, and m0 + 1
         # at the next float up, whose decimal is above that tail
         def tail(m, s, k):  # P{count >= k | m}, in integers over C(n, s)
@@ -510,7 +577,8 @@ class TestInversionSearch:
             j_lo, j_hi = max(0, s - (n - m)), min(s, m)
             if j_lo > j_hi:
                 continue
-            lf = bounds_module._logfact(n)
+            bounds_module._ready(n, s, s, m, n - m, n)
+            lf = bounds_module._LOGFACT
             j = np.arange(j_lo, j_hi + 1)
             logs = (
                 (lf[m] - lf[j] - lf[m - j])
@@ -532,6 +600,7 @@ class TestInversionSearch:
             m = rng.randint(0, n - 1)
             k = min(max(1, round(s * m / n) + rng.randint(-3, 3)), s)
             step = s / n * hypergeom.pmf(k - 1, n - 1, m, s - 1)
+            bounds_module._ready(n, s, s, m, n - m, n)
             assert bounds_module._tail_step(m, n, s, k) == pytest.approx(
                 step, rel=1e-7, abs=1e-300
             ), (n, s, m, k)
@@ -544,6 +613,7 @@ class TestInversionSearch:
 
         monkeypatch.setattr(bounds_module.np, "fromiter", allocation)
         monkeypatch.setattr(bounds_module.np, "concatenate", allocation)
+        monkeypatch.setattr(bounds_module.np, "zeros", allocation)
         have = len(bounds_module._LOGFACT)
         huge = 10**12
         for call in (
@@ -559,13 +629,91 @@ class TestInversionSearch:
             with pytest.raises(MatchcertError, match="^population-too-large: .* n=10+$"):
                 call()
         assert len(bounds_module._LOGFACT) == have
-        # the largest population the tests and the bounds-sweep use passes
-        assert bounds_module._MAX_EXACT_N >= 10**6
+        # the largest population the tests use passes
+        assert bounds_module._MAX_EXACT_N >= 10**7
+
+    def test_cap_holds_inside_the_last_block(self, cold_table, monkeypatch):
+        # the table is a whole number of blocks, so it holds entries past
+        # the cap; no n past the cap gets through, also once every entry up
+        # to the cap is computed and the callers skip their span checks
+        def past_the_cap(n):
+            for call in (
+                lambda: hypergeom_invert_lower(n, 5, 1, D05),
+                lambda: hypergeom_invert_upper(n, 5, 1, D05),
+                lambda: hypergeom_pmf(3, n, 5, 1),
+                lambda: hypergeom_tail_upper(3, n, 5, 1),
+                lambda: hypergeom_tail_lower(3, n, 5, 1),
+            ):
+                with pytest.raises(MatchcertError, match=f"^population-too-large: .* n={n}$"):
+                    call()
+
+        cap = bounds_module._MAX_EXACT_N
+        assert hypergeom_invert_lower(cap, 5, 1, D05) > 0
+        assert len(bounds_module._LOGFACT) > cap + 1
+        past_the_cap(cap + 1)
+        monkeypatch.setattr(bounds_module, "_MAX_EXACT_N", 3_000)
+        bounds_module._ready(3_000, 3_000, 3_000)
+        assert bounds_module._COMPLETE == 3_001
+        assert hypergeom_invert_lower(3_000, 5, 1, D05) > 0
+        past_the_cap(3_001)
 
     def test_logfact_entries_are_lgamma(self):
-        lf = bounds_module._logfact(70_000)
-        for i in (*range(200), *random.Random(11).sample(range(len(lf)), 200)):
+        bounds_module._ready(70_000, 70_000, 70_000)
+        lf = bounds_module._LOGFACT
+        for i in (*range(200), *random.Random(11).sample(range(70_001), 200)):
             assert lf[i] == math.lgamma(i + 1.0)
+
+    def test_cold_inversions_compute_few_entries(self, cold_table):
+        # a full table at the cap is 10**7 + 1 entries; a lower and an upper
+        # inversion read a few blocks near 0, s, m, n - m and n
+        n, s, k = 10**7, 200, 100
+        hypergeom_invert_lower(n, s, k, D05)
+        hypergeom_invert_upper(n, s, k, D05)
+        computed = bounds_module._FILLED.count(1) * bounds_module._BLOCK
+        assert 0 < computed <= 50_000
+        assert bounds_module._COMPLETE < n
+
+    def test_cold_inversion_memory(self):
+        # ru_maxrss counts resident pages, which the reserved array leaves
+        # out until its blocks are filled; a full table at 10**7 is 80 MB
+        code = (
+            "import resource\n"
+            "from matchcert.bounds import Confidence, hypergeom_invert_lower, "
+            "hypergeom_invert_upper\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "hypergeom_invert_lower(10**7, 200, 100, Confidence(0.05))\n"
+            "hypergeom_invert_upper(10**7, 200, 100, Confidence(0.05))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(bounds_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(out.stdout) <= 40 * 1024  # KiB
+
+    def test_growth_keeps_entries_exact(self, cold_table):
+        # sparse spans at growing n: each growth copies the filled blocks
+        # into a larger array, and every readable entry stays lgamma's
+        rng = random.Random(13)
+        for n in (10**4, 10**6, 10**7):
+            for _ in range(4):
+                s = rng.choice((20, 50, 200))
+                m, k = rng.randint(s, n - s), rng.randint(1, s - 1)
+                assert hypergeom_pmf(m, n, s, k) == _pmf_from_lgamma(m, n, s, k)
+                assert hypergeom_tail_upper(m, n, s, k) == _tail_from_lgamma(m, n, s, k)
+                assert hypergeom_invert_lower(n, s, k, D05) == _invert_from_lgamma(n, s, k) / n
+                assert hypergeom_invert_upper(n, s, k, D05) == (
+                    n - _invert_from_lgamma(n, s, s - k)
+                ) / n
+            lf, filled = bounds_module._LOGFACT, bounds_module._FILLED
+            assert len(lf) == len(filled) * bounds_module._BLOCK > n
+            readable = np.flatnonzero(np.frombuffer(bytes(filled), np.bool_))
+            assert len(readable) and (n < 10**6 or 10 * len(readable) < len(filled))
+            for b in readable:
+                at = range(b * bounds_module._BLOCK, (b + 1) * bounds_module._BLOCK)
+                want = np.array([math.lgamma(i + 1.0) for i in at])
+                assert np.array_equal(lf[at.start : at.stop].view(np.int64), want.view(np.int64))
 
 
 class TestBoundMean:

@@ -8,7 +8,7 @@ sample and confidence objects are built by their constructors from such
 values; a sample is built either by ``SampleSummary.of`` or, unconverted,
 from a tuple by ``SampleSummary`` itself. Range ends and sample values
 reach magnitudes near 1.7e308, where sums and squares overflow a float.
-Population sizes stay at or below 10**6."""
+Population sizes stay at or below 10**7, the exact method's cap."""
 
 import re
 
@@ -36,8 +36,8 @@ def mostly(good, bad=scalars):
     return st.integers(0, 3).flatmap(lambda i: good if i else bad)
 
 
-# sizes: small, where sample and population sizes meet, or up to 10**6
-sizes = mostly(st.one_of(st.integers(-1, 12), st.integers(0, 10**6)))
+# sizes: small, where sample and population sizes meet, or up to 10**7
+sizes = mostly(st.one_of(st.integers(-1, 12), st.integers(0, 10**7)))
 small = mostly(st.integers(-1, 12))
 deltas = mostly(st.floats(0.0, 1.0))
 sides = mostly(st.sampled_from(["lower", "upper", "both"]))
